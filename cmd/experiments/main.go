@@ -33,7 +33,6 @@ func main() {
 		m          = flag.Int("m", 0, "memory in points (default 10000*scale)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		bufPages   = flag.Int("buffer-pages", 0, "buffer-pool page budget for the measured experiments (0 = uncached)")
-		preBits    = flag.Int("prefilter-bits", 0, "quantized scan prefilter width in bits per dimension for the serving experiment (0 = off, max 8, -1 = auto-calibrated)")
 		backendStr = flag.String("backend", "auto", "snapshot read backend for the serving experiment's durable publications: auto, readat, or mmap (zero-copy)")
 		shards     = flag.Int("shards", 0, "serving experiment shard count (default 1): dirty-shard-only republication, bit-identical scatter-gather queries")
 		flatEvery  = flag.Int("flatten-every", 0, "serving experiment per-shard publication threshold in inserts (default 128)")
@@ -52,7 +51,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	opt := experiments.Options{Scale: *scale, Queries: *queries, K: *k, M: *m, Seed: *seed, BufferPages: *bufPages, PrefilterBits: *preBits, Backend: backend, Shards: *shards, FlattenEvery: *flatEvery, BatchedKNN: *batchedKNN}
+	opt := experiments.Options{Scale: *scale, Queries: *queries, K: *k, M: *m, Seed: *seed, BufferPages: *bufPages, Backend: backend, Shards: *shards, FlattenEvery: *flatEvery, BatchedKNN: *batchedKNN}
 	if *trace {
 		obs.Default.SetEnabled(true)
 	}

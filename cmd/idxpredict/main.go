@@ -30,7 +30,6 @@ func main() {
 		m          = flag.Int("m", 10000, "memory size in points")
 		bufPages   = flag.Int("buffer-pages", 0, "buffer-pool page budget for the simulated disk (0 = uncached; carved out of -m)")
 		pageBytes  = flag.Int("page", 8192, "index page size in bytes")
-		preBits    = flag.Int("prefilter-bits", 0, "quantized scan prefilter width of the modeled index (0 = off, max 8, -1 = auto-calibrated at build time; never changes predicted accesses, accepted for config parity with serving deployments)")
 		shards     = flag.Int("shards", 1, "serving shard count of the modeled deployment (>= 1; never changes predicted accesses — sharded queries are bit-identical — accepted for config parity with serving deployments)")
 		backendStr = flag.String("backend", "auto", "snapshot read backend for -load: auto, readat, or mmap (zero-copy)")
 		radius     = flag.Float64("range", 0, "range-query radius (0 = k-NN workload)")
@@ -69,7 +68,7 @@ func main() {
 	}
 	fmt.Printf("dataset: %d points, %d dimensions\n", d.N(), d.Dim())
 
-	p, err := hdidx.NewPredictor(d.Points, hdidx.WithPageBytes(*pageBytes), hdidx.WithPrefilterBits(*preBits))
+	p, err := hdidx.NewPredictor(d.Points, hdidx.WithPageBytes(*pageBytes))
 	if err != nil {
 		die(err)
 	}
@@ -105,7 +104,7 @@ func main() {
 	}
 
 	if *savePath != "" {
-		ix, err := hdidx.Build(d.Points, hdidx.WithPageBytes(*pageBytes), hdidx.WithPrefilterBits(*preBits))
+		ix, err := hdidx.Build(d.Points, hdidx.WithPageBytes(*pageBytes))
 		if err != nil {
 			die(err)
 		}

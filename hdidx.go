@@ -54,9 +54,8 @@ var ErrFlatTree = core.ErrFlatTree
 type Option func(*config)
 
 type config struct {
-	pageBytes     int
-	utilization   float64
-	prefilterBits int
+	pageBytes   int
+	utilization float64
 }
 
 func newConfig(opts []Option) (config, error) {
@@ -69,9 +68,6 @@ func newConfig(opts []Option) (config, error) {
 	}
 	if c.utilization <= 0 || c.utilization > 1 {
 		return config{}, fmt.Errorf("hdidx: utilization %g outside (0, 1]", c.utilization)
-	}
-	if (c.prefilterBits < 0 && c.prefilterBits != PrefilterAuto) || c.prefilterBits > 8 {
-		return config{}, fmt.Errorf("hdidx: prefilter bits %d outside [0, 8] and not PrefilterAuto", c.prefilterBits)
 	}
 	return c, nil
 }
@@ -109,28 +105,6 @@ func WithUtilization(u float64) Option {
 	return func(c *config) { c.utilization = u }
 }
 
-// PrefilterAuto, passed to WithPrefilterBits, calibrates the prefilter
-// width empirically at build time: the flatten measures an exact leaf
-// scan against bound-filtered scans at candidate widths on a sample of
-// the indexed points and keeps the fastest — or no prefilter at all
-// when none pays for itself (the typical outcome at very high
-// dimensionality, where code arrays cost more to stream than the exact
-// evaluations they avoid).
-const PrefilterAuto = rtree.PrefilterAuto
-
-// WithPrefilterBits enables the quantized scan prefilter of the flat
-// query snapshot: leaf points are scalar-quantized to the given number
-// of bits per dimension at build time, and k-NN searches use cheap
-// lower/upper distance bounds over the byte codes to skip most exact
-// distance evaluations. Results are bit-identical to the unfiltered
-// search; only speed changes. Valid widths are 0 (off, the default)
-// through 8, plus PrefilterAuto for build-time calibration; other
-// values are rejected by Build. The predictor ignores this option — it
-// models page accesses, which the prefilter never changes.
-func WithPrefilterBits(bits int) Option {
-	return func(c *config) { c.prefilterBits = bits }
-}
-
 func (c config) geometry(dim int) rtree.Geometry {
 	return rtree.Geometry{Dim: dim, PageBytes: c.pageBytes, Utilization: c.utilization}
 }
@@ -163,7 +137,7 @@ func Build(points [][]float64, opts ...Option) (*Index, error) {
 	cp := make([][]float64, len(points))
 	copy(cp, points)
 	tree := rtree.BuildTraced(cp, rtree.ParamsForGeometry(g), obs.TraceIfEnabled("hdidx.build", nil))
-	flat := tree.FlattenWith(rtree.FlattenOptions{PrefilterBits: c.prefilterBits})
+	flat := tree.Flatten()
 	return &Index{tree: tree, flat: flat, g: g}, nil
 }
 
@@ -734,7 +708,11 @@ func (p *Predictor) MeasureKNNAccesses(opts EstimateOptions) (float64, error) {
 	tr := obs.TraceIfEnabled("hdidx.measure.knn", nil)
 	spheres := query.ComputeSpheresTracedPool(p.points, queryPoints, k, pool, tr)
 	sp := tr.Span("measure.inmemory")
-	out := stats.Mean(core.MeasureInMemoryPool(p.points, p.g, spheres, pool))
+	// The bulk load reorders its input: give it a copy, so the caller's
+	// slice and the next call's query draws stay as they were.
+	cp := make([][]float64, len(p.points))
+	copy(cp, p.points)
+	out := stats.Mean(core.MeasureInMemoryPool(cp, p.g, spheres, pool))
 	sp.End()
 	return out, nil
 }

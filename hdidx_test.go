@@ -102,72 +102,6 @@ func TestBuildOptions(t *testing.T) {
 	}
 }
 
-func TestBuildWithPrefilterBits(t *testing.T) {
-	pts := clusteredPoints(t, 0.01, 12)
-	plain, err := Build(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := Build(pts, WithPrefilterBits(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The prefilter is a pure scan accelerator: results and page-access
-	// accounting must be identical to the unfiltered index.
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 20; i++ {
-		q := pts[rng.Intn(len(pts))]
-		a, ast, err := plain.KNN(q, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, bst, err := pre.KNN(q, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ast != bst {
-			t.Fatalf("stats %+v != unfiltered %+v", bst, ast)
-		}
-		for j := range a {
-			for d := range a[j] {
-				if a[j][d] != b[j][d] {
-					t.Fatalf("neighbor %d differs between prefiltered and plain index", j)
-				}
-			}
-		}
-	}
-	for _, bits := range []int{-2, 9} {
-		if _, err := Build(pts, WithPrefilterBits(bits)); err == nil {
-			t.Errorf("prefilter bits %d accepted, want error", bits)
-		}
-	}
-	// -1 is PrefilterAuto: accepted, and the built index stays
-	// bit-identical to the unfiltered one whatever width it picked.
-	auto, err := Build(pts, WithPrefilterBits(PrefilterAuto))
-	if err != nil {
-		t.Fatalf("PrefilterAuto rejected: %v", err)
-	}
-	q := pts[7]
-	an, ast, err := auto.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pn, pst, err := plain.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ast.Radius != pst.Radius {
-		t.Fatalf("auto-tuned radius %v != plain %v", ast.Radius, pst.Radius)
-	}
-	for j := range an {
-		for d := range an[j] {
-			if an[j][d] != pn[j][d] {
-				t.Fatalf("neighbor %d differs between auto-tuned and plain index", j)
-			}
-		}
-	}
-}
-
 func TestPredictorResampledMatchesMeasurement(t *testing.T) {
 	pts := clusteredPoints(t, 0.05, 5)
 	p, err := NewPredictor(pts)
@@ -192,6 +126,37 @@ func TestPredictorResampledMatchesMeasurement(t *testing.T) {
 	}
 	if len(est.PerQuery) != 40 {
 		t.Errorf("per-query size %d", len(est.PerQuery))
+	}
+}
+
+// TestMeasureKNNAccessesKeepsCallerOrder is the regression test of the
+// predictor's ground truth: measuring bulk-loads an index over the
+// predictor's points, and the bulk load reorders its input. Two
+// measurements on one predictor must agree, and the caller's slice must
+// keep its order.
+func TestMeasureKNNAccessesKeepsCallerOrder(t *testing.T) {
+	pts := clusteredPoints(t, 0.02, 14)
+	before := append([][]float64(nil), pts...)
+	p, err := NewPredictor(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := EstimateOptions{K: 21, Queries: 30, Seed: 15}
+	first, err := p.MeasureKNNAccesses(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := p.MeasureKNNAccesses(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Errorf("second measurement %v, first %v", second, first)
+	}
+	for i := range pts {
+		if &pts[i][0] != &before[i][0] {
+			t.Fatalf("MeasureKNNAccesses reordered the caller's points (index %d moved)", i)
+		}
 	}
 }
 

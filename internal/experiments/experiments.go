@@ -43,13 +43,6 @@ type Options struct {
 	// The buffer-size sweep experiment ignores it and sweeps its own
 	// budgets.
 	BufferPages int
-	// PrefilterBits enables the quantized scan prefilter (bits per
-	// dimension, 0 = off, rtree.PrefilterAuto = flatten-time
-	// calibration) on the snapshots the serving experiment publishes.
-	// Results are bit-identical either way; only the latency and
-	// throughput numbers move. Other experiments measure page
-	// accesses, which the prefilter never changes, and ignore it.
-	PrefilterBits int
 	// Backend selects how the serving experiment's durably published
 	// snapshots are read back (pager.BackendAuto/ReadAt/Mmap). The
 	// pager experiment always measures both backends and ignores it.

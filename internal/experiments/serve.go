@@ -37,9 +37,6 @@ type ServeResult struct {
 	// publication event re-flattens and rewrites only the shard that
 	// filled, so FlattenPerGen and BytesPerGen shrink as O(N/Shards).
 	Shards int
-	// PrefilterBits is the quantized-scan prefilter width the served
-	// snapshots carried (0 = unfiltered).
-	PrefilterBits int
 	// Mapped reports whether the final generation was served zero-copy
 	// from its durably published file's read-only mapping.
 	Mapped bool
@@ -99,13 +96,12 @@ func Serve(opt Options) (ServeResult, error) {
 		flattenEvery = 128
 	}
 	srv, err := serve.New(data, serve.Config{
-		Shards:        opt.Shards,
-		FlattenEvery:  flattenEvery,
-		QueueDepth:    256,
-		BatchSize:     16,
-		PrefilterBits: opt.PrefilterBits,
-		SnapshotPath:  filepath.Join(dir, "serve.hdsn"),
-		Backend:       opt.Backend,
+		Shards:       opt.Shards,
+		FlattenEvery: flattenEvery,
+		QueueDepth:   256,
+		BatchSize:    16,
+		SnapshotPath: filepath.Join(dir, "serve.hdsn"),
+		Backend:      opt.Backend,
 	})
 	if err != nil {
 		return ServeResult{}, fmt.Errorf("serve: %w", err)
@@ -184,23 +180,22 @@ func Serve(opt Options) (ServeResult, error) {
 
 	st := srv.Stats()
 	res := ServeResult{
-		Dataset:       scaled.Name,
-		N:             len(data),
-		Dim:           dim,
-		Readers:       readers,
-		K:             k,
-		Shards:        len(st.Shards),
-		PrefilterBits: opt.PrefilterBits,
-		Mapped:        st.Mapped,
-		Served:        served.Load(),
-		Overloads:     st.Overloads,
-		Inserted:      inserts,
-		Generations:   st.Generation,
-		Publications:  st.Publications,
-		Retired:       st.RetiredSnapshots,
-		Elapsed:       elapsed,
-		Throughput:    float64(served.Load()) / elapsed.Seconds(),
-		KNN:           st.KNN,
+		Dataset:      scaled.Name,
+		N:            len(data),
+		Dim:          dim,
+		Readers:      readers,
+		K:            k,
+		Shards:       len(st.Shards),
+		Mapped:       st.Mapped,
+		Served:       served.Load(),
+		Overloads:    st.Overloads,
+		Inserted:     inserts,
+		Generations:  st.Generation,
+		Publications: st.Publications,
+		Retired:      st.RetiredSnapshots,
+		Elapsed:      elapsed,
+		Throughput:   float64(served.Load()) / elapsed.Seconds(),
+		KNN:          st.KNN,
 	}
 	if gens := st.Generation - boot.Generation; gens > 0 {
 		res.FlattenPerGen = (st.FlattenTime - boot.FlattenTime) / time.Duration(gens)
@@ -212,12 +207,8 @@ func Serve(opt Options) (ServeResult, error) {
 // String renders the experiment.
 func (r ServeResult) String() string {
 	var b strings.Builder
-	filter := "unfiltered"
-	if r.PrefilterBits > 0 {
-		filter = fmt.Sprintf("prefilter %d bits", r.PrefilterBits)
-	}
-	fmt.Fprintf(&b, "Concurrent serving (extension) — %d readers vs 1 writer (%s, N=%d, d=%d, k=%d, S=%d, %s)\n",
-		r.Readers, r.Dataset, r.N, r.Dim, r.K, r.Shards, filter)
+	fmt.Fprintf(&b, "Concurrent serving (extension) — %d readers vs 1 writer (%s, N=%d, d=%d, k=%d, S=%d)\n",
+		r.Readers, r.Dataset, r.N, r.Dim, r.K, r.Shards)
 	fmt.Fprintf(&b, "served %d queries in %v (%.0f q/s), %d rejected for backpressure\n",
 		r.Served, r.Elapsed.Round(time.Millisecond), r.Throughput, r.Overloads)
 	serving := "resident snapshots"

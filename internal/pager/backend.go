@@ -16,7 +16,7 @@ import (
 //
 // BackendMmap maps the file read-only and serves everything straight
 // from the mapping: the directory arrays (child ranges, RectSet corner
-// columns, prefilter codes and marks) are reinterpreted in place —
+// columns) are reinterpreted in place —
 // nothing is materialized, so trees larger than memory open — and
 // LeafRows returns zero-copy views into the mapped points section (no
 // syscall, no memcpy per leaf). Page touches are accounted at fault

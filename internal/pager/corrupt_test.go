@@ -22,19 +22,51 @@ import (
 // never a silently misread tree. The fuzz target extends the same
 // contract to arbitrary byte strings.
 
-// goodSnapshotBytes builds a small tree and serializes it at the
-// minimum page size, returning the raw file bytes.
-func goodSnapshotBytes(tb testing.TB, bits int) []byte {
+// goodSnapshotBytes builds a small tree over points drawn from seed and
+// serializes it at the minimum page size, returning the raw file bytes.
+func goodSnapshotBytes(tb testing.TB, seed int64) []byte {
 	tb.Helper()
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(seed))
 	data := uniform(400, 6, rng)
-	tr := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8})
-	ft := tr.FlattenWith(rtree.FlattenOptions{PrefilterBits: bits})
+	ft := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8}).Flatten()
 	var buf bytes.Buffer
 	if _, err := Write(&buf, ft, MinPageBytes); err != nil {
 		tb.Fatalf("write: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// retiredSnapshotBytes rebuilds the layout the retired quantized scan
+// prefilter wrote: a good snapshot plus a codes section (kind 8, one
+// byte per point and dimension) and a marks section (kind 9, 2^bits+1
+// float64 marks per dimension), each page-aligned with a valid CRC, and
+// the header's reserved word set to bits. Every checksum is valid, so
+// only the retired-layout checks can reject the file.
+func retiredSnapshotBytes(tb testing.TB, bits uint32) []byte {
+	tb.Helper()
+	b := goodSnapshotBytes(tb, 7)
+	h, err := decodeHeader(b[:headerBytes])
+	if err != nil {
+		tb.Fatalf("decode good header: %v", err)
+	}
+	le := binary.LittleEndian
+	retired := [][]byte{
+		make([]byte, h.dim*h.numPoints),
+		make([]byte, h.dim*((1<<bits)+1)*8),
+	}
+	for i, sec := range retired {
+		off := 52 + 24*(len(h.sections)+i)
+		le.PutUint32(b[off:], uint32(secRetiredCodes+i))
+		le.PutUint32(b[off+4:], crc32.Checksum(sec, castagnoli))
+		le.PutUint64(b[off+8:], uint64(len(b)))
+		le.PutUint64(b[off+16:], uint64(len(sec)))
+		b = append(b, sec...)
+		b = append(b, make([]byte, pagePad(int64(len(sec)), MinPageBytes)-int64(len(sec)))...)
+	}
+	le.PutUint32(b[44:], bits)
+	le.PutUint32(b[48:], uint32(len(h.sections)+len(retired)))
+	le.PutUint32(b[headerBytes-4:], crc32.Checksum(b[:headerBytes-4], castagnoli))
+	return b
 }
 
 // openBytes lands b in a file and tries to open it, closing the
@@ -56,7 +88,7 @@ func openBytes(tb testing.TB, b []byte) error {
 // empty, mid-header, header only, mid-section, one byte short — and
 // requires an error every time.
 func TestOpenTruncated(t *testing.T) {
-	good := goodSnapshotBytes(t, 4)
+	good := goodSnapshotBytes(t, 7)
 	cuts := []int{0, 1, headerBytes - 1, headerBytes, MinPageBytes - 1,
 		MinPageBytes, len(good) / 2, len(good) - MinPageBytes, len(good) - 1}
 	for _, cut := range cuts {
@@ -73,7 +105,7 @@ func TestOpenTruncated(t *testing.T) {
 // the header checksum (or, for the magic, the signature check) must
 // reject each one.
 func TestOpenHeaderBitFlips(t *testing.T) {
-	good := goodSnapshotBytes(t, 0)
+	good := goodSnapshotBytes(t, 7)
 	for off := 0; off < headerBytes; off++ {
 		b := append([]byte(nil), good...)
 		b[off] ^= 0xFF
@@ -88,7 +120,7 @@ func TestOpenHeaderBitFlips(t *testing.T) {
 // Bytes in the zero padding between sections are deliberately not
 // flipped — padding carries no data and is not checksummed.
 func TestOpenSectionBitFlips(t *testing.T) {
-	good := goodSnapshotBytes(t, 4)
+	good := goodSnapshotBytes(t, 7)
 	h, err := decodeHeader(good[:headerBytes])
 	if err != nil {
 		t.Fatalf("decode good header: %v", err)
@@ -108,7 +140,7 @@ func TestOpenSectionBitFlips(t *testing.T) {
 // version, with a correct header checksum, and requires rejection —
 // this reader must not guess at layouts it does not know.
 func TestOpenVersionSkew(t *testing.T) {
-	good := goodSnapshotBytes(t, 0)
+	good := goodSnapshotBytes(t, 7)
 	b := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(b[4:], Version+1)
 	binary.LittleEndian.PutUint32(b[headerBytes-4:],
@@ -125,7 +157,7 @@ func TestOpenForeignFiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	random := make([]byte, 4*MinPageBytes)
 	rng.Read(random)
-	wrongMagic := goodSnapshotBytes(t, 0)
+	wrongMagic := goodSnapshotBytes(t, 7)
 	wrongMagic = append([]byte(nil), wrongMagic...)
 	copy(wrongMagic[0:4], "HDX1")
 	binary.LittleEndian.PutUint32(wrongMagic[headerBytes-4:],
@@ -188,11 +220,49 @@ func TestOpenZeroLengthAndSubHeader(t *testing.T) {
 	}
 }
 
+// TestOpenRetiredFormat pins the clear error for files that carry the
+// retired quantized scan prefilter: a valid-CRC header with a nonzero
+// bits word (what prefiltered writers produced), and a section table
+// that lists the codes and marks kinds with the word zeroed. Both must
+// fail with ErrRetiredFormat on every backend, never a panic and never
+// a misread tree.
+func TestOpenRetiredFormat(t *testing.T) {
+	backends := []Options{{}, {Backend: BackendReadAt}}
+	if MmapSupported() {
+		backends = append(backends, Options{Backend: BackendMmap})
+	}
+	for _, c := range []struct {
+		name string
+		bits uint32
+	}{
+		{"prefiltered header", 4},
+		{"prefilter sections, zero bits word", 0},
+	} {
+		path := filepath.Join(t.TempDir(), "retired.hdsn")
+		if err := os.WriteFile(path, retiredSnapshotBytes(t, c.bits), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range backends {
+			s, err := OpenWith(path, opts)
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s/%v: open accepted a retired-prefilter file", c.name, opts.Backend)
+			}
+			if !errors.Is(err, ErrRetiredFormat) {
+				t.Fatalf("%s/%v: error %v, want ErrRetiredFormat", c.name, opts.Backend, err)
+			}
+			if !strings.Contains(err.Error(), "re-save") {
+				t.Fatalf("%s/%v: error %q does not say how to recover", c.name, opts.Backend, err)
+			}
+		}
+	}
+}
+
 // FuzzOpen asserts the hostile-input contract on arbitrary bytes:
 // Open either errors or yields a fully verified snapshot whose tree
 // answers a query without panicking.
 func FuzzOpen(f *testing.F) {
-	good := goodSnapshotBytes(f, 4)
+	good := goodSnapshotBytes(f, 7)
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(good[:headerBytes])
@@ -201,6 +271,8 @@ func FuzzOpen(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte("HDSN garbage that is far too short"))
+	f.Add(retiredSnapshotBytes(f, 4))
+	f.Add(retiredSnapshotBytes(f, 0))
 	// One file path per fuzz process (workers are separate processes):
 	// per-exec temp dirs would dominate the runtime.
 	path := filepath.Join(f.TempDir(), "fuzz.hdsn")

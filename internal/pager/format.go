@@ -12,9 +12,9 @@
 // section starts on a page boundary and is zero-padded to one:
 //
 //	page 0   header: magic "HDSN", version, page size, tree shape
-//	         (dim, height, points, leaves, nodes, prefilter bits),
-//	         section table (kind, CRC-32C, offset, length per
-//	         section), CRC-32C over the header bytes.
+//	         (dim, height, points, leaves, nodes), a reserved word
+//	         that must be zero, section table (kind, CRC-32C, offset,
+//	         length per section), CRC-32C over the header bytes.
 //	...      sections, each page-aligned, in fixed kind order:
 //	           childStart  int32[numNodes]     little endian
 //	           childCount  int32[numNodes]
@@ -23,16 +23,20 @@
 //	           rectLo      float64[numNodes*dim]
 //	           rectHi      float64[numNodes*dim]
 //	           points      float64[numPoints*dim]  (row-major)
-//	           codes       byte[dim*numPoints]     (column-major,
-//	                       only when prefilterBits > 0)
-//	           marks       float64[dim*(2^bits+1)] (only when
-//	                       prefilterBits > 0)
 //
 // The layout mirrors the in-memory FlatTree exactly — the int32 child
-// ranges, the RectSet corner columns, the packed point matrix, and the
-// optional prefilter arrays are each one contiguous, sequentially
-// scannable run — so loading is a single forward pass and the points
-// section can be paged at byte granularity without touching the rest.
+// ranges, the RectSet corner columns, and the packed point matrix are
+// each one contiguous, sequentially scannable run — so loading is a
+// single forward pass and the points section can be paged at byte
+// granularity without touching the rest.
+//
+// The reserved word (header offset 44) and section kinds 8 and 9 once
+// held the quantized scan prefilter: its bits per dimension, its
+// column-major byte codes, and its quantizer marks. The prefilter is
+// retired; a file that still uses any of them fails Open with
+// ErrRetiredFormat, and re-saving the index without the prefilter
+// makes it readable again. Files written without a prefilter are
+// unchanged, byte for byte.
 //
 // Every section and the header carry independent CRC-32C checksums;
 // Open verifies all of them plus every structural invariant
@@ -43,6 +47,7 @@ package pager
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -75,12 +80,20 @@ const (
 	secRectLo
 	secRectHi
 	secPoints
-	secCodes
-	secMarks
+	// Kinds of the retired prefilter sections, rejected by Open.
+	secRetiredCodes
+	secRetiredMarks
 )
 
-// maxSections is the number of section-table slots in the header.
+// maxSections is the number of section-table slots in the header. It
+// keeps the two slots of the retired prefilter sections so the header
+// size, and with it every v1 file, stays as it was.
 const maxSections = 9
+
+// ErrRetiredFormat reports a snapshot that uses the retired quantized
+// scan prefilter: a nonzero reserved header word or a codes or marks
+// section. Test with errors.Is.
+var ErrRetiredFormat = errors.New("snapshot carries the retired quantized scan prefilter; re-save the index without it")
 
 // headerBytes is the fixed size of the encoded header: 52 bytes of
 // scalar fields, 24 bytes per section-table slot, and the trailing
@@ -92,15 +105,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // header is the decoded page-0 metadata.
 type header struct {
-	version       uint32
-	pageBytes     int
-	dim           int
-	height        int
-	numPoints     int
-	numLeaves     int
-	numNodes      int
-	prefilterBits int
-	sections      []sectionEntry
+	version   uint32
+	pageBytes int
+	dim       int
+	height    int
+	numPoints int
+	numLeaves int
+	numNodes  int
+	sections  []sectionEntry
 }
 
 // sectionEntry locates one checksummed section.
@@ -123,7 +135,7 @@ func (h *header) encode() []byte {
 	le.PutUint64(b[20:], uint64(h.numPoints))
 	le.PutUint64(b[28:], uint64(h.numLeaves))
 	le.PutUint64(b[36:], uint64(h.numNodes))
-	le.PutUint32(b[44:], uint32(h.prefilterBits))
+	// b[44:48] is the reserved word, left zero.
 	le.PutUint32(b[48:], uint32(len(h.sections)))
 	for i, s := range h.sections {
 		off := 52 + 24*i
@@ -155,17 +167,19 @@ func decodeHeader(b []byte) (*header, error) {
 		return nil, fmt.Errorf("pager: header checksum mismatch (got %08x, want %08x)", got, want)
 	}
 	h := &header{
-		version:       le.Uint32(b[4:]),
-		pageBytes:     int(le.Uint32(b[8:])),
-		dim:           int(le.Uint32(b[12:])),
-		height:        int(le.Uint32(b[16:])),
-		numPoints:     int(le.Uint64(b[20:])),
-		numLeaves:     int(le.Uint64(b[28:])),
-		numNodes:      int(le.Uint64(b[36:])),
-		prefilterBits: int(le.Uint32(b[44:])),
+		version:   le.Uint32(b[4:]),
+		pageBytes: int(le.Uint32(b[8:])),
+		dim:       int(le.Uint32(b[12:])),
+		height:    int(le.Uint32(b[16:])),
+		numPoints: int(le.Uint64(b[20:])),
+		numLeaves: int(le.Uint64(b[28:])),
+		numNodes:  int(le.Uint64(b[36:])),
 	}
 	if h.version != Version {
 		return nil, fmt.Errorf("pager: snapshot version %d, this build reads version %d", h.version, Version)
+	}
+	if bits := le.Uint32(b[44:]); bits != 0 {
+		return nil, fmt.Errorf("pager: %w (%d bits per dimension)", ErrRetiredFormat, bits)
 	}
 	if h.pageBytes < MinPageBytes || h.pageBytes > maxPageBytes {
 		return nil, fmt.Errorf("pager: implausible page size %d", h.pageBytes)
@@ -173,9 +187,9 @@ func decodeHeader(b []byte) (*header, error) {
 	const maxCount = 1 << 31
 	if h.dim < 0 || h.dim > 1<<20 || h.numPoints < 0 || h.numPoints > maxCount ||
 		h.numNodes < 0 || h.numNodes > maxCount || h.numLeaves < 0 || h.numLeaves > h.numNodes ||
-		h.height < 0 || h.prefilterBits < 0 || h.prefilterBits > 8 {
-		return nil, fmt.Errorf("pager: implausible header (dim=%d points=%d nodes=%d leaves=%d height=%d bits=%d)",
-			h.dim, h.numPoints, h.numNodes, h.numLeaves, h.height, h.prefilterBits)
+		h.height < 0 {
+		return nil, fmt.Errorf("pager: implausible header (dim=%d points=%d nodes=%d leaves=%d height=%d)",
+			h.dim, h.numPoints, h.numNodes, h.numLeaves, h.height)
 	}
 	nsec := int(le.Uint32(b[48:]))
 	if nsec < 0 || nsec > maxSections {
@@ -248,20 +262,13 @@ func float64Section(kind uint32, data []float64) section {
 	}}
 }
 
-func byteSection(kind uint32, vals []byte) section {
-	return section{kind: kind, length: int64(len(vals)), writeTo: func(w io.Writer) error {
-		_, err := w.Write(vals)
-		return err
-	}}
-}
-
 // sectionsOf lists the sections of a flat tree in file order.
 func sectionsOf(ft *rtree.FlatTree) []section {
 	var rectLo, rectHi []float64
 	if ft.Rects != nil {
 		rectLo, rectHi = ft.Rects.Corners()
 	}
-	secs := []section{
+	return []section{
 		int32Section(secChildStart, ft.ChildStart),
 		int32Section(secChildCount, ft.ChildCount),
 		int32Section(secPtStart, ft.PtStart),
@@ -270,12 +277,6 @@ func sectionsOf(ft *rtree.FlatTree) []section {
 		float64Section(secRectHi, rectHi),
 		float64Section(secPoints, ft.Points.Data),
 	}
-	if ft.PrefilterBits > 0 {
-		secs = append(secs,
-			byteSection(secCodes, ft.Codes),
-			float64Section(secMarks, ft.Marks))
-	}
-	return secs
 }
 
 // Write serializes ft to w as a snapshot file with the given page
@@ -293,15 +294,14 @@ func Write(w io.Writer, ft *rtree.FlatTree, pageBytes int) (int64, error) {
 
 	// Pass 1: checksums and the page-aligned layout.
 	h := &header{
-		version:       Version,
-		pageBytes:     pageBytes,
-		dim:           ft.Dim,
-		height:        ft.Height,
-		numPoints:     ft.NumPoints,
-		numLeaves:     ft.NumLeaves,
-		numNodes:      ft.NumNodes(),
-		prefilterBits: ft.PrefilterBits,
-		sections:      make([]sectionEntry, len(secs)),
+		version:   Version,
+		pageBytes: pageBytes,
+		dim:       ft.Dim,
+		height:    ft.Height,
+		numPoints: ft.NumPoints,
+		numLeaves: ft.NumLeaves,
+		numNodes:  ft.NumNodes(),
+		sections:  make([]sectionEntry, len(secs)),
 	}
 	offset := int64(pageBytes) // page 0 is the header
 	for i, s := range secs {

@@ -132,7 +132,7 @@ func TestManifestCrossFormatConfusion(t *testing.T) {
 	dir := t.TempDir()
 
 	snap := filepath.Join(dir, "single.hdsn")
-	if err := os.WriteFile(snap, goodSnapshotBytes(t, 0), 0o644); err != nil {
+	if err := os.WriteFile(snap, goodSnapshotBytes(t, 7), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadManifest(snap); err == nil {
@@ -241,7 +241,7 @@ func TestShardPathRoundTrip(t *testing.T) {
 func TestFileSummary(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.hdsn")
-	good := goodSnapshotBytes(t, 2)
+	good := goodSnapshotBytes(t, 7)
 	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFileSummary(t *testing.T) {
 		t.Fatalf("header CRC %08x, want %08x", crc, want)
 	}
 	// A different tree yields a different summary.
-	other := goodSnapshotBytes(t, 0)
+	other := goodSnapshotBytes(t, 8)
 	path2 := filepath.Join(dir, "s2.hdsn")
 	if err := os.WriteFile(path2, other, 0o644); err != nil {
 		t.Fatal(err)

@@ -35,15 +35,15 @@ func openMmapT(t *testing.T, path string) *Snapshot {
 func TestMmapRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
-		n, dim, bits, page int
+		n, dim, page int
 	}{
-		{300, 4, 0, 512},
-		{1200, 16, 4, 4096},
-		{500, 60, 8, 8192},
-		{1, 3, 0, 512},
+		{300, 4, 512},
+		{1200, 16, 4096},
+		{500, 60, 8192},
+		{1, 3, 512},
 	}
 	for i, c := range cases {
-		ft := buildFlat(t, c.n, c.dim, c.bits, int64(300+i))
+		ft := buildFlat(t, c.n, c.dim, int64(300+i))
 		path := filepath.Join(dir, "snap")
 		if _, err := WriteFile(path, ft, c.page); err != nil {
 			t.Fatalf("case %d: write: %v", i, err)
@@ -77,7 +77,7 @@ func TestMmapRoundTrip(t *testing.T) {
 // copies: the tree's point matrix and every LeafRows result alias the
 // mapping, and LeafRows ignores its scratch buffer entirely.
 func TestMmapZeroCopy(t *testing.T) {
-	ft := buildFlat(t, 500, 8, 0, 11)
+	ft := buildFlat(t, 500, 8, 11)
 	path := filepath.Join(t.TempDir(), "snap")
 	if _, err := WriteFile(path, ft, 512); err != nil {
 		t.Fatalf("write: %v", err)
@@ -123,7 +123,7 @@ func TestMmapZeroCopy(t *testing.T) {
 // hits, and ResetCounters makes the model cold again.
 func TestMmapFaultAccounting(t *testing.T) {
 	// dim 64 at 512-byte pages: one row is exactly one page.
-	ft := buildFlat(t, 256, 64, 0, 9)
+	ft := buildFlat(t, 256, 64, 9)
 	path := filepath.Join(t.TempDir(), "snap")
 	if _, err := WriteFile(path, ft, 512); err != nil {
 		t.Fatalf("write: %v", err)
@@ -184,14 +184,14 @@ func TestMmapPagedBitIdentity(t *testing.T) {
 		t.Skip("mmap backend unsupported on this platform")
 	}
 	for _, c := range []struct {
-		n, dim, bits, page int
-		seed               int64
+		n, dim, page int
+		seed         int64
 	}{
-		{3000, 12, 0, 4096, 21},
-		{2000, 16, 4, 512, 22},
-		{900, 60, 0, 8192, 23},
+		{3000, 12, 4096, 21},
+		{2000, 16, 512, 22},
+		{900, 60, 8192, 23},
 	} {
-		ft := buildFlat(t, c.n, c.dim, c.bits, c.seed)
+		ft := buildFlat(t, c.n, c.dim, c.seed)
 		path := filepath.Join(t.TempDir(), "snap")
 		if _, err := WriteFile(path, ft, c.page); err != nil {
 			t.Fatalf("write: %v", err)
@@ -249,7 +249,7 @@ func TestMmapPagedBitIdentity(t *testing.T) {
 // run with the original in-memory tree's matrix NaN-poisoned, using
 // only the mapped tree, and still answer correctly.
 func TestMmapPoisonedResident(t *testing.T) {
-	ft := buildFlat(t, 1500, 10, 0, 31)
+	ft := buildFlat(t, 1500, 10, 31)
 	path := filepath.Join(t.TempDir(), "snap")
 	if _, err := WriteFile(path, ft, 4096); err != nil {
 		t.Fatalf("write: %v", err)
@@ -295,7 +295,7 @@ func TestBackendResolution(t *testing.T) {
 		t.Fatal("ParseBackend accepted bogus input")
 	}
 
-	ft := buildFlat(t, 100, 4, 0, 41)
+	ft := buildFlat(t, 100, 4, 41)
 	path := filepath.Join(t.TempDir(), "snap")
 	if _, err := WriteFile(path, ft, 512); err != nil {
 		t.Fatalf("write: %v", err)

@@ -62,8 +62,7 @@ func openMmap(f *os.File, path string, h *header, size int64) (*Snapshot, error)
 	var (
 		i32s                 [4][]int32
 		rectLo, rectHi       []float64
-		points, marks        []float64
-		codes                []byte
+		points               []float64
 		pointsOff, pointsLen int64
 	)
 	for i, sec := range h.sections {
@@ -82,10 +81,6 @@ func openMmap(f *os.File, path string, h *header, size int64) (*Snapshot, error)
 		case sec.kind == secPoints:
 			points = viewFloat64s(b)
 			pointsOff, pointsLen = sec.offset, sec.length
-		case sec.kind == secCodes:
-			codes = b
-		case sec.kind == secMarks:
-			marks = viewFloat64s(b)
 		}
 	}
 	rects, err := assembleRects(rectLo, rectHi, h.numNodes, h.dim)
@@ -94,8 +89,7 @@ func openMmap(f *os.File, path string, h *header, size int64) (*Snapshot, error)
 	}
 	mat := vec.Matrix{Data: points, N: h.numPoints, Dim: h.dim}
 	tree, err := rtree.AssembleFlat(h.dim, h.height, h.numPoints, h.numLeaves,
-		i32s[0], i32s[1], i32s[2], i32s[3], rects, mat,
-		h.prefilterBits, codes, marks)
+		i32s[0], i32s[1], i32s[2], i32s[3], rects, mat)
 	if err != nil {
 		return nil, err
 	}

@@ -141,15 +141,19 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 		return nil, fmt.Errorf("truncated file: %d bytes is not a multiple of the %d-byte page", size, pb)
 	}
 
+	// A retired prefilter section gets its own error, so such a file is
+	// named for what it is rather than reported as malformed.
+	for _, sec := range h.sections {
+		if sec.kind == secRetiredCodes || sec.kind == secRetiredMarks {
+			return nil, fmt.Errorf("section kind %d: %w", sec.kind, ErrRetiredFormat)
+		}
+	}
 	// The section table must list exactly the expected kinds in order,
 	// with the expected lengths, laid out back to back on page
 	// boundaries. Checking lengths against the header counts up front
 	// means a truncated or resized section is caught before any decode.
 	wantKinds := []uint32{secChildStart, secChildCount, secPtStart, secPtCount,
 		secRectLo, secRectHi, secPoints}
-	if h.prefilterBits > 0 {
-		wantKinds = append(wantKinds, secCodes, secMarks)
-	}
 	if len(h.sections) != len(wantKinds) {
 		return nil, fmt.Errorf("%d sections, want %d", len(h.sections), len(wantKinds))
 	}
@@ -161,10 +165,6 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 			return int64(h.numNodes) * int64(h.dim) * 8
 		case secPoints:
 			return int64(h.numPoints) * int64(h.dim) * 8
-		case secCodes:
-			return int64(h.dim) * int64(h.numPoints)
-		case secMarks:
-			return int64(h.dim) * int64((1<<h.prefilterBits)+1) * 8
 		}
 		return -1
 	}
@@ -217,8 +217,7 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 	var (
 		i32s                 [4][]int32
 		rectLo, rectHi       []float64
-		points, marks        []float64
-		codes                []byte
+		points               []float64
 		pointsOff, pointsLen int64
 	)
 	for i, sec := range h.sections {
@@ -236,10 +235,6 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 		case sec.kind == secPoints:
 			points = decodeFloat64s(b)
 			pointsOff, pointsLen = sec.offset, sec.length
-		case sec.kind == secCodes:
-			codes = b
-		case sec.kind == secMarks:
-			marks = decodeFloat64s(b)
 		}
 	}
 	rects, err := assembleRects(rectLo, rectHi, h.numNodes, h.dim)
@@ -248,8 +243,7 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 	}
 	mat := vec.Matrix{Data: points, N: h.numPoints, Dim: h.dim}
 	tree, err := rtree.AssembleFlat(h.dim, h.height, h.numPoints, h.numLeaves,
-		i32s[0], i32s[1], i32s[2], i32s[3], rects, mat,
-		h.prefilterBits, codes, marks)
+		i32s[0], i32s[1], i32s[2], i32s[3], rects, mat)
 	if err != nil {
 		return nil, err
 	}

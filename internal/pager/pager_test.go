@@ -1,14 +1,19 @@
 package pager
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"hdidx/internal/mbr"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
+	"hdidx/internal/vec"
 )
 
 // uniform fills n points of the given dimensionality from rng.
@@ -24,12 +29,11 @@ func uniform(n, dim int, rng *rand.Rand) [][]float64 {
 	return out
 }
 
-func buildFlat(t *testing.T, n, dim, bits int, seed int64) *rtree.FlatTree {
+func buildFlat(t *testing.T, n, dim int, seed int64) *rtree.FlatTree {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	data := uniform(n, dim, rng)
-	tr := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8})
-	return tr.FlattenWith(rtree.FlattenOptions{PrefilterBits: bits})
+	return rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8}).Flatten()
 }
 
 // equalTrees compares every exported field of two flat trees,
@@ -37,8 +41,7 @@ func buildFlat(t *testing.T, n, dim, bits int, seed int64) *rtree.FlatTree {
 func equalTrees(t *testing.T, got, want *rtree.FlatTree) {
 	t.Helper()
 	if got.Dim != want.Dim || got.Height != want.Height ||
-		got.NumPoints != want.NumPoints || got.NumLeaves != want.NumLeaves ||
-		got.PrefilterBits != want.PrefilterBits {
+		got.NumPoints != want.NumPoints || got.NumLeaves != want.NumLeaves {
 		t.Fatalf("tree shape diverges: %+v vs %+v", got, want)
 	}
 	if !reflect.DeepEqual(got.ChildStart, want.ChildStart) ||
@@ -55,28 +58,25 @@ func equalTrees(t *testing.T, got, want *rtree.FlatTree) {
 	if !reflect.DeepEqual(got.Points, want.Points) {
 		t.Fatal("point matrix diverges after round trip")
 	}
-	if !reflect.DeepEqual(got.Codes, want.Codes) || !reflect.DeepEqual(got.Marks, want.Marks) {
-		t.Fatal("prefilter arrays diverge after round trip")
-	}
 }
 
-// TestRoundTrip writes trees across dimensions, prefilter widths and
-// page sizes and reads them back, requiring every array bit-identical
+// TestRoundTrip writes trees across dimensions and page sizes and
+// reads them back, requiring every array bit-identical
 // and search results over the reopened tree identical to the original.
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
-		n, dim, bits, page int
+		n, dim, page int
 	}{
-		{300, 4, 0, 512},
-		{300, 4, 0, 8192},
-		{1200, 16, 4, 512},
-		{1200, 16, 4, 4096},
-		{500, 60, 8, 8192},
-		{1, 3, 0, 512}, // single point, single leaf
+		{300, 4, 512},
+		{300, 4, 8192},
+		{1200, 16, 512},
+		{1200, 16, 4096},
+		{500, 60, 8192},
+		{1, 3, 512}, // single point, single leaf
 	}
 	for i, c := range cases {
-		ft := buildFlat(t, c.n, c.dim, c.bits, int64(100+i))
+		ft := buildFlat(t, c.n, c.dim, int64(100+i))
 		path := filepath.Join(dir, "snap")
 		if _, err := WriteFile(path, ft, c.page); err != nil {
 			t.Fatalf("case %d: write: %v", i, err)
@@ -130,7 +130,7 @@ func TestRoundTripEmpty(t *testing.T) {
 // bit-identical to the in-memory search, and the counters must record
 // the page traffic.
 func TestPagedSearchOverFile(t *testing.T) {
-	ft := buildFlat(t, 4000, 12, 0, 7)
+	ft := buildFlat(t, 4000, 12, 7)
 	path := filepath.Join(t.TempDir(), "snap")
 	if _, err := WriteFile(path, ft, 4096); err != nil {
 		t.Fatalf("write: %v", err)
@@ -172,7 +172,7 @@ func TestPagedSearchOverFile(t *testing.T) {
 // see TestMmapFaultAccounting.)
 func TestLeafRowsAccounting(t *testing.T) {
 	// dim 64 at 512-byte pages: one row is exactly one page.
-	ft := buildFlat(t, 256, 64, 0, 9)
+	ft := buildFlat(t, 256, 64, 9)
 	path := filepath.Join(t.TempDir(), "snap")
 	if _, err := WriteFile(path, ft, 512); err != nil {
 		t.Fatalf("write: %v", err)
@@ -215,8 +215,8 @@ func TestLeafRowsAccounting(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap")
-	ft1 := buildFlat(t, 100, 4, 0, 1)
-	ft2 := buildFlat(t, 200, 4, 0, 2)
+	ft1 := buildFlat(t, 100, 4, 1)
+	ft2 := buildFlat(t, 200, 4, 2)
 
 	if _, err := WriteFileAtomic(path, ft1, 512); err != nil {
 		t.Fatalf("first publish: %v", err)
@@ -242,5 +242,56 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Fatalf("tmp files left behind: %v", left)
+	}
+}
+
+// TestWriteDeterministic is the determinism property of publication:
+// two independent bulk loads of the same points, flattened and written
+// at the same page size, produce byte-identical snapshot files.
+func TestWriteDeterministic(t *testing.T) {
+	for _, c := range []struct{ n, dim, page int }{
+		{1, 3, 512},
+		{700, 8, 512},
+		{2000, 60, 8192},
+	} {
+		data := uniform(c.n, c.dim, rand.New(rand.NewSource(int64(c.n))))
+		write := func() []byte {
+			cp := append([][]float64(nil), data...) // Build reorders its input
+			ft := rtree.Build(cp, rtree.BuildParams{LeafCap: 16, DirCap: 8}).Flatten()
+			var buf bytes.Buffer
+			if _, err := Write(&buf, ft, c.page); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			return buf.Bytes()
+		}
+		if a, b := write(), write(); !bytes.Equal(a, b) {
+			t.Fatalf("n=%d dim=%d: two builds of the same points wrote different files", c.n, c.dim)
+		}
+	}
+}
+
+// TestWriteV1Layout pins the version-1 bytes: a hand-assembled
+// three-point tree must serialize to exactly the file earlier builds
+// wrote for it, so existing snapshots stay readable and rewrites stay
+// byte-identical.
+func TestWriteV1Layout(t *testing.T) {
+	rects := mbr.NewRectSet([]mbr.Rect{
+		{Lo: []float64{0, 0}, Hi: []float64{3, 2}},
+		{Lo: []float64{0, 0}, Hi: []float64{1, 1}},
+		{Lo: []float64{3, 2}, Hi: []float64{3, 2}},
+	})
+	pts := vec.Matrix{Data: []float64{0, 0, 1, 1, 3, 2}, N: 3, Dim: 2}
+	ft, err := rtree.AssembleFlat(2, 2, 3, 2,
+		[]int32{1, 0, 0}, []int32{2, 0, 0}, []int32{0, 0, 2}, []int32{0, 2, 1}, rects, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := Write(&buf, ft, MinPageBytes); err != nil {
+		t.Fatal(err)
+	}
+	const want = "a2b47b88079a7d166f91500d443e26b9c78aceb1bacb70f25ce882eef4446208"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("v1 file sha256 %s, want %s", got, want)
 	}
 }

@@ -1,10 +1,9 @@
-// Package quant holds the scalar-quantization math shared by the
-// VA-file (internal/vafile) and the flat-tree prefilter
-// (rtree.FlattenOptions.PrefilterBits): equi-populated per-dimension
-// quantizer boundaries ("marks", Weber & Blott 1997), cell assignment,
-// and per-query bound tables of squared distance contributions.
+// Package quant holds the scalar-quantization math of the VA-file
+// (internal/vafile): equi-populated per-dimension quantizer boundaries
+// ("marks", Weber & Blott 1997), cell assignment, and per-cell
+// distance bounds.
 //
-// The invariants the callers' exactness arguments rest on:
+// The invariants the caller's exactness argument rests on:
 //
 //   - Marks are non-decreasing, the first mark is the minimum
 //     coordinate, and the last mark is Nextafter(max, +Inf) — so every
@@ -77,18 +76,4 @@ func CellBounds(m []float64, c uint32, x float64) (lo, hi float64) {
 		hi = d
 	}
 	return lo, hi
-}
-
-// BoundTables fills lutLo and lutHi (one entry per cell) with the
-// squared minimum and maximum distance contribution of each cell of
-// one dimension for query coordinate x — the per-dimension lookup
-// tables of the VA-style bound scans: a point with code c contributes
-// at least lutLo[c] and at most lutHi[c] to its squared distance
-// from the query.
-func BoundTables(m []float64, x float64, lutLo, lutHi []float64) {
-	for c := range lutLo {
-		lo, hi := CellBounds(m, uint32(c), x)
-		lutLo[c] = lo * lo
-		lutHi[c] = hi * hi
-	}
 }

@@ -62,8 +62,8 @@ func TestMarksInvariants(t *testing.T) {
 	}
 }
 
-// TestBoundsSound is the bound-soundness property test of the
-// prefilter: for random queries and points across bit widths 1-8 —
+// TestBoundsSound is the bound-soundness property test behind the
+// VA-file's exact filtering: for random queries and points across bit widths 1-8 —
 // including degenerate constant dimensions and points sitting exactly
 // on cell boundaries — the summed squared bounds must bracket the
 // exact squared distance computed in the same ascending-dimension
@@ -111,8 +111,6 @@ func TestBoundsSound(t *testing.T) {
 			pts[rng.Intn(n)][d] = marks[d][rng.Intn(cells)]
 		}
 
-		lutLo := make([]float64, dim*cells)
-		lutHi := make([]float64, dim*cells)
 		codes := make([]uint32, dim)
 		for q := 0; q < 4; q++ {
 			query := make([]float64, dim)
@@ -122,7 +120,6 @@ func TestBoundsSound(t *testing.T) {
 				} else {
 					query[d] = rng.NormFloat64() * 50
 				}
-				BoundTables(marks[d], query[d], lutLo[d*cells:(d+1)*cells], lutHi[d*cells:(d+1)*cells])
 			}
 			for _, p := range pts {
 				var exact, lo2, hi2 float64
@@ -130,8 +127,9 @@ func TestBoundsSound(t *testing.T) {
 					codes[d] = Cell(marks[d], p[d])
 					diff := p[d] - query[d]
 					exact += diff * diff
-					lo2 += lutLo[d*cells+int(codes[d])]
-					hi2 += lutHi[d*cells+int(codes[d])]
+					lo, hi := CellBounds(marks[d], codes[d], query[d])
+					lo2 += lo * lo
+					hi2 += hi * hi
 				}
 				if !(lo2 <= exact && exact <= hi2) {
 					t.Fatalf("trial %d bits %d: bounds [%v, %v] do not bracket exact %v (point %v query %v codes %v)",

@@ -111,7 +111,6 @@ type flatScratch struct {
 	pq    nodeMinHeap
 	best  boundedMaxHeap
 	nbrs  neighborHeap
-	pre   prefilterScratch
 	dists []float64
 	stack []int32
 	rows  []float64 // paged-search leaf row buffer (paged.go)
@@ -162,8 +161,6 @@ func knnFlat(ft *rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc *fla
 	if wantNeighbors {
 		sc.nbrs.reset(k)
 	}
-	usePre := ft.PrefilterBits != 0
-	sc.pre.built = false
 	data, dim := ft.Points.Data, ft.Dim
 	sc.pq.push(0, ft.Rects.MinSqDist(0, q))
 	res := Result{}
@@ -176,10 +173,6 @@ func knnFlat(ft *rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc *fla
 		if cc == 0 {
 			res.LeafAccesses++
 			start, end := int(ft.PtStart[node]), int(ft.PtStart[node]+ft.PtCount[node])
-			if usePre {
-				prefilterLeaf(ft, q, start, end, &sc.pre, &sc.best, &sc.nbrs, wantNeighbors, &res)
-				continue
-			}
 			for r := start; r < end; r++ {
 				row := data[r*dim : r*dim+dim]
 				d, ok := sqDistBounded(row, q, sc.best.max())
@@ -214,11 +207,7 @@ func knnFlat(ft *rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc *fla
 // RangeSearchFlat counts the points of the flat tree within the sphere
 // and the pages accessed doing so — bit-identical to the pointer
 // oracle RangeSearch (the accessed set is every node whose MINDIST is
-// at most the radius, independent of traversal order). On a snapshot
-// built with prefilter codes, leaf rows are first decided from their
-// quantized distance bounds and only the rows the bounds cannot decide
-// pay an exact evaluation — the count and access counts are identical
-// either way (prefilterRangeLeaf).
+// at most the radius, independent of traversal order).
 func RangeSearchFlat(ft *rtree.FlatTree, s Sphere) (points int, res Result) {
 	res.Radius = s.Radius
 	if ft.NumNodes() == 0 {
@@ -230,8 +219,6 @@ func RangeSearchFlat(ft *rtree.FlatTree, s Sphere) (points int, res Result) {
 	r2 := s.Radius * s.Radius
 	sc := flatPool.Get().(*flatScratch)
 	defer flatPool.Put(sc)
-	usePre := ft.PrefilterBits != 0
-	sc.pre.built = false
 	data, dim := ft.Points.Data, ft.Dim
 	stack := sc.stack[:0]
 	if ft.Rects.MinSqDist(0, s.Center) <= r2 {
@@ -244,10 +231,6 @@ func RangeSearchFlat(ft *rtree.FlatTree, s Sphere) (points int, res Result) {
 		if cc == 0 {
 			res.LeafAccesses++
 			start, end := int(ft.PtStart[node]), int(ft.PtStart[node]+ft.PtCount[node])
-			if usePre {
-				points += prefilterRangeLeaf(ft, s.Center, r2, start, end, &sc.pre, &res)
-				continue
-			}
 			for r := start; r < end; r++ {
 				if _, ok := sqDistBounded(data[r*dim:r*dim+dim], s.Center, r2); ok {
 					points++

@@ -106,21 +106,18 @@ type batchScratch struct {
 	pq    batchMinHeap
 	best  []boundedMaxHeap
 	nbrs  []neighborHeap
-	pre   []prefilterScratch // per-query prefilter state, LUTs built lazily
-	dists []float64          // per-child MINDIST of the current query
-	minD  []float64          // per-child aggregate minimum over masked queries
-	masks []uint64           // per-child refined interest mask
+	dists []float64 // per-child MINDIST of the current query
+	minD  []float64 // per-child aggregate minimum over masked queries
+	masks []uint64  // per-child refined interest mask
 }
 
 func (sc *batchScratch) grow(b int) {
 	if cap(sc.best) < b {
 		sc.best = make([]boundedMaxHeap, b)
 		sc.nbrs = make([]neighborHeap, b)
-		sc.pre = make([]prefilterScratch, b)
 	}
 	sc.best = sc.best[:b]
 	sc.nbrs = sc.nbrs[:b]
-	sc.pre = sc.pre[:b]
 }
 
 // child returns per-child scratch buffers of at least cc entries.
@@ -176,9 +173,7 @@ func knnFlatBatch(ft *rtree.FlatTree, queries [][]float64, ks []int, out []Resul
 		}
 		sc.best[i].reset(ks[i])
 		sc.nbrs[i].reset(ks[i])
-		sc.pre[i].built = false
 	}
-	usePre := ft.PrefilterBits != 0
 	data, dim := ft.Points.Data, ft.Dim
 
 	sc.pq.reset()
@@ -231,10 +226,6 @@ func knnFlatBatch(ft *rtree.FlatTree, queries [][]float64, ks []int, out []Resul
 				qi := bits.TrailingZeros64(m)
 				out[qi].LeafAccesses++
 				q, best, nbrs := queries[qi], &sc.best[qi], &sc.nbrs[qi]
-				if usePre {
-					prefilterLeaf(ft, q, start, end, &sc.pre[qi], best, nbrs, true, &out[qi])
-					continue
-				}
 				for r := start; r < end; r++ {
 					row := data[r*dim : r*dim+dim]
 					d, ok := sqDistBounded(row, q, best.max())
@@ -292,12 +283,6 @@ func knnFlatBatch(ft *rtree.FlatTree, queries [][]float64, ks []int, out []Resul
 // with the final bound as the radius; the k-th bound itself is taken
 // from the batch heap before the lossy sqrt). Neighbors are not
 // collected, matching MeasureKNNFlat.
-//
-// The tree must carry no prefilter: the prefilter's skipped-row
-// counter depends on bound evolution during the traversal, which a
-// shared frontier changes, so on a prefiltered tree the batched counts
-// could not match the single-query driver. Measurement trees are built
-// unprefiltered (the prefilter never changes page accesses).
 func MeasureKNNFlatBatch(ft *rtree.FlatTree, queryPoints [][]float64, k int) []Result {
 	return MeasureKNNFlatBatchPool(ft, queryPoints, k, par.Pool{})
 }
@@ -305,9 +290,6 @@ func MeasureKNNFlatBatch(ft *rtree.FlatTree, queryPoints [][]float64, k int) []R
 // MeasureKNNFlatBatchPool is MeasureKNNFlatBatch with the fan-out over
 // 64-query groups bounded by pool.
 func MeasureKNNFlatBatchPool(ft *rtree.FlatTree, queryPoints [][]float64, k int, pool par.Pool) []Result {
-	if ft.PrefilterBits != 0 {
-		panic("query: MeasureKNNFlatBatch requires an unprefiltered tree (prefilter skip counts are traversal-order dependent)")
-	}
 	out := make([]Result, len(queryPoints))
 	groups := (len(queryPoints) + batchWidth - 1) / batchWidth
 	pool.For(groups, func(g int) {

@@ -98,8 +98,7 @@ func TestKNNBatchEmptyAndZero(t *testing.T) {
 // TestMeasureKNNFlatBatchMatchesSingle is the deep-equal contract of
 // the batched measurement driver (ROADMAP 5a): over random geometries
 // and batch sizes crossing the 64-query group boundary, every Result —
-// radius, leaf and directory access counts, prefilter counters,
-// neighbors (none) — must equal MeasureKNNFlat's exactly. This is
+// radius, leaf and directory access counts, neighbors (none) — must equal MeasureKNNFlat's exactly. This is
 // stronger than the batch search property (counts may exceed there):
 // the measurement driver recomputes exact counts from the final bound.
 func TestMeasureKNNFlatBatchMatchesSingle(t *testing.T) {
@@ -129,19 +128,4 @@ func TestMeasureKNNFlatBatchMatchesSingle(t *testing.T) {
 			t.Fatalf("trial %d: results diverge", trial)
 		}
 	}
-}
-
-// TestMeasureKNNFlatBatchRejectsPrefilter pins the documented
-// restriction: a prefiltered tree must panic, not silently return
-// counts that cannot match the single-query driver.
-func TestMeasureKNNFlatBatchRejectsPrefilter(t *testing.T) {
-	data := uniformPoints(200, 6, 5)
-	ft := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8}).
-		FlattenWith(rtree.FlattenOptions{PrefilterBits: 4})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MeasureKNNFlatBatch accepted a prefiltered tree")
-		}
-	}()
-	MeasureKNNFlatBatch(ft, data[:3], 5)
 }

@@ -16,8 +16,8 @@ import "math"
 // merged radius, neighbor list, and tie-breaks are bit-identical to a
 // single-tree search over the union of the shards' points: selection
 // under a total order is independent of both candidate arrival order
-// and shard assignment. Access and prefilter counters are summed
-// across parts (the true cost of the scatter).
+// and shard assignment. Access counters are summed across parts (the
+// true cost of the scatter).
 //
 // Aliasing contract: like KNNSearchFlat, the returned Neighbors alias
 // the parts' rows (views into the shard trees). Callers that retain
@@ -40,8 +40,6 @@ func KNNMerge(q []float64, k int, parts []Result) Result {
 	for _, p := range parts {
 		res.LeafAccesses += p.LeafAccesses
 		res.DirAccesses += p.DirAccesses
-		res.PrefilterVisited += p.PrefilterVisited
-		res.PrefilterSkipped += p.PrefilterSkipped
 		for _, row := range p.Neighbors {
 			d, ok := sqDistBounded(row, q, sc.best.max())
 			if !ok {

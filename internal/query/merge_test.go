@@ -12,8 +12,8 @@ import (
 // and folding through KNNMerge must be bit-identical — radius, neighbor
 // list, and tie-breaks — to a single-tree oracle over the union of the
 // points. This file property-tests it across dimensions 1–64, shard
-// counts {1,2,4,8}, prefilter on and off, single and batched per-shard
-// searches, engineered distance ties, and sub-k shards.
+// counts {1,2,4,8}, single and batched per-shard searches, engineered
+// distance ties, and sub-k shards.
 
 // shardSplit deals points round-robin into s shards, mirroring the
 // serving layer's assignment.
@@ -27,7 +27,7 @@ func shardSplit(data [][]float64, s int) [][][]float64 {
 
 // shardTrees builds one flat tree per non-empty shard (empty shards
 // yield nil, as an empty serving shard yields no candidates).
-func shardTrees(shards [][][]float64, bits int) []*rtree.FlatTree {
+func shardTrees(shards [][][]float64) []*rtree.FlatTree {
 	out := make([]*rtree.FlatTree, len(shards))
 	for i, pts := range shards {
 		if len(pts) == 0 {
@@ -36,20 +36,19 @@ func shardTrees(shards [][][]float64, bits int) []*rtree.FlatTree {
 		cp := make([][]float64, len(pts))
 		copy(cp, pts)
 		tr := rtree.Build(cp, rtree.BuildParams{LeafCap: 8, DirCap: 4})
-		out[i] = tr.FlattenWith(rtree.FlattenOptions{PrefilterBits: bits})
+		out[i] = tr.Flatten()
 	}
 	return out
 }
 
-// mergeOracle checks one (data, queries, k, shards, bits, batched)
+// mergeOracle checks one (data, queries, k, shards, batched)
 // configuration against the single-tree oracle.
-func mergeOracle(t *testing.T, data, queries [][]float64, k, s, bits int, batched bool) {
+func mergeOracle(t *testing.T, data, queries [][]float64, k, s int, batched bool) {
 	t.Helper()
 	cp := make([][]float64, len(data))
 	copy(cp, data)
-	oracle := rtree.Build(cp, rtree.BuildParams{LeafCap: 8, DirCap: 4}).
-		FlattenWith(rtree.FlattenOptions{PrefilterBits: bits})
-	trees := shardTrees(shardSplit(data, s), bits)
+	oracle := rtree.Build(cp, rtree.BuildParams{LeafCap: 8, DirCap: 4}).Flatten()
+	trees := shardTrees(shardSplit(data, s))
 
 	// Per-shard searches at k' = min(k, shard cardinality).
 	perShard := make([][]Result, len(trees))
@@ -80,19 +79,19 @@ func mergeOracle(t *testing.T, data, queries [][]float64, k, s, bits int, batche
 		got := KNNMerge(q, k, parts)
 		want := KNNSearchFlat(oracle, q, k)
 		if got.Radius != want.Radius {
-			t.Fatalf("s=%d bits=%d batched=%v k=%d query %d: radius %v != oracle %v",
-				s, bits, batched, k, i, got.Radius, want.Radius)
+			t.Fatalf("s=%d batched=%v k=%d query %d: radius %v != oracle %v",
+				s, batched, k, i, got.Radius, want.Radius)
 		}
 		if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
-			t.Fatalf("s=%d bits=%d batched=%v k=%d query %d: neighbors diverge\n merged: %v\n oracle: %v",
-				s, bits, batched, k, i, got.Neighbors, want.Neighbors)
+			t.Fatalf("s=%d batched=%v k=%d query %d: neighbors diverge\n merged: %v\n oracle: %v",
+				s, batched, k, i, got.Neighbors, want.Neighbors)
 		}
 	}
 }
 
 // TestKNNMergeMatchesOracle is the main property sweep: random data
-// over dims 1..64, S in {1,2,4,8}, prefilter off and on, single and
-// batched per-shard drivers, k values spanning sub-k shards (k larger
+// over dims 1..64, S in {1,2,4,8}, single and batched per-shard
+// drivers, k values spanning sub-k shards (k larger
 // than every shard's cardinality) up to k == N.
 func TestKNNMergeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -109,11 +108,9 @@ func TestKNNMergeMatchesOracle(t *testing.T) {
 			}
 		}
 		for _, s := range []int{1, 2, 4, 8} {
-			for _, bits := range []int{0, 4} {
-				for _, batched := range []bool{false, true} {
-					for _, k := range []int{1, 3, n/2 + 1, n} {
-						mergeOracle(t, data, queries, k, s, bits, batched)
-					}
+			for _, batched := range []bool{false, true} {
+				for _, k := range []int{1, 3, n/2 + 1, n} {
+					mergeOracle(t, data, queries, k, s, batched)
 				}
 			}
 		}
@@ -140,7 +137,7 @@ func TestKNNMergeTieBreaks(t *testing.T) {
 	for _, s := range []int{2, 3, 4, 8} {
 		for _, batched := range []bool{false, true} {
 			for _, k := range []int{1, 4, 9, len(data)} {
-				mergeOracle(t, data, queries, k, s, 0, batched)
+				mergeOracle(t, data, queries, k, s, batched)
 			}
 		}
 	}
@@ -153,35 +150,28 @@ func TestKNNMergeSubKShards(t *testing.T) {
 	data := uniformPoints(5, 4, 9)
 	queries := [][]float64{data[0], {0.1, 0.2, 0.3, 0.4}}
 	for _, s := range []int{4, 8} {
-		mergeOracle(t, data, queries, 5, s, 0, false)
-		mergeOracle(t, data, queries, 5, s, 0, true)
+		mergeOracle(t, data, queries, 5, s, false)
+		mergeOracle(t, data, queries, 5, s, true)
 	}
 }
 
-// TestKNNMergeCounters checks the cost accounting: merged access and
-// prefilter counters are the sums over parts.
+// TestKNNMergeCounters checks the cost accounting: merged access
+// counters are the sums over parts.
 func TestKNNMergeCounters(t *testing.T) {
 	data := uniformPoints(300, 8, 17)
-	trees := shardTrees(shardSplit(data, 4), 4)
+	trees := shardTrees(shardSplit(data, 4))
 	q := data[11]
 	var parts []Result
-	wantLeaf, wantDir, wantVis, wantSkip := 0, 0, 0, 0
+	wantLeaf, wantDir := 0, 0
 	for _, ft := range trees {
 		r := KNNSearchFlat(ft, q, 10)
 		parts = append(parts, r)
 		wantLeaf += r.LeafAccesses
 		wantDir += r.DirAccesses
-		wantVis += r.PrefilterVisited
-		wantSkip += r.PrefilterSkipped
 	}
 	got := KNNMerge(q, 10, parts)
-	if got.LeafAccesses != wantLeaf || got.DirAccesses != wantDir ||
-		got.PrefilterVisited != wantVis || got.PrefilterSkipped != wantSkip {
-		t.Fatalf("merged counters %d/%d/%d/%d, want summed %d/%d/%d/%d",
-			got.LeafAccesses, got.DirAccesses, got.PrefilterVisited, got.PrefilterSkipped,
-			wantLeaf, wantDir, wantVis, wantSkip)
-	}
-	if wantVis == 0 {
-		t.Fatal("prefiltered shards reported zero visited points; counter sum proved nothing")
+	if got.LeafAccesses != wantLeaf || got.DirAccesses != wantDir {
+		t.Fatalf("merged counters %d/%d, want summed %d/%d",
+			got.LeafAccesses, got.DirAccesses, wantLeaf, wantDir)
 	}
 }

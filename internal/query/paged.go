@@ -19,13 +19,8 @@ import (
 // distances are computed by the same sqDistBounded over bytes that
 // round-trip the file exactly (float64 bits are preserved), and the
 // traversal decisions (heap order, pruning bounds, leaf visits) depend
-// only on those distances and the resident directory arrays. The
-// prefilter is deliberately not used here: its codes are column-major
-// across *all* points, so consulting them would read pages from every
-// leaf and destroy the access pattern being measured; since prefilter
-// search is itself bit-identical to exact search, the paged exact scan
-// still matches a prefiltered in-memory search result for result.
-// Access counts also match: both paths visit exactly the leaves whose
+// only on those distances and the resident directory arrays. Access
+// counts also match: both paths visit exactly the leaves whose
 // MINDIST is at most the final bound.
 
 // LeafSource supplies leaf point rows [start, end) as one row-major

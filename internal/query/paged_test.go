@@ -47,30 +47,6 @@ func TestKNNPagedMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestKNNPagedMatchesPrefilteredFlat pins the documented design point:
-// the paged search runs exact-only leaf scans, yet must still agree
-// with an in-memory search over a prefiltered snapshot, because the
-// prefilter itself is bit-identical to exact search.
-func TestKNNPagedMatchesPrefilteredFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(422))
-	for trial := 0; trial < 40; trial++ {
-		data, tr := buildRandomTree(rng)
-		ft := tr.FlattenWith(rtree.FlattenOptions{PrefilterBits: 1 + rng.Intn(8)})
-		src := MatrixSource{M: ft.Points}
-		k := 1 + rng.Intn(20)
-		if k > len(data) {
-			k = len(data)
-		}
-		q := data[rng.Intn(len(data))]
-		want := KNNSearchFlat(ft, q, k)
-		got := KNNSearchPaged(ft, src, q, k)
-		if got.Radius != want.Radius || got.LeafAccesses != want.LeafAccesses ||
-			got.DirAccesses != want.DirAccesses || !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
-			t.Fatalf("trial %d: paged diverges from prefiltered flat search", trial)
-		}
-	}
-}
-
 // TestKNNPagedNeverTouchesResidentPoints poisons the resident point
 // matrix after handing a pristine copy to the source: if any part of
 // the paged search read ft.Points instead of going through the

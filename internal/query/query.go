@@ -141,15 +141,6 @@ type Result struct {
 	// DirAccesses is the number of directory pages read (including
 	// the root).
 	DirAccesses int
-	// PrefilterVisited counts the leaf points whose quantized bounds
-	// a prefiltered flat search computed (every point of every
-	// accessed leaf), and PrefilterSkipped the subset whose exact
-	// distance evaluation the lower bound proved unnecessary —
-	// skipped/visited is the fraction of exact work the prefilter
-	// avoided. Both stay zero when the flat tree carries no
-	// prefilter, and in the pointer oracle.
-	PrefilterVisited int
-	PrefilterSkipped int
 	// Neighbors holds the k nearest points, closest first.
 	Neighbors [][]float64
 }

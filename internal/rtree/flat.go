@@ -2,10 +2,8 @@ package rtree
 
 import (
 	"fmt"
-	"sort"
 
 	"hdidx/internal/mbr"
-	"hdidx/internal/quant"
 	"hdidx/internal/vec"
 )
 
@@ -53,42 +51,7 @@ type FlatTree struct {
 	// Points holds all leaf points packed in leaf order.
 	Points vec.Matrix
 
-	// PrefilterBits is the bits-per-dimension of the quantized
-	// VA-style prefilter over the packed points (0 when the tree was
-	// flattened without one). With b bits every point row carries one
-	// byte code per dimension addressing one of 2^b equi-populated
-	// quantizer cells; the flat k-NN search uses the codes to bound
-	// every leaf point's squared distance before paying for the exact
-	// evaluation (see internal/query's two-phase leaf visit).
-	PrefilterBits int
-	// Codes holds the cell codes column-major: Codes[d*NumPoints+r]
-	// is point row r's cell in dimension d. Column order keeps one
-	// leaf's codes for one dimension contiguous — the bound kernels
-	// stream a byte column per dimension over the leaf's row range.
-	Codes []byte
-	// Marks holds the per-dimension quantizer boundaries back to
-	// back: dimension d's 2^PrefilterBits+1 marks occupy
-	// Marks[d*(2^PrefilterBits+1):(d+1)*(2^PrefilterBits+1)]
-	// (MarksFor slices them out).
-	Marks []float64
-	// Calibration records the auto-tune decision when the tree was
-	// flattened with PrefilterBits = PrefilterAuto (nil otherwise).
-	// It is flatten-time metadata only — never serialized.
-	Calibration *PrefilterCalibration
-
 	leafRects *mbr.RectSet // view of the leaf tail of Rects
-}
-
-// FlattenOptions configures Tree.FlattenWith.
-type FlattenOptions struct {
-	// PrefilterBits enables the quantized scan prefilter with that
-	// many bits per dimension (1–8; codes are single bytes). 0 — the
-	// zero value — flattens without a prefilter. PrefilterAuto (-1)
-	// calibrates the width empirically at flatten time (see
-	// autotune.go); the decision lands in FlatTree.Calibration. Other
-	// values outside [0, 8] panic: the facade and the serving layer
-	// validate user input before it reaches here.
-	PrefilterBits int
 }
 
 // Flatten linearizes the tree into a FlatTree. The snapshot copies the
@@ -97,15 +60,6 @@ type FlattenOptions struct {
 // propagate. Flatten costs one BFS pass over the tree — callers on a
 // query hot path flatten once and share the result.
 func (t *Tree) Flatten() *FlatTree {
-	return t.FlattenWith(FlattenOptions{})
-}
-
-// FlattenWith is Flatten with options; FlattenOptions{} reproduces
-// Flatten exactly.
-func (t *Tree) FlattenWith(o FlattenOptions) *FlatTree {
-	if (o.PrefilterBits < 0 && o.PrefilterBits != PrefilterAuto) || o.PrefilterBits > 8 {
-		panic(fmt.Sprintf("rtree: prefilter bits %d outside [0, 8] and not PrefilterAuto", o.PrefilterBits))
-	}
 	t.refresh()
 	if t.Root == nil {
 		return &FlatTree{}
@@ -148,40 +102,15 @@ func (t *Tree) FlattenWith(o FlattenOptions) *FlatTree {
 	}
 	f.Rects = mbr.NewRectSet(rects)
 	f.leafRects = f.Rects.Slice(n-f.NumLeaves, f.NumLeaves)
-	switch {
-	case o.PrefilterBits == PrefilterAuto && f.NumPoints > 0:
-		f.autoTunePrefilter()
-	case o.PrefilterBits > 0 && f.NumPoints > 0:
-		f.buildPrefilter(o.PrefilterBits)
-	}
 	return f
 }
 
-// buildPrefilter quantizes the packed point matrix into bits-per-
-// dimension byte codes: per dimension, equi-populated marks from the
-// sorted column (the shared internal/quant math, identical to the
-// VA-file's), then one code byte per row. One pass per dimension over
-// the column keeps the writes into Codes sequential.
-func (f *FlatTree) buildPrefilter(bits int) {
-	cells := 1 << bits
-	n, dim := f.NumPoints, f.Dim
-	f.PrefilterBits = bits
-	f.Codes = make([]byte, dim*n)
-	f.Marks = make([]float64, dim*(cells+1))
-	col := make([]float64, n)
-	for d := 0; d < dim; d++ {
-		for r := 0; r < n; r++ {
-			col[r] = f.Points.Data[r*dim+d]
-		}
-		sort.Float64s(col)
-		m := f.Marks[d*(cells+1) : (d+1)*(cells+1)]
-		quant.Marks(m, col)
-		codes := f.Codes[d*n : (d+1)*n]
-		for r := 0; r < n; r++ {
-			codes[r] = byte(quant.Cell(m, f.Points.Data[r*dim+d]))
-		}
-	}
-}
+// FlattenOptions is the empty option set of FlattenWith.
+type FlattenOptions struct{}
+
+// FlattenWith is Flatten. It exists only because the benchmark module
+// (bench/trace.go) calls it; new code calls Flatten.
+func (t *Tree) FlattenWith(FlattenOptions) *FlatTree { return t.Flatten() }
 
 // AssembleFlat reconstructs a FlatTree from its raw arrays — the
 // inverse of what the persistence layer serializes. It validates every
@@ -195,14 +124,12 @@ func (f *FlatTree) buildPrefilter(bits int) {
 //     and the ranges tile [1, n) in BFS order (so sibling ranges are
 //     contiguous and every node except the root has one parent);
 //   - leaves are exactly the BFS tail [n-numLeaves, n) and their point
-//     row ranges tile [0, numPoints) in leaf order;
-//   - the prefilter arrays, when present, match the advertised width.
+//     row ranges tile [0, numPoints) in leaf order.
 //
 // The arrays are adopted, not copied; callers hand over ownership.
 func AssembleFlat(dim, height, numPoints, numLeaves int,
 	childStart, childCount, ptStart, ptCount []int32,
-	rects *mbr.RectSet, points vec.Matrix,
-	prefilterBits int, codes []byte, marks []float64) (*FlatTree, error) {
+	rects *mbr.RectSet, points vec.Matrix) (*FlatTree, error) {
 
 	n := len(childStart)
 	if n == 0 {
@@ -284,50 +211,20 @@ func AssembleFlat(dim, height, numPoints, numLeaves int,
 	if height < 1 {
 		return nil, fmt.Errorf("rtree: height %d for a %d-node tree", height, n)
 	}
-	if prefilterBits < 0 || prefilterBits > 8 {
-		return nil, fmt.Errorf("rtree: prefilter bits %d outside [0, 8]", prefilterBits)
-	}
-	if prefilterBits > 0 {
-		cells := 1 << prefilterBits
-		if len(codes) != dim*numPoints || len(marks) != dim*(cells+1) {
-			return nil, fmt.Errorf("rtree: prefilter arrays %d codes / %d marks for %d points, %d bits",
-				len(codes), len(marks), numPoints, prefilterBits)
-		}
-		for _, c := range codes {
-			if int(c) >= cells {
-				return nil, fmt.Errorf("rtree: prefilter code %d outside %d cells", c, cells)
-			}
-		}
-	} else if len(codes) != 0 || len(marks) != 0 {
-		return nil, fmt.Errorf("rtree: prefilter arrays present with zero bits")
-	}
 	f := &FlatTree{
-		Dim:           dim,
-		Height:        height,
-		NumPoints:     numPoints,
-		NumLeaves:     numLeaves,
-		ChildStart:    childStart,
-		ChildCount:    childCount,
-		PtStart:       ptStart,
-		PtCount:       ptCount,
-		Rects:         rects,
-		Points:        points,
-		PrefilterBits: prefilterBits,
-		Codes:         codes,
-		Marks:         marks,
+		Dim:        dim,
+		Height:     height,
+		NumPoints:  numPoints,
+		NumLeaves:  numLeaves,
+		ChildStart: childStart,
+		ChildCount: childCount,
+		PtStart:    ptStart,
+		PtCount:    ptCount,
+		Rects:      rects,
+		Points:     points,
 	}
 	f.leafRects = f.Rects.Slice(n-numLeaves, numLeaves)
 	return f, nil
-}
-
-// MarksFor returns dimension d's quantizer boundaries (nil without a
-// prefilter).
-func (f *FlatTree) MarksFor(d int) []float64 {
-	if f.PrefilterBits == 0 {
-		return nil
-	}
-	w := (1 << f.PrefilterBits) + 1
-	return f.Marks[d*w : (d+1)*w]
 }
 
 // NumNodes returns the total number of nodes (directory plus leaf).

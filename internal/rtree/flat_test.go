@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hdidx/internal/mbr"
@@ -145,77 +146,12 @@ func TestFlattenAfterInsert(t *testing.T) {
 	checkFlatten(t, &tr.Tree)
 }
 
-func TestFlattenWithPrefilter(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 40; trial++ {
-		dim := 1 + rng.Intn(12)
-		n := 1 + rng.Intn(1500)
-		bits := 1 + rng.Intn(8)
-		pts := uniformPoints(n, dim, int64(1000+trial))
-		if trial%3 == 0 {
-			// Duplicate rows collapse quantile slices.
-			for i := range pts {
-				copy(pts[i], pts[i%17])
-			}
-		}
-		tr := Build(pts, BuildParams{LeafCap: float64(2 + rng.Intn(31)), DirCap: float64(2 + rng.Intn(15))})
-		plain := tr.Flatten()
-		f := tr.FlattenWith(FlattenOptions{PrefilterBits: bits})
-
-		if f.PrefilterBits != bits {
-			t.Fatalf("PrefilterBits = %d, want %d", f.PrefilterBits, bits)
-		}
-		cells := 1 << bits
-		if len(f.Codes) != dim*n || len(f.Marks) != dim*(cells+1) {
-			t.Fatalf("codes %d marks %d, want %d / %d", len(f.Codes), len(f.Marks), dim*n, dim*(cells+1))
-		}
-		// The structural snapshot must be byte-for-byte the plain one.
-		if f.Height != plain.Height || f.NumPoints != plain.NumPoints || f.NumLeaves != plain.NumLeaves {
-			t.Fatal("prefiltered flatten changed the structural header")
-		}
-		for i := range plain.Points.Data {
-			if f.Points.Data[i] != plain.Points.Data[i] {
-				t.Fatal("prefiltered flatten changed the packed points")
-			}
-		}
-		// Every row's code addresses the cell containing its coordinate.
-		for d := 0; d < dim; d++ {
-			m := f.MarksFor(d)
-			for s := 1; s < len(m); s++ {
-				if m[s] < m[s-1] {
-					t.Fatalf("dim %d: marks decrease at %d", d, s)
-				}
-			}
-			for r := 0; r < n; r++ {
-				c := int(f.Codes[d*n+r])
-				if c >= cells {
-					t.Fatalf("dim %d row %d: code %d out of %d cells", d, r, c, cells)
-				}
-				x := f.Points.Data[r*dim+d]
-				if !(m[c] <= x && x < m[c+1]) {
-					t.Fatalf("dim %d row %d: coord %v outside its cell %d [%v, %v)", d, r, x, c, m[c], m[c+1])
-				}
-			}
-		}
-	}
-}
-
-func TestFlattenPrefilterOffAndInvalid(t *testing.T) {
+// TestFlattenWithForwardsToFlatten pins the compatibility shim: the
+// empty-options FlattenWith is Flatten.
+func TestFlattenWithForwardsToFlatten(t *testing.T) {
 	pts := uniformPoints(50, 3, 21)
 	tr := Build(pts, BuildParams{LeafCap: 8, DirCap: 4})
-	f := tr.FlattenWith(FlattenOptions{})
-	if f.PrefilterBits != 0 || f.Codes != nil || f.Marks != nil {
-		t.Fatalf("bits=0 flatten built a prefilter: %d bits, %d codes", f.PrefilterBits, len(f.Codes))
-	}
-	// -1 is PrefilterAuto, so the first invalid negative is -2.
-	for _, bits := range []int{-2, 9, 16} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("bits=%d: expected panic", bits)
-				}
-			}()
-			tr.FlattenWith(FlattenOptions{PrefilterBits: bits})
-		}()
+	if !reflect.DeepEqual(tr.FlattenWith(FlattenOptions{}), tr.Flatten()) {
+		t.Fatal("FlattenWith(FlattenOptions{}) differs from Flatten()")
 	}
 }

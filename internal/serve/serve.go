@@ -120,13 +120,6 @@ type Config struct {
 	// saturated batcher sheds stale work rather than serving answers
 	// nobody is waiting for. 0 (the default) disables the deadline.
 	QueueTimeout time.Duration
-	// PrefilterBits enables the quantized scan prefilter on published
-	// snapshots: each publication quantizes leaf points to this many
-	// bits per dimension and k-NN leaf scans skip points whose
-	// quantized lower bound proves them out of the top k. Results are
-	// bit-identical to the unfiltered search. Valid widths are 0 (off,
-	// the default) through 8; New rejects other values.
-	PrefilterBits int
 	// SnapshotPath, when non-empty, makes publication durable. With
 	// Shards <= 1 every published generation is written to this file
 	// atomically (tmp + fsync + rename via pager.WriteFileAtomic).
@@ -394,9 +387,6 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 		}
 		g = derived
 	}
-	if (cfg.PrefilterBits < 0 && cfg.PrefilterBits != rtree.PrefilterAuto) || cfg.PrefilterBits > 8 {
-		return nil, fmt.Errorf("serve: prefilter bits %d outside [0, 8] and not PrefilterAuto", cfg.PrefilterBits)
-	}
 	if cfg.Backend < pager.BackendAuto || cfg.Backend > pager.BackendMmap {
 		return nil, fmt.Errorf("serve: unknown pager backend %d", cfg.Backend)
 	}
@@ -556,7 +546,7 @@ func (s *Server) publishLocked(targets []*shard) error {
 	manifestDirty := false
 	for _, sh := range targets {
 		t0 := time.Now()
-		ft := sh.dyn.FlattenWith(rtree.FlattenOptions{PrefilterBits: s.cfg.PrefilterBits})
+		ft := sh.dyn.Flatten()
 		s.flatNS.Add(int64(time.Since(t0)))
 		sn := &snapshot{ft: ft, gen: gen}
 		sn.onRetire = func(dead *snapshot) {

@@ -268,54 +268,11 @@ func TestServeQueueTimeoutDisabled(t *testing.T) {
 
 func TestServeConfigValidation(t *testing.T) {
 	data := uniform(20, 3, 9)
-	if _, err := New(data, Config{PrefilterBits: 9}); err == nil {
-		t.Fatal("PrefilterBits 9 accepted, want error")
-	}
-	if _, err := New(data, Config{PrefilterBits: -2}); err == nil {
-		t.Fatal("PrefilterBits -2 accepted, want error (-1 is PrefilterAuto)")
-	}
 	if _, err := New(data, Config{QueueTimeout: -time.Second}); err == nil {
 		t.Fatal("negative QueueTimeout accepted, want error")
 	}
 	if _, err := New(data, Config{Backend: 99}); err == nil {
 		t.Fatal("backend 99 accepted, want error")
-	}
-}
-
-func TestServePrefilterMatchesUnfiltered(t *testing.T) {
-	// A server publishing prefiltered snapshots must answer every query
-	// identically to one publishing plain snapshots — the serving-layer
-	// face of the bit-identity property.
-	data := uniform(2000, 8, 10)
-	plain, err := New(data, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	pre, err := New(data, Config{PrefilterBits: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pre.Close()
-	for _, q := range uniform(20, 8, 11) {
-		a, err := plain.KNN(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := pre.KNN(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Radius != b.Radius {
-			t.Fatalf("radius %v != unfiltered %v", b.Radius, a.Radius)
-		}
-		for i := range a.Neighbors {
-			for d := range a.Neighbors[i] {
-				if a.Neighbors[i][d] != b.Neighbors[i][d] {
-					t.Fatalf("neighbor %d differs between prefiltered and plain server", i)
-				}
-			}
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -22,8 +23,8 @@ import (
 // sharded bit-identity property: a server with any shard count must
 // answer every k-NN and range query identically — radius, neighbor
 // values and order, tie-breaks, counts — to a single-shard server over
-// the same points, prefilter on and off, across dimensions 1–64,
-// including engineered ties and shards smaller than k.
+// the same points, across dimensions 1–64, including engineered ties
+// and shards smaller than k.
 func TestServeShardedMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, dim := range []int{1, 3, 8, 16, 64} {
@@ -34,59 +35,57 @@ func TestServeShardedMatchesSingle(t *testing.T) {
 		for c := 0; c < 5; c++ {
 			data = append(data, append([]float64(nil), data[0]...))
 		}
-		for _, bits := range []int{0, 4} {
-			oracle, err := New(data, Config{PrefilterBits: bits})
+		oracle, err := New(data, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{2, 4, 8} {
+			s, err := New(data, Config{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{2, 4, 8} {
-				s, err := New(data, Config{Shards: shards, PrefilterBits: bits})
+			for qi := 0; qi < 8; qi++ {
+				var q []float64
+				if qi%2 == 0 {
+					q = data[rng.Intn(len(data))]
+				} else {
+					q = uniform(1, dim, rng.Int63())[0]
+				}
+				// k spanning sub-k shards (every shard smaller than k)
+				// up to the full cardinality.
+				for _, k := range []int{1, 7, len(data)/shards + 2, len(data)} {
+					want, err := oracle.KNN(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.KNN(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Radius != want.Radius {
+						t.Fatalf("dim=%d shards=%d k=%d: radius %v != single-shard %v",
+							dim, shards, k, got.Radius, want.Radius)
+					}
+					if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
+						t.Fatalf("dim=%d shards=%d k=%d: neighbors diverge", dim, shards, k)
+					}
+				}
+				wantN, _, err := oracle.RangeCount(q, 0.5)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for qi := 0; qi < 8; qi++ {
-					var q []float64
-					if qi%2 == 0 {
-						q = data[rng.Intn(len(data))]
-					} else {
-						q = uniform(1, dim, rng.Int63())[0]
-					}
-					// k spanning sub-k shards (every shard smaller than k)
-					// up to the full cardinality.
-					for _, k := range []int{1, 7, len(data)/shards + 2, len(data)} {
-						want, err := oracle.KNN(q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := s.KNN(q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got.Radius != want.Radius {
-							t.Fatalf("dim=%d shards=%d bits=%d k=%d: radius %v != single-shard %v",
-								dim, shards, bits, k, got.Radius, want.Radius)
-						}
-						if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
-							t.Fatalf("dim=%d shards=%d bits=%d k=%d: neighbors diverge", dim, shards, bits, k)
-						}
-					}
-					wantN, _, err := oracle.RangeCount(q, 0.5)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotN, _, err := s.RangeCount(q, 0.5)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gotN != wantN {
-						t.Fatalf("dim=%d shards=%d bits=%d: range count %d != single-shard %d",
-							dim, shards, bits, gotN, wantN)
-					}
+				gotN, _, err := s.RangeCount(q, 0.5)
+				if err != nil {
+					t.Fatal(err)
 				}
-				s.Close()
+				if gotN != wantN {
+					t.Fatalf("dim=%d shards=%d: range count %d != single-shard %d",
+						dim, shards, gotN, wantN)
+				}
 			}
-			oracle.Close()
+			s.Close()
 		}
+		oracle.Close()
 	}
 }
 
@@ -676,5 +675,64 @@ func TestServeShardConfigValidation(t *testing.T) {
 	}
 	if len(res.Neighbors) != 3 {
 		t.Fatalf("%d neighbors from a sparse sharded server, want 3", len(res.Neighbors))
+	}
+}
+
+// TestServeDurableDeterministic is the serving face of the determinism
+// property: two durable 4-shard servers, each in its own directory, fed
+// the same initial points and the same insert stream across several
+// dirty-shard publications, hold byte-identical shard files and
+// manifests after Flush. Nothing time-, path- or run-dependent reaches
+// the published bytes.
+func TestServeDurableDeterministic(t *testing.T) {
+	const shards = 4
+	initial := uniform(300, 6, 51)
+	inserts := uniform(150, 6, 52)
+	run := func(dir string) map[string][]byte {
+		path := filepath.Join(dir, "set.hdsm")
+		s, err := New(initial, Config{Shards: shards, FlattenEvery: 16, SnapshotPath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range inserts {
+			if err := s.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files, err := pager.ShardFiles(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, f := range append(files, path) {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(f)] = b
+		}
+		return out
+	}
+	a, b := run(t.TempDir()), run(t.TempDir())
+	if len(a) != shards+1 {
+		t.Fatalf("%d durable files, want %d shard files and a manifest", len(a), shards)
+	}
+	if len(b) != len(a) {
+		t.Fatalf("second server left %d durable files, first %d", len(b), len(a))
+	}
+	for name, want := range a {
+		got, ok := b[name]
+		if !ok {
+			t.Fatalf("second server has no %s", name)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s differs between the two servers", name)
+		}
 	}
 }

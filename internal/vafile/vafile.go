@@ -66,8 +66,7 @@ func Build(pts [][]float64, bits, pageBytes int) (*VAFile, error) {
 	}
 	slices := 1 << bits
 	// Equi-populated marks per dimension from the sorted coordinates
-	// (the shared quantizer math in internal/quant — the flat-tree
-	// prefilter builds its codes from the same marks).
+	// (the quantizer math in internal/quant).
 	coord := make([]float64, len(pts))
 	for d := 0; d < dim; d++ {
 		for i, p := range pts {

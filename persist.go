@@ -40,7 +40,7 @@ func ParseBackend(s string) (Backend, error) { return pager.ParseBackend(s) }
 func MmapSupported() bool { return pager.MmapSupported() }
 
 // Save writes the index's query snapshot (the flat tree all searches
-// run on, including any prefilter codes) to path as a versioned,
+// run on) to path as a versioned,
 // checksummed, page-aligned snapshot file, atomically: the bytes land
 // in a temporary file that is synced and renamed over path, so a crash
 // mid-save leaves any previous file at path intact. The file's page

@@ -13,7 +13,7 @@ import (
 // Close.
 func TestSaveOpenBackends(t *testing.T) {
 	pts := clusteredPoints(t, 0.01, 12)
-	built, err := Build(pts, WithPrefilterBits(4))
+	built, err := Build(pts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,13 +30,6 @@
 # S=8-over-S=1 reduction ratios that dirty-shard-only republication
 # buys.
 #
-# Also runs the quantized-prefilter sweep (BenchmarkKNNPrefilter in
-# internal/query, bits 0/4/6/8 plus the auto-calibrated width at d=16
-# and d=60) and writes BENCH_prefilter.json with the best ns/op, the
-# fraction of exact evaluations avoided, the width auto-calibration
-# chose, and the speedup of each width over the unfiltered b0
-# baseline.
-#
 # Also runs the persistence benchmark (BenchmarkPager at the root:
 # indexes saved to real page-aligned snapshot files, the k-NN workload
 # replayed through the pager read path) and writes BENCH_pager.json
@@ -53,7 +46,7 @@
 # from the benchmark-name suffix) so numbers are never compared across
 # incomparable hosts unawares.
 #
-# Usage: scripts/bench.sh  [env: COUNT=3 BENCHTIME=20x OUT=BENCH_kernels.json BUFOUT=BENCH_buffer.json BUILDOUT=BENCH_build.json KNNOUT=BENCH_knn.json SERVEOUT=BENCH_serve.json PREOUT=BENCH_prefilter.json PAGEROUT=BENCH_pager.json]
+# Usage: scripts/bench.sh  [env: COUNT=3 BENCHTIME=20x OUT=BENCH_kernels.json BUFOUT=BENCH_buffer.json BUILDOUT=BENCH_build.json KNNOUT=BENCH_knn.json SERVEOUT=BENCH_serve.json PAGEROUT=BENCH_pager.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,7 +57,6 @@ BUFOUT="${BUFOUT:-BENCH_buffer.json}"
 BUILDOUT="${BUILDOUT:-BENCH_build.json}"
 KNNOUT="${KNNOUT:-BENCH_knn.json}"
 SERVEOUT="${SERVEOUT:-BENCH_serve.json}"
-PREOUT="${PREOUT:-BENCH_prefilter.json}"
 PAGEROUT="${PAGEROUT:-BENCH_pager.json}"
 PROCS="$(nproc 2>/dev/null || echo 1)"
 
@@ -309,77 +301,6 @@ END {
 
 echo "wrote $SERVEOUT:"
 cat "$SERVEOUT"
-
-preraw="$(go test -run='^$' -bench='^BenchmarkKNNPrefilter/' -benchtime="$BENCHTIME" -count="$COUNT" \
-	./internal/query/)"
-echo "$preraw"
-
-echo "$preraw" | awk -v out="$PREOUT" -v count="$COUNT" -v benchtime="$BENCHTIME" -v procs="$PROCS" '
-/^BenchmarkKNNPrefilter\// {
-	name = $1
-	if (match(name, /-[0-9]+$/)) gm = substr(name, RSTART + 1, RLENGTH - 1)
-	sub(/-[0-9]+$/, "", name)  # strip the -GOMAXPROCS suffix
-	sub(/^BenchmarkKNNPrefilter\//, "", name)
-	ns = $3 + 0
-	if (!(name in best) || ns < best[name]) best[name] = ns
-	# custom metric columns: "<value> avoided_%", "<value> auto_bits",
-	# "<value> paired_vs_b0" (bauto cells: the back-to-back speedup
-	# over the plain flatten of the same tree — kept as the best of
-	# the -count runs, like ns/op)
-	for (i = 4; i < NF; i++) {
-		if ($(i + 1) == "avoided_%") avoided[name] = $i + 0
-		if ($(i + 1) == "auto_bits") { autobits[name] = $i + 0; hasauto[name] = 1 }
-		if ($(i + 1) == "paired_vs_b0") {
-			v = $i + 0
-			if (!(name in paired) || v > paired[name]) paired[name] = v
-		}
-	}
-	if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
-}
-END {
-	printf "{\n" > out
-	printf "  \"generated_by\": \"scripts/bench.sh\",\n" > out
-	printf "  \"benchtime\": \"%s\",\n", benchtime > out
-	printf "  \"count\": %d,\n", count > out
-	printf "  \"host_cpus\": %d,\n", procs > out
-	printf "  \"gomaxprocs\": %d,\n", (gm + 0 < 1 ? 1 : gm + 0) > out
-	printf "  \"sweeps\": {\n" > out
-	for (i = 1; i <= n; i++) {
-		name = order[i]
-		extra = ""
-		if (name in hasauto) extra = sprintf(", \"chosen_bits\": %d", autobits[name])
-		printf "    \"%s\": {\"best_ns_per_op\": %.0f, \"avoided_pct\": %.2f%s}%s\n", \
-			name, best[name], avoided[name], extra, (i < n ? "," : "") > out
-	}
-	printf "  },\n" > out
-	# Speedup of each prefilter width over the unfiltered b0 baseline
-	# of the same dimensionality (>1 means the prefilter paid off).
-	# The bauto cells use their paired measurement (same tree, back to
-	# back) instead of the cross-cell ratio, which on a noisy host can
-	# swing ±5% — more than the effect being recorded.
-	printf "  \"speedups_vs_b0\": {\n" > out
-	m = split("d16 d60", dims, " ")
-	first = 1
-	for (i = 1; i <= m; i++) {
-		d = dims[i]
-		base = best[d "/b0"]
-		if (base <= 0) continue
-		for (j = 1; j <= n; j++) {
-			name = order[j]
-			if (index(name, d "/b") != 1 || name == d "/b0") continue
-			sp = base / best[order[j]]
-			if (order[j] in paired) sp = paired[order[j]]
-			if (!first) printf ",\n" > out
-			sub("/", "_", name)
-			printf "    \"%s\": %.2f", name, sp > out
-			first = 0
-		}
-	}
-	printf "\n  }\n}\n" > out
-}'
-
-echo "wrote $PREOUT:"
-cat "$PREOUT"
 
 pagerraw="$(go test -run='^$' -bench='^BenchmarkPager(Backends)?$' -benchtime="$BENCHTIME" -count="$COUNT" .)"
 echo "$pagerraw"

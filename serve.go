@@ -84,10 +84,10 @@ type Server struct {
 	srv *serve.Server
 }
 
-// NewServer starts a server over points. The index page geometry and
-// the scan prefilter are configured with the same options as Build
-// (WithPageBytes, WithUtilization, WithPrefilterBits). Close the
-// server when done to stop its batcher goroutine.
+// NewServer starts a server over points. The index page geometry is
+// configured with the same options as Build (WithPageBytes,
+// WithUtilization). Close the server when done to stop its batcher
+// goroutine.
 //
 // points may be empty when ServeConfig.SnapshotPath names an existing
 // snapshot file — the restarted server recovers its points (and its
@@ -105,15 +105,14 @@ func NewServer(points [][]float64, scfg ServeConfig, opts ...Option) (*Server, e
 		return nil, err
 	}
 	srv, err := serve.New(points, serve.Config{
-		Geometry:      c.geometry(dim),
-		Shards:        scfg.Shards,
-		FlattenEvery:  scfg.FlattenEvery,
-		QueueDepth:    scfg.QueueDepth,
-		BatchSize:     scfg.BatchSize,
-		QueueTimeout:  scfg.QueueTimeout,
-		PrefilterBits: c.prefilterBits,
-		SnapshotPath:  scfg.SnapshotPath,
-		Backend:       scfg.Backend,
+		Geometry:     c.geometry(dim),
+		Shards:       scfg.Shards,
+		FlattenEvery: scfg.FlattenEvery,
+		QueueDepth:   scfg.QueueDepth,
+		BatchSize:    scfg.BatchSize,
+		QueueTimeout: scfg.QueueTimeout,
+		SnapshotPath: scfg.SnapshotPath,
+		Backend:      scfg.Backend,
 	})
 	if err != nil {
 		return nil, err
