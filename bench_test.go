@@ -629,11 +629,12 @@ func BenchmarkPagerBackends(b *testing.B) {
 			tree := snap.Tree()
 			// Warm once so the mmap run counts steady-state faults, not
 			// the first-touch population of the page cache.
-			query.KNNSearchPaged(tree, snap, queries[0], 21)
+			query.MeasureKNNPaged(tree, snap, queries[:1], 21)
 			snap.ResetCounters()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				query.KNNSearchPaged(tree, snap, queries[i%len(queries)], 21)
+				j := i % len(queries)
+				query.MeasureKNNPaged(tree, snap, queries[j:j+1], 21)
 			}
 			b.StopTimer()
 			io := snap.Counters()

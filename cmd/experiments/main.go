@@ -36,7 +36,6 @@ func main() {
 		backendStr = flag.String("backend", "auto", "snapshot read backend for the serving experiment's durable publications: auto, readat, or mmap (zero-copy)")
 		shards     = flag.Int("shards", 0, "serving experiment shard count (default 1): dirty-shard-only republication, bit-identical scatter-gather queries")
 		flatEvery  = flag.Int("flatten-every", 0, "serving experiment per-shard publication threshold in inserts (default 128)")
-		batchedKNN = flag.Bool("batched-knn", false, "route the measured k-NN pass of the on-disk experiments through the grouped batch driver (bit-identical counts)")
 		workers    = flag.Int("workers", 0, "worker-pool width for parallel builds and concurrent sweep rows (0 = GOMAXPROCS)")
 		trace      = flag.Bool("trace", false, "collect per-phase traces and print them after the runs")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -51,7 +50,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	opt := experiments.Options{Scale: *scale, Queries: *queries, K: *k, M: *m, Seed: *seed, BufferPages: *bufPages, Backend: backend, Shards: *shards, FlattenEvery: *flatEvery, BatchedKNN: *batchedKNN}
+	opt := experiments.Options{Scale: *scale, Queries: *queries, K: *k, M: *m, Seed: *seed, BufferPages: *bufPages, Backend: backend, Shards: *shards, FlattenEvery: *flatEvery}
 	if *trace {
 		obs.Default.SetEnabled(true)
 	}

@@ -22,6 +22,7 @@ package hdidx
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -33,6 +34,7 @@ import (
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
+	"hdidx/internal/vec"
 )
 
 // Workers returns the effective worker-pool width of the process, and
@@ -74,8 +76,9 @@ func newConfig(opts []Option) (config, error) {
 
 // validatePoints checks the dataset at the API boundary: it must be
 // non-empty and rectangular (every point of the same positive
-// dimension). Returning an error here replaces panics that used to
-// surface deep inside the disk and rtree layers.
+// dimension), with finite coordinates. Returning an error here
+// replaces panics that used to surface deep inside the disk and rtree
+// layers.
 func validatePoints(points [][]float64) (dim int, err error) {
 	if len(points) == 0 {
 		return 0, fmt.Errorf("hdidx: no points")
@@ -87,6 +90,9 @@ func validatePoints(points [][]float64) (dim int, err error) {
 	for i, p := range points {
 		if len(p) != dim {
 			return 0, fmt.Errorf("hdidx: ragged input: point %d has dimension %d, point 0 has %d", i, len(p), dim)
+		}
+		if !vec.Finite(p) {
+			return 0, fmt.Errorf("hdidx: point %d has a non-finite coordinate", i)
 		}
 	}
 	return dim, nil
@@ -154,7 +160,8 @@ type QueryStats struct {
 // KNN returns the k nearest neighbors of q, closest first, with the
 // page-access statistics of the (optimal best-first) search. The
 // returned neighbors are private copies: mutating them never corrupts
-// the index, and they stay valid however long they are retained.
+// the index, and they stay valid however long they are retained. A
+// query with a non-finite coordinate is an error.
 func (ix *Index) KNN(q []float64, k int) ([][]float64, QueryStats, error) {
 	// Validate against the flat snapshot being searched, not the
 	// pointer tree: the snapshot is the authority on what this search
@@ -164,6 +171,9 @@ func (ix *Index) KNN(q []float64, k int) ([][]float64, QueryStats, error) {
 	}
 	if len(q) != ix.flat.Dim {
 		return nil, QueryStats{}, fmt.Errorf("hdidx: query dimension %d, index dimension %d", len(q), ix.flat.Dim)
+	}
+	if !vec.Finite(q) {
+		return nil, QueryStats{}, fmt.Errorf("hdidx: query has a non-finite coordinate")
 	}
 	res := query.KNNSearchFlat(ix.flat, q, k)
 	return copyNeighbors(res.Neighbors, ix.flat.Dim), QueryStats{
@@ -192,13 +202,17 @@ func copyNeighbors(nbrs [][]float64, dim int) [][]float64 {
 }
 
 // RangeCount returns the number of indexed points within radius of
-// center, with page-access statistics.
+// center, with page-access statistics. A non-finite center or a NaN
+// radius is an error.
 func (ix *Index) RangeCount(center []float64, radius float64) (int, QueryStats, error) {
 	if len(center) != ix.flat.Dim {
 		return 0, QueryStats{}, fmt.Errorf("hdidx: query dimension %d, index dimension %d", len(center), ix.flat.Dim)
 	}
-	if radius < 0 {
-		return 0, QueryStats{}, fmt.Errorf("hdidx: negative radius")
+	if !vec.Finite(center) {
+		return 0, QueryStats{}, fmt.Errorf("hdidx: query has a non-finite coordinate")
+	}
+	if radius < 0 || math.IsNaN(radius) {
+		return 0, QueryStats{}, fmt.Errorf("hdidx: radius %v is negative or NaN", radius)
 	}
 	n, res := query.RangeSearchFlat(ix.flat, query.Sphere{Center: center, Radius: radius})
 	return n, QueryStats{LeafAccesses: res.LeafAccesses, DirAccesses: res.DirAccesses, Radius: radius}, nil
@@ -447,7 +461,9 @@ func (p *Predictor) EstimateKNN(method Method, opts EstimateOptions) (Estimate, 
 		for i := range queryPoints {
 			queryPoints[i] = p.points[rng.Intn(len(p.points))]
 		}
-		spheres := query.ComputeSpheresTracedPool(p.points, queryPoints, k, pool, tr)
+		sp := tr.Span("workload.spheres")
+		spheres := query.ComputeSpheresPool(p.points, queryPoints, k, pool)
+		sp.End()
 		pr, err := core.PredictBasicPool(p.points, zeta, true, p.g, spheres, rng, pool, tr)
 		if err != nil {
 			return Estimate{}, err
@@ -628,7 +644,9 @@ func (p *Predictor) MeasureRangeAccesses(radius float64, opts EstimateOptions) (
 	params := rtree.ParamsForGeometry(p.g)
 	params.Workers = o.Workers
 	tree := rtree.BuildTraced(cp, params, tr)
-	return stats.Mean(query.MeasureLeafAccessesTracedPool(tree, spheres, pool, tr)), nil
+	sp := tr.Span("measure.leaves")
+	defer sp.End()
+	return stats.Mean(query.MeasureLeafAccessesSetPool(tree.LeafRectSet(), spheres, pool)), nil
 }
 
 // PageSizeChoice is one candidate of a page-size tuning sweep.
@@ -706,8 +724,10 @@ func (p *Predictor) MeasureKNNAccesses(opts EstimateOptions) (float64, error) {
 		queryPoints[i] = p.points[rng.Intn(len(p.points))]
 	}
 	tr := obs.TraceIfEnabled("hdidx.measure.knn", nil)
-	spheres := query.ComputeSpheresTracedPool(p.points, queryPoints, k, pool, tr)
-	sp := tr.Span("measure.inmemory")
+	sp := tr.Span("workload.spheres")
+	spheres := query.ComputeSpheresPool(p.points, queryPoints, k, pool)
+	sp.End()
+	sp = tr.Span("measure.inmemory")
 	// The bulk load reorders its input: give it a copy, so the caller's
 	// slice and the next call's query draws stay as they were.
 	cp := make([][]float64, len(p.points))

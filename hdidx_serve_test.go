@@ -179,3 +179,73 @@ func TestServerFacadeSharded(t *testing.T) {
 		t.Fatal("shard count above the maximum accepted")
 	}
 }
+
+// TestRejectsNonFinite pins the facade's boundary check: non-finite
+// coordinates in points or queries, and a NaN radius, are errors from
+// every entry point, and a rejected insert leaves the server as it
+// was.
+func TestRejectsNonFinite(t *testing.T) {
+	pts := clusteredPoints(t, 0.005, 12)[:300]
+	dim := len(pts[0])
+	bad := make([][]float64, 2)
+	for i, v := range []float64{math.NaN(), math.Inf(1)} {
+		bad[i] = append([]float64(nil), pts[0]...)
+		bad[i][dim/2] = v
+	}
+	for i, p := range bad {
+		poisoned := append(pts[:20:20], p)
+		if _, err := Build(poisoned); err == nil {
+			t.Errorf("point %d: Build accepted a non-finite point", i)
+		}
+		if _, err := NewPredictor(poisoned); err == nil {
+			t.Errorf("point %d: NewPredictor accepted a non-finite point", i)
+		}
+		if _, err := NewServer(poisoned, ServeConfig{}); err == nil {
+			t.Errorf("point %d: NewServer accepted a non-finite point", i)
+		}
+	}
+
+	ix, err := Build(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range bad {
+		if _, _, err := ix.KNN(q, 5); err == nil {
+			t.Errorf("query %d: Index.KNN accepted a non-finite query", i)
+		}
+		if _, _, err := ix.RangeCount(q, 0.1); err == nil {
+			t.Errorf("query %d: Index.RangeCount accepted a non-finite center", i)
+		}
+	}
+	if _, _, err := ix.RangeCount(pts[0], math.NaN()); err == nil {
+		t.Error("Index.RangeCount accepted a NaN radius")
+	}
+
+	for _, shards := range []int{1, 4} {
+		s, err := NewServer(pts, ServeConfig{Shards: shards, FlattenEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range bad {
+			if _, _, err := s.KNN(p, 5); err == nil {
+				t.Errorf("S=%d query %d: Server.KNN accepted a non-finite query", shards, i)
+			}
+			if _, err := s.RangeCount(p, 0.1); err == nil {
+				t.Errorf("S=%d query %d: Server.RangeCount accepted a non-finite center", shards, i)
+			}
+			if err := s.Insert(p); err == nil {
+				t.Errorf("S=%d point %d: Server.Insert accepted a non-finite point", shards, i)
+			}
+		}
+		if _, err := s.RangeCount(pts[0], math.NaN()); err == nil {
+			t.Errorf("S=%d: Server.RangeCount accepted a NaN radius", shards)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != len(pts) {
+			t.Errorf("S=%d: rejected inserts changed the server: %d points, want %d", shards, s.Len(), len(pts))
+		}
+		s.Close()
+	}
+}

@@ -55,12 +55,6 @@ type Options struct {
 	// FlattenEvery overrides the serving experiment's per-shard
 	// publication threshold (default 128 inserts).
 	FlattenEvery int
-	// BatchedKNN routes the measured k-NN pass of the on-disk
-	// experiments through the grouped batch driver
-	// (query.MeasureKNNFlatBatch) instead of the one-query-at-a-time
-	// driver. Counts are bit-identical; only the measurement wall
-	// clock moves.
-	BatchedKNN bool
 }
 
 // withDefaults fills unset fields.
@@ -201,14 +195,7 @@ func (e *environment) measureOnDiskIO() (build, queries disk.Counters) {
 	if k > len(e.data) {
 		k = len(e.data)
 	}
-	ft := tree.Flatten()
-	var results []query.Result
-	if e.opt.BatchedKNN {
-		results = query.MeasureKNNFlatBatch(ft, e.queryPoints, k)
-	} else {
-		results = query.MeasureKNNFlat(ft, e.queryPoints, k)
-	}
-	for _, r := range results {
+	for _, r := range query.MeasureKNNFlat(tree.Flatten(), e.queryPoints, k) {
 		pages := int64(r.LeafAccesses + r.DirAccesses)
 		queries.Seeks += pages
 		queries.Transfers += pages

@@ -8,6 +8,7 @@ import (
 
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
@@ -90,7 +91,7 @@ func Fig14(opt Options, dims []int) (Fig14Result, error) {
 		tree := rtree.Build(cp, rtree.ParamsForGeometry(g))
 		leafAcc := make([]float64, len(queryPoints))
 		objAcc := make([]float64, len(queryPoints))
-		query.ParallelFor(len(queryPoints), func(i int) {
+		par.For(len(queryPoints), func(i int) {
 			r := query.MultiStepKNN(tree, queryPoints[i], k, project, lookup)
 			leafAcc[i] = float64(r.IndexLeafAccesses)
 			objAcc[i] = float64(r.ObjectAccesses)
@@ -132,7 +133,7 @@ func Fig14(opt Options, dims []int) (Fig14Result, error) {
 // sample.
 func predictObjectAccesses(sample [][]float64, spheres []query.Sphere, zeta float64) float64 {
 	total := make([]float64, len(spheres))
-	query.ParallelFor(len(spheres), func(i int) {
+	par.For(len(spheres), func(i int) {
 		s := spheres[i]
 		r2 := s.Radius * s.Radius
 		n := 0

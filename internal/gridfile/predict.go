@@ -6,6 +6,7 @@ import (
 
 	"hdidx/internal/dataset"
 	"hdidx/internal/mbr"
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 )
 
@@ -85,7 +86,7 @@ func Predict(data [][]float64, zeta float64, capacity int, spheres []query.Spher
 func MeasureLeafAccesses(g *GridFile, spheres []query.Sphere) []float64 {
 	regions := g.Regions()
 	out := make([]float64, len(spheres))
-	query.ParallelFor(len(spheres), func(i int) {
+	par.For(len(spheres), func(i int) {
 		out[i] = float64(query.CountIntersections(regions, spheres[i]))
 	})
 	return out

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"hdidx/internal/dataset"
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/sstree"
 )
@@ -97,7 +98,7 @@ func Predict(data [][]float64, zeta float64, compensate bool, g Geometry, dist D
 // intersecting it.
 func MeasureLeafAccesses(t *Tree, spheres []query.Sphere) []float64 {
 	out := make([]float64, len(spheres))
-	query.ParallelFor(len(spheres), func(i int) {
+	par.For(len(spheres), func(i int) {
 		n := 0
 		for _, l := range t.Leaves() {
 			if t.Dist(spheres[i].Center, l.Pivot) <= spheres[i].Radius+l.Radius {

@@ -288,9 +288,9 @@ func FuzzOpen(f *testing.F) {
 		ft := s.Tree()
 		if ft.NumPoints > 0 {
 			q := make([]float64, ft.Dim)
-			res := query.KNNSearchPaged(ft, s, q, 1)
-			if len(res.Neighbors) != 1 {
-				t.Fatalf("verified snapshot answered %d neighbors for k=1", len(res.Neighbors))
+			res := query.MeasureKNNPaged(ft, s, [][]float64{q}, 1)[0]
+			if res.LeafAccesses < 1 {
+				t.Fatalf("verified snapshot answered k=1 without reading a leaf: %+v", res)
 			}
 		}
 	})

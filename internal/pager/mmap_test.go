@@ -175,8 +175,8 @@ func TestMmapFaultAccounting(t *testing.T) {
 }
 
 // TestMmapPagedBitIdentity is the property test of the acceptance
-// criterion: k-NN, range, and measure searches over the mapped source
-// must be bit-identical — radius, leaf and directory accesses,
+// criterion: k-NN, range, and measure searches over the mapped tree and
+// source must be bit-identical — radius, leaf and directory accesses,
 // neighbor lists including k-th-radius ties — to both the ReadAt pager
 // and the in-memory flat path.
 func TestMmapPagedBitIdentity(t *testing.T) {
@@ -210,30 +210,25 @@ func TestMmapPagedBitIdentity(t *testing.T) {
 			if k > c.n {
 				k = c.n
 			}
+			// The ReadAt and mmap searches alternate on one goroutine, so
+			// they share the pooled row buffer: adopting mapped rows as
+			// that buffer would fault on the next ReadAt fetch.
 			flat := query.KNNSearchFlat(ft, q, k)
-			overRA := query.KNNSearchPaged(ra.Tree(), ra, q, k)
-			overMM := query.KNNSearchPaged(mm.Tree(), mm, q, k)
-			for _, got := range []query.Result{overRA, overMM} {
-				if got.Radius != flat.Radius || got.LeafAccesses != flat.LeafAccesses ||
-					got.DirAccesses != flat.DirAccesses ||
-					!reflect.DeepEqual(got.Neighbors, flat.Neighbors) {
-					t.Fatalf("n=%d dim=%d query %d: paged k-NN diverges from flat", c.n, c.dim, qi)
-				}
+			mapped := query.KNNSearchFlat(mm.Tree(), q, k)
+			if !reflect.DeepEqual(mapped, flat) {
+				t.Fatalf("n=%d dim=%d query %d: mapped k-NN diverges from flat", c.n, c.dim, qi)
+			}
+			flat.Neighbors = nil
+			overRA := query.MeasureKNNPaged(ra.Tree(), ra, queries[qi:qi+1], k)[0]
+			overMM := query.MeasureKNNPaged(mm.Tree(), mm, queries[qi:qi+1], k)[0]
+			if !reflect.DeepEqual(overRA, flat) || !reflect.DeepEqual(overMM, flat) {
+				t.Fatalf("n=%d dim=%d query %d: paged k-NN diverges from flat", c.n, c.dim, qi)
 			}
 			r := flat.Radius * (0.8 + 0.4*rng.Float64())
 			wantN, wantRes := query.RangeSearchFlat(ft, query.Sphere{Center: q, Radius: r})
-			gotN, gotRes := query.RangeSearchPaged(mm.Tree(), mm, query.Sphere{Center: q, Radius: r})
-			if gotN != wantN || gotRes.LeafAccesses != wantRes.LeafAccesses ||
-				gotRes.DirAccesses != wantRes.DirAccesses {
-				t.Fatalf("n=%d dim=%d query %d: paged range diverges from flat", c.n, c.dim, qi)
-			}
-		}
-		wantM := query.MeasureKNNFlat(ft, queries, 10)
-		gotM := query.MeasureKNNPaged(mm.Tree(), mm, queries, 10)
-		for i := range wantM {
-			if wantM[i].Radius != gotM[i].Radius || wantM[i].LeafAccesses != gotM[i].LeafAccesses ||
-				wantM[i].DirAccesses != gotM[i].DirAccesses {
-				t.Fatalf("measure query %d diverges over mmap", i)
+			gotN, gotRes := query.RangeSearchFlat(mm.Tree(), query.Sphere{Center: q, Radius: r})
+			if gotN != wantN || !reflect.DeepEqual(gotRes, wantRes) {
+				t.Fatalf("n=%d dim=%d query %d: mapped range diverges from flat", c.n, c.dim, qi)
 			}
 		}
 		if c := mm.Counters(); c.Transfers == 0 {
@@ -244,10 +239,10 @@ func TestMmapPagedBitIdentity(t *testing.T) {
 	}
 }
 
-// TestMmapPoisonedResident proves paged searches over a mapped
-// snapshot never consult another tree's resident arrays: the searches
-// run with the original in-memory tree's matrix NaN-poisoned, using
-// only the mapped tree, and still answer correctly.
+// TestMmapPoisonedResident proves searches over a mapped snapshot
+// never consult another tree's resident arrays: the searches run with
+// the original in-memory tree's matrix NaN-poisoned, using only the
+// mapped tree and source, and still answer correctly.
 func TestMmapPoisonedResident(t *testing.T) {
 	ft := buildFlat(t, 1500, 10, 31)
 	path := filepath.Join(t.TempDir(), "snap")
@@ -259,6 +254,7 @@ func TestMmapPoisonedResident(t *testing.T) {
 	want := make([]query.Result, len(queries))
 	for i, q := range queries {
 		want[i] = query.KNNSearchFlat(ft, q, 5)
+		want[i].Neighbors = nil
 	}
 
 	s := openMmapT(t, path)
@@ -267,9 +263,12 @@ func TestMmapPoisonedResident(t *testing.T) {
 	for i := range ft.Points.Data {
 		ft.Points.Data[i] = math.NaN()
 	}
+	if got := query.MeasureKNNPaged(s.Tree(), s, queries, 5); !reflect.DeepEqual(got, want) {
+		t.Fatal("paged search over the mapping disturbed by poisoned resident tree")
+	}
 	for i, q := range queries {
-		got := query.KNNSearchPaged(s.Tree(), s, q, 5)
-		if got.Radius != want[i].Radius || len(got.Neighbors) != len(want[i].Neighbors) {
+		got := query.KNNSearchFlat(s.Tree(), q, 5)
+		if got.Radius != want[i].Radius || len(got.Neighbors) != 5 {
 			t.Fatalf("query %d: mapped search disturbed by poisoned resident tree", i)
 		}
 		for _, nb := range got.Neighbors {

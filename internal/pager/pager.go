@@ -304,8 +304,8 @@ func (s *Snapshot) Backend() Backend { return s.backend }
 
 // ZeroCopy reports whether LeafRows returns views into the snapshot's
 // mapped memory rather than buf-backed copies. Callers that recycle
-// returned slices as scratch buffers (the paged search kernels) must
-// not do so when this is true.
+// returned slices as scratch buffers (the query package's best-first
+// search over a LeafSource) must not do so when this is true.
 func (s *Snapshot) ZeroCopy() bool { return s.backend == BackendMmap }
 
 // Path returns the file path the snapshot was opened from.

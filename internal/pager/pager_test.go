@@ -143,14 +143,9 @@ func TestPagedSearchOverFile(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(8))
 	queries := uniform(50, 12, rng)
-	for _, q := range queries {
-		want := query.KNNSearchFlat(ft, q, 10)
-		got := query.KNNSearchPaged(s.Tree(), s, q, 10)
-		if want.Radius != got.Radius || want.LeafAccesses != got.LeafAccesses ||
-			want.DirAccesses != got.DirAccesses ||
-			!reflect.DeepEqual(want.Neighbors, got.Neighbors) {
-			t.Fatal("paged search over the file diverges from in-memory search")
-		}
+	want := query.MeasureKNNFlat(ft, queries, 10)
+	if got := query.MeasureKNNPaged(s.Tree(), s, queries, 10); !reflect.DeepEqual(want, got) {
+		t.Fatal("paged search over the file diverges from in-memory search")
 	}
 	c := s.Counters()
 	if c.Transfers == 0 || c.Seeks == 0 {

@@ -10,23 +10,24 @@ import (
 )
 
 // This file holds the traversal kernels over the linearized
-// rtree.FlatTree: an iterative best-first k-NN and an iterative range
-// search. They replace the pointer-chased Node walk of KNNSearch /
-// RangeSearch on the measurement hot paths with flat array traversal:
+// rtree.FlatTree: the iterative best-first k-NN (the package's only
+// k-NN traversal) and an iterative range search. Both walk flat arrays
+// instead of chasing Node pointers:
 //
 //   - Child pruning is batched: one RectSet.MinSqDists call prices a
 //     node's whole child range over contiguous corner memory, with the
 //     per-dimension early exit against the current k-th-best bound.
-//   - Leaf scans run sqDistBounded over the contiguous rows of the
-//     packed point matrix — the same partial-distance early exit as the
-//     sphere-computation kernel.
+//   - Leaf scans run sqDistBounded over contiguous row-major rows — the
+//     same partial-distance early exit as the sphere-computation
+//     kernel. The rows come from the resident point matrix or, for a
+//     snapshot file read through the pager, from a LeafSource.
 //   - The frontier is a concrete 4-ary min-heap of (node, dist) pairs;
 //     no container/heap, no interface boxing, no allocation per push.
 //   - All per-query state lives in a pooled scratch, so a steady-state
 //     radii-only search allocates nothing and a search returning
 //     neighbors allocates only the result slice.
 //
-// The pointer-based KNNSearch and RangeSearch remain the oracles; the
+// The pointer-tree searches of the test files are the oracles; the
 // flat searches are bit-identical to them in radius, leaf/dir access
 // counts, and neighbor sets (asserted by the property suite in
 // flat_test.go). Two facts make that possible even though heap
@@ -45,6 +46,33 @@ import (
 //     node is therefore accessed iff its MINDIST is at most the final
 //     k-th-best bound (and its parent was accessed), whatever order
 //     ties pop in.
+//
+// The same two facts make a LeafSource search bit-identical to the
+// resident one: a snapshot file round-trips float64 bits exactly, and
+// every traversal decision depends only on those distances and the
+// resident directory arrays.
+
+// LeafSource supplies leaf point rows [start, end) as one row-major
+// run, using buf as scratch when it is large enough. The returned
+// slice may alias buf, the source's internal buffer, or (for a
+// zero-copy source) read-only memory the source owns, and is only
+// valid until the next call — callers must copy rows they retain and
+// must never write through it. pager.Snapshot implements it with real
+// page-granular file reads (ReadAt backend) or views into a read-only
+// file mapping (mmap backend).
+type LeafSource interface {
+	LeafRows(start, end int, buf []float64) []float64
+}
+
+// zeroCopySource marks a LeafSource whose LeafRows results are views
+// into source-owned (possibly write-protected) memory rather than
+// buf-backed copies. The search recycles large returned slices as
+// scratch for later calls — a write into a read-only mapping — so it
+// skips that recycling when ZeroCopy reports true. pager.Snapshot
+// implements it.
+type zeroCopySource interface {
+	ZeroCopy() bool
+}
 
 // flatHeapEntry is one frontier entry of the flat best-first search.
 type flatHeapEntry struct {
@@ -113,7 +141,7 @@ type flatScratch struct {
 	nbrs  neighborHeap
 	dists []float64
 	stack []int32
-	rows  []float64 // paged-search leaf row buffer (paged.go)
+	rows  []float64 // LeafSource row buffer
 }
 
 // childDists returns a scratch buffer of at least n distances.
@@ -129,8 +157,7 @@ var flatPool = sync.Pool{New: func() interface{} { return &flatScratch{} }}
 // KNNSearchFlat runs the iterative best-first (Hjaltason–Samet) k-NN
 // search over the flat tree and reports the pages accessed, including
 // the k nearest points (closest first, distance ties broken by
-// lexicographic point order). It is bit-identical to the pointer
-// oracle KNNSearch in radius, access counts, and neighbor set.
+// lexicographic point order).
 //
 // Aliasing contract: the returned Neighbors are row views into
 // ft.Points — zero-copy on purpose, since the measurement paths only
@@ -139,17 +166,38 @@ var flatPool = sync.Pool{New: func() interface{} { return &flatScratch{} }}
 // and the serving layer do).
 func KNNSearchFlat(ft *rtree.FlatTree, q []float64, k int) Result {
 	sc := flatPool.Get().(*flatScratch)
-	res := knnFlat(ft, q, k, true, sc)
+	res := knnFlat(ft, nil, q, k, true, sc)
 	flatPool.Put(sc)
 	return res
 }
 
-// knnFlat is the best-first search body. With wantNeighbors false it
-// tracks only distances and access counts — no candidate accumulation
-// at all — and performs zero steady-state allocations (asserted by the
-// allocs guard test); with it true the only allocation is the returned
-// neighbor slice.
-func knnFlat(ft *rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc *flatScratch) Result {
+// KNNSearchFlatBatch answers one k-NN query per entry of queries; ks[i]
+// is the k of queries[i]. Each result is exactly KNNSearchFlat's —
+// radius, neighbors, and access counts — so a batch costs and reports
+// what its queries would alone. The same aliasing contract applies.
+func KNNSearchFlatBatch(ft *rtree.FlatTree, queries [][]float64, ks []int) []Result {
+	if len(ks) != len(queries) {
+		panic(fmt.Sprintf("query: %d queries but %d k values", len(queries), len(ks)))
+	}
+	out := make([]Result, len(queries))
+	sc := flatPool.Get().(*flatScratch)
+	for i, q := range queries {
+		out[i] = knnFlat(ft, nil, q, ks[i], true, sc)
+	}
+	flatPool.Put(sc)
+	return out
+}
+
+// knnFlat is the best-first search body. Leaf rows come from ft.Points
+// when src is nil and through src otherwise; the directory walk always
+// runs over the resident arrays. With wantNeighbors false it tracks
+// only distances and access counts — no candidate accumulation at all
+// — and performs zero steady-state allocations (asserted by the allocs
+// guard test); with it true the only allocation is the returned
+// neighbor slice. Neighbors are row views, so they are collected only
+// from resident rows: a source may reuse its row memory on the next
+// fetch.
+func knnFlat(ft *rtree.FlatTree, src LeafSource, q []float64, k int, wantNeighbors bool, sc *flatScratch) Result {
 	if k <= 0 || k > ft.NumPoints {
 		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, ft.NumPoints))
 	}
@@ -160,6 +208,12 @@ func knnFlat(ft *rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc *fla
 	sc.best.reset(k)
 	if wantNeighbors {
 		sc.nbrs.reset(k)
+	}
+	// Rows returned by a copying source are adopted as the scratch row
+	// buffer; a zero-copy source's rows may be read-only memory.
+	adopt := src != nil
+	if zc, ok := src.(zeroCopySource); ok && zc.ZeroCopy() {
+		adopt = false
 	}
 	data, dim := ft.Points.Data, ft.Dim
 	sc.pq.push(0, ft.Rects.MinSqDist(0, q))
@@ -173,8 +227,16 @@ func knnFlat(ft *rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc *fla
 		if cc == 0 {
 			res.LeafAccesses++
 			start, end := int(ft.PtStart[node]), int(ft.PtStart[node]+ft.PtCount[node])
+			rows := data
+			if src != nil {
+				// A source returns just the leaf's rows: re-base the range.
+				rows, start, end = src.LeafRows(start, end, sc.rows), 0, end-start
+				if adopt && cap(rows) > cap(sc.rows) {
+					sc.rows = rows
+				}
+			}
 			for r := start; r < end; r++ {
-				row := data[r*dim : r*dim+dim]
+				row := rows[r*dim : r*dim+dim]
 				d, ok := sqDistBounded(row, q, sc.best.max())
 				if !ok {
 					continue
@@ -205,9 +267,10 @@ func knnFlat(ft *rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc *fla
 }
 
 // RangeSearchFlat counts the points of the flat tree within the sphere
-// and the pages accessed doing so — bit-identical to the pointer
-// oracle RangeSearch (the accessed set is every node whose MINDIST is
-// at most the radius, independent of traversal order).
+// and the pages accessed doing so. A range search needs no heap order:
+// the accessed set is every node whose MINDIST is at most the radius
+// (with an accessed parent), so a depth-first walk reports the same
+// counts as any other order.
 func RangeSearchFlat(ft *rtree.FlatTree, s Sphere) (points int, res Result) {
 	res.Radius = s.Radius
 	if ft.NumNodes() == 0 {
@@ -252,32 +315,36 @@ func RangeSearchFlat(ft *rtree.FlatTree, s Sphere) (points int, res Result) {
 	return points, res
 }
 
-// MeasureKNNFlat runs the flat best-first k-NN for each query point on
-// a pre-flattened tree and returns the per-query access counts and
+// MeasureKNNFlat runs the best-first k-NN for each query point on a
+// pre-flattened tree and returns the per-query access counts and
 // radii. Neighbors are not collected — the measurement callers only
 // consume radii and page counts, so the per-leaf candidate
 // accumulation is skipped entirely. Queries run in parallel.
 func MeasureKNNFlat(ft *rtree.FlatTree, queryPoints [][]float64, k int) []Result {
-	return MeasureKNNFlatPool(ft, queryPoints, k, par.Pool{})
-}
-
-// MeasureKNNFlatPool is MeasureKNNFlat with the fan-out bounded by
-// pool.
-func MeasureKNNFlatPool(ft *rtree.FlatTree, queryPoints [][]float64, k int, pool par.Pool) []Result {
 	out := make([]Result, len(queryPoints))
-	pool.Chunks(len(queryPoints), func(lo, hi int) {
+	par.Chunks(len(queryPoints), func(lo, hi int) {
 		sc := flatPool.Get().(*flatScratch)
 		for i := lo; i < hi; i++ {
-			out[i] = knnFlat(ft, queryPoints[i], k, false, sc)
+			out[i] = knnFlat(ft, nil, queryPoints[i], k, false, sc)
 		}
 		flatPool.Put(sc)
 	})
 	return out
 }
 
-// MeasureLeafAccessesFlat counts, for each query sphere, the leaf
-// pages of the flat tree intersecting it, using the flat tree's
-// leaf-MBR tail. It matches MeasureLeafAccesses on the source tree.
-func MeasureLeafAccessesFlat(ft *rtree.FlatTree, spheres []Sphere) []float64 {
-	return MeasureLeafAccessesSet(ft.LeafRectSet(), spheres)
+// MeasureKNNPaged is MeasureKNNFlat with leaf rows read through src —
+// for a pager.Snapshot, real page reads whose count the pager
+// experiment compares against the paper's predictions. Radii and
+// access counts are bit-identical to MeasureKNNFlat on the same tree.
+// Queries run sequentially on purpose: the pager's seek accounting is
+// positional (adjacent-page reads are seek-free), which interleaved
+// concurrent queries would scramble.
+func MeasureKNNPaged(ft *rtree.FlatTree, src LeafSource, queryPoints [][]float64, k int) []Result {
+	out := make([]Result, len(queryPoints))
+	sc := flatPool.Get().(*flatScratch)
+	for i, q := range queryPoints {
+		out[i] = knnFlat(ft, src, q, k, false, sc)
+	}
+	flatPool.Put(sc)
+	return out
 }

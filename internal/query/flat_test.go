@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hdidx/internal/par"
 	"hdidx/internal/rtree"
 )
 
@@ -77,7 +78,7 @@ func TestKNNFlatMatchesPointerOracle(t *testing.T) {
 	}
 }
 
-// TestMeasureKNNFlatMatchesPerQuery checks that the batched radii-only
+// TestMeasureKNNFlatMatchesPerQuery checks that the parallel radii-only
 // measurement returns the same radii and access counts as individual
 // neighbor-collecting searches.
 func TestMeasureKNNFlatMatchesPerQuery(t *testing.T) {
@@ -107,7 +108,7 @@ func TestMeasureLeafAccessesFlatMatchesTree(t *testing.T) {
 	queries := uniformPoints(25, 5, 34)
 	spheres := ComputeSpheres(data, queries, 11)
 	want := MeasureLeafAccesses(tr, spheres)
-	got := MeasureLeafAccessesFlat(ft, spheres)
+	got := MeasureLeafAccessesSetPool(ft.LeafRectSet(), spheres, par.Pool{})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flat leaf accesses %v != tree %v", got, want)
 	}
@@ -201,10 +202,12 @@ func TestRangeSearchSingleLeafTree(t *testing.T) {
 	}
 }
 
-// TestKNNFlatAllocs is the allocation-budget guard of the acceptance
-// criteria: the radii-only measurement search allocates nothing in
-// steady state, and the neighbor-returning search allocates at most
-// twice per op (the neighbor slice itself, plus heap growth slack).
+// TestKNNFlatAllocs is the allocation-budget guard of the search body:
+// the radii-only measurement search allocates nothing in steady state,
+// the neighbor-returning search allocates at most twice per op (the
+// neighbor slice itself, plus heap growth slack), and MeasureKNNPaged
+// over a copying LeafSource allocates only its result slice once its
+// row buffer is warm.
 func TestKNNFlatAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
@@ -215,22 +218,33 @@ func TestKNNFlatAllocs(t *testing.T) {
 	queries := uniformPoints(16, 8, 52)
 	sc := &flatScratch{}
 	for _, q := range queries {
-		knnFlat(ft, q, 21, true, sc) // size the scratch buffers
+		knnFlat(ft, nil, q, 21, true, sc) // size the scratch buffers
 	}
 	i := 0
 	radiiOnly := testing.AllocsPerRun(100, func() {
-		knnFlat(ft, queries[i%len(queries)], 21, false, sc)
+		knnFlat(ft, nil, queries[i%len(queries)], 21, false, sc)
 		i++
 	})
 	if radiiOnly != 0 {
 		t.Errorf("radii-only flat k-NN: %v allocs/op, want 0", radiiOnly)
 	}
 	withNeighbors := testing.AllocsPerRun(100, func() {
-		knnFlat(ft, queries[i%len(queries)], 21, true, sc)
+		knnFlat(ft, nil, queries[i%len(queries)], 21, true, sc)
 		i++
 	})
 	if withNeighbors > 2 {
 		t.Errorf("neighbor-returning flat k-NN: %v allocs/op, want <= 2", withNeighbors)
+	}
+	// Box the source once: converting the struct to the interface
+	// allocates, where a *pager.Snapshot would not.
+	var src LeafSource = MatrixSource{M: ft.Points}
+	MeasureKNNPaged(ft, src, queries, 21) // warm the pooled row buffer
+	paged := testing.AllocsPerRun(100, func() {
+		MeasureKNNPaged(ft, src, queries[i%len(queries):i%len(queries)+1], 21)
+		i++
+	})
+	if paged > 1 {
+		t.Errorf("paged measurement over a copying source: %v allocs/op, want <= 1 (the result slice)", paged)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hdidx/internal/dataset"
+	"hdidx/internal/par"
 	"hdidx/internal/vec"
 )
 
@@ -194,7 +195,7 @@ func BenchmarkKernelComputeSpheresRef(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		spheres := make([]Sphere, len(queries))
-		parallelFor(len(queries), func(j int) {
+		par.For(len(queries), func(j int) {
 			spheres[j] = Sphere{Center: queries[j], Radius: KNNBruteRadius(data, queries[j], 21)}
 		})
 	}
@@ -215,7 +216,7 @@ func BenchmarkKernelComputeSpheresRef60(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		spheres := make([]Sphere, len(queries))
-		parallelFor(len(queries), func(j int) {
+		par.For(len(queries), func(j int) {
 			spheres[j] = Sphere{Center: queries[j], Radius: KNNBruteRadius(data, queries[j], 21)}
 		})
 	}

@@ -12,8 +12,7 @@ import (
 // and folding through KNNMerge must be bit-identical — radius, neighbor
 // list, and tie-breaks — to a single-tree oracle over the union of the
 // points. This file property-tests it across dimensions 1–64, shard
-// counts {1,2,4,8}, single and batched per-shard searches, engineered
-// distance ties, and sub-k shards.
+// counts {1,2,4,8}, engineered distance ties, and sub-k shards.
 
 // shardSplit deals points round-robin into s shards, mirroring the
 // serving layer's assignment.
@@ -41,9 +40,9 @@ func shardTrees(shards [][][]float64) []*rtree.FlatTree {
 	return out
 }
 
-// mergeOracle checks one (data, queries, k, shards, batched)
-// configuration against the single-tree oracle.
-func mergeOracle(t *testing.T, data, queries [][]float64, k, s int, batched bool) {
+// mergeOracle checks one (data, queries, k, shards) configuration
+// against the single-tree oracle.
+func mergeOracle(t *testing.T, data, queries [][]float64, k, s int) {
 	t.Helper()
 	cp := make([][]float64, len(data))
 	copy(cp, data)
@@ -56,17 +55,9 @@ func mergeOracle(t *testing.T, data, queries [][]float64, k, s int, batched bool
 		if ft == nil {
 			continue
 		}
-		if batched {
-			ks := make([]int, len(queries))
-			for i := range ks {
-				ks[i] = min(k, ft.NumPoints)
-			}
-			perShard[si] = KNNSearchFlatBatch(ft, queries, ks)
-		} else {
-			perShard[si] = make([]Result, len(queries))
-			for i, q := range queries {
-				perShard[si][i] = KNNSearchFlat(ft, q, min(k, ft.NumPoints))
-			}
+		perShard[si] = make([]Result, len(queries))
+		for i, q := range queries {
+			perShard[si][i] = KNNSearchFlat(ft, q, min(k, ft.NumPoints))
 		}
 	}
 	for i, q := range queries {
@@ -79,20 +70,19 @@ func mergeOracle(t *testing.T, data, queries [][]float64, k, s int, batched bool
 		got := KNNMerge(q, k, parts)
 		want := KNNSearchFlat(oracle, q, k)
 		if got.Radius != want.Radius {
-			t.Fatalf("s=%d batched=%v k=%d query %d: radius %v != oracle %v",
-				s, batched, k, i, got.Radius, want.Radius)
+			t.Fatalf("s=%d k=%d query %d: radius %v != oracle %v",
+				s, k, i, got.Radius, want.Radius)
 		}
 		if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
-			t.Fatalf("s=%d batched=%v k=%d query %d: neighbors diverge\n merged: %v\n oracle: %v",
-				s, batched, k, i, got.Neighbors, want.Neighbors)
+			t.Fatalf("s=%d k=%d query %d: neighbors diverge\n merged: %v\n oracle: %v",
+				s, k, i, got.Neighbors, want.Neighbors)
 		}
 	}
 }
 
 // TestKNNMergeMatchesOracle is the main property sweep: random data
-// over dims 1..64, S in {1,2,4,8}, single and batched per-shard
-// drivers, k values spanning sub-k shards (k larger
-// than every shard's cardinality) up to k == N.
+// over dims 1..64, S in {1,2,4,8}, k values spanning sub-k shards (k
+// larger than every shard's cardinality) up to k == N.
 func TestKNNMergeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dims := []int{1, 2, 3, 8, 16, 64}
@@ -108,10 +98,8 @@ func TestKNNMergeMatchesOracle(t *testing.T) {
 			}
 		}
 		for _, s := range []int{1, 2, 4, 8} {
-			for _, batched := range []bool{false, true} {
-				for _, k := range []int{1, 3, n/2 + 1, n} {
-					mergeOracle(t, data, queries, k, s, batched)
-				}
+			for _, k := range []int{1, 3, n/2 + 1, n} {
+				mergeOracle(t, data, queries, k, s)
 			}
 		}
 	}
@@ -135,10 +123,8 @@ func TestKNNMergeTieBreaks(t *testing.T) {
 	}
 	queries := [][]float64{{0, 0, 0}, {0.5, 0.5, 0}, {1, 1, 0}}
 	for _, s := range []int{2, 3, 4, 8} {
-		for _, batched := range []bool{false, true} {
-			for _, k := range []int{1, 4, 9, len(data)} {
-				mergeOracle(t, data, queries, k, s, batched)
-			}
+		for _, k := range []int{1, 4, 9, len(data)} {
+			mergeOracle(t, data, queries, k, s)
 		}
 	}
 }
@@ -150,8 +136,7 @@ func TestKNNMergeSubKShards(t *testing.T) {
 	data := uniformPoints(5, 4, 9)
 	queries := [][]float64{data[0], {0.1, 0.2, 0.3, 0.4}}
 	for _, s := range []int{4, 8} {
-		mergeOracle(t, data, queries, 5, s, false)
-		mergeOracle(t, data, queries, 5, s, true)
+		mergeOracle(t, data, queries, 5, s)
 	}
 }
 

@@ -7,41 +7,72 @@ import (
 	"testing"
 
 	"hdidx/internal/rtree"
+	"hdidx/internal/vec"
 )
+
+// MatrixSource adapts an in-memory point matrix to LeafSource. It
+// copies rows into buf rather than returning views, mimicking a pager's
+// reused read buffer.
+type MatrixSource struct {
+	M vec.Matrix
+}
+
+func (s MatrixSource) LeafRows(start, end int, buf []float64) []float64 {
+	n := (end - start) * s.M.Dim
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	out := buf[:n]
+	copy(out, s.M.Data[start*s.M.Dim:end*s.M.Dim])
+	return out
+}
+
+// viewSource is a zero-copy LeafSource: it returns views into its
+// matrix, like the pager's mmap backend.
+type viewSource struct {
+	M vec.Matrix
+}
+
+func (s viewSource) LeafRows(start, end int, _ []float64) []float64 {
+	return s.M.Data[start*s.M.Dim : end*s.M.Dim]
+}
+
+func (viewSource) ZeroCopy() bool { return true }
+
+// sameCounts reports whether two searches agree bitwise on radius and
+// on leaf and directory access counts.
+func sameCounts(a, b Result) bool {
+	return a.Radius == b.Radius && a.LeafAccesses == b.LeafAccesses && a.DirAccesses == b.DirAccesses
+}
 
 // TestKNNPagedMatchesFlat is the bit-identity property suite of the
 // pager read path: over the same random geometries as the flat suite
-// (dims 1–64, duplicates, k-th-radius ties), the paged search fed by a
-// MatrixSource must agree with the in-memory flat search on radius
-// (bitwise), access counts, and neighbor lists.
+// (dims 1–64, duplicates, k-th-radius ties), the search fed by a
+// copying MatrixSource or a zero-copy view source must agree with the
+// resident KNNSearchFlat on radius (bitwise) and access counts.
 func TestKNNPagedMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(421))
 	for trial := 0; trial < 120; trial++ {
 		data, tr := buildRandomTree(rng)
 		ft := tr.Flatten()
-		src := MatrixSource{M: ft.Points}
 		k := 1 + rng.Intn(30)
 		if k > len(data) {
 			k = len(data)
 		}
-		for qi := 0; qi < 4; qi++ {
-			var q []float64
+		queries := make([][]float64, 4)
+		for qi := range queries {
 			if qi%2 == 0 {
-				q = data[rng.Intn(len(data))]
+				queries[qi] = data[rng.Intn(len(data))]
 			} else {
-				q = uniformPoints(1, tr.Dim, rng.Int63())[0]
+				queries[qi] = uniformPoints(1, tr.Dim, rng.Int63())[0]
 			}
+		}
+		copied := MeasureKNNPaged(ft, MatrixSource{M: ft.Points}, queries, k)
+		viewed := MeasureKNNPaged(ft, viewSource{M: ft.Points}, queries, k)
+		for qi, q := range queries {
 			want := KNNSearchFlat(ft, q, k)
-			got := KNNSearchPaged(ft, src, q, k)
-			if got.Radius != want.Radius {
-				t.Fatalf("trial %d: radius %v != flat %v", trial, got.Radius, want.Radius)
-			}
-			if got.LeafAccesses != want.LeafAccesses || got.DirAccesses != want.DirAccesses {
-				t.Fatalf("trial %d: accesses %d/%d != flat %d/%d", trial,
-					got.LeafAccesses, got.DirAccesses, want.LeafAccesses, want.DirAccesses)
-			}
-			if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
-				t.Fatalf("trial %d: neighbors diverge\n paged: %v\n flat: %v", trial, got.Neighbors, want.Neighbors)
+			if !sameCounts(copied[qi], want) || !sameCounts(viewed[qi], want) {
+				t.Fatalf("trial %d query %d: paged %+v / %+v != flat %+v", trial, qi, copied[qi], viewed[qi], want)
 			}
 		}
 	}
@@ -49,18 +80,15 @@ func TestKNNPagedMatchesFlat(t *testing.T) {
 
 // TestKNNPagedNeverTouchesResidentPoints poisons the resident point
 // matrix after handing a pristine copy to the source: if any part of
-// the paged search read ft.Points instead of going through the
-// LeafSource, the NaNs would corrupt distances and the search result.
+// the search read ft.Points instead of going through the LeafSource,
+// the NaNs would drop every candidate and change the radius.
 func TestKNNPagedNeverTouchesResidentPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	data, tr := buildRandomTree(rng)
 	ft := tr.Flatten()
-	want := KNNSearchFlat(ft, data[0], 5)
-	// The flat search's neighbors are views into ft.Points, which is
-	// about to be poisoned — snapshot them.
-	for i, nb := range want.Neighbors {
-		want.Neighbors[i] = append([]float64(nil), nb...)
-	}
+	queries := [][]float64{data[0], uniformPoints(1, tr.Dim, 78)[0]}
+	k := min(5, len(data))
+	want := MeasureKNNFlat(ft, queries, k)
 
 	pristine := make([]float64, len(ft.Points.Data))
 	copy(pristine, ft.Points.Data)
@@ -69,81 +97,42 @@ func TestKNNPagedNeverTouchesResidentPoints(t *testing.T) {
 	for i := range ft.Points.Data {
 		ft.Points.Data[i] = math.NaN()
 	}
-	got := KNNSearchPaged(ft, src, data[0], 5)
-	if got.Radius != want.Radius || !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
-		t.Fatalf("paged search read the poisoned resident matrix: radius %v want %v", got.Radius, want.Radius)
-	}
-	var cnt int
-	cnt, _ = RangeSearchPaged(ft, src, Sphere{Center: data[0], Radius: want.Radius})
-	if cnt < 5 {
-		t.Fatalf("paged range search over the k-NN sphere found %d points, want >= 5", cnt)
-	}
-}
-
-// TestKNNPagedNeighborsAreCopies asserts the aliasing contract: the
-// paged search returns private neighbor copies, so mutating them must
-// not disturb the source matrix (whose buffer a pager would anyway
-// reuse).
-func TestKNNPagedNeighborsAreCopies(t *testing.T) {
-	data := uniformPoints(400, 8, 5)
-	tr := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8})
-	ft := tr.Flatten()
-	src := MatrixSource{M: ft.Points}
-	res := KNNSearchPaged(ft, src, data[3], 4)
-	before := make([]float64, len(ft.Points.Data))
-	copy(before, ft.Points.Data)
-	for _, nb := range res.Neighbors {
-		for i := range nb {
-			nb[i] = -12345
-		}
-	}
-	if !reflect.DeepEqual(before, ft.Points.Data) {
-		t.Fatal("mutating returned neighbors changed the point matrix: rows were not copied")
-	}
-}
-
-// TestRangeSearchPagedMatchesFlat checks count and access-count
-// bit-identity of the paged range search against the in-memory one
-// over random trees and spheres (including zero radius and a sphere
-// enclosing everything).
-func TestRangeSearchPagedMatchesFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(423))
-	for trial := 0; trial < 80; trial++ {
-		data, tr := buildRandomTree(rng)
-		ft := tr.Flatten()
-		src := MatrixSource{M: ft.Points}
-		center := data[rng.Intn(len(data))]
-		radius := rng.Float64()
-		switch trial % 4 {
-		case 1:
-			radius = 0
-		case 2:
-			radius = 1000 // encloses the unit cube from anywhere inside it
-		}
-		wantN, want := RangeSearchFlat(ft, Sphere{Center: center, Radius: radius})
-		gotN, got := RangeSearchPaged(ft, src, Sphere{Center: center, Radius: radius})
-		if gotN != wantN || got.LeafAccesses != want.LeafAccesses || got.DirAccesses != want.DirAccesses {
-			t.Fatalf("trial %d: paged range %d (%d/%d) != flat %d (%d/%d)", trial,
-				gotN, got.LeafAccesses, got.DirAccesses, wantN, want.LeafAccesses, want.DirAccesses)
+	got := MeasureKNNPaged(ft, src, queries, k)
+	for i := range queries {
+		if !sameCounts(got[i], want[i]) {
+			t.Fatalf("query %d: paged search read the poisoned resident matrix: %+v want %+v", i, got[i], want[i])
 		}
 	}
 }
 
-// TestMeasureKNNPagedMatchesFlat checks the radii-only batch variant
-// against per-query searches.
+// TestKNNPagedZeroCopyRowsNotAdopted pins the scratch rule: rows a
+// copying source returns become the scratch row buffer, but a zero-copy
+// source's rows (read-only mapped memory, for the mmap pager) never do
+// — a later copying fetch would write through them.
+func TestKNNPagedZeroCopyRowsNotAdopted(t *testing.T) {
+	data := uniformPoints(800, 6, 91)
+	ft := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8}).Flatten()
+	sc := &flatScratch{}
+	knnFlat(ft, viewSource{M: ft.Points}, data[3], 7, false, sc)
+	if cap(sc.rows) != 0 {
+		t.Fatal("zero-copy rows were adopted as the scratch row buffer")
+	}
+	knnFlat(ft, MatrixSource{M: ft.Points}, data[3], 7, false, sc)
+	if cap(sc.rows) == 0 {
+		t.Fatal("copying source rows were not adopted as the scratch row buffer")
+	}
+}
+
+// TestMeasureKNNPagedMatchesFlat checks MeasureKNNPaged against the
+// parallel resident MeasureKNNFlat over a fixed tree.
 func TestMeasureKNNPagedMatchesFlat(t *testing.T) {
 	data := uniformPoints(2500, 6, 87)
 	tr := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8})
 	ft := tr.Flatten()
-	src := MatrixSource{M: ft.Points}
 	queries := uniformPoints(30, 6, 88)
-	k := 7
-	got := MeasureKNNPaged(ft, src, queries, k)
-	for i, q := range queries {
-		want := KNNSearchFlat(ft, q, k)
-		if got[i].Radius != want.Radius || got[i].LeafAccesses != want.LeafAccesses ||
-			got[i].DirAccesses != want.DirAccesses {
-			t.Fatalf("query %d: paged measure diverges from flat search", i)
-		}
+	got := MeasureKNNPaged(ft, MatrixSource{M: ft.Points}, queries, 7)
+	want := MeasureKNNFlat(ft, queries, 7)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("paged measure diverges from flat:\n paged: %+v\n flat:  %+v", got, want)
 	}
 }

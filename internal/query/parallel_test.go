@@ -4,7 +4,13 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"hdidx/internal/par"
 )
+
+// The package's kernels fan out through internal/par (par.For and
+// par.Chunks over queries, with per-chunk pooled scratch); these tests
+// pin the coverage and visibility properties they rely on.
 
 // chunksPerWorker mirrors par.chunksPerWorker so the sizes below still
 // straddle the scheduling boundaries of the shared pool.
@@ -23,7 +29,7 @@ func TestParallelForVisitsEachIndexOnce(t *testing.T) {
 			continue
 		}
 		counts := make([]int32, n)
-		ParallelFor(n, func(i int) {
+		par.For(n, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		for i, c := range counts {
@@ -38,7 +44,7 @@ func TestParallelChunksCoverDisjointRanges(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 12345} {
 		counts := make([]int32, n)
 		var calls int32
-		parallelChunks(n, func(lo, hi int) {
+		par.Chunks(n, func(lo, hi int) {
 			atomic.AddInt32(&calls, 1)
 			if lo < 0 || hi > n || lo >= hi {
 				t.Errorf("n=%d: bad range [%d,%d)", n, lo, hi)
@@ -53,7 +59,7 @@ func TestParallelChunksCoverDisjointRanges(t *testing.T) {
 			}
 		}
 		if n == 0 && calls != 0 {
-			t.Error("parallelChunks called f for n=0")
+			t.Error("par.Chunks called f for n=0")
 		}
 	}
 }
@@ -62,7 +68,7 @@ func TestParallelForPropagatesWrites(t *testing.T) {
 	// The WaitGroup must publish all worker writes to the caller.
 	n := 10000
 	out := make([]float64, n)
-	ParallelFor(n, func(i int) { out[i] = float64(i) * 2 })
+	par.For(n, func(i int) { out[i] = float64(i) * 2 })
 	for i := range out {
 		if out[i] != float64(i)*2 {
 			t.Fatalf("index %d: %v", i, out[i])

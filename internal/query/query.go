@@ -1,7 +1,8 @@
-// Package query implements the query side of the reproduction:
-// brute-force and best-first k-NN search, query-sphere computation,
-// leaf-access counting, and the density-biased k-NN workload generator
-// of Lang & Singh (SIGMOD 2001), Section 4.2.
+// Package query implements the query side of the reproduction of
+// Lang & Singh (SIGMOD 2001): brute-force k-NN radii, query-sphere
+// computation, leaf-access counting, the optimal best-first k-NN and
+// the range search over a flat tree, and the multi-step k-NN behind
+// the paper's Section 6.2 application.
 //
 // A k-NN query is represented by its query sphere — the ball around
 // the query point whose radius is the distance to the k-th nearest
@@ -14,12 +15,10 @@ package query
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"hdidx/internal/mbr"
 	"hdidx/internal/par"
 	"hdidx/internal/rtree"
-	"hdidx/internal/vec"
 )
 
 // Sphere is a query region: the k-NN ball of a query point.
@@ -70,23 +69,6 @@ func ComputeSpheresPool(data [][]float64, queryPoints [][]float64, k int, pool p
 	return computeSpheresFlat(data, queryPoints, k, pool)
 }
 
-// DensityBiasedWorkload draws q query points uniformly from the
-// dataset (so denser regions receive proportionally more queries) and
-// computes their k-NN spheres against the full dataset. The query
-// points are copies of the drawn dataset rows, so a workload stays
-// valid even if the dataset is later transformed in place (KLT/DFT
-// dimensionality reduction).
-func DensityBiasedWorkload(data [][]float64, q, k int, rng *rand.Rand) []Sphere {
-	if q <= 0 {
-		panic("query: workload needs at least one query")
-	}
-	queryPoints := make([][]float64, q)
-	for i := range queryPoints {
-		queryPoints[i] = vec.Clone(data[rng.Intn(len(data))])
-	}
-	return ComputeSpheres(data, queryPoints, k)
-}
-
 // CountIntersections returns the number of rectangles intersecting the
 // sphere. This is the page-access count of an optimal k-NN search over
 // leaves with those MBRs, and the quantity every predictor estimates.
@@ -108,20 +90,15 @@ func CountIntersections(rects []mbr.Rect, s Sphere) int {
 // the tree intersecting it, using the tree's flat leaf-MBR set.
 // Queries run in parallel.
 func MeasureLeafAccesses(t *rtree.Tree, spheres []Sphere) []float64 {
-	return MeasureLeafAccessesSet(t.LeafRectSet(), spheres)
+	return MeasureLeafAccessesSetPool(t.LeafRectSet(), spheres, par.Pool{})
 }
 
-// MeasureLeafAccessesSet counts, for each query sphere, the
+// MeasureLeafAccessesSetPool counts, for each query sphere, the
 // rectangles of the flat SoA set intersecting it — the shared kernel
-// entry behind leaf-access measurement over pointer trees
+// behind leaf-access measurement over pointer trees
 // (Tree.LeafRectSet), flat trees (FlatTree.LeafRectSet), and the
-// predictors' mini-index leaf layouts. Queries run in parallel.
-func MeasureLeafAccessesSet(set *mbr.RectSet, spheres []Sphere) []float64 {
-	return MeasureLeafAccessesSetPool(set, spheres, par.Pool{})
-}
-
-// MeasureLeafAccessesSetPool is MeasureLeafAccessesSet with the
-// fan-out bounded by pool.
+// predictors' mini-index leaf layouts. The fan-out over queries is
+// bounded by pool (the zero pool follows the process default).
 func MeasureLeafAccessesSetPool(set *mbr.RectSet, spheres []Sphere, pool par.Pool) []float64 {
 	out := make([]float64, len(spheres))
 	pool.Chunks(len(spheres), func(lo, hi int) {
@@ -145,87 +122,6 @@ type Result struct {
 	Neighbors [][]float64
 }
 
-// KNNSearch runs the optimal best-first (Hjaltason–Samet) k-NN search
-// on the pointer tree and reports the pages accessed, including the k
-// nearest points (closest first, distance ties broken by lexicographic
-// point order).
-//
-// This is the reference oracle of the flat traversal layout: the hot
-// paths run KNNSearchFlat over Tree.Flatten(), which is bit-identical
-// in radius, access counts, and neighbor set (property-tested).
-func KNNSearch(t *rtree.Tree, q []float64, k int) Result {
-	if k <= 0 || k > t.NumPoints {
-		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, t.NumPoints))
-	}
-	var pq nodeHeap
-	pq.push(nodeEntry{node: t.Root, dist: t.Root.Rect.MinSqDist(q)})
-	best := newBoundedMaxHeap(k)
-	nbrs := neighborHeap{k: k}
-	res := Result{}
-	for pq.len() > 0 {
-		e := pq.pop()
-		if best.full() && e.dist > best.max() {
-			break
-		}
-		if e.node.IsLeaf() {
-			res.LeafAccesses++
-			for _, p := range e.node.Points {
-				d := sqDist(p, q)
-				best.offer(d)
-				nbrs.offer(d, p)
-			}
-			continue
-		}
-		res.DirAccesses++
-		for _, c := range e.node.Children {
-			d := c.Rect.MinSqDist(q)
-			if !best.full() || d <= best.max() {
-				pq.push(nodeEntry{node: c, dist: d})
-			}
-		}
-	}
-	res.Radius = math.Sqrt(best.max())
-	res.Neighbors = nbrs.extract()
-	return res
-}
-
-// MeasureKNN runs best-first k-NN for each query point and returns the
-// per-query access counts and radii (no neighbor lists — the
-// measurement callers only consume radii and page counts). The tree is
-// flattened once and the queries run the flat best-first search in
-// parallel; the results are bit-identical to per-query KNNSearch.
-func MeasureKNN(t *rtree.Tree, queryPoints [][]float64, k int) []Result {
-	return MeasureKNNFlat(t.Flatten(), queryPoints, k)
-}
-
-// RangeSearch counts the points of the tree within the sphere and the
-// pages accessed doing so.
-func RangeSearch(t *rtree.Tree, s Sphere) (points int, res Result) {
-	r2 := s.Radius * s.Radius
-	var rec func(n *rtree.Node)
-	rec = func(n *rtree.Node) {
-		if n.Rect.MinSqDist(s.Center) > r2 {
-			return
-		}
-		if n.IsLeaf() {
-			res.LeafAccesses++
-			for _, p := range n.Points {
-				if sqDist(p, s.Center) <= r2 {
-					points++
-				}
-			}
-			return
-		}
-		res.DirAccesses++
-		for _, c := range n.Children {
-			rec(c)
-		}
-	}
-	rec(t.Root)
-	res.Radius = s.Radius
-	return points, res
-}
-
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i, av := range a {
@@ -235,59 +131,6 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// nodeEntry / nodeHeap implement the best-first priority queue of the
-// pointer oracle as a concrete slice-backed binary min-heap — no
-// container/heap, so pushes append plain structs instead of boxing
-// every entry into an interface{} allocation.
-type nodeEntry struct {
-	node *rtree.Node
-	dist float64
-}
-
-type nodeHeap []nodeEntry
-
-func (h nodeHeap) len() int { return len(h) }
-
-func (h *nodeHeap) push(e nodeEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].dist <= s[i].dist {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *nodeHeap) pop() nodeEntry {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < last && s[l].dist < s[min].dist {
-			min = l
-		}
-		if r < last && s[r].dist < s[min].dist {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
 // neighborHeap selects the k nearest candidate points as a bounded
 // max-heap (the boundedMaxHeap machinery, carrying the points): offers
 // beyond capacity replace the root when strictly closer, so selection
@@ -295,8 +138,8 @@ func (h *nodeHeap) pop() nodeEntry {
 // O(n·k) selection sort over every visited leaf point. Distance ties
 // order by lexicographic point comparison, making the selected set and
 // its output order identical however the traversal encounters the
-// candidates — the pointer oracle and the flat search agree bit for
-// bit on neighbor lists.
+// candidates — the flat search and the test-only pointer oracle agree
+// bit for bit on neighbor lists.
 type neighborHeap struct {
 	k int
 	e []nbrCand

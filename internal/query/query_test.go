@@ -177,8 +177,8 @@ func TestMeasureKNNParallelDeterministic(t *testing.T) {
 	data := uniformPoints(1000, 4, 12)
 	tr := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8})
 	queries := uniformPoints(64, 4, 13)
-	a := MeasureKNN(tr, queries, 3)
-	b := MeasureKNN(tr, queries, 3)
+	a := MeasureKNNFlat(tr.Flatten(), queries, 3)
+	b := MeasureKNNFlat(tr.Flatten(), queries, 3)
 	for i := range a {
 		if a[i].Radius != b[i].Radius || a[i].LeafAccesses != b[i].LeafAccesses {
 			t.Fatal("parallel measurement not deterministic")

@@ -43,12 +43,14 @@
 // k-NN and range queries are admitted through one bounded queue and
 // served in batches: a single batcher goroutine drains up to
 // Config.BatchSize waiting calls, pins one snapshot per shard, and
-// answers the k-NN calls in one shared best-first traversal per shard
-// (query.KNNSearchFlatBatch), amortizing the directory walk and leaf
-// loads over the batch; range calls in the batch are answered against
-// the same pinned snapshots. A full queue rejects immediately with
-// ErrOverloaded — backpressure surfaces to the caller instead of
-// growing an unbounded backlog — and calls that wait past
+// answers every call of the batch against that pinned set. Each k-NN
+// call runs the optimal best-first search on every shard
+// (query.KNNSearchFlatBatch, one query.KNNSearchFlat per call), so its
+// reported page accesses are exactly the single-query optimum the
+// paper's predictor estimates, whatever else shares the batch; range
+// calls run a depth-first range search. A full queue rejects
+// immediately with ErrOverloaded — backpressure surfaces to the caller
+// instead of growing an unbounded backlog — and calls that wait past
 // Config.QueueTimeout are shed with ErrDeadline.
 //
 // Per-query latencies (queue wait plus search) are recorded in
@@ -58,6 +60,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -67,6 +70,7 @@ import (
 	"hdidx/internal/pager"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
+	"hdidx/internal/vec"
 )
 
 // ErrOverloaded reports that the admission queue was full; the caller
@@ -75,6 +79,10 @@ var ErrOverloaded = errors.New("serve: admission queue full")
 
 // ErrClosed reports an operation on a closed server.
 var ErrClosed = errors.New("serve: server closed")
+
+// errNonFinite rejects a point or query with a NaN or infinite
+// coordinate.
+var errNonFinite = errors.New("serve: non-finite coordinate")
 
 // ErrDeadline reports that a queued query waited past
 // Config.QueueTimeout before the batcher reached it. The query was
@@ -108,8 +116,8 @@ type Config struct {
 	// queue rejects with ErrOverloaded.
 	QueueDepth int
 	// BatchSize is the maximum number of queued calls answered by one
-	// batch — k-NN calls share one traversal per shard (default 16,
-	// capped at 64, the width of the traversal's interest bitmask).
+	// batch (default 16, capped at 64). A batch shares one pinned
+	// snapshot per shard; each call is still searched on its own.
 	BatchSize int
 	// SketchSize is the latency reservoir capacity per sketch
 	// (default obs.DefaultSketchSize).
@@ -316,9 +324,8 @@ type Result struct {
 	// Neighbors are the k nearest points, closest first. They are
 	// private copies — retaining or mutating them is always safe.
 	Neighbors [][]float64
-	// LeafAccesses and DirAccesses count the pages this query was
-	// charged during the (possibly shared) traversal, summed across
-	// shards in sharded mode.
+	// LeafAccesses and DirAccesses count the pages the query's
+	// best-first search read, summed across shards in sharded mode.
 	LeafAccesses int
 	DirAccesses  int
 	// Radius is the distance to the k-th neighbor.
@@ -434,6 +441,9 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 	for i, p := range initial {
 		if len(p) != s.dim {
 			return nil, fmt.Errorf("serve: point %d has dimension %d, want %d", i, len(p), s.dim)
+		}
+		if !vec.Finite(p) {
+			return nil, fmt.Errorf("serve: point %d has a non-finite coordinate", i)
 		}
 		s.shards[s.rr%len(s.shards)].dyn.Insert(clonePoint(p))
 		s.rr++
@@ -654,13 +664,16 @@ func (s *Server) sweepStaleLocked() {
 // Insert ingests one point into the next round-robin shard. The point
 // is copied; it becomes visible to queries at that shard's next
 // publication (every Config.FlattenEvery inserts into the shard, or on
-// Flush).
+// Flush). A point with a non-finite coordinate is rejected.
 func (s *Server) Insert(p []float64) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
 	if len(p) != s.dim {
 		return fmt.Errorf("serve: point dimension %d, index dimension %d", len(p), s.dim)
+	}
+	if !vec.Finite(p) {
+		return errNonFinite
 	}
 	cp := clonePoint(p)
 	s.mu.Lock()
@@ -745,14 +758,17 @@ func (s *Server) enqueue(c *call) (reply, error) {
 
 // KNN answers one k-NN query. The call enqueues on the admission queue
 // (rejecting with ErrOverloaded when full) and is answered by the
-// batcher, possibly sharing its traversal with other in-flight
-// queries.
+// batcher with the optimal best-first search over the batch's pinned
+// snapshots. A query with a non-finite coordinate is an error.
 func (s *Server) KNN(q []float64, k int) (Result, error) {
 	if s.closed.Load() {
 		return Result{}, ErrClosed
 	}
 	if len(q) != s.dim {
 		return Result{}, fmt.Errorf("serve: query dimension %d, index dimension %d", len(q), s.dim)
+	}
+	if !vec.Finite(q) {
+		return Result{}, errNonFinite
 	}
 	c := &call{kind: callKNN, q: q, k: k, start: time.Now(), reply: make(chan reply, 1)}
 	r, err := s.enqueue(c)
@@ -764,7 +780,8 @@ func (s *Server) KNN(q []float64, k int) (Result, error) {
 // the admission queue — full-queue and deadline shedding apply — and
 // is answered by the batcher against the same pinned snapshots as the
 // rest of its batch; the count is bit-identical to a direct
-// query.RangeSearchFlat over the served points.
+// query.RangeSearchFlat over the served points. A non-finite center
+// or a NaN radius is an error.
 func (s *Server) RangeCount(center []float64, radius float64) (n int, generation int64, err error) {
 	if s.closed.Load() {
 		return 0, 0, ErrClosed
@@ -772,8 +789,11 @@ func (s *Server) RangeCount(center []float64, radius float64) (n int, generation
 	if len(center) != s.dim {
 		return 0, 0, fmt.Errorf("serve: query dimension %d, index dimension %d", len(center), s.dim)
 	}
-	if radius < 0 {
-		return 0, 0, fmt.Errorf("serve: negative radius")
+	if !vec.Finite(center) {
+		return 0, 0, errNonFinite
+	}
+	if radius < 0 || math.IsNaN(radius) {
+		return 0, 0, fmt.Errorf("serve: radius %v is negative or NaN", radius)
 	}
 	c := &call{kind: callRange, q: center, radius: radius, start: time.Now(), reply: make(chan reply, 1)}
 	r, err := s.enqueue(c)
@@ -807,8 +827,8 @@ func (s *Server) batchLoop() {
 }
 
 // serveBatch answers the calls against one pinned snapshot per shard.
-// k-NN calls share one traversal per shard and merge through
-// query.KNNMerge; range calls run against the same pinned set.
+// k-NN calls are searched per shard and merge through query.KNNMerge;
+// range calls run against the same pinned set.
 func (s *Server) serveBatch(calls []*call) {
 	sns := s.acquireAll()
 	total := 0
@@ -860,9 +880,9 @@ func (s *Server) serveBatch(calls []*call) {
 				s.answerKNN(c, results[i], maxGen)
 			}
 		} else {
-			// Scatter: one shared traversal per non-empty shard, each
-			// query clamped to the shard's cardinality; gather through
-			// the canonical bounded top-k merge.
+			// Scatter: search every non-empty shard, each query clamped
+			// to the shard's cardinality; gather through the canonical
+			// bounded top-k merge.
 			perShard := make([][]query.Result, len(sns))
 			shardKs := make([]int, len(qs))
 			for si, sn := range sns {

@@ -467,3 +467,49 @@ func TestAcquireNeverReturnsRetired(t *testing.T) {
 	}
 	s.Close()
 }
+
+// TestServeRejectsNonFinite pins the boundary check: a query with a
+// NaN coordinate used to return no neighbors and radius +Inf on one
+// shard but radius 0 on four, and a NaN radius counted 0 points, all
+// without an error. Every such call must now fail at every shard
+// count, and a rejected insert must leave nothing behind.
+func TestServeRejectsNonFinite(t *testing.T) {
+	data := uniform(400, 4, 61)
+	bad := [][]float64{
+		{math.NaN(), 0.5, 0.5, 0.5},
+		{0.5, math.Inf(1), 0.5, 0.5},
+		{0.5, 0.5, 0.5, math.Inf(-1)},
+	}
+	for _, shards := range []int{1, 4} {
+		s, err := New(data, Config{Shards: shards, FlattenEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := s.Generation()
+		for i, p := range bad {
+			if _, err := s.KNN(p, 5); err == nil {
+				t.Errorf("S=%d point %d: KNN accepted a non-finite query", shards, i)
+			}
+			if _, _, err := s.RangeCount(p, 0.1); err == nil {
+				t.Errorf("S=%d point %d: RangeCount accepted a non-finite center", shards, i)
+			}
+			if err := s.Insert(p); err == nil {
+				t.Errorf("S=%d point %d: Insert accepted a non-finite point", shards, i)
+			}
+		}
+		if _, _, err := s.RangeCount(data[0], math.NaN()); err == nil {
+			t.Errorf("S=%d: RangeCount accepted a NaN radius", shards)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != len(data) || s.Generation() != gen {
+			t.Errorf("S=%d: rejected inserts changed the server: %d points, generation %d -> %d",
+				shards, s.Len(), gen, s.Generation())
+		}
+		s.Close()
+		if _, err := New(append(data[:10:10], bad[0]), Config{Shards: shards}); err == nil {
+			t.Errorf("S=%d: New accepted a non-finite initial point", shards)
+		}
+	}
+}

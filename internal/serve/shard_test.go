@@ -16,6 +16,7 @@ import (
 
 	"hdidx/internal/obs"
 	"hdidx/internal/pager"
+	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 )
 
@@ -90,9 +91,8 @@ func TestServeShardedMatchesSingle(t *testing.T) {
 }
 
 // TestServeShardedBatchIdentity drives a full admission batch through
-// a sharded server (batcher disabled, serveBatch called directly) so
-// the scatter-gather path actually shares traversals, and checks every
-// reply against the single-shard oracle.
+// a sharded server (serveBatch called directly, so the batch is full)
+// and checks every reply against the single-shard oracle.
 func TestServeShardedBatchIdentity(t *testing.T) {
 	data := uniform(600, 8, 33)
 	oracle, err := New(data, Config{})
@@ -124,6 +124,57 @@ func TestServeShardedBatchIdentity(t *testing.T) {
 		if r.res.Radius != want.Radius || !reflect.DeepEqual(r.res.Neighbors, want.Neighbors) {
 			t.Fatalf("batched query %d diverges from single-shard oracle", i)
 		}
+	}
+}
+
+// TestServeBatchAccessesAreOptimal pins the cost a batch reports: each
+// k-NN reply's page accesses must be exactly those of the optimal
+// best-first search on every pinned shard, summed — the count the
+// paper's predictor estimates. A shared-frontier batch traversal used
+// to charge clustered queries for pages only their batch-mates needed
+// (over 4x the optimum); queries near data points expose it, uniform
+// random ones in 16 dimensions do not.
+func TestServeBatchAccessesAreOptimal(t *testing.T) {
+	const k = 21
+	data := uniform(5000, 4, 71)
+	rng := rand.New(rand.NewSource(72))
+	queries := make([][]float64, 16)
+	for i := range queries {
+		q := append([]float64(nil), data[rng.Intn(len(data))]...)
+		for d := range q {
+			q[d] += 0.01 * rng.NormFloat64()
+		}
+		queries[i] = q
+	}
+	for _, shards := range []int{1, 4} {
+		s, err := New(data, Config{Shards: shards, BatchSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := make([]*call, len(queries))
+		for i, q := range queries {
+			calls[i] = &call{kind: callKNN, q: q, k: k, start: time.Now(), reply: make(chan reply, 1)}
+		}
+		s.serveBatch(calls)
+		sns := s.acquireAll()
+		for i, c := range calls {
+			r := <-c.reply
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			leaf, dir := 0, 0
+			for _, sn := range sns {
+				one := query.KNNSearchFlat(sn.ft, queries[i], min(k, sn.ft.NumPoints))
+				leaf += one.LeafAccesses
+				dir += one.DirAccesses
+			}
+			if r.res.LeafAccesses != leaf || r.res.DirAccesses != dir {
+				t.Errorf("S=%d query %d: batch charged %d leaf / %d dir pages, optimal search reads %d / %d",
+					shards, i, r.res.LeafAccesses, r.res.DirAccesses, leaf, dir)
+			}
+		}
+		releaseAll(sns)
+		s.Close()
 	}
 }
 

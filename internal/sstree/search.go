@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/vec"
 )
@@ -78,7 +79,7 @@ func insertBounded(best []float64, d float64, k int) []float64 {
 // that final radius).
 func MeasureLeafAccesses(t *Tree, spheres []query.Sphere) []float64 {
 	out := make([]float64, len(spheres))
-	query.ParallelFor(len(spheres), func(i int) {
+	par.For(len(spheres), func(i int) {
 		n := 0
 		for _, l := range t.Leaves() {
 			if l.IntersectsSphere(spheres[i].Center, spheres[i].Radius) {

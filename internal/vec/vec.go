@@ -51,6 +51,19 @@ func Norm(a []float64) float64 {
 	return math.Sqrt(Dot(a, a))
 }
 
+// Finite reports whether every coordinate of a is a finite number —
+// neither NaN nor ±Inf. The API boundaries reject points and queries
+// that are not: a NaN distance compares false against every bound, so
+// a search would silently drop candidates instead of failing.
+func Finite(a []float64) bool {
+	for _, v := range a {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a copy of a.
 func Clone(a []float64) []float64 {
 	c := make([]float64, len(a))

@@ -51,9 +51,10 @@ type ServeConfig struct {
 	// QueueDepth bounds the k-NN admission queue (default 256); a full
 	// queue rejects with ErrOverloaded.
 	QueueDepth int
-	// BatchSize is the maximum number of concurrent k-NN queries
-	// answered by one shared index traversal (default 16, capped
-	// at 64).
+	// BatchSize is the maximum number of queued queries answered
+	// against one pinned snapshot set (default 16, capped at 64).
+	// Each query is still searched on its own, so its page-access
+	// statistics do not depend on what else shares the batch.
 	BatchSize int
 	// QueueTimeout bounds how long a k-NN query may wait on the
 	// admission queue before the batcher reaches it; stale queries
@@ -122,8 +123,8 @@ func NewServer(points [][]float64, scfg ServeConfig, opts ...Option) (*Server, e
 
 // KNN returns the k nearest neighbors of q on the current snapshot,
 // closest first, with the search's page-access statistics. The
-// neighbors are private copies. Concurrent calls may be answered by
-// one shared traversal; a full admission queue returns ErrOverloaded.
+// neighbors are private copies. A full admission queue returns
+// ErrOverloaded; a query with a non-finite coordinate is an error.
 func (s *Server) KNN(q []float64, k int) ([][]float64, QueryStats, error) {
 	res, err := s.srv.KNN(q, k)
 	if err != nil {
@@ -137,14 +138,16 @@ func (s *Server) KNN(q []float64, k int) ([][]float64, QueryStats, error) {
 }
 
 // RangeCount returns the number of points within radius of center on
-// the current snapshot.
+// the current snapshot. A non-finite center or a NaN radius is an
+// error.
 func (s *Server) RangeCount(center []float64, radius float64) (int, error) {
 	n, _, err := s.srv.RangeCount(center, radius)
 	return n, err
 }
 
 // Insert ingests one point (copied). It becomes visible to queries at
-// the next snapshot publication.
+// the next snapshot publication. A point with a non-finite coordinate
+// is rejected.
 func (s *Server) Insert(p []float64) error { return s.srv.Insert(p) }
 
 // Flush publishes any ingested-but-unpublished points immediately. It
