@@ -28,6 +28,7 @@ import (
 	"hdidx/internal/disk"
 	"hdidx/internal/experiments"
 	"hdidx/internal/pager"
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
@@ -300,11 +301,11 @@ func (e *ablationEnv) config(seed int64) core.Config {
 func BenchmarkAblationCompensation(b *testing.B) {
 	env := newAblationEnv(b, 31)
 	for i := 0; i < b.N; i++ {
-		comp, err := core.PredictBasic(env.data, 0.1, true, env.g, env.spheres, rand.New(rand.NewSource(32)))
+		comp, err := core.PredictBasic(env.data, 0.1, true, env.g, env.spheres, rand.New(rand.NewSource(32)), par.Pool{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		raw, err := core.PredictBasic(env.data, 0.1, false, env.g, env.spheres, rand.New(rand.NewSource(32)))
+		raw, err := core.PredictBasic(env.data, 0.1, false, env.g, env.spheres, rand.New(rand.NewSource(32)), par.Pool{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,13 +26,12 @@ import (
 
 func main() {
 	var (
-		run        = flag.String("run", "all", "experiment: fig2, table3, fig11, fig12, unif8, table4, fig9, fig10, sweepn, fig13, fig14, range, structures, dynamic, datasets, buffers, serve, pager, or all")
+		run        = flag.String("run", "all", "experiment: fig2, table3, fig11, fig12, unif8, table4, fig9, fig10, sweepn, fig13, fig14, range, structures, dynamic, datasets, serve, pager, or all")
 		scale      = flag.Float64("scale", 0.1, "dataset scale factor")
 		queries    = flag.Int("queries", 0, "sample queries (default 500)")
 		k          = flag.Int("k", 0, "k of k-NN (default 21)")
 		m          = flag.Int("m", 0, "memory in points (default 10000*scale)")
 		seed       = flag.Int64("seed", 1, "random seed")
-		bufPages   = flag.Int("buffer-pages", 0, "buffer-pool page budget for the measured experiments (0 = uncached)")
 		backendStr = flag.String("backend", "auto", "snapshot read backend for the serving experiment's durable publications: auto, readat, or mmap (zero-copy)")
 		shards     = flag.Int("shards", 0, "serving experiment shard count (default 1): dirty-shard-only republication, bit-identical scatter-gather queries")
 		flatEvery  = flag.Int("flatten-every", 0, "serving experiment per-shard publication threshold in inserts (default 128)")
@@ -50,7 +49,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	opt := experiments.Options{Scale: *scale, Queries: *queries, K: *k, M: *m, Seed: *seed, BufferPages: *bufPages, Backend: backend, Shards: *shards, FlattenEvery: *flatEvery}
+	opt := experiments.Options{Scale: *scale, Queries: *queries, K: *k, M: *m, Seed: *seed, Backend: backend, Shards: *shards, FlattenEvery: *flatEvery}
 	if *trace {
 		obs.Default.SetEnabled(true)
 	}
@@ -62,7 +61,7 @@ func main() {
 
 	ids := strings.Split(*run, ",")
 	if *run == "all" {
-		ids = []string{"fig2", "table3", "fig11", "fig12", "unif8", "table4", "fig9", "fig10", "sweepn", "fig13", "fig14", "range", "structures", "dynamic", "datasets", "buffers", "serve", "pager"}
+		ids = []string{"fig2", "table3", "fig11", "fig12", "unif8", "table4", "fig9", "fig10", "sweepn", "fig13", "fig14", "range", "structures", "dynamic", "datasets", "serve", "pager"}
 	}
 	for _, id := range ids {
 		if err := runOne(strings.TrimSpace(id), opt); err != nil {
@@ -177,12 +176,6 @@ func runOne(id string, opt experiments.Options) error {
 		fmt.Print(r)
 	case "datasets":
 		r, err := experiments.AllDatasets(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "buffers":
-		r, err := experiments.BufferSweep(opt)
 		if err != nil {
 			return err
 		}

@@ -28,7 +28,6 @@ func main() {
 		k          = flag.Int("k", 21, "k of the k-NN workload")
 		q          = flag.Int("q", 500, "number of density-biased sample queries")
 		m          = flag.Int("m", 10000, "memory size in points")
-		bufPages   = flag.Int("buffer-pages", 0, "buffer-pool page budget for the simulated disk (0 = uncached; carved out of -m)")
 		pageBytes  = flag.Int("page", 8192, "index page size in bytes")
 		shards     = flag.Int("shards", 1, "serving shard count of the modeled deployment (>= 1; never changes predicted accesses — sharded queries are bit-identical — accepted for config parity with serving deployments)")
 		backendStr = flag.String("backend", "auto", "snapshot read backend for -load: auto, readat, or mmap (zero-copy)")
@@ -72,7 +71,7 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	opts := hdidx.EstimateOptions{K: *k, Queries: *q, Memory: *m, Seed: *seed, BufferPages: *bufPages, Workers: *workers}
+	opts := hdidx.EstimateOptions{K: *k, Queries: *q, Memory: *m, Seed: *seed, Workers: *workers}
 	var est hdidx.Estimate
 	if *radius > 0 {
 		est, err = p.EstimateRange(hdidx.Method(*method), *radius, opts)
@@ -89,15 +88,6 @@ func main() {
 			est.HUpper, est.SigmaUpper, est.SigmaLower)
 	}
 	fmt.Printf("prediction I/O cost:  %.3f s (simulated disk)\n", est.PredictionIOSeconds)
-	if *bufPages > 0 {
-		total := est.CacheHits + est.CacheMisses
-		rate := 0.0
-		if total > 0 {
-			rate = float64(est.CacheHits) / float64(total) * 100
-		}
-		fmt.Printf("buffer pool:          %d pages, %d hits / %d misses (%.1f%% hit rate)\n",
-			*bufPages, est.CacheHits, est.CacheMisses, rate)
-	}
 	if *trace {
 		fmt.Println()
 		fmt.Print(est.PhaseReport())

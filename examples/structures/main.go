@@ -13,6 +13,7 @@ import (
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
 	"hdidx/internal/gridfile"
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/sstree"
@@ -38,7 +39,7 @@ func main() {
 	copy(cp, data)
 	rt := rtree.Build(cp, rtree.ParamsForGeometry(g))
 	rtMeas := stats.Mean(query.MeasureLeafAccesses(rt, spheres))
-	rtPred, err := core.PredictBasic(data, zeta, true, g, spheres, rand.New(rand.NewSource(1)))
+	rtPred, err := core.PredictBasic(data, zeta, true, g, spheres, rand.New(rand.NewSource(1)), par.Pool{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -142,7 +142,9 @@ func Build(points [][]float64, opts ...Option) (*Index, error) {
 	g := c.geometry(dim)
 	cp := make([][]float64, len(points))
 	copy(cp, points)
-	tree := rtree.BuildTraced(cp, rtree.ParamsForGeometry(g), obs.TraceIfEnabled("hdidx.build", nil))
+	sp := obs.TraceIfEnabled("hdidx.build", nil).Span("rtree.build")
+	tree := rtree.Build(cp, rtree.ParamsForGeometry(g))
+	sp.End()
 	flat := tree.Flatten()
 	return &Index{tree: tree, flat: flat, g: g}, nil
 }
@@ -295,15 +297,6 @@ type EstimateOptions struct {
 	// used verbatim — the zero value runs with seed 0 — and negative
 	// values select DefaultSeed.
 	Seed int64
-	// BufferPages is the page budget of the simulated disk's buffer
-	// pool for the restricted-memory methods. 0 (the default) runs
-	// uncached — the historical cost model, where every page touch is
-	// physical I/O. A positive budget caches that many pages (CLOCK
-	// eviction, write-back of dirty pages), and is carved out of the
-	// same physical memory as Memory: the sample the predictors draw
-	// shrinks by the cache's point equivalent. Ignored by MethodBasic,
-	// which does no disk I/O.
-	BufferPages int
 	// Workers caps the worker pool the estimate's CPU-bound stages
 	// (parallel bulk loads, sphere scans, point classification) fan
 	// out on. 0 (the default) uses GOMAXPROCS. The width is scoped to
@@ -326,9 +319,6 @@ func (o EstimateOptions) withDefaults() (EstimateOptions, error) {
 	}
 	if o.SampleFraction < 0 || o.SampleFraction > 1 {
 		return o, fmt.Errorf("hdidx: sample fraction %g outside [0, 1]", o.SampleFraction)
-	}
-	if o.BufferPages < 0 {
-		return o, fmt.Errorf("hdidx: negative buffer-pool budget %d", o.BufferPages)
 	}
 	if o.Workers < 0 {
 		return o, fmt.Errorf("hdidx: negative worker count %d", o.Workers)
@@ -366,10 +356,6 @@ type Phase struct {
 	// phase.
 	Seeks     int64
 	Transfers int64
-	// Hits and Misses are the phase's buffer-pool activity; both stay
-	// zero when EstimateOptions.BufferPages is 0.
-	Hits   int64
-	Misses int64
 	// IOSeconds prices the phase's disk activity under the same disk
 	// parameters as PredictionIOSeconds.
 	IOSeconds float64
@@ -396,38 +382,20 @@ type Estimate struct {
 	HUpper     int
 	SigmaUpper float64
 	SigmaLower float64
-	// CacheHits and CacheMisses total the prediction's buffer-pool
-	// activity; both stay zero when EstimateOptions.BufferPages is 0.
-	CacheHits   int64
-	CacheMisses int64
 }
 
 // PhaseReport renders the per-phase cost breakdown as an aligned text
 // table (the same layout the -trace CLI flags print).
 func (e Estimate) PhaseReport() string {
-	// The hits/misses columns only appear when a buffer pool was active.
-	cached := e.CacheHits != 0 || e.CacheMisses != 0
 	var b []byte
-	b = append(b, fmt.Sprintf("%-16s %6s %12s %8s %10s %9s",
+	b = append(b, fmt.Sprintf("%-16s %6s %12s %8s %10s %9s\n",
 		"phase", "calls", "wall", "seeks", "transfers", "io(s)")...)
-	if cached {
-		b = append(b, fmt.Sprintf(" %8s %8s", "hits", "misses")...)
-	}
-	b = append(b, '\n')
 	for _, ph := range e.Phases {
-		b = append(b, fmt.Sprintf("%-16s %6d %12s %8d %10d %9.3f",
+		b = append(b, fmt.Sprintf("%-16s %6d %12s %8d %10d %9.3f\n",
 			ph.Name, ph.Count, ph.Wall.Round(time.Microsecond), ph.Seeks, ph.Transfers, ph.IOSeconds)...)
-		if cached {
-			b = append(b, fmt.Sprintf(" %8d %8d", ph.Hits, ph.Misses)...)
-		}
-		b = append(b, '\n')
 	}
-	b = append(b, fmt.Sprintf("%-16s %6s %12s %8s %10s %9.3f",
+	b = append(b, fmt.Sprintf("%-16s %6s %12s %8s %10s %9.3f\n",
 		"total", "", "", "", "", e.PredictionIOSeconds)...)
-	if cached {
-		b = append(b, fmt.Sprintf(" %8d %8d", e.CacheHits, e.CacheMisses)...)
-	}
-	b = append(b, '\n')
 	return string(b)
 }
 
@@ -464,7 +432,7 @@ func (p *Predictor) EstimateKNN(method Method, opts EstimateOptions) (Estimate, 
 		sp := tr.Span("workload.spheres")
 		spheres := query.ComputeSpheresPool(p.points, queryPoints, k, pool)
 		sp.End()
-		pr, err := core.PredictBasicPool(p.points, zeta, true, p.g, spheres, rng, pool, tr)
+		pr, err := core.PredictBasic(p.points, zeta, true, p.g, spheres, rng, pool, tr)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -473,7 +441,7 @@ func (p *Predictor) EstimateKNN(method Method, opts EstimateOptions) (Estimate, 
 
 	// Restricted-memory methods run against the dataset staged on a
 	// fresh simulated disk, so the reported I/O cost is measured.
-	d, pf := stageDataset(p.points, p.g, o)
+	d, pf := stageDataset(p.points, p.g)
 	indices := make([]int, o.Queries)
 	for i := range indices {
 		indices[i] = rng.Intn(len(p.points))
@@ -503,15 +471,12 @@ func (p *Predictor) EstimateKNN(method Method, opts EstimateOptions) (Estimate, 
 }
 
 // stageDataset stores the dataset on a fresh simulated disk for the
-// restricted-memory methods. Staged pages are dropped from the buffer
-// pool and the counters reset, so the prediction starts cold and its
-// reported I/O is measured from zero.
-func stageDataset(points [][]float64, g rtree.Geometry, o EstimateOptions) (*disk.Disk, *disk.PointFile) {
-	d := disk.NewBuffered(disk.DefaultParams().WithPageBytes(g.PageBytes),
-		disk.BufferConfig{Pages: o.BufferPages})
+// restricted-memory methods. The counters are reset after staging, so
+// the prediction's reported I/O is measured from zero.
+func stageDataset(points [][]float64, g rtree.Geometry) (*disk.Disk, *disk.PointFile) {
+	d := disk.New(disk.DefaultParams().WithPageBytes(g.PageBytes))
 	pf := disk.NewPointFile(d, len(points[0]), len(points))
 	pf.AppendAll(points)
-	d.DropBuffers()
 	d.ResetCounters()
 	return d, pf
 }
@@ -536,8 +501,6 @@ func estimateOf(m Method, pr core.Prediction) Estimate {
 			Wall:      ph.Wall,
 			Seeks:     ph.IO.Seeks,
 			Transfers: ph.IO.Transfers,
-			Hits:      ph.IO.Hits,
-			Misses:    ph.IO.Misses,
 			IOSeconds: ph.IOSeconds,
 		}
 	}
@@ -550,8 +513,6 @@ func estimateOf(m Method, pr core.Prediction) Estimate {
 		HUpper:              pr.HUpper,
 		SigmaUpper:          pr.SigmaUpper,
 		SigmaLower:          pr.SigmaLower,
-		CacheHits:           pr.IO.Hits,
-		CacheMisses:         pr.IO.Misses,
 	}
 }
 
@@ -585,14 +546,14 @@ func (p *Predictor) EstimateRange(method Method, radius float64, opts EstimateOp
 		for i := range spheres {
 			spheres[i] = query.Sphere{Center: p.points[rng.Intn(len(p.points))], Radius: radius}
 		}
-		pr, err := core.PredictBasicPool(p.points, zeta, true, p.g, spheres, rng, pool, newEstimateTrace(MethodBasic, nil))
+		pr, err := core.PredictBasic(p.points, zeta, true, p.g, spheres, rng, pool, newEstimateTrace(MethodBasic, nil))
 		if err != nil {
 			return Estimate{}, err
 		}
 		return estimateOf(MethodBasic, pr), nil
 	}
 
-	d, pf := stageDataset(p.points, p.g, o)
+	d, pf := stageDataset(p.points, p.g)
 	indices := make([]int, o.Queries)
 	for i := range indices {
 		indices[i] = rng.Intn(len(p.points))
@@ -643,8 +604,10 @@ func (p *Predictor) MeasureRangeAccesses(radius float64, opts EstimateOptions) (
 	copy(cp, p.points)
 	params := rtree.ParamsForGeometry(p.g)
 	params.Workers = o.Workers
-	tree := rtree.BuildTraced(cp, params, tr)
-	sp := tr.Span("measure.leaves")
+	sp := tr.Span("rtree.build")
+	tree := rtree.Build(cp, params)
+	sp.End()
+	sp = tr.Span("measure.leaves")
 	defer sp.End()
 	return stats.Mean(query.MeasureLeafAccessesSetPool(tree.LeafRectSet(), spheres, pool)), nil
 }
@@ -732,7 +695,7 @@ func (p *Predictor) MeasureKNNAccesses(opts EstimateOptions) (float64, error) {
 	// slice and the next call's query draws stay as they were.
 	cp := make([][]float64, len(p.points))
 	copy(cp, p.points)
-	out := stats.Mean(core.MeasureInMemoryPool(cp, p.g, spheres, pool))
+	out := stats.Mean(core.MeasureInMemory(cp, p.g, spheres, pool))
 	sp.End()
 	return out, nil
 }

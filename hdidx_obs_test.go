@@ -3,6 +3,7 @@ package hdidx
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,73 @@ func TestEstimatePhasesSumToPredictionIO(t *testing.T) {
 	for _, want := range []string{"phase", "io(s)", "total"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("PhaseReport missing %q:\n%s", want, report)
+		}
+	}
+}
+
+// TestEstimateAccountingGolden pins the simulated disk's cost
+// accounting end to end: every phase's seeks and transfers, and the
+// exact bits of the prediction and of its priced I/O, for one
+// resampled and one cutoff estimate on a fixed TEXTURE60 sample tall
+// enough for an upper/lower split. No other test pins these counts, so
+// a change to how pages are charged fails here.
+func TestEstimateAccountingGolden(t *testing.T) {
+	pts := clusteredPoints(t, 0.02, 11)
+	if len(pts) != 5509 {
+		t.Fatalf("sample has %d points, want 5509", len(pts))
+	}
+	p, err := NewPredictor(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type phase struct {
+		name             string
+		seeks, transfers int64
+	}
+	for _, tc := range []struct {
+		method     Method
+		mean, io   uint64
+		wantHUpper int
+		phases     []phase
+	}{
+		{MethodResampled, 0x4035b33333333333, 0x3ffb5dcc63f14121, 2, []phase{
+			{"queries.read", 49, 50},
+			{"sample.scan", 1, 168},
+			{"upper.build", 0, 0},
+			{"resample.scan", 6, 168},
+			{"area.write", 72, 223},
+			{"lower.build", 12, 167},
+			{"intersect.count", 0, 0},
+		}},
+		{MethodCutoff, 0x40379eb851eb851f, 0x3fe2ca57a786c226, 2, []phase{
+			{"queries.read", 49, 50},
+			{"sample.scan", 1, 168},
+			{"upper.build", 0, 0},
+			{"lower.derive", 0, 0},
+			{"intersect.count", 0, 0},
+		}},
+	} {
+		est, err := p.EstimateKNN(tc.method, EstimateOptions{K: 21, Queries: 50, Memory: 1000, Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.method, err)
+		}
+		if got := math.Float64bits(est.MeanAccesses); got != tc.mean {
+			t.Errorf("%s: MeanAccesses = %v (bits %#x), want bits %#x",
+				tc.method, est.MeanAccesses, got, tc.mean)
+		}
+		if got := math.Float64bits(est.PredictionIOSeconds); got != tc.io {
+			t.Errorf("%s: PredictionIOSeconds = %v (bits %#x), want bits %#x",
+				tc.method, est.PredictionIOSeconds, got, tc.io)
+		}
+		if est.HUpper != tc.wantHUpper {
+			t.Errorf("%s: h_upper = %d, want %d", tc.method, est.HUpper, tc.wantHUpper)
+		}
+		got := make([]phase, len(est.Phases))
+		for i, ph := range est.Phases {
+			got[i] = phase{ph.Name, ph.Seeks, ph.Transfers}
+		}
+		if !reflect.DeepEqual(got, tc.phases) {
+			t.Errorf("%s: phases = %+v, want %+v", tc.method, got, tc.phases)
 		}
 	}
 }

@@ -21,20 +21,12 @@ import (
 // The data and the query spheres are in memory; no I/O is charged.
 // This is the model behind Figure 2 (relative error versus sample
 // size, with and without compensation).
-func PredictBasic(data [][]float64, zeta float64, compensate bool, g rtree.Geometry, spheres []query.Sphere, rng *rand.Rand) (Prediction, error) {
-	return PredictBasicPool(data, zeta, compensate, g, spheres, rng, par.Pool{}, nil)
-}
-
-// PredictBasicTraced is PredictBasic with per-phase spans (sample
-// draw, mini-index build, intersection counting) recorded on tr; a nil
-// tr disables tracing.
-func PredictBasicTraced(data [][]float64, zeta float64, compensate bool, g rtree.Geometry, spheres []query.Sphere, rng *rand.Rand, tr *obs.Trace) (Prediction, error) {
-	return PredictBasicPool(data, zeta, compensate, g, spheres, rng, par.Pool{}, tr)
-}
-
-// PredictBasicPool is PredictBasicTraced with the mini-index build and
-// intersection-count fan-out bounded by pool.
-func PredictBasicPool(data [][]float64, zeta float64, compensate bool, g rtree.Geometry, spheres []query.Sphere, rng *rand.Rand, pool par.Pool, tr *obs.Trace) (Prediction, error) {
+//
+// The mini-index build and the intersection counting fan out on pool
+// (the zero Pool follows the process-wide width). Per-phase spans
+// (sample draw, mini-index build, intersection counting) are recorded
+// on tr; a nil tr disables tracing.
+func PredictBasic(data [][]float64, zeta float64, compensate bool, g rtree.Geometry, spheres []query.Sphere, rng *rand.Rand, pool par.Pool, tr *obs.Trace) (Prediction, error) {
 	if len(data) == 0 {
 		return Prediction{}, fmt.Errorf("core: empty dataset")
 	}
@@ -77,14 +69,9 @@ func PredictBasicPool(data [][]float64, zeta float64, compensate bool, g rtree.G
 // MeasureInMemory builds the full index in memory and measures the
 // per-query leaf accesses — the zero-error (and zero-I/O-realism)
 // reference for PredictBasic experiments. The count runs over the
-// tree's flat leaf-MBR set directly rather than a node walk.
-func MeasureInMemory(data [][]float64, g rtree.Geometry, spheres []query.Sphere) []float64 {
-	return MeasureInMemoryPool(data, g, spheres, par.Pool{})
-}
-
-// MeasureInMemoryPool is MeasureInMemory with the build and
-// measurement fan-out bounded by pool.
-func MeasureInMemoryPool(data [][]float64, g rtree.Geometry, spheres []query.Sphere, pool par.Pool) []float64 {
+// tree's flat leaf-MBR set directly rather than a node walk. The build
+// and the measurement fan out on pool.
+func MeasureInMemory(data [][]float64, g rtree.Geometry, spheres []query.Sphere, pool par.Pool) []float64 {
 	params := rtree.ParamsForGeometry(g)
 	params.Workers = pool.Workers()
 	tree := rtree.Build(data, params)

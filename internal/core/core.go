@@ -74,10 +74,6 @@ const (
 	PhaseMiniBuild = "mini.build"
 	// PhaseIntersect covers the sphere/leaf intersection counting.
 	PhaseIntersect = "intersect.count"
-	// PhaseBufferFlush covers the final write-back of dirty cached
-	// pages when the simulated disk runs a buffer pool (absent on
-	// unbuffered disks).
-	PhaseBufferFlush = "buffer.flush"
 )
 
 // Config parameterizes the restricted-memory predictors.
@@ -85,11 +81,8 @@ type Config struct {
 	// Geometry is the page geometry of the on-disk index being
 	// predicted.
 	Geometry rtree.Geometry
-	// M is the number of data points that fit in memory. When the
-	// dataset's disk runs a buffer pool, the pool's pages are carved
-	// out of this same budget: the sample memory the predictors
-	// actually use shrinks by the cache's point equivalent (see
-	// effectiveMemory).
+	// M is the number of data points that fit in memory: the size of
+	// the upper-tree sample and of each lower-tree area.
 	M int
 	// K is the k of the k-NN workload.
 	K int
@@ -233,42 +226,22 @@ func growAll(rects []mbr.Rect, factor float64) []mbr.Rect {
 }
 
 // chooseHUpper resolves the configured or automatic upper tree height
-// for the effective sample memory m. Automatic selection failures mean
-// no valid upper/lower split exists for this topology and memory size,
+// for the memory size cfg.M. Automatic selection failures mean no
+// valid upper/lower split exists for this topology and memory size,
 // and are tagged with ErrFlatTree; an explicitly configured height
 // that is out of range is a caller error and is not.
-func chooseHUpper(topo rtree.Topology, cfg Config, m int, needLower bool) (int, error) {
+func chooseHUpper(topo rtree.Topology, cfg Config, needLower bool) (int, error) {
 	if cfg.HUpper > 0 {
 		if cfg.HUpper < 2 || cfg.HUpper > topo.Height-1 {
 			return 0, fmt.Errorf("core: h_upper=%d outside [2, %d]", cfg.HUpper, topo.Height-1)
 		}
 		return cfg.HUpper, nil
 	}
-	h, err := topo.ChooseHUpper(m, needLower)
+	h, err := topo.ChooseHUpper(cfg.M, needLower)
 	if err != nil {
 		return 0, fmt.Errorf("core: %w: %v", ErrFlatTree, err)
 	}
 	return h, nil
-}
-
-// effectiveMemory resolves the sample-memory budget of a prediction:
-// the paper's M points, minus the points' worth of memory the disk's
-// buffer pool occupies. The cache and the sample share one physical
-// memory of M points (the memory bound of Sections 4.3-4.4), so a
-// prediction run against a buffered disk trades sample size for cached
-// pages. An unbuffered disk (or budget 0) leaves M untouched.
-func effectiveMemory(pf *disk.PointFile, cfg Config) (int, error) {
-	d := pf.File().Disk()
-	bp := d.BufferPages()
-	if bp == 0 {
-		return cfg.M, nil
-	}
-	cachePoints := bp * disk.PointsPerPage(d.Params(), pf.Dim())
-	m := cfg.M - cachePoints
-	if m < 1 {
-		return 0, fmt.Errorf("core: buffer pool of %d pages (%d points) consumes the entire memory budget M=%d", bp, cachePoints, cfg.M)
-	}
-	return m, nil
 }
 
 // scanChunk is the number of source points read per chunked scan step

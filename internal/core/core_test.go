@@ -81,7 +81,7 @@ func TestPredictBasicUniformAccurate(t *testing.T) {
 	spec := dataset.Spec{Name: "unif", N: 20000, Dim: 8}
 	env := newEnv(t, spec, 60, 21, 1)
 	rng := rand.New(rand.NewSource(2))
-	p, err := PredictBasic(env.data, 0.2, true, env.g, env.spheres, rng)
+	p, err := PredictBasic(env.data, 0.2, true, env.g, env.spheres, rng, par.Pool{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestPredictBasicCompensationHelps(t *testing.T) {
 	env := newEnv(t, spec, 60, 21, 3)
 	meas := meanOf(env.measured)
 	zeta := 0.1
-	raw, err := PredictBasic(env.data, zeta, false, env.g, env.spheres, rand.New(rand.NewSource(4)))
+	raw, err := PredictBasic(env.data, zeta, false, env.g, env.spheres, rand.New(rand.NewSource(4)), par.Pool{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := PredictBasic(env.data, zeta, true, env.g, env.spheres, rand.New(rand.NewSource(4)))
+	comp, err := PredictBasic(env.data, zeta, true, env.g, env.spheres, rand.New(rand.NewSource(4)), par.Pool{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPredictBasicFullSampleIsExact(t *testing.T) {
 	// measurement query by query.
 	spec := dataset.Spec{Name: "unif", N: 5000, Dim: 8}
 	env := newEnv(t, spec, 30, 5, 5)
-	p, err := PredictBasic(env.data, 1.0, true, env.g, env.spheres, rand.New(rand.NewSource(6)))
+	p, err := PredictBasic(env.data, 1.0, true, env.g, env.spheres, rand.New(rand.NewSource(6)), par.Pool{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ func TestPredictBasicErrorShrinksWithSampleSize(t *testing.T) {
 	errSmall, errLarge := 0.0, 0.0
 	// Average over a few seeds to dampen sampling noise.
 	for seed := int64(0); seed < 3; seed++ {
-		small, err := PredictBasic(env.data, 0.05, true, env.g, env.spheres, rand.New(rand.NewSource(10+seed)))
+		small, err := PredictBasic(env.data, 0.05, true, env.g, env.spheres, rand.New(rand.NewSource(10+seed)), par.Pool{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		large, err := PredictBasic(env.data, 0.5, true, env.g, env.spheres, rand.New(rand.NewSource(10+seed)))
+		large, err := PredictBasic(env.data, 0.5, true, env.g, env.spheres, rand.New(rand.NewSource(10+seed)), par.Pool{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestPredictBasicErrorShrinksWithSampleSize(t *testing.T) {
 func TestPredictBasicRejectsBadFraction(t *testing.T) {
 	env := newEnv(t, dataset.Spec{Name: "u", N: 1000, Dim: 8}, 5, 3, 8)
 	for _, zeta := range []float64{0, -0.5, 1.5, 0.001} {
-		if _, err := PredictBasic(env.data, zeta, true, env.g, env.spheres, rand.New(rand.NewSource(1))); err == nil {
+		if _, err := PredictBasic(env.data, zeta, true, env.g, env.spheres, rand.New(rand.NewSource(1)), par.Pool{}, nil); err == nil {
 			t.Errorf("zeta=%v: expected error", zeta)
 		}
 	}
@@ -241,7 +241,7 @@ func TestResampledFarCheaperThanOnDiskBuild(t *testing.T) {
 	pf2 := disk.NewPointFile(d2, 60, len(env.data))
 	pf2.AppendAll(env.data)
 	d2.ResetCounters()
-	rtree.BuildOnDisk(pf2, rtree.ParamsForGeometry(env.g), 2000)
+	rtree.BuildOnDisk(pf2, rtree.ParamsForGeometry(env.g), 2000, nil)
 	buildCost := d2.Counters().CostSeconds(disk.DefaultParams())
 	// At this tiny scale (5% of TEXTURE60) the gap is ~5x rather than
 	// the paper's 1-2 orders of magnitude; the margin narrowed

@@ -30,15 +30,6 @@ func PredictCutoff(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	}
 	sp.End()
 
-	// The cutoff predictor only reads, but a caller may hand over a
-	// buffered file with dirty staged pages; flush so the reported I/O
-	// is complete either way.
-	if d.BufferPages() > 0 {
-		sp = cfg.Trace.Span(PhaseBufferFlush)
-		d.FlushBuffers()
-		sp.End()
-	}
-
 	p := Prediction{
 		Method:      "cutoff",
 		HUpper:      up.hUpper,

@@ -29,7 +29,7 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	}
 	n := pf.Len()
 	k := len(up.grownLeaves)
-	sigmaLower := math.Min(float64(k*up.m)/float64(n), 1)
+	sigmaLower := math.Min(float64(k*cfg.M)/float64(n), 1)
 
 	// (6)-(7) Second scan: resample at sigma_lower and distribute the
 	// points over k consecutive disk areas of capacity M each. Points
@@ -46,12 +46,12 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	grownSet := mbr.NewRectSet(up.grownLeaves)
 	areas := make([]*disk.PointFile, k)
 	for i := range areas {
-		areas[i] = disk.NewPointFile(d, pf.Dim(), up.m)
+		areas[i] = disk.NewPointFile(d, pf.Dim(), cfg.M)
 	}
 	// Read in chunks spanning ~M sampled points each, as in Figure 8.
-	srcChunk := scanChunk(up.m)
+	srcChunk := scanChunk(cfg.M)
 	if sigmaLower < 1 {
-		srcChunk = scanChunk(int(float64(up.m) / sigmaLower))
+		srcChunk = scanChunk(int(float64(cfg.M) / sigmaLower))
 	}
 	buffers := make([][][]float64, k)
 	attempted := make([]int, k)
@@ -141,14 +141,6 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 		}
 	}
 	sp.End()
-
-	// On a buffered disk the area writes were deferred to write-back;
-	// flush so the reported I/O covers every page the prediction wrote.
-	if d.BufferPages() > 0 {
-		sp = cfg.Trace.Span(PhaseBufferFlush)
-		d.FlushBuffers()
-		sp.End()
-	}
 
 	p := Prediction{
 		Method:      "resampled",

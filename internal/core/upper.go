@@ -19,7 +19,6 @@ type upperResult struct {
 	topo        rtree.Topology
 	hUpper      int
 	leafLevel   int // tree level of the upper tree's leaves
-	m           int // effective sample memory (cfg.M minus cache pages)
 	sigmaUpper  float64
 	spheres     []query.Sphere
 	grownLeaves []mbr.Rect
@@ -46,11 +45,7 @@ func buildUpper(pf *disk.PointFile, cfg Config, needLower bool) (*upperResult, e
 	if topo.Height < 3 {
 		return nil, fmt.Errorf("core: index of height %d has no upper/lower split; use PredictBasic: %w", topo.Height, ErrFlatTree)
 	}
-	m, err := effectiveMemory(pf, cfg)
-	if err != nil {
-		return nil, err
-	}
-	hUpper, err := chooseHUpper(topo, cfg, m, needLower)
+	hUpper, err := chooseHUpper(topo, cfg, needLower)
 	if err != nil {
 		return nil, err
 	}
@@ -72,8 +67,8 @@ func buildUpper(pf *disk.PointFile, cfg Config, needLower bool) (*upperResult, e
 	if cfg.FixedRadius == 0 {
 		scanner = query.NewSphereScanner(queryPoints, cfg.K).UsePool(cfg.pool())
 	}
-	reservoir := dataset.NewReservoir(m, cfg.Rng)
-	chunk := scanChunk(m)
+	reservoir := dataset.NewReservoir(cfg.M, cfg.Rng)
+	chunk := scanChunk(cfg.M)
 	for off := 0; off < n; off += chunk {
 		c := n - off
 		if c > chunk {
@@ -87,7 +82,7 @@ func buildUpper(pf *disk.PointFile, cfg Config, needLower bool) (*upperResult, e
 			reservoir.Offer(p)
 		}
 	}
-	sigmaUpper := math.Min(float64(m)/float64(n), 1)
+	sigmaUpper := math.Min(float64(cfg.M)/float64(n), 1)
 	var spheres []query.Sphere
 	if scanner != nil {
 		spheres = scanner.Spheres()
@@ -117,7 +112,6 @@ func buildUpper(pf *disk.PointFile, cfg Config, needLower bool) (*upperResult, e
 		topo:        topo,
 		hUpper:      hUpper,
 		leafLevel:   leafLevel,
-		m:           m,
 		sigmaUpper:  sigmaUpper,
 		spheres:     spheres,
 		grownLeaves: growAll(upper.LeafRects(), grow),

@@ -9,17 +9,12 @@
 // bulk loader, the resampling predictor's k consecutive areas) actually
 // round-trips its data rather than merely pricing hypothetical I/O.
 // Counters can be snapshotted and diffed to attribute cost to phases.
-//
-// A disk may carry a buffer pool (NewBuffered): a CLOCK page cache with
-// a fixed frame budget that absorbs re-reads of resident pages, defers
-// the cost of page writes to write-back, and optionally prefetches
-// ahead of sequential reads. A zero budget reproduces the uncached cost
-// model bit for bit; see BufferConfig.
+// There is no cache: every page touch, read or write, is physical I/O,
+// as the paper prices it.
 package disk
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -53,67 +48,49 @@ func (p Params) WithPageBytes(pageBytes int) Params {
 	return scaled
 }
 
-// Counters accumulates disk activity. The buffer-pool fields stay zero
-// on an unbuffered disk (and on a buffered one with budget zero), so
-// uncached counter streams are unchanged by their presence.
+// Counters accumulates disk activity.
 type Counters struct {
 	// Seeks is the number of accesses to a page not adjacent to the
 	// previously accessed page.
 	Seeks int64
-	// Transfers is the number of pages moved between disk and memory
-	// (cache fetches, write-backs and prefetches included).
+	// Transfers is the number of pages moved between disk and memory.
 	Transfers int64
-	// Hits is the number of page touches served by the buffer pool
-	// without physical I/O.
-	Hits int64
-	// Misses is the number of page touches that were not resident in
-	// the buffer pool.
+	// Hits and Misses count page touches that were and were not
+	// already resident. The simulated disk has no cache and leaves
+	// both zero; the pager's fault-granular mmap accounting fills them
+	// (a re-touch of a faulted page is a hit and costs nothing).
+	Hits   int64
 	Misses int64
-	// Evictions is the number of frames the pool reclaimed.
-	Evictions int64
-	// Writebacks is the number of dirty pages written back to disk
-	// (on eviction or flush); each write-back is also a transfer.
-	Writebacks int64
-	// Prefetches is the number of pages fetched ahead of sequential
-	// reads; each prefetch is also a transfer.
-	Prefetches int64
 }
 
 // Add returns the element-wise sum of c and o.
 func (c Counters) Add(o Counters) Counters {
 	return Counters{
-		Seeks:      c.Seeks + o.Seeks,
-		Transfers:  c.Transfers + o.Transfers,
-		Hits:       c.Hits + o.Hits,
-		Misses:     c.Misses + o.Misses,
-		Evictions:  c.Evictions + o.Evictions,
-		Writebacks: c.Writebacks + o.Writebacks,
-		Prefetches: c.Prefetches + o.Prefetches,
+		Seeks:     c.Seeks + o.Seeks,
+		Transfers: c.Transfers + o.Transfers,
+		Hits:      c.Hits + o.Hits,
+		Misses:    c.Misses + o.Misses,
 	}
 }
 
 // Sub returns the element-wise difference c - o.
 func (c Counters) Sub(o Counters) Counters {
 	return Counters{
-		Seeks:      c.Seeks - o.Seeks,
-		Transfers:  c.Transfers - o.Transfers,
-		Hits:       c.Hits - o.Hits,
-		Misses:     c.Misses - o.Misses,
-		Evictions:  c.Evictions - o.Evictions,
-		Writebacks: c.Writebacks - o.Writebacks,
-		Prefetches: c.Prefetches - o.Prefetches,
+		Seeks:     c.Seeks - o.Seeks,
+		Transfers: c.Transfers - o.Transfers,
+		Hits:      c.Hits - o.Hits,
+		Misses:    c.Misses - o.Misses,
 	}
 }
 
 // CostSeconds prices the counters under params: seeks*t_seek +
-// transfers*t_xfer. Buffer hits are free; write-backs and prefetches
-// are already included in Transfers.
+// transfers*t_xfer. Hits are free.
 func (c Counters) CostSeconds(p Params) float64 {
 	return float64(c.Seeks)*p.SeekSeconds + float64(c.Transfers)*p.XferSeconds
 }
 
-// HitRate returns the fraction of page touches served from the buffer
-// pool, or 0 when no touches went through a pool.
+// HitRate returns the fraction of page touches that were hits, or 0
+// when no touches were classified.
 func (c Counters) HitRate() float64 {
 	total := c.Hits + c.Misses
 	if total == 0 {
@@ -132,50 +109,43 @@ func (c Counters) String() string {
 }
 
 // Disk is a simulated disk. The zero value is not usable; construct
-// with New or NewBuffered.
+// with New.
 //
-// All bookkeeping state (counters, head position, allocation metadata,
-// the buffer pool) is guarded by a mutex so that observability code may
-// snapshot and diff counters, and allocate new extents, concurrently
-// with accesses on other goroutines (e.g. while parallelFor workers
-// run). The page data itself is not guarded: the simulation models a
-// single logical I/O stream, and all data accesses must stay on one
-// goroutine at a time.
+// All bookkeeping state (counters, head position, allocation metadata)
+// is guarded by a mutex so that observability code may snapshot and
+// diff counters, and allocate new extents, concurrently with accesses
+// on other goroutines (e.g. while parallelFor workers run). Page bytes
+// live in each File and are not guarded: the simulation models a
+// single logical I/O stream, and all data accesses to a file must stay
+// on one goroutine at a time.
 type Disk struct {
 	params Params
 
 	mu       sync.Mutex
-	data     []byte
 	pages    int64 // allocated pages
 	counters Counters
-	lastPage int64 // last page under the head, -1 if none
-	pool     *bufferPool
+	lastPage int64 // last page under the head, noPage if none
 }
 
-// New returns an empty unbuffered disk with the given parameters.
+// New returns an empty disk with the given parameters.
 func New(params Params) *Disk {
-	return NewBuffered(params, BufferConfig{})
-}
-
-// NewBuffered returns an empty disk whose accesses are routed through a
-// buffer pool with the given configuration. A zero Pages budget leaves
-// the disk unbuffered — bit-for-bit identical cost accounting to New.
-func NewBuffered(params Params, cfg BufferConfig) *Disk {
 	if params.PageBytes <= 0 {
 		panic("disk: page size must be positive")
 	}
-	if cfg.Pages < 0 {
-		panic("disk: negative buffer-pool budget")
-	}
-	if cfg.Prefetch < 0 {
-		panic("disk: negative prefetch depth")
-	}
-	d := &Disk{params: params, lastPage: noPage}
-	if cfg.Pages > 0 {
-		d.pool = newBufferPool(cfg)
-	}
-	return d
+	return &Disk{params: params, lastPage: noPage}
 }
+
+// BufferConfig is the empty option set of NewBuffered. It is kept only
+// because the benchmark module (bench/trace.go) names it.
+type BufferConfig struct{}
+
+// NewBuffered is New. It is kept only because the benchmark module
+// (bench/trace.go) calls it; new code calls New.
+func NewBuffered(params Params, _ BufferConfig) *Disk { return New(params) }
+
+// DropBuffers does nothing: the disk has no cache. It is kept only
+// because the benchmark module (bench/trace.go) calls it.
+func (d *Disk) DropBuffers() {}
 
 // Params returns the disk's physical parameters.
 func (d *Disk) Params() Params { return d.params }
@@ -200,17 +170,12 @@ func (d *Disk) DiffSince(before Counters) Counters {
 }
 
 // ResetCounters zeroes the accumulated activity and forgets the head
-// position (the next access will seek). Buffer-pool contents are kept:
-// resetting attributes cost, it does not cool the cache — use
-// DropBuffers for a cold start.
+// position (the next access will seek).
 func (d *Disk) ResetCounters() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.counters = Counters{}
 	d.lastPage = noPage
-	if d.pool != nil {
-		d.pool.lastPage = noPage
-	}
 }
 
 // noPage marks an unknown head position: the next access always seeks.
@@ -228,8 +193,10 @@ func (d *Disk) AllocatedPages() int64 {
 }
 
 // Alloc reserves a contiguous extent large enough for size bytes and
-// returns a File over it. Allocation itself performs no I/O. Safe for
-// concurrent use with counter snapshots and AllocatedPages.
+// returns a File over it. The file owns the bytes of its extent, so
+// allocation costs the new extent only, never a copy of earlier ones.
+// Allocation itself performs no I/O. Safe for concurrent use with
+// counter snapshots and AllocatedPages.
 func (d *Disk) Alloc(size int64) *File {
 	if size < 0 {
 		panic("disk: negative allocation")
@@ -239,6 +206,7 @@ func (d *Disk) Alloc(size int64) *File {
 	if numPages == 0 {
 		numPages = 1
 	}
+	data := make([]byte, numPages*pageBytes)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	f := &File{
@@ -246,102 +214,25 @@ func (d *Disk) Alloc(size int64) *File {
 		startPage: d.pages,
 		numPages:  numPages,
 		size:      size,
+		data:      data,
 	}
 	d.pages += numPages
-	need := d.pages * pageBytes
-	if int64(len(d.data)) < need {
-		grown := make([]byte, need)
-		copy(grown, d.data)
-		d.data = grown
-	}
 	return f
 }
 
-// access records the cost of touching the inclusive page range
-// [first, last] of f's extent in one sequential sweep, routed through
-// the buffer pool when one is configured.
-func (d *Disk) access(f *File, first, last int64, write bool) {
+// access records the cost of touching the inclusive absolute page
+// range [first, last] in one sequential sweep: one seek unless the
+// sweep continues from the head position (the next page, or a
+// re-touch of the page still under the head), one transfer per page.
+// Reads and writes cost the same.
+func (d *Disk) access(first, last int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.pool == nil {
-		// Uncached cost model: one seek unless the sweep continues
-		// from the head position (the next page, or a re-touch of the
-		// page still under the head), one transfer per page.
-		if first != d.lastPage+1 && first != d.lastPage {
-			d.counters.Seeks++
-		}
-		d.counters.Transfers += last - first + 1
-		d.lastPage = last
-		return
-	}
-	d.pool.access(d, f, first, last, write)
-}
-
-// transfer charges the physical movement of one page and moves the
-// head. Callers hold d.mu.
-func (d *Disk) transfer(page int64) {
-	if page != d.lastPage+1 && page != d.lastPage {
+	if first != d.lastPage+1 && first != d.lastPage {
 		d.counters.Seeks++
 	}
-	d.counters.Transfers++
-	d.lastPage = page
-}
-
-// BufferPages returns the page budget of the disk's buffer pool, or 0
-// when the disk is unbuffered.
-func (d *Disk) BufferPages() int {
-	if d.pool == nil {
-		return 0
-	}
-	return d.pool.cfg.Pages
-}
-
-// FlushBuffers writes every dirty cached page back to disk in one
-// ascending sweep, charging the write-backs. Pages stay resident. A
-// no-op on an unbuffered disk.
-func (d *Disk) FlushBuffers() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.flushLocked()
-}
-
-func (d *Disk) flushLocked() {
-	bp := d.pool
-	if bp == nil {
-		return
-	}
-	dirty := make([]int64, 0, len(bp.table))
-	for page, fi := range bp.table {
-		if bp.frames[fi].dirty {
-			dirty = append(dirty, page)
-		}
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	for _, page := range dirty {
-		fi := bp.table[page]
-		d.counters.Writebacks++
-		d.transfer(page)
-		bp.frames[fi].dirty = false
-	}
-}
-
-// DropBuffers flushes dirty pages and then empties the pool, so
-// subsequent accesses start from a cold cache. Callers use it between
-// staging a dataset and measuring a workload, so the workload does not
-// get free hits on (or pay deferred write-backs for) staging pages. A
-// no-op on an unbuffered disk.
-func (d *Disk) DropBuffers() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	bp := d.pool
-	if bp == nil {
-		return
-	}
-	d.flushLocked()
-	bp.frames = bp.frames[:0]
-	bp.table = make(map[int64]int, bp.cfg.Pages)
-	bp.hand = 0
-	bp.lastPage = noPage
+	d.counters.Transfers += last - first + 1
+	d.lastPage = last
 }
 
 // File is a contiguous extent of a Disk. Reads and writes are
@@ -351,6 +242,7 @@ type File struct {
 	startPage int64
 	numPages  int64
 	size      int64
+	data      []byte // the extent's bytes, numPages pages long
 }
 
 // Size returns the logical size of the file in bytes.
@@ -395,9 +287,8 @@ func (f *File) ReadAt(b []byte, off int64) {
 		return
 	}
 	first, last := f.pageRange(off, len(b))
-	f.disk.access(f, first, last, false)
-	base := f.startPage * int64(f.disk.params.PageBytes)
-	copy(b, f.disk.data[base+off:])
+	f.disk.access(first, last)
+	copy(b, f.data[off:])
 }
 
 // WriteAt writes b starting at byte offset off, charging the page
@@ -409,9 +300,8 @@ func (f *File) WriteAt(b []byte, off int64) {
 		return
 	}
 	first, last := f.pageRange(off, len(b))
-	f.disk.access(f, first, last, true)
-	base := f.startPage * int64(f.disk.params.PageBytes)
-	copy(f.disk.data[base+off:], b)
+	f.disk.access(first, last)
+	copy(f.data[off:], b)
 }
 
 // readRaw and writeRaw move bytes without charging I/O. They exist for
@@ -419,37 +309,24 @@ func (f *File) WriteAt(b []byte, off int64) {
 // their own page-granular accounting via TouchPages.
 func (f *File) readRaw(b []byte, off int64) {
 	f.boundsCheck(off, len(b))
-	base := f.startPage * int64(f.disk.params.PageBytes)
-	copy(b, f.disk.data[base+off:])
+	copy(b, f.data[off:])
 }
 
 func (f *File) writeRaw(b []byte, off int64) {
 	f.boundsCheck(off, len(b))
-	base := f.startPage * int64(f.disk.params.PageBytes)
-	copy(f.disk.data[base+off:], b)
+	copy(f.data[off:], b)
 }
 
-// TouchPages charges the I/O for reading count pages starting at the
-// file-relative page index start, without moving data.
+// TouchPages charges the I/O for accessing count pages starting at the
+// file-relative page index start, without moving data. The on-disk
+// index build uses it for directory-page writes whose contents the
+// simulation does not need to materialize.
 func (f *File) TouchPages(start, count int64) {
-	f.touchPages(start, count, false)
-}
-
-// TouchPagesWrite is TouchPages for writes: with a buffer pool the
-// touched pages become resident dirty and their transfers are charged
-// at write-back; on an unbuffered disk it is identical to TouchPages.
-// The on-disk index build uses it to account for directory-page writes
-// whose contents the simulation does not need to materialize.
-func (f *File) TouchPagesWrite(start, count int64) {
-	f.touchPages(start, count, true)
-}
-
-func (f *File) touchPages(start, count int64, write bool) {
 	if count <= 0 {
 		return
 	}
 	if start < 0 || start+count > f.numPages {
 		panic("disk: TouchPages outside file")
 	}
-	f.disk.access(f, f.startPage+start, f.startPage+start+count-1, write)
+	f.disk.access(f.startPage+start, f.startPage+start+count-1)
 }

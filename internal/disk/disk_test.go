@@ -3,6 +3,8 @@ package disk
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -311,5 +313,195 @@ func BenchmarkPointFileScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pf.ReadAll()
+	}
+}
+
+func TestZeroLengthAccessIsNoOp(t *testing.T) {
+	d := New(DefaultParams())
+	f := d.Alloc(8192 * 3)
+	buf := make([]byte, 1)
+	f.ReadAt(buf, 0) // head on page 0
+	before := d.Counters()
+	f.ReadAt(nil, 8192*2)          // far page, but zero bytes
+	f.WriteAt([]byte{}, 8192*2+17) // likewise
+	if got := d.Counters(); got != before {
+		t.Errorf("zero-length access changed counters: %+v -> %+v", before, got)
+	}
+	// The head did not move either: page 1 is still adjacent.
+	f.ReadAt(buf, 8192)
+	if got := d.Counters().Seeks - before.Seeks; got != 0 {
+		t.Errorf("zero-length access moved the head (%d extra seeks)", got)
+	}
+}
+
+func TestZeroLengthAccessStillBoundsChecked(t *testing.T) {
+	d := New(DefaultParams())
+	f := d.Alloc(100)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for zero-length read past EOF")
+		}
+	}()
+	f.ReadAt(nil, 101)
+}
+
+func TestReadPastLogicalSizePanics(t *testing.T) {
+	// The extent rounds 100 bytes up to a full page; reads must still be
+	// rejected beyond the logical size, not the page capacity.
+	d := New(DefaultParams())
+	f := d.Alloc(100)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic reading slack bytes past EOF")
+		}
+	}()
+	f.ReadAt(make([]byte, 50), 60)
+}
+
+// Property: splitting one sequential sweep into arbitrary contiguous
+// chunks charges exactly one seek, regardless of where the chunk
+// boundaries fall relative to pages — reading on from the page under
+// the head is a continuation, not a new positioning.
+func TestChunkedSequentialScanOneSeek(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := New(DefaultParams())
+		size := int64(8192*6 + r.Intn(8192*4))
+		fl := d.Alloc(size)
+		for off := int64(0); off < size; {
+			n := int64(1 + r.Intn(3*8192))
+			if off+n > size {
+				n = size - off
+			}
+			fl.ReadAt(make([]byte, n), off)
+			off += n
+		}
+		return d.Counters().Seeks == 1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+	// Page-granular chunking additionally transfers each page once.
+	d := New(DefaultParams())
+	fl := d.Alloc(8192 * 12)
+	for _, chunk := range [][2]int64{{0, 5}, {5, 1}, {6, 4}, {10, 2}} {
+		fl.TouchPages(chunk[0], chunk[1])
+	}
+	if c := d.Counters(); c.Seeks != 1 || c.Transfers != 12 {
+		t.Errorf("page-chunked scan = %+v, want 1 seek / 12 transfers", c)
+	}
+}
+
+// Regression for a data race: Alloc mutates the allocation metadata
+// while observability code snapshots counters from other goroutines.
+// Run under -race.
+func TestAllocConcurrentWithSnapshotsNoRace(t *testing.T) {
+	d := New(DefaultParams())
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				f := d.Alloc(8192 * 2)
+				f.TouchPages(0, 2)
+			}
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var before Counters
+			for i := 0; i < 300; i++ {
+				_ = d.AllocatedPages()
+				before = d.Snapshot()
+				_ = d.DiffSince(before)
+				_ = d.CostSeconds()
+			}
+		}()
+	}
+	wg.Wait()
+	if d.AllocatedPages() != 4*100*2 {
+		t.Errorf("allocated %d pages, want %d", d.AllocatedPages(), 4*100*2)
+	}
+}
+
+// TestNewBufferedValidation pins the NewBuffered shim the benchmark
+// module stages its predictor replay with: it validates like New and
+// returns a disk that charges like New.
+func TestNewBufferedValidation(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("expected panic for a zero page size")
+			}
+		}()
+		NewBuffered(Params{}, BufferConfig{})
+	}()
+	plain, shim := New(DefaultParams()), NewBuffered(DefaultParams(), BufferConfig{})
+	for _, d := range []*Disk{plain, shim} {
+		f := d.Alloc(8192 * 4)
+		f.WriteAt(make([]byte, 8192*2), 0)
+		f.TouchPages(3, 1)
+		f.ReadAt(make([]byte, 10), 8192)
+	}
+	if plain.Counters() != shim.Counters() {
+		t.Errorf("NewBuffered charged %+v, New %+v", shim.Counters(), plain.Counters())
+	}
+}
+
+// TestDropBuffersColdStart pins the DropBuffers shim of the same
+// staging replay: it charges nothing, and after ResetCounters the next
+// access starts cold with a seek.
+func TestDropBuffersColdStart(t *testing.T) {
+	d := New(DefaultParams())
+	f := d.Alloc(8192 * 2)
+	f.WriteAt(make([]byte, 8192), 0)
+	before := d.Counters()
+	d.DropBuffers()
+	if got := d.Counters(); got != before {
+		t.Errorf("DropBuffers charged %+v", got.Sub(before))
+	}
+	d.ResetCounters()
+	f.TouchPages(1, 1) // adjacent to the head before the reset
+	if c := d.Counters(); c.Seeks != 1 || c.Transfers != 1 {
+		t.Errorf("first touch after staging = %+v, want 1 seek / 1 transfer", c)
+	}
+}
+
+// Alloc must cost the new extent only: the resampled predictor's k
+// small area files, allocated behind one large dataset, must not copy
+// the dataset's bytes k times.
+func TestAllocDoesNotCopyEarlierExtents(t *testing.T) {
+	d := New(DefaultParams())
+	d.Alloc(8 << 20)
+	const files, size = 100, 256 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < files; i++ {
+		d.Alloc(size)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*files*size); got >= limit {
+		t.Errorf("%d allocations of %d bytes allocated %d bytes, want < %d", files, size, got, limit)
+	}
+}
+
+func TestCountersStringAndHitRate(t *testing.T) {
+	c := Counters{Seeks: 2, Transfers: 5}
+	if s := c.String(); s != "2 seeks, 5 transfers" {
+		t.Errorf("uncached String() = %q", s)
+	}
+	c.Hits, c.Misses = 3, 1
+	if got := c.HitRate(); got != 0.75 {
+		t.Errorf("HitRate = %v, want 0.75", got)
+	}
+	want := "2 seeks, 5 transfers, 3 hits, 1 misses (75.0% hit rate)"
+	if s := c.String(); s != want {
+		t.Errorf("String() = %q, want %q", s, want)
+	}
+	if (Counters{}).HitRate() != 0 {
+		t.Error("zero counters should have zero hit rate")
 	}
 }

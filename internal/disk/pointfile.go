@@ -57,11 +57,6 @@ func NewPointFile(d *Disk, dim, capacity int) *PointFile {
 	// size the extent in bytes to fit either layout.
 	perPoint := int64(EntryBytes(dim))
 	pageBytes := int64(d.params.PageBytes)
-	slot := perPoint
-	if slot < pageBytes {
-		slot = pageBytes
-	}
-	_ = slot
 	var size int64
 	if perPoint > pageBytes {
 		// Each point occupies ceil(perPoint/pageBytes) physical pages.
@@ -124,19 +119,14 @@ func (pf *PointFile) byteOffset(i int) int64 {
 }
 
 // chargeRange accounts one sequential sweep over points [start,
-// start+count). Writes are charged as such so a buffer pool can defer
-// their transfers to write-back.
-func (pf *PointFile) chargeRange(start, count int, write bool) {
+// start+count).
+func (pf *PointFile) chargeRange(start, count int) {
 	if count <= 0 {
 		return
 	}
 	first := pf.pageOf(start)
 	last := pf.lastPageOf(start + count - 1)
-	if write {
-		pf.file.TouchPagesWrite(first, last-first+1)
-	} else {
-		pf.file.TouchPages(first, last-first+1)
-	}
+	pf.file.TouchPages(first, last-first+1)
 }
 
 // lastPageOf returns the file-relative page index of point i's last byte.
@@ -173,7 +163,7 @@ func (pf *PointFile) AppendAll(pts [][]float64) {
 		pf.writeRawPoint(pf.n, p)
 		pf.n++
 	}
-	pf.chargeRange(start, len(pts), true)
+	pf.chargeRange(start, len(pts))
 }
 
 // WriteAt overwrites the point at index i (a single-page access). The
@@ -184,7 +174,7 @@ func (pf *PointFile) WriteAt(i int, p []float64) {
 		panic(fmt.Sprintf("disk: point index %d outside capacity %d", i, pf.cap))
 	}
 	pf.writeRawPoint(i, p)
-	pf.chargeRange(i, 1, true)
+	pf.chargeRange(i, 1)
 }
 
 func (pf *PointFile) writeRawPoint(i int, p []float64) {
@@ -226,7 +216,7 @@ func (pf *PointFile) ReadRange(start, count int) [][]float64 {
 		pf.readRawPoint(start+i, p)
 		pts[i] = p
 	}
-	pf.chargeRange(start, count, false)
+	pf.chargeRange(start, count)
 	return pts
 }
 
@@ -239,7 +229,7 @@ func (pf *PointFile) WriteRange(start int, pts [][]float64) {
 	for i, p := range pts {
 		pf.writeRawPoint(start+i, p)
 	}
-	pf.chargeRange(start, len(pts), true)
+	pf.chargeRange(start, len(pts))
 }
 
 // ReadPoint reads the single point at index i (a random access).

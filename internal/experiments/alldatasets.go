@@ -7,6 +7,7 @@ import (
 
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
+	"hdidx/internal/par"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
 )
@@ -66,7 +67,7 @@ func AllDatasets(opt Options) (AllDatasetsResult, error) {
 		var predicted float64
 		var method string
 		if topo.Height >= 3 && o.M < len(env.data) {
-			d, pf := env.taskFile(env.opt.BufferPages)
+			d, pf := env.taskFile()
 			p, err := core.PredictResampled(pf, env.config(0, 500, d))
 			if err != nil {
 				return fmt.Errorf("alldatasets %s: %w", spec.Name, err)
@@ -75,7 +76,7 @@ func AllDatasets(opt Options) (AllDatasetsResult, error) {
 		} else {
 			zeta := basicZeta(o.M, len(env.data), env.g)
 			p, err := core.PredictBasic(env.data, zeta, true, env.g, env.spheres,
-				rand.New(rand.NewSource(o.Seed+501)))
+				rand.New(rand.NewSource(o.Seed+501)), par.Pool{}, nil)
 			if err != nil {
 				return fmt.Errorf("alldatasets %s basic: %w", spec.Name, err)
 			}

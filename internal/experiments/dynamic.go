@@ -8,6 +8,7 @@ import (
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
 	"hdidx/internal/mbr"
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
@@ -110,7 +111,7 @@ func DynamicIndex(opt Options) (DynamicResult, error) {
 
 	// Ablation: a bulk-loaded mini-index at the measured utilization.
 	pb, err := core.PredictBasic(data, zeta, true, pg, spheres,
-		rand.New(rand.NewSource(opt.Seed+401)))
+		rand.New(rand.NewSource(opt.Seed+401)), par.Pool{}, nil)
 	if err != nil {
 		return DynamicResult{}, fmt.Errorf("dynamic: %w", err)
 	}

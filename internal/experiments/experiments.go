@@ -38,11 +38,6 @@ type Options struct {
 	M int
 	// Seed drives all randomness.
 	Seed int64
-	// BufferPages is the simulated disk's buffer-pool page budget for
-	// the measured experiments (0 = uncached, the paper's cost model).
-	// The buffer-size sweep experiment ignores it and sweeps its own
-	// budgets.
-	BufferPages int
 	// Backend selects how the serving experiment's durably published
 	// snapshots are read back (pager.BackendAuto/ReadAt/Mmap). The
 	// pager experiment always measures both backends and ignores it.
@@ -144,15 +139,14 @@ func newEnvironment(spec dataset.Spec, opt Options) *environment {
 }
 
 // taskFile stages the environment's dataset on a fresh simulated disk
-// for one prediction task, cold and with counters at zero. Disks are
-// stateful (head position, counters, buffer pool), so concurrent tasks
-// each stage their own from the shared in-memory dataset instead of
-// sharing one disk or re-generating the points.
-func (e *environment) taskFile(bufferPages int) (*disk.Disk, *disk.PointFile) {
-	d := stageOnDisk(bufferPages)
+// for one prediction task, with counters at zero. Disks are stateful
+// (head position, counters), so concurrent tasks each stage their own
+// from the shared in-memory dataset instead of sharing one disk or
+// re-generating the points.
+func (e *environment) taskFile() (*disk.Disk, *disk.PointFile) {
+	d := disk.New(diskParams())
 	pf := disk.NewPointFile(d, len(e.data[0]), len(e.data))
 	pf.AppendAll(e.data)
-	d.DropBuffers()
 	d.ResetCounters()
 	return d, pf
 }
@@ -186,8 +180,8 @@ func (e *environment) config(hUpper int, seedOffset int64, d *disk.Disk) core.Co
 // query counters separately — the "building cost + query cost" split
 // of Table 3.
 func (e *environment) measureOnDiskIO() (build, queries disk.Counters) {
-	d2, pf2 := e.taskFile(e.opt.BufferPages)
-	tree := rtree.BuildOnDiskTraced(pf2, rtree.ParamsForGeometry(e.g), e.opt.M,
+	d2, pf2 := e.taskFile()
+	tree := rtree.BuildOnDisk(pf2, rtree.ParamsForGeometry(e.g), e.opt.M,
 		obs.TraceIfEnabled("ondisk."+e.spec.Name, d2))
 	build = d2.Counters()
 
@@ -205,13 +199,6 @@ func (e *environment) measureOnDiskIO() (build, queries disk.Counters) {
 
 // diskParams returns the disk parameters experiments price with.
 func diskParams() disk.Params { return disk.DefaultParams() }
-
-// stageOnDisk returns a fresh disk for staging a dataset, buffered when
-// bufferPages is positive. Callers DropBuffers and ResetCounters after
-// staging so measurements start cold and from zero.
-func stageOnDisk(bufferPages int) *disk.Disk {
-	return disk.NewBuffered(disk.DefaultParams(), disk.BufferConfig{Pages: bufferPages})
-}
 
 // basicZeta picks the sample fraction for PredictBasic fallbacks: the
 // memory fraction, floored at 15% (below which Figure 2 shows the

@@ -104,7 +104,7 @@ func Fig14(opt Options, dims []int) (Fig14Result, error) {
 		// within-radius candidate counts.
 		zeta := basicZeta(opt.M, len(proj), g)
 		sampleRng := rand.New(rand.NewSource(opt.Seed + int64(d)))
-		p, err := core.PredictBasic(proj, zeta, true, g, spheres, sampleRng)
+		p, err := core.PredictBasic(proj, zeta, true, g, spheres, sampleRng, par.Pool{}, nil)
 		if err != nil {
 			return fmt.Errorf("fig14 dim=%d: %w", d, err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
+	"hdidx/internal/par"
 	"hdidx/internal/stats"
 )
 
@@ -48,12 +49,12 @@ func Fig2(opt Options) (Fig2Result, error) {
 	err := runTasks(len(fractions), func(i int) error {
 		zeta := fractions[i]
 		rng := rand.New(rand.NewSource(opt.Seed + 7))
-		comp, err := core.PredictBasic(env.data, zeta, true, env.g, env.spheres, rng)
+		comp, err := core.PredictBasic(env.data, zeta, true, env.g, env.spheres, rng, par.Pool{}, nil)
 		if err != nil {
 			return fmt.Errorf("fig2 zeta=%g compensated: %w", zeta, err)
 		}
 		rng = rand.New(rand.NewSource(opt.Seed + 7))
-		raw, err := core.PredictBasic(env.data, zeta, false, env.g, env.spheres, rng)
+		raw, err := core.PredictBasic(env.data, zeta, false, env.g, env.spheres, rng, par.Pool{}, nil)
 		if err != nil {
 			return fmt.Errorf("fig2 zeta=%g uncompensated: %w", zeta, err)
 		}

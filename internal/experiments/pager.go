@@ -12,6 +12,7 @@ import (
 	"hdidx/internal/disk"
 	"hdidx/internal/obs"
 	"hdidx/internal/pager"
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
@@ -168,7 +169,7 @@ func Pager(opt Options) (PagerResult, error) {
 			spheres := query.ComputeSpheres(wl.data, wl.queryPoints, wl.k)
 			zeta := basicZeta(opt.M, len(wl.data), g)
 			p, err := core.PredictBasic(wl.data, zeta, true, g, spheres,
-				rand.New(rand.NewSource(opt.Seed+int64(1000*ci))))
+				rand.New(rand.NewSource(opt.Seed+int64(1000*ci))), par.Pool{}, nil)
 			if err != nil {
 				return fmt.Errorf("pager %s page=%d basic: %w", spec.Name, pb, err)
 			}

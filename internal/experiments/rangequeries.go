@@ -61,7 +61,7 @@ func RangeQueries(opt Options, radii []float64) (RangeResult, error) {
 		}
 		measured := stats.Mean(query.MeasureLeafAccesses(env.tree, spheres))
 
-		d, pf := env.taskFile(env.opt.BufferPages)
+		d, pf := env.taskFile()
 		cfg := env.config(0, 200+int64(i), d)
 		cfg.FixedRadius = r
 		p, err := core.PredictResampled(pf, cfg)

@@ -9,6 +9,7 @@ import (
 	"hdidx/internal/dataset"
 	"hdidx/internal/gridfile"
 	"hdidx/internal/mtree"
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/srtree"
 	"hdidx/internal/sstree"
@@ -58,7 +59,7 @@ func OtherStructures(opt Options) (StructuresResult, error) {
 	// R*-tree (measured ground truth already in env).
 	rtMeasured := stats.Mean(env.measured)
 	rt, err := core.PredictBasic(env.data, zeta, true, env.g, env.spheres,
-		rand.New(rand.NewSource(opt.Seed+300)))
+		rand.New(rand.NewSource(opt.Seed+300)), par.Pool{}, nil)
 	if err != nil {
 		return StructuresResult{}, fmt.Errorf("structures r*-tree: %w", err)
 	}

@@ -87,7 +87,7 @@ func table3On(env *environment) (Table3Result, error) {
 			return nil
 		}
 		h := min + i%span
-		d, pf := env.taskFile(env.opt.BufferPages)
+		d, pf := env.taskFile()
 		if i < span {
 			p, err := core.PredictResampled(pf, env.config(h, int64(h), d))
 			if err != nil {
@@ -185,7 +185,7 @@ func Correlation(opt Options, hUpper int) (CorrelationResult, error) {
 		opt.M = opt.M * 3 / 2
 	}
 	env := sharedEnvironment(dataset.Texture60, opt)
-	d, pf := env.taskFile(env.opt.BufferPages)
+	d, pf := env.taskFile()
 	p, err := core.PredictResampled(pf, env.config(hUpper, 42, d))
 	if err != nil {
 		return CorrelationResult{}, fmt.Errorf("correlation: %w", err)

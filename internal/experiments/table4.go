@@ -66,7 +66,7 @@ func Table4(opt Options) (Table4Result, error) {
 	if err != nil {
 		return Table4Result{}, fmt.Errorf("table4 histogram model: %w", err)
 	}
-	d, pf := env.taskFile(env.opt.BufferPages)
+	d, pf := env.taskFile()
 	rs, err := core.PredictResampled(pf, env.config(0, 4, d))
 	if err != nil {
 		return Table4Result{}, fmt.Errorf("table4 resampled: %w", err)
@@ -123,7 +123,7 @@ func Uniform8D(opt Options) (Uniform8DResult, error) {
 	// on its own staged disk.
 	var rs, cu core.Prediction
 	err := runTasks(2, func(i int) error {
-		d, pf := env.taskFile(env.opt.BufferPages)
+		d, pf := env.taskFile()
 		if i == 0 {
 			p, err := core.PredictResampled(pf, env.config(0, 5, d))
 			if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"hdidx/internal/mbr"
-	"hdidx/internal/obs"
 	"hdidx/internal/par"
 	"hdidx/internal/vec"
 )
@@ -101,19 +100,13 @@ var forkMinPoints = 4096
 //
 // When the shared worker pool (internal/par) has more than one worker,
 // sibling subtrees build concurrently. The result is bit-identical to
-// BuildSequential: siblings partition disjoint subslices of pts, every
-// per-subtree computation (variance pass, Hoare quickselect, MBR
-// extension) sees exactly the input it would see sequentially, and
-// child order is preserved across forks — scheduling affects only
-// timing, never values.
+// the single-goroutine build: siblings partition disjoint subslices of
+// pts, every per-subtree computation (variance pass, Hoare
+// quickselect, MBR extension) sees exactly the input it would see
+// sequentially, and child order is preserved across forks — scheduling
+// affects only timing, never values.
 func Build(pts [][]float64, params BuildParams) *Tree {
 	return buildWith(pts, params, par.PoolOf(params.Workers).Group())
-}
-
-// BuildSequential is the single-goroutine bulk load, kept as the
-// oracle the parallel Build is property-tested against.
-func BuildSequential(pts [][]float64, params BuildParams) *Tree {
-	return buildWith(pts, params, nil)
 }
 
 func buildWith(pts [][]float64, params BuildParams, g *par.Group) *Tree {
@@ -137,15 +130,6 @@ func buildWith(pts [][]float64, params BuildParams, g *par.Group) *Tree {
 	}
 	finish(t)
 	return t
-}
-
-// BuildTraced is Build with the bulk load's wall-clock recorded as a
-// "rtree.build" span on tr (the in-memory build performs no I/O). A
-// nil tr disables tracing.
-func BuildTraced(pts [][]float64, params BuildParams, tr *obs.Trace) *Tree {
-	sp := tr.Span("rtree.build")
-	defer sp.End()
-	return Build(pts, params)
 }
 
 // finish populates the tree's cached leaf list, flat leaf-MBR set,
@@ -178,7 +162,7 @@ type builder struct {
 	params BuildParams
 	// g is the fork-join group sibling subtree builds fan out on; nil
 	// builds sequentially (the on-disk external builder and the
-	// BuildSequential oracle).
+	// test-only BuildSequential oracle).
 	g *par.Group
 }
 

@@ -9,6 +9,12 @@ import (
 	"hdidx/internal/par"
 )
 
+// BuildSequential is the single-goroutine bulk load, the oracle the
+// parallel Build is property-tested against.
+func BuildSequential(pts [][]float64, params BuildParams) *Tree {
+	return buildWith(pts, params, nil)
+}
+
 // forceParallelBuild lowers the fork threshold and widens the pool so
 // the parallel paths run even on the small inputs of a unit test (and
 // on single-CPU hosts, where GOMAXPROCS alone would disable them).

@@ -26,20 +26,15 @@ import (
 // all I/O to pf's disk. memoryPoints is M, the number of points that
 // fit in memory. The returned tree references decoded copies of the
 // points; pf itself ends up physically reordered into the leaf layout.
-func BuildOnDisk(pf *disk.PointFile, params BuildParams, memoryPoints int) *Tree {
-	return BuildOnDiskTraced(pf, params, memoryPoints, nil)
-}
-
-// BuildOnDiskTraced is BuildOnDisk with the build's stages recorded as
-// phase spans on tr: "ondisk.variance" (chunked variance scans),
-// "ondisk.partition" (external split read+write passes),
-// "ondisk.leaf" (reading a memory-sized range, building its subtree in
-// memory, and writing the reordered data pages back), "ondisk.dir"
-// (the trailing directory-page writes), and — on a buffered disk —
-// "ondisk.flush" (the final write-back of dirty cached pages). The
-// top-level phases cover every disk access of the build. A nil tr
-// disables tracing.
-func BuildOnDiskTraced(pf *disk.PointFile, params BuildParams, memoryPoints int, tr *obs.Trace) *Tree {
+//
+// The build's stages are recorded as phase spans on tr:
+// "ondisk.variance" (chunked variance scans), "ondisk.partition"
+// (external split read+write passes), "ondisk.leaf" (reading a
+// memory-sized range, building its subtree in memory, and writing the
+// reordered data pages back), and "ondisk.dir" (the trailing
+// directory-page writes). The phases cover every disk access of the
+// build. A nil tr disables tracing.
+func BuildOnDisk(pf *disk.PointFile, params BuildParams, memoryPoints int, tr *obs.Trace) *Tree {
 	if pf.Len() == 0 {
 		panic("rtree: BuildOnDisk on empty file")
 	}
@@ -65,16 +60,9 @@ func BuildOnDiskTraced(pf *disk.PointFile, params BuildParams, memoryPoints int,
 	dirNodes := t.NumNodes() - t.NumLeaves()
 	if dirNodes > 0 {
 		dirFile := pfDisk(pf).Alloc(int64(dirNodes) * int64(pfDisk(pf).Params().PageBytes))
-		dirFile.TouchPagesWrite(0, int64(dirNodes))
+		dirFile.TouchPages(0, int64(dirNodes))
 	}
 	sp.End()
-	// A buffered disk defers write transfers to write-back; flush so
-	// the build's counters include every page it dirtied.
-	if d := pfDisk(pf); d.BufferPages() > 0 {
-		sp = tr.Span("ondisk.flush")
-		d.FlushBuffers()
-		sp.End()
-	}
 	return t
 }
 

@@ -23,7 +23,7 @@ func TestBuildOnDiskMatchesInMemoryStructure(t *testing.T) {
 	mem := Build(dataset.SampleExact(pts, len(pts), rand.New(rand.NewSource(1))), params)
 
 	_, pf := fileWithPoints(t, pts)
-	od := BuildOnDisk(pf, params, 1000)
+	od := BuildOnDisk(pf, params, 1000, nil)
 	if err := od.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestBuildOnDiskMatchesInMemoryStructure(t *testing.T) {
 func TestBuildOnDiskChargesIO(t *testing.T) {
 	pts := uniformPoints(5000, 8, 12)
 	d, pf := fileWithPoints(t, pts)
-	BuildOnDisk(pf, BuildParams{LeafCap: 32, DirCap: 15}, 1000)
+	BuildOnDisk(pf, BuildParams{LeafCap: 32, DirCap: 15}, 1000, nil)
 	c := d.Counters()
 	if c.Transfers == 0 || c.Seeks == 0 {
 		t.Fatalf("no I/O charged: %+v", c)
@@ -56,7 +56,7 @@ func TestBuildOnDiskSmallFitsMemoryCheaply(t *testing.T) {
 	// one write pass of the data (plus directory writes).
 	pts := uniformPoints(2000, 8, 13)
 	d, pf := fileWithPoints(t, pts)
-	tr := BuildOnDisk(pf, BuildParams{LeafCap: 32, DirCap: 15}, 10000)
+	tr := BuildOnDisk(pf, BuildParams{LeafCap: 32, DirCap: 15}, 10000, nil)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestBuildOnDiskCostGrowsWhenMemoryShrinks(t *testing.T) {
 	params := BuildParams{LeafCap: 32, DirCap: 15}
 
 	dBig, pfBig := fileWithPoints(t, pts)
-	BuildOnDisk(pfBig, params, 20000)
+	BuildOnDisk(pfBig, params, 20000, nil)
 	costBig := dBig.Counters().CostSeconds(disk.DefaultParams())
 
 	dSmall, pfSmall := fileWithPoints(t, pts)
-	BuildOnDisk(pfSmall, params, 1000)
+	BuildOnDisk(pfSmall, params, 1000, nil)
 	costSmall := dSmall.Counters().CostSeconds(disk.DefaultParams())
 
 	if costSmall <= costBig {
@@ -90,7 +90,7 @@ func TestBuildOnDiskCostGrowsWhenMemoryShrinks(t *testing.T) {
 func TestBuildOnDiskReordersFileIntoLeafLayout(t *testing.T) {
 	pts := uniformPoints(3000, 4, 15)
 	_, pf := fileWithPoints(t, pts)
-	tr := BuildOnDisk(pf, BuildParams{LeafCap: 32, DirCap: 15}, 500)
+	tr := BuildOnDisk(pf, BuildParams{LeafCap: 32, DirCap: 15}, 500, nil)
 	// After the build, reading the file in order must yield the leaf
 	// points in leaf order.
 	got := pf.ReadAll()
@@ -119,7 +119,7 @@ func TestBuildOnDiskPanicsOnEmpty(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	BuildOnDisk(pf, BuildParams{LeafCap: 32, DirCap: 15}, 100)
+	BuildOnDisk(pf, BuildParams{LeafCap: 32, DirCap: 15}, 100, nil)
 }
 
 func BenchmarkBuildOnDisk20k8d(b *testing.B) {
@@ -133,6 +133,6 @@ func BenchmarkBuildOnDisk20k8d(b *testing.B) {
 		pf := disk.NewPointFile(d, 8, len(pts))
 		pf.AppendAll(pts)
 		b.StartTimer()
-		BuildOnDisk(pf, params, 2000)
+		BuildOnDisk(pf, params, 2000, nil)
 	}
 }

@@ -5,10 +5,6 @@
 # acceptance criteria track. Interleaved -count runs and per-benchmark
 # minima keep the ratios robust against machine noise.
 #
-# Also runs the buffer-pool hit-rate sweep (BenchmarkBuffer in
-# internal/disk) and writes BENCH_buffer.json with the best ns/op and
-# the hit rate of each pool budget.
-#
 # Also runs the parallel-build and concurrent-sweep benchmarks
 # (BenchmarkBuildWorkers in internal/rtree, BenchmarkSweepWorkers at
 # the root) across pool widths 1/2/4/8 and writes BENCH_build.json
@@ -46,14 +42,13 @@
 # from the benchmark-name suffix) so numbers are never compared across
 # incomparable hosts unawares.
 #
-# Usage: scripts/bench.sh  [env: COUNT=3 BENCHTIME=20x OUT=BENCH_kernels.json BUFOUT=BENCH_buffer.json BUILDOUT=BENCH_build.json KNNOUT=BENCH_knn.json SERVEOUT=BENCH_serve.json PAGEROUT=BENCH_pager.json]
+# Usage: scripts/bench.sh  [env: COUNT=3 BENCHTIME=20x OUT=BENCH_kernels.json BUILDOUT=BENCH_build.json KNNOUT=BENCH_knn.json SERVEOUT=BENCH_serve.json PAGEROUT=BENCH_pager.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-3}"
 BENCHTIME="${BENCHTIME:-20x}"
 OUT="${OUT:-BENCH_kernels.json}"
-BUFOUT="${BUFOUT:-BENCH_buffer.json}"
 BUILDOUT="${BUILDOUT:-BENCH_build.json}"
 KNNOUT="${KNNOUT:-BENCH_knn.json}"
 SERVEOUT="${SERVEOUT:-BENCH_serve.json}"
@@ -101,44 +96,6 @@ END {
 
 echo "wrote $OUT:"
 cat "$OUT"
-
-bufraw="$(go test -run='^$' -bench='^BenchmarkBuffer' -benchtime="$BENCHTIME" -count="$COUNT" \
-	./internal/disk/)"
-echo "$bufraw"
-
-echo "$bufraw" | awk -v out="$BUFOUT" -v count="$COUNT" -v benchtime="$BENCHTIME" -v procs="$PROCS" '
-/^BenchmarkBuffer\// {
-	name = $1
-	if (match(name, /-[0-9]+$/)) gm = substr(name, RSTART + 1, RLENGTH - 1)
-	sub(/-[0-9]+$/, "", name)  # strip the -GOMAXPROCS suffix
-	ns = $3 + 0
-	if (!(name in best) || ns < best[name]) best[name] = ns
-	# the custom metric column: "<value> hit%"
-	for (i = 4; i < NF; i++) {
-		if ($(i + 1) == "hit%") hit[name] = $i + 0
-	}
-	if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
-}
-END {
-	printf "{\n" > out
-	printf "  \"generated_by\": \"scripts/bench.sh\",\n" > out
-	printf "  \"benchtime\": \"%s\",\n", benchtime > out
-	printf "  \"count\": %d,\n", count > out
-	printf "  \"host_cpus\": %d,\n", procs > out
-	printf "  \"gomaxprocs\": %d,\n", (gm + 0 < 1 ? 1 : gm + 0) > out
-	printf "  \"pools\": {\n" > out
-	for (i = 1; i <= n; i++) {
-		name = order[i]
-		label = name
-		sub(/^BenchmarkBuffer\//, "", label)
-		printf "    \"%s\": {\"best_ns_per_op\": %.0f, \"hit_rate_pct\": %.2f}%s\n", \
-			label, best[name], hit[name], (i < n ? "," : "") > out
-	}
-	printf "  }\n}\n" > out
-}'
-
-echo "wrote $BUFOUT:"
-cat "$BUFOUT"
 
 buildraw="$(go test -run='^$' -bench='^BenchmarkBuildWorkers' -benchtime="$BENCHTIME" -count="$COUNT" \
 	./internal/rtree/)"
