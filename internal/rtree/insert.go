@@ -27,13 +27,23 @@ const reinsertFraction = 0.3
 // minFillFraction is the R*-tree minimum fill m/M.
 const minFillFraction = 0.4
 
-// DynamicTree wraps a Tree grown by insertion.
+// DynamicTree wraps a Tree grown by insertion. It has a single
+// writer, so the working memory of ChooseSubtree and the split lives
+// in the tree and is reused by every insert.
 type DynamicTree struct {
 	Tree
 	maxLeaf int
 	maxDir  int
 	minLeaf int
 	minDir  int
+
+	// reinserted has bit level-1 set once forced reinsertion has run at
+	// that level during the current Insert (levels from 64 up, which no
+	// real tree reaches, share the top bit).
+	reinserted uint64
+	enlarged   mbr.Rect  // ChooseSubtree's candidate child rectangle
+	overlaps   []float64 // ChooseSubtree's overlap margin of each child pair
+	sp         splitter
 }
 
 // NewDynamic returns an empty dynamic R*-tree with the page capacities
@@ -58,10 +68,11 @@ func NewDynamicCustom(dim, maxLeaf, maxDir int) *DynamicTree {
 		panic(fmt.Sprintf("rtree: invalid dynamic capacities dim=%d leaf=%d dir=%d", dim, maxLeaf, maxDir))
 	}
 	t := &DynamicTree{
-		maxLeaf: maxLeaf,
-		maxDir:  maxDir,
-		minLeaf: maxInt(1, int(float64(maxLeaf)*minFillFraction)),
-		minDir:  maxInt(1, int(float64(maxDir)*minFillFraction)),
+		maxLeaf:  maxLeaf,
+		maxDir:   maxDir,
+		minLeaf:  maxInt(1, int(float64(maxLeaf)*minFillFraction)),
+		minDir:   maxInt(1, int(float64(maxDir)*minFillFraction)),
+		enlarged: mbr.Rect{Lo: make([]float64, dim), Hi: make([]float64, dim)},
 	}
 	t.Dim = dim
 	t.Params = BuildParams{LeafCap: float64(maxLeaf), DirCap: float64(maxDir)}
@@ -86,15 +97,15 @@ func (t *DynamicTree) Insert(p []float64) {
 		t.Root = &Node{Level: 1, Rect: mbr.New(p), Points: [][]float64{p}}
 		return
 	}
-	reinserted := make(map[int]bool)
-	t.insertAtLevel(p, nil, 1, reinserted)
+	t.reinserted = 0
+	t.insertAtLevel(p, nil, 1)
 }
 
 // insertAtLevel inserts either a point (subtree == nil) at level 1 or
 // a subtree at the given level, applying forced reinsertion once per
 // level per insertion.
-func (t *DynamicTree) insertAtLevel(p []float64, subtree *Node, level int, reinserted map[int]bool) {
-	split := t.insert(t.Root, p, subtree, level, reinserted)
+func (t *DynamicTree) insertAtLevel(p []float64, subtree *Node, level int) {
+	split := t.insert(t.Root, p, subtree, level)
 	if split != nil {
 		old := t.Root
 		t.Root = &Node{
@@ -107,7 +118,7 @@ func (t *DynamicTree) insertAtLevel(p []float64, subtree *Node, level int, reins
 
 // insert descends to the target level and returns a split sibling if
 // the node overflowed and was split (nil otherwise).
-func (t *DynamicTree) insert(n *Node, p []float64, subtree *Node, level int, reinserted map[int]bool) *Node {
+func (t *DynamicTree) insert(n *Node, p []float64, subtree *Node, level int) *Node {
 	if subtree == nil {
 		n.Rect.Extend(p)
 	} else {
@@ -119,12 +130,12 @@ func (t *DynamicTree) insert(n *Node, p []float64, subtree *Node, level int, rei
 		} else {
 			n.Children = append(n.Children, subtree)
 		}
-		return t.handleOverflow(n, reinserted)
+		return t.handleOverflow(n)
 	}
-	child := chooseSubtree(n, p, subtree)
-	if split := t.insert(child, p, subtree, level, reinserted); split != nil {
+	child := t.chooseSubtree(n, p, subtree)
+	if split := t.insert(child, p, subtree, level); split != nil {
 		n.Children = append(n.Children, split)
-		return t.handleOverflow(n, reinserted)
+		return t.handleOverflow(n)
 	}
 	return nil
 }
@@ -136,13 +147,6 @@ func (t *DynamicTree) capacityOf(n *Node) int {
 	return t.maxDir
 }
 
-func (t *DynamicTree) minOf(n *Node) int {
-	if n.IsLeaf() {
-		return t.minLeaf
-	}
-	return t.minDir
-}
-
 func (n *Node) fanout() int {
 	if n.IsLeaf() {
 		return len(n.Points)
@@ -152,47 +156,62 @@ func (n *Node) fanout() int {
 
 // handleOverflow applies forced reinsertion on the first overflow at a
 // level (unless it is the root) and splits otherwise.
-func (t *DynamicTree) handleOverflow(n *Node, reinserted map[int]bool) *Node {
+func (t *DynamicTree) handleOverflow(n *Node) *Node {
 	if n.fanout() <= t.capacityOf(n) {
 		return nil
 	}
-	if n != t.Root && !reinserted[n.Level] {
-		reinserted[n.Level] = true
-		t.reinsert(n, reinserted)
+	if bit := uint64(1) << min(n.Level-1, 63); n != t.Root && t.reinserted&bit == 0 {
+		t.reinserted |= bit
+		t.reinsert(n)
 		return nil
 	}
 	return t.split(n)
 }
 
 // reinsert removes the reinsertFraction entries farthest from the
-// node's center and inserts them again from the top.
-func (t *DynamicTree) reinsert(n *Node, reinserted map[int]bool) {
+// node's center and inserts them again from the top, farthest first
+// (the "far reinsert" variant of R*).
+func (t *DynamicTree) reinsert(n *Node) {
 	c := n.Rect.Center()
 	count := int(float64(n.fanout()) * reinsertFraction)
 	if count < 1 {
 		count = 1
 	}
 	if n.IsLeaf() {
-		sort.Slice(n.Points, func(i, j int) bool {
-			return sqDistTo(n.Points[i], c) < sqDistTo(n.Points[j], c)
-		})
+		byDistance(n.Points, func(p []float64) float64 { return sqDistTo(p, c) })
 		removed := append([][]float64(nil), n.Points[len(n.Points)-count:]...)
 		n.Points = n.Points[:len(n.Points)-count]
-		n.Rect = mbr.Bound(n.Points)
-		// Close reinsertion: nearest first.
+		recomputeRect(n)
 		for i := len(removed) - 1; i >= 0; i-- {
-			t.insertAtLevel(removed[i], nil, 1, reinserted)
+			t.insertAtLevel(removed[i], nil, 1)
 		}
 		return
 	}
-	sort.Slice(n.Children, func(i, j int) bool {
-		return sqDistTo(n.Children[i].Rect.Center(), c) < sqDistTo(n.Children[j].Rect.Center(), c)
-	})
+	byDistance(n.Children, func(ch *Node) float64 { return sqDistTo(ch.Rect.Center(), c) })
 	removed := append([]*Node(nil), n.Children[len(n.Children)-count:]...)
 	n.Children = n.Children[:len(n.Children)-count]
 	recomputeRect(n)
 	for i := len(removed) - 1; i >= 0; i-- {
-		t.insertAtLevel(nil, removed[i], n.Level, reinserted)
+		t.insertAtLevel(nil, removed[i], n.Level)
+	}
+}
+
+// byDistance sorts entries by ascending dist, computing each entry's
+// distance once. Sorting (entry, distance) pairs makes the comparisons
+// and swaps that sorting the entries themselves would, so the
+// permutation is the same.
+func byDistance[E any](entries []E, dist func(E) float64) {
+	type keyed struct {
+		e E
+		d float64
+	}
+	ks := make([]keyed, len(entries))
+	for i, e := range entries {
+		ks[i] = keyed{e, dist(e)}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].d < ks[j].d })
+	for i, k := range ks {
+		entries[i] = k.e
 	}
 }
 
@@ -216,27 +235,46 @@ func recomputeRect(n *Node) {
 	}
 }
 
-// chooseSubtree implements the R*-tree descent heuristic.
-func chooseSubtree(n *Node, p []float64, subtree *Node) *Node {
+// chooseSubtree implements the R*-tree descent heuristic: the child
+// with the least overlap enlargement, ties going to the least
+// enlargement and then to the smallest child. Overlap counts only at
+// the parent of the leaves, when a point descends. Margins stand in
+// for volumes, which underflow in high dimensions.
+func (t *DynamicTree) chooseSubtree(n *Node, p []float64, subtree *Node) *Node {
+	k := len(n.Children)
 	atLeafParent := n.Level == 2 && subtree == nil
+	if atLeafParent {
+		// overlapMargin is symmetric bit for bit, so each pair's
+		// overlap before enlargement is computed once.
+		if cap(t.overlaps) < k*k {
+			t.overlaps = make([]float64, k*k)
+		}
+		for i, c := range n.Children {
+			for j := i + 1; j < k; j++ {
+				ov := overlapMargin(c.Rect, n.Children[j].Rect)
+				t.overlaps[i*k+j], t.overlaps[j*k+i] = ov, ov
+			}
+		}
+	}
+	enlarged := t.enlarged
 	best := -1
 	bestOverlap, bestEnlarge, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
 	for i, c := range n.Children {
-		enlarged := c.Rect.Clone()
+		setBox(enlarged, c.Rect)
 		if subtree == nil {
 			enlarged.Extend(p)
 		} else {
 			enlarged.ExtendRect(subtree.Rect)
 		}
-		enlarge := enlarged.Margin() - c.Rect.Margin() // margin is robust where volume underflows
 		area := c.Rect.Margin()
+		enlarge := enlarged.Margin() - area
 		overlap := 0.0
 		if atLeafParent {
 			for j, o := range n.Children {
 				if j == i {
 					continue
 				}
-				overlap += overlapMargin(enlarged, o.Rect) - overlapMargin(c.Rect, o.Rect)
+				overlap += overlapMargin(enlarged, o.Rect) - t.overlaps[i*k+j]
 			}
 		}
 		if best < 0 || less3(overlap, enlarge, area, bestOverlap, bestEnlarge, bestArea) {
@@ -263,8 +301,8 @@ func less3(o1, e1, a1, o2, e2, a2 float64) bool {
 func overlapMargin(a, b mbr.Rect) float64 {
 	var m float64
 	for i := range a.Lo {
-		lo := math.Max(a.Lo[i], b.Lo[i])
-		hi := math.Min(a.Hi[i], b.Hi[i])
+		lo := max(a.Lo[i], b.Lo[i])
+		hi := min(a.Hi[i], b.Hi[i])
 		if hi > lo {
 			m += hi - lo
 		}
@@ -272,115 +310,138 @@ func overlapMargin(a, b mbr.Rect) float64 {
 	return m
 }
 
-// split performs the topological R* split of an overflown node and
-// returns the new sibling.
+// split performs the topological R* split of an overflown node, keeps
+// one group in n and returns the other as n's new sibling.
 func (t *DynamicTree) split(n *Node) *Node {
-	min := t.minOf(n)
+	sib := &Node{Level: n.Level}
+	boxes := t.sp.boxes[:0]
 	if n.IsLeaf() {
-		left, right := splitEntries(len(n.Points), min,
-			func(i, j int, dim int) bool {
-				return n.Points[i][dim] < n.Points[j][dim]
-			},
-			func(order []int, cut int) (mbr.Rect, mbr.Rect) {
-				l := mbr.New(n.Points[order[0]])
-				for _, idx := range order[1:cut] {
-					l.Extend(n.Points[idx])
-				}
-				r := mbr.New(n.Points[order[cut]])
-				for _, idx := range order[cut+1:] {
-					r.Extend(n.Points[idx])
-				}
-				return l, r
-			},
-			t.Dim)
-		leftPts := make([][]float64, 0, len(left))
-		rightPts := make([][]float64, 0, len(right))
-		for _, i := range left {
-			leftPts = append(leftPts, n.Points[i])
+		for _, p := range n.Points {
+			boxes = append(boxes, mbr.Rect{Lo: p, Hi: p})
 		}
-		for _, i := range right {
-			rightPts = append(rightPts, n.Points[i])
+		t.sp.boxes = boxes
+		order, cut := t.sp.splitEntries(t.minLeaf, t.Dim)
+		n.Points, sib.Points = partition(n.Points, order, cut)
+	} else {
+		for _, c := range n.Children {
+			boxes = append(boxes, c.Rect)
 		}
-		n.Points = leftPts
-		recomputeRect(n)
-		sib := &Node{Level: 1, Points: rightPts}
-		recomputeRect(sib)
-		return sib
+		t.sp.boxes = boxes
+		order, cut := t.sp.splitEntries(t.minDir, t.Dim)
+		n.Children, sib.Children = partition(n.Children, order, cut)
 	}
-	left, right := splitEntries(len(n.Children), min,
-		func(i, j int, dim int) bool {
-			return n.Children[i].Rect.Lo[dim] < n.Children[j].Rect.Lo[dim]
-		},
-		func(order []int, cut int) (mbr.Rect, mbr.Rect) {
-			l := n.Children[order[0]].Rect.Clone()
-			for _, idx := range order[1:cut] {
-				l.ExtendRect(n.Children[idx].Rect)
-			}
-			r := n.Children[order[cut]].Rect.Clone()
-			for _, idx := range order[cut+1:] {
-				r.ExtendRect(n.Children[idx].Rect)
-			}
-			return l, r
-		},
-		t.Dim)
-	leftCh := make([]*Node, 0, len(left))
-	rightCh := make([]*Node, 0, len(right))
-	for _, i := range left {
-		leftCh = append(leftCh, n.Children[i])
-	}
-	for _, i := range right {
-		rightCh = append(rightCh, n.Children[i])
-	}
-	n.Children = leftCh
 	recomputeRect(n)
-	sib := &Node{Level: n.Level, Children: rightCh}
 	recomputeRect(sib)
 	return sib
 }
 
+// partition returns the split's two groups of entries, order[:cut]
+// and order[cut:].
+func partition[E any](entries []E, order []int, cut int) (left, right []E) {
+	left = make([]E, cut)
+	right = make([]E, len(order)-cut)
+	for k, i := range order {
+		if k < cut {
+			left[k] = entries[i]
+		} else {
+			right[k-cut] = entries[i]
+		}
+	}
+	return left, right
+}
+
+// splitter is the working memory of the R* split.
+type splitter struct {
+	boxes       []mbr.Rect // the entries' boxes; a point is a degenerate box
+	order, best []int      // entries sorted along the current and the best axis
+	// pre[k] bounds order[:k+1] and suf[k] bounds order[k:], so cut c
+	// splits into pre[c-1] and suf[c]. Both are views into one array.
+	pre, suf []mbr.Rect
+}
+
 // splitEntries chooses the R* split axis (minimum total margin over
 // all candidate distributions) and distribution (minimum overlap, ties
-// by minimum combined margin) over count entries, returning the entry
-// indices of the two groups. The full R* algorithm additionally
-// considers upper-bound sort orders for directory entries; this
-// implementation uses the lower-bound order only, a standard
-// simplification with negligible effect on point data.
-func splitEntries(count, min int,
-	lessFn func(i, j, dim int) bool,
-	rectsOf func(order []int, cut int) (mbr.Rect, mbr.Rect),
-	dim int) (left, right []int) {
-
-	bestAxis, bestAxisMargin := -1, math.Inf(1)
-	bestOrders := make(map[int][]int)
+// by minimum combined margin) of s.boxes. It returns the entries
+// sorted along that axis and the cut between the two groups, order[:cut]
+// and order[cut:]. The full R* algorithm additionally considers
+// upper-bound sort orders for directory entries; this implementation
+// uses the lower-bound order only, a standard simplification with
+// negligible effect on point data.
+func (s *splitter) splitEntries(minFill, dim int) (order []int, cut int) {
+	count := len(s.boxes)
+	s.grow(count, dim)
+	var bestAxisMargin float64
 	for d := 0; d < dim; d++ {
-		order := make([]int, count)
-		for i := range order {
-			order[i] = i
+		for i := range s.order {
+			s.order[i] = i
 		}
-		dd := d
-		sort.Slice(order, func(a, b int) bool { return lessFn(order[a], order[b], dd) })
+		sort.Slice(s.order, func(a, b int) bool {
+			return s.boxes[s.order[a]].Lo[d] < s.boxes[s.order[b]].Lo[d]
+		})
+		s.sweep(s.order, minFill)
 		var marginSum float64
-		for cut := min; cut <= count-min; cut++ {
-			l, r := rectsOf(order, cut)
-			marginSum += l.Margin() + r.Margin()
+		for cut := minFill; cut <= count-minFill; cut++ {
+			marginSum += s.pre[cut-1].Margin() + s.suf[cut].Margin()
 		}
-		if marginSum < bestAxisMargin {
+		if d == 0 || marginSum < bestAxisMargin {
 			bestAxisMargin = marginSum
-			bestAxis = d
+			copy(s.best, s.order)
 		}
-		bestOrders[d] = order
 	}
-	order := bestOrders[bestAxis]
-	bestCut, bestOverlap, bestMargin := -1, math.Inf(1), math.Inf(1)
-	for cut := min; cut <= count-min; cut++ {
-		l, r := rectsOf(order, cut)
+	s.sweep(s.best, minFill)
+	bestCut, bestOverlap, bestMargin := -1, 0.0, 0.0
+	for cut := minFill; cut <= count-minFill; cut++ {
+		l, r := s.pre[cut-1], s.suf[cut]
 		ov := overlapMargin(l, r)
 		mg := l.Margin() + r.Margin()
-		if ov < bestOverlap || (ov == bestOverlap && mg < bestMargin) {
+		if bestCut < 0 || ov < bestOverlap || (ov == bestOverlap && mg < bestMargin) {
 			bestCut, bestOverlap, bestMargin = cut, ov, mg
 		}
 	}
-	return order[:bestCut], order[bestCut:]
+	return s.best, bestCut
+}
+
+// grow sizes the scratch for count entries.
+func (s *splitter) grow(count, dim int) {
+	if cap(s.order) < count {
+		s.order, s.best = make([]int, count), make([]int, count)
+		corners := make([]float64, 4*count*dim)
+		box := func(k int) mbr.Rect {
+			return mbr.Rect{Lo: corners[2*k*dim : (2*k+1)*dim], Hi: corners[(2*k+1)*dim : (2*k+2)*dim]}
+		}
+		s.pre, s.suf = make([]mbr.Rect, count), make([]mbr.Rect, count)
+		for k := range s.pre {
+			s.pre[k], s.suf[k] = box(2*k), box(2*k+1)
+		}
+	}
+	s.order, s.best = s.order[:count], s.best[:count]
+}
+
+// sweep bounds the groups of every cut of order, in one prefix pass
+// and one suffix pass over the entries. A prefix box grows exactly as
+// a from-scratch bound of its group does. A suffix box takes the same
+// minima and maxima in the reverse order, which for finite coordinates
+// can change only the sign of a zero: no comparison, margin or overlap
+// sum observes it, so every choice is the one a from-scratch bound
+// would make.
+func (s *splitter) sweep(order []int, minFill int) {
+	n := len(order)
+	setBox(s.pre[0], s.boxes[order[0]])
+	for k := 1; k < n-minFill; k++ {
+		setBox(s.pre[k], s.pre[k-1])
+		s.pre[k].ExtendRect(s.boxes[order[k]])
+	}
+	setBox(s.suf[n-1], s.boxes[order[n-1]])
+	for k := n - 2; k >= minFill; k-- {
+		setBox(s.suf[k], s.suf[k+1])
+		s.suf[k].ExtendRect(s.boxes[order[k]])
+	}
+}
+
+// setBox copies src's corners into dst's storage.
+func setBox(dst, src mbr.Rect) {
+	copy(dst.Lo, src.Lo)
+	copy(dst.Hi, src.Hi)
 }
 
 // AverageLeafOccupancy returns the mean points per leaf divided by the

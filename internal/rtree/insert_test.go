@@ -1,7 +1,13 @@
 package rtree
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -161,5 +167,150 @@ func TestSplitEntriesBalance(t *testing.T) {
 	}
 	if len(n.Points)+len(sib.Points) != 10 {
 		t.Error("split lost points")
+	}
+}
+
+// texture60Points returns the TEXTURE60 stand-in at the given
+// cardinality scale, generated as the serving benchmark generates it
+// (seed 1).
+func texture60Points(scale float64) [][]float64 {
+	return dataset.Texture60.Scaled(scale).Generate(rand.New(rand.NewSource(1))).Points
+}
+
+// deepGeometry and deepPoints make a 4-d tree of height 6: 256-byte
+// pages hold 16 points or 7 directory entries, so directory splits
+// and forced reinsertion happen at every level.
+var deepGeometry = Geometry{Dim: 4, PageBytes: 256, Utilization: 1}
+
+func deepPoints() [][]float64 {
+	spec := dataset.Spec{Name: "c4", N: 20000, Dim: 4, Clusters: 8, VarianceDecay: 0.9, ClusterStd: 0.05}
+	return spec.Generate(rand.New(rand.NewSource(2))).Points
+}
+
+// digestFlat feeds a flattened tree's shape and contents into h: the
+// height, the leaf count, the four index arrays, and the bits of every
+// rectangle corner and point coordinate, in order.
+func digestFlat(h hash.Hash, ft *FlatTree) {
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(ft.Height))
+	put(uint64(ft.NumLeaves))
+	for _, a := range [][]int32{ft.ChildStart, ft.ChildCount, ft.PtStart, ft.PtCount} {
+		for _, v := range a {
+			put(uint64(v))
+		}
+	}
+	lo, hi := ft.Rects.Corners()
+	for _, a := range [][]float64{lo, hi, ft.Points.Data} {
+		for _, v := range a {
+			put(math.Float64bits(v))
+		}
+	}
+}
+
+// TestDynamicInsertGolden pins the exact shape of R*-grown trees: any
+// change to ChooseSubtree, the split, or forced reinsertion that moves
+// a single point or rectangle bit changes the digest. The shards are
+// dealt round-robin, as the server deals its initial points.
+func TestDynamicInsertGolden(t *testing.T) {
+	texture := texture60Points(0.005)
+	deep := deepPoints()
+	cases := []struct {
+		name   string
+		pts    [][]float64
+		g      Geometry
+		shards int
+		height int
+		want   string
+	}{
+		{"texture60/s1", texture, NewGeometry(60), 1, 3, "beaa67e1f992422571d327e11e945849fc8084e6fa7ae2f6338865bc5d6ca418"},
+		{"texture60/s4", texture, NewGeometry(60), 4, 2, "559afe62b6778a1bd5271e570b7c4e8d6b2d77a5bea6a8a6e29fdaab50035f8f"},
+		{"clustered4/s1", deep, deepGeometry, 1, 6, "bbcf1514d690ca2d464e702725b34c32ca13a36599a1131732f7f66c32604fab"},
+	}
+	for _, c := range cases {
+		trees := make([]*DynamicTree, c.shards)
+		for i := range trees {
+			trees[i] = NewDynamic(c.g)
+		}
+		for i, p := range c.pts {
+			trees[i%c.shards].Insert(p)
+		}
+		h := sha256.New()
+		for _, tr := range trees {
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			digestFlat(h, tr.Flatten())
+		}
+		if trees[0].Height() != c.height {
+			t.Errorf("%s: height %d, want %d", c.name, trees[0].Height(), c.height)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// growStats grows a dynamic tree from pts and returns the mean heap
+// allocations and bytes per insert.
+func growStats(g Geometry, pts [][]float64) (allocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := NewDynamic(g)
+	for _, p := range pts {
+		tr.Insert(p)
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(pts))
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
+// TestDynamicInsertAllocs is the garbage guard of R* insertion: the
+// split sweeps and ChooseSubtree run in scratch the tree owns, so what
+// an insert allocates is the tree's own growth (nodes, entry slices,
+// rectangles).
+func TestDynamicInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	allocs, bytes := growStats(NewGeometry(60), texture60Points(0.005))
+	if allocs > 12 || bytes > 4096 {
+		t.Errorf("R* insert: %.1f allocs and %.0f B per insert, want <= 12 and <= 4096", allocs, bytes)
+	}
+}
+
+// BenchmarkDynamicInsert grows R*-trees by insertion: d60 is the
+// TEXTURE60 × 0.02 tree the serving benchmark's knn-read workload sets
+// up, d4 the golden test's height-6 tree. One op grows the whole tree;
+// ns/insert and allocs/insert divide by the points inserted.
+// scripts/bench.sh records the best of each in BENCH_build.json.
+func BenchmarkDynamicInsert(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		pts  [][]float64
+		g    Geometry
+	}{
+		{"d60", texture60Points(0.02), NewGeometry(60)},
+		{"d4", deepPoints(), deepGeometry},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr := NewDynamic(c.g)
+				for _, p := range c.pts {
+					tr.Insert(p)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			inserts := float64(b.N * len(c.pts))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/inserts, "ns/insert")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/inserts, "allocs/insert")
+		})
 	}
 }

@@ -12,6 +12,13 @@
 # speedups scale with the host's CPU count; on a single-CPU runner
 # they sit at ~1.0 by construction (host_cpus records the context).
 #
+# The same file records R* insertion (BenchmarkDynamicInsert in
+# internal/rtree: d60 grows the TEXTURE60 x 0.02 tree the serving
+# benchmark's knn-read workload sets up, d4 a 4-d tree of height 6)
+# under "dynamic_insert": the best ns and allocations per insert of
+# each. One op grows a whole tree (5,509 or 20,000 inserts), so these
+# run one op per -count run whatever BENCHTIME says.
+#
 # Also runs the pointer-vs-flat k-NN traversal benchmarks
 # (BenchmarkKNNPointer / BenchmarkKNNFlat in internal/query, d=16 and
 # d=60) and writes BENCH_knn.json with the best ns/op of each path and
@@ -102,8 +109,26 @@ buildraw="$(go test -run='^$' -bench='^BenchmarkBuildWorkers' -benchtime="$BENCH
 echo "$buildraw"
 sweepraw="$(go test -run='^$' -bench='^BenchmarkSweepWorkers' -benchtime="$BENCHTIME" -count="$COUNT" .)"
 echo "$sweepraw"
+insertraw="$(go test -run='^$' -bench='^BenchmarkDynamicInsert$' -benchtime=1x -count="$COUNT" ./internal/rtree/)"
+echo "$insertraw"
 
-printf '%s\n%s\n' "$buildraw" "$sweepraw" | awk -v out="$BUILDOUT" -v count="$COUNT" -v benchtime="$BENCHTIME" -v procs="$PROCS" '
+printf '%s\n%s\n%s\n' "$buildraw" "$sweepraw" "$insertraw" | awk -v out="$BUILDOUT" -v count="$COUNT" -v benchtime="$BENCHTIME" -v procs="$PROCS" '
+/^BenchmarkDynamicInsert\// {
+	# custom metric columns come as "<value> <unit>" pairs; keep the
+	# lowest of each per-insert figure across the -count runs.
+	name = $1
+	if (match(name, /-[0-9]+$/)) gm = substr(name, RSTART + 1, RLENGTH - 1)
+	sub(/-[0-9]+$/, "", name)
+	sub(/^BenchmarkDynamicInsert\//, "", name)
+	for (i = 4; i < NF; i++) {
+		u = $(i + 1); v = $i + 0
+		if (u != "ns/insert" && u != "allocs/insert") continue
+		key = name SUBSEP u
+		if (!(key in ins) || v < ins[key]) ins[key] = v
+	}
+	if (!(name in iseen)) { iorder[++ni] = name; iseen[name] = 1 }
+	next
+}
 /^Benchmark(Build|Sweep)Workers\// {
 	name = $1
 	if (match(name, /-[0-9]+$/)) gm = substr(name, RSTART + 1, RLENGTH - 1)
@@ -142,7 +167,17 @@ END {
 			first = 0
 		}
 	}
-	printf "\n  }\n}\n" > out
+	printf "\n  }" > out
+	if (ni > 0) {
+		printf ",\n  \"dynamic_insert\": {\n" > out
+		for (i = 1; i <= ni; i++) {
+			name = iorder[i]
+			printf "    \"%s\": {\"ns_per_insert\": %.0f, \"allocs_per_insert\": %.2f}%s\n", \
+				name, ins[name, "ns/insert"], ins[name, "allocs/insert"], (i < ni ? "," : "") > out
+		}
+		printf "  }" > out
+	}
+	printf "\n}\n" > out
 }'
 
 echo "wrote $BUILDOUT:"
