@@ -112,9 +112,6 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	dirCap := float64(up.topo.EffDirCapacity())
 	leaves := make([]mbr.Rect, 0, up.topo.Leaves())
 	for i, area := range areas {
-		if DebugResampled != nil {
-			DebugResampled("area %d: stored=%d attempted=%d cap=%d", i, area.Len(), attempted[i], area.Cap())
-		}
 		if area.Len() == 0 {
 			// An upper leaf that attracted no resampled points: fall
 			// back to the cutoff geometry for its subtree.
@@ -173,7 +170,3 @@ func classifyPoints(pts [][]float64, boxes *mbr.RectSet, out []int, discardOutsi
 		out[i] = best
 	})
 }
-
-// DebugResampled, when non-nil, receives diagnostics from
-// PredictResampled. Test-only hook.
-var DebugResampled func(format string, args ...interface{})

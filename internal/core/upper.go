@@ -65,7 +65,7 @@ func buildUpper(pf *disk.PointFile, cfg Config, needLower bool) (*upperResult, e
 	sp = cfg.Trace.Span(PhaseSampleScan)
 	var scanner *query.SphereScanner
 	if cfg.FixedRadius == 0 {
-		scanner = query.NewSphereScanner(queryPoints, cfg.K).UsePool(cfg.pool())
+		scanner = query.NewSphereScanner(queryPoints, cfg.K, cfg.pool())
 	}
 	reservoir := dataset.NewReservoir(cfg.M, cfg.Rng)
 	chunk := scanChunk(cfg.M)

@@ -104,8 +104,9 @@ func DynamicIndex(opt Options) (DynamicResult, error) {
 	for i := range rects {
 		rects[i] = rects[i].GrowCentered(grow)
 	}
+	set := mbr.NewRectSet(rects)
 	for _, s := range spheres {
-		sum += float64(query.CountIntersections(rects, s))
+		sum += float64(set.CountSphereIntersections(s.Center, s.Radius))
 	}
 	predicted := sum / float64(len(spheres))
 

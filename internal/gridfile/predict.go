@@ -69,9 +69,10 @@ func Predict(data [][]float64, zeta float64, capacity int, spheres []query.Spher
 		regions = append(regions, r)
 	}
 	p := Prediction{PerQuery: make([]float64, len(spheres)), Buckets: len(regions)}
+	set := mbr.NewRectSet(regions)
 	var sum float64
 	for i, s := range spheres {
-		n := query.CountIntersections(regions, s)
+		n := set.CountSphereIntersections(s.Center, s.Radius)
 		p.PerQuery[i] = float64(n)
 		sum += float64(n)
 	}
@@ -84,10 +85,10 @@ func Predict(data [][]float64, zeta float64, capacity int, spheres []query.Spher
 // MeasureLeafAccesses counts, per query sphere, the occupied buckets
 // whose region intersects it.
 func MeasureLeafAccesses(g *GridFile, spheres []query.Sphere) []float64 {
-	regions := g.Regions()
+	set := mbr.NewRectSet(g.Regions())
 	out := make([]float64, len(spheres))
 	par.For(len(spheres), func(i int) {
-		out[i] = float64(query.CountIntersections(regions, spheres[i]))
+		out[i] = float64(set.CountSphereIntersections(spheres[i].Center, spheres[i].Radius))
 	})
 	return out
 }

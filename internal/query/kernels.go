@@ -1,54 +1,56 @@
 package query
 
 import (
-	"fmt"
-	"math"
 	"sync"
+	"unsafe"
 
 	"hdidx/internal/par"
-	"hdidx/internal/vec"
 )
 
-// This file holds the flat scan kernels behind ComputeSpheres and the
-// SphereScanner. They iterate a row-major vec.Matrix instead of a
-// [][]float64 (one contiguous array, no pointer per row) and prune
-// candidate rows with a partial-distance early exit against the
-// current k-th-best bound. The results are bit-identical to the
-// slice-based KNNBruteRadius reference, which the kernel tests assert.
-// Two facts make that possible:
+// This file holds the sphere-scan layout and the portable kernels
+// behind SphereScanner (and so behind ComputeSpheres). Rows are packed
+// into lane-wide groups with their dimensions interleaved ([d0 of rows
+// 0..L-1][d1 of rows 0..L-1]...), so one group kernel call accumulates
+// L rows at once: eight independent accumulator chains instead of the
+// single latency-bound s += d*d chain of the reference loop. L is 4
+// (AVX2) or 8 (AVX-512F) for the assembly kernels of
+// kernels_avx2_amd64.s, and 8 for the portable scanGroupsGo below.
+// Dimensions are zero-padded to a multiple of dimChunk; a padded term
+// adds (0-0)^2 = +0.0 to a non-negative partial sum, which is exact.
 //
-//   - Each row's squared-distance terms accumulate in ascending
-//     dimension order, exactly like sqDist. The kernel interleaves
-//     rows and splits dimensions into chunks, but never reassociates
-//     terms within a row, so every distance value is unchanged.
+// The results are bit-identical to the slice-based KNNBruteRadius
+// reference, which the kernel tests assert. Two facts make that
+// possible:
+//
+//   - Every kernel accumulates each row's squared-distance terms in
+//     ascending dimension order with sqDist's per-term sequence
+//     (d := row[j] - q[j]; s += d*d), never reassociating them, so
+//     every distance value is unchanged.
 //   - The k-NN radius is an order statistic of the per-row distance
-//     multiset, so rows may be visited in any order and a row may be
-//     dropped as soon as its partial sum alone exceeds the bound —
-//     the bounded max-heap would reject its full distance anyway.
+//     multiset, so rows may be visited in any order, in any chunking
+//     or batching, and a row may be dropped as soon as its partial
+//     sum alone exceeds the bound — the bounded max-heap would reject
+//     its full distance anyway.
 //
-// The scan is batched and column-chunked: rows are processed in
-// batches, each batch accumulates dimChunk dimensions at a time for
-// all still-live rows, and rows whose partial sum exceeds the bound
-// are compacted away between chunks. All accumulation runs through an
-// eight-row kernel with one independent accumulator per row; the
-// single-accumulator reference loop is latency-bound on its s += d*d
-// dependency chain, while eight independent chains run at
-// floating-point throughput. Compaction gives the early exit per-row
-// granularity without breaking the eight-wide interleave, and the
-// bound refreshes from the heap between batches.
-
-// rowBlock is the number of rows accumulated concurrently; eight
-// accumulators fit the FP register file with room for the operands.
-const rowBlock = 8
+// The partial-distance early exit lives in the group kernels: after
+// each dimChunk dimensions except the last they compare the partial
+// sums against the bound and abandon the group once every lane
+// exceeds it. An abandoned group's partial sums are written out as
+// they stand — all above the bound — so the caller's "offer only
+// values <= bound" filter drops them without any bookkeeping, exactly
+// like the completed distances the heap would reject.
 
 // dimChunk is how many dimensions accumulate between partial-distance
-// prune points, in both the batched and the single-row kernels.
+// prune points, in both the group kernels and the single-row kernel.
 const dimChunk = 8
 
 // scanBatch is the number of rows per pruning batch. Within a batch
 // the bound is fixed (taken from the heap at batch start); survivors
 // are offered at batch end, tightening the bound for the next batch.
 const scanBatch = 512
+
+// goLanes is the lane width of the portable group kernel.
+const goLanes = 8
 
 // sqDistBounded accumulates the squared distance between row and q in
 // blocks of dimChunk dimensions, giving up as soon as the partial sum
@@ -75,211 +77,109 @@ func sqDistBounded(row, q []float64, bound float64) (dist float64, ok bool) {
 	return s, s <= bound
 }
 
-// scanScratch is the pooled per-worker state of the batched scan: the
-// partial sums and dataset-row indices of the live rows of the
-// current batch.
+// A groupKernel accumulates, for each of the n consecutive groups
+// starting at group g0 of a packed matrix, the lanes' squared
+// distances between the group's rows and the padded query q, writing
+// them to part (one float64 per lane per group). A group is
+// groupBytes long; nchunks is dimPad/dimChunk. Groups whose partial
+// sums all exceed bound at a chunk boundary are abandoned; their
+// written partials then all exceed bound. scanGroupsGo and the
+// assembly kernels scanGroups4 and scanGroups8 share this contract.
+type groupKernel func(packed *float64, groupBytes uintptr, g0, n int, q *float64, nchunks int, bound float64, part *float64)
+
+// scanGroupsGo is the portable eight-lane group kernel: the fallback
+// where no vector kernel runs, and the reference the vector kernels
+// are tested against.
+func scanGroupsGo(packed *float64, groupBytes uintptr, g0, n int, q *float64, nchunks int, bound float64, part *float64) {
+	stride := int(groupBytes / 8)
+	groups := unsafe.Slice(packed, (g0+n)*stride)[g0*stride:]
+	qs := unsafe.Slice(q, nchunks*dimChunk)
+	out := unsafe.Slice(part, n*goLanes)
+	for g := 0; g < n; g++ {
+		grp := groups[g*stride : (g+1)*stride]
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for c := 0; c < nchunks; c++ {
+			for _, qj := range qs[c*dimChunk : (c+1)*dimChunk] {
+				v := (*[goLanes]float64)(grp)
+				grp = grp[goLanes:]
+				d0 := v[0] - qj
+				a0 += d0 * d0
+				d1 := v[1] - qj
+				a1 += d1 * d1
+				d2 := v[2] - qj
+				a2 += d2 * d2
+				d3 := v[3] - qj
+				a3 += d3 * d3
+				d4 := v[4] - qj
+				a4 += d4 * d4
+				d5 := v[5] - qj
+				a5 += d5 * d5
+				d6 := v[6] - qj
+				a6 += d6 * d6
+				d7 := v[7] - qj
+				a7 += d7 * d7
+			}
+			if c+1 < nchunks && a0 > bound && a1 > bound && a2 > bound && a3 > bound &&
+				a4 > bound && a5 > bound && a6 > bound && a7 > bound {
+				break
+			}
+		}
+		o := (*[goLanes]float64)(out[g*goLanes:])
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+}
+
+// packedMatrix is a chunk of rows packed for the group kernels: its
+// full lane-wide groups, dimension-interleaved and zero-padded to
+// dimPad. The chunk's leftover rows (len mod lanes) are not packed.
+type packedMatrix struct {
+	buf    []float64
+	lanes  int
+	dimPad int
+	groups int
+}
+
+var packedPool = sync.Pool{New: func() interface{} { return &packedMatrix{} }}
+
+// packMatrix packs the full groups of pts, whose rows must all have
+// dimension dim, into a pooled packedMatrix, fanning the groups out on
+// pool.
+func packMatrix(pts [][]float64, dim, lanes int, pool par.Pool) *packedMatrix {
+	dimPad := (dim + dimChunk - 1) / dimChunk * dimChunk
+	groups := len(pts) / lanes
+	pm := packedPool.Get().(*packedMatrix)
+	pm.lanes = lanes
+	pm.dimPad = dimPad
+	pm.groups = groups
+	need := groups * lanes * dimPad
+	if cap(pm.buf) < need {
+		pm.buf = make([]float64, need)
+	}
+	pm.buf = pm.buf[:need]
+	pool.Chunks(groups, func(lo, hi int) {
+		for g := lo; g < hi; g++ {
+			dst := pm.buf[g*lanes*dimPad : (g+1)*lanes*dimPad]
+			for l, row := range pts[g*lanes : (g+1)*lanes] {
+				for j, v := range row {
+					dst[j*lanes+l] = v
+				}
+			}
+			clear(dst[dim*lanes:])
+		}
+	})
+	return pm
+}
+
+// groupBytes is the byte length of one packed group.
+func (pm *packedMatrix) groupBytes() uintptr { return uintptr(pm.lanes*pm.dimPad) * 8 }
+
+// scanScratch is the pooled per-worker state of the scan: the
+// zero-padded query and the per-lane distances of one batch.
 type scanScratch struct {
+	qpad []float64
 	part []float64
-	idx  []int32
 }
 
 var scratchPool = sync.Pool{New: func() interface{} {
-	return &scanScratch{
-		part: make([]float64, scanBatch),
-		idx:  make([]int32, scanBatch),
-	}
+	return &scanScratch{part: make([]float64, scanBatch)}
 }}
-
-// scanKNNFlat offers the squared distance from q to every row of the
-// flat matrix data (stride dim) to h, skipping rows that the partial-
-// distance early exit proves the heap would reject. The heap may carry
-// state from earlier chunks of the same dataset (SphereScanner).
-func scanKNNFlat(data []float64, dim int, q []float64, h *boundedMaxHeap) {
-	if len(q) != dim {
-		panic(fmt.Sprintf("query: query dimension %d != dataset dimension %d", len(q), dim))
-	}
-	n := len(data) / dim
-	sc := scratchPool.Get().(*scanScratch)
-	part, idx := sc.part, sc.idx
-
-	for b0 := 0; b0 < n; b0 += scanBatch {
-		bn := n - b0
-		if bn > scanBatch {
-			bn = scanBatch
-		}
-		bound := h.max()
-		live := bn
-		for i := 0; i < bn; i++ {
-			idx[i] = int32(b0 + i)
-			part[i] = 0
-		}
-		prune := !math.IsInf(bound, 1)
-		for c := 0; c < dim; c += dimChunk {
-			ce := c + dimChunk
-			if ce > dim {
-				ce = dim
-			}
-			accumulateChunk(data, dim, q, c, ce, idx[:live], part[:live])
-			if prune && ce < dim {
-				w := 0
-				for i := 0; i < live; i++ {
-					if part[i] <= bound {
-						idx[w], part[w] = idx[i], part[i]
-						w++
-					}
-				}
-				live = w
-			}
-		}
-		// The heap rejects values above the current k-th best in
-		// O(1), so the surviving distances are offered directly.
-		for i := 0; i < live; i++ {
-			h.offer(part[i])
-		}
-	}
-	scratchPool.Put(sc)
-}
-
-// accumulateChunk adds the squared-distance contribution of
-// dimensions [c, ce) to the partial sum of every live row. Full
-// dimChunk-sized chunks run the eight-row kernel: fixed-size array
-// views give the inner loop constant bounds (no per-element bounds
-// checks) and eight independent accumulator chains.
-func accumulateChunk(data []float64, dim int, q []float64, c, ce int, idx []int32, part []float64) {
-	if ce-c != dimChunk {
-		// Tail chunk of dim%dimChunk dimensions.
-		for i, row := range idx {
-			base := int(row) * dim
-			s := part[i]
-			for j := c; j < ce; j++ {
-				d := data[base+j] - q[j]
-				s += d * d
-			}
-			part[i] = s
-		}
-		return
-	}
-	qs := (*[dimChunk]float64)(q[c:])
-	i := 0
-	for ; i+rowBlock <= len(idx); i += rowBlock {
-		p0 := (*[dimChunk]float64)(data[int(idx[i])*dim+c:])
-		p1 := (*[dimChunk]float64)(data[int(idx[i+1])*dim+c:])
-		p2 := (*[dimChunk]float64)(data[int(idx[i+2])*dim+c:])
-		p3 := (*[dimChunk]float64)(data[int(idx[i+3])*dim+c:])
-		p4 := (*[dimChunk]float64)(data[int(idx[i+4])*dim+c:])
-		p5 := (*[dimChunk]float64)(data[int(idx[i+5])*dim+c:])
-		p6 := (*[dimChunk]float64)(data[int(idx[i+6])*dim+c:])
-		p7 := (*[dimChunk]float64)(data[int(idx[i+7])*dim+c:])
-		a0, a1, a2, a3 := part[i], part[i+1], part[i+2], part[i+3]
-		a4, a5, a6, a7 := part[i+4], part[i+5], part[i+6], part[i+7]
-		for jj := 0; jj < dimChunk; jj++ {
-			qj := qs[jj]
-			d0 := p0[jj] - qj
-			a0 += d0 * d0
-			d1 := p1[jj] - qj
-			a1 += d1 * d1
-			d2 := p2[jj] - qj
-			a2 += d2 * d2
-			d3 := p3[jj] - qj
-			a3 += d3 * d3
-			d4 := p4[jj] - qj
-			a4 += d4 * d4
-			d5 := p5[jj] - qj
-			a5 += d5 * d5
-			d6 := p6[jj] - qj
-			a6 += d6 * d6
-			d7 := p7[jj] - qj
-			a7 += d7 * d7
-		}
-		part[i], part[i+1], part[i+2], part[i+3] = a0, a1, a2, a3
-		part[i+4], part[i+5], part[i+6], part[i+7] = a4, a5, a6, a7
-	}
-	for ; i < len(idx); i++ {
-		row := (*[dimChunk]float64)(data[int(idx[i])*dim+c:])
-		s := part[i]
-		for jj := 0; jj < dimChunk; jj++ {
-			d := row[jj] - qs[jj]
-			s += d * d
-		}
-		part[i] = s
-	}
-}
-
-// heapPool recycles the per-worker bounded max-heaps of the parallel
-// sphere computations, so the fan-out allocates nothing per query.
-var heapPool = sync.Pool{New: func() interface{} { return &boundedMaxHeap{} }}
-
-// heapSetPool recycles the per-worker heap sets of the query-blocked
-// sphere computation (one heap per query of the worker's chunk).
-var heapSetPool = sync.Pool{New: func() interface{} { return &heapSet{} }}
-
-type heapSet struct{ heaps []*boundedMaxHeap }
-
-func (s *heapSet) grow(n, k int) []*boundedMaxHeap {
-	for len(s.heaps) < n {
-		s.heaps = append(s.heaps, &boundedMaxHeap{})
-	}
-	hs := s.heaps[:n]
-	for _, h := range hs {
-		h.reset(k)
-	}
-	return hs
-}
-
-// cacheBlockBytes is the target size of one row batch of the
-// query-blocked scan; batches this size stay cache-resident while
-// every query of a worker's chunk visits them.
-const cacheBlockBytes = 256 << 10
-
-// computeSpheresFlat is the kernel behind ComputeSpheres. When the
-// CPU supports it, the SIMD scan takes over (kernels_avx2_amd64.go),
-// packing the rows directly; otherwise the rows are flattened into a
-// vec.Matrix and the scalar query-blocked scan below runs. Both are
-// bit-identical to the reference. The fan-out over queries is bounded
-// by pool (the zero pool follows the process default).
-func computeSpheresFlat(data, queryPoints [][]float64, k int, pool par.Pool) []Sphere {
-	if k <= 0 || k > len(data) {
-		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, len(data)))
-	}
-	spheres := make([]Sphere, len(queryPoints))
-	if computeSpheresSIMD(data, queryPoints, k, spheres, pool) {
-		return spheres
-	}
-	computeSpheresScalar(vec.NewMatrix(data), queryPoints, k, spheres, pool)
-	return spheres
-}
-
-// computeSpheresScalar is the portable query-blocked flat scan. The
-// dataset is walked once in cache-resident row batches, and every
-// query of the worker's chunk scans the batch (carrying its heap
-// across batches) before the next batch is touched — so the dataset
-// streams from memory once per worker instead of once per query. Per
-// query the rows still arrive in ascending order with the same
-// carried bound, so the radii are bit-identical to independent full
-// scans.
-func computeSpheresScalar(m vec.Matrix, queryPoints [][]float64, k int, spheres []Sphere, pool par.Pool) {
-	dim := m.Dim
-	batchRows := cacheBlockBytes / (dim * 8)
-	if batchRows < scanBatch {
-		batchRows = scanBatch
-	}
-	pool.Chunks(len(queryPoints), func(lo, hi int) {
-		set := heapSetPool.Get().(*heapSet)
-		heaps := set.grow(hi-lo, k)
-		n := m.Len()
-		for b0 := 0; b0 < n; b0 += batchRows {
-			be := b0 + batchRows
-			if be > n {
-				be = n
-			}
-			seg := m.Data[b0*dim : be*dim]
-			for i := lo; i < hi; i++ {
-				scanKNNFlat(seg, dim, queryPoints[i], heaps[i-lo])
-			}
-		}
-		for i := lo; i < hi; i++ {
-			spheres[i] = Sphere{Center: queryPoints[i], Radius: math.Sqrt(heaps[i-lo].max())}
-		}
-		heapSetPool.Put(set)
-	})
-}

@@ -1,5 +1,5 @@
-// Vector kernels of the packed sphere scan. See
-// kernels_avx2_amd64.go for the layout and the bit-identity argument:
+// Vector kernels of the packed sphere scan. See kernels.go for the
+// layout, the group kernel contract and the bit-identity argument:
 // per lane the VSUBPD/VMULPD/VADDPD sequence below performs exactly
 // the scalar d := row[j] - q[j]; s += d*d of sqDist, in ascending
 // dimension order, on four (AVX2) or eight (AVX-512F) rows at once.

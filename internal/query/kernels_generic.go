@@ -2,10 +2,6 @@
 
 package query
 
-import "hdidx/internal/par"
-
-// computeSpheresSIMD is a no-op on architectures without the vector
-// kernels; the scalar query-blocked scan handles everything.
-func computeSpheresSIMD(data, queryPoints [][]float64, k int, spheres []Sphere, pool par.Pool) bool {
-	return false
-}
+// scanKernel returns the portable group kernel: this architecture has
+// no vector kernels.
+func scanKernel() (int, groupKernel) { return goLanes, scanGroupsGo }

@@ -7,7 +7,6 @@ import (
 
 	"hdidx/internal/dataset"
 	"hdidx/internal/par"
-	"hdidx/internal/vec"
 )
 
 // refComputeSpheres is the slice-based oracle: one full-distance
@@ -128,16 +127,6 @@ func TestComputeSpheresPanicsOnBadK(t *testing.T) {
 	}
 }
 
-func TestScanKNNFlatDimensionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on dimension mismatch")
-		}
-	}()
-	m := vec.NewMatrix([][]float64{{1, 2}, {3, 4}})
-	scanKNNFlat(m.Data, m.Dim, []float64{1, 2, 3}, newBoundedMaxHeap(1))
-}
-
 func TestSqDistBoundedMatchesSqDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dim := range []int{1, 3, 4, 5, 8, 17, 64} {
@@ -163,6 +152,25 @@ func TestSqDistBoundedMatchesSqDist(t *testing.T) {
 	}
 }
 
+// Dataset sizes around the group and batch boundaries of the packed
+// scan: lane-count multiples plus/minus one (tail rows), exactly one
+// batch, one batch plus one group.
+func TestComputeSpheresPackedBoundaries(t *testing.T) {
+	l, _ := scanKernel()
+	sizes := []int{l, l + 1, 2*l - 1, scanBatch, scanBatch + l, scanBatch + l + 1}
+	for _, n := range sizes {
+		data := uniformPoints(n, 16, int64(n))
+		queries := uniformPoints(10, 16, int64(n)+1000)
+		got := ComputeSpheres(data, queries, min(21, n))
+		want := refComputeSpheres(data, queries, min(21, n))
+		for i := range want {
+			if got[i].Radius != want[i].Radius {
+				t.Fatalf("n=%d query %d: radius %v != oracle %v", n, i, got[i].Radius, want[i].Radius)
+			}
+		}
+	}
+}
+
 // benchSpheresInput stages the paper-scale regime the acceptance
 // criterion names: d >= 16, 21-NN, density-biased queries.
 func benchSpheresInput(dim int) ([][]float64, [][]float64) {
@@ -176,8 +184,8 @@ func benchSpheresInput(dim int) ([][]float64, [][]float64) {
 }
 
 // BenchmarkKernelComputeSpheresFlat exercises the production path
-// (flat matrix, early exit, chunked parallel fan-out); its Ref sibling
-// runs the slice-based oracle over the identical workload and
+// (packed groups, early exit, chunked parallel fan-out); its Ref
+// sibling runs the slice-based oracle over the identical workload and
 // parallelism. scripts/bench.sh records their ratio in
 // BENCH_kernels.json.
 func BenchmarkKernelComputeSpheresFlat(b *testing.B) {
@@ -219,5 +227,21 @@ func BenchmarkKernelComputeSpheresRef60(b *testing.B) {
 		par.For(len(queries), func(j int) {
 			spheres[j] = Sphere{Center: queries[j], Radius: KNNBruteRadius(data, queries[j], 21)}
 		})
+	}
+}
+
+// BenchmarkKernelSphereScanner60 streams the d60 workload through a
+// SphereScanner in chunks of 1,000 rows, the chunk size the resampled
+// predictor's scan reads at M = 1,000.
+func BenchmarkKernelSphereScanner60(b *testing.B) {
+	data, queries := benchSpheresInput(60)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewSphereScanner(queries, 21, par.Pool{})
+		for off := 0; off < len(data); off += 1000 {
+			s.Process(data[off:min(off+1000, len(data))])
+		}
+		s.Spheres()
 	}
 }

@@ -87,7 +87,7 @@ func TestMultiStepIndexAccessesEqualSphereIntersections(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := full[rng.Intn(len(full))]
 		res := MultiStepKNN(tr, q, 21, project, lookup)
-		want := CountIntersections(rects, Sphere{Center: project(q), Radius: res.Radius})
+		want := sphereIntersections(rects, project(q), res.Radius)
 		if res.IndexLeafAccesses != want {
 			t.Errorf("multi-step opened %d index leaves, sphere intersects %d",
 				res.IndexLeafAccesses, want)

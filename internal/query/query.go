@@ -27,11 +27,6 @@ type Sphere struct {
 	Radius float64
 }
 
-// Intersects reports whether the sphere touches the rectangle.
-func (s Sphere) Intersects(r mbr.Rect) bool {
-	return r.IntersectsSphere(s.Center, s.Radius)
-}
-
 // KNNBruteRadius returns the distance from q to its k-th nearest
 // neighbor in pts by linear scan. If q is itself an element of pts it
 // participates at distance zero, matching the paper's density-biased
@@ -39,7 +34,7 @@ func (s Sphere) Intersects(r mbr.Rect) bool {
 // if k exceeds the number of points or is not positive.
 //
 // This is the slice-based reference implementation; ComputeSpheres
-// runs the flat early-exit kernel, whose radii are bit-identical
+// runs the packed early-exit scan, whose radii are bit-identical
 // (asserted by the kernel tests).
 func KNNBruteRadius(pts [][]float64, q []float64, k int) float64 {
 	if k <= 0 || k > len(pts) {
@@ -54,36 +49,23 @@ func KNNBruteRadius(pts [][]float64, q []float64, k int) float64 {
 
 // ComputeSpheres computes the k-NN sphere of every query point against
 // the full dataset, the way the paper determines its query shapes
-// during the single dataset scan. The dataset is laid out flat once
-// (packed for the vector kernel where available, row-major otherwise)
-// and each query runs the blocked early-exit scan kernel; queries are
-// processed in parallel chunks with pooled scratch.
+// during the single dataset scan: a SphereScanner fed the whole
+// dataset as one chunk, its queries processed in parallel chunks. It
+// panics if k is not in [1, len(data)].
 func ComputeSpheres(data [][]float64, queryPoints [][]float64, k int) []Sphere {
-	return computeSpheresFlat(data, queryPoints, k, par.Pool{})
+	return ComputeSpheresPool(data, queryPoints, k, par.Pool{})
 }
 
 // ComputeSpheresPool is ComputeSpheres with the fan-out over queries
 // bounded by pool instead of the process-wide worker pool — the entry
 // point for callers carrying a per-call worker count.
 func ComputeSpheresPool(data [][]float64, queryPoints [][]float64, k int, pool par.Pool) []Sphere {
-	return computeSpheresFlat(data, queryPoints, k, pool)
-}
-
-// CountIntersections returns the number of rectangles intersecting the
-// sphere. This is the page-access count of an optimal k-NN search over
-// leaves with those MBRs, and the quantity every predictor estimates.
-//
-// This is the slice-based reference implementation; the measurement
-// and prediction hot paths run mbr.RectSet.CountSphereIntersections,
-// which is bit-identical (asserted by the rectset tests).
-func CountIntersections(rects []mbr.Rect, s Sphere) int {
-	n := 0
-	for _, r := range rects {
-		if s.Intersects(r) {
-			n++
-		}
+	if k <= 0 || k > len(data) {
+		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, len(data)))
 	}
-	return n
+	s := NewSphereScanner(queryPoints, k, pool)
+	s.Process(data)
+	return s.Spheres()
 }
 
 // MeasureLeafAccesses counts, for each query sphere, the leaf pages of

@@ -93,18 +93,6 @@ func TestDensityBiasedWorkloadDrawsFromData(t *testing.T) {
 	}
 }
 
-func TestCountIntersections(t *testing.T) {
-	rects := []mbr.Rect{
-		mbr.FromCorners([]float64{0, 0}, []float64{1, 1}),
-		mbr.FromCorners([]float64{5, 5}, []float64{6, 6}),
-		mbr.FromCorners([]float64{2, 0}, []float64{3, 1}),
-	}
-	s := Sphere{Center: []float64{1.5, 0.5}, Radius: 0.6}
-	if got := CountIntersections(rects, s); got != 2 {
-		t.Errorf("intersections = %d, want 2", got)
-	}
-}
-
 func TestKNNSearchMatchesBruteForce(t *testing.T) {
 	data := uniformPoints(3000, 6, 5)
 	tr := rtree.Build(data, rtree.BuildParams{LeafCap: 32, DirCap: 15})
@@ -141,6 +129,19 @@ func TestKNNSearchNeighborsSorted(t *testing.T) {
 	}
 }
 
+// sphereIntersections counts the rectangles the closed ball around
+// center touches: the page-access count of an optimal k-NN search
+// over leaves with those MBRs.
+func sphereIntersections(rects []mbr.Rect, center []float64, radius float64) int {
+	n := 0
+	for _, r := range rects {
+		if r.IntersectsSphere(center, radius) {
+			n++
+		}
+	}
+	return n
+}
+
 // The central measurement identity: the leaf accesses of the optimal
 // best-first search equal the number of leaf MBRs intersecting the
 // final k-NN sphere. Both the paper's measurements and its predictions
@@ -152,7 +153,7 @@ func TestBestFirstAccessesEqualSphereIntersections(t *testing.T) {
 	queries := uniformPoints(40, 8, 9)
 	for _, q := range queries {
 		res := KNNSearch(tr, q, 21)
-		want := CountIntersections(rects, Sphere{Center: q, Radius: res.Radius})
+		want := sphereIntersections(rects, q, res.Radius)
 		if res.LeafAccesses != want {
 			t.Errorf("best-first accessed %d leaves, sphere intersects %d", res.LeafAccesses, want)
 		}

@@ -1,27 +1,30 @@
 package query
 
 import (
+	"fmt"
 	"math"
 
 	"hdidx/internal/par"
-	"hdidx/internal/vec"
 )
 
 // SphereScanner computes the k-NN radii of a fixed set of query points
 // over a dataset that is streamed in chunks — the way the predictors
 // of the paper determine their query spheres during the single dataset
-// scan (Figure 5 step 3, Figure 7 step 3).
+// scan (Figure 5 step 3, Figure 7 step 3). It is the package's only
+// sphere scan: ComputeSpheres feeds it the whole dataset as one chunk.
 type SphereScanner struct {
 	queryPoints [][]float64
 	k           int
 	heaps       []*boundedMaxHeap
 	seen        int
-	buf         vec.Matrix // flattened current chunk, reused across chunks
-	pool        par.Pool   // fan-out bound; zero = process default
+	dim         int      // fixed by the first row seen
+	pool        par.Pool // fan-out bound; zero = process default
 }
 
-// NewSphereScanner prepares a scanner for the given query points and k.
-func NewSphereScanner(queryPoints [][]float64, k int) *SphereScanner {
+// NewSphereScanner prepares a scanner for the given query points and
+// k whose per-chunk fan-out over queries is bounded by pool (the zero
+// pool follows the process default).
+func NewSphereScanner(queryPoints [][]float64, k int, pool par.Pool) *SphereScanner {
 	if k <= 0 {
 		panic("query: k must be positive")
 	}
@@ -29,33 +32,81 @@ func NewSphereScanner(queryPoints [][]float64, k int) *SphereScanner {
 	for i := range heaps {
 		heaps[i] = newBoundedMaxHeap(k)
 	}
-	return &SphereScanner{queryPoints: queryPoints, k: k, heaps: heaps}
+	return &SphereScanner{queryPoints: queryPoints, k: k, heaps: heaps, pool: pool}
 }
 
-// UsePool bounds the scanner's per-chunk fan-out by pool instead of
-// the process-wide worker pool and returns the scanner for chaining.
-func (s *SphereScanner) UsePool(pool par.Pool) *SphereScanner {
-	s.pool = pool
-	return s
-}
-
-// Process feeds one chunk of the dataset to the scanner. The chunk is
-// flattened once into the scanner's reusable row-major buffer, then
-// every query advances its heap with the early-exit scan kernel (the
-// k-th-best bound carries over from earlier chunks). Queries are
-// updated in parallel.
+// Process feeds one chunk of the dataset to the scanner. The first
+// row the scanner sees fixes the dimension; a row or query of another
+// width panics. The chunk's full lane groups are packed once, then
+// the queries fan out on the scanner's pool: batch by batch, every
+// query of a worker's share runs the group kernel against its heap
+// (the k-th-best bound carries over from earlier chunks and batches),
+// and the leftover rows run the single-row kernel.
 func (s *SphereScanner) Process(chunk [][]float64) {
-	s.seen += len(chunk)
 	if len(chunk) == 0 {
 		return
 	}
-	s.buf.Reset()
-	s.buf.AppendRows(chunk)
-	s.pool.Chunks(len(s.queryPoints), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			scanKNNFlat(s.buf.Data, s.buf.Dim, s.queryPoints[i], s.heaps[i])
+	if s.seen == 0 {
+		s.dim = len(chunk[0])
+		for i, q := range s.queryPoints {
+			if len(q) != s.dim {
+				panic(fmt.Sprintf("query: query %d has dimension %d, want %d", i, len(q), s.dim))
+			}
 		}
+	}
+	dim := s.dim
+	for i, row := range chunk {
+		if len(row) != dim {
+			panic(fmt.Sprintf("query: row %d has dimension %d, want %d", s.seen+i, len(row), dim))
+		}
+	}
+	s.seen += len(chunk)
+
+	lanes, kernel := scanKernel()
+	pm := packMatrix(chunk, dim, lanes, s.pool)
+	tail := chunk[pm.groups*lanes:]
+	dimPad, groupBytes := pm.dimPad, pm.groupBytes()
+	nchunks := dimPad / dimChunk
+	batchGroups := scanBatch / lanes
+	s.pool.Chunks(len(s.queryPoints), func(lo, hi int) {
+		sc := scratchPool.Get().(*scanScratch)
+		if cap(sc.qpad) < dimPad {
+			sc.qpad = make([]float64, dimPad)
+		}
+		qpad, part := sc.qpad[:dimPad], sc.part
+		clear(qpad[dim:])
+		for b0 := 0; b0 < pm.groups; b0 += batchGroups {
+			bn := min(batchGroups, pm.groups-b0)
+			for qi := lo; qi < hi; qi++ {
+				copy(qpad, s.queryPoints[qi])
+				h := s.heaps[qi]
+				bound := h.max()
+				kernel(&pm.buf[0], groupBytes, b0, bn, &qpad[0], nchunks, bound, &part[0])
+				// Distances above the bound — abandoned groups and
+				// completed rows alike — are exactly the values the
+				// heap would reject, so they are filtered here
+				// without the call. Inserts tighten the filter.
+				for _, v := range part[:bn*lanes] {
+					if v <= bound {
+						h.offer(v)
+						bound = h.max()
+					}
+				}
+			}
+		}
+		for qi := lo; qi < hi; qi++ {
+			h, q := s.heaps[qi], s.queryPoints[qi]
+			bound := h.max()
+			for _, row := range tail {
+				if d, ok := sqDistBounded(row, q, bound); ok {
+					h.offer(d)
+					bound = h.max()
+				}
+			}
+		}
+		scratchPool.Put(sc)
 	})
+	packedPool.Put(pm)
 }
 
 // Spheres returns the k-NN spheres after the full dataset has been

@@ -1,18 +1,20 @@
 package query
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"hdidx/internal/dataset"
+	"hdidx/internal/par"
 )
 
 func TestSphereScannerMatchesBatch(t *testing.T) {
 	data := uniformPoints(2000, 6, 31)
 	queries := uniformPoints(20, 6, 32)
-	s := NewSphereScanner(queries, 7)
+	s := NewSphereScanner(queries, 7, par.Pool{})
 	// Feed in uneven chunks.
 	for off := 0; off < len(data); {
 		c := 1 + (off*7)%123
@@ -23,16 +25,16 @@ func TestSphereScannerMatchesBatch(t *testing.T) {
 		off += c
 	}
 	got := s.Spheres()
-	want := ComputeSpheres(data, queries, 7)
+	want := refComputeSpheres(data, queries, 7)
 	for i := range want {
-		if math.Abs(got[i].Radius-want[i].Radius) > 1e-12 {
-			t.Errorf("query %d: streamed radius %v, batch %v", i, got[i].Radius, want[i].Radius)
+		if got[i].Radius != want[i].Radius {
+			t.Errorf("query %d: streamed radius %v, oracle %v", i, got[i].Radius, want[i].Radius)
 		}
 	}
 }
 
 func TestSphereScannerPanicsUnderfed(t *testing.T) {
-	s := NewSphereScanner(uniformPoints(3, 2, 33), 5)
+	s := NewSphereScanner(uniformPoints(3, 2, 33), 5, par.Pool{})
 	s.Process(uniformPoints(3, 2, 34))
 	defer func() {
 		if recover() == nil {
@@ -48,7 +50,29 @@ func TestSphereScannerBadKPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSphereScanner(nil, 0)
+	NewSphereScanner(nil, 0, par.Pool{})
+}
+
+// A query whose width differs from the dataset's panics in Process,
+// naming the query.
+func TestSphereScannerQueryDimensionPanics(t *testing.T) {
+	s := NewSphereScanner([][]float64{{1, 2}, {1, 2, 3}}, 1, par.Pool{})
+	wantPanic(t, "query 1 has dimension 3, want 2", func() {
+		s.Process([][]float64{{1, 2}, {3, 4}})
+	})
+}
+
+// wantPanic fails the test unless f panics with a message containing
+// want.
+func wantPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("panic %v, want one containing %q", r, want)
+		}
+	}()
+	f()
 }
 
 // Property: chunking never changes the result.
@@ -61,10 +85,10 @@ func TestSphereScannerChunkingInvariantProperty(t *testing.T) {
 		data := dataset.GenerateUniform("u", n, dim, r).Points
 		queries := dataset.GenerateUniform("q", 5, dim, r).Points
 
-		one := NewSphereScanner(queries, k)
+		one := NewSphereScanner(queries, k, par.Pool{})
 		one.Process(data)
 
-		many := NewSphereScanner(queries, k)
+		many := NewSphereScanner(queries, k, par.Pool{})
 		for off := 0; off < n; {
 			c := 1 + r.Intn(n-off)
 			many.Process(data[off : off+c])

@@ -5,42 +5,18 @@ import "fmt"
 // Matrix is a dense row-major point matrix: row i occupies
 // Data[i*Dim : (i+1)*Dim]. It is the flat, cache-friendly counterpart
 // of a [][]float64 point set — one contiguous allocation instead of a
-// pointer per row — and is what the hot scan kernels (k-NN radius
-// computation, sphere scanning) iterate over. Build it once per
-// dataset and share it; the kernels never mutate it.
+// pointer per row — and is what the flat tree's leaf scans iterate
+// over. Build it once per dataset and share it; the scans never mutate
+// it.
 type Matrix struct {
 	Data []float64
 	N    int // number of rows (points)
 	Dim  int // row stride (dimensionality)
 }
 
-// NewMatrix flattens pts into a freshly allocated row-major matrix.
-// It panics on ragged input; mismatched dimensionality is always a
-// programming error in this code base. An empty point set yields a
-// zero-dimensional empty matrix.
-func NewMatrix(pts [][]float64) Matrix {
-	if len(pts) == 0 {
-		return Matrix{}
-	}
-	dim := len(pts[0])
-	m := Matrix{
-		Data: make([]float64, len(pts)*dim),
-		N:    len(pts),
-		Dim:  dim,
-	}
-	for i, p := range pts {
-		if len(p) != dim {
-			panic(fmt.Sprintf("vec: ragged point set: row %d has dimension %d, want %d", i, len(p), dim))
-		}
-		copy(m.Data[i*dim:], p)
-	}
-	return m
-}
-
 // AppendRows flattens pts onto the end of the matrix, growing Data as
 // needed. The matrix adopts the dimensionality of the first row ever
-// appended; later mismatches panic. It lets a streaming scanner reuse
-// one backing array across chunks (truncate with Reset between them).
+// appended; later mismatches panic.
 func (m *Matrix) AppendRows(pts [][]float64) {
 	if len(pts) == 0 {
 		return
@@ -55,13 +31,6 @@ func (m *Matrix) AppendRows(pts [][]float64) {
 		m.Data = append(m.Data, p...)
 	}
 	m.N += len(pts)
-}
-
-// Reset empties the matrix, keeping the backing array and the
-// dimensionality for reuse.
-func (m *Matrix) Reset() {
-	m.Data = m.Data[:0]
-	m.N = 0
 }
 
 // Len returns the number of rows.

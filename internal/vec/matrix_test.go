@@ -1,75 +1,22 @@
 package vec
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
-func TestNewMatrixRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pts := make([][]float64, 37)
-	for i := range pts {
-		pts[i] = make([]float64, 5)
-		for j := range pts[i] {
-			pts[i][j] = rng.Float64()
-		}
-	}
-	m := NewMatrix(pts)
-	if m.Len() != len(pts) || m.Dim != 5 {
-		t.Fatalf("matrix is %dx%d, want %dx5", m.Len(), m.Dim, len(pts))
-	}
-	for i, p := range pts {
-		row := m.Row(i)
-		for j, v := range p {
-			if row[j] != v {
-				t.Fatalf("row %d dim %d: %v != %v", i, j, row[j], v)
-			}
-		}
-	}
-	// The matrix is a copy: mutating the source must not leak through.
-	pts[0][0] = 999
-	if m.Row(0)[0] == 999 {
-		t.Error("matrix aliases the source points")
-	}
-}
-
-func TestNewMatrixEmpty(t *testing.T) {
-	m := NewMatrix(nil)
-	if m.Len() != 0 || m.Dim != 0 {
-		t.Fatalf("empty matrix is %dx%d", m.Len(), m.Dim)
-	}
-}
-
-func TestNewMatrixRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on ragged input")
-		}
-	}()
-	NewMatrix([][]float64{{1, 2}, {1}})
-}
-
-func TestMatrixAppendRowsReset(t *testing.T) {
+func TestMatrixAppendRows(t *testing.T) {
 	var m Matrix
 	m.AppendRows([][]float64{{1, 2}, {3, 4}})
 	if m.Len() != 2 || m.Dim != 2 {
 		t.Fatalf("matrix is %dx%d, want 2x2", m.Len(), m.Dim)
 	}
-	m.AppendRows([][]float64{{5, 6}})
+	src := [][]float64{{5, 6}}
+	m.AppendRows(src)
 	if m.Len() != 3 || m.Row(2)[1] != 6 {
 		t.Fatalf("append failed: %dx%d row2=%v", m.Len(), m.Dim, m.Row(2))
 	}
-	backing := &m.Data[0]
-	m.Reset()
-	if m.Len() != 0 || m.Dim != 2 {
-		t.Fatalf("reset matrix is %dx%d, want 0x2", m.Len(), m.Dim)
-	}
-	m.AppendRows([][]float64{{7, 8}})
-	if &m.Data[0] != backing {
-		t.Error("reset did not keep the backing array")
-	}
-	if m.Row(0)[0] != 7 {
-		t.Errorf("row 0 after reset = %v", m.Row(0))
+	// The matrix is a copy: mutating the source must not leak through.
+	src[0][0] = 999
+	if m.Row(2)[0] == 999 {
+		t.Error("matrix aliases the appended rows")
 	}
 }
 

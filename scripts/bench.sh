@@ -2,8 +2,12 @@
 # Runs the kernel microbenchmarks (sphere scan and leaf-intersection
 # count, d=16 and d=60) and writes BENCH_kernels.json with the best
 # ns/op of each benchmark and the flat-vs-reference speedups the
-# acceptance criteria track. Interleaved -count runs and per-benchmark
-# minima keep the ratios robust against machine noise.
+# acceptance criteria track. At d=60 the sphere scan is also timed
+# streamed in 1,000-row chunks (sphere_scanner_d60, the resampled
+# predictor's scan) and, on amd64, on the portable group kernel
+# (compute_spheres_portable_d60); both speedups are over the same
+# reference. Interleaved -count runs and per-benchmark minima keep the
+# ratios robust against machine noise.
 #
 # Also runs the parallel-build and concurrent-sweep benchmarks
 # (BenchmarkBuildWorkers in internal/rtree, BenchmarkSweepWorkers at
@@ -90,6 +94,8 @@ END {
 	printf "  \"speedups\": {\n" > out
 	m = split("compute_spheres_d16:KernelComputeSpheresFlat:KernelComputeSpheresRef " \
 	          "compute_spheres_d60:KernelComputeSpheresFlat60:KernelComputeSpheresRef60 " \
+	          "sphere_scanner_d60:KernelSphereScanner60:KernelComputeSpheresRef60 " \
+	          "compute_spheres_portable_d60:KernelComputeSpheresPortable60:KernelComputeSpheresRef60 " \
 	          "leaf_intersect_d16:KernelLeafIntersectFlat:KernelLeafIntersectRef " \
 	          "leaf_intersect_d60:KernelLeafIntersectFlat60:KernelLeafIntersectRef60", pairs, " ")
 	for (i = 1; i <= m; i++) {
