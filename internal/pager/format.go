@@ -384,7 +384,8 @@ func WriteFile(path string, ft *rtree.FlatTree, pageBytes int) (int64, error) {
 // is durable. A crash at any moment leaves either the previous
 // snapshot or the new one at path — never a torn file (a stray
 // .tmp-* file at worst, which Open never confuses for a snapshot and
-// later publications clean up).
+// later publications clean up). A failed directory sync is an error:
+// the new file is in place, but its rename may not survive a crash.
 func WriteFileAtomic(path string, ft *rtree.FlatTree, pageBytes int) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -406,16 +407,29 @@ func WriteFileAtomic(path string, ft *rtree.FlatTree, pageBytes int) (int64, err
 		os.Remove(tmpName)
 		return n, err
 	}
-	// Best-effort: sweep tmp files a previous crashed writer left, and
-	// make the rename durable.
+	// Best-effort: sweep tmp files a previous crashed writer left. The
+	// directory sync that makes the rename durable is not best-effort.
 	if stale, _ := filepath.Glob(filepath.Join(dir, filepath.Base(path)+".tmp-*")); len(stale) > 0 {
 		for _, s := range stale {
 			os.Remove(s)
 		}
 	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
+	if err := syncDir(dir); err != nil {
+		return n, fmt.Errorf("pager: publish %s: %w", path, err)
 	}
 	return n, nil
+}
+
+// syncDir fsyncs the directory dir, making a rename inside it durable.
+// It returns the first of the open, sync, and close errors.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -211,7 +211,8 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 // WriteManifestAtomic publishes the manifest at path crash-safely with
 // the same tmp+fsync+rename+dir-fsync protocol as WriteFileAtomic,
 // returning the bytes written. A crash at any moment leaves the
-// previous manifest or the new one — never a torn file.
+// previous manifest or the new one — never a torn file — and a failed
+// directory sync is returned, as there.
 func WriteManifestAtomic(path string, m *Manifest) (int64, error) {
 	b, err := EncodeManifest(m)
 	if err != nil {
@@ -242,9 +243,8 @@ func WriteManifestAtomic(path string, m *Manifest) (int64, error) {
 			os.Remove(s)
 		}
 	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
+	if err := syncDir(dir); err != nil {
+		return int64(len(b)), fmt.Errorf("pager: publish manifest %s: %w", path, err)
 	}
 	return int64(len(b)), nil
 }

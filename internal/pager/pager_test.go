@@ -3,7 +3,9 @@ package pager
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -237,6 +239,19 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Fatalf("tmp files left behind: %v", left)
+	}
+}
+
+// TestSyncDirReportsErrors pins the directory sync both atomic writers
+// end with: it succeeds on a real directory and returns the open error
+// for a missing one.
+func TestSyncDirReportsErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("sync of %s: %v", dir, err)
+	}
+	if err := syncDir(filepath.Join(dir, "missing")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("sync of a missing directory returned %v, want fs.ErrNotExist", err)
 	}
 }
 

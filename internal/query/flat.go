@@ -21,8 +21,9 @@ import (
 //     same partial-distance early exit as the sphere-computation
 //     kernel. The rows come from the resident point matrix or, for a
 //     snapshot file read through the pager, from a LeafSource.
-//   - The frontier is a concrete 4-ary min-heap of (node, dist) pairs;
-//     no container/heap, no interface boxing, no allocation per push.
+//   - The frontier is a concrete 4-ary min-heap of (tree, node, dist)
+//     entries; no container/heap, no interface boxing, no allocation
+//     per push.
 //   - All per-query state lives in a pooled scratch, so a steady-state
 //     radii-only search allocates nothing and a search returning
 //     neighbors allocates only the result slice.
@@ -51,6 +52,16 @@ import (
 // resident one: a snapshot file round-trips float64 bits exactly, and
 // every traversal decision depends only on those distances and the
 // resident directory arrays.
+//
+// They also carry over to a forest — one search over the roots of
+// several trees, as the sharded server runs it. Each tree's root enters
+// the frontier at its MINDIST, and one k-th-best bound and one
+// (distance, lex) neighbor heap serve every tree, so selection does not
+// depend on which tree a row came from: the radius and neighbors equal
+// a single tree's over the union of the points. The accessed set is
+// every node, in any tree, whose MINDIST and whose ancestors' MINDISTs
+// are at most the final bound — never more than searching each tree to
+// its own, wider k-th radius, and the same count for one tree.
 
 // LeafSource supplies leaf point rows [start, end) as one row-major
 // run, using buf as scratch when it is large enough. The returned
@@ -74,10 +85,13 @@ type zeroCopySource interface {
 	ZeroCopy() bool
 }
 
-// flatHeapEntry is one frontier entry of the flat best-first search.
+// flatHeapEntry is one frontier entry of the flat best-first search:
+// node of trees[tree]. The tree index fills what would be padding
+// after node, so an entry stays 16 bytes.
 type flatHeapEntry struct {
 	dist float64
 	node int32
+	tree int32
 }
 
 // nodeMinHeap is a concrete 4-ary min-heap over frontier entries. The
@@ -91,8 +105,8 @@ func (h *nodeMinHeap) reset() { h.e = h.e[:0] }
 
 func (h *nodeMinHeap) len() int { return len(h.e) }
 
-func (h *nodeMinHeap) push(node int32, dist float64) {
-	h.e = append(h.e, flatHeapEntry{dist: dist, node: node})
+func (h *nodeMinHeap) push(tree, node int32, dist float64) {
+	h.e = append(h.e, flatHeapEntry{dist: dist, node: node, tree: tree})
 	i := len(h.e) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -104,7 +118,7 @@ func (h *nodeMinHeap) push(node int32, dist float64) {
 	}
 }
 
-func (h *nodeMinHeap) pop() (node int32, dist float64) {
+func (h *nodeMinHeap) pop() flatHeapEntry {
 	top := h.e[0]
 	last := len(h.e) - 1
 	h.e[0] = h.e[last]
@@ -131,7 +145,7 @@ func (h *nodeMinHeap) pop() (node int32, dist float64) {
 		h.e[i], h.e[min] = h.e[min], h.e[i]
 		i = min
 	}
-	return top.node, top.dist
+	return top
 }
 
 // flatScratch is the pooled per-query state of the flat searches.
@@ -166,7 +180,19 @@ var flatPool = sync.Pool{New: func() interface{} { return &flatScratch{} }}
 // and the serving layer do).
 func KNNSearchFlat(ft *rtree.FlatTree, q []float64, k int) Result {
 	sc := flatPool.Get().(*flatScratch)
-	res := knnFlat(ft, nil, q, k, true, sc)
+	res := knnFlat([]*rtree.FlatTree{ft}, nil, q, k, true, sc)
+	flatPool.Put(sc)
+	return res
+}
+
+// KNNSearchForest is KNNSearchFlat over the union of several trees'
+// points: one best-first search from every non-empty tree's root under
+// one k-th-best bound (see the file comment). The sharded server
+// answers every k-NN call with it. The same aliasing contract applies:
+// neighbors are row views into the trees' Points.
+func KNNSearchForest(trees []*rtree.FlatTree, q []float64, k int) Result {
+	sc := flatPool.Get().(*flatScratch)
+	res := knnFlat(trees, nil, q, k, true, sc)
 	flatPool.Put(sc)
 	return res
 }
@@ -175,39 +201,58 @@ func KNNSearchFlat(ft *rtree.FlatTree, q []float64, k int) Result {
 // is the k of queries[i]. Each result is exactly KNNSearchFlat's —
 // radius, neighbors, and access counts — so a batch costs and reports
 // what its queries would alone. The same aliasing contract applies.
+//
+// It has no production caller: it stays only for the benchmark's layer
+// replay (bench/trace.go), which times a 16-query batch with it.
 func KNNSearchFlatBatch(ft *rtree.FlatTree, queries [][]float64, ks []int) []Result {
 	if len(ks) != len(queries) {
 		panic(fmt.Sprintf("query: %d queries but %d k values", len(queries), len(ks)))
 	}
 	out := make([]Result, len(queries))
 	sc := flatPool.Get().(*flatScratch)
+	trees := []*rtree.FlatTree{ft}
 	for i, q := range queries {
-		out[i] = knnFlat(ft, nil, q, ks[i], true, sc)
+		out[i] = knnFlat(trees, nil, q, ks[i], true, sc)
 	}
 	flatPool.Put(sc)
 	return out
 }
 
-// knnFlat is the best-first search body. Leaf rows come from ft.Points
-// when src is nil and through src otherwise; the directory walk always
-// runs over the resident arrays. With wantNeighbors false it tracks
-// only distances and access counts — no candidate accumulation at all
-// — and performs zero steady-state allocations (asserted by the allocs
-// guard test); with it true the only allocation is the returned
-// neighbor slice. Neighbors are row views, so they are collected only
-// from resident rows: a source may reuse its row memory on the next
-// fetch.
-func knnFlat(ft *rtree.FlatTree, src LeafSource, q []float64, k int, wantNeighbors bool, sc *flatScratch) Result {
-	if k <= 0 || k > ft.NumPoints {
-		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, ft.NumPoints))
+// knnFlat is the best-first search body over a forest of trees; one
+// tree is the plain single-tree search. Leaf rows come from each
+// tree's Points when src is nil and through src otherwise — a source
+// serves one tree, so src with several trees panics; the directory
+// walk always runs over the resident arrays. With wantNeighbors false
+// it tracks only distances and access counts — no candidate
+// accumulation at all — and performs zero steady-state allocations
+// (asserted by the allocs guard test); with it true the only
+// allocation is the returned neighbor slice. Neighbors are row views,
+// so they are collected only from resident rows: a source may reuse
+// its row memory on the next fetch.
+func knnFlat(trees []*rtree.FlatTree, src LeafSource, q []float64, k int, wantNeighbors bool, sc *flatScratch) Result {
+	total := 0
+	for _, ft := range trees {
+		total += ft.NumPoints
 	}
-	if len(q) != ft.Dim {
-		panic(fmt.Sprintf("query: query dimension %d != tree dimension %d", len(q), ft.Dim))
+	if k <= 0 || k > total {
+		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, total))
+	}
+	if src != nil && len(trees) != 1 {
+		panic(fmt.Sprintf("query: a leaf source serves one tree, not %d", len(trees)))
 	}
 	sc.pq.reset()
 	sc.best.reset(k)
 	if wantNeighbors {
 		sc.nbrs.reset(k)
+	}
+	for i, ft := range trees {
+		if ft.NumPoints == 0 {
+			continue
+		}
+		if len(q) != ft.Dim {
+			panic(fmt.Sprintf("query: query dimension %d != tree dimension %d", len(q), ft.Dim))
+		}
+		sc.pq.push(int32(i), 0, ft.Rects.MinSqDist(0, q))
 	}
 	// Rows returned by a copying source are adopted as the scratch row
 	// buffer; a zero-copy source's rows may be read-only memory.
@@ -215,19 +260,19 @@ func knnFlat(ft *rtree.FlatTree, src LeafSource, q []float64, k int, wantNeighbo
 	if zc, ok := src.(zeroCopySource); ok && zc.ZeroCopy() {
 		adopt = false
 	}
-	data, dim := ft.Points.Data, ft.Dim
-	sc.pq.push(0, ft.Rects.MinSqDist(0, q))
+	dim := len(q)
 	res := Result{}
 	for sc.pq.len() > 0 {
-		node, dist := sc.pq.pop()
-		if sc.best.full() && dist > sc.best.max() {
+		e := sc.pq.pop()
+		if sc.best.full() && e.dist > sc.best.max() {
 			break
 		}
+		ft, node := trees[e.tree], e.node
 		cc := int(ft.ChildCount[node])
 		if cc == 0 {
 			res.LeafAccesses++
 			start, end := int(ft.PtStart[node]), int(ft.PtStart[node]+ft.PtCount[node])
-			rows := data
+			rows := ft.Points.Data
 			if src != nil {
 				// A source returns just the leaf's rows: re-base the range.
 				rows, start, end = src.LeafRows(start, end, sc.rows), 0, end-start
@@ -255,7 +300,7 @@ func knnFlat(ft *rtree.FlatTree, src LeafSource, q []float64, k int, wantNeighbo
 		ft.Rects.MinSqDists(q, cs, cc, bound, dists)
 		for j := 0; j < cc; j++ {
 			if dists[j] <= bound {
-				sc.pq.push(int32(cs+j), dists[j])
+				sc.pq.push(e.tree, int32(cs+j), dists[j])
 			}
 		}
 	}
@@ -322,10 +367,11 @@ func RangeSearchFlat(ft *rtree.FlatTree, s Sphere) (points int, res Result) {
 // accumulation is skipped entirely. Queries run in parallel.
 func MeasureKNNFlat(ft *rtree.FlatTree, queryPoints [][]float64, k int) []Result {
 	out := make([]Result, len(queryPoints))
+	trees := []*rtree.FlatTree{ft}
 	par.Chunks(len(queryPoints), func(lo, hi int) {
 		sc := flatPool.Get().(*flatScratch)
 		for i := lo; i < hi; i++ {
-			out[i] = knnFlat(ft, nil, queryPoints[i], k, false, sc)
+			out[i] = knnFlat(trees, nil, queryPoints[i], k, false, sc)
 		}
 		flatPool.Put(sc)
 	})
@@ -342,8 +388,9 @@ func MeasureKNNFlat(ft *rtree.FlatTree, queryPoints [][]float64, k int) []Result
 func MeasureKNNPaged(ft *rtree.FlatTree, src LeafSource, queryPoints [][]float64, k int) []Result {
 	out := make([]Result, len(queryPoints))
 	sc := flatPool.Get().(*flatScratch)
+	trees := []*rtree.FlatTree{ft}
 	for i, q := range queryPoints {
-		out[i] = knnFlat(ft, src, q, k, false, sc)
+		out[i] = knnFlat(trees, src, q, k, false, sc)
 	}
 	flatPool.Put(sc)
 	return out

@@ -205,35 +205,45 @@ func TestRangeSearchSingleLeafTree(t *testing.T) {
 // TestKNNFlatAllocs is the allocation-budget guard of the search body:
 // the radii-only measurement search allocates nothing in steady state,
 // the neighbor-returning search allocates at most twice per op (the
-// neighbor slice itself, plus heap growth slack), and MeasureKNNPaged
-// over a copying LeafSource allocates only its result slice once its
-// row buffer is warm.
+// neighbor slice itself, plus heap growth slack) — over one tree and
+// over an eight-tree forest alike — and MeasureKNNPaged over a copying
+// LeafSource allocates only its result slice once its row buffer is
+// warm.
 func TestKNNFlatAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
 	data := uniformPoints(5000, 8, 51)
-	tr := rtree.Build(data, rtree.ParamsForGeometry(rtree.NewGeometry(8)))
-	ft := tr.Flatten()
+	params := rtree.ParamsForGeometry(rtree.NewGeometry(8))
+	ft := rtree.Build(data, params).Flatten()
+	var forest []*rtree.FlatTree
+	for _, pts := range shardSplit(data, 8) {
+		forest = append(forest, rtree.Build(pts, params).Flatten())
+	}
 	queries := uniformPoints(16, 8, 52)
-	sc := &flatScratch{}
-	for _, q := range queries {
-		knnFlat(ft, nil, q, 21, true, sc) // size the scratch buffers
-	}
 	i := 0
-	radiiOnly := testing.AllocsPerRun(100, func() {
-		knnFlat(ft, nil, queries[i%len(queries)], 21, false, sc)
-		i++
-	})
-	if radiiOnly != 0 {
-		t.Errorf("radii-only flat k-NN: %v allocs/op, want 0", radiiOnly)
-	}
-	withNeighbors := testing.AllocsPerRun(100, func() {
-		knnFlat(ft, nil, queries[i%len(queries)], 21, true, sc)
-		i++
-	})
-	if withNeighbors > 2 {
-		t.Errorf("neighbor-returning flat k-NN: %v allocs/op, want <= 2", withNeighbors)
+	for _, c := range []struct {
+		name  string
+		trees []*rtree.FlatTree
+	}{{"one tree", []*rtree.FlatTree{ft}}, {"8-tree forest", forest}} {
+		sc := &flatScratch{}
+		for _, q := range queries {
+			knnFlat(c.trees, nil, q, 21, true, sc) // size the scratch buffers
+		}
+		radiiOnly := testing.AllocsPerRun(100, func() {
+			knnFlat(c.trees, nil, queries[i%len(queries)], 21, false, sc)
+			i++
+		})
+		if radiiOnly != 0 {
+			t.Errorf("%s: radii-only flat k-NN: %v allocs/op, want 0", c.name, radiiOnly)
+		}
+		withNeighbors := testing.AllocsPerRun(100, func() {
+			knnFlat(c.trees, nil, queries[i%len(queries)], 21, true, sc)
+			i++
+		})
+		if withNeighbors > 2 {
+			t.Errorf("%s: neighbor-returning flat k-NN: %v allocs/op, want <= 2", c.name, withNeighbors)
+		}
 	}
 	// Box the source once: converting the struct to the interface
 	// allocates, where a *pager.Snapshot would not.
@@ -245,6 +255,13 @@ func TestKNNFlatAllocs(t *testing.T) {
 	})
 	if paged > 1 {
 		t.Errorf("paged measurement over a copying source: %v allocs/op, want <= 1 (the result slice)", paged)
+	}
+	single := testing.AllocsPerRun(100, func() {
+		KNNSearchFlat(ft, queries[i%len(queries)], 21)
+		i++
+	})
+	if single > 2 {
+		t.Errorf("KNNSearchFlat: %v allocs/op, want <= 2 (the neighbor slice)", single)
 	}
 }
 

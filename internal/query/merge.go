@@ -23,9 +23,14 @@ import "math"
 // the parts' rows (views into the shard trees). Callers that retain
 // them past the shards' lifetime must copy.
 //
-// The caller is responsible for k being at most the total cardinality
-// (the serving layer clamps); with fewer than k candidates the result
-// simply holds them all, with Radius the distance of the farthest.
+// The caller is responsible for k being at most the total cardinality;
+// with fewer than k candidates the result simply holds them all, with
+// Radius the distance of the farthest.
+//
+// It has no production caller: the sharded server answers with one
+// search over all shards (KNNSearchForest), and KNNMerge stays only
+// for the benchmark's layer replay (bench/trace.go), which still
+// scatters and merges.
 func KNNMerge(q []float64, k int, parts []Result) Result {
 	if k <= 0 {
 		panic("query: KNNMerge k <= 0")

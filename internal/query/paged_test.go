@@ -113,11 +113,11 @@ func TestKNNPagedZeroCopyRowsNotAdopted(t *testing.T) {
 	data := uniformPoints(800, 6, 91)
 	ft := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8}).Flatten()
 	sc := &flatScratch{}
-	knnFlat(ft, viewSource{M: ft.Points}, data[3], 7, false, sc)
+	knnFlat([]*rtree.FlatTree{ft}, viewSource{M: ft.Points}, data[3], 7, false, sc)
 	if cap(sc.rows) != 0 {
 		t.Fatal("zero-copy rows were adopted as the scratch row buffer")
 	}
-	knnFlat(ft, MatrixSource{M: ft.Points}, data[3], 7, false, sc)
+	knnFlat([]*rtree.FlatTree{ft}, MatrixSource{M: ft.Points}, data[3], 7, false, sc)
 	if cap(sc.rows) == 0 {
 		t.Fatal("copying source rows were not adopted as the scratch row buffer")
 	}

@@ -25,11 +25,12 @@
 // each publication re-flattens (and, durably, rewrites) one shard of
 // ~N/S points instead of the whole index — per-publication CPU and
 // bytes written drop from O(N) to O(N/S) at the same average freshness
-// (S small publications happen where one large one did). Queries
-// scatter across all shard snapshots and gather through a bounded
-// top-k merge under the canonical (distance, lexicographic) order
-// (query.KNNMerge), which keeps results bit-identical to a single-tree
-// server over the same points.
+// (S small publications happen where one large one did). A k-NN query
+// runs one best-first search over the roots of every shard snapshot,
+// under one k-th-best bound and one (distance, lexicographic) neighbor
+// heap (query.KNNSearchForest), which keeps results bit-identical to a
+// single-tree server over the same points and reads only the pages, in
+// every shard, that meet the query's global k-NN sphere.
 //
 // Durable sharded publication writes one immutable, generation-named
 // snapshot file per dirty shard plus a small checksummed manifest
@@ -43,15 +44,15 @@
 // k-NN and range queries are admitted through one bounded queue and
 // served in batches: a single batcher goroutine drains up to
 // Config.BatchSize waiting calls, pins one snapshot per shard, and
-// answers every call of the batch against that pinned set. Each k-NN
-// call runs the optimal best-first search on every shard
-// (query.KNNSearchFlatBatch, one query.KNNSearchFlat per call), so its
-// reported page accesses are exactly the single-query optimum the
-// paper's predictor estimates, whatever else shares the batch; range
-// calls run a depth-first range search. A full queue rejects
-// immediately with ErrOverloaded — backpressure surfaces to the caller
-// instead of growing an unbounded backlog — and calls that wait past
-// Config.QueueTimeout are shed with ErrDeadline.
+// answers every call of the batch, in queue order, against that pinned
+// set. Each k-NN call runs its own best-first search over all the
+// pinned shards, so its reported page accesses are exactly the
+// single-query optimum the paper's predictor estimates, whatever else
+// shares the batch; range calls run a depth-first range search on each
+// shard. A full queue rejects immediately with ErrOverloaded —
+// backpressure surfaces to the caller instead of growing an unbounded
+// backlog — and calls that wait past Config.QueueTimeout are shed with
+// ErrDeadline.
 //
 // Per-query latencies (queue wait plus search) are recorded in
 // obs.LatencySketch reservoirs; Stats reports p50/p95/p99.
@@ -325,7 +326,8 @@ type Result struct {
 	// private copies — retaining or mutating them is always safe.
 	Neighbors [][]float64
 	// LeafAccesses and DirAccesses count the pages the query's
-	// best-first search read, summed across shards in sharded mode.
+	// best-first search read: in every shard, the nodes that meet the
+	// query's k-NN sphere.
 	LeafAccesses int
 	DirAccesses  int
 	// Radius is the distance to the k-th neighbor.
@@ -826,24 +828,22 @@ func (s *Server) batchLoop() {
 	}
 }
 
-// serveBatch answers the calls against one pinned snapshot per shard.
-// k-NN calls are searched per shard and merge through query.KNNMerge;
-// range calls run against the same pinned set.
+// serveBatch answers the calls against one pinned snapshot per shard,
+// in queue order. A k-NN call runs one best-first search over the
+// roots of every pinned shard (query.KNNSearchForest); a range call
+// sums the shards' range counts.
 func (s *Server) serveBatch(calls []*call) {
 	sns := s.acquireAll()
+	trees := make([]*rtree.FlatTree, len(sns))
 	total := 0
 	var maxGen int64
-	for _, sn := range sns {
+	for i, sn := range sns {
+		trees[i] = sn.ft
 		total += sn.ft.NumPoints
 		if sn.gen > maxGen {
 			maxGen = sn.gen
 		}
 	}
-	// Validate against the snapshot set actually being searched — the
-	// pinned set is the authority on what it can serve.
-	knns := calls[:0:0]
-	var qs [][]float64
-	var ks []int
 	for _, c := range calls {
 		if s.cfg.QueueTimeout > 0 && time.Since(c.start) > s.cfg.QueueTimeout {
 			// The call aged out on the queue; fail it without letting
@@ -855,61 +855,21 @@ func (s *Server) serveBatch(calls []*call) {
 		}
 		if c.kind == callRange {
 			n := 0
-			for _, sn := range sns {
-				pts, _ := query.RangeSearchFlat(sn.ft, query.Sphere{Center: c.q, Radius: c.radius})
+			for _, ft := range trees {
+				pts, _ := query.RangeSearchFlat(ft, query.Sphere{Center: c.q, Radius: c.radius})
 				n += pts
 			}
 			s.rangeLat.Observe(time.Since(c.start))
 			c.reply <- reply{n: n, gen: maxGen}
 			continue
 		}
+		// Validate against the snapshot set actually being searched —
+		// the pinned set is the authority on what it can serve.
 		if c.k < 1 || c.k > total {
 			c.reply <- reply{err: fmt.Errorf("serve: k=%d outside [1, %d]", c.k, total)}
 			continue
 		}
-		knns = append(knns, c)
-		qs = append(qs, c.q)
-		ks = append(ks, c.k)
-	}
-	if len(knns) > 0 {
-		if len(sns) == 1 {
-			// Single shard: the merged path would be correct too, but the
-			// per-shard results are already the answer.
-			results := query.KNNSearchFlatBatch(sns[0].ft, qs, ks)
-			for i, c := range knns {
-				s.answerKNN(c, results[i], maxGen)
-			}
-		} else {
-			// Scatter: search every non-empty shard, each query clamped
-			// to the shard's cardinality; gather through the canonical
-			// bounded top-k merge.
-			perShard := make([][]query.Result, len(sns))
-			shardKs := make([]int, len(qs))
-			for si, sn := range sns {
-				np := sn.ft.NumPoints
-				if np == 0 {
-					continue
-				}
-				for i, k := range ks {
-					if k < np {
-						shardKs[i] = k
-					} else {
-						shardKs[i] = np
-					}
-				}
-				perShard[si] = query.KNNSearchFlatBatch(sn.ft, qs, shardKs)
-			}
-			parts := make([]query.Result, 0, len(sns))
-			for i, c := range knns {
-				parts = parts[:0]
-				for si := range sns {
-					if perShard[si] != nil {
-						parts = append(parts, perShard[si][i])
-					}
-				}
-				s.answerKNN(c, query.KNNMerge(c.q, ks[i], parts), maxGen)
-			}
-		}
+		s.answerKNN(c, query.KNNSearchForest(trees, c.q, c.k), maxGen)
 	}
 	releaseAll(sns)
 }

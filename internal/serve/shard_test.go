@@ -128,12 +128,16 @@ func TestServeShardedBatchIdentity(t *testing.T) {
 }
 
 // TestServeBatchAccessesAreOptimal pins the cost a batch reports: each
-// k-NN reply's page accesses must be exactly those of the optimal
-// best-first search on every pinned shard, summed — the count the
-// paper's predictor estimates. A shared-frontier batch traversal used
-// to charge clustered queries for pages only their batch-mates needed
-// (over 4x the optimum); queries near data points expose it, uniform
-// random ones in 16 dimensions do not.
+// k-NN reply's page accesses must be exactly those of one best-first
+// search over the roots of every pinned shard (query.KNNSearchForest)
+// — the nodes, in every shard, that meet the global k-NN sphere, the
+// count the paper's predictor estimates. A shared-frontier batch
+// traversal used to charge clustered queries for pages only their
+// batch-mates needed (over 4x the optimum); queries near data points
+// expose it, uniform random ones in 16 dimensions do not. At S > 1 the
+// reply must also charge fewer leaf pages than searching each shard to
+// its own k-th radius on at least one query: each shard's own radius
+// is wider than the global one.
 func TestServeBatchAccessesAreOptimal(t *testing.T) {
 	const k = 21
 	data := uniform(5000, 4, 71)
@@ -146,7 +150,7 @@ func TestServeBatchAccessesAreOptimal(t *testing.T) {
 		}
 		queries[i] = q
 	}
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{1, 4, 8} {
 		s, err := New(data, Config{Shards: shards, BatchSize: 16})
 		if err != nil {
 			t.Fatal(err)
@@ -157,21 +161,35 @@ func TestServeBatchAccessesAreOptimal(t *testing.T) {
 		}
 		s.serveBatch(calls)
 		sns := s.acquireAll()
+		trees := make([]*rtree.FlatTree, len(sns))
+		for i, sn := range sns {
+			trees[i] = sn.ft
+		}
+		fewer := 0
 		for i, c := range calls {
 			r := <-c.reply
 			if r.err != nil {
 				t.Fatal(r.err)
 			}
-			leaf, dir := 0, 0
-			for _, sn := range sns {
-				one := query.KNNSearchFlat(sn.ft, queries[i], min(k, sn.ft.NumPoints))
-				leaf += one.LeafAccesses
-				dir += one.DirAccesses
-			}
-			if r.res.LeafAccesses != leaf || r.res.DirAccesses != dir {
+			want := query.KNNSearchForest(trees, queries[i], k)
+			if r.res.LeafAccesses != want.LeafAccesses || r.res.DirAccesses != want.DirAccesses {
 				t.Errorf("S=%d query %d: batch charged %d leaf / %d dir pages, optimal search reads %d / %d",
-					shards, i, r.res.LeafAccesses, r.res.DirAccesses, leaf, dir)
+					shards, i, r.res.LeafAccesses, r.res.DirAccesses, want.LeafAccesses, want.DirAccesses)
 			}
+			scatter := 0
+			for _, ft := range trees {
+				scatter += query.KNNSearchFlat(ft, queries[i], min(k, ft.NumPoints)).LeafAccesses
+			}
+			if r.res.LeafAccesses > scatter || (shards == 1 && r.res.LeafAccesses != scatter) {
+				t.Errorf("S=%d query %d: batch charged %d leaf pages, a search per shard %d",
+					shards, i, r.res.LeafAccesses, scatter)
+			}
+			if r.res.LeafAccesses < scatter {
+				fewer++
+			}
+		}
+		if shards > 1 && fewer == 0 {
+			t.Errorf("S=%d: no query read fewer leaf pages than a search per shard", shards)
 		}
 		releaseAll(sns)
 		s.Close()

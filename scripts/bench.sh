@@ -26,7 +26,11 @@
 # Also runs the pointer-vs-flat k-NN traversal benchmarks
 # (BenchmarkKNNPointer / BenchmarkKNNFlat in internal/query, d=16 and
 # d=60) and writes BENCH_knn.json with the best ns/op of each path and
-# the pointer/flat speedup per dimensionality.
+# the pointer/flat speedup per dimensionality. The same file's "forest"
+# block records BenchmarkKNNForest: one k-NN over S = 1/2/4/8 R* shards
+# of TEXTURE60 x 0.02 — best ns/op, and the leaf and directory pages
+# per query of the one-frontier search beside the leaf pages of a
+# search per shard (scatter_leaf_per_q).
 #
 # Also runs the concurrent-serving benchmarks (BenchmarkServe and
 # BenchmarkServeShards at the root: readers querying the live snapshot
@@ -192,8 +196,12 @@ cat "$BUILDOUT"
 knnraw="$(go test -run='^$' -bench='^BenchmarkKNN(Pointer|Flat)/' -benchtime="$BENCHTIME" -count="$COUNT" \
 	./internal/query/)"
 echo "$knnraw"
+# One op of the forest benchmark is one query of its 400-query pool:
+# 400x times each query once, whatever BENCHTIME says.
+forestraw="$(go test -run='^$' -bench='^BenchmarkKNNForest/' -benchtime=400x -count="$COUNT" ./internal/query/)"
+echo "$forestraw"
 
-echo "$knnraw" | awk -v out="$KNNOUT" -v count="$COUNT" -v benchtime="$BENCHTIME" -v procs="$PROCS" '
+printf '%s\n%s\n' "$knnraw" "$forestraw" | awk -v out="$KNNOUT" -v count="$COUNT" -v benchtime="$BENCHTIME" -v procs="$PROCS" '
 /^BenchmarkKNN(Pointer|Flat)\// {
 	name = $1
 	if (match(name, /-[0-9]+$/)) gm = substr(name, RSTART + 1, RLENGTH - 1)
@@ -201,6 +209,20 @@ echo "$knnraw" | awk -v out="$KNNOUT" -v count="$COUNT" -v benchtime="$BENCHTIME
 	ns = $3 + 0
 	if (!(name in best) || ns < best[name]) best[name] = ns
 	if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
+}
+/^BenchmarkKNNForest\// {
+	# The page counts are fixed per sub-benchmark; only ns/op varies.
+	s = $1
+	sub(/-[0-9]+$/, "", s)
+	sub(/^BenchmarkKNNForest\//, "", s)
+	ns = $3 + 0
+	if (!(s in fbest) || ns < fbest[s]) fbest[s] = ns
+	if (!(s in fseen)) { forder[++fn] = s; fseen[s] = 1 }
+	for (i = 5; i < NF; i += 2) {
+		if ($(i + 1) == "leaf/q") fleaf[s] = $i
+		if ($(i + 1) == "dir/q") fdir[s] = $i
+		if ($(i + 1) == "scatter_leaf/q") fscatter[s] = $i
+	}
 }
 END {
 	printf "{\n" > out
@@ -226,7 +248,14 @@ END {
 		printf "    \"%s\": %.2f", d, ptr / flat > out
 		first = 0
 	}
-	printf "\n  }\n}\n" > out
+	printf "\n  },\n" > out
+	printf "  \"forest\": {\n" > out
+	for (i = 1; i <= fn; i++) {
+		s = forder[i]
+		printf "    \"%s\": {\"best_ns_per_op\": %.0f, \"leaf_per_q\": %s, \"dir_per_q\": %s, \"scatter_leaf_per_q\": %s}%s\n", \
+			s, fbest[s], fleaf[s], fdir[s], fscatter[s], (i < fn ? "," : "") > out
+	}
+	printf "  }\n}\n" > out
 }'
 
 echo "wrote $KNNOUT:"

@@ -37,11 +37,12 @@ type ServeConfig struct {
 	// shards (default 1, max 64). Ingested points deal round-robin
 	// across shards; when a shard fills, only that shard re-flattens
 	// and rewrites its snapshot, so the steady-state publication cost
-	// is O(N/Shards) instead of O(N). Queries scatter across all
-	// shards and merge — results are bit-identical to an unsharded
-	// server over the same points. With SnapshotPath set, each shard
-	// persists its own snapshot file beside a checksummed manifest;
-	// the shard count of a durable path cannot change across restarts.
+	// is O(N/Shards) instead of O(N). A k-NN query runs one
+	// best-first search across all shards — results are bit-identical
+	// to an unsharded server over the same points. With SnapshotPath
+	// set, each shard persists its own snapshot file beside a
+	// checksummed manifest; the shard count of a durable path cannot
+	// change across restarts.
 	Shards int
 	// FlattenEvery is the number of ingested points between snapshot
 	// publications (default 1024, counted per shard). Inserted points
