@@ -19,7 +19,6 @@ import (
 
 	"hdidx/internal/experiments"
 	"hdidx/internal/obs"
-	"hdidx/internal/pager"
 	"hdidx/internal/par"
 	"hdidx/internal/prof"
 )
@@ -32,7 +31,6 @@ func main() {
 		k          = flag.Int("k", 0, "k of k-NN (default 21)")
 		m          = flag.Int("m", 0, "memory in points (default 10000*scale)")
 		seed       = flag.Int64("seed", 1, "random seed")
-		backendStr = flag.String("backend", "auto", "snapshot read backend for the serving experiment's durable publications: auto, readat, or mmap (zero-copy)")
 		shards     = flag.Int("shards", 0, "serving experiment shard count (default 1): dirty-shard-only republication, bit-identical scatter-gather queries")
 		flatEvery  = flag.Int("flatten-every", 0, "serving experiment per-shard publication threshold in inserts (default 128)")
 		workers    = flag.Int("workers", 0, "worker-pool width for parallel builds and concurrent sweep rows (0 = GOMAXPROCS)")
@@ -44,12 +42,7 @@ func main() {
 	if *workers != 0 {
 		par.SetWorkers(*workers)
 	}
-	backend, err := pager.ParseBackend(*backendStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	opt := experiments.Options{Scale: *scale, Queries: *queries, K: *k, M: *m, Seed: *seed, Backend: backend, Shards: *shards, FlattenEvery: *flatEvery}
+	opt := experiments.Options{Scale: *scale, Queries: *queries, K: *k, M: *m, Seed: *seed, Shards: *shards, FlattenEvery: *flatEvery}
 	if *trace {
 		obs.Default.SetEnabled(true)
 	}

@@ -29,8 +29,6 @@ func main() {
 		q          = flag.Int("q", 500, "number of density-biased sample queries")
 		m          = flag.Int("m", 10000, "memory size in points")
 		pageBytes  = flag.Int("page", 8192, "index page size in bytes")
-		shards     = flag.Int("shards", 1, "serving shard count of the modeled deployment (>= 1; never changes predicted accesses — sharded queries are bit-identical — accepted for config parity with serving deployments)")
-		backendStr = flag.String("backend", "auto", "snapshot read backend for -load: auto, readat, or mmap (zero-copy)")
 		radius     = flag.Float64("range", 0, "range-query radius (0 = k-NN workload)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		workers    = flag.Int("workers", 0, "worker-pool width for parallel build and scans (0 = GOMAXPROCS)")
@@ -45,10 +43,6 @@ func main() {
 	if *dataPath == "" {
 		fmt.Fprintln(os.Stderr, "idxpredict: -data is required")
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "idxpredict: -shards must be >= 1")
 		os.Exit(2)
 	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -108,11 +102,7 @@ func main() {
 	if *measure {
 		var measured float64
 		if *loadPath != "" {
-			backend, berr := hdidx.ParseBackend(*backendStr)
-			if berr != nil {
-				die(berr)
-			}
-			measured, err = measureLoaded(*loadPath, backend, d.Points, *radius, *k, *q, *seed)
+			measured, err = measureLoaded(*loadPath, d.Points, *radius, *k, *q, *seed)
 		} else if *radius > 0 {
 			measured, err = p.MeasureRangeAccesses(*radius, opts)
 		} else {
@@ -130,8 +120,8 @@ func main() {
 // measureLoaded answers the same seeded workload the predictors model,
 // but against an index opened from a saved snapshot file — verifying a
 // persisted index serves exactly what a freshly built one would.
-func measureLoaded(path string, backend hdidx.Backend, points [][]float64, radius float64, k, q int, seed int64) (float64, error) {
-	ix, err := hdidx.OpenWith(path, backend)
+func measureLoaded(path string, points [][]float64, radius float64, k, q int, seed int64) (float64, error) {
+	ix, err := hdidx.Open(path)
 	if err != nil {
 		return 0, err
 	}

@@ -117,19 +117,19 @@ func (c config) geometry(dim int) rtree.Geometry {
 
 // Index is a bulk-loaded VAMSplit R*-tree. Queries run over a
 // linearized snapshot of the tree (rtree.FlatTree) built once at Build
-// time; the pointer tree is retained for prediction and introspection.
-// An Index from OpenWith with the mmap backend serves its snapshot
-// zero-copy from a read-only file mapping (snap non-nil); Close
-// releases the mapping.
+// time, which holds its own packed copy of the points; the pointer
+// tree is dropped once flattened. An Index from Open on a platform
+// with mmap serves its snapshot zero-copy from a read-only file
+// mapping (snap non-nil); Close releases the mapping.
 type Index struct {
-	tree *rtree.Tree
 	flat *rtree.FlatTree
 	g    rtree.Geometry
 	snap *pager.Snapshot // non-nil iff flat is mmap-backed
 }
 
 // Build bulk-loads an index over points. The input slice is not
-// modified; point contents are shared, not copied.
+// modified, and the index keeps no reference to it: the query
+// snapshot packs its own copy of every point.
 func Build(points [][]float64, opts ...Option) (*Index, error) {
 	dim, err := validatePoints(points)
 	if err != nil {
@@ -145,8 +145,7 @@ func Build(points [][]float64, opts ...Option) (*Index, error) {
 	sp := obs.TraceIfEnabled("hdidx.build", nil).Span("rtree.build")
 	tree := rtree.Build(cp, rtree.ParamsForGeometry(g))
 	sp.End()
-	flat := tree.Flatten()
-	return &Index{tree: tree, flat: flat, g: g}, nil
+	return &Index{flat: tree.Flatten(), g: g}, nil
 }
 
 // QueryStats reports the page accesses of one search.
@@ -165,9 +164,6 @@ type QueryStats struct {
 // the index, and they stay valid however long they are retained. A
 // query with a non-finite coordinate is an error.
 func (ix *Index) KNN(q []float64, k int) ([][]float64, QueryStats, error) {
-	// Validate against the flat snapshot being searched, not the
-	// pointer tree: the snapshot is the authority on what this search
-	// can actually serve.
 	if k < 1 || k > ix.flat.NumPoints {
 		return nil, QueryStats{}, fmt.Errorf("hdidx: k=%d outside [1, %d]", k, ix.flat.NumPoints)
 	}
@@ -178,29 +174,13 @@ func (ix *Index) KNN(q []float64, k int) ([][]float64, QueryStats, error) {
 		return nil, QueryStats{}, fmt.Errorf("hdidx: query has a non-finite coordinate")
 	}
 	res := query.KNNSearchFlat(ix.flat, q, k)
-	return copyNeighbors(res.Neighbors, ix.flat.Dim), QueryStats{
+	// The neighbor rows alias the flat tree's packed point matrix (the
+	// query.KNNSearchFlat aliasing contract); the caller gets copies.
+	return vec.ClonePoints(res.Neighbors), QueryStats{
 		LeafAccesses: res.LeafAccesses,
 		DirAccesses:  res.DirAccesses,
 		Radius:       res.Radius,
 	}, nil
-}
-
-// copyNeighbors materializes defensive copies of neighbor rows, which
-// otherwise alias the flat tree's packed point matrix (see the
-// query.KNNSearchFlat aliasing contract). One backing array serves all
-// rows.
-func copyNeighbors(nbrs [][]float64, dim int) [][]float64 {
-	if len(nbrs) == 0 {
-		return nbrs
-	}
-	backing := make([]float64, len(nbrs)*dim)
-	out := make([][]float64, len(nbrs))
-	for i, n := range nbrs {
-		row := backing[i*dim : (i+1)*dim : (i+1)*dim]
-		copy(row, n)
-		out[i] = row
-	}
-	return out
 }
 
 // RangeCount returns the number of indexed points within radius of
@@ -220,9 +200,7 @@ func (ix *Index) RangeCount(center []float64, radius float64) (int, QueryStats, 
 	return n, QueryStats{LeafAccesses: res.LeafAccesses, DirAccesses: res.DirAccesses, Radius: radius}, nil
 }
 
-// Len returns the number of indexed points. (Shape accessors read the
-// flat snapshot, which every Index has — including one from Open,
-// which carries no pointer tree.)
+// Len returns the number of indexed points.
 func (ix *Index) Len() int { return ix.flat.NumPoints }
 
 // Dim returns the dimensionality of the indexed points.

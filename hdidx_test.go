@@ -3,6 +3,7 @@ package hdidx
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hdidx/internal/dataset"
@@ -274,5 +275,43 @@ func TestTunePageSize(t *testing.T) {
 func TestPredictorEmpty(t *testing.T) {
 	if _, err := NewPredictor(nil); err == nil {
 		t.Error("expected error")
+	}
+}
+
+// TestBuildRetainsOnlySnapshot checks that an Index keeps no reference
+// to its caller's rows: the query snapshot packs its own copy of the
+// points, so once the caller drops the input the live heap an Index
+// holds is that snapshot — the packed coordinates plus its directory —
+// not a second, pointer-tree copy of every row.
+func TestBuildRetainsOnlySnapshot(t *testing.T) {
+	const n, dim = 20000, 64
+	packed := float64(n * dim * 8)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	ix := func() *Index {
+		rng := rand.New(rand.NewSource(5))
+		pts := make([][]float64, n)
+		for i := range pts {
+			pts[i] = make([]float64, dim)
+			for d := range pts[i] {
+				pts[i][d] = rng.Float64()
+			}
+		}
+		ix, err := Build(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}()
+	retained := float64(heap() - before)
+	runtime.KeepAlive(ix)
+	t.Logf("retained %.1f MB for %.1f MB of packed coordinates (%.2fx)", retained/1e6, packed/1e6, retained/packed)
+	if retained > 1.5*packed {
+		t.Fatalf("an Index retains %.1f MB, over 1.5x its %.1f MB of packed coordinates", retained/1e6, packed/1e6)
 	}
 }

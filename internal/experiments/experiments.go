@@ -19,7 +19,6 @@ import (
 	"hdidx/internal/dataset"
 	"hdidx/internal/disk"
 	"hdidx/internal/obs"
-	"hdidx/internal/pager"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 )
@@ -38,10 +37,6 @@ type Options struct {
 	M int
 	// Seed drives all randomness.
 	Seed int64
-	// Backend selects how the serving experiment's durably published
-	// snapshots are read back (pager.BackendAuto/ReadAt/Mmap). The
-	// pager experiment always measures both backends and ignores it.
-	Backend pager.Backend
 	// Shards is the serving experiment's shard count (default 1): the
 	// server republishes only the dirty shard when it fills, and
 	// queries scatter-gather across shards with bit-identical results.

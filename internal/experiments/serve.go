@@ -84,8 +84,8 @@ func Serve(opt Options) (ServeResult, error) {
 	}
 
 	// Publications are durable into a temp file so the experiment
-	// exercises the full publication path — write, reopen through
-	// opt.Backend (zero-copy mmap where resolved), retire-unmap.
+	// exercises the full publication path — write, verifying reopen
+	// (zero-copy mmap where the platform has it), retire-unmap.
 	dir, err := os.MkdirTemp("", "hdidx-serve-")
 	if err != nil {
 		return ServeResult{}, fmt.Errorf("serve: %w", err)
@@ -101,7 +101,6 @@ func Serve(opt Options) (ServeResult, error) {
 		QueueDepth:   256,
 		BatchSize:    16,
 		SnapshotPath: filepath.Join(dir, "serve.hdsn"),
-		Backend:      opt.Backend,
 	})
 	if err != nil {
 		return ServeResult{}, fmt.Errorf("serve: %w", err)

@@ -3,7 +3,6 @@ package pager
 import (
 	"errors"
 	"fmt"
-	"os"
 	"unsafe"
 )
 
@@ -23,12 +22,9 @@ import (
 // granularity: the first touch of each points page since the last
 // ResetCounters is a transfer+miss, re-touches are hits.
 //
-// BackendAuto (the zero value) picks Mmap where the platform supports
-// it (little-endian linux/darwin) and falls back to ReadAt gracefully
-// when the platform lacks it or the map cannot be established. The
-// HDIDX_PAGER_BACKEND environment variable ("readat", "mmap", "auto")
-// overrides an Auto choice — CI uses it to force the ReadAt path so
-// both backends run under the race detector.
+// BackendAuto (the zero value) lets the platform decide: Mmap where
+// MmapSupported holds (little-endian linux/darwin), ReadAt otherwise,
+// and ReadAt again when the map cannot be established.
 type Backend int
 
 const (
@@ -40,9 +36,6 @@ const (
 	BackendMmap
 )
 
-// EnvBackend is the environment variable that overrides BackendAuto.
-const EnvBackend = "HDIDX_PAGER_BACKEND"
-
 // ErrMmapUnavailable reports that the mmap backend could not be used:
 // the platform lacks it, the host is big-endian (the format is
 // little-endian and the map is reinterpreted in place), or the mmap
@@ -51,7 +44,7 @@ const EnvBackend = "HDIDX_PAGER_BACKEND"
 // Test with errors.Is.
 var ErrMmapUnavailable = errors.New("pager: mmap backend unavailable")
 
-// String renders the backend name ParseBackend accepts.
+// String renders the backend name.
 func (b Backend) String() string {
 	switch b {
 	case BackendAuto:
@@ -64,50 +57,21 @@ func (b Backend) String() string {
 	return fmt.Sprintf("backend(%d)", int(b))
 }
 
-// ParseBackend parses "auto", "readat", or "mmap" (the CLI flag and
-// environment-variable vocabulary).
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "auto", "":
-		return BackendAuto, nil
-	case "readat":
-		return BackendReadAt, nil
-	case "mmap":
-		return BackendMmap, nil
-	}
-	return BackendAuto, fmt.Errorf("pager: unknown backend %q (want auto, readat, or mmap)", s)
-}
-
 // MmapSupported reports whether the mmap backend can work on this
 // platform (it can still fail at Open time if the syscall does).
 func MmapSupported() bool { return mmapSupported && hostLittleEndian() }
 
 // ResolveBackend reports the backend b resolves to on this host: an
-// explicit choice is returned unchanged; Auto applies the environment
-// override and the platform default. Layers above the pager (the serve
-// core, the facade) use it to decide up front whether publication will
-// be mmap-backed.
+// explicit choice is returned unchanged, Auto becomes Mmap where
+// MmapSupported holds and ReadAt otherwise.
 func ResolveBackend(b Backend) Backend {
-	rb, _ := resolveBackend(b)
-	return rb
-}
-
-// resolveBackend applies the environment override and the Auto
-// default. The second result reports whether the choice may still fall
-// back to ReadAt when mmap fails (true only for a genuine Auto).
-func resolveBackend(b Backend) (Backend, bool) {
 	if b != BackendAuto {
-		return b, false
-	}
-	if env := os.Getenv(EnvBackend); env != "" {
-		if eb, err := ParseBackend(env); err == nil && eb != BackendAuto {
-			return eb, false
-		}
+		return b
 	}
 	if MmapSupported() {
-		return BackendMmap, true
+		return BackendMmap
 	}
-	return BackendReadAt, false
+	return BackendReadAt
 }
 
 // hostLittleEndian reports the byte order of this host. The snapshot

@@ -361,39 +361,30 @@ func pagePad(n int64, pageBytes int) int64 {
 	return (n + pb - 1) / pb * pb
 }
 
-// WriteFile serializes ft to path (truncating any existing file) and
-// syncs it to stable storage.
-func WriteFile(path string, ft *rtree.FlatTree, pageBytes int) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	n, err := Write(f, ft, pageBytes)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return n, err
+// WriteFileAtomic publishes ft at path crash-safely (atomicReplace): a
+// crash at any moment leaves either the previous snapshot or the new
+// one at path — never a torn file (a stray .tmp-* file at worst, which
+// Open never confuses for a snapshot and later publications clean up).
+// A failed directory sync is an error: the new file is in place, but
+// its rename may not survive a crash.
+func WriteFileAtomic(path string, ft *rtree.FlatTree, pageBytes int) (int64, error) {
+	return atomicReplace(path, func(w io.Writer) (int64, error) { return Write(w, ft, pageBytes) })
 }
 
-// WriteFileAtomic publishes ft at path crash-safely: the snapshot is
-// written to a temporary file in the same directory, synced, and
-// renamed over path, and the directory is synced so the rename itself
-// is durable. A crash at any moment leaves either the previous
-// snapshot or the new one at path — never a torn file (a stray
-// .tmp-* file at worst, which Open never confuses for a snapshot and
-// later publications clean up). A failed directory sync is an error:
-// the new file is in place, but its rename may not survive a crash.
-func WriteFileAtomic(path string, ft *rtree.FlatTree, pageBytes int) (int64, error) {
+// atomicReplace is the one crash-safe publication sequence: write fills
+// a temporary file in path's directory, which is synced, closed and
+// renamed over path; temporaries a crashed writer left are swept, and
+// the directory is synced so the rename itself is durable. It returns
+// write's byte count. A failure before the rename removes the
+// temporary and leaves path untouched.
+func atomicReplace(path string, write func(io.Writer) (int64, error)) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return 0, err
 	}
 	tmpName := tmp.Name()
-	n, err := Write(tmp, ft, pageBytes)
+	n, err := write(tmp)
 	if err == nil {
 		err = tmp.Sync()
 	}

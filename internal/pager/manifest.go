@@ -209,44 +209,19 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 }
 
 // WriteManifestAtomic publishes the manifest at path crash-safely with
-// the same tmp+fsync+rename+dir-fsync protocol as WriteFileAtomic,
-// returning the bytes written. A crash at any moment leaves the
-// previous manifest or the new one — never a torn file — and a failed
-// directory sync is returned, as there.
+// the same protocol as WriteFileAtomic (atomicReplace), returning the
+// bytes written. A crash at any moment leaves the previous manifest or
+// the new one — never a torn file — and a failed directory sync is
+// returned, as there.
 func WriteManifestAtomic(path string, m *Manifest) (int64, error) {
 	b, err := EncodeManifest(m)
 	if err != nil {
 		return 0, err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return 0, err
-	}
-	tmpName := tmp.Name()
-	_, err = tmp.Write(b)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return 0, err
-	}
-	if stale, _ := filepath.Glob(filepath.Join(dir, filepath.Base(path)+".tmp-*")); len(stale) > 0 {
-		for _, s := range stale {
-			os.Remove(s)
-		}
-	}
-	if err := syncDir(dir); err != nil {
-		return int64(len(b)), fmt.Errorf("pager: publish manifest %s: %w", path, err)
-	}
-	return int64(len(b)), nil
+	return atomicReplace(path, func(w io.Writer) (int64, error) {
+		n, err := w.Write(b)
+		return int64(n), err
+	})
 }
 
 // ReadManifest opens, reads, and fully verifies the manifest at path.

@@ -11,7 +11,7 @@ import (
 	"hdidx/internal/query"
 )
 
-// requireMmap skips on platforms without the mmap backend, and opens
+// openMmapT skips on platforms without the mmap backend, and opens
 // path with it forced.
 func openMmapT(t *testing.T, path string) *Snapshot {
 	t.Helper()
@@ -45,7 +45,7 @@ func TestMmapRoundTrip(t *testing.T) {
 	for i, c := range cases {
 		ft := buildFlat(t, c.n, c.dim, int64(300+i))
 		path := filepath.Join(dir, "snap")
-		if _, err := WriteFile(path, ft, c.page); err != nil {
+		if _, err := WriteFileAtomic(path, ft, c.page); err != nil {
 			t.Fatalf("case %d: write: %v", i, err)
 		}
 		s := openMmapT(t, path)
@@ -79,7 +79,7 @@ func TestMmapRoundTrip(t *testing.T) {
 func TestMmapZeroCopy(t *testing.T) {
 	ft := buildFlat(t, 500, 8, 11)
 	path := filepath.Join(t.TempDir(), "snap")
-	if _, err := WriteFile(path, ft, 512); err != nil {
+	if _, err := WriteFileAtomic(path, ft, 512); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	s := openMmapT(t, path)
@@ -125,7 +125,7 @@ func TestMmapFaultAccounting(t *testing.T) {
 	// dim 64 at 512-byte pages: one row is exactly one page.
 	ft := buildFlat(t, 256, 64, 9)
 	path := filepath.Join(t.TempDir(), "snap")
-	if _, err := WriteFile(path, ft, 512); err != nil {
+	if _, err := WriteFileAtomic(path, ft, 512); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	s := openMmapT(t, path)
@@ -193,7 +193,7 @@ func TestMmapPagedBitIdentity(t *testing.T) {
 	} {
 		ft := buildFlat(t, c.n, c.dim, c.seed)
 		path := filepath.Join(t.TempDir(), "snap")
-		if _, err := WriteFile(path, ft, c.page); err != nil {
+		if _, err := WriteFileAtomic(path, ft, c.page); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		ra, err := OpenWith(path, Options{Backend: BackendReadAt})
@@ -246,7 +246,7 @@ func TestMmapPagedBitIdentity(t *testing.T) {
 func TestMmapPoisonedResident(t *testing.T) {
 	ft := buildFlat(t, 1500, 10, 31)
 	path := filepath.Join(t.TempDir(), "snap")
-	if _, err := WriteFile(path, ft, 4096); err != nil {
+	if _, err := WriteFileAtomic(path, ft, 4096); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	rng := rand.New(rand.NewSource(32))
@@ -281,22 +281,19 @@ func TestMmapPoisonedResident(t *testing.T) {
 	}
 }
 
-// TestBackendResolution pins Auto's choice, the env override, and the
-// String/Parse vocabulary round-trip.
+// TestBackendResolution pins Auto's platform choice, the backend names
+// (scripts/bench.sh parses them out of BenchmarkPagerBackends), and
+// Load's resident tree.
 func TestBackendResolution(t *testing.T) {
-	for _, b := range []Backend{BackendAuto, BackendReadAt, BackendMmap} {
-		got, err := ParseBackend(b.String())
-		if err != nil || got != b {
-			t.Fatalf("ParseBackend(%q) = %v, %v", b.String(), got, err)
+	for b, want := range map[Backend]string{BackendAuto: "auto", BackendReadAt: "readat", BackendMmap: "mmap"} {
+		if got := b.String(); got != want {
+			t.Fatalf("Backend(%d).String() = %q, want %q", int(b), got, want)
 		}
-	}
-	if _, err := ParseBackend("bogus"); err == nil {
-		t.Fatal("ParseBackend accepted bogus input")
 	}
 
 	ft := buildFlat(t, 100, 4, 41)
 	path := filepath.Join(t.TempDir(), "snap")
-	if _, err := WriteFile(path, ft, 512); err != nil {
+	if _, err := WriteFileAtomic(path, ft, 512); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	s, err := Open(path) // Auto
@@ -319,22 +316,8 @@ func TestBackendResolution(t *testing.T) {
 		t.Fatalf("ResolveBackend(ReadAt) = %v", got)
 	}
 
-	t.Setenv(EnvBackend, "readat")
-	if got := ResolveBackend(BackendAuto); got != BackendReadAt {
-		t.Fatalf("ResolveBackend(Auto) under env override = %v", got)
-	}
-	s, err = Open(path)
-	if err != nil {
-		t.Fatalf("open with env override: %v", err)
-	}
-	if s.Backend() != BackendReadAt {
-		t.Fatalf("env override ignored: resolved to %v", s.Backend())
-	}
-	s.Close()
-	t.Setenv(EnvBackend, "")
-
-	// Load must stay resident regardless of platform or env: its tree
-	// outlives the snapshot handle.
+	// Load must stay resident whatever the platform: its tree outlives
+	// the snapshot handle.
 	tr, err := Load(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)

@@ -187,13 +187,12 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 		}
 	}
 
-	backend, canFallBack := resolveBackend(opts.Backend)
-	if backend == BackendMmap {
+	if ResolveBackend(opts.Backend) == BackendMmap {
 		s, merr := openMmap(f, path, h, size)
 		switch {
 		case merr == nil:
 			return s, nil
-		case errors.Is(merr, ErrMmapUnavailable) && canFallBack:
+		case errors.Is(merr, ErrMmapUnavailable) && opts.Backend == BackendAuto:
 			// Auto choice and the map could not be established —
 			// graceful fallback to the resident ReadAt path below.
 		default:

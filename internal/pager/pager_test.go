@@ -62,9 +62,20 @@ func equalTrees(t *testing.T, got, want *rtree.FlatTree) {
 	}
 }
 
+// readBackends lists the read paths this platform has: the resident
+// ReadAt decode everywhere, the mapping where MmapSupported holds. Tests
+// name them explicitly so both run under -race wherever mmap exists.
+func readBackends() []Backend {
+	if MmapSupported() {
+		return []Backend{BackendReadAt, BackendMmap}
+	}
+	return []Backend{BackendReadAt}
+}
+
 // TestRoundTrip writes trees across dimensions and page sizes and
-// reads them back, requiring every array bit-identical
-// and search results over the reopened tree identical to the original.
+// reads them back through every read path, requiring every array
+// bit-identical and search results over the reopened tree identical
+// to the original.
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
@@ -80,33 +91,38 @@ func TestRoundTrip(t *testing.T) {
 	for i, c := range cases {
 		ft := buildFlat(t, c.n, c.dim, int64(100+i))
 		path := filepath.Join(dir, "snap")
-		if _, err := WriteFile(path, ft, c.page); err != nil {
+		if _, err := WriteFileAtomic(path, ft, c.page); err != nil {
 			t.Fatalf("case %d: write: %v", i, err)
 		}
-		s, err := Open(path)
-		if err != nil {
-			t.Fatalf("case %d: open: %v", i, err)
-		}
-		equalTrees(t, s.Tree(), ft)
-		if s.PageBytes() != c.page {
-			t.Fatalf("case %d: page size %d, want %d", i, s.PageBytes(), c.page)
-		}
-		rng := rand.New(rand.NewSource(int64(i)))
-		for qi := 0; qi < 5; qi++ {
-			q := uniform(1, c.dim, rng)[0]
-			k := 1 + rng.Intn(10)
-			if k > c.n {
-				k = c.n
+		for _, b := range readBackends() {
+			s, err := OpenWith(path, Options{Backend: b})
+			if err != nil {
+				t.Fatalf("case %d/%v: open: %v", i, b, err)
 			}
-			want := query.KNNSearchFlat(ft, q, k)
-			got := query.KNNSearchFlat(s.Tree(), q, k)
-			if want.Radius != got.Radius || want.LeafAccesses != got.LeafAccesses ||
-				!reflect.DeepEqual(want.Neighbors, got.Neighbors) {
-				t.Fatalf("case %d: search over reopened tree diverges", i)
+			if s.Backend() != b {
+				t.Fatalf("case %d/%v: opened as %v", i, b, s.Backend())
 			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("case %d: close: %v", i, err)
+			equalTrees(t, s.Tree(), ft)
+			if s.PageBytes() != c.page {
+				t.Fatalf("case %d/%v: page size %d, want %d", i, b, s.PageBytes(), c.page)
+			}
+			rng := rand.New(rand.NewSource(int64(i)))
+			for qi := 0; qi < 5; qi++ {
+				q := uniform(1, c.dim, rng)[0]
+				k := 1 + rng.Intn(10)
+				if k > c.n {
+					k = c.n
+				}
+				want := query.KNNSearchFlat(ft, q, k)
+				got := query.KNNSearchFlat(s.Tree(), q, k)
+				if want.Radius != got.Radius || want.LeafAccesses != got.LeafAccesses ||
+					!reflect.DeepEqual(want.Neighbors, got.Neighbors) {
+					t.Fatalf("case %d/%v: search over reopened tree diverges", i, b)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("case %d/%v: close: %v", i, b, err)
+			}
 		}
 	}
 }
@@ -115,7 +131,7 @@ func TestRoundTrip(t *testing.T) {
 // publishes before the first insert.
 func TestRoundTripEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty")
-	if _, err := WriteFile(path, &rtree.FlatTree{}, 512); err != nil {
+	if _, err := WriteFileAtomic(path, &rtree.FlatTree{}, 512); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	ft, err := Load(path)
@@ -128,37 +144,40 @@ func TestRoundTripEmpty(t *testing.T) {
 }
 
 // TestPagedSearchOverFile is the end-to-end measured-I/O check: a
-// search whose leaf rows come from real page reads must return results
-// bit-identical to the in-memory search, and the counters must record
-// the page traffic.
+// search whose leaf rows come from real page reads (or faults of the
+// mapping) must return results bit-identical to the in-memory search,
+// and the counters must record the page traffic.
 func TestPagedSearchOverFile(t *testing.T) {
 	ft := buildFlat(t, 4000, 12, 7)
 	path := filepath.Join(t.TempDir(), "snap")
-	if _, err := WriteFile(path, ft, 4096); err != nil {
+	if _, err := WriteFileAtomic(path, ft, 4096); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer s.Close()
-
 	rng := rand.New(rand.NewSource(8))
 	queries := uniform(50, 12, rng)
 	want := query.MeasureKNNFlat(ft, queries, 10)
-	if got := query.MeasureKNNPaged(s.Tree(), s, queries, 10); !reflect.DeepEqual(want, got) {
-		t.Fatal("paged search over the file diverges from in-memory search")
-	}
-	c := s.Counters()
-	if c.Transfers == 0 || c.Seeks == 0 {
-		t.Fatalf("no page traffic recorded: %+v", c)
-	}
-	if c.Transfers < c.Seeks {
-		t.Fatalf("more seeks than transfers: %+v", c)
-	}
-	s.ResetCounters()
-	if got := s.Counters(); got.Transfers != 0 || got.Seeks != 0 {
-		t.Fatalf("counters not reset: %+v", got)
+	for _, b := range readBackends() {
+		s, err := OpenWith(path, Options{Backend: b})
+		if err != nil {
+			t.Fatalf("%v: open: %v", b, err)
+		}
+		if got := query.MeasureKNNPaged(s.Tree(), s, queries, 10); !reflect.DeepEqual(want, got) {
+			t.Fatalf("%v: paged search over the file diverges from in-memory search", b)
+		}
+		c := s.Counters()
+		if c.Transfers == 0 || c.Seeks == 0 {
+			t.Fatalf("%v: no page traffic recorded: %+v", b, c)
+		}
+		if c.Transfers < c.Seeks {
+			t.Fatalf("%v: more seeks than transfers: %+v", b, c)
+		}
+		s.ResetCounters()
+		if got := s.Counters(); got.Transfers != 0 || got.Seeks != 0 {
+			t.Fatalf("%v: counters not reset: %+v", b, got)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("%v: close: %v", b, err)
+		}
 	}
 }
 
@@ -171,7 +190,7 @@ func TestLeafRowsAccounting(t *testing.T) {
 	// dim 64 at 512-byte pages: one row is exactly one page.
 	ft := buildFlat(t, 256, 64, 9)
 	path := filepath.Join(t.TempDir(), "snap")
-	if _, err := WriteFile(path, ft, 512); err != nil {
+	if _, err := WriteFileAtomic(path, ft, 512); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	s, err := OpenWith(path, Options{Backend: BackendReadAt})

@@ -39,6 +39,19 @@
 // anything the manifest names but cannot verify. With Shards == 1 the
 // durable format stays the original single snapshot file.
 //
+// # Durable snapshots
+//
+// How a published file is read is the platform's choice, not a
+// setting. Where pager.MmapSupported holds, publication reopens each
+// file it wrote read-only through mmap — verifying every checksum and
+// structural invariant — and serves the generation zero-copy from the
+// mapping, unmapped when the generation's last pin drains. Elsewhere,
+// or when the mmap call itself fails, the flattened tree is served
+// resident and the file is recorded without that check. A file that
+// fails the check is the publication's error: the generation still
+// serves from the resident tree, and in sharded mode no manifest names
+// the file — the shard's previous file stays committed.
+//
 // # Admission
 //
 // k-NN and range queries are admitted through one bounded queue and
@@ -120,9 +133,6 @@ type Config struct {
 	// batch (default 16, capped at 64). A batch shares one pinned
 	// snapshot per shard; each call is still searched on its own.
 	BatchSize int
-	// SketchSize is the latency reservoir capacity per sketch
-	// (default obs.DefaultSketchSize).
-	SketchSize int
 	// QueueTimeout bounds how long a call may wait on the admission
 	// queue. A call the batcher reaches after its deadline fails with
 	// ErrDeadline instead of occupying a batch slot, so a stalled or
@@ -139,23 +149,14 @@ type Config struct {
 	// a fully consistent previous or new generation on disk, never a
 	// torn or mixed one. New recovers the persisted points from this
 	// path before ingesting the initial points, so a restarted server
-	// resumes from its last published generation (generation numbers
-	// themselves are per-process). Empty (the default) serves purely
-	// in memory.
+	// resumes from its last published generation. In-process generation
+	// numbers restart at 1; shard file and manifest generations continue
+	// from the recovered manifest's, so a restart never rewrites a file
+	// the committed manifest names. Where the platform supports mmap,
+	// every written file is reopened, verified and served zero-copy
+	// from its mapping (see the package doc, Durable snapshots). Empty
+	// (the default) serves purely in memory.
 	SnapshotPath string
-	// Backend selects how durably published generations are served when
-	// SnapshotPath is set. pager.BackendMmap reopens each published file
-	// read-only via mmap and serves queries zero-copy straight from the
-	// mapping (directory arrays included); the mapping is unmapped
-	// exactly once, when the superseded generation's last pin drains.
-	// pager.BackendAuto (the default) does the same where the platform
-	// supports it and otherwise serves the resident flattened tree;
-	// pager.BackendReadAt forces the resident tree. With an explicit
-	// BackendMmap a failed map surfaces as a publication error (the
-	// resident generation still serves); with Auto the fallback is
-	// silent. Ignored when SnapshotPath is empty — there is no file to
-	// map.
-	Backend pager.Backend
 }
 
 func (c Config) withDefaults() Config {
@@ -226,7 +227,8 @@ type shard struct {
 	dyn     *rtree.DynamicTree
 	pending int
 	// fileGen/fileBytes/fileCRC describe this shard's current durable
-	// side file (sharded durable mode only; fileGen 0 = none yet).
+	// side file (sharded durable mode only; fileGen 0 = none). New seeds
+	// them from the recovered manifest.
 	// durableGen trails fileGen: it is the file generation named by the
 	// last successfully written manifest, and the sweep keeps both.
 	fileGen    int64
@@ -281,10 +283,11 @@ type Server struct {
 	closed atomic.Bool
 
 	snapPageBytes int
-	// mmapServe records the Config.Backend resolution made at New:
-	// publications reopen the written snapshot file via mmap and serve
-	// from the mapping. Always false when SnapshotPath is empty.
-	mmapServe bool
+	// fileGenBase is the generation of the manifest recovered at New
+	// (0 if none); shard files and manifests are numbered fileGenBase
+	// plus the in-process generation, so their names never repeat across
+	// restarts of a durable path.
+	fileGenBase int64
 
 	gens      atomic.Int64 // publication events (generation counter)
 	pubs      atomic.Int64 // snapshots published across shards
@@ -346,7 +349,9 @@ type Result struct {
 // union is published as generation 1. A file that exists but fails
 // verification is an error, never silently ignored; so is a shard
 // count that does not match the manifest, a missing or altered shard
-// file, or a snapshot/manifest format mix-up.
+// file, or a snapshot/manifest format mix-up. A failed boot publication
+// is an error too; in sharded mode each shard whose new file failed
+// keeps, on disk and in the manifest, the file recovery read.
 func New(initial [][]float64, cfg Config) (*Server, error) {
 	if cfg.Shards < 0 || cfg.Shards > MaxShards {
 		return nil, fmt.Errorf("serve: %d shards outside [1, %d]", cfg.Shards, MaxShards)
@@ -358,11 +363,13 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 	// single recovered tree lands in recovered[0] (and is re-dealt
 	// round-robin, matching how it would have been ingested).
 	recovered := make([]*rtree.FlatTree, cfg.Shards)
+	var manifest *pager.Manifest
 	if cfg.SnapshotPath != "" {
 		switch _, err := os.Stat(cfg.SnapshotPath); {
 		case err == nil:
 			if sharded {
-				if err := recoverShards(cfg, recovered); err != nil {
+				var err error
+				if manifest, err = recoverShards(cfg, recovered); err != nil {
 					return nil, err
 				}
 			} else {
@@ -396,9 +403,6 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 		}
 		g = derived
 	}
-	if cfg.Backend < pager.BackendAuto || cfg.Backend > pager.BackendMmap {
-		return nil, fmt.Errorf("serve: unknown pager backend %d", cfg.Backend)
-	}
 	if cfg.QueueTimeout < 0 {
 		return nil, fmt.Errorf("serve: negative queue timeout %v", cfg.QueueTimeout)
 	}
@@ -413,14 +417,21 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 		queue:         make(chan *call, cfg.QueueDepth),
 		done:          make(chan struct{}),
 		snapPageBytes: pb,
-		knnLat:        obs.NewLatencySketch(cfg.SketchSize),
-		rangeLat:      obs.NewLatencySketch(cfg.SketchSize),
+		knnLat:        obs.NewLatencySketch(0),
+		rangeLat:      obs.NewLatencySketch(0),
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{id: i, dyn: rtree.NewDynamic(g)}
 	}
-	s.mmapServe = cfg.SnapshotPath != "" &&
-		pager.ResolveBackend(cfg.Backend) == pager.BackendMmap
+	if manifest != nil {
+		// The recovered files are the shards' current and durable ones
+		// until a manifest names their successors.
+		s.fileGenBase = manifest.Generation
+		for i, ms := range manifest.Shards {
+			sh := s.shards[i]
+			sh.fileGen, sh.fileBytes, sh.fileCRC, sh.durableGen = ms.Generation, ms.Bytes, ms.HeaderCRC, ms.Generation
+		}
+	}
 	for i, ft := range recovered {
 		if ft == nil || ft.NumPoints == 0 {
 			continue
@@ -437,7 +448,7 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 				target = s.shards[s.rr%len(s.shards)]
 				s.rr++
 			}
-			target.dyn.Insert(clonePoint(ft.Points.Row(r)))
+			target.dyn.Insert(vec.Clone(ft.Points.Row(r)))
 		}
 	}
 	for i, p := range initial {
@@ -447,13 +458,19 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 		if !vec.Finite(p) {
 			return nil, fmt.Errorf("serve: point %d has a non-finite coordinate", i)
 		}
-		s.shards[s.rr%len(s.shards)].dyn.Insert(clonePoint(p))
+		s.shards[s.rr%len(s.shards)].dyn.Insert(vec.Clone(p))
 		s.rr++
 	}
 	s.mu.Lock()
 	err := s.publishLocked(s.shards)
 	s.mu.Unlock()
 	if err != nil {
+		// No reader ever saw these snapshots; release their mappings.
+		for _, sh := range s.shards {
+			if pg := sh.cur.Load().pg; pg != nil {
+				pg.Close()
+			}
+		}
 		return nil, err
 	}
 	s.wg.Add(1)
@@ -463,17 +480,17 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 
 // recoverShards reads the manifest at cfg.SnapshotPath, verifies every
 // shard file it names against the recorded size and header checksum,
-// and loads each into recovered. Any inconsistency — wrong shard
-// count, a missing or altered file, a single-snapshot file where the
-// manifest should be — is a loud error: recovery never serves a mixed
-// or partial generation.
-func recoverShards(cfg Config, recovered []*rtree.FlatTree) error {
+// loads each into recovered, and returns the manifest. Any
+// inconsistency — wrong shard count, a missing or altered file, a
+// single-snapshot file where the manifest should be — is a loud error:
+// recovery never serves a mixed or partial generation.
+func recoverShards(cfg Config, recovered []*rtree.FlatTree) (*pager.Manifest, error) {
 	m, err := pager.ReadManifest(cfg.SnapshotPath)
 	if err != nil {
-		return fmt.Errorf("serve: recover manifest: %w", err)
+		return nil, fmt.Errorf("serve: recover manifest: %w", err)
 	}
 	if len(m.Shards) != cfg.Shards {
-		return fmt.Errorf("serve: manifest has %d shards, configured %d — shard count cannot change across restarts of a durable path",
+		return nil, fmt.Errorf("serve: manifest has %d shards, configured %d — shard count cannot change across restarts of a durable path",
 			len(m.Shards), cfg.Shards)
 	}
 	for i, ms := range m.Shards {
@@ -483,19 +500,19 @@ func recoverShards(cfg Config, recovered []*rtree.FlatTree) error {
 		path := pager.ShardPath(cfg.SnapshotPath, i, ms.Generation)
 		crc, size, err := pager.FileSummary(path)
 		if err != nil {
-			return fmt.Errorf("serve: recover shard %d (generation %d): %w", i, ms.Generation, err)
+			return nil, fmt.Errorf("serve: recover shard %d (generation %d): %w", i, ms.Generation, err)
 		}
 		if size != ms.Bytes || crc != ms.HeaderCRC {
-			return fmt.Errorf("serve: recover shard %d: file %s is %d bytes with header CRC %08x, manifest expects %d bytes with %08x",
+			return nil, fmt.Errorf("serve: recover shard %d: file %s is %d bytes with header CRC %08x, manifest expects %d bytes with %08x",
 				i, path, size, crc, ms.Bytes, ms.HeaderCRC)
 		}
 		ft, err := pager.Load(path)
 		if err != nil {
-			return fmt.Errorf("serve: recover shard %d: %w", i, err)
+			return nil, fmt.Errorf("serve: recover shard %d: %w", i, err)
 		}
 		recovered[i] = ft
 	}
-	return nil
+	return m, nil
 }
 
 func firstRecoveredDim(recovered []*rtree.FlatTree) int {
@@ -505,12 +522,6 @@ func firstRecoveredDim(recovered []*rtree.FlatTree) int {
 		}
 	}
 	return 0
-}
-
-func clonePoint(p []float64) []float64 {
-	cp := make([]float64, len(p))
-	copy(cp, p)
-	return cp
 }
 
 // acquireAll pins every shard's current snapshot, in shard order.
@@ -534,6 +545,11 @@ func releaseAll(sns []*snapshot) {
 // mmap-backed generation, proving served rows come from the mapping.
 var publishHook func(resident *rtree.FlatTree, sn *snapshot)
 
+// writtenHook, when non-nil, observes every durable snapshot file
+// between its atomic write and the reopen that verifies it. Tests use
+// it to damage the written bytes.
+var writtenHook func(path string)
+
 // publishLocked is one publication event: it flattens each target
 // shard's dynamic tree into a fresh snapshot, writes the dirty shards
 // (and, in sharded durable mode, the manifest) when
@@ -541,13 +557,12 @@ var publishHook func(resident *rtree.FlatTree, sn *snapshot)
 // targets it is a pure no-op — no generation is consumed, nothing is
 // flattened, no file is touched. Caller holds s.mu.
 //
-// On the mmap serving path the durable write happens before the swap:
-// the published file is reopened read-only via mmap and the snapshot
-// serves the mapped tree, so the bytes must be on disk first. A
-// durability (or forced-mmap) error is still returned after the
-// in-memory swap of the resident trees — the new generation is live
-// for queries, but the on-disk state holds the previous consistent
-// one.
+// The durable write happens before the swap, so a generation served
+// from its file's mapping is on disk before any reader can see it. A
+// durability error (the write, the verifying reopen, or the manifest
+// failed) is still returned after the in-memory swap of the resident
+// trees — the new generation is live for queries, but the on-disk
+// state holds the previous consistent one.
 func (s *Server) publishLocked(targets []*shard) error {
 	if len(targets) == 0 {
 		return nil
@@ -568,36 +583,12 @@ func (s *Server) publishLocked(targets []*shard) error {
 			}
 		}
 		if s.cfg.SnapshotPath != "" {
-			path := s.cfg.SnapshotPath
-			if sharded {
-				path = pager.ShardPath(s.cfg.SnapshotPath, sh.id, gen)
-			}
-			if n, err := pager.WriteFileAtomic(path, ft, s.snapPageBytes); err != nil {
-				pubErr = fmt.Errorf("serve: durable publication of generation %d (shard %d): %w", gen, sh.id, err)
-			} else {
-				sh.bytes.Add(n)
-				s.bytesW.Add(n)
-				if sharded {
-					crc, size, serr := pager.FileSummary(path)
-					if serr != nil {
-						pubErr = fmt.Errorf("serve: durable publication of generation %d (shard %d): %w", gen, sh.id, serr)
-					} else {
-						sh.fileGen, sh.fileBytes, sh.fileCRC = gen, size, crc
-						manifestDirty = true
-					}
+			if err := s.writeShardLocked(sh, sn); err != nil {
+				if pubErr == nil {
+					pubErr = err
 				}
-				if s.mmapServe && pubErr == nil {
-					pg, err := pager.OpenWith(path, pager.Options{Backend: pager.BackendMmap})
-					switch {
-					case err == nil:
-						sn.ft = pg.Tree()
-						sn.pg = pg
-					case s.cfg.Backend == pager.BackendMmap:
-						pubErr = fmt.Errorf("serve: mmap publication of generation %d (shard %d): %w", gen, sh.id, err)
-					}
-					// Auto resolution: a failed map silently serves the
-					// resident tree — the durable file is intact either way.
-				}
+			} else if sharded {
+				manifestDirty = true
 			}
 		}
 		if publishHook != nil {
@@ -627,10 +618,55 @@ func (s *Server) publishLocked(targets []*shard) error {
 	return pubErr
 }
 
+// writeShardLocked writes sn's tree to the shard's durable file and,
+// where the platform supports mmap, reopens the file mapped: the
+// reopen verifies every checksum and structural invariant, and sn then
+// serves zero-copy from the mapping. pager.ErrMmapUnavailable (the map
+// could not be established) leaves sn on its resident tree with no
+// error. Any other reopen error means the file on disk is not the tree
+// that was written; it is returned, and in sharded mode the file is not
+// recorded, so no manifest names it. Caller holds s.mu.
+func (s *Server) writeShardLocked(sh *shard, sn *snapshot) error {
+	sharded := len(s.shards) > 1
+	path, fileGen := s.cfg.SnapshotPath, s.fileGenBase+sn.gen
+	if sharded {
+		path = pager.ShardPath(s.cfg.SnapshotPath, sh.id, fileGen)
+	}
+	fail := func(err error) error {
+		return fmt.Errorf("serve: durable publication of generation %d (shard %d): %w", sn.gen, sh.id, err)
+	}
+	n, err := pager.WriteFileAtomic(path, sn.ft, s.snapPageBytes)
+	if err != nil {
+		return fail(err)
+	}
+	sh.bytes.Add(n)
+	s.bytesW.Add(n)
+	if writtenHook != nil {
+		writtenHook(path)
+	}
+	if pager.MmapSupported() {
+		pg, err := pager.OpenWith(path, pager.Options{Backend: pager.BackendMmap})
+		switch {
+		case err == nil:
+			sn.ft, sn.pg = pg.Tree(), pg
+		case !errors.Is(err, pager.ErrMmapUnavailable):
+			return fail(err)
+		}
+	}
+	if sharded {
+		crc, size, err := pager.FileSummary(path)
+		if err != nil {
+			return fail(err)
+		}
+		sh.fileGen, sh.fileBytes, sh.fileCRC = fileGen, size, crc
+	}
+	return nil
+}
+
 // writeManifestLocked commits the current shard-file set durably.
 // Caller holds s.mu.
 func (s *Server) writeManifestLocked(gen int64) error {
-	m := &pager.Manifest{Generation: gen, Dim: s.dim, Shards: make([]pager.ManifestShard, len(s.shards))}
+	m := &pager.Manifest{Generation: s.fileGenBase + gen, Dim: s.dim, Shards: make([]pager.ManifestShard, len(s.shards))}
 	for i, sh := range s.shards {
 		m.Shards[i] = pager.ManifestShard{Generation: sh.fileGen, Bytes: sh.fileBytes, HeaderCRC: sh.fileCRC}
 	}
@@ -677,7 +713,7 @@ func (s *Server) Insert(p []float64) error {
 	if !vec.Finite(p) {
 		return errNonFinite
 	}
-	cp := clonePoint(p)
+	cp := vec.Clone(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() { // re-check under s.mu: Close may have won the race
@@ -874,10 +910,12 @@ func (s *Server) serveBatch(calls []*call) {
 	releaseAll(sns)
 }
 
-// answerKNN materializes one k-NN answer and completes the call.
+// answerKNN materializes one k-NN answer and completes the call. The
+// neighbor rows alias the snapshots' packed point matrices (the
+// KNNSearchFlat aliasing contract), so the answer carries copies.
 func (s *Server) answerKNN(c *call, r query.Result, gen int64) {
 	res := Result{
-		Neighbors:    copyNeighbors(r.Neighbors, s.dim),
+		Neighbors:    vec.ClonePoints(r.Neighbors),
 		LeafAccesses: r.LeafAccesses,
 		DirAccesses:  r.DirAccesses,
 		Radius:       r.Radius,
@@ -885,23 +923,6 @@ func (s *Server) answerKNN(c *call, r query.Result, gen int64) {
 	}
 	s.knnLat.Observe(time.Since(c.start))
 	c.reply <- reply{res: res}
-}
-
-// copyNeighbors materializes private copies of neighbor rows, which
-// alias the snapshots' packed point matrices (the KNNSearchFlat
-// aliasing contract). One backing array serves all rows.
-func copyNeighbors(nbrs [][]float64, dim int) [][]float64 {
-	if len(nbrs) == 0 {
-		return nbrs
-	}
-	backing := make([]float64, len(nbrs)*dim)
-	out := make([][]float64, len(nbrs))
-	for i, n := range nbrs {
-		row := backing[i*dim : (i+1)*dim : (i+1)*dim]
-		copy(row, n)
-		out[i] = row
-	}
-	return out
 }
 
 // ShardStats is the per-shard slice of Stats.
@@ -945,8 +966,9 @@ type Stats struct {
 	FlattenTime  time.Duration
 	BytesWritten int64
 	// Mapped reports whether every current snapshot is served
-	// zero-copy from a read-only file mapping (mmap backend) rather
-	// than resident arrays.
+	// zero-copy from a read-only file mapping rather than resident
+	// arrays. Only a mapped snapshot's file was verified after its
+	// write (see the package doc, Durable snapshots).
 	Mapped bool
 	// Shards holds the per-shard breakdown, in shard order.
 	Shards []ShardStats

@@ -271,9 +271,6 @@ func TestServeConfigValidation(t *testing.T) {
 	if _, err := New(data, Config{QueueTimeout: -time.Second}); err == nil {
 		t.Fatal("negative QueueTimeout accepted, want error")
 	}
-	if _, err := New(data, Config{Backend: 99}); err == nil {
-		t.Fatal("backend 99 accepted, want error")
-	}
 }
 
 func TestServeClose(t *testing.T) {

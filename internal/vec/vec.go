@@ -71,13 +71,23 @@ func Clone(a []float64) []float64 {
 	return c
 }
 
-// ClonePoints deep-copies a set of points.
+// ClonePoints deep-copies a set of points in two allocations: one
+// backing array holds every row, and each row's capacity ends at its
+// length, so appending to one copy never overwrites the next.
 func ClonePoints(pts [][]float64) [][]float64 {
-	c := make([][]float64, len(pts))
-	for i, p := range pts {
-		c[i] = Clone(p)
+	n := 0
+	for _, p := range pts {
+		n += len(p)
 	}
-	return c
+	backing := make([]float64, n)
+	out := make([][]float64, len(pts))
+	for i, p := range pts {
+		row := backing[:len(p):len(p)]
+		copy(row, p)
+		out[i] = row
+		backing = backing[len(p):]
+	}
+	return out
 }
 
 // Mean computes the per-dimension mean of pts into out.

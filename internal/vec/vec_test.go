@@ -110,6 +110,12 @@ func TestClonePointsIndependent(t *testing.T) {
 	if pts[0][0] != 1 {
 		t.Error("ClonePoints did not deep-copy")
 	}
+	// The rows share one backing array; appending to one returned row
+	// must reallocate it rather than write over the next row.
+	_ = append(c[0], 7)
+	if c[1][0] != 3 || c[1][1] != 4 {
+		t.Errorf("appending to row 0 overwrote row 1: %v", c[1])
+	}
 }
 
 func TestSelectByDimSmall(t *testing.T) {

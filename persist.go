@@ -9,35 +9,11 @@ import (
 
 // This file is the facade over internal/pager: saving an index's query
 // snapshot to a page-aligned, checksummed file and reopening it later
-// without rebuilding — resident (decoded into heap arrays) or
-// zero-copy from a read-only file mapping. See DESIGN.md §12 for the
-// format and the crash-safety argument, §13 for the mmap read path.
-
-// Backend selects how OpenWith reads a snapshot file.
-type Backend = pager.Backend
-
-const (
-	// BackendAuto serves from a read-only file mapping where the
-	// platform supports it and falls back to the resident reader
-	// otherwise (the HDIDX_PAGER_BACKEND environment variable
-	// overrides the choice).
-	BackendAuto = pager.BackendAuto
-	// BackendReadAt decodes the whole snapshot into resident arrays.
-	BackendReadAt = pager.BackendReadAt
-	// BackendMmap maps the file read-only and serves the tree —
-	// directory arrays included — zero-copy from the mapping, so
-	// snapshots larger than memory open without materializing them.
-	// Opening fails where the platform lacks mmap.
-	BackendMmap = pager.BackendMmap
-)
-
-// ParseBackend parses "auto", "readat", or "mmap" — the CLI flag
-// vocabulary for Backend.
-func ParseBackend(s string) (Backend, error) { return pager.ParseBackend(s) }
-
-// MmapSupported reports whether the mmap backend can work on this
-// platform.
-func MmapSupported() bool { return pager.MmapSupported() }
+// without rebuilding. How a reopened snapshot is read is the
+// platform's choice: zero-copy from a read-only file mapping where
+// mmap is supported, decoded into resident arrays elsewhere. See
+// DESIGN.md §12 for the format and the crash-safety argument, §13 for
+// the mmap read path.
 
 // Save writes the index's query snapshot (the flat tree all searches
 // run on) to path as a versioned,
@@ -55,24 +31,20 @@ func (ix *Index) Save(path string) error {
 }
 
 // Open loads an index from a snapshot file written by Save (or by a
-// server's durable publication) with the Auto backend — zero-copy
-// mmap where available, resident otherwise. Equivalent to
-// OpenWith(path, BackendAuto).
-func Open(path string) (*Index, error) { return OpenWith(path, BackendAuto) }
-
-// OpenWith loads an index from a snapshot file through the chosen
-// backend. The whole file is verified — header and per-section
-// checksums, then every structural invariant of the tree — before any
-// query can run, so a truncated, corrupted, or foreign file fails here
-// with an error, never later inside a search.
+// server's durable publication). The whole file is verified — header
+// and per-section checksums, then every structural invariant of the
+// tree — before any query can run, so a truncated, corrupted, or
+// foreign file fails here with an error, never later inside a search.
 //
-// The opened index answers KNN and RangeCount exactly like the index
-// that saved it (bit-identical results, whichever backend), and
-// returns private neighbor copies either way. It carries the query
-// snapshot only, not the build-time pointer tree. An mmap-backed index
-// holds the file mapping until Close; a resident one needs no Close.
-func OpenWith(path string, b Backend) (*Index, error) {
-	s, err := pager.OpenWith(path, pager.Options{Backend: b})
+// Where the platform supports mmap the index serves the snapshot
+// zero-copy from a read-only file mapping (Mapped reports true) and
+// holds the mapping until Close; elsewhere, or when the file cannot be
+// mapped, the snapshot is decoded into resident arrays and needs no
+// Close. Either way the opened index answers KNN and RangeCount
+// bit-identically to the index that saved it and returns private
+// neighbor copies.
+func Open(path string) (*Index, error) {
+	s, err := pager.Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +67,7 @@ func OpenWith(path string, b Backend) (*Index, error) {
 }
 
 // Mapped reports whether this index serves its snapshot zero-copy from
-// a read-only file mapping (OpenWith with the mmap backend).
+// a read-only file mapping.
 func (ix *Index) Mapped() bool { return ix.snap != nil }
 
 // Close releases the file mapping of an mmap-backed index; queries

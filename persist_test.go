@@ -4,13 +4,15 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"hdidx/internal/pager"
 )
 
-// TestSaveOpenBackends round-trips an index through Save and every
-// available backend of OpenWith, requiring bit-identical query results
-// from each reopened index — the facade face of the pager's backend
-// bit-identity property — plus correct Mapped reporting and idempotent
-// Close.
+// TestSaveOpenBackends round-trips an index through Save and Open,
+// requiring bit-identical query results from the reopened index — the
+// facade face of the pager's backend bit-identity property — plus the
+// platform's read choice in Mapped (a mapping exactly where mmap is
+// supported) and idempotent Close.
 func TestSaveOpenBackends(t *testing.T) {
 	pts := clusteredPoints(t, 0.01, 12)
 	built, err := Build(pts)
@@ -22,62 +24,53 @@ func TestSaveOpenBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	backends := []Backend{BackendAuto, BackendReadAt}
-	if MmapSupported() {
-		backends = append(backends, BackendMmap)
-	}
 	rng := rand.New(rand.NewSource(31))
 	queries := make([][]float64, 15)
 	for i := range queries {
 		queries[i] = pts[rng.Intn(len(pts))]
 	}
-	for _, b := range backends {
-		ix, err := OpenWith(path, b)
+	ix, err := Open(path)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if ix.Mapped() != pager.MmapSupported() {
+		t.Fatalf("Mapped() = %v, want %v (pager.MmapSupported)", ix.Mapped(), pager.MmapSupported())
+	}
+	for _, q := range queries {
+		wantN, wantSt, err := built.KNN(q, 7)
 		if err != nil {
-			t.Fatalf("%v: open: %v", b, err)
+			t.Fatal(err)
 		}
-		if b == BackendMmap && !ix.Mapped() {
-			t.Fatalf("%v: index not mapped", b)
+		gotN, gotSt, err := ix.KNN(q, 7)
+		if err != nil {
+			t.Fatalf("knn: %v", err)
 		}
-		if b == BackendReadAt && ix.Mapped() {
-			t.Fatalf("%v: index mapped", b)
+		if wantSt != gotSt {
+			t.Fatalf("stats %+v, want %+v", gotSt, wantSt)
 		}
-		for _, q := range queries {
-			wantN, wantSt, err := built.KNN(q, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotN, gotSt, err := ix.KNN(q, 7)
-			if err != nil {
-				t.Fatalf("%v: knn: %v", b, err)
-			}
-			if wantSt != gotSt {
-				t.Fatalf("%v: stats %+v, want %+v", b, gotSt, wantSt)
-			}
-			for j := range wantN {
-				for d := range wantN[j] {
-					if wantN[j][d] != gotN[j][d] {
-						t.Fatalf("%v: neighbor %d differs from the built index", b, j)
-					}
+		for j := range wantN {
+			for d := range wantN[j] {
+				if wantN[j][d] != gotN[j][d] {
+					t.Fatalf("neighbor %d differs from the built index", j)
 				}
 			}
-			wantC, _, err := built.RangeCount(q, wantSt.Radius)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotC, _, err := ix.RangeCount(q, wantSt.Radius)
-			if err != nil {
-				t.Fatalf("%v: range: %v", b, err)
-			}
-			if wantC != gotC {
-				t.Fatalf("%v: range count %d, want %d", b, gotC, wantC)
-			}
 		}
-		if err := ix.Close(); err != nil {
-			t.Fatalf("%v: close: %v", b, err)
+		wantC, _, err := built.RangeCount(q, wantSt.Radius)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := ix.Close(); err != nil {
-			t.Fatalf("%v: second close: %v", b, err)
+		gotC, _, err := ix.RangeCount(q, wantSt.Radius)
+		if err != nil {
+			t.Fatalf("range: %v", err)
 		}
+		if wantC != gotC {
+			t.Fatalf("range count %d, want %d", gotC, wantC)
+		}
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatalf("second close: %v", err)
 	}
 }

@@ -65,17 +65,14 @@ type ServeConfig struct {
 	// SnapshotPath, when non-empty, makes every snapshot publication
 	// durable: the published tree is written to this file atomically,
 	// and a restarted server recovers the persisted points from it.
-	// See Index.Save / Open for the file format. Empty (the default)
-	// serves purely in memory.
+	// Where the platform supports mmap, each written file is reopened
+	// — which verifies it — and queries are served zero-copy from its
+	// read-only mapping (unmapped when the generation's last reader
+	// drains); elsewhere the resident tree serves. A written file that
+	// fails verification is an error from the Insert or Flush that
+	// published it. See Index.Save / Open for the file format. Empty
+	// (the default) serves purely in memory.
 	SnapshotPath string
-	// Backend selects how durably published generations are served
-	// when SnapshotPath is set: BackendMmap reopens each published
-	// file and serves queries zero-copy from its read-only mapping
-	// (unmapped when the generation's last reader drains); BackendAuto
-	// (the default) does so where the platform supports it and serves
-	// the resident tree otherwise; BackendReadAt forces the resident
-	// tree. Ignored without a SnapshotPath.
-	Backend Backend
 }
 
 // Server is a concurrent serving handle over an index: any number of
@@ -114,7 +111,6 @@ func NewServer(points [][]float64, scfg ServeConfig, opts ...Option) (*Server, e
 		BatchSize:    scfg.BatchSize,
 		QueueTimeout: scfg.QueueTimeout,
 		SnapshotPath: scfg.SnapshotPath,
-		Backend:      scfg.Backend,
 	})
 	if err != nil {
 		return nil, err
@@ -219,7 +215,11 @@ type ServerStats struct {
 	// BytesWritten is the cumulative durable bytes written.
 	BytesWritten int64
 	// Mapped reports whether every current snapshot is served
-	// zero-copy from a read-only file mapping (ServeConfig.Backend).
+	// zero-copy from a read-only file mapping: the case for a durable
+	// server where the platform supports mmap, unless a shard's
+	// current file failed the check after its write or the mmap call
+	// itself failed. Only a mapped snapshot's file was verified after
+	// its write.
 	Mapped bool
 	// Shards holds the per-shard breakdown, in shard order.
 	Shards []ShardServeStats
