@@ -416,8 +416,16 @@ func BenchmarkRangeQueries(b *testing.B) {
 }
 
 // BenchmarkOtherStructures runs the Section 4.7 generality extension:
-// the sampling model on the R*-tree and the SS-tree.
+// the sampling model on the R*-tree, the SS-, SR- and M-tree, and the
+// grid file, reporting each row's relative error.
 func BenchmarkOtherStructures(b *testing.B) {
+	metric := map[string]string{
+		"VAMSplit R*-tree": "relerr_rtree_%",
+		"SS-tree":          "relerr_sstree_%",
+		"SR-tree":          "relerr_srtree_%",
+		"M-tree":           "relerr_mtree_%",
+		"Grid file (6-d)":  "relerr_gridfile_%",
+	}
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.OtherStructures(benchOpt())
 		if err != nil {
@@ -426,12 +434,11 @@ func BenchmarkOtherStructures(b *testing.B) {
 		if i == 0 {
 			b.Log("\n" + res.String())
 			for _, row := range res.Rows {
-				switch row.Structure {
-				case "VAMSplit R*-tree":
-					b.ReportMetric(absPct(row.RelErr), "relerr_rtree_%")
-				case "SS-tree":
-					b.ReportMetric(absPct(row.RelErr), "relerr_sstree_%")
+				name, ok := metric[row.Structure]
+				if !ok {
+					b.Fatalf("no metric for structure %q", row.Structure)
 				}
+				b.ReportMetric(absPct(row.RelErr), name)
 			}
 		}
 	}

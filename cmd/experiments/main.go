@@ -31,7 +31,7 @@ func main() {
 		k          = flag.Int("k", 0, "k of k-NN (default 21)")
 		m          = flag.Int("m", 0, "memory in points (default 10000*scale)")
 		seed       = flag.Int64("seed", 1, "random seed")
-		shards     = flag.Int("shards", 0, "serving experiment shard count (default 1): dirty-shard-only republication, bit-identical scatter-gather queries")
+		shards     = flag.Int("shards", 0, "serving experiment shard count (default 1): dirty-shard-only republication; a k-NN query is one best-first search over every shard, bit-identical to one tree")
 		flatEvery  = flag.Int("flatten-every", 0, "serving experiment per-shard publication threshold in inserts (default 128)")
 		workers    = flag.Int("workers", 0, "worker-pool width for parallel builds and concurrent sweep rows (0 = GOMAXPROCS)")
 		trace      = flag.Bool("trace", false, "collect per-phase traces and print them after the runs")

@@ -10,13 +10,13 @@ import (
 	"log"
 	"math/rand"
 
+	"hdidx/internal/balltree"
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
 	"hdidx/internal/gridfile"
 	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
-	"hdidx/internal/sstree"
 	"hdidx/internal/stats"
 )
 
@@ -45,13 +45,14 @@ func main() {
 	}
 	row("VAMSplit R*-tree", rtMeas, rtPred.Mean, "Theorem 1 (boxes)")
 
-	// SS-tree: sphere-analogue compensation.
-	sg := sstree.NewGeometry(len(data[0]))
+	// SS-tree: balls around the R*-tree's own pages, sphere-analogue
+	// compensation.
+	sg := balltree.NewGeometry(len(data[0]))
 	cp2 := make([][]float64, len(data))
 	copy(cp2, data)
-	st := sstree.Build(cp2, sg.Params())
-	ssMeas := stats.Mean(sstree.MeasureLeafAccesses(st, spheres))
-	ssPred, err := sstree.Predict(data, zeta, true, sg, spheres, rand.New(rand.NewSource(2)))
+	st := balltree.Build(balltree.SS, cp2, sg.Params(balltree.SS), 0)
+	ssMeas := stats.Mean(balltree.MeasureLeafAccesses(st, spheres))
+	ssPred, err := balltree.Predict(balltree.SS, data, zeta, true, sg, spheres, rand.New(rand.NewSource(2)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -380,6 +380,18 @@ func (e Estimate) PhaseReport() string {
 // EstimateKNN predicts the average number of leaf pages a density-
 // biased k-NN workload accesses on the index this predictor models.
 func (p *Predictor) EstimateKNN(method Method, opts EstimateOptions) (Estimate, error) {
+	return p.estimate(method, 0, opts)
+}
+
+// estimate runs one prediction of a density-biased workload: k-NN
+// balls when radius is 0, balls of the given radius otherwise. The
+// method is checked before anything is staged or traced.
+func (p *Predictor) estimate(method Method, radius float64, opts EstimateOptions) (Estimate, error) {
+	switch method {
+	case MethodBasic, MethodResampled, MethodCutoff:
+	default:
+		return Estimate{}, fmt.Errorf("hdidx: unknown method %q", method)
+	}
 	o, err := opts.withDefaults()
 	if err != nil {
 		return Estimate{}, err
@@ -403,13 +415,21 @@ func (p *Predictor) EstimateKNN(method Method, opts EstimateOptions) (Estimate, 
 			}
 		}
 		tr := newEstimateTrace(MethodBasic, nil)
-		queryPoints := make([][]float64, o.Queries)
-		for i := range queryPoints {
-			queryPoints[i] = p.points[rng.Intn(len(p.points))]
+		centers := make([][]float64, o.Queries)
+		for i := range centers {
+			centers[i] = p.points[rng.Intn(len(p.points))]
 		}
-		sp := tr.Span("workload.spheres")
-		spheres := query.ComputeSpheresPool(p.points, queryPoints, k, pool)
-		sp.End()
+		var spheres []query.Sphere
+		if radius == 0 {
+			sp := tr.Span("workload.spheres")
+			spheres = query.ComputeSpheresPool(p.points, centers, k, pool)
+			sp.End()
+		} else {
+			spheres = make([]query.Sphere, len(centers))
+			for i, c := range centers {
+				spheres[i] = query.Sphere{Center: c, Radius: radius}
+			}
+		}
 		pr, err := core.PredictBasic(p.points, zeta, true, p.g, spheres, rng, pool, tr)
 		if err != nil {
 			return Estimate{}, err
@@ -428,19 +448,17 @@ func (p *Predictor) EstimateKNN(method Method, opts EstimateOptions) (Estimate, 
 		Geometry:     p.g,
 		M:            o.Memory,
 		K:            k,
+		FixedRadius:  radius,
 		QueryIndices: indices,
 		Rng:          rng,
 		Workers:      o.Workers,
 		Trace:        newEstimateTrace(method, d),
 	}
 	var pr core.Prediction
-	switch method {
-	case MethodResampled:
+	if method == MethodResampled {
 		pr, err = core.PredictResampled(pf, cfg)
-	case MethodCutoff:
+	} else {
 		pr, err = core.PredictCutoff(pf, cfg)
-	default:
-		return Estimate{}, fmt.Errorf("hdidx: unknown method %q", method)
 	}
 	if err != nil {
 		return Estimate{}, err
@@ -502,62 +520,7 @@ func (p *Predictor) EstimateRange(method Method, radius float64, opts EstimateOp
 	if radius <= 0 {
 		return Estimate{}, fmt.Errorf("hdidx: range radius must be positive")
 	}
-	o, err := opts.withDefaults()
-	if err != nil {
-		return Estimate{}, err
-	}
-	pool := par.PoolOf(o.Workers)
-	rng := rand.New(rand.NewSource(o.Seed))
-
-	if method == MethodBasic {
-		zeta := o.SampleFraction
-		if zeta == 0 {
-			zeta = float64(o.Memory) / float64(len(p.points))
-			if min := 1.0 / float64(p.g.EffDataCapacity()); zeta < min {
-				zeta = min
-			}
-			if zeta > 1 {
-				zeta = 1
-			}
-		}
-		spheres := make([]query.Sphere, o.Queries)
-		for i := range spheres {
-			spheres[i] = query.Sphere{Center: p.points[rng.Intn(len(p.points))], Radius: radius}
-		}
-		pr, err := core.PredictBasic(p.points, zeta, true, p.g, spheres, rng, pool, newEstimateTrace(MethodBasic, nil))
-		if err != nil {
-			return Estimate{}, err
-		}
-		return estimateOf(MethodBasic, pr), nil
-	}
-
-	d, pf := stageDataset(p.points, p.g)
-	indices := make([]int, o.Queries)
-	for i := range indices {
-		indices[i] = rng.Intn(len(p.points))
-	}
-	cfg := core.Config{
-		Geometry:     p.g,
-		M:            o.Memory,
-		FixedRadius:  radius,
-		QueryIndices: indices,
-		Rng:          rng,
-		Workers:      o.Workers,
-		Trace:        newEstimateTrace(method, d),
-	}
-	var pr core.Prediction
-	switch method {
-	case MethodResampled:
-		pr, err = core.PredictResampled(pf, cfg)
-	case MethodCutoff:
-		pr, err = core.PredictCutoff(pf, cfg)
-	default:
-		return Estimate{}, fmt.Errorf("hdidx: unknown method %q", method)
-	}
-	if err != nil {
-		return Estimate{}, err
-	}
-	return estimateOf(method, pr), nil
+	return p.estimate(method, radius, opts)
 }
 
 // MeasureRangeAccesses builds the full index in memory and measures

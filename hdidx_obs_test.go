@@ -2,10 +2,13 @@ package hdidx
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"hdidx/internal/obs"
 )
 
 // TestEstimatePhasesSumToPredictionIO is the acceptance regression for
@@ -52,10 +55,12 @@ func TestEstimatePhasesSumToPredictionIO(t *testing.T) {
 
 // TestEstimateAccountingGolden pins the simulated disk's cost
 // accounting end to end: every phase's seeks and transfers, and the
-// exact bits of the prediction and of its priced I/O, for one
-// resampled and one cutoff estimate on a fixed TEXTURE60 sample tall
-// enough for an upper/lower split. No other test pins these counts, so
-// a change to how pages are charged fails here.
+// exact bits of the prediction and of its priced I/O, for a basic, a
+// resampled and a cutoff estimate of a k-NN workload (radius 0) and of
+// a range workload, on a fixed TEXTURE60 sample tall enough for an
+// upper/lower split. No other test pins these counts, so a change to
+// how pages are charged, or to the order in which an estimate draws
+// its queries and sample, fails here.
 func TestEstimateAccountingGolden(t *testing.T) {
 	pts := clusteredPoints(t, 0.02, 11)
 	if len(pts) != 5509 {
@@ -71,11 +76,23 @@ func TestEstimateAccountingGolden(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		method     Method
+		radius     float64
 		mean, io   uint64
 		wantHUpper int
 		phases     []phase
 	}{
-		{MethodResampled, 0x4035b33333333333, 0x3ffb5dcc63f14121, 2, []phase{
+		{MethodBasic, 0, 0x4033947ae147ae14, 0, 0, []phase{
+			{"workload.spheres", 0, 0},
+			{"sample.draw", 0, 0},
+			{"mini.build", 0, 0},
+			{"intersect.count", 0, 0},
+		}},
+		{MethodBasic, 0.3, 0x40380a3d70a3d70a, 0, 0, []phase{
+			{"sample.draw", 0, 0},
+			{"mini.build", 0, 0},
+			{"intersect.count", 0, 0},
+		}},
+		{MethodResampled, 0.3, 0x403b70a3d70a3d71, 0x3ffb5dcc63f14121, 2, []phase{
 			{"queries.read", 49, 50},
 			{"sample.scan", 1, 168},
 			{"upper.build", 0, 0},
@@ -84,7 +101,23 @@ func TestEstimateAccountingGolden(t *testing.T) {
 			{"lower.build", 12, 167},
 			{"intersect.count", 0, 0},
 		}},
-		{MethodCutoff, 0x40379eb851eb851f, 0x3fe2ca57a786c226, 2, []phase{
+		{MethodCutoff, 0.3, 0x4043051eb851eb85, 0x3fe2ca57a786c226, 2, []phase{
+			{"queries.read", 49, 50},
+			{"sample.scan", 1, 168},
+			{"upper.build", 0, 0},
+			{"lower.derive", 0, 0},
+			{"intersect.count", 0, 0},
+		}},
+		{MethodResampled, 0, 0x4035b33333333333, 0x3ffb5dcc63f14121, 2, []phase{
+			{"queries.read", 49, 50},
+			{"sample.scan", 1, 168},
+			{"upper.build", 0, 0},
+			{"resample.scan", 6, 168},
+			{"area.write", 72, 223},
+			{"lower.build", 12, 167},
+			{"intersect.count", 0, 0},
+		}},
+		{MethodCutoff, 0, 0x40379eb851eb851f, 0x3fe2ca57a786c226, 2, []phase{
 			{"queries.read", 49, 50},
 			{"sample.scan", 1, 168},
 			{"upper.build", 0, 0},
@@ -92,28 +125,62 @@ func TestEstimateAccountingGolden(t *testing.T) {
 			{"intersect.count", 0, 0},
 		}},
 	} {
-		est, err := p.EstimateKNN(tc.method, EstimateOptions{K: 21, Queries: 50, Memory: 1000, Seed: 5})
+		opts := EstimateOptions{K: 21, Queries: 50, Memory: 1000, Seed: 5}
+		var est Estimate
+		if tc.radius == 0 {
+			est, err = p.EstimateKNN(tc.method, opts)
+		} else {
+			est, err = p.EstimateRange(tc.method, tc.radius, opts)
+		}
+		name := fmt.Sprintf("%s radius %v", tc.method, tc.radius)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.method, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if got := math.Float64bits(est.MeanAccesses); got != tc.mean {
 			t.Errorf("%s: MeanAccesses = %v (bits %#x), want bits %#x",
-				tc.method, est.MeanAccesses, got, tc.mean)
+				name, est.MeanAccesses, got, tc.mean)
 		}
 		if got := math.Float64bits(est.PredictionIOSeconds); got != tc.io {
 			t.Errorf("%s: PredictionIOSeconds = %v (bits %#x), want bits %#x",
-				tc.method, est.PredictionIOSeconds, got, tc.io)
+				name, est.PredictionIOSeconds, got, tc.io)
 		}
 		if est.HUpper != tc.wantHUpper {
-			t.Errorf("%s: h_upper = %d, want %d", tc.method, est.HUpper, tc.wantHUpper)
+			t.Errorf("%s: h_upper = %d, want %d", name, est.HUpper, tc.wantHUpper)
 		}
 		got := make([]phase, len(est.Phases))
 		for i, ph := range est.Phases {
 			got[i] = phase{ph.Name, ph.Seeks, ph.Transfers}
 		}
 		if !reflect.DeepEqual(got, tc.phases) {
-			t.Errorf("%s: phases = %+v, want %+v", tc.method, got, tc.phases)
+			t.Errorf("%s: phases = %+v, want %+v", name, got, tc.phases)
 		}
+	}
+}
+
+// TestEstimateUnknownMethodLeavesNoTrace checks that an unknown method
+// is rejected before anything is staged or traced: with collection on
+// (the CLIs' -trace), no trace named after the bad method may be left
+// in the registry.
+func TestEstimateUnknownMethodLeavesNoTrace(t *testing.T) {
+	p, err := NewPredictor(clusteredPoints(t, 0.02, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Default.SetEnabled(true)
+	defer func() {
+		obs.Default.SetEnabled(false)
+		obs.Default.Reset()
+	}()
+	before := len(obs.Default.Traces())
+	opts := EstimateOptions{Queries: 10, Memory: 1000, Seed: 1}
+	if _, err := p.EstimateKNN(Method("bogus"), opts); err == nil || !strings.Contains(err.Error(), "unknown method") {
+		t.Errorf("EstimateKNN: err = %v, want unknown method", err)
+	}
+	if _, err := p.EstimateRange(Method("bogus"), 0.3, opts); err == nil || !strings.Contains(err.Error(), "unknown method") {
+		t.Errorf("EstimateRange: err = %v, want unknown method", err)
+	}
+	if got := len(obs.Default.Traces()); got != before {
+		t.Errorf("an unknown method left %d traces in the registry", got-before)
 	}
 }
 

@@ -38,9 +38,9 @@ type Options struct {
 	// Seed drives all randomness.
 	Seed int64
 	// Shards is the serving experiment's shard count (default 1): the
-	// server republishes only the dirty shard when it fills, and
-	// queries scatter-gather across shards with bit-identical results.
-	// Other experiments ignore it.
+	// server republishes only the dirty shard when it fills, and a
+	// k-NN query is one best-first search over every shard, with
+	// answers bit-identical to one tree's. Other experiments ignore it.
 	Shards int
 	// FlattenEvery overrides the serving experiment's per-shard
 	// publication threshold (default 128 inserts).

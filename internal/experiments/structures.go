@@ -5,23 +5,23 @@ import (
 	"math/rand"
 	"strings"
 
+	"hdidx/internal/balltree"
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
 	"hdidx/internal/gridfile"
-	"hdidx/internal/mtree"
 	"hdidx/internal/par"
 	"hdidx/internal/query"
-	"hdidx/internal/srtree"
-	"hdidx/internal/sstree"
 	"hdidx/internal/stats"
 )
 
 // Section 4.7 claims the prediction technique applies to every index
 // structure that organizes data in fixed-capacity pages, listing the
-// SS-tree among others. This driver demonstrates it: the same sampling
-// model predicts both the R*-tree (rectangles, Theorem 1 compensation)
-// and the SS-tree (spheres, the sphere-analogue compensation), on the
-// same dataset and workload.
+// SS-tree, the SR-tree, the M-tree and the grid file among others. This
+// experiment demonstrates it: the same sampling model predicts the R*-tree
+// (rectangles, Theorem 1 compensation), the three ball trees (the
+// sphere-analogue compensation, composed with Theorem 1 for the
+// SR-tree's rectangles) and the grid file (no geometric compensation),
+// on the same dataset and workload.
 
 // StructureRow is one index structure's prediction outcome.
 type StructureRow struct {
@@ -38,8 +38,8 @@ type StructuresResult struct {
 	Rows    []StructureRow
 }
 
-// OtherStructures runs the basic sampling model against both index
-// structures on a 16-dimensional clustered dataset. Moderate
+// OtherStructures runs the basic sampling model against every index
+// structure on a 16-dimensional clustered dataset. Moderate
 // dimensionality is deliberate: the sphere compensation factor models
 // within-page *ball* uniformity, and on KLT-like data whose effective
 // dimensionality is far below the embedding one, that model (which
@@ -70,74 +70,33 @@ func OtherStructures(opt Options) (StructuresResult, error) {
 		RelErr:    stats.RelativeError(rt.Mean, rtMeasured),
 	})
 
-	// SS-tree.
-	sg := sstree.NewGeometry(env.g.Dim)
-	sg.PageBytes = env.g.PageBytes
-	cp := make([][]float64, len(env.data))
-	copy(cp, env.data)
-	st := sstree.Build(cp, sg.Params())
-	ssMeasured := stats.Mean(sstree.MeasureLeafAccesses(st, env.spheres))
-	ss, err := sstree.Predict(env.data, zeta, true, sg, env.spheres,
-		rand.New(rand.NewSource(opt.Seed+301)))
-	if err != nil {
-		return StructuresResult{}, fmt.Errorf("structures ss-tree: %w", err)
-	}
-	res.Rows = append(res.Rows, StructureRow{
-		Structure: "SS-tree",
-		Measured:  ssMeasured,
-		Predicted: ss.Mean,
-		RelErr:    stats.RelativeError(ss.Mean, ssMeasured),
-	})
-
-	// SR-tree: rectangle-AND-sphere pages; both compensations compose.
-	srg := srtree.NewGeometry(env.g.Dim)
-	cps := make([][]float64, len(env.data))
-	copy(cps, env.data)
-	srt := srtree.Build(cps, srg.Params())
-	var srMeasured float64
-	for _, s := range env.spheres {
-		n := 0
-		for _, l := range srt.Leaves() {
-			if l.IntersectsSphere(s.Center, s.Radius) {
-				n++
-			}
+	// The ball trees. The SS- and SR-tree bound the pages of the
+	// R*-tree's own VAMSplit partition; the M-tree, the metric-space
+	// member, is built with the Ciaccia-Patella bulk loader (the
+	// paper's reference [10]).
+	bg := balltree.NewGeometry(env.g.Dim)
+	for _, bt := range []struct {
+		name string
+		kind balltree.Kind
+		seed int64 // of the prediction's generator
+	}{{"SS-tree", balltree.SS, 301}, {"SR-tree", balltree.SR, 305}, {"M-tree", balltree.M, 304}} {
+		cp := make([][]float64, len(env.data))
+		copy(cp, env.data)
+		// The M-tree draws its pivots from the seed; the others ignore it.
+		tree := balltree.Build(bt.kind, cp, bg.Params(bt.kind), opt.Seed+303)
+		measured := stats.Mean(balltree.MeasureLeafAccesses(tree, env.spheres))
+		pred, err := balltree.Predict(bt.kind, env.data, zeta, true, bg, env.spheres,
+			rand.New(rand.NewSource(opt.Seed+bt.seed)))
+		if err != nil {
+			return StructuresResult{}, fmt.Errorf("structures %s: %w", bt.name, err)
 		}
-		srMeasured += float64(n)
+		res.Rows = append(res.Rows, StructureRow{
+			Structure: bt.name,
+			Measured:  measured,
+			Predicted: pred.Mean,
+			RelErr:    stats.RelativeError(pred.Mean, measured),
+		})
 	}
-	srMeasured /= float64(len(env.spheres))
-	srPred, err := srtree.Predict(env.data, zeta, true, srg, env.spheres,
-		rand.New(rand.NewSource(opt.Seed+305)))
-	if err != nil {
-		return StructuresResult{}, fmt.Errorf("structures sr-tree: %w", err)
-	}
-	res.Rows = append(res.Rows, StructureRow{
-		Structure: "SR-tree",
-		Measured:  srMeasured,
-		Predicted: srPred.Mean,
-		RelErr:    stats.RelativeError(srPred.Mean, srMeasured),
-	})
-
-	// M-tree: the metric-space member of the Section 4.7 group, built
-	// with the Ciaccia-Patella bulk loader (the paper's reference
-	// [10]) and predicted with the ball-shrinkage compensation.
-	mg := mtree.NewGeometry(env.g.Dim)
-	mp := mtree.Params(mg)
-	mp.Seed = opt.Seed + 303
-	cpm := make([][]float64, len(env.data))
-	copy(cpm, env.data)
-	mt := mtree.Build(cpm, mp)
-	mtMeasured := stats.Mean(mtree.MeasureLeafAccesses(mt, env.spheres))
-	mtPred, err := mtree.Predict(env.data, zeta, true, mg, nil, env.spheres,
-		rand.New(rand.NewSource(opt.Seed+304)))
-	if err != nil {
-		return StructuresResult{}, fmt.Errorf("structures m-tree: %w", err)
-	}
-	res.Rows = append(res.Rows, StructureRow{
-		Structure: "M-tree",
-		Measured:  mtMeasured,
-		Predicted: mtPred.Mean,
-		RelErr:    stats.RelativeError(mtPred.Mean, mtMeasured),
-	})
 
 	// Grid file: a space-partitioning member of the Section 4.7 group.
 	// Its page regions are cells, not bounding boxes, so the mini

@@ -238,13 +238,6 @@ func (b *builder) splitInto(pts [][]float64, k int, subcap float64, childLevel i
 	b.splitInto(right, k-kl, subcap, childLevel, parent)
 }
 
-// ChooseCut exposes the VAMSplit cut selection for other index
-// structures that reuse this bulk-loading strategy (e.g. the SS-tree
-// substrate).
-func ChooseCut(n, k int, subcap float64) (kl, cut int) {
-	return chooseCut(n, k, subcap)
-}
-
 // chooseCut picks the VAMSplit cut position for dividing n points into
 // k subtrees of capacity subcap: kl subtrees go left and cut points go
 // with them, at a multiple of the subtree capacity nearest the median

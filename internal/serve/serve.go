@@ -359,9 +359,8 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	sharded := cfg.Shards > 1
 
-	// recovered[i] is what shard i must re-ingest; in legacy mode the
-	// single recovered tree lands in recovered[0] (and is re-dealt
-	// round-robin, matching how it would have been ingested).
+	// recovered[i] is what shard i must re-ingest; a single snapshot
+	// file (Shards == 1) lands in recovered[0].
 	recovered := make([]*rtree.FlatTree, cfg.Shards)
 	var manifest *pager.Manifest
 	if cfg.SnapshotPath != "" {
@@ -439,16 +438,10 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 		if ft.Dim != s.dim {
 			return nil, fmt.Errorf("serve: recovered snapshot dimension %d, configured %d", ft.Dim, s.dim)
 		}
-		// Legacy single-file recovery re-deals round-robin; sharded
-		// recovery restores each shard's own rows, preserving the
-		// assignment (and with it the balance of publication costs).
+		// Each shard restores its own rows, preserving the assignment
+		// (and with it the balance of publication costs).
 		for r := 0; r < ft.NumPoints; r++ {
-			target := s.shards[i]
-			if !sharded {
-				target = s.shards[s.rr%len(s.shards)]
-				s.rr++
-			}
-			target.dyn.Insert(vec.Clone(ft.Points.Row(r)))
+			s.shards[i].dyn.Insert(vec.Clone(ft.Points.Row(r)))
 		}
 	}
 	for i, p := range initial {

@@ -1,3 +1,7 @@
+// Package sstree holds the SS-tree's tests. The SS-tree (White & Jain,
+// ICDE 1996) is balltree.Build with kind balltree.SS: the VAMSplit
+// partition of rtree.Build, each page bounded by a ball around its
+// centroid.
 package sstree
 
 import (
@@ -6,10 +10,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hdidx/internal/balltree"
 	"hdidx/internal/dataset"
 	"hdidx/internal/query"
 	"hdidx/internal/stats"
-	"hdidx/internal/vec"
 )
 
 func uniformPoints(n, dim int, seed int64) [][]float64 {
@@ -23,25 +27,32 @@ func clusteredPoints(n, dim int, seed int64) [][]float64 {
 	return spec.Generate(rng).Points
 }
 
+func build(pts [][]float64, p balltree.BuildParams) *balltree.Tree {
+	return balltree.Build(balltree.SS, pts, p, 0)
+}
+
 func TestBuildValidates(t *testing.T) {
 	pts := uniformPoints(3000, 8, 1)
-	tr := Build(pts, BuildParams{LeafCap: 32, DirCap: 15})
+	tr := build(pts, balltree.BuildParams{LeafCap: 32, DirCap: 15})
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if tr.NumPoints != 3000 {
 		t.Errorf("NumPoints = %d", tr.NumPoints)
 	}
-	if tr.NumLeaves() < 80 || tr.NumLeaves() > 110 {
-		t.Errorf("leaves = %d, want ~94", tr.NumLeaves())
+	if n := len(tr.Leaves()); n < 80 || n > 110 {
+		t.Errorf("leaves = %d, want ~94", n)
+	}
+	if tr.Root.Level != 3 {
+		t.Errorf("height %d, want 3", tr.Root.Level)
 	}
 }
 
 func TestBuildSingleLeaf(t *testing.T) {
 	pts := uniformPoints(5, 3, 2)
-	tr := Build(pts, BuildParams{LeafCap: 10, DirCap: 4})
-	if tr.Height() != 1 || tr.NumLeaves() != 1 {
-		t.Fatalf("height=%d leaves=%d", tr.Height(), tr.NumLeaves())
+	tr := build(pts, balltree.BuildParams{LeafCap: 10, DirCap: 4})
+	if tr.Root.Level != 1 || len(tr.Leaves()) != 1 || tr.Root.Children != nil {
+		t.Fatalf("height=%d leaves=%d", tr.Root.Level, len(tr.Leaves()))
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -54,71 +65,65 @@ func TestBuildPanicsOnEmpty(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Build(nil, BuildParams{LeafCap: 10, DirCap: 4})
+	build(nil, balltree.BuildParams{LeafCap: 10, DirCap: 4})
+}
+
+// unitBall returns a one-leaf SS-tree whose page is the unit ball
+// around the origin.
+func unitBall() *balltree.Tree {
+	return build([][]float64{{-1, 0}, {1, 0}}, balltree.BuildParams{LeafCap: 10, DirCap: 4})
 }
 
 func TestMinDist(t *testing.T) {
-	n := &Node{Centroid: []float64{0, 0}, Radius: 1}
-	if got := n.MinDist([]float64{0.5, 0}); got != 0 {
+	tr := unitBall()
+	if got := tr.MinDist(tr.Root, []float64{0.5, 0}); got != 0 {
 		t.Errorf("inside MinDist = %v", got)
 	}
-	if got := n.MinDist([]float64{3, 0}); math.Abs(got-2) > 1e-12 {
+	if got := tr.MinDist(tr.Root, []float64{3, 0}); math.Abs(got-2) > 1e-12 {
 		t.Errorf("outside MinDist = %v, want 2", got)
 	}
 }
 
 func TestIntersectsSphere(t *testing.T) {
-	n := &Node{Centroid: []float64{0, 0}, Radius: 1}
-	if !n.IntersectsSphere([]float64{2, 0}, 1) {
+	tr := unitBall()
+	if !tr.Intersects(tr.Root, []float64{2, 0}, 1) {
 		t.Error("tangent spheres should intersect")
 	}
-	if n.IntersectsSphere([]float64{2.5, 0}, 1) {
+	if tr.Intersects(tr.Root, []float64{2.5, 0}, 1) {
 		t.Error("disjoint spheres should not intersect")
 	}
 }
 
 func TestKNNMatchesBruteForce(t *testing.T) {
 	data := clusteredPoints(2000, 8, 3)
-	tr := Build(data, BuildParams{LeafCap: 32, DirCap: 15})
+	tr := build(data, balltree.BuildParams{LeafCap: 32, DirCap: 15})
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 20; trial++ {
 		q := data[rng.Intn(len(data))]
 		for _, k := range []int{1, 5, 21} {
 			want := query.KNNBruteRadius(data, q, k)
-			got := KNNSearch(tr, q, k)
+			got := balltree.KNNSearch(tr, q, k)
 			if math.Abs(got.Radius-want) > 1e-9 {
 				t.Fatalf("k=%d: radius %v, want %v", k, got.Radius, want)
 			}
-			if got.LeafAccesses < 1 {
-				t.Fatal("no leaves accessed")
+			if got.LeafAccesses < 1 || got.DirAccesses < 1 {
+				t.Fatalf("%d leaf and %d directory accesses", got.LeafAccesses, got.DirAccesses)
 			}
 		}
 	}
 }
 
 func TestKNNPanicsOnBadK(t *testing.T) {
-	tr := Build(uniformPoints(10, 2, 5), BuildParams{LeafCap: 4, DirCap: 4})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	KNNSearch(tr, []float64{0, 0}, 0)
-}
-
-func TestInsertBounded(t *testing.T) {
-	var best []float64
-	for _, d := range []float64{5, 1, 3, 2, 4} {
-		best = insertBounded(best, d, 3)
-	}
-	want := []float64{1, 2, 3}
-	if len(best) != 3 {
-		t.Fatalf("len = %d", len(best))
-	}
-	for i := range want {
-		if best[i] != want[i] {
-			t.Errorf("best[%d] = %v, want %v", i, best[i], want[i])
-		}
+	tr := build(uniformPoints(10, 2, 5), balltree.BuildParams{LeafCap: 4, DirCap: 4})
+	for _, k := range []int{0, 11} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("k=%d: expected panic", k)
+				}
+			}()
+			balltree.KNNSearch(tr, []float64{0, 0}, k)
+		}()
 	}
 }
 
@@ -130,7 +135,7 @@ func TestKNNProperty(t *testing.T) {
 		n := 50 + r.Intn(500)
 		dim := 1 + r.Intn(8)
 		data := dataset.GenerateUniform("u", n, dim, r).Points
-		tr := Build(data, BuildParams{
+		tr := build(data, balltree.BuildParams{
 			LeafCap: 2 + r.Float64()*30,
 			DirCap:  2 + float64(r.Intn(14)),
 		})
@@ -143,73 +148,16 @@ func TestKNNProperty(t *testing.T) {
 			q[i] = r.Float64()
 		}
 		want := query.KNNBruteRadius(data, q, k)
-		return math.Abs(KNNSearch(tr, q, k).Radius-want) < 1e-9
+		return math.Abs(balltree.KNNSearch(tr, q, k).Radius-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestSphereCompensationFactorLimits(t *testing.T) {
-	if got := SphereCompensationFactor(32, 1, 8); math.Abs(got-1) > 1e-12 {
-		t.Errorf("factor at zeta=1 = %v, want 1", got)
-	}
-	if got := SphereCompensationFactor(32, 0.1, 8); got <= 1 {
-		t.Errorf("factor = %v, want > 1", got)
-	}
-	// Monotone decreasing in zeta.
-	prev := math.Inf(1)
-	for _, z := range []float64{0.1, 0.3, 0.5, 0.8, 1.0} {
-		f := SphereCompensationFactor(32, z, 8)
-		if f > prev {
-			t.Errorf("factor not decreasing at zeta=%v", z)
-		}
-		prev = f
-	}
-	if got := SphereCompensationFactor(0.5, 0.5, 8); got != 1 {
-		t.Errorf("degenerate capacity factor = %v, want 1", got)
-	}
-}
-
-// Monte Carlo check of the sphere compensation derivation: the
-// expected max distance of n uniform points in a d-ball is
-// R*n*d/(n*d+1).
-func TestSphereShrinkageMonteCarlo(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const d, n, trials = 4, 16, 3000
-	var sum float64
-	for tr := 0; tr < trials; tr++ {
-		var max float64
-		for i := 0; i < n; i++ {
-			// Uniform point in the unit d-ball via normalized Gaussian
-			// and radius U^(1/d).
-			g := make([]float64, d)
-			for j := range g {
-				g[j] = rng.NormFloat64()
-			}
-			norm := vec.Norm(g)
-			r := math.Pow(rng.Float64(), 1.0/d)
-			dist := 0.0
-			for j := range g {
-				v := g[j] / norm * r
-				dist += v * v
-			}
-			if dist > max {
-				max = dist
-			}
-		}
-		sum += math.Sqrt(max)
-	}
-	got := sum / trials
-	want := float64(n*d) / float64(n*d+1)
-	if math.Abs(got-want) > 0.01 {
-		t.Errorf("E[max radius] = %v, derivation says %v", got, want)
-	}
-}
-
 func TestPredictAccuracyClustered(t *testing.T) {
 	data := clusteredPoints(15000, 16, 7)
-	g := NewGeometry(16)
+	g := balltree.NewGeometry(16)
 	rng := rand.New(rand.NewSource(8))
 	queryPoints := make([][]float64, 60)
 	for i := range queryPoints {
@@ -219,10 +167,10 @@ func TestPredictAccuracyClustered(t *testing.T) {
 
 	cp := make([][]float64, len(data))
 	copy(cp, data)
-	tree := Build(cp, g.Params())
-	measured := stats.Mean(MeasureLeafAccesses(tree, spheres))
+	tree := build(cp, g.Params(balltree.SS))
+	measured := stats.Mean(balltree.MeasureLeafAccesses(tree, spheres))
 
-	p, err := Predict(data, 0.2, true, g, spheres, rand.New(rand.NewSource(9)))
+	p, err := balltree.Predict(balltree.SS, data, 0.2, true, g, spheres, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,56 +180,27 @@ func TestPredictAccuracyClustered(t *testing.T) {
 	}
 }
 
-func TestPredictFullSampleExact(t *testing.T) {
-	data := clusteredPoints(4000, 8, 10)
-	g := NewGeometry(8)
-	rng := rand.New(rand.NewSource(11))
-	queryPoints := make([][]float64, 20)
-	for i := range queryPoints {
-		queryPoints[i] = data[rng.Intn(len(data))]
-	}
-	spheres := query.ComputeSpheres(data, queryPoints, 5)
-	cp := make([][]float64, len(data))
-	copy(cp, data)
-	tree := Build(cp, g.Params())
-	measured := MeasureLeafAccesses(tree, spheres)
-	p, err := Predict(data, 1, true, g, spheres, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range measured {
-		if p.PerQuery[i] != measured[i] {
-			t.Fatalf("query %d: predicted %v, measured %v", i, p.PerQuery[i], measured[i])
-		}
-	}
-}
-
 func TestPredictRejectsBadFraction(t *testing.T) {
 	data := uniformPoints(100, 4, 12)
-	g := NewGeometry(4)
+	g := balltree.NewGeometry(4)
 	for _, z := range []float64{0, -1, 1.5, 1e-6} {
-		if _, err := Predict(data, z, true, g, nil, rand.New(rand.NewSource(1))); err == nil {
+		if _, err := balltree.Predict(balltree.SS, data, z, true, g, nil, rand.New(rand.NewSource(1))); err == nil {
 			t.Errorf("zeta=%v: expected error", z)
 		}
+	}
+	if _, err := balltree.Predict(balltree.SS, nil, 0.5, true, g, nil, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("empty dataset: expected error")
 	}
 }
 
 func TestGeometryCapacities(t *testing.T) {
-	g := NewGeometry(60)
+	g := balltree.NewGeometry(60)
 	if g.EffDataCapacity() != 32 {
 		t.Errorf("EffDataCapacity = %d, want 32", g.EffDataCapacity())
 	}
-	if g.EffDirCapacity() < 2 {
-		t.Errorf("EffDirCapacity = %d", g.EffDirCapacity())
-	}
-}
-
-func BenchmarkSSTreeKNN(b *testing.B) {
-	data := clusteredPoints(20000, 16, 13)
-	tr := Build(data, NewGeometry(16).Params())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		KNNSearch(tr, data[i%len(data)], 21)
+	// A ball entry holds a center, a radius and a reference; the
+	// M-tree's entry is the same.
+	if got := g.EffDirCapacity(balltree.SS); got != 31 || g.EffDirCapacity(balltree.M) != got {
+		t.Errorf("SS/M directory capacity = %d/%d, want 31", got, g.EffDirCapacity(balltree.M))
 	}
 }
