@@ -27,7 +27,6 @@ import (
 	"hdidx/internal/dataset"
 	"hdidx/internal/disk"
 	"hdidx/internal/experiments"
-	"hdidx/internal/pager"
 	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
@@ -570,11 +569,11 @@ func BenchmarkServeShards(b *testing.B) {
 }
 
 // BenchmarkPager runs the persistence extension: indexes saved to real
-// page-aligned snapshot files and the k-NN workload replayed through
-// the pager's ReadAt path, reporting the predictor's leaf accesses
-// against the file-measured page reads and whether every paged query
-// matched its in-memory twin bit for bit. scripts/bench.sh records
-// them in BENCH_pager.json.
+// page-aligned snapshot files and searched again once reopened,
+// reporting the predictor's leaf accesses against the file pages the
+// workload reads (derived from the file layout) and whether every
+// query over the opened file matched its in-memory twin bit for bit.
+// scripts/bench.sh records them in BENCH_pager.json.
 func BenchmarkPager(b *testing.B) {
 	opt := experiments.Options{Scale: 0.05, Queries: 100, K: 21, Seed: 1}
 	for i := 0; i < b.N; i++ {
@@ -596,58 +595,6 @@ func BenchmarkPager(b *testing.B) {
 			}
 			b.ReportMetric(float64(identical), "identical_rows")
 		}
-	}
-}
-
-// BenchmarkPagerBackends times one paged k-NN query against the same
-// snapshot file through each read backend — ReadAt (every leaf row
-// fetched with a positioned read) versus mmap (zero-copy rows out of a
-// read-only file mapping) — and reports the pages each backend charged
-// per query. ReadAt recharges every page touch; mmap counts faults
-// (first touches), so its pages/query reads lower by design.
-// scripts/bench.sh records the ns/op of both and the readat/mmap
-// speedup in BENCH_pager.json.
-func BenchmarkPagerBackends(b *testing.B) {
-	rng := rand.New(rand.NewSource(47))
-	spec := dataset.Texture48.Scaled(0.05)
-	data := spec.Generate(rng).Points
-	g := rtree.Geometry{Dim: spec.Dim, PageBytes: 8192, Utilization: rtree.DefaultUtilization}
-	ft := rtree.Build(data, rtree.ParamsForGeometry(g)).Flatten()
-	path := b.TempDir() + "/backends.hdsn"
-	if _, err := pager.WriteFileAtomic(path, ft, 8192); err != nil {
-		b.Fatal(err)
-	}
-	queries := make([][]float64, 100)
-	for i := range queries {
-		queries[i] = data[rng.Intn(len(data))]
-	}
-
-	backends := []pager.Backend{pager.BackendReadAt}
-	if pager.MmapSupported() {
-		backends = append(backends, pager.BackendMmap)
-	}
-	for _, be := range backends {
-		be := be
-		b.Run(be.String(), func(b *testing.B) {
-			snap, err := pager.OpenWith(path, pager.Options{Backend: be})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer snap.Close()
-			tree := snap.Tree()
-			// Warm once so the mmap run counts steady-state faults, not
-			// the first-touch population of the page cache.
-			query.MeasureKNNPaged(tree, snap, queries[:1], 21)
-			snap.ResetCounters()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j := i % len(queries)
-				query.MeasureKNNPaged(tree, snap, queries[j:j+1], 21)
-			}
-			b.StopTimer()
-			io := snap.Counters()
-			b.ReportMetric(float64(io.Transfers)/float64(b.N), "pages/query")
-		})
 	}
 }
 

@@ -55,57 +55,27 @@ type Counters struct {
 	Seeks int64
 	// Transfers is the number of pages moved between disk and memory.
 	Transfers int64
-	// Hits and Misses count page touches that were and were not
-	// already resident. The simulated disk has no cache and leaves
-	// both zero; the pager's fault-granular mmap accounting fills them
-	// (a re-touch of a faulted page is a hit and costs nothing).
-	Hits   int64
-	Misses int64
 }
 
 // Add returns the element-wise sum of c and o.
 func (c Counters) Add(o Counters) Counters {
-	return Counters{
-		Seeks:     c.Seeks + o.Seeks,
-		Transfers: c.Transfers + o.Transfers,
-		Hits:      c.Hits + o.Hits,
-		Misses:    c.Misses + o.Misses,
-	}
+	return Counters{Seeks: c.Seeks + o.Seeks, Transfers: c.Transfers + o.Transfers}
 }
 
 // Sub returns the element-wise difference c - o.
 func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		Seeks:     c.Seeks - o.Seeks,
-		Transfers: c.Transfers - o.Transfers,
-		Hits:      c.Hits - o.Hits,
-		Misses:    c.Misses - o.Misses,
-	}
+	return Counters{Seeks: c.Seeks - o.Seeks, Transfers: c.Transfers - o.Transfers}
 }
 
 // CostSeconds prices the counters under params: seeks*t_seek +
-// transfers*t_xfer. Hits are free.
+// transfers*t_xfer.
 func (c Counters) CostSeconds(p Params) float64 {
 	return float64(c.Seeks)*p.SeekSeconds + float64(c.Transfers)*p.XferSeconds
 }
 
-// HitRate returns the fraction of page touches that were hits, or 0
-// when no touches were classified.
-func (c Counters) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
 // String renders the counters for reports.
 func (c Counters) String() string {
-	s := fmt.Sprintf("%d seeks, %d transfers", c.Seeks, c.Transfers)
-	if c.Hits != 0 || c.Misses != 0 {
-		s += fmt.Sprintf(", %d hits, %d misses (%.1f%% hit rate)", c.Hits, c.Misses, 100*c.HitRate())
-	}
-	return s
+	return fmt.Sprintf("%d seeks, %d transfers", c.Seeks, c.Transfers)
 }
 
 // Disk is a simulated disk. The zero value is not usable; construct

@@ -10,22 +10,24 @@ import (
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
 	"hdidx/internal/disk"
-	"hdidx/internal/obs"
 	"hdidx/internal/pager"
 	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
+	"hdidx/internal/vec"
 )
 
 // The pager experiment closes the loop the paper leaves open: its
 // predictors estimate leaf-page accesses of a modeled index, and the
 // other experiments check them against a simulated in-memory index.
-// Here the index is saved to a real page-aligned snapshot file and the
-// same k-NN workload runs through the pager's ReadAt path, so the
-// prediction is compared against pages actually read from a file —
-// and against the in-memory measurement, which the paged search must
-// reproduce bit-identically (radii and leaf/dir access counts).
+// Here the index is saved to a real page-aligned snapshot file and
+// reopened, both decoded and mapped; the search over each opened tree
+// must reproduce the in-memory measurement bit-identically (radii and
+// leaf/dir access counts). The file pages the workload reads follow
+// from the file layout: each accessed leaf's rows occupy a known page
+// span (pager.Snapshot.LeafPages), so the prediction is compared
+// against the pages a reader of that file transfers.
 //
 // Pages-per-query exceeds leaf-accesses-per-query by a fixed ratio:
 // the tree's geometry models 4-byte coordinates (Geometry.
@@ -42,35 +44,37 @@ type PagerRow struct {
 	PageBytes int
 	// PredictedAccesses is the model's leaf accesses per query;
 	// MeasuredAccesses is the in-memory flat search's; PagedAccesses is
-	// the pager-backed search's (equal to MeasuredAccesses when
-	// BitIdentical holds).
+	// the search's over the tree decoded from the file (equal to
+	// MeasuredAccesses when BitIdentical holds).
 	PredictedAccesses float64
 	MeasuredAccesses  float64
 	PagedAccesses     float64
-	// BitIdentical reports whether every paged query matched its
-	// in-memory twin in radius and leaf/dir access counts.
+	// BitIdentical reports whether every query over the decoded tree
+	// matched its in-memory twin in radius and leaf/dir access counts.
 	BitIdentical bool
-	// PagesPerQuery and SeeksPerQuery are real file I/O counted by the
-	// ReadAt pager across the workload (every page touch recharged per
-	// read call); FileBytes and FilePages describe the snapshot file
+	// PagesPerQuery is the file pages a ReadAt reader transfers per
+	// query: the page span of every accessed leaf, each leaf read on
+	// its own. SeeksPerQuery is the maximal runs of consecutive pages
+	// among each query's pages — the seeks of a reader that sorts a
+	// query's reads. FileBytes and FilePages describe the snapshot file
 	// itself.
 	PagesPerQuery float64
 	SeeksPerQuery float64
 	FileBytes     int64
 	FilePages     int64
-	// MmapUsed reports whether the same workload also ran zero-copy
-	// over a read-only file mapping (false where the platform lacks
-	// mmap; the mmap columns are then zero). MmapPagesPerQuery counts
-	// at fault granularity — each points page is charged once on first
-	// touch since the counter reset, re-touches are cache hits — so it
-	// reads lower than PagesPerQuery by design; MmapBitIdentical
-	// reports the mapped search matched the in-memory twin.
+	// MmapUsed reports whether the file was also searched over a
+	// read-only mapping (false where the platform lacks mmap; the mmap
+	// columns are then zero). MmapPagesPerQuery is the union of the
+	// accessed leaves' pages over the whole workload per query — each
+	// page faults in once, on first touch — so it reads lower than
+	// PagesPerQuery by design; MmapBitIdentical reports the mapped
+	// search matched the in-memory twin.
 	MmapUsed          bool
 	MmapPagesPerQuery float64
 	MmapBitIdentical  bool
-	// MeasuredIOSeconds prices the real page reads under the same disk
-	// parameters the predictors use — the measured counterpart of
-	// Estimate.PredictionIOSeconds, via obs.NewWithSource.
+	// MeasuredIOSeconds prices the ReadAt pages and seeks under the
+	// same disk parameters the predictors use — the file counterpart of
+	// Estimate.PredictionIOSeconds.
 	MeasuredIOSeconds float64
 }
 
@@ -81,8 +85,9 @@ type PagerResult struct {
 }
 
 // Pager saves real indexes over two datasets at two page sizes,
-// replays the k-NN workload through the pager read path, and reports
-// predicted leaf accesses against in-memory and file-measured counts.
+// searches the reopened files, and reports predicted leaf accesses
+// against in-memory counts and the pages the workload reads from the
+// file.
 func Pager(opt Options) (PagerResult, error) {
 	opt = opt.withDefaults()
 	specs := []dataset.Spec{dataset.Texture48, dataset.Color64}
@@ -176,7 +181,8 @@ func Pager(opt Options) (PagerResult, error) {
 			predicted = p.Mean
 		}
 
-		// Save to a real file and replay the workload through the pager.
+		// Save to a real file, reopen it decoded and mapped, and search
+		// the opened trees again.
 		path := filepath.Join(dir, fmt.Sprintf("%s-%d.hdsn", spec.Name, pb))
 		fileBytes, err := pager.WriteFileAtomic(path, ft, pb)
 		if err != nil {
@@ -187,24 +193,6 @@ func Pager(opt Options) (PagerResult, error) {
 			return fmt.Errorf("pager %s page=%d open: %w", spec.Name, pb, err)
 		}
 		defer snap.Close()
-		// The snapshot's real page-read counters stand in for the
-		// simulated disk behind an obs trace, so measured file I/O
-		// lands in the same phase reports (and -trace output) as the
-		// predictors' simulated I/O.
-		snap.ResetCounters()
-		trace := obs.NewWithSource("pager."+spec.Name, snap, disk.DefaultParams().WithPageBytes(pb))
-		if obs.Default.Enabled() {
-			obs.Default.Add(trace)
-		}
-		span := trace.Span(fmt.Sprintf("paged.knn.%dB", pb))
-		paged := query.MeasureKNNPaged(snap.Tree(), snap, wl.queryPoints, wl.k)
-		span.End()
-		io := snap.Counters()
-		var ioSeconds float64
-		for _, ph := range trace.Phases() {
-			ioSeconds += ph.IOSeconds
-		}
-
 		matches := func(got []query.Result) bool {
 			for i := range got {
 				if got[i].Radius != flat[i].Radius ||
@@ -215,25 +203,28 @@ func Pager(opt Options) (PagerResult, error) {
 			}
 			return true
 		}
+		paged := query.MeasureKNNFlat(snap.Tree(), wl.queryPoints, wl.k)
 		identical := matches(paged)
-
-		// The same workload again, zero-copy over a read-only mapping:
-		// identical results, page touches counted at fault granularity.
 		var mmapUsed, mmapIdentical bool
-		var mmapPages float64
 		if pager.MmapSupported() {
 			msnap, err := pager.OpenWith(path, pager.Options{Backend: pager.BackendMmap})
 			if err != nil {
 				return fmt.Errorf("pager %s page=%d mmap open: %w", spec.Name, pb, err)
 			}
-			mpaged := query.MeasureKNNPaged(msnap.Tree(), msnap, wl.queryPoints, wl.k)
-			mio := msnap.Counters()
 			mmapUsed = true
-			mmapIdentical = matches(mpaged)
-			mmapPages = float64(mio.Transfers) / float64(len(wl.queryPoints))
+			mmapIdentical = matches(query.MeasureKNNFlat(msnap.Tree(), wl.queryPoints, wl.k))
 			if err := msnap.Close(); err != nil {
 				return fmt.Errorf("pager %s page=%d mmap close: %w", spec.Name, pb, err)
 			}
+		}
+		io, touched, err := filePageIO(snap, wl.queryPoints, wl.k, flat)
+		if err != nil {
+			return fmt.Errorf("pager %s page=%d: %w", spec.Name, pb, err)
+		}
+		q := float64(len(wl.queryPoints))
+		var mmapPages float64
+		if mmapUsed {
+			mmapPages = float64(touched) / q
 		}
 		leaf := func(rs []query.Result) []float64 {
 			out := make([]float64, len(rs))
@@ -242,7 +233,6 @@ func Pager(opt Options) (PagerResult, error) {
 			}
 			return out
 		}
-		q := float64(len(wl.queryPoints))
 		res.Rows[ci] = PagerRow{
 			Dataset:           spec.Name,
 			N:                 len(wl.data),
@@ -256,7 +246,7 @@ func Pager(opt Options) (PagerResult, error) {
 			SeeksPerQuery:     float64(io.Seeks) / q,
 			FileBytes:         fileBytes,
 			FilePages:         snap.Pages(),
-			MeasuredIOSeconds: ioSeconds,
+			MeasuredIOSeconds: io.CostSeconds(disk.DefaultParams().WithPageBytes(pb)),
 			MmapUsed:          mmapUsed,
 			MmapPagesPerQuery: mmapPages,
 			MmapBitIdentical:  mmapIdentical,
@@ -267,6 +257,49 @@ func Pager(opt Options) (PagerResult, error) {
 		return PagerResult{}, err
 	}
 	return res, nil
+}
+
+// filePageIO derives the file page I/O of a k-NN workload from the
+// snapshot's layout. A leaf is accessed iff its squared MINDIST is at
+// most the query's final squared k-th distance (the accessed-set rule
+// of query/flat.go; a parent's rectangle contains its children's, so
+// testing the leaf alone is enough). The bound is taken exactly, from
+// the k-th neighbor, never as Radius² — Sqrt does not round-trip.
+//
+// Leaves are the tail of the node order and their rows are packed in
+// that order, so the accessed leaves' page spans come out ascending. A
+// ReadAt reader transfers every span and seeks once per maximal run of
+// consecutive pages within a query; an mmap reader faults each page
+// once over the whole workload (touched). The derived leaf count of
+// every query must equal the search's LeafAccesses.
+func filePageIO(snap *pager.Snapshot, queries [][]float64, k int, flat []query.Result) (io disk.Counters, touched int64, err error) {
+	ft := snap.Tree()
+	faulted := make(map[int64]struct{})
+	for i, q := range queries {
+		nbrs := query.KNNSearchFlat(ft, q, k).Neighbors
+		bound := vec.SqDist(nbrs[k-1], q)
+		leaves, end := 0, int64(-2)
+		for node := ft.NumNodes() - ft.NumLeaves; node < ft.NumNodes(); node++ {
+			if ft.Rects.MinSqDist(node, q) > bound {
+				continue
+			}
+			leaves++
+			first, last := snap.LeafPages(node)
+			io.Transfers += last - first + 1
+			if first > end+1 {
+				io.Seeks++
+			}
+			end = last
+			for p := first; p <= last; p++ {
+				faulted[p] = struct{}{}
+			}
+		}
+		if leaves != flat[i].LeafAccesses {
+			return io, 0, fmt.Errorf("query %d: %d leaves meet the k-NN sphere, the search accessed %d",
+				i, leaves, flat[i].LeafAccesses)
+		}
+	}
+	return io, int64(len(faulted)), nil
 }
 
 // String renders the predicted-vs-measured table.
@@ -288,6 +321,6 @@ func (r PagerResult) String() string {
 			mmapPages, mmapID)
 	}
 	fmt.Fprintf(&b, "pages/query > leaf/query because the geometry models 4-byte coordinates while the file stores float64 rows;\n")
-	fmt.Fprintf(&b, "mmap pages/query counts page faults (first touches), not per-read recharges, so it reads lower by design\n")
+	fmt.Fprintf(&b, "mmap pg/q counts each page once per workload (its first touch), so it reads lower by design; seeks/query counts runs of consecutive pages\n")
 	return b.String()
 }

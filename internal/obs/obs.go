@@ -32,12 +32,6 @@ import (
 	"hdidx/internal/disk"
 )
 
-// CounterSource yields cumulative disk counters. *disk.Disk satisfies
-// it.
-type CounterSource interface {
-	Counters() disk.Counters
-}
-
 // Phase aggregates every span recorded under one name in a trace.
 type Phase struct {
 	// Name is the span name; "/"-separated segments express nesting.
@@ -53,8 +47,8 @@ type Phase struct {
 	// semantics); top-level phases that do not overlap partition the
 	// trace's total I/O.
 	IO disk.Counters `json:"io"`
-	// IOSeconds prices IO under the disk parameters of the trace's
-	// counter source (zero when the trace has no disk).
+	// IOSeconds prices IO under the parameters of the trace's disk
+	// (zero when the trace has no disk).
 	IOSeconds float64 `json:"io_seconds"`
 }
 
@@ -62,10 +56,8 @@ type Phase struct {
 // index build). The zero value is not usable; construct with New. A
 // nil *Trace is valid and records nothing.
 type Trace struct {
-	name     string
-	src      CounterSource
-	price    disk.Params
-	hasPrice bool
+	name string
+	d    *disk.Disk
 
 	mu     sync.Mutex
 	order  []string
@@ -76,28 +68,7 @@ type Trace struct {
 // and prices them with d's parameters. d may be nil for CPU-only
 // traces (spans then carry wall time only).
 func New(name string, d *disk.Disk) *Trace {
-	t := &Trace{name: name, phases: make(map[string]*Phase)}
-	if d != nil {
-		t.src = d
-		t.price = d.Params()
-		t.hasPrice = true
-	}
-	return t
-}
-
-// NewWithSource returns a trace that snapshots counters from an
-// arbitrary source — the pager's real page-read counters, say, instead
-// of a simulated disk — and prices them with the given parameters.
-// This is what lets measured file I/O flow through the same phase
-// reports as the simulated disk's. src may be nil for CPU-only traces.
-func NewWithSource(name string, src CounterSource, price disk.Params) *Trace {
-	t := &Trace{name: name, phases: make(map[string]*Phase)}
-	if src != nil {
-		t.src = src
-		t.price = price
-		t.hasPrice = true
-	}
-	return t
+	return &Trace{name: name, d: d, phases: make(map[string]*Phase)}
 }
 
 // Name returns the trace name. Safe on nil (returns "").
@@ -109,10 +80,10 @@ func (t *Trace) Name() string {
 }
 
 func (t *Trace) counters() disk.Counters {
-	if t == nil || t.src == nil {
+	if t == nil || t.d == nil {
 		return disk.Counters{}
 	}
-	return t.src.Counters()
+	return t.d.Counters()
 }
 
 // Span is one timed region. It is a value type: obtain one from
@@ -166,8 +137,8 @@ func (t *Trace) record(name string, wall time.Duration, io disk.Counters) {
 	ph.Count++
 	ph.Wall += wall
 	ph.IO = ph.IO.Add(io)
-	if t.hasPrice {
-		ph.IOSeconds = ph.IO.CostSeconds(t.price)
+	if t.d != nil {
+		ph.IOSeconds = ph.IO.CostSeconds(t.d.Params())
 	}
 }
 

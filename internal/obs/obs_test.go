@@ -109,10 +109,7 @@ func TestCounterAttribution(t *testing.T) {
 func TestSpanNesting(t *testing.T) {
 	d := disk.New(disk.DefaultParams())
 	f := d.Alloc(10 * int64(d.Params().PageBytes))
-	tr := New("nest", nil)
-	tr.src = d
-	tr.price = d.Params()
-	tr.hasPrice = true
+	tr := New("nest", d)
 
 	parent := tr.Span("build")
 	child := parent.Child("leaf")

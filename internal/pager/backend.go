@@ -2,25 +2,21 @@ package pager
 
 import (
 	"errors"
-	"fmt"
 	"unsafe"
 )
 
 // Backend selects how an open Snapshot reads the snapshot file.
 //
-// BackendReadAt is the original pager: every section is read, decoded,
-// and checksummed into resident heap arrays at Open, and LeafRows
-// fetches leaf pages with page-granular ReadAt calls into pooled copy
-// buffers. The whole tree is materialized in memory.
+// BackendReadAt reads every section with ReadAt, checksums it, and
+// decodes it into resident heap arrays at Open. The whole tree is
+// materialized in memory and the file is closed.
 //
 // BackendMmap maps the file read-only and serves everything straight
 // from the mapping: the directory arrays (child ranges, RectSet corner
-// columns) are reinterpreted in place —
-// nothing is materialized, so trees larger than memory open — and
-// LeafRows returns zero-copy views into the mapped points section (no
-// syscall, no memcpy per leaf). Page touches are accounted at fault
-// granularity: the first touch of each points page since the last
-// ResetCounters is a transfer+miss, re-touches are hits.
+// columns) and the point matrix are reinterpreted in place — nothing
+// is materialized, so trees larger than memory open, and a leaf scan
+// reads its rows out of the mapped points section with no syscall and
+// no copy.
 //
 // BackendAuto (the zero value) lets the platform decide: Mmap where
 // MmapSupported holds (little-endian linux/darwin), ReadAt otherwise,
@@ -30,7 +26,7 @@ type Backend int
 const (
 	// BackendAuto selects Mmap when available, ReadAt otherwise.
 	BackendAuto Backend = iota
-	// BackendReadAt is the resident pager with ReadAt leaf fetches.
+	// BackendReadAt decodes the file into resident arrays.
 	BackendReadAt
 	// BackendMmap serves zero-copy from a read-only file mapping.
 	BackendMmap
@@ -43,19 +39,6 @@ const (
 // ReadAt on this error; with an explicit BackendMmap it is returned.
 // Test with errors.Is.
 var ErrMmapUnavailable = errors.New("pager: mmap backend unavailable")
-
-// String renders the backend name.
-func (b Backend) String() string {
-	switch b {
-	case BackendAuto:
-		return "auto"
-	case BackendReadAt:
-		return "readat"
-	case BackendMmap:
-		return "mmap"
-	}
-	return fmt.Sprintf("backend(%d)", int(b))
-}
 
 // MmapSupported reports whether the mmap backend can work on this
 // platform (it can still fail at Open time if the syscall does).

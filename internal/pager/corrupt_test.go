@@ -6,14 +6,17 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
+	"hdidx/internal/vec"
 )
 
 // This file is the hostile-input suite of the snapshot format: every
@@ -260,7 +263,8 @@ func TestOpenRetiredFormat(t *testing.T) {
 
 // FuzzOpen asserts the hostile-input contract on arbitrary bytes:
 // Open either errors or yields a fully verified snapshot whose tree
-// answers a query without panicking.
+// answers k-NN queries exactly — radius and neighbors, bit for bit —
+// as a brute-force scan of its own decoded rows does.
 func FuzzOpen(f *testing.F) {
 	good := goodSnapshotBytes(f, 7)
 	f.Add(good)
@@ -286,12 +290,75 @@ func FuzzOpen(f *testing.F) {
 		}
 		defer s.Close()
 		ft := s.Tree()
-		if ft.NumPoints > 0 {
-			q := make([]float64, ft.Dim)
-			res := query.MeasureKNNPaged(ft, s, [][]float64{q}, 1)[0]
-			if res.LeafAccesses < 1 {
-				t.Fatalf("verified snapshot answered k=1 without reading a leaf: %+v", res)
+		if ft.NumPoints == 0 {
+			return
+		}
+		for _, q := range [][]float64{make([]float64, ft.Dim), ft.Points.Row(ft.NumPoints - 1)} {
+			for _, k := range []int{1, 2, 7, ft.NumPoints} {
+				if k > ft.NumPoints {
+					continue
+				}
+				res := query.KNNSearchFlat(ft, q, k)
+				want, kth := bruteKNN(ft.Points, q, k)
+				if res.LeafAccesses < 1 {
+					t.Fatalf("k=%d: verified snapshot answered without reading a leaf: %+v", k, res)
+				}
+				if math.Float64bits(res.Radius) != math.Float64bits(math.Sqrt(kth)) {
+					t.Fatalf("k=%d: radius %v, brute force %v", k, res.Radius, math.Sqrt(kth))
+				}
+				if !sameRows(res.Neighbors, want) {
+					t.Fatalf("k=%d: neighbors differ from the brute-force (distance, lex) order", k)
+				}
 			}
 		}
 	})
+}
+
+// bruteKNN is the (distance, lex) oracle over a matrix's rows: the k
+// nearest rows to q, closest first, distance ties broken by
+// lexicographic row order, and the squared distance of the k-th.
+func bruteKNN(m vec.Matrix, q []float64, k int) ([][]float64, float64) {
+	type cand struct {
+		d float64
+		p []float64
+	}
+	cs := make([]cand, m.N)
+	for i := range cs {
+		p := m.Row(i)
+		cs[i] = cand{vec.SqDist(p, q), p}
+	}
+	sort.Slice(cs, func(a, b int) bool {
+		if cs[a].d != cs[b].d {
+			return cs[a].d < cs[b].d
+		}
+		for j, v := range cs[a].p {
+			if v != cs[b].p[j] {
+				return v < cs[b].p[j]
+			}
+		}
+		return false
+	})
+	out := make([][]float64, k)
+	for i := range out {
+		out[i] = cs[i].p
+	}
+	return out, cs[k-1].d
+}
+
+// sameRows reports whether two row lists are equal bit for bit.
+func sameRows(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

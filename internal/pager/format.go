@@ -1,9 +1,11 @@
 // Package pager is the real persistence layer of the repository: a
 // versioned, checksummed, page-aligned on-disk file format for
 // rtree.FlatTree query snapshots, an atomic (tmp+rename) writer for
-// crash-safe publication, and a pager read path whose page reads are
-// real file I/O counted in disk.Counters — the measured counterpart of
-// the simulated disk everything else in this repository prices I/O on.
+// crash-safe publication, and an open path that verifies a file before
+// serving its tree from resident arrays or a read-only mapping. The
+// file pages a leaf's rows occupy are arithmetic on the layout
+// (Snapshot.LeafPages), so page counts over a real file are computed,
+// not observed.
 //
 // # File format (version 1)
 //

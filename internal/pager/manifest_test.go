@@ -1,6 +1,7 @@
 package pager
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -284,4 +285,37 @@ func TestFileSummary(t *testing.T) {
 	if _, _, err := FileSummary(path); err == nil {
 		t.Fatal("FileSummary accepted a sub-header file")
 	}
+}
+
+// FuzzDecodeManifest asserts the manifest's hostile-input contract on
+// arbitrary bytes: DecodeManifest never panics, and any manifest it
+// accepts re-encodes to exactly the bytes it was decoded from (the
+// fixed head and the shard records have no padding, so an accepted
+// manifest has one encoding).
+func FuzzDecodeManifest(f *testing.F) {
+	good, err := EncodeManifest(goodManifest())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(good[:manifestFixedBytes])
+	flipped := append([]byte(nil), good...)
+	flipped[20] ^= 0x01
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Add([]byte(Magic + " is a snapshot, not a manifest"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := DecodeManifest(b)
+		if err != nil {
+			return
+		}
+		again, err := EncodeManifest(m)
+		if err != nil {
+			t.Fatalf("accepted manifest %+v does not re-encode: %v", m, err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("accepted manifest re-encodes to other bytes:\n got %x\nwant %x", again, b)
+		}
+	})
 }

@@ -22,7 +22,7 @@ func openMmapT(t *testing.T, path string) *Snapshot {
 	if err != nil {
 		t.Fatalf("open mmap: %v", err)
 	}
-	if s.Backend() != BackendMmap || !s.ZeroCopy() {
+	if s.Backend() != BackendMmap {
 		t.Fatalf("forced mmap open came back as %v", s.Backend())
 	}
 	return s
@@ -74,8 +74,8 @@ func TestMmapRoundTrip(t *testing.T) {
 }
 
 // TestMmapZeroCopy proves the mapped snapshot serves views, not
-// copies: the tree's point matrix and every LeafRows result alias the
-// mapping, and LeafRows ignores its scratch buffer entirely.
+// copies: the tree's point matrix and directory arrays alias the
+// mapping.
 func TestMmapZeroCopy(t *testing.T) {
 	ft := buildFlat(t, 500, 8, 11)
 	path := filepath.Join(t.TempDir(), "snap")
@@ -95,18 +95,6 @@ func TestMmapZeroCopy(t *testing.T) {
 	if !inMap(mapped) {
 		t.Fatal("tree point matrix is not a view into the mapping")
 	}
-	buf := make([]float64, 8*16)
-	poison := buf[0]
-	rows := s.LeafRows(3, 7, buf)
-	if !inMap(rows) {
-		t.Fatal("LeafRows returned a copy, want a view into the mapping")
-	}
-	if &rows[0] != &mapped[3*8] {
-		t.Fatal("LeafRows view does not alias the tree's point matrix")
-	}
-	if buf[0] != poison {
-		t.Fatal("LeafRows wrote into the scratch buffer it must ignore")
-	}
 	// Directory arrays come straight from the map too.
 	cs := s.Tree().ChildStart
 	if p := uintptr(unsafe.Pointer(&cs[0])); p < base || p >= end {
@@ -118,66 +106,29 @@ func TestMmapZeroCopy(t *testing.T) {
 	}
 }
 
-// TestMmapFaultAccounting pins the fault-granular counter model: the
-// first touch of a page is a seek-able transfer+miss, re-touches are
-// hits, and ResetCounters makes the model cold again.
+// TestMmapFaultAccounting checks the page accounting of the mapped
+// snapshot: LeafPages holds on the mapping, and each leaf's rows in the
+// mapped tree are a view at exactly the file offset its span is
+// computed from, so the pages a first touch of those rows faults in
+// are the span.
 func TestMmapFaultAccounting(t *testing.T) {
-	// dim 64 at 512-byte pages: one row is exactly one page.
-	ft := buildFlat(t, 256, 64, 9)
-	path := filepath.Join(t.TempDir(), "snap")
-	if _, err := WriteFileAtomic(path, ft, 512); err != nil {
-		t.Fatalf("write: %v", err)
+	if !MmapSupported() {
+		t.Skip("mmap backend unsupported on this platform")
 	}
-	s := openMmapT(t, path)
-	defer s.Close()
-
-	rows := s.LeafRows(10, 11, nil)
-	if want := ft.Points.Row(10); !reflect.DeepEqual(rows, want) {
-		t.Fatal("LeafRows returned wrong row data")
-	}
-	c := s.Counters()
-	if c.Seeks != 1 || c.Transfers != 1 || c.Misses != 1 || c.Hits != 0 {
-		t.Fatalf("first touch: %+v, want 1 seek / 1 transfer / 1 miss", c)
-	}
-	s.LeafRows(10, 11, nil) // resident page: hit, no transfer
-	c = s.Counters()
-	if c.Transfers != 1 || c.Hits != 1 {
-		t.Fatalf("re-touch: %+v, want 1 transfer / 1 hit", c)
-	}
-	s.LeafRows(11, 12, nil) // adjacent first touch: transfer, no seek
-	c = s.Counters()
-	if c.Seeks != 1 || c.Transfers != 2 {
-		t.Fatalf("adjacent touch: %+v, want 1 seek / 2 transfers", c)
-	}
-	s.LeafRows(0, 1, nil) // backward first touch: seek
-	c = s.Counters()
-	if c.Seeks != 2 || c.Transfers != 3 {
-		t.Fatalf("backward touch: %+v, want 2 seeks / 3 transfers", c)
-	}
-	s.ResetCounters() // cold again: the same page re-charges as a fault
-	s.LeafRows(10, 11, nil)
-	c = s.Counters()
-	if c.Seeks != 1 || c.Transfers != 1 || c.Hits != 0 {
-		t.Fatalf("after reset: %+v, want 1 seek / 1 transfer", c)
-	}
-	// A multi-row span: every page of the run charged exactly once.
-	s.ResetCounters()
-	s.LeafRows(5, 20, nil)
-	c = s.Counters()
-	if c.Transfers != 15 || c.Misses != 15 {
-		t.Fatalf("span: %+v, want 15 transfers", c)
-	}
-	s.LeafRows(5, 20, nil)
-	c = s.Counters()
-	if c.Transfers != 15 || c.Hits != 15 {
-		t.Fatalf("re-span: %+v, want 15 hits and no new transfers", c)
-	}
+	checkLeafPages(t, BackendMmap, func(s *Snapshot, node int, lo int64) {
+		tr := s.Tree()
+		rows := tr.Points.Data[int64(tr.PtStart[node])*int64(tr.Dim):]
+		if got, want := uintptr(unsafe.Pointer(&rows[0])), uintptr(unsafe.Pointer(&s.mapped[lo])); got != want {
+			t.Fatalf("leaf %d's rows are mapped at file offset %d, its span is computed from offset %d",
+				node, int64(got)-int64(uintptr(unsafe.Pointer(&s.mapped[0]))), lo)
+		}
+	})
 }
 
 // TestMmapPagedBitIdentity is the property test of the acceptance
-// criterion: k-NN, range, and measure searches over the mapped tree and
-// source must be bit-identical — radius, leaf and directory accesses,
-// neighbor lists including k-th-radius ties — to both the ReadAt pager
+// criterion: k-NN, range, and measure searches over the mapped tree
+// must be bit-identical — radius, leaf and directory accesses, neighbor
+// lists including k-th-radius ties — to both the decoded ReadAt tree
 // and the in-memory flat path.
 func TestMmapPagedBitIdentity(t *testing.T) {
 	if !MmapSupported() {
@@ -210,19 +161,17 @@ func TestMmapPagedBitIdentity(t *testing.T) {
 			if k > c.n {
 				k = c.n
 			}
-			// The ReadAt and mmap searches alternate on one goroutine, so
-			// they share the pooled row buffer: adopting mapped rows as
-			// that buffer would fault on the next ReadAt fetch.
 			flat := query.KNNSearchFlat(ft, q, k)
 			mapped := query.KNNSearchFlat(mm.Tree(), q, k)
-			if !reflect.DeepEqual(mapped, flat) {
-				t.Fatalf("n=%d dim=%d query %d: mapped k-NN diverges from flat", c.n, c.dim, qi)
+			decoded := query.KNNSearchFlat(ra.Tree(), q, k)
+			if !reflect.DeepEqual(mapped, flat) || !reflect.DeepEqual(decoded, flat) {
+				t.Fatalf("n=%d dim=%d query %d: k-NN over the opened file diverges from flat", c.n, c.dim, qi)
 			}
 			flat.Neighbors = nil
-			overRA := query.MeasureKNNPaged(ra.Tree(), ra, queries[qi:qi+1], k)[0]
-			overMM := query.MeasureKNNPaged(mm.Tree(), mm, queries[qi:qi+1], k)[0]
+			overRA := query.MeasureKNNFlat(ra.Tree(), queries[qi:qi+1], k)[0]
+			overMM := query.MeasureKNNFlat(mm.Tree(), queries[qi:qi+1], k)[0]
 			if !reflect.DeepEqual(overRA, flat) || !reflect.DeepEqual(overMM, flat) {
-				t.Fatalf("n=%d dim=%d query %d: paged k-NN diverges from flat", c.n, c.dim, qi)
+				t.Fatalf("n=%d dim=%d query %d: measured k-NN over the opened file diverges from flat", c.n, c.dim, qi)
 			}
 			r := flat.Radius * (0.8 + 0.4*rng.Float64())
 			wantN, wantRes := query.RangeSearchFlat(ft, query.Sphere{Center: q, Radius: r})
@@ -230,9 +179,6 @@ func TestMmapPagedBitIdentity(t *testing.T) {
 			if gotN != wantN || !reflect.DeepEqual(gotRes, wantRes) {
 				t.Fatalf("n=%d dim=%d query %d: mapped range diverges from flat", c.n, c.dim, qi)
 			}
-		}
-		if c := mm.Counters(); c.Transfers == 0 {
-			t.Fatalf("no faults recorded: %+v", c)
 		}
 		ra.Close()
 		mm.Close()
@@ -242,7 +188,7 @@ func TestMmapPagedBitIdentity(t *testing.T) {
 // TestMmapPoisonedResident proves searches over a mapped snapshot
 // never consult another tree's resident arrays: the searches run with
 // the original in-memory tree's matrix NaN-poisoned, using only the
-// mapped tree and source, and still answer correctly.
+// mapped tree, and still answer correctly.
 func TestMmapPoisonedResident(t *testing.T) {
 	ft := buildFlat(t, 1500, 10, 31)
 	path := filepath.Join(t.TempDir(), "snap")
@@ -263,8 +209,8 @@ func TestMmapPoisonedResident(t *testing.T) {
 	for i := range ft.Points.Data {
 		ft.Points.Data[i] = math.NaN()
 	}
-	if got := query.MeasureKNNPaged(s.Tree(), s, queries, 5); !reflect.DeepEqual(got, want) {
-		t.Fatal("paged search over the mapping disturbed by poisoned resident tree")
+	if got := query.MeasureKNNFlat(s.Tree(), queries, 5); !reflect.DeepEqual(got, want) {
+		t.Fatal("measured search over the mapping disturbed by poisoned resident tree")
 	}
 	for i, q := range queries {
 		got := query.KNNSearchFlat(s.Tree(), q, 5)
@@ -281,16 +227,9 @@ func TestMmapPoisonedResident(t *testing.T) {
 	}
 }
 
-// TestBackendResolution pins Auto's platform choice, the backend names
-// (scripts/bench.sh parses them out of BenchmarkPagerBackends), and
-// Load's resident tree.
+// TestBackendResolution pins Auto's platform choice and Load's
+// resident tree.
 func TestBackendResolution(t *testing.T) {
-	for b, want := range map[Backend]string{BackendAuto: "auto", BackendReadAt: "readat", BackendMmap: "mmap"} {
-		if got := b.String(); got != want {
-			t.Fatalf("Backend(%d).String() = %q, want %q", int(b), got, want)
-		}
-	}
-
 	ft := buildFlat(t, 100, 4, 41)
 	path := filepath.Join(t.TempDir(), "snap")
 	if _, err := WriteFileAtomic(path, ft, 512); err != nil {

@@ -113,7 +113,6 @@ func openMmap(f *os.File, path string, h *header, size int64) (*Snapshot, error)
 		syscall.Madvise(data[tail:size], syscall.MADV_WILLNEED)
 	}
 
-	pointsPages := pointsRun / pb
 	ok = true
 	return &Snapshot{
 		path:      path,
@@ -121,11 +120,8 @@ func openMmap(f *os.File, path string, h *header, size int64) (*Snapshot, error)
 		tree:      tree,
 		backend:   BackendMmap,
 		mapped:    data,
-		points:    points,
-		faulted:   make([]uint64, (pointsPages+63)/64),
 		pointsOff: pointsOff,
 		pointsLen: pointsLen,
-		lastPage:  -1,
 	}, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"os"
 	"sync"
 
-	"hdidx/internal/disk"
 	"hdidx/internal/mbr"
 	"hdidx/internal/rtree"
 	"hdidx/internal/vec"
@@ -20,51 +19,32 @@ import (
 // (header, every section checksum, every structural invariant) before
 // returning; how the tree is then served depends on the Backend.
 //
-// With BackendReadAt (the original pager) the tree is resident:
-// Tree() is a heap copy that stays valid after Close, and LeafRows
-// fetches leaf point rows with real page-granular ReadAt calls
-// against the points section, counting seeks and transfers with the
-// same adjacency rule as the simulated disk (internal/disk).
+// With BackendReadAt the tree is resident: every section is decoded
+// into heap arrays at Open, Tree() stays valid after Close, and the
+// file is closed before Open returns.
 //
 // With BackendMmap the tree is served zero-copy from a read-only
-// mapping of the file: Tree()'s arrays and every slice LeafRows
-// returns are views into the map, valid only until Close (which
-// unmaps), and page touches are counted at fault granularity — the
-// first touch of each points page since ResetCounters is a
-// transfer+miss, later touches are hits.
+// mapping of the file: Tree()'s arrays are views into the map, valid
+// only until Close (which unmaps).
 //
-// Either way the counters let experiments compare the paper's
-// *predicted* leaf accesses against page I/O *measured* on a real
-// filesystem. A Snapshot is safe for concurrent use.
+// Either way LeafPages maps a leaf to the file pages its rows occupy,
+// so the page I/O a workload costs is arithmetic on the file layout.
+// A Snapshot is immutable and safe for concurrent use.
 type Snapshot struct {
-	f       *os.File // nil for the mmap backend (the mapping outlives the fd)
 	path    string
 	h       *header
 	tree    *rtree.FlatTree
 	backend Backend
 
-	// mapped is the whole-file mapping and points its zero-copy
-	// points-section view (mmap backend only).
+	// mapped is the whole-file mapping (mmap backend only).
 	mapped []byte
-	points []float64
 
 	// pointsOff/pointsLen locate the points section in the file.
 	pointsOff int64
 	pointsLen int64
 
-	mu       sync.Mutex
-	counters disk.Counters
-	lastPage int64 // last page touched (ReadAt) or faulted (mmap); -1 = none
-
-	// faulted is the touched-page bitmap over the points section's
-	// pages (mmap backend): a set bit means the page was charged as a
-	// fault since the last ResetCounters.
-	faulted []uint64
-
 	closeOnce sync.Once
 	closeErr  error
-
-	bufPool sync.Pool // *[]byte page-run scratch for ReadAt LeafRows
 }
 
 // Options configures OpenWith.
@@ -90,16 +70,13 @@ func OpenWith(path string, opts Options) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Either backend is done with the descriptor once open returns: the
+	// resident tree is decoded and a mapping outlives its descriptor, so
+	// a long-lived served snapshot costs at most one mapping and no fd.
 	s, err := open(f, path, opts)
+	f.Close()
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("pager: open %s: %w", path, err)
-	}
-	if s.backend == BackendMmap {
-		// The mapping outlives the descriptor; holding no fd means a
-		// long-lived served snapshot costs one mapping, zero handles.
-		f.Close()
-		s.f = nil
 	}
 	return s, nil
 }
@@ -247,14 +224,12 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 		return nil, err
 	}
 	return &Snapshot{
-		f:         f,
 		path:      path,
 		h:         h,
 		tree:      tree,
 		backend:   BackendReadAt,
 		pointsOff: pointsOff,
 		pointsLen: pointsLen,
-		lastPage:  -1,
 	}, nil
 }
 
@@ -301,12 +276,6 @@ func (s *Snapshot) Tree() *rtree.FlatTree { return s.tree }
 // BackendAuto — Open resolves the choice).
 func (s *Snapshot) Backend() Backend { return s.backend }
 
-// ZeroCopy reports whether LeafRows returns views into the snapshot's
-// mapped memory rather than buf-backed copies. Callers that recycle
-// returned slices as scratch buffers (the query package's best-first
-// search over a LeafSource) must not do so when this is true.
-func (s *Snapshot) ZeroCopy() bool { return s.backend == BackendMmap }
-
 // Path returns the file path the snapshot was opened from.
 func (s *Snapshot) Path() string { return s.path }
 
@@ -318,153 +287,33 @@ func (s *Snapshot) PageBytes() int { return s.h.pageBytes }
 // are ultimately priced against.
 func (s *Snapshot) Pages() int64 { return pagePad(s.pointsLen, s.h.pageBytes) / int64(s.h.pageBytes) }
 
-// LeafRows returns point rows [start, end) of the points section in
-// the same row-major layout as the resident matrix.
-//
-// With BackendReadAt the rows are read with real page-granular I/O —
-// one contiguous ReadAt spanning whole pages — and decoded into buf
-// (grown as needed); the counters charge one transfer per page and one
-// seek when the first page is not adjacent to the last page previously
-// read, mirroring the simulated disk's accounting. The returned slice
-// aliases buf and is overwritten by the next call with the same buf.
-//
-// With BackendMmap the rows are a zero-copy view straight into the
-// mapped points section — no syscall, no decode, buf is ignored — and
-// the counters charge at fault granularity: a page's first touch since
-// ResetCounters is a transfer+miss (plus a seek when not adjacent to
-// the previously faulted page), later touches are hits. The view stays
-// readable until Close; callers that retain rows must still copy them
-// (the LeafSource contract).
-//
-// The file was fully verified at Open, so a read failure here is an
-// environmental I/O error (device gone, file unlinked and truncated
-// underfoot); LeafRows panics on it rather than corrupting results.
-func (s *Snapshot) LeafRows(start, end int, buf []float64) []float64 {
-	dim := s.h.dim
-	n := end - start
-	if n < 0 || start < 0 || end > s.h.numPoints {
-		panic(fmt.Sprintf("pager: rows [%d, %d) of %d points", start, end, s.h.numPoints))
-	}
-	if n == 0 {
-		return buf[:0]
-	}
-	if s.backend == BackendMmap {
-		return s.leafRowsMmap(start, end)
-	}
+// LeafPages returns the first and last file page holding the rows of
+// node: the pages a reader of that leaf transfers. A node without rows
+// (a directory node, or an empty leaf) spans no pages: last is then
+// first-1. It is O(1) arithmetic on the row range, the row width and
+// the page size; nothing is read.
+func (s *Snapshot) LeafPages(node int) (first, last int64) {
+	row := int64(s.h.dim) * 8
+	off := s.pointsOff + int64(s.tree.PtStart[node])*row
 	pb := int64(s.h.pageBytes)
-	byteOff := s.pointsOff + int64(start)*int64(dim)*8
-	byteLen := int64(n) * int64(dim) * 8
-	firstPage := byteOff / pb
-	lastPage := (byteOff + byteLen - 1) / pb
-
-	s.mu.Lock()
-	if firstPage != s.lastPage && firstPage != s.lastPage+1 {
-		s.counters.Seeks++
+	first = off / pb
+	if s.tree.PtCount[node] == 0 {
+		return first, first - 1
 	}
-	s.counters.Transfers += lastPage - firstPage + 1
-	s.counters.Misses += lastPage - firstPage + 1
-	s.lastPage = lastPage
-	s.mu.Unlock()
-
-	// Fetch the whole page run, then decode the row span out of it.
-	runLen := int((lastPage - firstPage + 1) * pb)
-	var raw []byte
-	if p, _ := s.bufPool.Get().(*[]byte); p != nil && cap(*p) >= runLen {
-		raw = (*p)[:runLen]
-	} else {
-		raw = make([]byte, runLen)
-	}
-	if _, err := s.f.ReadAt(raw, firstPage*pb); err != nil {
-		panic(fmt.Sprintf("pager: read pages [%d, %d] of %s: %v", firstPage, lastPage, s.path, err))
-	}
-	skip := byteOff - firstPage*pb
-	want := n * dim
-	if cap(buf) < want {
-		buf = make([]float64, want)
-	}
-	out := buf[:want]
-	src := raw[skip : skip+byteLen]
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
-	}
-	s.bufPool.Put(&raw)
-	return out
-}
-
-// leafRowsMmap serves rows [start, end) as a view into the mapped
-// points section, charging first-touch faults. Bounds were checked by
-// LeafRows.
-func (s *Snapshot) leafRowsMmap(start, end int) []float64 {
-	dim := s.h.dim
-	pb := int64(s.h.pageBytes)
-	byteOff := s.pointsOff + int64(start)*int64(dim)*8
-	byteLen := int64(end-start) * int64(dim) * 8
-	firstPage := byteOff / pb
-	lastPage := (byteOff + byteLen - 1) / pb
-	base := s.pointsOff / pb
-
-	s.mu.Lock()
-	for p := firstPage; p <= lastPage; p++ {
-		idx := int(p - base)
-		if s.faulted[idx>>6]&(1<<(idx&63)) != 0 {
-			s.counters.Hits++
-			continue
-		}
-		s.faulted[idx>>6] |= 1 << (idx & 63)
-		if p != s.lastPage+1 {
-			s.counters.Seeks++
-		}
-		s.counters.Transfers++
-		s.counters.Misses++
-		s.lastPage = p
-	}
-	s.mu.Unlock()
-	return s.points[start*dim : end*dim]
-}
-
-// Counters returns the accumulated pager I/O counters. Snapshot
-// implements obs.CounterSource, so a pager can sit behind an obs.Trace
-// and have its page reads show up in phase reports exactly like the
-// simulated disk's.
-func (s *Snapshot) Counters() disk.Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters
-}
-
-// ResetCounters zeroes the counters and forgets the head position, so
-// the next read is charged a seek. For the mmap backend it also clears
-// the touched-page bitmap: the fault accounting models a page cache
-// that is cold at reset (each page's first touch per measured workload
-// is counted once), which is what makes measured mmap cost comparable
-// to the simulator's — the kernel's real residency is not observable
-// per touch.
-func (s *Snapshot) ResetCounters() {
-	s.mu.Lock()
-	s.counters = disk.Counters{}
-	s.lastPage = -1
-	for i := range s.faulted {
-		s.faulted[i] = 0
-	}
-	s.mu.Unlock()
+	return first, (off + int64(s.tree.PtCount[node])*row - 1) / pb
 }
 
 // Close releases the snapshot's resources, exactly once (further calls
-// return the first result). With BackendReadAt it closes the file
-// handle; the resident tree stays usable and only LeafRows dies. With
-// BackendMmap it unmaps the file — the tree and every row view become
-// invalid, so Close must happen strictly after the last reader is done
-// (the serving layer ties it to the snapshot-retire protocol).
+// return the first result). With BackendReadAt there is nothing to
+// release: the resident tree stays usable. With BackendMmap it unmaps
+// the file — the tree and every row view become invalid, so Close must
+// happen strictly after the last reader is done (the serving layer
+// ties it to the snapshot-retire protocol).
 func (s *Snapshot) Close() error {
 	s.closeOnce.Do(func() {
 		if s.mapped != nil {
 			s.closeErr = munmapFile(s.mapped)
 			s.mapped = nil
-		}
-		if s.f != nil {
-			if err := s.f.Close(); s.closeErr == nil {
-				s.closeErr = err
-			}
 		}
 	})
 	return s.closeErr
@@ -472,17 +321,13 @@ func (s *Snapshot) Close() error {
 
 // Load opens, verifies, and closes path, returning just the resident
 // tree — the convenience entry point for callers (server recovery, the
-// facade) that want the tree without the pager read path. It always
-// uses the ReadAt backend: the returned tree must outlive the file
-// handle, which a mapped tree cannot.
+// facade) that want the tree without a Snapshot. It always uses the
+// ReadAt backend: the returned tree must outlive Close, which a mapped
+// tree cannot.
 func Load(path string) (*rtree.FlatTree, error) {
 	s, err := OpenWith(path, Options{Backend: BackendReadAt})
 	if err != nil {
 		return nil, err
 	}
-	t := s.Tree()
-	if err := s.Close(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return s.Tree(), nil
 }

@@ -143,10 +143,10 @@ func TestRoundTripEmpty(t *testing.T) {
 	}
 }
 
-// TestPagedSearchOverFile is the end-to-end measured-I/O check: a
-// search whose leaf rows come from real page reads (or faults of the
-// mapping) must return results bit-identical to the in-memory search,
-// and the counters must record the page traffic.
+// TestPagedSearchOverFile is the end-to-end check over a real file: a
+// search over the tree each read path opens — decoded into resident
+// arrays, or mapped — must return results bit-identical to the
+// in-memory search.
 func TestPagedSearchOverFile(t *testing.T) {
 	ft := buildFlat(t, 4000, 12, 7)
 	path := filepath.Join(t.TempDir(), "snap")
@@ -161,19 +161,8 @@ func TestPagedSearchOverFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: open: %v", b, err)
 		}
-		if got := query.MeasureKNNPaged(s.Tree(), s, queries, 10); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%v: paged search over the file diverges from in-memory search", b)
-		}
-		c := s.Counters()
-		if c.Transfers == 0 || c.Seeks == 0 {
-			t.Fatalf("%v: no page traffic recorded: %+v", b, c)
-		}
-		if c.Transfers < c.Seeks {
-			t.Fatalf("%v: more seeks than transfers: %+v", b, c)
-		}
-		s.ResetCounters()
-		if got := s.Counters(); got.Transfers != 0 || got.Seeks != 0 {
-			t.Fatalf("%v: counters not reset: %+v", b, got)
+		if got := query.MeasureKNNFlat(s.Tree(), queries, 10); !reflect.DeepEqual(want, got) {
+			t.Fatalf("%v: search over the file diverges from in-memory search", b)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("%v: close: %v", b, err)
@@ -181,47 +170,96 @@ func TestPagedSearchOverFile(t *testing.T) {
 	}
 }
 
-// TestLeafRowsAccounting pins the ReadAt adjacency rule: re-reading
-// the same page run and reading the next adjacent page are seek-free;
-// jumping backwards seeks. (The backend is forced: every page touch is
-// recharged per call, unlike the mmap backend's first-touch faults —
-// see TestMmapFaultAccounting.)
+// TestLeafRowsAccounting checks the page accounting of the resident
+// (ReadAt) snapshot: the pages a leaf read transfers are the span
+// LeafPages returns, and that span is where the leaf's rows lie in the
+// file.
 func TestLeafRowsAccounting(t *testing.T) {
-	// dim 64 at 512-byte pages: one row is exactly one page.
-	ft := buildFlat(t, 256, 64, 9)
-	path := filepath.Join(t.TempDir(), "snap")
-	if _, err := WriteFileAtomic(path, ft, 512); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	s, err := OpenWith(path, Options{Backend: BackendReadAt})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer s.Close()
+	checkLeafPages(t, BackendReadAt, nil)
+}
 
-	var buf []float64
-	rows := s.LeafRows(10, 11, buf)
-	if want := ft.Points.Row(10); !reflect.DeepEqual(rows, want) {
-		t.Fatal("LeafRows returned wrong row data")
-	}
-	c := s.Counters()
-	if c.Seeks != 1 || c.Transfers != 1 {
-		t.Fatalf("first read: %+v, want 1 seek / 1 transfer", c)
-	}
-	s.LeafRows(10, 11, rows) // same page: no seek
-	s.LeafRows(11, 12, rows) // adjacent page: no seek
-	c = s.Counters()
-	if c.Seeks != 1 || c.Transfers != 3 {
-		t.Fatalf("sequential reads: %+v, want 1 seek / 3 transfers", c)
-	}
-	s.LeafRows(0, 1, rows) // jump back: seek
-	if c = s.Counters(); c.Seeks != 2 {
-		t.Fatalf("backward read: %+v, want 2 seeks", c)
-	}
-	// A multi-row range decodes correctly across page boundaries.
-	got := s.LeafRows(5, 20, nil)
-	if want := ft.Points.Data[5*64 : 20*64]; !reflect.DeepEqual(got, want) {
-		t.Fatal("multi-page LeafRows returned wrong data")
+// checkLeafPages checks the layout function of snapshots opened with
+// backend b against the file's bytes, at page sizes that leaves span
+// several pages of and that rows straddle, and at one row per page.
+// For every leaf the returned pages must be the pages holding the first
+// and last byte of the leaf's rows, located through the header's
+// section table, and decoding the file there must give back the leaf's
+// rows. Directory nodes span no pages, and each leaf's span starts on
+// the previous leaf's last page or the one after it, so a workload's
+// spans come out ascending. onLeaf, if not nil, is called with each
+// leaf and the file offset of its first row.
+func checkLeafPages(t *testing.T, b Backend, onLeaf func(s *Snapshot, node int, lo int64)) {
+	t.Helper()
+	for _, c := range []struct {
+		n, dim, page int
+	}{
+		{1500, 12, 512},
+		{256, 64, 512},
+		{1200, 20, 4096},
+		{900, 60, 8192},
+	} {
+		ft := buildFlat(t, c.n, c.dim, int64(c.page))
+		path := filepath.Join(t.TempDir(), "snap")
+		if _, err := WriteFileAtomic(path, ft, c.page); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		h, err := decodeHeader(raw[:headerBytes])
+		if err != nil {
+			t.Fatalf("header: %v", err)
+		}
+		var pointsOff int64
+		for _, sec := range h.sections {
+			if sec.kind == secPoints {
+				pointsOff = sec.offset
+			}
+		}
+		row := int64(c.dim) * 8
+		pb := int64(c.page)
+		s, err := OpenWith(path, Options{Backend: b})
+		if err != nil {
+			t.Fatalf("%v: open: %v", b, err)
+		}
+		tr, spanned, prevLast := s.Tree(), 0, int64(-1)
+		for node := 0; node < tr.NumNodes(); node++ {
+			first, last := s.LeafPages(node)
+			if tr.ChildCount[node] != 0 {
+				if last != first-1 {
+					t.Fatalf("page=%d %v: directory node %d spans pages [%d, %d]", c.page, b, node, first, last)
+				}
+				continue
+			}
+			lo := pointsOff + int64(tr.PtStart[node])*row
+			hi := lo + int64(tr.PtCount[node])*row
+			if first != lo/pb || last != (hi-1)/pb {
+				t.Fatalf("page=%d %v: leaf %d bytes [%d, %d) lie on pages [%d, %d], LeafPages says [%d, %d]",
+					c.page, b, node, lo, hi, lo/pb, (hi-1)/pb, first, last)
+			}
+			if prevLast >= 0 && first != prevLast && first != prevLast+1 {
+				t.Fatalf("page=%d %v: leaf %d starts on page %d, the previous leaf ends on page %d",
+					c.page, b, node, first, prevLast)
+			}
+			prevLast = last
+			want := ft.Points.Data[int64(ft.PtStart[node])*int64(c.dim) : int64(ft.PtStart[node]+ft.PtCount[node])*int64(c.dim)]
+			if got := decodeFloat64s(raw[lo:hi]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("page=%d %v: file bytes at leaf %d's offset decode to other rows", c.page, b, node)
+			}
+			if onLeaf != nil {
+				onLeaf(s, node, lo)
+			}
+			if last > first {
+				spanned++
+			}
+		}
+		if spanned == 0 {
+			t.Fatalf("page=%d: no leaf spans more than one page", c.page)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("%v: close: %v", b, err)
+		}
 	}
 }
 

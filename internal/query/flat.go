@@ -17,10 +17,10 @@ import (
 //   - Child pruning is batched: one RectSet.MinSqDists call prices a
 //     node's whole child range over contiguous corner memory, with the
 //     per-dimension early exit against the current k-th-best bound.
-//   - Leaf scans run sqDistBounded over contiguous row-major rows — the
-//     same partial-distance early exit as the sphere-computation
-//     kernel. The rows come from the resident point matrix or, for a
-//     snapshot file read through the pager, from a LeafSource.
+//   - Leaf scans run sqDistBounded over contiguous row-major rows of
+//     the tree's point matrix — the same partial-distance early exit as
+//     the sphere-computation kernel. The matrix may be resident or a
+//     view into a mapped snapshot file; the search cannot tell.
 //   - The frontier is a concrete 4-ary min-heap of (tree, node, dist)
 //     entries; no container/heap, no interface boxing, no allocation
 //     per push.
@@ -48,10 +48,12 @@ import (
 //     k-th-best bound (and its parent was accessed), whatever order
 //     ties pop in.
 //
-// The same two facts make a LeafSource search bit-identical to the
-// resident one: a snapshot file round-trips float64 bits exactly, and
-// every traversal decision depends only on those distances and the
-// resident directory arrays.
+// The same two facts make a search over an opened snapshot file
+// bit-identical to the in-memory one: the file round-trips float64
+// bits exactly, and every traversal decision depends only on those
+// distances and the directory arrays. The accessed-set rule also lets
+// the pager experiment derive a workload's leaf set, and from it the
+// file pages read, without instrumenting the search.
 //
 // They also carry over to a forest — one search over the roots of
 // several trees, as the sharded server runs it. Each tree's root enters
@@ -62,28 +64,6 @@ import (
 // every node, in any tree, whose MINDIST and whose ancestors' MINDISTs
 // are at most the final bound — never more than searching each tree to
 // its own, wider k-th radius, and the same count for one tree.
-
-// LeafSource supplies leaf point rows [start, end) as one row-major
-// run, using buf as scratch when it is large enough. The returned
-// slice may alias buf, the source's internal buffer, or (for a
-// zero-copy source) read-only memory the source owns, and is only
-// valid until the next call — callers must copy rows they retain and
-// must never write through it. pager.Snapshot implements it with real
-// page-granular file reads (ReadAt backend) or views into a read-only
-// file mapping (mmap backend).
-type LeafSource interface {
-	LeafRows(start, end int, buf []float64) []float64
-}
-
-// zeroCopySource marks a LeafSource whose LeafRows results are views
-// into source-owned (possibly write-protected) memory rather than
-// buf-backed copies. The search recycles large returned slices as
-// scratch for later calls — a write into a read-only mapping — so it
-// skips that recycling when ZeroCopy reports true. pager.Snapshot
-// implements it.
-type zeroCopySource interface {
-	ZeroCopy() bool
-}
 
 // flatHeapEntry is one frontier entry of the flat best-first search:
 // node of trees[tree]. The tree index fills what would be padding
@@ -155,7 +135,6 @@ type flatScratch struct {
 	nbrs  neighborHeap
 	dists []float64
 	stack []int32
-	rows  []float64 // LeafSource row buffer
 }
 
 // childDists returns a scratch buffer of at least n distances.
@@ -180,7 +159,7 @@ var flatPool = sync.Pool{New: func() interface{} { return &flatScratch{} }}
 // and the serving layer do).
 func KNNSearchFlat(ft *rtree.FlatTree, q []float64, k int) Result {
 	sc := flatPool.Get().(*flatScratch)
-	res := knnFlat([]*rtree.FlatTree{ft}, nil, q, k, true, sc)
+	res := knnFlat([]*rtree.FlatTree{ft}, q, k, true, sc)
 	flatPool.Put(sc)
 	return res
 }
@@ -192,7 +171,7 @@ func KNNSearchFlat(ft *rtree.FlatTree, q []float64, k int) Result {
 // neighbors are row views into the trees' Points.
 func KNNSearchForest(trees []*rtree.FlatTree, q []float64, k int) Result {
 	sc := flatPool.Get().(*flatScratch)
-	res := knnFlat(trees, nil, q, k, true, sc)
+	res := knnFlat(trees, q, k, true, sc)
 	flatPool.Put(sc)
 	return res
 }
@@ -212,33 +191,25 @@ func KNNSearchFlatBatch(ft *rtree.FlatTree, queries [][]float64, ks []int) []Res
 	sc := flatPool.Get().(*flatScratch)
 	trees := []*rtree.FlatTree{ft}
 	for i, q := range queries {
-		out[i] = knnFlat(trees, nil, q, ks[i], true, sc)
+		out[i] = knnFlat(trees, q, ks[i], true, sc)
 	}
 	flatPool.Put(sc)
 	return out
 }
 
 // knnFlat is the best-first search body over a forest of trees; one
-// tree is the plain single-tree search. Leaf rows come from each
-// tree's Points when src is nil and through src otherwise — a source
-// serves one tree, so src with several trees panics; the directory
-// walk always runs over the resident arrays. With wantNeighbors false
-// it tracks only distances and access counts — no candidate
-// accumulation at all — and performs zero steady-state allocations
-// (asserted by the allocs guard test); with it true the only
-// allocation is the returned neighbor slice. Neighbors are row views,
-// so they are collected only from resident rows: a source may reuse
-// its row memory on the next fetch.
-func knnFlat(trees []*rtree.FlatTree, src LeafSource, q []float64, k int, wantNeighbors bool, sc *flatScratch) Result {
+// tree is the plain single-tree search. With wantNeighbors false it
+// tracks only distances and access counts — no candidate accumulation
+// at all — and performs zero steady-state allocations (asserted by the
+// allocs guard test); with it true the only allocation is the returned
+// neighbor slice.
+func knnFlat(trees []*rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc *flatScratch) Result {
 	total := 0
 	for _, ft := range trees {
 		total += ft.NumPoints
 	}
 	if k <= 0 || k > total {
 		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, total))
-	}
-	if src != nil && len(trees) != 1 {
-		panic(fmt.Sprintf("query: a leaf source serves one tree, not %d", len(trees)))
 	}
 	sc.pq.reset()
 	sc.best.reset(k)
@@ -254,12 +225,6 @@ func knnFlat(trees []*rtree.FlatTree, src LeafSource, q []float64, k int, wantNe
 		}
 		sc.pq.push(int32(i), 0, ft.Rects.MinSqDist(0, q))
 	}
-	// Rows returned by a copying source are adopted as the scratch row
-	// buffer; a zero-copy source's rows may be read-only memory.
-	adopt := src != nil
-	if zc, ok := src.(zeroCopySource); ok && zc.ZeroCopy() {
-		adopt = false
-	}
 	dim := len(q)
 	res := Result{}
 	for sc.pq.len() > 0 {
@@ -273,13 +238,6 @@ func knnFlat(trees []*rtree.FlatTree, src LeafSource, q []float64, k int, wantNe
 			res.LeafAccesses++
 			start, end := int(ft.PtStart[node]), int(ft.PtStart[node]+ft.PtCount[node])
 			rows := ft.Points.Data
-			if src != nil {
-				// A source returns just the leaf's rows: re-base the range.
-				rows, start, end = src.LeafRows(start, end, sc.rows), 0, end-start
-				if adopt && cap(rows) > cap(sc.rows) {
-					sc.rows = rows
-				}
-			}
 			for r := start; r < end; r++ {
 				row := rows[r*dim : r*dim+dim]
 				d, ok := sqDistBounded(row, q, sc.best.max())
@@ -371,27 +329,9 @@ func MeasureKNNFlat(ft *rtree.FlatTree, queryPoints [][]float64, k int) []Result
 	par.Chunks(len(queryPoints), func(lo, hi int) {
 		sc := flatPool.Get().(*flatScratch)
 		for i := lo; i < hi; i++ {
-			out[i] = knnFlat(trees, nil, queryPoints[i], k, false, sc)
+			out[i] = knnFlat(trees, queryPoints[i], k, false, sc)
 		}
 		flatPool.Put(sc)
 	})
-	return out
-}
-
-// MeasureKNNPaged is MeasureKNNFlat with leaf rows read through src —
-// for a pager.Snapshot, real page reads whose count the pager
-// experiment compares against the paper's predictions. Radii and
-// access counts are bit-identical to MeasureKNNFlat on the same tree.
-// Queries run sequentially on purpose: the pager's seek accounting is
-// positional (adjacent-page reads are seek-free), which interleaved
-// concurrent queries would scramble.
-func MeasureKNNPaged(ft *rtree.FlatTree, src LeafSource, queryPoints [][]float64, k int) []Result {
-	out := make([]Result, len(queryPoints))
-	sc := flatPool.Get().(*flatScratch)
-	trees := []*rtree.FlatTree{ft}
-	for i, q := range queryPoints {
-		out[i] = knnFlat(trees, src, q, k, false, sc)
-	}
-	flatPool.Put(sc)
 	return out
 }

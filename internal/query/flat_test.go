@@ -206,9 +206,7 @@ func TestRangeSearchSingleLeafTree(t *testing.T) {
 // the radii-only measurement search allocates nothing in steady state,
 // the neighbor-returning search allocates at most twice per op (the
 // neighbor slice itself, plus heap growth slack) — over one tree and
-// over an eight-tree forest alike — and MeasureKNNPaged over a copying
-// LeafSource allocates only its result slice once its row buffer is
-// warm.
+// over an eight-tree forest alike.
 func TestKNNFlatAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
@@ -228,33 +226,22 @@ func TestKNNFlatAllocs(t *testing.T) {
 	}{{"one tree", []*rtree.FlatTree{ft}}, {"8-tree forest", forest}} {
 		sc := &flatScratch{}
 		for _, q := range queries {
-			knnFlat(c.trees, nil, q, 21, true, sc) // size the scratch buffers
+			knnFlat(c.trees, q, 21, true, sc) // size the scratch buffers
 		}
 		radiiOnly := testing.AllocsPerRun(100, func() {
-			knnFlat(c.trees, nil, queries[i%len(queries)], 21, false, sc)
+			knnFlat(c.trees, queries[i%len(queries)], 21, false, sc)
 			i++
 		})
 		if radiiOnly != 0 {
 			t.Errorf("%s: radii-only flat k-NN: %v allocs/op, want 0", c.name, radiiOnly)
 		}
 		withNeighbors := testing.AllocsPerRun(100, func() {
-			knnFlat(c.trees, nil, queries[i%len(queries)], 21, true, sc)
+			knnFlat(c.trees, queries[i%len(queries)], 21, true, sc)
 			i++
 		})
 		if withNeighbors > 2 {
 			t.Errorf("%s: neighbor-returning flat k-NN: %v allocs/op, want <= 2", c.name, withNeighbors)
 		}
-	}
-	// Box the source once: converting the struct to the interface
-	// allocates, where a *pager.Snapshot would not.
-	var src LeafSource = MatrixSource{M: ft.Points}
-	MeasureKNNPaged(ft, src, queries, 21) // warm the pooled row buffer
-	paged := testing.AllocsPerRun(100, func() {
-		MeasureKNNPaged(ft, src, queries[i%len(queries):i%len(queries)+1], 21)
-		i++
-	})
-	if paged > 1 {
-		t.Errorf("paged measurement over a copying source: %v allocs/op, want <= 1 (the result slice)", paged)
 	}
 	single := testing.AllocsPerRun(100, func() {
 		KNNSearchFlat(ft, queries[i%len(queries)], 21)

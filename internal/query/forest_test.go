@@ -287,8 +287,7 @@ func dynamicShards(data [][]float64, s int) []*rtree.FlatTree {
 }
 
 // TestKNNForestPanics pins the search's preconditions: k outside [1,
-// total points], a non-empty tree of another dimension, and a leaf
-// source (which serves one tree) with several trees.
+// total points] and a non-empty tree of another dimension.
 func TestKNNForestPanics(t *testing.T) {
 	data := uniformPoints(40, 3, 5)
 	trees := shardTrees(shardSplit(data, 2))
@@ -302,9 +301,6 @@ func TestKNNForestPanics(t *testing.T) {
 		{"k above total", "outside", func() { KNNSearchForest(trees, q, 41) }},
 		{"empty forest", "outside", func() { KNNSearchForest([]*rtree.FlatTree{{}}, q, 1) }},
 		{"other dimension", "dimension", func() { KNNSearchForest(append(trees, other), q, 3) }},
-		{"source with two trees", "one tree", func() {
-			knnFlat(trees, MatrixSource{M: trees[0].Points}, q, 3, false, &flatScratch{})
-		}},
 	} {
 		func() {
 			defer func() {

@@ -27,6 +27,18 @@ const reinsertFraction = 0.3
 // minFillFraction is the R*-tree minimum fill m/M.
 const minFillFraction = 0.4
 
+// minDirCap and minDirFill floor a directory page's capacity M and
+// minimum fill m. A balanced R-tree needs m >= 2 and M >= 2m: with m = 1
+// the R* split keeps cutting off one-entry nodes, every root split adds
+// a level, and the tree grows into a chain. Pages of five or more
+// entries already have m = ⌊0.4·M⌋ >= 2 and are unchanged; a smaller
+// page (every d >= 205 at 8 KB) holds four entries and overflows its
+// byte budget, like an X-tree supernode.
+const (
+	minDirCap  = 4
+	minDirFill = 2
+)
+
 // DynamicTree wraps a Tree grown by insertion. It has a single
 // writer, so the working memory of ChooseSubtree and the split lives
 // in the tree and is reused by every insert.
@@ -62,16 +74,18 @@ func NewDynamic(g Geometry) *DynamicTree {
 // similar dynamic mini-indexes: the leaf capacity scales with the
 // sampling fraction while the directory capacity stays that of the
 // full index (Section 3.1's structural-similarity requirement, applied
-// to the insertion algorithm instead of the bulk loader).
+// to the insertion algorithm instead of the bulk loader). A directory
+// capacity below minDirCap is raised to it.
 func NewDynamicCustom(dim, maxLeaf, maxDir int) *DynamicTree {
 	if dim < 1 || maxLeaf < 2 || maxDir < 2 {
 		panic(fmt.Sprintf("rtree: invalid dynamic capacities dim=%d leaf=%d dir=%d", dim, maxLeaf, maxDir))
 	}
+	maxDir = maxInt(maxDir, minDirCap)
 	t := &DynamicTree{
 		maxLeaf:  maxLeaf,
 		maxDir:   maxDir,
 		minLeaf:  maxInt(1, int(float64(maxLeaf)*minFillFraction)),
-		minDir:   maxInt(1, int(float64(maxDir)*minFillFraction)),
+		minDir:   maxInt(minDirFill, int(float64(maxDir)*minFillFraction)),
 		enlarged: mbr.Rect{Lo: make([]float64, dim), Hi: make([]float64, dim)},
 	}
 	t.Dim = dim

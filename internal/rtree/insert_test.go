@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -64,6 +65,86 @@ func TestInsertOccupancyBounds(t *testing.T) {
 	if occ < 0.45 || occ > 0.95 {
 		t.Errorf("utilization = %.2f, want dynamic-split band", occ)
 	}
+}
+
+// TestInsertNarrowDirectoryStaysBalanced grows trees whose directory
+// pages fit fewer than five entries — d >= 205 at 8 KB, and d = 60 at
+// 2 KB — and checks after every insert that the height stays within
+// ⌈log₂ N⌉ + 1, the bound a minimum directory fill of 2 guarantees.
+// With a fill of 1 the R* split cuts off one-entry nodes and the tree
+// grows into a chain, one level per few inserts.
+func TestInsertNarrowDirectoryStaysBalanced(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    Geometry
+		n    int
+	}{
+		{"d256", NewGeometry(256), 100},
+		{"d360", NewGeometry(360), 80},
+		{"d617", NewGeometry(617), 40},
+		{"d60-2KB", Geometry{Dim: 60, PageBytes: 2048, Utilization: DefaultUtilization}, 1000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := NewDynamic(c.g)
+			for i, p := range uniformPoints(c.n, c.g.Dim, int64(c.g.Dim)) {
+				tr.Insert(p)
+				if bound := bits.Len(uint(i)) + 1; tr.Height() > bound {
+					t.Fatalf("height %d after %d inserts, want <= ceil(log2 N) + 1 = %d", tr.Height(), i+1, bound)
+				}
+			}
+			if tr.Height() < 3 {
+				t.Fatalf("height %d: too few inserts to split a directory page", tr.Height())
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestValidateOccupancy checks that Validate enforces page occupancy:
+// the minimum fill of a dynamic tree's non-root pages and the
+// directory capacity of either kind of tree.
+func TestValidateOccupancy(t *testing.T) {
+	g := Geometry{Dim: 4, PageBytes: 512, Utilization: 1}
+	tr := dynamicWith(uniformPoints(2000, 4, 44), g)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d, want a non-root directory node", tr.Height())
+	}
+	// Underfill a non-root directory node; its rectangle still bounds
+	// what is left, so only the occupancy check can object.
+	n := tr.Root.Children[0]
+	kept := n.Children
+	n.Children = n.Children[:1]
+	tr.NumPoints -= countPoints(kept[1:])
+	if err := tr.Validate(); err == nil {
+		t.Fatal("Validate accepted a non-root directory node below the minimum fill")
+	}
+	n.Children = kept
+	tr.NumPoints += countPoints(kept[1:])
+
+	bulk := Build(uniformPoints(500, 4, 45), BuildParams{LeafCap: 8, DirCap: 4})
+	if err := bulk.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bulk.Params.DirCap = 2
+	if err := bulk.Validate(); err == nil {
+		t.Fatal("Validate accepted a directory node above its capacity")
+	}
+}
+
+func countPoints(nodes []*Node) int {
+	total := 0
+	for _, n := range nodes {
+		if n.IsLeaf() {
+			total += len(n.Points)
+		}
+		total += countPoints(n.Children)
+	}
+	return total
 }
 
 func TestInsertDimMismatchPanics(t *testing.T) {

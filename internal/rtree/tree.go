@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math"
 
 	"hdidx/internal/mbr"
 )
@@ -109,17 +110,52 @@ func (t *Tree) Walk(visit func(*Node)) {
 	}
 }
 
+// occupancy bounds the entries of a page: a leaf holds [minLeaf,
+// maxLeaf] points and a directory node [minDir, maxDir] children. The
+// root is exempt from the minimums; a zero maximum is unbounded.
+type occupancy struct{ minLeaf, maxLeaf, minDir, maxDir int }
+
+// check reports whether page n's fanout breaks the bounds.
+func (o occupancy) check(n *Node, root bool) error {
+	lo, hi, what := o.minDir, o.maxDir, "directory node"
+	if n.IsLeaf() {
+		lo, hi, what = o.minLeaf, o.maxLeaf, "leaf"
+	}
+	if f := n.fanout(); (hi > 0 && f > hi) || (!root && f < lo) {
+		return fmt.Errorf("rtree: %s at level %d holds %d entries, outside [%d, %d]", what, n.Level, f, lo, hi)
+	}
+	return nil
+}
+
 // Validate checks the structural invariants of the tree: level
 // numbering, MBR containment of points and children, leaf point
-// accounting, and page occupancy limits. It returns the first
-// violation found.
+// accounting, and page occupancy limits. The limits are the bulk
+// loader's: no page is empty and a directory node holds at most
+// ⌈DirCap⌉ children. Leaves have no upper limit: a forced height or a
+// fractional LeafCap may pack a leaf past ⌈LeafCap⌉. A DynamicTree
+// checks its own, tighter limits. It returns the first violation
+// found.
 func (t *Tree) Validate() error {
+	return t.validate(occupancy{maxDir: int(math.Ceil(t.Params.DirCap))})
+}
+
+// Validate is Tree.Validate with the limits of R* insertion: every
+// page within its capacity, and every page but the root at least at
+// its minimum fill.
+func (t *DynamicTree) Validate() error {
+	return t.validate(occupancy{minLeaf: t.minLeaf, maxLeaf: t.maxLeaf, minDir: t.minDir, maxDir: t.maxDir})
+}
+
+func (t *Tree) validate(occ occupancy) error {
 	if t.Root == nil {
 		return fmt.Errorf("rtree: nil root")
 	}
 	total := 0
 	var rec func(n *Node) error
 	rec = func(n *Node) error {
+		if err := occ.check(n, n == t.Root); err != nil {
+			return err
+		}
 		if n.IsLeaf() {
 			if len(n.Points) == 0 {
 				return fmt.Errorf("rtree: empty leaf")

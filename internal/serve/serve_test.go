@@ -3,7 +3,10 @@ package serve
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,6 +85,54 @@ func TestServeKNNMatchesDirectSearch(t *testing.T) {
 		want := query.KNNSearchFlat(sn.ft, q, k)
 		if res.Radius != want.Radius {
 			t.Fatalf("radius %v != direct search %v", res.Radius, want.Radius)
+		}
+	}
+}
+
+// TestServeHighDimensional serves 360-d points (STOCK360's
+// dimensionality) at the default 8 KB page, where a directory page
+// fits two entries and the ingest tree floors its directory fill at 2:
+// the served tree stays within ⌈log₂ N⌉ + 1 levels, and every answer
+// equals the brute-force (distance, lex) scan bit for bit.
+func TestServeHighDimensional(t *testing.T) {
+	const dim = 360
+	data := uniform(80, dim, 11)
+	s, err := New(data, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sn := s.shards[0].acquire()
+	height := sn.ft.Height
+	sn.release()
+	if bound := bits.Len(uint(len(data)-1)) + 1; height > bound {
+		t.Fatalf("served tree of %d points has height %d, want <= %d", len(data), height, bound)
+	}
+	for qi, q := range uniform(20, dim, 12) {
+		for _, k := range []int{1, 5, 21} {
+			res, err := s.KNN(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byDist := append([][]float64(nil), data...)
+			sort.Slice(byDist, func(a, b int) bool {
+				da, db := dist(q, byDist[a]), dist(q, byDist[b])
+				if da != db {
+					return da < db
+				}
+				for j, v := range byDist[a] {
+					if v != byDist[b][j] {
+						return v < byDist[b][j]
+					}
+				}
+				return false
+			})
+			if res.Radius != dist(q, byDist[k-1]) {
+				t.Fatalf("query %d k=%d: radius %v, brute force %v", qi, k, res.Radius, dist(q, byDist[k-1]))
+			}
+			if !reflect.DeepEqual(res.Neighbors, byDist[:k]) {
+				t.Fatalf("query %d k=%d: neighbors differ from the brute-force (distance, lex) order", qi, k)
+			}
 		}
 	}
 }

@@ -42,15 +42,12 @@
 # buys.
 #
 # Also runs the persistence benchmark (BenchmarkPager at the root:
-# indexes saved to real page-aligned snapshot files, the k-NN workload
-# replayed through the pager read path) and writes BENCH_pager.json
-# with the predicted and measured leaf accesses, the real pages read
-# per query of each (dataset, page size) cell, and the count of cells
-# whose paged results matched the in-memory search bit for bit. The
-# same file records the backend head-to-head (BenchmarkPagerBackends:
-# one paged k-NN per op against the same snapshot through ReadAt and,
-# where supported, zero-copy mmap) — best ns/op and pages/query of
-# each backend plus the readat/mmap speedup.
+# indexes saved to real page-aligned snapshot files and searched again
+# once reopened) and writes BENCH_pager.json with the predicted and
+# measured leaf accesses, the file pages read per query of each
+# (dataset, page size) cell, derived from the file layout, and the
+# count of cells whose results over the opened file matched the
+# in-memory search bit for bit.
 #
 # Every BENCH_*.json records host_cpus (the machine's CPU count) and
 # gomaxprocs (the GOMAXPROCS the benchmarks actually ran at, taken
@@ -329,25 +326,10 @@ END {
 echo "wrote $SERVEOUT:"
 cat "$SERVEOUT"
 
-pagerraw="$(go test -run='^$' -bench='^BenchmarkPager(Backends)?$' -benchtime="$BENCHTIME" -count="$COUNT" .)"
+pagerraw="$(go test -run='^$' -bench='^BenchmarkPager$' -benchtime="$BENCHTIME" -count="$COUNT" .)"
 echo "$pagerraw"
 
 echo "$pagerraw" | awk -v out="$PAGEROUT" -v count="$COUNT" -v benchtime="$BENCHTIME" -v procs="$PROCS" '
-/^BenchmarkPagerBackends\// {
-	# The backend head-to-head: per-query ns/op and pages/query of the
-	# same snapshot read through ReadAt vs zero-copy mmap.
-	name = $1
-	if (match(name, /-[0-9]+$/)) gm = substr(name, RSTART + 1, RLENGTH - 1)
-	sub(/-[0-9]+$/, "", name)
-	sub(/^BenchmarkPagerBackends\//, "", name)
-	ns = $3 + 0
-	if (!(name in bbest) || ns < bbest[name]) bbest[name] = ns
-	for (i = 4; i < NF; i++) {
-		if ($(i + 1) == "pages/query") bpages[name] = $i + 0
-	}
-	if (!(name in bseen)) { border[++bn] = name; bseen[name] = 1 }
-	next
-}
 /^BenchmarkPager/ {
 	if (match($1, /-[0-9]+$/)) gm = substr($1, RSTART + 1, RLENGTH - 1)
 	# custom metric columns come as "<value> <unit>" pairs; the run is
@@ -370,19 +352,7 @@ END {
 	for (i = 1; i <= n; i++) {
 		printf "    \"%s\": %.2f%s\n", order[i], m[order[i]], (i < n ? "," : "") > out
 	}
-	printf "  },\n" > out
-	# ReadAt recharges every page touch; mmap counts faults (first
-	# touches), so its pages/query reads lower by design.
-	printf "  \"backends\": {\n" > out
-	for (i = 1; i <= bn; i++) {
-		name = border[i]
-		printf "    \"%s\": {\"best_ns_per_op\": %.0f, \"pages_per_query\": %.2f}%s\n", \
-			name, bbest[name], bpages[name], (i < bn ? "," : "") > out
-	}
-	printf "  }" > out
-	if (bbest["readat"] > 0 && bbest["mmap"] > 0)
-		printf ",\n  \"mmap_speedup_over_readat\": %.2f", bbest["readat"] / bbest["mmap"] > out
-	printf "\n}\n" > out
+	printf "  }\n}\n" > out
 }'
 
 echo "wrote $PAGEROUT:"
