@@ -2,7 +2,9 @@ package hdidx
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -177,6 +179,71 @@ func TestServerFacadeSharded(t *testing.T) {
 	}
 	if _, err := NewServer(pts, ServeConfig{Shards: 100}); err == nil {
 		t.Fatal("shard count above the maximum accepted")
+	}
+}
+
+// TestServerFacadeDurable restarts a durable server through the facade
+// at one shard and at four: NewServer over points, an insert, Flush and
+// Close, then NewServer(nil, the same config) recovers every point, and
+// the dimensionality, from the manifest and answers bit-identically.
+func TestServerFacadeDurable(t *testing.T) {
+	pts := clusteredPoints(t, 0.005, 13)
+	extra := append([]float64(nil), pts[1]...)
+	extra[0] += 1e-3
+	queries := [][]float64{pts[0], pts[len(pts)/2], extra}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			cfg := ServeConfig{Shards: shards, SnapshotPath: filepath.Join(t.TempDir(), "serve.hdsn")}
+			s, err := NewServer(pts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Insert(extra); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			type answer struct {
+				nbs    [][]float64
+				radius float64
+				count  int
+			}
+			ask := func(s *Server) []answer {
+				out := make([]answer, len(queries))
+				for i, q := range queries {
+					nbs, st, err := s.KNN(q, 6)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n, err := s.RangeCount(q, st.Radius*(1+1e-12))
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[i] = answer{nbs, st.Radius, n}
+				}
+				return out
+			}
+			want := ask(s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			r, err := NewServer(nil, cfg)
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer r.Close()
+			if r.Len() != len(pts)+1 || r.Dim() != len(pts[0]) {
+				t.Fatalf("restart serves %dx%d, want %dx%d", r.Len(), r.Dim(), len(pts)+1, len(pts[0]))
+			}
+			for i, got := range ask(r) {
+				if math.Float64bits(got.radius) != math.Float64bits(want[i].radius) ||
+					!reflect.DeepEqual(got.nbs, want[i].nbs) || got.count != want[i].count {
+					t.Fatalf("query %d: the restarted server answers differently", i)
+				}
+			}
+		})
 	}
 }
 

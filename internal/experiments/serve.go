@@ -83,7 +83,7 @@ func Serve(opt Options) (ServeResult, error) {
 		k = len(data)
 	}
 
-	// Publications are durable into a temp file so the experiment
+	// Publications are durable into a temp directory so the experiment
 	// exercises the full publication path — write, verifying reopen
 	// (zero-copy mmap where the platform has it), retire-unmap.
 	dir, err := os.MkdirTemp("", "hdidx-serve-")

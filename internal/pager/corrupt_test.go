@@ -30,10 +30,25 @@ import (
 func goodSnapshotBytes(tb testing.TB, seed int64) []byte {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	data := uniform(400, 6, rng)
-	ft := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8}).Flatten()
+	return snapshotBytes(tb, uniform(400, 6, rng), rtree.BuildParams{LeafCap: 16, DirCap: 8})
+}
+
+// smallSnapshotBytes is the smallest file that still has a directory
+// level and several leaves: 12 2-d points in three leaves under one
+// root, 4,096 bytes at the minimum page size. FuzzOpen seeds from it,
+// because the fuzzer's minimizer is quadratic in an input's length.
+func smallSnapshotBytes(tb testing.TB) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(7))
+	return snapshotBytes(tb, uniform(12, 2, rng), rtree.BuildParams{LeafCap: 4, DirCap: 4})
+}
+
+// snapshotBytes bulk-loads data and serializes the tree at the minimum
+// page size, returning the raw file bytes.
+func snapshotBytes(tb testing.TB, data [][]float64, params rtree.BuildParams) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
-	if _, err := Write(&buf, ft, MinPageBytes); err != nil {
+	if _, err := Write(&buf, rtree.Build(data, params).Flatten(), MinPageBytes); err != nil {
 		tb.Fatalf("write: %v", err)
 	}
 	return buf.Bytes()
@@ -43,11 +58,12 @@ func goodSnapshotBytes(tb testing.TB, seed int64) []byte {
 // prefilter wrote: a good snapshot plus a codes section (kind 8, one
 // byte per point and dimension) and a marks section (kind 9, 2^bits+1
 // float64 marks per dimension), each page-aligned with a valid CRC, and
-// the header's reserved word set to bits. Every checksum is valid, so
-// only the retired-layout checks can reject the file.
-func retiredSnapshotBytes(tb testing.TB, bits uint32) []byte {
+// the header's reserved word set to bits, appended to a copy of the
+// good file. Every checksum is valid, so only the retired-layout checks
+// can reject the file.
+func retiredSnapshotBytes(tb testing.TB, good []byte, bits uint32) []byte {
 	tb.Helper()
-	b := goodSnapshotBytes(tb, 7)
+	b := append([]byte(nil), good...)
 	h, err := decodeHeader(b[:headerBytes])
 	if err != nil {
 		tb.Fatalf("decode good header: %v", err)
@@ -242,7 +258,7 @@ func TestOpenRetiredFormat(t *testing.T) {
 		{"prefilter sections, zero bits word", 0},
 	} {
 		path := filepath.Join(t.TempDir(), "retired.hdsn")
-		if err := os.WriteFile(path, retiredSnapshotBytes(t, c.bits), 0o644); err != nil {
+		if err := os.WriteFile(path, retiredSnapshotBytes(t, goodSnapshotBytes(t, 7), c.bits), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		for _, opts := range backends {
@@ -261,12 +277,55 @@ func TestOpenRetiredFormat(t *testing.T) {
 	}
 }
 
+// TestOpenRectanglesThatLie moves the lower corner of every node's
+// rectangle to 1e9 in dimension 0 and recomputes the section and header
+// checksums, so only the rectangles' containment check can tell. Before
+// it existed such a file opened, and a k = 1 query at a stored point
+// answered radius 0.772 instead of 0. Both read paths must refuse it,
+// naming the node.
+func TestOpenRectanglesThatLie(t *testing.T) {
+	b := goodSnapshotBytes(t, 7)
+	h, err := decodeHeader(b[:headerBytes])
+	if err != nil {
+		t.Fatalf("decode good header: %v", err)
+	}
+	le := binary.LittleEndian
+	for i, sec := range h.sections {
+		if sec.kind != secRectLo {
+			continue
+		}
+		for off := sec.offset; off < sec.offset+sec.length; off += int64(8 * h.dim) {
+			le.PutUint64(b[off:], math.Float64bits(1e9))
+		}
+		le.PutUint32(b[52+24*i+4:], crc32.Checksum(b[sec.offset:sec.offset+sec.length], castagnoli))
+	}
+	le.PutUint32(b[headerBytes-4:], crc32.Checksum(b[:headerBytes-4], castagnoli))
+	path := filepath.Join(t.TempDir(), "lying.hdsn")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	backends := []Options{{Backend: BackendReadAt}}
+	if MmapSupported() {
+		backends = append(backends, Options{Backend: BackendMmap})
+	}
+	for _, opts := range backends {
+		s, err := OpenWith(path, opts)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%v: open accepted rectangles that do not bound their nodes", opts.Backend)
+		}
+		if !strings.Contains(err.Error(), "node 0 rectangle") {
+			t.Fatalf("%v: error %v does not name the node", opts.Backend, err)
+		}
+	}
+}
+
 // FuzzOpen asserts the hostile-input contract on arbitrary bytes:
 // Open either errors or yields a fully verified snapshot whose tree
 // answers k-NN queries exactly — radius and neighbors, bit for bit —
 // as a brute-force scan of its own decoded rows does.
 func FuzzOpen(f *testing.F) {
-	good := goodSnapshotBytes(f, 7)
+	good := smallSnapshotBytes(f)
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(good[:headerBytes])
@@ -275,8 +334,8 @@ func FuzzOpen(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte("HDSN garbage that is far too short"))
-	f.Add(retiredSnapshotBytes(f, 4))
-	f.Add(retiredSnapshotBytes(f, 0))
+	f.Add(retiredSnapshotBytes(f, good, 4))
+	f.Add(retiredSnapshotBytes(f, good, 0))
 	// One file path per fuzz process (workers are separate processes):
 	// per-exec temp dirs would dominate the runtime.
 	path := filepath.Join(f.TempDir(), "fuzz.hdsn")

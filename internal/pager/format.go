@@ -366,12 +366,17 @@ func pagePad(n int64, pageBytes int) int64 {
 // WriteFileAtomic publishes ft at path crash-safely (atomicReplace): a
 // crash at any moment leaves either the previous snapshot or the new
 // one at path — never a torn file (a stray .tmp-* file at worst, which
-// Open never confuses for a snapshot and later publications clean up).
+// Open never confuses for a snapshot; the next write of path sweeps it,
+// and for a server's shard files the next manifest commit does).
 // A failed directory sync is an error: the new file is in place, but
 // its rename may not survive a crash.
 func WriteFileAtomic(path string, ft *rtree.FlatTree, pageBytes int) (int64, error) {
 	return atomicReplace(path, func(w io.Writer) (int64, error) { return Write(w, ft, pageBytes) })
 }
+
+// tmpSuffix joins a target's name to the random part of the name of
+// the temporary atomicReplace writes it through.
+const tmpSuffix = ".tmp-"
 
 // atomicReplace is the one crash-safe publication sequence: write fills
 // a temporary file in path's directory, which is synced, closed and
@@ -381,7 +386,7 @@ func WriteFileAtomic(path string, ft *rtree.FlatTree, pageBytes int) (int64, err
 // temporary and leaves path untouched.
 func atomicReplace(path string, write func(io.Writer) (int64, error)) (int64, error) {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+tmpSuffix+"*")
 	if err != nil {
 		return 0, err
 	}
@@ -402,7 +407,7 @@ func atomicReplace(path string, write func(io.Writer) (int64, error)) (int64, er
 	}
 	// Best-effort: sweep tmp files a previous crashed writer left. The
 	// directory sync that makes the rename durable is not best-effort.
-	if stale, _ := filepath.Glob(filepath.Join(dir, filepath.Base(path)+".tmp-*")); len(stale) > 0 {
+	if stale, _ := filepath.Glob(filepath.Join(dir, filepath.Base(path)+tmpSuffix+"*")); len(stale) > 0 {
 		for _, s := range stale {
 			os.Remove(s)
 		}

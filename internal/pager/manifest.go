@@ -123,6 +123,22 @@ func ParseShardPath(manifestPath, file string) (shard int, gen int64, ok bool) {
 	return s, g, true
 }
 
+// ShardTemps lists the temporaries of shard-file writes that crashed
+// before their rename (atomicReplace names a temporary after its
+// target). A shard file's name carries its generation, so later writes
+// go to other names and never sweep these; the serving layer does,
+// after each manifest commit.
+func ShardTemps(manifestPath string) []string {
+	matches, _ := filepath.Glob(manifestPath + ".s*.g*.hdsn" + tmpSuffix + "*")
+	temps := matches[:0]
+	for _, f := range matches {
+		if _, _, ok := ParseShardPath(manifestPath, f[:strings.LastIndex(f, tmpSuffix)]); ok {
+			temps = append(temps, f)
+		}
+	}
+	return temps
+}
+
 // EncodeManifest renders m into its checksummed binary form.
 func EncodeManifest(m *Manifest) ([]byte, error) {
 	if m.Generation < 1 {
@@ -167,7 +183,7 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	}
 	if string(b[0:4]) != ManifestMagic {
 		if string(b[0:4]) == Magic {
-			return nil, fmt.Errorf("pager: file is a single snapshot (magic %q), not a shard manifest — serve it unsharded", Magic)
+			return nil, fmt.Errorf("pager: file is a single snapshot (magic %q), not a shard manifest — open it with hdidx.Open, or start a server over its points", Magic)
 		}
 		return nil, fmt.Errorf("pager: not a shard manifest (magic %q)", b[0:4])
 	}

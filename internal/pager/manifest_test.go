@@ -127,8 +127,8 @@ func TestManifestVersionSkewAndBadCounts(t *testing.T) {
 // TestManifestCrossFormatConfusion: a snapshot file handed to
 // ReadManifest and a manifest handed to Open must both fail with
 // errors that name the other format, so an operator who points a
-// sharded server at an unsharded file (or vice versa) gets told
-// exactly what happened.
+// server at a file Index.Save wrote (or Open at a server's manifest)
+// gets told exactly what happened.
 func TestManifestCrossFormatConfusion(t *testing.T) {
 	dir := t.TempDir()
 

@@ -124,7 +124,9 @@ func (t *Tree) FlattenWith(FlattenOptions) *FlatTree { return t.Flatten() }
 //     and the ranges tile [1, n) in BFS order (so sibling ranges are
 //     contiguous and every node except the root has one parent);
 //   - leaves are exactly the BFS tail [n-numLeaves, n) and their point
-//     row ranges tile [0, numPoints) in leaf order.
+//     row ranges tile [0, numPoints) in leaf order;
+//   - every rectangle bounds what it covers (checkContainment), since
+//     a search prunes whole subtrees by rectangles alone.
 //
 // The arrays are adopted, not copied; callers hand over ownership.
 func AssembleFlat(dim, height, numPoints, numLeaves int,
@@ -211,6 +213,9 @@ func AssembleFlat(dim, height, numPoints, numLeaves int,
 	if height < 1 {
 		return nil, fmt.Errorf("rtree: height %d for a %d-node tree", height, n)
 	}
+	if err := checkContainment(dim, childStart, childCount, ptStart, ptCount, rects, points); err != nil {
+		return nil, err
+	}
 	f := &FlatTree{
 		Dim:        dim,
 		Height:     height,
@@ -225,6 +230,54 @@ func AssembleFlat(dim, height, numPoints, numLeaves int,
 	}
 	f.leafRects = f.Rects.Slice(n-numLeaves, numLeaves)
 	return f, nil
+}
+
+// checkContainment verifies, over node arrays whose shape AssembleFlat
+// has checked, that every non-empty node's rectangle has Lo <= Hi in
+// every dimension (which NaN fails) and contains each non-empty
+// child's rectangle, or each of its rows. A leaf without rows is empty.
+// A rectangle that lies prunes answers without any other symptom.
+// Flatten copies exact min/max corners, so no tolerance is needed.
+func checkContainment(dim int, childStart, childCount, ptStart, ptCount []int32,
+	rects *mbr.RectSet, points vec.Matrix) error {
+
+	lo, hi := rects.Corners()
+	empty := func(i int32) bool { return childCount[i] == 0 && ptCount[i] == 0 }
+	for i := range childStart {
+		if empty(int32(i)) {
+			continue
+		}
+		nlo, nhi := lo[i*dim:(i+1)*dim], hi[i*dim:(i+1)*dim]
+		for d := range nlo {
+			if !(nlo[d] <= nhi[d]) {
+				return fmt.Errorf("rtree: node %d rectangle [%v, %v] is inverted in dimension %d", i, nlo[d], nhi[d], d)
+			}
+		}
+		if childCount[i] == 0 {
+			for r := int(ptStart[i]); r < int(ptStart[i]+ptCount[i]); r++ {
+				row := points.Data[r*dim : (r+1)*dim]
+				nlo, nhi := nlo[:len(row)], nhi[:len(row)] // equal lengths drop the bounds checks
+				for d, v := range row {
+					if !(nlo[d] <= v && v <= nhi[d]) {
+						return fmt.Errorf("rtree: leaf node %d rectangle does not contain its row %d in dimension %d", i, r, d)
+					}
+				}
+			}
+			continue
+		}
+		for c := childStart[i]; c < childStart[i]+childCount[i]; c++ {
+			if empty(c) {
+				continue
+			}
+			clo, chi := lo[int(c)*dim:int(c+1)*dim], hi[int(c)*dim:int(c+1)*dim]
+			for d := range nlo {
+				if !(nlo[d] <= clo[d] && chi[d] <= nhi[d]) {
+					return fmt.Errorf("rtree: node %d rectangle does not contain child node %d in dimension %d", i, c, d)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // NumNodes returns the total number of nodes (directory plus leaf).

@@ -1,11 +1,14 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hdidx/internal/mbr"
+	"hdidx/internal/vec"
 )
 
 func rectsEqual(a, b mbr.Rect) bool {
@@ -105,6 +108,13 @@ func checkFlatten(t *testing.T, tr *Tree) {
 	if int(off) != f.NumPoints || f.Points.N != f.NumPoints {
 		t.Fatalf("points: packed %d rows, matrix %d, want %d", off, f.Points.N, f.NumPoints)
 	}
+
+	// What a snapshot file would reopen passes every AssembleFlat
+	// check, the rectangles' containment included.
+	if _, err := AssembleFlat(f.Dim, f.Height, f.NumPoints, f.NumLeaves,
+		f.ChildStart, f.ChildCount, f.PtStart, f.PtCount, f.Rects, f.Points); err != nil {
+		t.Fatalf("flattened tree fails AssembleFlat: %v", err)
+	}
 }
 
 func TestFlattenMatchesTree(t *testing.T) {
@@ -153,5 +163,40 @@ func TestFlattenWithForwardsToFlatten(t *testing.T) {
 	tr := Build(pts, BuildParams{LeafCap: 8, DirCap: 4})
 	if !reflect.DeepEqual(tr.FlattenWith(FlattenOptions{}), tr.Flatten()) {
 		t.Fatal("FlattenWith(FlattenOptions{}) differs from Flatten()")
+	}
+}
+
+// TestAssembleFlatChecksContainment hand-assembles a three-point tree
+// (a root over two leaves) and makes one rectangle lie at a time: a
+// row outside its leaf, a child outside its parent, a NaN corner. Each
+// must fail naming the node; the honest tree and a row on a rectangle's
+// boundary assemble.
+func TestAssembleFlatChecksContainment(t *testing.T) {
+	assemble := func(mutate func(lo, hi, pts []float64)) error {
+		lo := []float64{0, 0, 0, 0, 3, 2}
+		hi := []float64{3, 2, 1, 1, 3, 2}
+		pts := []float64{0, 0, 1, 1, 3, 2}
+		mutate(lo, hi, pts)
+		_, err := AssembleFlat(2, 2, 3, 2,
+			[]int32{1, 0, 0}, []int32{2, 0, 0}, []int32{0, 0, 2}, []int32{0, 2, 1},
+			mbr.RectSetFromCorners(lo, hi, 3, 2), vec.Matrix{Data: pts, N: 3, Dim: 2})
+		return err
+	}
+	if err := assemble(func(lo, hi, pts []float64) {}); err != nil {
+		t.Fatalf("honest tree: %v", err)
+	}
+	for _, c := range []struct {
+		name, want string
+		mutate     func(lo, hi, pts []float64)
+	}{
+		{"row outside its leaf", "leaf node 2", func(lo, hi, pts []float64) { pts[5] = 2.5 }},
+		{"child outside its parent", "node 0 rectangle does not contain child node 1", func(lo, hi, pts []float64) { hi[3] = 2.5 }},
+		{"inverted rectangle", "node 1 rectangle", func(lo, hi, pts []float64) { lo[2] = 2 }},
+		{"NaN corner", "node 0 rectangle", func(lo, hi, pts []float64) { lo[1] = math.NaN() }},
+	} {
+		err := assemble(c.mutate)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: AssembleFlat returned %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -165,22 +166,19 @@ func TestMmapServeHammer(t *testing.T) {
 	}
 }
 
-// TestDurableReopenFailureIsLoud damages one published snapshot file
+// TestDurableReopenFailureIsLoud damages one published shard file
 // between its write and the reopen that verifies it (one byte of the
 // points section flipped) and pins the one error rule of publication:
 // the Insert or Flush that published the file returns an error naming
 // the shard and generation, the generation is still live from the
 // resident tree (answers equal brute force over every published point)
-// but that shard is not mapped, and the failed file is not committed.
-// At S = 4 the manifest keeps naming the shard's previous file, so a
-// restart succeeds without the failed generation's points of that
-// shard; the same holds when the failing publication is a restart's
-// boot publication, whose failed New leaves no file mapped, and the
-// restart after it recovers every committed point. At S = 1 the rename of the single snapshot file was the
-// commit, so the damaged file is what a restart finds and recovery
-// fails loudly on it. That case pins a known defect, not a guarantee:
-// verifying the file before its rename would keep the previous one
-// (ROADMAP item 3).
+// but that shard is not mapped, and the failed file is not committed:
+// the manifest keeps naming the shard's previous file, so a restart
+// succeeds without the failed generation's points of that shard. The
+// same holds when the failing publication is a restart's boot
+// publication, whose failed New leaves no file mapped, and the restart
+// after it recovers every committed point. Both shard counts run the
+// same assertions; at S = 1 the victim is the only shard.
 func TestDurableReopenFailureIsLoud(t *testing.T) {
 	if !pager.MmapSupported() {
 		t.Skip("the verifying reopen runs only where the platform has mmap")
@@ -210,11 +208,18 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 				}
 			}
 			points = append(points, inserts...)
-			var damaged string
+			// damaged holds the bytes of the last damaged file: a file
+			// name can return, because a restart numbers its files from
+			// the committed manifest, past which a failed write may
+			// have gone.
+			var damaged []byte
 			damageVictim := func(written string) {
-				if id, _, ok := pager.ParseShardPath(path, written); written == path || ok && id == victim {
+				if id, _, ok := pager.ParseShardPath(path, written); ok && id == victim {
 					damagePoints(t, written)
-					damaged = written
+					var err error
+					if damaged, err = os.ReadFile(written); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			t.Cleanup(func() { writtenHook = nil })
@@ -222,7 +227,7 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 			err = srv.Flush()
 			writtenHook = nil
 			gen := srv.Generation()
-			if damaged == "" {
+			if damaged == nil {
 				t.Fatal("no published file was damaged")
 			}
 			want := fmt.Sprintf("generation %d (shard %d)", gen, victim)
@@ -265,17 +270,6 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if shards == 1 {
-				restarted, err := New(nil, cfg)
-				if err == nil {
-					restarted.Close()
-					t.Fatal("restart served a snapshot file that failed verification")
-				}
-				if !strings.Contains(err.Error(), "checksum mismatch") {
-					t.Fatalf("restart error %v does not name the checksum failure", err)
-				}
-				return
-			}
 			checkManifest := func() {
 				t.Helper()
 				m, err := pager.ReadManifest(path)
@@ -286,14 +280,21 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 					if ms.Generation == 0 {
 						t.Fatalf("manifest names no file for shard %d", i)
 					}
-					if pager.ShardPath(path, i, ms.Generation) == damaged {
-						t.Fatalf("manifest names the failed file %s", damaged)
+					named := pager.ShardPath(path, i, ms.Generation)
+					if b, err := os.ReadFile(named); err != nil || bytes.Equal(b, damaged) {
+						t.Fatalf("manifest names %s, the failed file or a missing one (%v)", named, err)
 					}
 				}
 			}
-			// The victim's insert of the failed generation was never
-			// committed; every other published point was.
-			committed := len(points) - 1
+			// The victim's inserts of the failed generation were never
+			// committed; every other published point was. Inserts are
+			// dealt round-robin after the initial points.
+			committed := len(points)
+			for j := range inserts {
+				if (len(points)-len(inserts)+j)%shards == victim {
+					committed--
+				}
+			}
 			restart := func() {
 				t.Helper()
 				restarted, err := New(nil, cfg)
@@ -305,13 +306,13 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 					t.Fatalf("restart recovered %d points, want %d", got, committed)
 				}
 			}
-			checkManifest()
 			restart()
+			checkManifest()
 
 			// Every file on disk now comes from that restart's boot
 			// publication. A second restart whose boot write of the
 			// victim's file fails keeps the victim's recovered file.
-			damaged = ""
+			damaged = nil
 			writtenHook = damageVictim
 			mapped := fileMappings(filepath.Dir(path))
 			failed, err := New(nil, cfg)
@@ -320,7 +321,7 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 				failed.Close()
 				t.Fatal("a boot publication whose file failed verification succeeded")
 			}
-			if damaged == "" || !strings.Contains(err.Error(), "checksum mismatch") {
+			if damaged == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 				t.Fatalf("boot publication returned %v, want a checksum error", err)
 			}
 			if got := fileMappings(filepath.Dir(path)); got != mapped {

@@ -1,14 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hdidx/internal/pager"
+	"hdidx/internal/rtree"
 )
 
 // TestFlushClosedServer is the regression test for the lifecycle bug
@@ -97,138 +101,144 @@ func TestKNNCloseRace(t *testing.T) {
 	}
 }
 
-// TestDurablePublicationAndRecovery exercises the snapshot lifecycle
-// end to end: publish durably, restart from the file, and verify the
-// recovered server answers identically.
-func TestDurablePublicationAndRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap")
-	data := uniform(500, 6, 7)
-	s, err := New(data, Config{SnapshotPath: path, FlattenEvery: 1 << 30})
+// committedPoints counts the points of the shard files the manifest
+// at path names: what a restart would recover.
+func committedPoints(t *testing.T, path string) int {
+	t.Helper()
+	m, err := pager.ReadManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra := uniform(40, 6, 8)
-	for _, p := range extra {
-		if err := s.Insert(p); err != nil {
+	n := 0
+	for i, ms := range m.Shards {
+		if ms.Generation == 0 {
+			continue
+		}
+		ft, err := pager.Load(pager.ShardPath(path, i, ms.Generation))
+		if err != nil {
 			t.Fatal(err)
 		}
+		n += ft.NumPoints
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	q := uniform(1, 6, 9)[0]
-	want, err := s.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLen := s.Len()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart with no initial points and no geometry: everything comes
-	// from the file.
-	s2, err := New(nil, Config{SnapshotPath: path})
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	defer s2.Close()
-	if got := s2.Len(); got != wantLen {
-		t.Fatalf("recovered %d points, want %d", got, wantLen)
-	}
-	got, err := s2.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Radius != want.Radius {
-		t.Fatalf("recovered server answers radius %v, original %v", got.Radius, want.Radius)
-	}
+	return n
 }
 
-// TestRecoveryRejectsCorruptSnapshot: an existing-but-corrupt snapshot
-// file must fail New loudly, never be silently ignored.
-func TestRecoveryRejectsCorruptSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap")
-	s, err := New(uniform(100, 4, 3), Config{SnapshotPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(nil, Config{SnapshotPath: path}); err == nil {
-		t.Fatal("New over a corrupt snapshot succeeded")
-	}
-}
-
-// TestRecoveryIgnoresTornTmp simulates a crash between tmp write and
-// rename: the stale tmp file must not confuse recovery (the previous
-// published snapshot wins) and is swept by the next publication.
+// TestRecoveryIgnoresTornTmp simulates crashes between a temporary's
+// write and its rename, of the manifest and of a shard file: the stale
+// temporaries must not confuse recovery (the committed generation
+// wins), and the next publication sweeps both. A shard file's name
+// carries its generation, so only the sweep after the manifest commit
+// removes a shard file's temporary.
 func TestRecoveryIgnoresTornTmp(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap")
-	s, err := New(uniform(300, 5, 11), Config{SnapshotPath: path, FlattenEvery: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "snap")
+			cfg := Config{Shards: shards, SnapshotPath: path, FlattenEvery: 1 << 30}
+			s, err := New(uniform(300, 5, 11), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
 
-	// A torn half-written tmp from a crashed writer.
-	if err := os.WriteFile(filepath.Join(dir, "snap.tmp-crashed"), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
+			// Torn half-written temporaries from crashed writers.
+			for _, tmp := range []string{path + ".tmp-crashed", pager.ShardPath(path, 0, 1) + ".tmp-crashed"} {
+				if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s2, err := New(nil, cfg)
+			if err != nil {
+				t.Fatalf("recovery with stale temporaries present: %v", err)
+			}
+			if s2.Len() != 300 {
+				t.Fatalf("recovered %d points, want 300", s2.Len())
+			}
+			if err := s2.Insert(make([]float64, 5)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s2.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			s2.Close()
+			if stale, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(stale) != 0 {
+				t.Fatalf("stale temporaries survive publication: %v", stale)
+			}
+			// The committed files hold the insert.
+			if n := committedPoints(t, path); n != 301 {
+				t.Fatalf("committed files hold %d points, want 301", n)
+			}
+		})
 	}
-	s2, err := New(nil, Config{SnapshotPath: path, FlattenEvery: 1 << 30})
-	if err != nil {
-		t.Fatalf("recovery with stale tmp present: %v", err)
-	}
-	if s2.Len() != 300 {
-		t.Fatalf("recovered %d points, want 300", s2.Len())
-	}
-	if err := s2.Insert(make([]float64, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	if stale, _ := filepath.Glob(filepath.Join(dir, "snap.tmp-*")); len(stale) != 0 {
-		t.Fatalf("stale tmp files survive publication: %v", stale)
-	}
-	// The republished file is a valid snapshot with the insert.
-	ft, err := pager.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft.NumPoints != 301 {
-		t.Fatalf("republished snapshot has %d points, want 301", ft.NumPoints)
+}
+
+// TestRecoveryChecksManifestDim: the manifest's dimensionality is the
+// recovered one. A path booted empty records it only there (an empty
+// shard file has none), so a restart configured at another
+// dimensionality is an error naming both values, and leaves the
+// manifest as it was; a restart with no geometry takes the manifest's.
+func TestRecoveryChecksManifestDim(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "snap")
+			cfg := Config{Geometry: rtree.NewGeometry(4), Shards: shards, SnapshotPath: path}
+			s, err := New(nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			wrong := cfg
+			wrong.Geometry = rtree.NewGeometry(5)
+			if s, err := New(nil, wrong); err == nil {
+				s.Close()
+				t.Fatal("restart at dimension 5 accepted a manifest recorded at 4")
+			} else if !strings.Contains(err.Error(), "dimension 4, configured 5") {
+				t.Fatalf("dimension error %q does not name both values", err)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("the refused restart changed the manifest (read error %v)", err)
+			}
+
+			derived := cfg
+			derived.Geometry = rtree.Geometry{}
+			s, err = New(nil, derived)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if s.Dim() != 4 {
+				t.Fatalf("restart with no geometry indexes dimension %d, manifest records 4", s.Dim())
+			}
+		})
 	}
 }
 
 // TestDurableEveryGeneration checks FlattenEvery-triggered
-// publications also hit the disk, not just explicit Flush.
+// publications also commit, not just explicit Flush.
 func TestDurableEveryGeneration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap")
-	s, err := New(uniform(10, 3, 5), Config{SnapshotPath: path, FlattenEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for _, p := range uniform(10, 3, 6) {
-		if err := s.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ft, err := pager.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft.NumPoints != 20 {
-		t.Fatalf("durable snapshot has %d points, want 20 after the automatic publication", ft.NumPoints)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "snap")
+			s, err := New(uniform(10, 3, 5), Config{Shards: shards, SnapshotPath: path, FlattenEvery: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// Ten inserts per shard fill every shard once.
+			for _, p := range uniform(10*shards, 3, 6) {
+				if err := s.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want := 10 + 10*shards; committedPoints(t, path) != want {
+				t.Fatalf("committed files hold %d points, want %d after the automatic publications",
+					committedPoints(t, path), want)
+			}
+		})
 	}
 }

@@ -32,14 +32,14 @@
 // single-tree server over the same points and reads only the pages, in
 // every shard, that meet the query's global k-NN sphere.
 //
-// Durable sharded publication writes one immutable, generation-named
-// snapshot file per dirty shard plus a small checksummed manifest
-// (pager.WriteManifestAtomic) naming every shard's current file; the
-// manifest rename is the atomic commit point, and recovery refuses
-// anything the manifest names but cannot verify. With Shards == 1 the
-// durable format stays the original single snapshot file.
-//
 // # Durable snapshots
+//
+// Durable publication has one layout at every shard count: each dirty
+// shard writes one immutable, generation-named snapshot file
+// (pager.ShardPath), and a small checksummed manifest
+// (pager.WriteManifestAtomic) names every shard's current file. The
+// manifest rename is the atomic commit point, and recovery refuses
+// anything the manifest names but cannot verify.
 //
 // How a published file is read is the platform's choice, not a
 // setting. Where pager.MmapSupported holds, publication reopens each
@@ -49,8 +49,8 @@
 // or when the mmap call itself fails, the flattened tree is served
 // resident and the file is recorded without that check. A file that
 // fails the check is the publication's error: the generation still
-// serves from the resident tree, and in sharded mode no manifest names
-// the file — the shard's previous file stays committed.
+// serves from the resident tree, and no manifest names the file — the
+// shard's previous file stays committed.
 //
 // # Admission
 //
@@ -139,23 +139,22 @@ type Config struct {
 	// saturated batcher sheds stale work rather than serving answers
 	// nobody is waiting for. 0 (the default) disables the deadline.
 	QueueTimeout time.Duration
-	// SnapshotPath, when non-empty, makes publication durable. With
-	// Shards <= 1 every published generation is written to this file
-	// atomically (tmp + fsync + rename via pager.WriteFileAtomic).
-	// With Shards > 1 the path names a checksummed manifest; each
-	// dirty shard's snapshot is written to an immutable
+	// SnapshotPath, when non-empty, makes publication durable, with one
+	// layout at every shard count. The path names a checksummed
+	// manifest; each dirty shard's snapshot is written to an immutable
 	// generation-named side file (pager.ShardPath) and the manifest
 	// rename commits the set atomically — a crash at any moment leaves
 	// a fully consistent previous or new generation on disk, never a
-	// torn or mixed one. New recovers the persisted points from this
-	// path before ingesting the initial points, so a restarted server
-	// resumes from its last published generation. In-process generation
-	// numbers restart at 1; shard file and manifest generations continue
-	// from the recovered manifest's, so a restart never rewrites a file
-	// the committed manifest names. Where the platform supports mmap,
-	// every written file is reopened, verified and served zero-copy
-	// from its mapping (see the package doc, Durable snapshots). Empty
-	// (the default) serves purely in memory.
+	// torn or mixed one. New recovers the persisted points, and their
+	// dimensionality, from this path before ingesting the initial
+	// points, so a restarted server resumes from its last published
+	// generation. In-process generation numbers restart at 1; shard
+	// file and manifest generations continue from the recovered
+	// manifest's, so a restart never rewrites a file the committed
+	// manifest names. Where the platform supports mmap, every written
+	// file is reopened, verified and served zero-copy from its mapping
+	// (see the package doc, Durable snapshots). Empty (the default)
+	// serves purely in memory.
 	SnapshotPath string
 }
 
@@ -227,8 +226,8 @@ type shard struct {
 	dyn     *rtree.DynamicTree
 	pending int
 	// fileGen/fileBytes/fileCRC describe this shard's current durable
-	// side file (sharded durable mode only; fileGen 0 = none). New seeds
-	// them from the recovered manifest.
+	// side file (durable mode only; fileGen 0 = none). New seeds them
+	// from the recovered manifest.
 	// durableGen trails fileGen: it is the file generation named by the
 	// last successfully written manifest, and the sweep keeps both.
 	fileGen    int64
@@ -342,52 +341,46 @@ type Result struct {
 
 // New starts a server over the initial points (which may be empty when
 // Config.Geometry says how wide future points are). When
-// Config.SnapshotPath names an existing snapshot file (Shards <= 1) or
-// shard manifest (Shards > 1), its points are recovered first — the
-// restarted server resumes from the last durably published
-// generation — then the initial points are ingested on top, and the
-// union is published as generation 1. A file that exists but fails
-// verification is an error, never silently ignored; so is a shard
-// count that does not match the manifest, a missing or altered shard
-// file, or a snapshot/manifest format mix-up. A failed boot publication
-// is an error too; in sharded mode each shard whose new file failed
-// keeps, on disk and in the manifest, the file recovery read.
+// Config.SnapshotPath names an existing manifest, the points of the
+// shard files it names are recovered first — the restarted server
+// resumes from the last durably published generation, at the
+// manifest's dimensionality — then the initial points are ingested on
+// top, and the union is published as generation 1. A manifest that
+// exists but fails verification is an error, never silently ignored;
+// so is a shard count or a configured dimensionality that does not
+// match it, a missing or altered shard file, or a snapshot file where
+// the manifest belongs. A failed boot publication is an error too; each
+// shard whose new file failed keeps, on disk and in the manifest, the
+// file recovery read.
 func New(initial [][]float64, cfg Config) (*Server, error) {
 	if cfg.Shards < 0 || cfg.Shards > MaxShards {
 		return nil, fmt.Errorf("serve: %d shards outside [1, %d]", cfg.Shards, MaxShards)
 	}
 	cfg = cfg.withDefaults()
-	sharded := cfg.Shards > 1
 
-	// recovered[i] is what shard i must re-ingest; a single snapshot
-	// file (Shards == 1) lands in recovered[0].
+	// recovered[i] is what shard i must re-ingest.
 	recovered := make([]*rtree.FlatTree, cfg.Shards)
 	var manifest *pager.Manifest
 	if cfg.SnapshotPath != "" {
 		switch _, err := os.Stat(cfg.SnapshotPath); {
 		case err == nil:
-			if sharded {
-				var err error
-				if manifest, err = recoverShards(cfg, recovered); err != nil {
-					return nil, err
-				}
-			} else {
-				ft, lerr := pager.Load(cfg.SnapshotPath)
-				if lerr != nil {
-					return nil, fmt.Errorf("serve: recover snapshot: %w", lerr)
-				}
-				recovered[0] = ft
+			if manifest, err = recoverShards(cfg, recovered); err != nil {
+				return nil, err
 			}
 		case !os.IsNotExist(err):
-			return nil, fmt.Errorf("serve: recover snapshot: %w", err)
+			return nil, fmt.Errorf("serve: recover manifest: %w", err)
 		}
 	}
 	g := cfg.Geometry
+	if manifest != nil && g.Dim > 0 && g.Dim != manifest.Dim {
+		return nil, fmt.Errorf("serve: manifest %s records dimension %d, configured %d",
+			cfg.SnapshotPath, manifest.Dim, g.Dim)
+	}
 	if g.Dim < 1 {
 		dim := 0
 		switch {
-		case firstRecoveredDim(recovered) > 0:
-			dim = firstRecoveredDim(recovered)
+		case manifest != nil:
+			dim = manifest.Dim
 		case len(initial) > 0 && len(initial[0]) > 0:
 			dim = len(initial[0])
 		default:
@@ -432,11 +425,8 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 		}
 	}
 	for i, ft := range recovered {
-		if ft == nil || ft.NumPoints == 0 {
+		if ft == nil {
 			continue
-		}
-		if ft.Dim != s.dim {
-			return nil, fmt.Errorf("serve: recovered snapshot dimension %d, configured %d", ft.Dim, s.dim)
 		}
 		// Each shard restores its own rows, preserving the assignment
 		// (and with it the balance of publication costs).
@@ -472,10 +462,10 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 }
 
 // recoverShards reads the manifest at cfg.SnapshotPath, verifies every
-// shard file it names against the recorded size and header checksum,
-// loads each into recovered, and returns the manifest. Any
-// inconsistency — wrong shard count, a missing or altered file, a
-// single-snapshot file where the manifest should be — is a loud error:
+// shard file it names against the recorded size, header checksum and
+// dimensionality, loads each into recovered, and returns the manifest.
+// Any inconsistency — wrong shard count, a missing or altered file, a
+// snapshot file where the manifest should be — is a loud error:
 // recovery never serves a mixed or partial generation.
 func recoverShards(cfg Config, recovered []*rtree.FlatTree) (*pager.Manifest, error) {
 	m, err := pager.ReadManifest(cfg.SnapshotPath)
@@ -503,18 +493,12 @@ func recoverShards(cfg Config, recovered []*rtree.FlatTree) (*pager.Manifest, er
 		if err != nil {
 			return nil, fmt.Errorf("serve: recover shard %d: %w", i, err)
 		}
+		if ft.NumPoints > 0 && ft.Dim != m.Dim {
+			return nil, fmt.Errorf("serve: recover shard %d: file %s has dimension %d, manifest %d", i, path, ft.Dim, m.Dim)
+		}
 		recovered[i] = ft
 	}
 	return m, nil
-}
-
-func firstRecoveredDim(recovered []*rtree.FlatTree) int {
-	for _, ft := range recovered {
-		if ft != nil && ft.Dim > 0 {
-			return ft.Dim
-		}
-	}
-	return 0
 }
 
 // acquireAll pins every shard's current snapshot, in shard order.
@@ -545,10 +529,10 @@ var writtenHook func(path string)
 
 // publishLocked is one publication event: it flattens each target
 // shard's dynamic tree into a fresh snapshot, writes the dirty shards
-// (and, in sharded durable mode, the manifest) when
-// Config.SnapshotPath is set, and swaps the new snapshots in. With no
-// targets it is a pure no-op — no generation is consumed, nothing is
-// flattened, no file is touched. Caller holds s.mu.
+// and the manifest when Config.SnapshotPath is set, and swaps the new
+// snapshots in. With no targets it is a pure no-op — no generation is
+// consumed, nothing is flattened, no file is touched. Caller holds
+// s.mu.
 //
 // The durable write happens before the swap, so a generation served
 // from its file's mapping is on disk before any reader can see it. A
@@ -561,7 +545,6 @@ func (s *Server) publishLocked(targets []*shard) error {
 		return nil
 	}
 	gen := s.gens.Add(1)
-	sharded := len(s.shards) > 1
 	var pubErr error
 	manifestDirty := false
 	for _, sh := range targets {
@@ -580,7 +563,7 @@ func (s *Server) publishLocked(targets []*shard) error {
 				if pubErr == nil {
 					pubErr = err
 				}
-			} else if sharded {
+			} else {
 				manifestDirty = true
 			}
 		}
@@ -611,20 +594,17 @@ func (s *Server) publishLocked(targets []*shard) error {
 	return pubErr
 }
 
-// writeShardLocked writes sn's tree to the shard's durable file and,
-// where the platform supports mmap, reopens the file mapped: the
+// writeShardLocked writes sn's tree to the shard's next durable file
+// and, where the platform supports mmap, reopens the file mapped: the
 // reopen verifies every checksum and structural invariant, and sn then
 // serves zero-copy from the mapping. pager.ErrMmapUnavailable (the map
 // could not be established) leaves sn on its resident tree with no
 // error. Any other reopen error means the file on disk is not the tree
-// that was written; it is returned, and in sharded mode the file is not
-// recorded, so no manifest names it. Caller holds s.mu.
+// that was written; it is returned and the file is not recorded, so no
+// manifest names it. Caller holds s.mu.
 func (s *Server) writeShardLocked(sh *shard, sn *snapshot) error {
-	sharded := len(s.shards) > 1
-	path, fileGen := s.cfg.SnapshotPath, s.fileGenBase+sn.gen
-	if sharded {
-		path = pager.ShardPath(s.cfg.SnapshotPath, sh.id, fileGen)
-	}
+	fileGen := s.fileGenBase + sn.gen
+	path := pager.ShardPath(s.cfg.SnapshotPath, sh.id, fileGen)
 	fail := func(err error) error {
 		return fmt.Errorf("serve: durable publication of generation %d (shard %d): %w", sn.gen, sh.id, err)
 	}
@@ -646,13 +626,11 @@ func (s *Server) writeShardLocked(sh *shard, sn *snapshot) error {
 			return fail(err)
 		}
 	}
-	if sharded {
-		crc, size, err := pager.FileSummary(path)
-		if err != nil {
-			return fail(err)
-		}
-		sh.fileGen, sh.fileBytes, sh.fileCRC = fileGen, size, crc
+	crc, size, err := pager.FileSummary(path)
+	if err != nil {
+		return fail(err)
 	}
+	sh.fileGen, sh.fileBytes, sh.fileCRC = fileGen, size, crc
 	return nil
 }
 
@@ -672,9 +650,11 @@ func (s *Server) writeManifestLocked(gen int64) error {
 }
 
 // sweepStaleLocked deletes shard side files no longer named by either
-// the in-memory file set or the last durable manifest. It runs only
-// after a successful manifest write, so a crash can never leave the
-// durable manifest pointing at a swept file. Caller holds s.mu.
+// the in-memory file set or the last durable manifest, and the
+// temporaries of crashed shard-file writes (pager.ShardTemps). It runs
+// only after a successful manifest write, so a crash can never leave
+// the durable manifest pointing at a swept file. Caller holds s.mu,
+// so no write of this process is in flight.
 func (s *Server) sweepStaleLocked() {
 	files, err := pager.ShardFiles(s.cfg.SnapshotPath)
 	if err != nil {
@@ -689,6 +669,9 @@ func (s *Server) sweepStaleLocked() {
 		if gen != sh.fileGen && gen != sh.durableGen {
 			os.Remove(f)
 		}
+	}
+	for _, f := range pager.ShardTemps(s.cfg.SnapshotPath) {
+		os.Remove(f)
 	}
 }
 

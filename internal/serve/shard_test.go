@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -198,8 +199,7 @@ func TestServeBatchAccessesAreOptimal(t *testing.T) {
 
 // TestServeNoopFlush pins the no-op publication contract: a Flush with
 // nothing pending consumes no generation, re-flattens nothing, and
-// rewrites no file (mtime-checked), for both the single-file and the
-// manifest layout.
+// rewrites no file (mtime-checked), at one shard and at several.
 func TestServeNoopFlush(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		dir := t.TempDir()
@@ -381,11 +381,18 @@ func TestServeRangeQueueSemantics(t *testing.T) {
 	}
 }
 
-// TestServeShardedRecoveryRoundTrip restarts a sharded durable server
-// and requires query-level bit-identity pre/post restart, plus exact
-// per-shard point counts (assignment preserved).
+// TestServeShardedRecoveryRoundTrip restarts a durable server, at one
+// shard and at several, and requires query-level bit-identity pre/post
+// restart, plus exact per-shard point counts (assignment preserved).
+// The restart configures no geometry: the dimensionality comes from
+// the manifest.
 func TestServeShardedRecoveryRoundTrip(t *testing.T) {
-	const shards = 4
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) { testRecoveryRoundTrip(t, shards) })
+	}
+}
+
+func testRecoveryRoundTrip(t *testing.T, shards int) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "set.hdsm")
 	cfg := Config{Shards: shards, FlattenEvery: 16, SnapshotPath: path}
@@ -459,12 +466,12 @@ func TestServeShardedRecoveryRoundTrip(t *testing.T) {
 
 // TestServeShardedCrashSafety: every way the durable shard set can be
 // damaged — torn or bit-flipped manifest, missing shard file, altered
-// shard file, shard-count drift, cross-format confusion — must fail
-// recovery loudly. A server must never quietly serve a mixed or
-// partial generation.
+// shard file, shard-count drift, a snapshot file where the manifest
+// belongs — must fail recovery loudly, at one shard and at several. A
+// server must never quietly serve a mixed or partial generation.
 func TestServeShardedCrashSafety(t *testing.T) {
-	const shards = 3
-	setup := func(t *testing.T) (string, Config) {
+	shardCounts := []int{1, 3}
+	setup := func(t *testing.T, shards int) (string, Config) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "set.hdsm")
 		cfg := Config{Shards: shards, FlattenEvery: 8, SnapshotPath: path}
@@ -485,95 +492,72 @@ func TestServeShardedCrashSafety(t *testing.T) {
 		}
 		return path, cfg
 	}
+	// refused runs damage on a fresh durable path at every shard count
+	// and requires the restart to fail with an error containing want.
+	refused := func(t *testing.T, want string, damage func(t *testing.T, path string, cfg *Config)) {
+		for _, shards := range shardCounts {
+			path, cfg := setup(t, shards)
+			damage(t, path, &cfg)
+			if s, err := New(nil, cfg); err == nil {
+				s.Close()
+				t.Fatalf("S=%d: recovery succeeded", shards)
+			} else if !strings.Contains(err.Error(), want) {
+				t.Fatalf("S=%d: error %q does not say %q", shards, err, want)
+			}
+		}
+	}
+	rewrite := func(t *testing.T, path string, edit func([]byte) []byte) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, edit(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	firstShardFile := func(t *testing.T, path string) string {
+		files, err := pager.ShardFiles(path)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("shard files: %v %v", files, err)
+		}
+		return files[0]
+	}
 
 	t.Run("torn manifest", func(t *testing.T) {
-		path, cfg := setup(t)
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, b[:len(b)-3], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := New(nil, cfg); err == nil {
-			t.Fatal("recovery accepted a torn manifest")
-		}
+		refused(t, "manifest", func(t *testing.T, path string, _ *Config) {
+			rewrite(t, path, func(b []byte) []byte { return b[:len(b)-3] })
+		})
 	})
 	t.Run("bit-flipped manifest", func(t *testing.T) {
-		path, cfg := setup(t)
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[len(b)/2] ^= 0x04
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := New(nil, cfg); err == nil {
-			t.Fatal("recovery accepted a corrupted manifest")
-		}
+		refused(t, "manifest", func(t *testing.T, path string, _ *Config) {
+			rewrite(t, path, func(b []byte) []byte { b[len(b)/2] ^= 0x04; return b })
+		})
 	})
 	t.Run("missing shard file", func(t *testing.T) {
-		path, cfg := setup(t)
-		files, err := pager.ShardFiles(path)
-		if err != nil || len(files) == 0 {
-			t.Fatalf("shard files: %v %v", files, err)
-		}
-		if err := os.Remove(files[0]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := New(nil, cfg); err == nil {
-			t.Fatal("recovery accepted a missing shard file")
-		}
+		refused(t, "recover shard", func(t *testing.T, path string, _ *Config) {
+			if err := os.Remove(firstShardFile(t, path)); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 	t.Run("altered shard file", func(t *testing.T) {
-		path, cfg := setup(t)
-		files, err := pager.ShardFiles(path)
-		if err != nil || len(files) == 0 {
-			t.Fatalf("shard files: %v %v", files, err)
-		}
-		b, err := os.ReadFile(files[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[len(b)/2] ^= 0x01
-		if err := os.WriteFile(files[0], b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := New(nil, cfg); err == nil {
-			t.Fatal("recovery accepted an altered shard file")
-		}
+		refused(t, "recover shard", func(t *testing.T, path string, _ *Config) {
+			rewrite(t, firstShardFile(t, path), func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b })
+		})
 	})
 	t.Run("shard count drift", func(t *testing.T) {
-		_, cfg := setup(t)
-		cfg.Shards = shards + 1
-		if _, err := New(nil, cfg); err == nil {
-			t.Fatal("recovery accepted a changed shard count")
-		} else if !strings.Contains(err.Error(), "shard count") {
-			t.Fatalf("undescriptive shard-count error: %v", err)
-		}
+		refused(t, "shard count", func(t *testing.T, _ string, cfg *Config) { cfg.Shards++ })
 	})
 	t.Run("single snapshot at manifest path", func(t *testing.T) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "snap.hdsn")
-		s, err := New(uniform(100, 4, 23), Config{SnapshotPath: path})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		if _, err := New(nil, Config{Shards: 2, SnapshotPath: path}); err == nil {
-			t.Fatal("sharded recovery accepted a single-snapshot file")
-		} else if !strings.Contains(err.Error(), "single snapshot") {
-			t.Fatalf("undescriptive cross-format error: %v", err)
-		}
-	})
-	t.Run("manifest at single-snapshot path", func(t *testing.T) {
-		path, _ := setup(t)
-		if _, err := New(nil, Config{SnapshotPath: path}); err == nil {
-			t.Fatal("unsharded recovery accepted a manifest file")
-		} else if !strings.Contains(err.Error(), "manifest") {
-			t.Fatalf("undescriptive cross-format error: %v", err)
-		}
+		// What Index.Save writes, and what a one-shard server wrote
+		// before the manifest became the only durable layout; no code
+		// reads it as a server's state.
+		refused(t, "single snapshot", func(t *testing.T, path string, _ *Config) {
+			ft := rtree.Build(uniform(100, 4, 23), rtree.BuildParams{LeafCap: 16, DirCap: 8}).Flatten()
+			if _, err := pager.WriteFileAtomic(path, ft, pager.MinPageBytes); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 }
 
@@ -748,13 +732,18 @@ func TestServeShardConfigValidation(t *testing.T) {
 }
 
 // TestServeDurableDeterministic is the serving face of the determinism
-// property: two durable 4-shard servers, each in its own directory, fed
-// the same initial points and the same insert stream across several
-// dirty-shard publications, hold byte-identical shard files and
-// manifests after Flush. Nothing time-, path- or run-dependent reaches
-// the published bytes.
+// property: two durable servers of the same shard count, each in its
+// own directory, fed the same initial points and the same insert stream
+// across several dirty-shard publications, hold byte-identical shard
+// files and manifests after Flush. Nothing time-, path- or
+// run-dependent reaches the published bytes.
 func TestServeDurableDeterministic(t *testing.T) {
-	const shards = 4
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) { testDurableDeterministic(t, shards) })
+	}
+}
+
+func testDurableDeterministic(t *testing.T, shards int) {
 	initial := uniform(300, 6, 51)
 	inserts := uniform(150, 6, 52)
 	run := func(dir string) map[string][]byte {

@@ -30,11 +30,14 @@ func (ix *Index) Save(path string) error {
 	return err
 }
 
-// Open loads an index from a snapshot file written by Save (or by a
-// server's durable publication). The whole file is verified — header
-// and per-section checksums, then every structural invariant of the
-// tree — before any query can run, so a truncated, corrupted, or
-// foreign file fails here with an error, never later inside a search.
+// Open loads an index from a snapshot file written by Save, or from one
+// of a durable server's shard files (<path>.s<shard>.g<generation>.hdsn
+// beside its ServeConfig.SnapshotPath manifest, which Open does not
+// read). The whole file is verified — header and per-section
+// checksums, then every structural invariant of the tree, rectangles
+// bounding what they cover included — before any query can run, so a
+// truncated, corrupted, or foreign file fails here with an error,
+// never later inside a search.
 //
 // Where the platform supports mmap the index serves the snapshot
 // zero-copy from a read-only file mapping (Mapped reports true) and

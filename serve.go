@@ -40,7 +40,7 @@ type ServeConfig struct {
 	// is O(N/Shards) instead of O(N). A k-NN query runs one
 	// best-first search across all shards — results are bit-identical
 	// to an unsharded server over the same points. With SnapshotPath
-	// set, each shard persists its own snapshot file beside a
+	// set, each shard persists its own snapshot files beside a
 	// checksummed manifest; the shard count of a durable path cannot
 	// change across restarts.
 	Shards int
@@ -63,15 +63,20 @@ type ServeConfig struct {
 	// default) disables the deadline.
 	QueueTimeout time.Duration
 	// SnapshotPath, when non-empty, makes every snapshot publication
-	// durable: the published tree is written to this file atomically,
-	// and a restarted server recovers the persisted points from it.
-	// Where the platform supports mmap, each written file is reopened
-	// — which verifies it — and queries are served zero-copy from its
-	// read-only mapping (unmapped when the generation's last reader
-	// drains); elsewhere the resident tree serves. A written file that
-	// fails verification is an error from the Insert or Flush that
-	// published it. See Index.Save / Open for the file format. Empty
-	// (the default) serves purely in memory.
+	// durable, at every shard count. The path names a checksummed
+	// manifest: each publication writes its shards' trees to new
+	// snapshot files beside it (<path>.s<shard>.g<generation>.hdsn),
+	// and the manifest's atomic rename commits them. A restarted server
+	// recovers the committed points, and their dimensionality, from
+	// the manifest. Where the platform supports mmap, each written
+	// file is reopened — which verifies it — and queries are served
+	// zero-copy from its read-only mapping (unmapped when the
+	// generation's last reader drains); elsewhere the resident tree
+	// serves. A written file that fails verification is an error from
+	// the Insert or Flush that published it, and no manifest names it.
+	// A shard file is in the format of Index.Save, and Open reads it.
+	// A snapshot file at the path itself is refused. Empty (the
+	// default) serves purely in memory.
 	SnapshotPath string
 }
 
@@ -89,8 +94,8 @@ type Server struct {
 // goroutine.
 //
 // points may be empty when ServeConfig.SnapshotPath names an existing
-// snapshot file — the restarted server recovers its points (and its
-// dimensionality) from the file.
+// manifest — the restarted server recovers its points (and its
+// dimensionality) from it.
 func NewServer(points [][]float64, scfg ServeConfig, opts ...Option) (*Server, error) {
 	dim := 0
 	if len(points) > 0 || scfg.SnapshotPath == "" {
