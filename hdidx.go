@@ -118,13 +118,13 @@ func (c config) geometry(dim int) rtree.Geometry {
 // Index is a bulk-loaded VAMSplit R*-tree. Queries run over a
 // linearized snapshot of the tree (rtree.FlatTree) built once at Build
 // time, which holds its own packed copy of the points; the pointer
-// tree is dropped once flattened. An Index from Open on a platform
-// with mmap serves its snapshot zero-copy from a read-only file
-// mapping (snap non-nil); Close releases the mapping.
+// tree is dropped once flattened. An Index from Open serves its
+// snapshot's tree (snap non-nil): zero-copy from a read-only file
+// mapping on a platform with mmap, which Close releases.
 type Index struct {
 	flat *rtree.FlatTree
 	g    rtree.Geometry
-	snap *pager.Snapshot // non-nil iff flat is mmap-backed
+	snap *pager.Snapshot // non-nil iff flat came from Open
 }
 
 // Build bulk-loads an index over points. The input slice is not

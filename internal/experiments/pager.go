@@ -22,7 +22,7 @@ import (
 // predictors estimate leaf-page accesses of a modeled index, and the
 // other experiments check them against a simulated in-memory index.
 // Here the index is saved to a real page-aligned snapshot file and
-// reopened, both decoded and mapped; the search over each opened tree
+// reopened, both read into memory and mapped; the search over each tree
 // must reproduce the in-memory measurement bit-identically (radii and
 // leaf/dir access counts). The file pages the workload reads follow
 // from the file layout: each accessed leaf's rows occupy a known page
@@ -44,12 +44,12 @@ type PagerRow struct {
 	PageBytes int
 	// PredictedAccesses is the model's leaf accesses per query;
 	// MeasuredAccesses is the in-memory flat search's; PagedAccesses is
-	// the search's over the tree decoded from the file (equal to
+	// the search's over the tree read from the file (equal to
 	// MeasuredAccesses when BitIdentical holds).
 	PredictedAccesses float64
 	MeasuredAccesses  float64
 	PagedAccesses     float64
-	// BitIdentical reports whether every query over the decoded tree
+	// BitIdentical reports whether every query over the read tree
 	// matched its in-memory twin in radius and leaf/dir access counts.
 	BitIdentical bool
 	// PagesPerQuery is the file pages a ReadAt reader transfers per
@@ -181,7 +181,7 @@ func Pager(opt Options) (PagerResult, error) {
 			predicted = p.Mean
 		}
 
-		// Save to a real file, reopen it decoded and mapped, and search
+		// Save to a real file, reopen it read and mapped, and search
 		// the opened trees again.
 		path := filepath.Join(dir, fmt.Sprintf("%s-%d.hdsn", spec.Name, pb))
 		fileBytes, err := pager.WriteFileAtomic(path, ft, pb)

@@ -88,19 +88,23 @@ func retiredSnapshotBytes(tb testing.TB, good []byte, bits uint32) []byte {
 	return b
 }
 
-// openBytes lands b in a file and tries to open it, closing the
-// snapshot if verification wrongly passes.
-func openBytes(tb testing.TB, b []byte) error {
+// acceptedBy lands b in a file and opens it along every read path
+// (readPaths), returning the paths whose verification wrongly passed;
+// their snapshots are closed.
+func acceptedBy(tb testing.TB, b []byte) []readPath {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "snap.hdsn")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		tb.Fatalf("stage file: %v", err)
 	}
-	s, err := Open(path)
-	if err == nil {
-		s.Close()
+	var accepted []readPath
+	for _, p := range readPaths() {
+		if s, err := p.open(path); err == nil {
+			s.Close()
+			accepted = append(accepted, p)
+		}
 	}
-	return err
+	return accepted
 }
 
 // TestOpenTruncated cuts a valid file at every interesting boundary —
@@ -114,28 +118,29 @@ func TestOpenTruncated(t *testing.T) {
 		if cut < 0 || cut >= len(good) {
 			continue
 		}
-		if err := openBytes(t, good[:cut]); err == nil {
-			t.Errorf("open accepted a file truncated to %d of %d bytes", cut, len(good))
+		if ok := acceptedBy(t, good[:cut]); len(ok) > 0 {
+			t.Errorf("%v accepted a file truncated to %d of %d bytes", ok, cut, len(good))
 		}
 	}
 }
 
 // TestOpenHeaderBitFlips corrupts every byte of the header in turn;
 // the header checksum (or, for the magic, the signature check) must
-// reject each one.
+// reject each one on every read path.
 func TestOpenHeaderBitFlips(t *testing.T) {
 	good := goodSnapshotBytes(t, 7)
 	for off := 0; off < headerBytes; off++ {
 		b := append([]byte(nil), good...)
 		b[off] ^= 0xFF
-		if err := openBytes(t, b); err == nil {
-			t.Fatalf("open accepted a header bit flip at byte %d", off)
+		if ok := acceptedBy(t, b); len(ok) > 0 {
+			t.Fatalf("%v accepted a header bit flip at byte %d", ok, off)
 		}
 	}
 }
 
 // TestOpenSectionBitFlips corrupts bytes inside every section's data
-// range (first, middle, last); the per-section CRC must reject each.
+// range (first, middle, last); the per-section CRC must reject each on
+// every read path.
 // Bytes in the zero padding between sections are deliberately not
 // flipped — padding carries no data and is not checksummed.
 func TestOpenSectionBitFlips(t *testing.T) {
@@ -148,8 +153,8 @@ func TestOpenSectionBitFlips(t *testing.T) {
 		for _, off := range []int64{s.offset, s.offset + s.length/2, s.offset + s.length - 1} {
 			b := append([]byte(nil), good...)
 			b[off] ^= 0x01
-			if err := openBytes(t, b); err == nil {
-				t.Errorf("open accepted a bit flip at byte %d of section kind %d", off, s.kind)
+			if ok := acceptedBy(t, b); len(ok) > 0 {
+				t.Errorf("%v accepted a bit flip at byte %d of section kind %d", ok, off, s.kind)
 			}
 		}
 	}
@@ -164,8 +169,8 @@ func TestOpenVersionSkew(t *testing.T) {
 	binary.LittleEndian.PutUint32(b[4:], Version+1)
 	binary.LittleEndian.PutUint32(b[headerBytes-4:],
 		crc32.Checksum(b[:headerBytes-4], castagnoli))
-	if err := openBytes(t, b); err == nil {
-		t.Fatal("open accepted a file stamped with a future version")
+	if ok := acceptedBy(t, b); len(ok) > 0 {
+		t.Fatalf("%v accepted a file stamped with a future version", ok)
 	}
 }
 
@@ -188,8 +193,8 @@ func TestOpenForeignFiles(t *testing.T) {
 		"wrong magic": wrongMagic,
 	}
 	for name, b := range cases {
-		if err := openBytes(t, b); err == nil {
-			t.Errorf("open accepted %s content", name)
+		if ok := acceptedBy(t, b); len(ok) > 0 {
+			t.Errorf("%v accepted %s content", ok, name)
 		}
 	}
 	if _, err := Open(filepath.Join(t.TempDir(), "missing.hdsn")); err == nil {
@@ -281,7 +286,7 @@ func TestOpenRetiredFormat(t *testing.T) {
 // rectangle to 1e9 in dimension 0 and recomputes the section and header
 // checksums, so only the rectangles' containment check can tell. Before
 // it existed such a file opened, and a k = 1 query at a stored point
-// answered radius 0.772 instead of 0. Both read paths must refuse it,
+// answered radius 0.772 instead of 0. Every read path must refuse it,
 // naming the node.
 func TestOpenRectanglesThatLie(t *testing.T) {
 	b := goodSnapshotBytes(t, 7)
@@ -304,18 +309,14 @@ func TestOpenRectanglesThatLie(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	backends := []Options{{Backend: BackendReadAt}}
-	if MmapSupported() {
-		backends = append(backends, Options{Backend: BackendMmap})
-	}
-	for _, opts := range backends {
-		s, err := OpenWith(path, opts)
+	for _, p := range readPaths() {
+		s, err := p.open(path)
 		if err == nil {
 			s.Close()
-			t.Fatalf("%v: open accepted rectangles that do not bound their nodes", opts.Backend)
+			t.Fatalf("%v: open accepted rectangles that do not bound their nodes", p)
 		}
 		if !strings.Contains(err.Error(), "node 0 rectangle") {
-			t.Fatalf("%v: error %v does not name the node", opts.Backend, err)
+			t.Fatalf("%v: error %v does not name the node", p, err)
 		}
 	}
 }

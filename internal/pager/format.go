@@ -1,8 +1,8 @@
 // Package pager is the real persistence layer of the repository: a
 // versioned, checksummed, page-aligned on-disk file format for
 // rtree.FlatTree query snapshots, an atomic (tmp+rename) writer for
-// crash-safe publication, and an open path that verifies a file before
-// serving its tree from resident arrays or a read-only mapping. The
+// crash-safe publication, and one open path that verifies a file, read
+// into memory or mapped read-only, before serving its tree. The
 // file pages a leaf's rows occupy are arithmetic on the layout
 // (Snapshot.LeafPages), so page counts over a real file are computed,
 // not observed.

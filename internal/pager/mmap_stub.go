@@ -12,8 +12,10 @@ import (
 
 const mmapSupported = false
 
-func openMmap(f *os.File, path string, h *header, size int64) (*Snapshot, error) {
+var mapFile = func(f *os.File, size int64) ([]byte, error) {
 	return nil, fmt.Errorf("%w: not supported on this platform", ErrMmapUnavailable)
 }
+
+func adviseMapping(data []byte, pageBytes int, pointsOff, pointsLen int64) {}
 
 func munmapFile(data []byte) error { return nil }

@@ -227,8 +227,8 @@ func TestMmapPoisonedResident(t *testing.T) {
 	}
 }
 
-// TestBackendResolution pins Auto's platform choice and Load's
-// resident tree.
+// TestBackendResolution pins Auto's platform choice, and that a tree
+// read from the file stays usable after Close.
 func TestBackendResolution(t *testing.T) {
 	ft := buildFlat(t, 100, 4, 41)
 	path := filepath.Join(t.TempDir(), "snap")
@@ -255,17 +255,20 @@ func TestBackendResolution(t *testing.T) {
 		t.Fatalf("ResolveBackend(ReadAt) = %v", got)
 	}
 
-	// Load must stay resident whatever the platform: its tree outlives
-	// the snapshot handle.
-	tr, err := Load(path)
+	// The read path's tree lives on the heap: it outlives the handle.
+	s, err = OpenWith(path, Options{Backend: BackendReadAt})
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("open readat: %v", err)
 	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close readat: %v", err)
+	}
+	tr := s.Tree()
 	if tr.NumPoints != 100 {
-		t.Fatalf("loaded %d points", tr.NumPoints)
+		t.Fatalf("read %d points", tr.NumPoints)
 	}
 	q := make([]float64, 4)
 	if res := query.KNNSearchFlat(tr, q, 1); len(res.Neighbors) != 1 {
-		t.Fatal("tree from Load unusable after close")
+		t.Fatal("tree read from the file unusable after close")
 	}
 }

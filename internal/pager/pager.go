@@ -1,12 +1,10 @@
 package pager
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync"
 
@@ -17,11 +15,11 @@ import (
 
 // Snapshot is an open snapshot file. Open verifies the whole file
 // (header, every section checksum, every structural invariant) before
-// returning; how the tree is then served depends on the Backend.
+// returning. The file's bytes come from one of two places, per the
+// Backend, and the tree's arrays are views into them:
 //
-// With BackendReadAt the tree is resident: every section is decoded
-// into heap arrays at Open, Tree() stays valid after Close, and the
-// file is closed before Open returns.
+// With BackendReadAt the whole file is read into one heap buffer at
+// Open and the file is closed. Tree() stays valid after Close.
 //
 // With BackendMmap the tree is served zero-copy from a read-only
 // mapping of the file: Tree()'s arrays are views into the map, valid
@@ -71,8 +69,9 @@ func OpenWith(path string, opts Options) (*Snapshot, error) {
 		return nil, err
 	}
 	// Either backend is done with the descriptor once open returns: the
-	// resident tree is decoded and a mapping outlives its descriptor, so
-	// a long-lived served snapshot costs at most one mapping and no fd.
+	// file was read into memory or mapped, and a mapping outlives its
+	// descriptor, so a long-lived snapshot costs at most one mapping and
+	// no fd.
 	s, err := open(f, path, opts)
 	f.Close()
 	if err != nil {
@@ -164,32 +163,51 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 		}
 	}
 
-	if ResolveBackend(opts.Backend) == BackendMmap {
-		s, merr := openMmap(f, path, h, size)
-		switch {
-		case merr == nil:
-			return s, nil
-		case errors.Is(merr, ErrMmapUnavailable) && opts.Backend == BackendAuto:
-			// Auto choice and the map could not be established —
-			// graceful fallback to the resident ReadAt path below.
-		default:
-			return nil, merr
+	// The file's bytes come from the read-only mapping or from one read
+	// of the whole file into a heap buffer; one body then verifies and
+	// views them.
+	backend := ResolveBackend(opts.Backend)
+	var data []byte
+	if backend == BackendMmap {
+		data, err = mapFile(f, size)
+		if errors.Is(err, ErrMmapUnavailable) && opts.Backend == BackendAuto {
+			err = nil // the map could not be established: read the file
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
+	if data == nil {
+		backend = BackendReadAt
+		// One allocation of at least MinPageBytes (size is a whole number
+		// of pages): the Go allocator places it at least 8-byte aligned,
+		// and every section starts on a page boundary of it, so the views
+		// below are as aligned as they are over the page-aligned mapping.
+		data = make([]byte, size)
+		if _, err := f.ReadAt(data, 0); err != nil {
+			return nil, fmt.Errorf("reading snapshot: %v", err)
+		}
+	}
+	s, err := assemble(data, h)
+	if err != nil {
+		if backend == BackendMmap {
+			munmapFile(data)
+		}
+		return nil, err
+	}
+	s.path, s.backend = path, backend
+	if backend == BackendMmap {
+		s.mapped = data
+		adviseMapping(data, h.pageBytes, s.pointsOff, s.pointsLen)
+	}
+	return s, nil
+}
 
-	// Read and checksum every section, then hand the arrays to
-	// AssembleFlat for the structural invariants.
-	readSection := func(sec sectionEntry) ([]byte, error) {
-		b := make([]byte, sec.length)
-		if _, err := f.ReadAt(b, sec.offset); err != nil {
-			return nil, fmt.Errorf("section kind %d: %w", sec.kind, err)
-		}
-		if got := crc32.Checksum(b, castagnoli); got != sec.crc {
-			return nil, fmt.Errorf("section kind %d checksum mismatch (got %08x, want %08x)",
-				sec.kind, got, sec.crc)
-		}
-		return b, nil
-	}
+// assemble checks every section's checksum over data, the whole file,
+// views each section in place, and hands the arrays to AssembleFlat for
+// the structural invariants. The tree's arrays alias data (or, where
+// decodeViews holds, are decoded from it).
+func assemble(data []byte, h *header) (*Snapshot, error) {
 	var (
 		i32s                 [4][]int32
 		rectLo, rectHi       []float64
@@ -197,19 +215,20 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 		pointsOff, pointsLen int64
 	)
 	for i, sec := range h.sections {
-		b, err := readSection(sec)
-		if err != nil {
-			return nil, err
+		b := data[sec.offset : sec.offset+sec.length]
+		if got := crc32.Checksum(b, castagnoli); got != sec.crc {
+			return nil, fmt.Errorf("section kind %d checksum mismatch (got %08x, want %08x)",
+				sec.kind, got, sec.crc)
 		}
 		switch {
 		case i < 4:
-			i32s[i] = decodeInt32s(b)
+			i32s[i] = viewInt32s(b)
 		case sec.kind == secRectLo:
-			rectLo = decodeFloat64s(b)
+			rectLo = viewFloat64s(b)
 		case sec.kind == secRectHi:
-			rectHi = decodeFloat64s(b)
+			rectHi = viewFloat64s(b)
 		case sec.kind == secPoints:
-			points = decodeFloat64s(b)
+			points = viewFloat64s(b)
 			pointsOff, pointsLen = sec.offset, sec.length
 		}
 	}
@@ -223,14 +242,7 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{
-		path:      path,
-		h:         h,
-		tree:      tree,
-		backend:   BackendReadAt,
-		pointsOff: pointsOff,
-		pointsLen: pointsLen,
-	}, nil
+	return &Snapshot{h: h, tree: tree, pointsOff: pointsOff, pointsLen: pointsLen}, nil
 }
 
 // assembleRects rebuilds the RectSet from its corner columns,
@@ -250,24 +262,8 @@ func assembleRects(lo, hi []float64, n, dim int) (*mbr.RectSet, error) {
 	return mbr.RectSetFromCorners(lo, hi, n, dim), nil
 }
 
-func decodeInt32s(b []byte) []int32 {
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-func decodeFloat64s(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-// Tree returns the verified FlatTree. With BackendReadAt it is
-// resident and remains valid after Close; with BackendMmap its arrays
+// Tree returns the verified FlatTree. With BackendReadAt its arrays
+// live on the heap and remain valid after Close; with BackendMmap they
 // are views into the mapping and must not be used after Close unmaps
 // them.
 func (s *Snapshot) Tree() *rtree.FlatTree { return s.tree }
@@ -305,7 +301,7 @@ func (s *Snapshot) LeafPages(node int) (first, last int64) {
 
 // Close releases the snapshot's resources, exactly once (further calls
 // return the first result). With BackendReadAt there is nothing to
-// release: the resident tree stays usable. With BackendMmap it unmaps
+// release: the tree stays usable. With BackendMmap it unmaps
 // the file — the tree and every row view become invalid, so Close must
 // happen strictly after the last reader is done (the serving layer
 // ties it to the snapshot-retire protocol).
@@ -317,17 +313,4 @@ func (s *Snapshot) Close() error {
 		}
 	})
 	return s.closeErr
-}
-
-// Load opens, verifies, and closes path, returning just the resident
-// tree — the convenience entry point for callers (server recovery, the
-// facade) that want the tree without a Snapshot. It always uses the
-// ReadAt backend: the returned tree must outlive Close, which a mapped
-// tree cannot.
-func Load(path string) (*rtree.FlatTree, error) {
-	s, err := OpenWith(path, Options{Backend: BackendReadAt})
-	if err != nil {
-		return nil, err
-	}
-	return s.Tree(), nil
 }

@@ -10,7 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"hdidx/internal/mbr"
 	"hdidx/internal/query"
@@ -72,6 +74,37 @@ func readBackends() []Backend {
 	return []Backend{BackendReadAt}
 }
 
+// readPath is one way this host can read a snapshot: a backend, and
+// whether its sections are decoded into fresh arrays (the branch a
+// big-endian host takes) instead of viewed where the host allows.
+type readPath struct {
+	backend Backend
+	decode  bool
+}
+
+func (p readPath) String() string {
+	if p.decode {
+		return fmt.Sprintf("%v/decoded", p.backend)
+	}
+	return fmt.Sprint(p.backend)
+}
+
+// readPaths lists every backend of readBackends, viewed and decoded.
+func readPaths() []readPath {
+	var ps []readPath
+	for _, b := range readBackends() {
+		ps = append(ps, readPath{b, false}, readPath{b, true})
+	}
+	return ps
+}
+
+// open opens path along p, forcing the decode branch for the call.
+func (p readPath) open(path string) (*Snapshot, error) {
+	defer func(was bool) { decodeViews = was }(decodeViews)
+	decodeViews = decodeViews || p.decode
+	return OpenWith(path, Options{Backend: p.backend})
+}
+
 // TestRoundTrip writes trees across dimensions and page sizes and
 // reads them back through every read path, requiring every array
 // bit-identical and search results over the reopened tree identical
@@ -128,18 +161,125 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestRoundTripEmpty round-trips the empty snapshot the serving layer
-// publishes before the first insert.
+// publishes before the first insert, along every read path.
 func TestRoundTripEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty")
 	if _, err := WriteFileAtomic(path, &rtree.FlatTree{}, 512); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	ft, err := Load(path)
-	if err != nil {
-		t.Fatalf("load: %v", err)
+	for _, p := range readPaths() {
+		s, err := p.open(path)
+		if err != nil {
+			t.Fatalf("%v: open: %v", p, err)
+		}
+		if ft := s.Tree(); ft.NumNodes() != 0 || ft.NumPoints != 0 {
+			t.Fatalf("%v: empty tree came back with %d nodes / %d points", p, ft.NumNodes(), ft.NumPoints)
+		}
+		s.Close()
 	}
-	if ft.NumNodes() != 0 || ft.NumPoints != 0 {
-		t.Fatalf("empty tree came back with %d nodes / %d points", ft.NumNodes(), ft.NumPoints)
+}
+
+// TestOpenDecodeBranch runs the branch a big-endian host takes, where
+// every section is decoded into fresh arrays, and requires the opened
+// tree bit-identical to the viewed one: written back, each tree gives
+// the file's bytes, which are its arrays verbatim. A viewed tree's
+// arrays alias the file's bytes, so they must be 8-byte aligned; a
+// decoded tree's must not alias them.
+func TestOpenDecodeBranch(t *testing.T) {
+	for _, c := range []struct{ n, dim, page int }{
+		{300, 4, 512},
+		{1200, 16, 4096},
+		{500, 60, 8192},
+		{1, 3, 512},
+	} {
+		ft := buildFlat(t, c.n, c.dim, int64(c.n))
+		path := filepath.Join(t.TempDir(), "snap")
+		if _, err := WriteFileAtomic(path, ft, c.page); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range readPaths() {
+			s, err := p.open(path)
+			if err != nil {
+				t.Fatalf("n=%d %v: open: %v", c.n, p, err)
+			}
+			var buf bytes.Buffer
+			if _, err := Write(&buf, s.Tree(), c.page); err != nil {
+				t.Fatalf("n=%d %v: rewrite: %v", c.n, p, err)
+			}
+			if !bytes.Equal(buf.Bytes(), raw) {
+				t.Fatalf("n=%d %v: the opened tree does not write back the file it was read from", c.n, p)
+			}
+			lo, hi := s.Tree().Rects.Corners()
+			for _, a := range []unsafe.Pointer{unsafe.Pointer(&s.Tree().ChildStart[0]), unsafe.Pointer(&lo[0]),
+				unsafe.Pointer(&hi[0]), unsafe.Pointer(&s.Tree().Points.Data[0])} {
+				if viewed := !p.decode && !decodeViews; viewed && uintptr(a)%8 != 0 {
+					t.Fatalf("n=%d %v: a view at %#x is not 8-byte aligned", c.n, p, a)
+				}
+				if p.decode && s.mapped != nil {
+					if base := uintptr(unsafe.Pointer(&s.mapped[0])); uintptr(a) >= base && uintptr(a) < base+uintptr(len(s.mapped)) {
+						t.Fatalf("n=%d %v: a decoded array is a view into the mapping", c.n, p)
+					}
+				}
+			}
+			s.Close()
+		}
+	}
+}
+
+// TestOpenAutoFallback makes the map fail, through the seam over the
+// mmap call, and pins what publication relies on: Auto reads the file
+// instead and opens the same verified tree, an explicit BackendMmap
+// returns ErrMmapUnavailable, and a corrupted file still fails on the
+// fallback.
+func TestOpenAutoFallback(t *testing.T) {
+	ft := buildFlat(t, 600, 8, 51)
+	path := filepath.Join(t.TempDir(), "snap")
+	if _, err := WriteFileAtomic(path, ft, 512); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	defer func(m func(*os.File, int64) ([]byte, error)) { mapFile = m }(mapFile)
+	mapFile = func(*os.File, int64) ([]byte, error) {
+		return nil, fmt.Errorf("%w: injected", ErrMmapUnavailable)
+	}
+
+	s, err := Open(path)
+	if err != nil {
+		t.Fatalf("auto open with a failing map: %v", err)
+	}
+	if s.Backend() != BackendReadAt || s.mapped != nil {
+		t.Fatalf("auto open with a failing map came back as %v", s.Backend())
+	}
+	equalTrees(t, s.Tree(), ft)
+	s.Close()
+
+	if s, err := OpenWith(path, Options{Backend: BackendMmap}); !errors.Is(err, ErrMmapUnavailable) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("explicit mmap open with a failing map returned %v, want ErrMmapUnavailable", err)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := decodeHeader(raw[:headerBytes])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[h.sections[len(h.sections)-1].offset] ^= 0x01 // the first byte of the points
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("auto open of a corrupted file with a failing map returned %v, want a checksum error", err)
 	}
 }
 
@@ -244,7 +384,7 @@ func checkLeafPages(t *testing.T, b Backend, onLeaf func(s *Snapshot, node int, 
 			}
 			prevLast = last
 			want := ft.Points.Data[int64(ft.PtStart[node])*int64(c.dim) : int64(ft.PtStart[node]+ft.PtCount[node])*int64(c.dim)]
-			if got := decodeFloat64s(raw[lo:hi]); !reflect.DeepEqual(got, want) {
+			if got := viewFloat64s(raw[lo:hi]); !reflect.DeepEqual(got, want) {
 				t.Fatalf("page=%d %v: file bytes at leaf %d's offset decode to other rows", c.page, b, node)
 			}
 			if onLeaf != nil {
@@ -283,13 +423,14 @@ func TestWriteFileAtomic(t *testing.T) {
 	if _, err := WriteFileAtomic(path, ft2, 512); err != nil {
 		t.Fatalf("second publish: %v", err)
 	}
-	got, err := Load(path)
+	got, err := Open(path)
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("open: %v", err)
 	}
-	if got.NumPoints != 200 {
-		t.Fatalf("loaded %d points, want the second snapshot's 200", got.NumPoints)
+	if n := got.Tree().NumPoints; n != 200 {
+		t.Fatalf("opened %d points, want the second snapshot's 200", n)
 	}
+	got.Close()
 	left, err := filepath.Glob(filepath.Join(dir, "snap.tmp-*"))
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -172,17 +173,16 @@ func TestMmapServeHammer(t *testing.T) {
 // the Insert or Flush that published the file returns an error naming
 // the shard and generation, the generation is still live from the
 // resident tree (answers equal brute force over every published point)
-// but that shard is not mapped, and the failed file is not committed:
-// the manifest keeps naming the shard's previous file, so a restart
-// succeeds without the failed generation's points of that shard. The
-// same holds when the failing publication is a restart's boot
-// publication, whose failed New leaves no file mapped, and the restart
-// after it recovers every committed point. Both shard counts run the
-// same assertions; at S = 1 the victim is the only shard.
+// but that shard is not mapped, and the failed file is neither
+// committed nor left on disk: the manifest keeps naming the shard's
+// previous file, so a restart succeeds without the failed generation's
+// points of that shard. The same holds when the failing publication is
+// a restart's boot publication, whose failed New leaves no file mapped,
+// and the restart after it recovers every committed point. Both shard
+// counts run the same assertions; at S = 1 the victim is the only
+// shard. The verifying reopen runs on every platform; only whether a
+// shard is mapped depends on the platform.
 func TestDurableReopenFailureIsLoud(t *testing.T) {
-	if !pager.MmapSupported() {
-		t.Skip("the verifying reopen runs only where the platform has mmap")
-	}
 	const dim, k = 4, 7
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
@@ -194,8 +194,8 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			if !srv.Stats().Mapped {
-				t.Fatal("boot generation not mapped")
+			if got := srv.Stats().Mapped; got != pager.MmapSupported() {
+				t.Fatalf("boot generation Mapped = %v, want %v", got, pager.MmapSupported())
 			}
 
 			// Six inserts reach every shard, so the Flush rewrites all
@@ -208,10 +208,7 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 				}
 			}
 			points = append(points, inserts...)
-			// damaged holds the bytes of the last damaged file: a file
-			// name can return, because a restart numbers its files from
-			// the committed manifest, past which a failed write may
-			// have gone.
+			// damaged holds the bytes of the last damaged file.
 			var damaged []byte
 			damageVictim := func(written string) {
 				if id, _, ok := pager.ParseShardPath(path, written); ok && id == victim {
@@ -219,6 +216,17 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 					var err error
 					if damaged, err = os.ReadFile(written); err != nil {
 						t.Fatal(err)
+					}
+				}
+			}
+			// removed fails if a file under the snapshot directory still
+			// holds the damaged bytes.
+			removed := func(after string) {
+				t.Helper()
+				files, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "*"))
+				for _, f := range files {
+					if b, err := os.ReadFile(f); err == nil && bytes.Equal(b, damaged) {
+						t.Fatalf("after the failed %s, %s still holds the damaged bytes", after, f)
 					}
 				}
 			}
@@ -234,6 +242,7 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "checksum mismatch") {
 				t.Fatalf("Flush returned %v, want a checksum error naming %q", err, want)
 			}
+			removed("Flush")
 
 			st := srv.Stats()
 			if st.Points != len(points) {
@@ -243,8 +252,8 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 				if ss.Generation != gen {
 					t.Fatalf("shard %d serves generation %d, want %d", i, ss.Generation, gen)
 				}
-				if ss.Mapped != (i != victim) {
-					t.Fatalf("shard %d Mapped = %v, want %v", i, ss.Mapped, i != victim)
+				if want := pager.MmapSupported() && i != victim; ss.Mapped != want {
+					t.Fatalf("shard %d Mapped = %v, want %v", i, ss.Mapped, want)
 				}
 			}
 			for _, q := range uniform(20, dim, 63) {
@@ -324,24 +333,31 @@ func TestDurableReopenFailureIsLoud(t *testing.T) {
 			if damaged == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 				t.Fatalf("boot publication returned %v, want a checksum error", err)
 			}
-			if got := fileMappings(filepath.Dir(path)); got != mapped {
-				t.Fatalf("the failed New left %d mapping lines under the snapshot directory, want %d", got, mapped)
+			if got := fileMappings(filepath.Dir(path)); !reflect.DeepEqual(got, mapped) {
+				t.Fatalf("the failed New left the mappings %v under the snapshot directory, want %v", got, mapped)
 			}
+			removed("New")
 			checkManifest()
 			restart()
 		})
 	}
 }
 
-// fileMappings counts the lines of /proc/self/maps that map a file
-// under dir, or returns -1 where the process's mappings are not
-// readable there.
-func fileMappings(dir string) int {
+// fileMappings counts, per file under dir, the lines of /proc/self/maps
+// that map it (a deleted file under its old name), or returns nil where
+// the process's mappings are not readable.
+func fileMappings(dir string) map[string]int {
 	b, err := os.ReadFile("/proc/self/maps")
 	if err != nil {
-		return -1
+		return nil
 	}
-	return strings.Count(string(b), dir+string(filepath.Separator))
+	m := map[string]int{}
+	for _, line := range strings.Split(string(b), "\n") {
+		if i := strings.Index(line, dir+string(filepath.Separator)); i >= 0 {
+			m[strings.TrimSuffix(line[i:], " (deleted)")]++
+		}
+	}
+	return m
 }
 
 // damagePoints flips one byte of the points section of the snapshot

@@ -114,11 +114,12 @@ func committedPoints(t *testing.T, path string) int {
 		if ms.Generation == 0 {
 			continue
 		}
-		ft, err := pager.Load(pager.ShardPath(path, i, ms.Generation))
+		pg, err := pager.Open(pager.ShardPath(path, i, ms.Generation))
 		if err != nil {
 			t.Fatal(err)
 		}
-		n += ft.NumPoints
+		n += pg.Tree().NumPoints
+		pg.Close()
 	}
 	return n
 }

@@ -41,16 +41,16 @@
 // manifest rename is the atomic commit point, and recovery refuses
 // anything the manifest names but cannot verify.
 //
-// How a published file is read is the platform's choice, not a
-// setting. Where pager.MmapSupported holds, publication reopens each
-// file it wrote read-only through mmap — verifying every checksum and
-// structural invariant — and serves the generation zero-copy from the
-// mapping, unmapped when the generation's last pin drains. Elsewhere,
-// or when the mmap call itself fails, the flattened tree is served
-// resident and the file is recorded without that check. A file that
-// fails the check is the publication's error: the generation still
-// serves from the resident tree, and no manifest names the file — the
-// shard's previous file stays committed.
+// Every file a manifest names was verified after its write: publication
+// reopens each file it wrote through pager.Open, which checks every
+// checksum and structural invariant, and serves the generation from
+// the reopened tree. How the file is read is the platform's choice,
+// not a setting: mapped read-only and served zero-copy where the
+// platform supports mmap (unmapped when the generation's last pin
+// drains), read from the file elsewhere or when the map fails. A file
+// that fails the check is the publication's error and is removed: the
+// generation still serves from the resident tree, and no manifest
+// names the file — the shard's previous file stays committed.
 //
 // # Admission
 //
@@ -151,10 +151,10 @@ type Config struct {
 	// generation. In-process generation numbers restart at 1; shard
 	// file and manifest generations continue from the recovered
 	// manifest's, so a restart never rewrites a file the committed
-	// manifest names. Where the platform supports mmap, every written
-	// file is reopened, verified and served zero-copy from its mapping
-	// (see the package doc, Durable snapshots). Empty (the default)
-	// serves purely in memory.
+	// manifest names. Every written file is reopened, verified and
+	// served from the reopened tree, zero-copy from its mapping where
+	// the platform supports mmap (see the package doc, Durable
+	// snapshots). Empty (the default) serves purely in memory.
 	SnapshotPath string
 }
 
@@ -179,12 +179,14 @@ func (c Config) withDefaults() Config {
 
 // snapshot is one published epoch of one shard: an immutable flat tree
 // plus the pin accounting that decides when it may retire. When pg is
-// non-nil the tree's arrays are zero-copy views into pg's read-only
-// file mapping; retirement closes pg (unmapping exactly once, after
-// the last pin drained — a pinned reader can therefore never touch
-// unmapped memory). A shard's final generation is never superseded, so
-// its mapping intentionally lives until process exit: Stats, Len, and
-// Generation stay readable after Close.
+// non-nil it is the verified reopen of the generation's durable file,
+// and the tree's arrays are views into its bytes — zero-copy into a
+// read-only file mapping where pg is mapped. Retirement closes pg
+// (unmapping exactly once, after the last pin drained — a pinned
+// reader can therefore never touch unmapped memory). A shard's final
+// generation is never superseded, so its mapping intentionally lives
+// until process exit: Stats, Len, and Generation stay readable after
+// Close.
 type snapshot struct {
 	ft  *rtree.FlatTree
 	gen int64
@@ -228,12 +230,9 @@ type shard struct {
 	// fileGen/fileBytes/fileCRC describe this shard's current durable
 	// side file (durable mode only; fileGen 0 = none). New seeds them
 	// from the recovered manifest.
-	// durableGen trails fileGen: it is the file generation named by the
-	// last successfully written manifest, and the sweep keeps both.
-	fileGen    int64
-	fileBytes  int64
-	fileCRC    uint32
-	durableGen int64
+	fileGen   int64
+	fileBytes int64
+	fileCRC   uint32
 
 	pubs  atomic.Int64 // snapshots this shard published
 	bytes atomic.Int64 // durable bytes written for this shard
@@ -358,14 +357,16 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 
-	// recovered[i] is what shard i must re-ingest.
-	recovered := make([]*rtree.FlatTree, cfg.Shards)
 	var manifest *pager.Manifest
 	if cfg.SnapshotPath != "" {
 		switch _, err := os.Stat(cfg.SnapshotPath); {
 		case err == nil:
-			if manifest, err = recoverShards(cfg, recovered); err != nil {
-				return nil, err
+			if manifest, err = pager.ReadManifest(cfg.SnapshotPath); err != nil {
+				return nil, fmt.Errorf("serve: recover manifest: %w", err)
+			}
+			if len(manifest.Shards) != cfg.Shards {
+				return nil, fmt.Errorf("serve: manifest has %d shards, configured %d — shard count cannot change across restarts of a durable path",
+					len(manifest.Shards), cfg.Shards)
 			}
 		case !os.IsNotExist(err):
 			return nil, fmt.Errorf("serve: recover manifest: %w", err)
@@ -416,22 +417,11 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 		s.shards[i] = &shard{id: i, dyn: rtree.NewDynamic(g)}
 	}
 	if manifest != nil {
-		// The recovered files are the shards' current and durable ones
-		// until a manifest names their successors.
 		s.fileGenBase = manifest.Generation
 		for i, ms := range manifest.Shards {
-			sh := s.shards[i]
-			sh.fileGen, sh.fileBytes, sh.fileCRC, sh.durableGen = ms.Generation, ms.Bytes, ms.HeaderCRC, ms.Generation
-		}
-	}
-	for i, ft := range recovered {
-		if ft == nil {
-			continue
-		}
-		// Each shard restores its own rows, preserving the assignment
-		// (and with it the balance of publication costs).
-		for r := 0; r < ft.NumPoints; r++ {
-			s.shards[i].dyn.Insert(vec.Clone(ft.Points.Row(r)))
+			if err := s.recoverShard(s.shards[i], ms); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for i, p := range initial {
@@ -461,44 +451,42 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// recoverShards reads the manifest at cfg.SnapshotPath, verifies every
-// shard file it names against the recorded size, header checksum and
-// dimensionality, loads each into recovered, and returns the manifest.
-// Any inconsistency — wrong shard count, a missing or altered file, a
-// snapshot file where the manifest should be — is a loud error:
-// recovery never serves a mixed or partial generation.
-func recoverShards(cfg Config, recovered []*rtree.FlatTree) (*pager.Manifest, error) {
-	m, err := pager.ReadManifest(cfg.SnapshotPath)
+// recoverShard verifies the file the recovered manifest names for sh
+// against the recorded size and header checksum, opens it with
+// pager.Open, and re-ingests its rows into sh, preserving the
+// assignment (and with it the balance of publication costs). The file
+// is then sh's current one until a manifest names its successor. The
+// rows are copied, so the snapshot is released before recoverShard
+// returns. Any inconsistency — a missing or altered file, or one of
+// another dimensionality — is a loud error: recovery never serves a
+// mixed or partial generation.
+func (s *Server) recoverShard(sh *shard, ms pager.ManifestShard) error {
+	if ms.Generation == 0 {
+		return nil // durably empty shard
+	}
+	path := pager.ShardPath(s.cfg.SnapshotPath, sh.id, ms.Generation)
+	crc, size, err := pager.FileSummary(path)
 	if err != nil {
-		return nil, fmt.Errorf("serve: recover manifest: %w", err)
+		return fmt.Errorf("serve: recover shard %d (generation %d): %w", sh.id, ms.Generation, err)
 	}
-	if len(m.Shards) != cfg.Shards {
-		return nil, fmt.Errorf("serve: manifest has %d shards, configured %d — shard count cannot change across restarts of a durable path",
-			len(m.Shards), cfg.Shards)
+	if size != ms.Bytes || crc != ms.HeaderCRC {
+		return fmt.Errorf("serve: recover shard %d: file %s is %d bytes with header CRC %08x, manifest expects %d bytes with %08x",
+			sh.id, path, size, crc, ms.Bytes, ms.HeaderCRC)
 	}
-	for i, ms := range m.Shards {
-		if ms.Generation == 0 {
-			continue // durably empty shard
-		}
-		path := pager.ShardPath(cfg.SnapshotPath, i, ms.Generation)
-		crc, size, err := pager.FileSummary(path)
-		if err != nil {
-			return nil, fmt.Errorf("serve: recover shard %d (generation %d): %w", i, ms.Generation, err)
-		}
-		if size != ms.Bytes || crc != ms.HeaderCRC {
-			return nil, fmt.Errorf("serve: recover shard %d: file %s is %d bytes with header CRC %08x, manifest expects %d bytes with %08x",
-				i, path, size, crc, ms.Bytes, ms.HeaderCRC)
-		}
-		ft, err := pager.Load(path)
-		if err != nil {
-			return nil, fmt.Errorf("serve: recover shard %d: %w", i, err)
-		}
-		if ft.NumPoints > 0 && ft.Dim != m.Dim {
-			return nil, fmt.Errorf("serve: recover shard %d: file %s has dimension %d, manifest %d", i, path, ft.Dim, m.Dim)
-		}
-		recovered[i] = ft
+	pg, err := pager.Open(path)
+	if err != nil {
+		return fmt.Errorf("serve: recover shard %d: %w", sh.id, err)
 	}
-	return m, nil
+	defer pg.Close()
+	ft := pg.Tree()
+	if ft.NumPoints > 0 && ft.Dim != s.dim {
+		return fmt.Errorf("serve: recover shard %d: file %s has dimension %d, manifest %d", sh.id, path, ft.Dim, s.dim)
+	}
+	for r := 0; r < ft.NumPoints; r++ {
+		sh.dyn.Insert(vec.Clone(ft.Points.Row(r)))
+	}
+	sh.fileGen, sh.fileBytes, sh.fileCRC = ms.Generation, ms.Bytes, ms.HeaderCRC
+	return nil
 }
 
 // acquireAll pins every shard's current snapshot, in shard order.
@@ -535,11 +523,11 @@ var writtenHook func(path string)
 // s.mu.
 //
 // The durable write happens before the swap, so a generation served
-// from its file's mapping is on disk before any reader can see it. A
-// durability error (the write, the verifying reopen, or the manifest
-// failed) is still returned after the in-memory swap of the resident
-// trees — the new generation is live for queries, but the on-disk
-// state holds the previous consistent one.
+// from its file is on disk before any reader can see it. A durability
+// error (the write, the verifying reopen, or the manifest failed) is
+// still returned after the in-memory swap — the new generation is live
+// for queries, but the on-disk state holds the previous consistent
+// one.
 func (s *Server) publishLocked(targets []*shard) error {
 	if len(targets) == 0 {
 		return nil
@@ -585,9 +573,6 @@ func (s *Server) publishLocked(targets []*shard) error {
 				pubErr = err
 			}
 		} else {
-			for _, sh := range s.shards {
-				sh.durableGen = sh.fileGen
-			}
 			s.sweepStaleLocked()
 		}
 	}
@@ -595,17 +580,19 @@ func (s *Server) publishLocked(targets []*shard) error {
 }
 
 // writeShardLocked writes sn's tree to the shard's next durable file
-// and, where the platform supports mmap, reopens the file mapped: the
-// reopen verifies every checksum and structural invariant, and sn then
-// serves zero-copy from the mapping. pager.ErrMmapUnavailable (the map
-// could not be established) leaves sn on its resident tree with no
-// error. Any other reopen error means the file on disk is not the tree
-// that was written; it is returned and the file is not recorded, so no
-// manifest names it. Caller holds s.mu.
+// and reopens it with pager.Open, which verifies every checksum and
+// structural invariant; sn then serves the reopened tree (zero-copy
+// from the mapping where the platform maps). Any failure — the write,
+// the reopen, or the summary — is returned, leaves sn on its resident
+// tree, and removes the file, best-effort like the sweep: it is not
+// recorded, so no manifest names it. Its generation is past every one
+// the committed manifest names, so the removed file is never a
+// committed one. Caller holds s.mu.
 func (s *Server) writeShardLocked(sh *shard, sn *snapshot) error {
 	fileGen := s.fileGenBase + sn.gen
 	path := pager.ShardPath(s.cfg.SnapshotPath, sh.id, fileGen)
 	fail := func(err error) error {
+		os.Remove(path)
 		return fmt.Errorf("serve: durable publication of generation %d (shard %d): %w", sn.gen, sh.id, err)
 	}
 	n, err := pager.WriteFileAtomic(path, sn.ft, s.snapPageBytes)
@@ -617,19 +604,16 @@ func (s *Server) writeShardLocked(sh *shard, sn *snapshot) error {
 	if writtenHook != nil {
 		writtenHook(path)
 	}
-	if pager.MmapSupported() {
-		pg, err := pager.OpenWith(path, pager.Options{Backend: pager.BackendMmap})
-		switch {
-		case err == nil:
-			sn.ft, sn.pg = pg.Tree(), pg
-		case !errors.Is(err, pager.ErrMmapUnavailable):
-			return fail(err)
-		}
-	}
-	crc, size, err := pager.FileSummary(path)
+	pg, err := pager.Open(path)
 	if err != nil {
 		return fail(err)
 	}
+	crc, size, err := pager.FileSummary(path)
+	if err != nil {
+		pg.Close()
+		return fail(err)
+	}
+	sn.ft, sn.pg = pg.Tree(), pg
 	sh.fileGen, sh.fileBytes, sh.fileCRC = fileGen, size, crc
 	return nil
 }
@@ -649,10 +633,10 @@ func (s *Server) writeManifestLocked(gen int64) error {
 	return nil
 }
 
-// sweepStaleLocked deletes shard side files no longer named by either
-// the in-memory file set or the last durable manifest, and the
-// temporaries of crashed shard-file writes (pager.ShardTemps). It runs
-// only after a successful manifest write, so a crash can never leave
+// sweepStaleLocked deletes shard side files the manifest just written
+// does not name, and the temporaries of crashed shard-file writes
+// (pager.ShardTemps). It runs only after a successful manifest write,
+// which named every shard's current file, so a crash can never leave
 // the durable manifest pointing at a swept file. Caller holds s.mu,
 // so no write of this process is in flight.
 func (s *Server) sweepStaleLocked() {
@@ -665,8 +649,7 @@ func (s *Server) sweepStaleLocked() {
 		if !ok || id >= len(s.shards) {
 			continue
 		}
-		sh := s.shards[id]
-		if gen != sh.fileGen && gen != sh.durableGen {
+		if gen != s.shards[id].fileGen {
 			os.Remove(f)
 		}
 	}
@@ -942,9 +925,10 @@ type Stats struct {
 	FlattenTime  time.Duration
 	BytesWritten int64
 	// Mapped reports whether every current snapshot is served
-	// zero-copy from a read-only file mapping rather than resident
-	// arrays. Only a mapped snapshot's file was verified after its
-	// write (see the package doc, Durable snapshots).
+	// zero-copy from a read-only file mapping: the case for a durable
+	// server where the platform supports mmap, unless a shard's current
+	// file failed its check or could not be mapped (see the package
+	// doc, Durable snapshots).
 	Mapped bool
 	// Shards holds the per-shard breakdown, in shard order.
 	Shards []ShardStats
@@ -971,7 +955,7 @@ func (s *Server) Stats() Stats {
 	for i, sn := range sns {
 		sh := s.shards[i]
 		st.Points += sn.ft.NumPoints
-		mapped := sn.pg != nil
+		mapped := sn.pg != nil && sn.pg.Backend() == pager.BackendMmap
 		st.Mapped = st.Mapped && mapped
 		st.Shards[i] = ShardStats{
 			Points:       sn.ft.NumPoints,

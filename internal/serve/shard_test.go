@@ -433,6 +433,7 @@ func testRecoveryRoundTrip(t *testing.T, shards int) {
 		t.Fatal(err)
 	}
 
+	before := fileMappings(dir)
 	s2, err := New(nil, cfg)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
@@ -440,6 +441,28 @@ func testRecoveryRoundTrip(t *testing.T, shards int) {
 	defer s2.Close()
 	if s2.Len() != 400 {
 		t.Fatalf("recovered %d points, want 400", s2.Len())
+	}
+	// Recovery releases the files it opened before New returns: the
+	// only mappings New adds are of its boot publication's files. (The
+	// first server's final generation stays mapped until process exit.)
+	if after := fileMappings(dir); after != nil {
+		m, err := pager.ReadManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boot := map[string]bool{}
+		for i, ms := range m.Shards {
+			f := pager.ShardPath(path, i, ms.Generation)
+			boot[f] = true
+			if pager.MmapSupported() && after[f] == 0 {
+				t.Fatalf("boot file %s is not mapped", f)
+			}
+		}
+		for f, n := range after {
+			if !boot[f] && n != before[f] {
+				t.Fatalf("%s is mapped by %d lines after New, %d before: recovery kept its mapping", f, n, before[f])
+			}
+		}
 	}
 	for i, ss := range s2.Stats().Shards {
 		if ss.Points != perShard[i] {

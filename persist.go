@@ -11,7 +11,7 @@ import (
 // snapshot to a page-aligned, checksummed file and reopening it later
 // without rebuilding. How a reopened snapshot is read is the
 // platform's choice: zero-copy from a read-only file mapping where
-// mmap is supported, decoded into resident arrays elsewhere. See
+// mmap is supported, read from the file into memory elsewhere. See
 // DESIGN.md §12 for the format and the crash-safety argument, §13 for
 // the mmap read path.
 
@@ -42,8 +42,8 @@ func (ix *Index) Save(path string) error {
 // Where the platform supports mmap the index serves the snapshot
 // zero-copy from a read-only file mapping (Mapped reports true) and
 // holds the mapping until Close; elsewhere, or when the file cannot be
-// mapped, the snapshot is decoded into resident arrays and needs no
-// Close. Either way the opened index answers KNN and RangeCount
+// mapped, the file is read into memory and Close releases nothing.
+// Either way the opened index answers KNN and RangeCount
 // bit-identically to the index that saved it and returns private
 // neighbor copies.
 func Open(path string) (*Index, error) {
@@ -57,25 +57,18 @@ func Open(path string) (*Index, error) {
 		s.Close()
 		return nil, fmt.Errorf("hdidx: snapshot %s holds no points", path)
 	}
-	if s.Backend() == pager.BackendMmap {
-		// The tree's arrays are views into the mapping; the snapshot
-		// must outlive the index.
-		return &Index{flat: ft, g: g, snap: s}, nil
-	}
-	// Resident tree: the arrays own their memory, the handle can go.
-	if err := s.Close(); err != nil {
-		return nil, err
-	}
-	return &Index{flat: ft, g: g}, nil
+	// The tree's arrays are views into the snapshot's bytes; the
+	// snapshot must outlive the index.
+	return &Index{flat: ft, g: g, snap: s}, nil
 }
 
 // Mapped reports whether this index serves its snapshot zero-copy from
 // a read-only file mapping.
-func (ix *Index) Mapped() bool { return ix.snap != nil }
+func (ix *Index) Mapped() bool { return ix.snap != nil && ix.snap.Backend() == pager.BackendMmap }
 
 // Close releases the file mapping of an mmap-backed index; queries
-// must not run after it. On a built or resident index it is a no-op.
-// Close is idempotent.
+// must not run after it. On a built index, or one whose file was read
+// into memory, it is a no-op. Close is idempotent.
 func (ix *Index) Close() error {
 	if ix.snap == nil {
 		return nil

@@ -68,12 +68,13 @@ type ServeConfig struct {
 	// snapshot files beside it (<path>.s<shard>.g<generation>.hdsn),
 	// and the manifest's atomic rename commits them. A restarted server
 	// recovers the committed points, and their dimensionality, from
-	// the manifest. Where the platform supports mmap, each written
-	// file is reopened — which verifies it — and queries are served
-	// zero-copy from its read-only mapping (unmapped when the
-	// generation's last reader drains); elsewhere the resident tree
-	// serves. A written file that fails verification is an error from
-	// the Insert or Flush that published it, and no manifest names it.
+	// the manifest. Every written file is reopened — which verifies it
+	// — and queries are served from the reopened tree: zero-copy from
+	// its read-only mapping where the platform supports mmap (unmapped
+	// when the generation's last reader drains), read from the file
+	// elsewhere. A written file that fails verification is an error
+	// from the Insert or Flush that published it, is removed, and no
+	// manifest names it.
 	// A shard file is in the format of Index.Save, and Open reads it.
 	// A snapshot file at the path itself is refused. Empty (the
 	// default) serves purely in memory.
@@ -223,8 +224,8 @@ type ServerStats struct {
 	// zero-copy from a read-only file mapping: the case for a durable
 	// server where the platform supports mmap, unless a shard's
 	// current file failed the check after its write or the mmap call
-	// itself failed. Only a mapped snapshot's file was verified after
-	// its write.
+	// itself failed. Every file the manifest names was verified after
+	// its write, mapped or not.
 	Mapped bool
 	// Shards holds the per-shard breakdown, in shard order.
 	Shards []ShardServeStats
