@@ -27,7 +27,6 @@ import (
 	"hdidx/internal/dataset"
 	"hdidx/internal/disk"
 	"hdidx/internal/experiments"
-	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
@@ -300,11 +299,11 @@ func (e *ablationEnv) config(seed int64) core.Config {
 func BenchmarkAblationCompensation(b *testing.B) {
 	env := newAblationEnv(b, 31)
 	for i := 0; i < b.N; i++ {
-		comp, err := core.PredictBasic(env.data, 0.1, true, env.g, env.spheres, rand.New(rand.NewSource(32)), par.Pool{}, nil)
+		comp, err := core.PredictBasic(env.data, 0.1, true, env.g, env.spheres, rand.New(rand.NewSource(32)), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		raw, err := core.PredictBasic(env.data, 0.1, false, env.g, env.spheres, rand.New(rand.NewSource(32)), par.Pool{}, nil)
+		raw, err := core.PredictBasic(env.data, 0.1, false, env.g, env.spheres, rand.New(rand.NewSource(32)), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

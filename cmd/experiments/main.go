@@ -39,9 +39,11 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	if *workers != 0 {
-		par.SetWorkers(*workers)
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -workers %d is negative (0 = GOMAXPROCS)\n", *workers)
+		os.Exit(2)
 	}
+	par.SetWorkers(*workers)
 	opt := experiments.Options{Scale: *scale, Queries: *queries, K: *k, M: *m, Seed: *seed, Shards: *shards, FlattenEvery: *flatEvery}
 	if *trace {
 		obs.Default.SetEnabled(true)

@@ -40,6 +40,11 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "idxpredict: -workers %d is negative (0 = GOMAXPROCS)\n", *workers)
+		os.Exit(2)
+	}
+	hdidx.SetWorkers(*workers)
 	if *dataPath == "" {
 		fmt.Fprintln(os.Stderr, "idxpredict: -data is required")
 		flag.Usage()
@@ -65,7 +70,7 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	opts := hdidx.EstimateOptions{K: *k, Queries: *q, Memory: *m, Seed: *seed, Workers: *workers}
+	opts := hdidx.EstimateOptions{K: *k, Queries: *q, Memory: *m, Seed: *seed}
 	var est hdidx.Estimate
 	if *radius > 0 {
 		est, err = p.EstimateRange(hdidx.Method(*method), *radius, opts)

@@ -14,7 +14,6 @@ import (
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
 	"hdidx/internal/gridfile"
-	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
@@ -39,7 +38,7 @@ func main() {
 	copy(cp, data)
 	rt := rtree.Build(cp, rtree.ParamsForGeometry(g))
 	rtMeas := stats.Mean(query.MeasureLeafAccesses(rt, spheres))
-	rtPred, err := core.PredictBasic(data, zeta, true, g, spheres, rand.New(rand.NewSource(1)), par.Pool{}, nil)
+	rtPred, err := core.PredictBasic(data, zeta, true, g, spheres, rand.New(rand.NewSource(1)), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

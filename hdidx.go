@@ -37,12 +37,12 @@ import (
 	"hdidx/internal/vec"
 )
 
-// Workers returns the effective worker-pool width of the process, and
-// SetWorkers overrides it (n <= 0 restores the GOMAXPROCS default),
-// returning the previous override. They expose the shared pool behind
-// the parallel bulk loader and the predictors' CPU-bound stages; the
-// CLIs' -workers flags call SetWorkers at startup. Worker counts never
-// change results, only wall-clock time.
+// Workers returns the worker-pool width of the process, and SetWorkers
+// overrides it (n <= 0 restores the GOMAXPROCS default), returning the
+// previous override. This is the only width: every parallel bulk load,
+// sphere scan, classification and leaf count of every call fans out
+// on it, so set it once at startup (the CLIs' -workers flags do).
+// Worker counts never change results, only wall-clock time.
 func Workers() int         { return par.Workers() }
 func SetWorkers(n int) int { return par.SetWorkers(n) }
 
@@ -275,14 +275,6 @@ type EstimateOptions struct {
 	// used verbatim — the zero value runs with seed 0 — and negative
 	// values select DefaultSeed.
 	Seed int64
-	// Workers caps the worker pool the estimate's CPU-bound stages
-	// (parallel bulk loads, sphere scans, point classification) fan
-	// out on. 0 (the default) uses GOMAXPROCS. The width is scoped to
-	// the call: concurrent estimates with different Workers values run
-	// independently and never disturb the process-wide setting.
-	// Results are identical for every worker count — parallelism
-	// changes wall-clock time, never values.
-	Workers int
 }
 
 func (o EstimateOptions) withDefaults() (EstimateOptions, error) {
@@ -297,9 +289,6 @@ func (o EstimateOptions) withDefaults() (EstimateOptions, error) {
 	}
 	if o.SampleFraction < 0 || o.SampleFraction > 1 {
 		return o, fmt.Errorf("hdidx: sample fraction %g outside [0, 1]", o.SampleFraction)
-	}
-	if o.Workers < 0 {
-		return o, fmt.Errorf("hdidx: negative worker count %d", o.Workers)
 	}
 	if o.K == 0 {
 		o.K = 21
@@ -396,7 +385,6 @@ func (p *Predictor) estimate(method Method, radius float64, opts EstimateOptions
 	if err != nil {
 		return Estimate{}, err
 	}
-	pool := par.PoolOf(o.Workers)
 	rng := rand.New(rand.NewSource(o.Seed))
 	k := o.K
 	if k > len(p.points) {
@@ -422,7 +410,7 @@ func (p *Predictor) estimate(method Method, radius float64, opts EstimateOptions
 		var spheres []query.Sphere
 		if radius == 0 {
 			sp := tr.Span("workload.spheres")
-			spheres = query.ComputeSpheresPool(p.points, centers, k, pool)
+			spheres = query.ComputeSpheres(p.points, centers, k)
 			sp.End()
 		} else {
 			spheres = make([]query.Sphere, len(centers))
@@ -430,7 +418,7 @@ func (p *Predictor) estimate(method Method, radius float64, opts EstimateOptions
 				spheres[i] = query.Sphere{Center: c, Radius: radius}
 			}
 		}
-		pr, err := core.PredictBasic(p.points, zeta, true, p.g, spheres, rng, pool, tr)
+		pr, err := core.PredictBasic(p.points, zeta, true, p.g, spheres, rng, tr)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -451,7 +439,6 @@ func (p *Predictor) estimate(method Method, radius float64, opts EstimateOptions
 		FixedRadius:  radius,
 		QueryIndices: indices,
 		Rng:          rng,
-		Workers:      o.Workers,
 		Trace:        newEstimateTrace(method, d),
 	}
 	var pr core.Prediction
@@ -534,7 +521,6 @@ func (p *Predictor) MeasureRangeAccesses(radius float64, opts EstimateOptions) (
 	if err != nil {
 		return 0, err
 	}
-	pool := par.PoolOf(o.Workers)
 	rng := rand.New(rand.NewSource(o.Seed))
 	spheres := make([]query.Sphere, o.Queries)
 	for i := range spheres {
@@ -543,14 +529,12 @@ func (p *Predictor) MeasureRangeAccesses(radius float64, opts EstimateOptions) (
 	tr := obs.TraceIfEnabled("hdidx.measure.range", nil)
 	cp := make([][]float64, len(p.points))
 	copy(cp, p.points)
-	params := rtree.ParamsForGeometry(p.g)
-	params.Workers = o.Workers
 	sp := tr.Span("rtree.build")
-	tree := rtree.Build(cp, params)
+	tree := rtree.Build(cp, rtree.ParamsForGeometry(p.g))
 	sp.End()
 	sp = tr.Span("measure.leaves")
 	defer sp.End()
-	return stats.Mean(query.MeasureLeafAccessesSetPool(tree.LeafRectSet(), spheres, pool)), nil
+	return stats.Mean(query.MeasureLeafAccesses(tree, spheres)), nil
 }
 
 // PageSizeChoice is one candidate of a page-size tuning sweep.
@@ -617,7 +601,6 @@ func (p *Predictor) MeasureKNNAccesses(opts EstimateOptions) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pool := par.PoolOf(o.Workers)
 	rng := rand.New(rand.NewSource(o.Seed))
 	k := o.K
 	if k > len(p.points) {
@@ -629,14 +612,14 @@ func (p *Predictor) MeasureKNNAccesses(opts EstimateOptions) (float64, error) {
 	}
 	tr := obs.TraceIfEnabled("hdidx.measure.knn", nil)
 	sp := tr.Span("workload.spheres")
-	spheres := query.ComputeSpheresPool(p.points, queryPoints, k, pool)
+	spheres := query.ComputeSpheres(p.points, queryPoints, k)
 	sp.End()
 	sp = tr.Span("measure.inmemory")
 	// The bulk load reorders its input: give it a copy, so the caller's
 	// slice and the next call's query draws stay as they were.
 	cp := make([][]float64, len(p.points))
 	copy(cp, p.points)
-	out := stats.Mean(core.MeasureInMemory(cp, p.g, spheres, pool))
+	out := stats.Mean(core.MeasureInMemory(cp, p.g, spheres))
 	sp.End()
 	return out, nil
 }

@@ -58,20 +58,20 @@ func TestConcurrentEstimatesIndependent(t *testing.T) {
 			t.Fatalf("concurrent calls %d and %d disagree:\n%+v\n%+v", pair[0], pair[1], a, b)
 		}
 	}
+	// No estimate writes a width: the process-wide one is as set.
+	if w := Workers(); w != 4 {
+		t.Fatalf("Workers() = %d after the estimates, want 4", w)
+	}
 }
 
-// TestConcurrentEstimatesScopedWorkers is the regression test for the
-// process-wide worker override race: estimates used to install
-// EstimateOptions.Workers via SetWorkers and restore it afterwards, so
-// two concurrent estimates with different widths raced on the global
-// and could leave the wrong override installed when they unwound out
-// of order. Worker counts are now scoped per call: concurrent
-// estimates at different widths must produce results identical to
-// sequential runs and leave the process-wide setting untouched.
-// Run with -race (CI does) to make the check real.
-func TestConcurrentEstimatesScopedWorkers(t *testing.T) {
-	const sentinel = 2
-	prev := SetWorkers(sentinel)
+// TestEstimatesWidthInvariant checks that the process-wide width is a
+// wall-clock-only setting at the facade: every estimate and
+// measurement returns the same values at one worker and at four. The
+// four-worker run forks the bulk loads (the dataset is above the
+// loader's fork threshold) and splits every scan, classification and
+// leaf count across goroutines.
+func TestEstimatesWidthInvariant(t *testing.T) {
+	prev := SetWorkers(1)
 	t.Cleanup(func() { SetWorkers(prev) })
 
 	pts := clusteredPoints(t, 0.03, 21)
@@ -79,56 +79,40 @@ func TestConcurrentEstimatesScopedWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := EstimateOptions{K: 21, Queries: 25, Memory: 1500, Seed: 22}
-
-	// Sequential references at the default width.
-	wantRes, err := p.EstimateKNN(MethodResampled, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBasic, err := p.EstimateKNN(MethodBasic, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Concurrent runs at deliberately different per-call widths.
-	workers := []int{1, 3, 1, 4}
-	ests := make([]Estimate, len(workers))
-	errs := make([]error, len(workers))
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i, w int) {
-			defer wg.Done()
-			opts := base
-			opts.Workers = w
-			m := MethodResampled
-			if i%2 == 1 {
-				m = MethodBasic
+	opts := EstimateOptions{K: 21, Queries: 25, Memory: 1500, Seed: 22}
+	const radius = 0.3
+	run := func() []interface{} {
+		var out []interface{}
+		for _, m := range []Method{MethodBasic, MethodCutoff, MethodResampled} {
+			knn, err := p.EstimateKNN(m, opts)
+			if err != nil {
+				t.Fatalf("EstimateKNN(%s): %v", m, err)
 			}
-			ests[i], errs[i] = p.EstimateKNN(m, opts)
-		}(i, w)
-	}
-	wg.Wait()
-	for i, err := range errs {
+			rangeEst, err := p.EstimateRange(m, radius, opts)
+			if err != nil {
+				t.Fatalf("EstimateRange(%s): %v", m, err)
+			}
+			// Wall-clock phase timings differ run to run; compare
+			// everything else.
+			knn.Phases, rangeEst.Phases = nil, nil
+			out = append(out, knn, rangeEst)
+		}
+		knn, err := p.MeasureKNNAccesses(opts)
 		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
+			t.Fatal(err)
 		}
+		rangeMeas, err := p.MeasureRangeAccesses(radius, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(out, knn, rangeMeas)
 	}
-	for i := range ests {
-		want := wantRes
-		if i%2 == 1 {
-			want = wantBasic
+	one := run()
+	SetWorkers(4)
+	four := run()
+	for i := range one {
+		if !reflect.DeepEqual(one[i], four[i]) {
+			t.Fatalf("result %d differs between 1 and 4 workers:\n%+v\n%+v", i, one[i], four[i])
 		}
-		got := ests[i]
-		got.Phases, want.Phases = nil, nil
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("call %d (workers=%d) diverged from the sequential run:\n%+v\n%+v",
-				i, workers[i], got, want)
-		}
-	}
-	// The per-call widths must not have disturbed the global override.
-	if w := Workers(); w != sentinel {
-		t.Fatalf("process-wide workers = %d after scoped estimates, want sentinel %d", w, sentinel)
 	}
 }

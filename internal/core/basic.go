@@ -6,7 +6,6 @@ import (
 
 	"hdidx/internal/dataset"
 	"hdidx/internal/obs"
-	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 )
@@ -22,11 +21,9 @@ import (
 // This is the model behind Figure 2 (relative error versus sample
 // size, with and without compensation).
 //
-// The mini-index build and the intersection counting fan out on pool
-// (the zero Pool follows the process-wide width). Per-phase spans
-// (sample draw, mini-index build, intersection counting) are recorded
-// on tr; a nil tr disables tracing.
-func PredictBasic(data [][]float64, zeta float64, compensate bool, g rtree.Geometry, spheres []query.Sphere, rng *rand.Rand, pool par.Pool, tr *obs.Trace) (Prediction, error) {
+// Per-phase spans (sample draw, mini-index build, intersection
+// counting) are recorded on tr; a nil tr disables tracing.
+func PredictBasic(data [][]float64, zeta float64, compensate bool, g rtree.Geometry, spheres []query.Sphere, rng *rand.Rand, tr *obs.Trace) (Prediction, error) {
 	if len(data) == 0 {
 		return Prediction{}, fmt.Errorf("core: empty dataset")
 	}
@@ -46,9 +43,7 @@ func PredictBasic(data [][]float64, zeta float64, compensate bool, g rtree.Geome
 	sample := dataset.SampleExact(data, m, rng)
 	sp.End()
 	sp = tr.Span(PhaseMiniBuild)
-	params := rtree.ParamsForGeometry(g).Scaled(zeta, topo.Height)
-	params.Workers = pool.Workers()
-	mini := rtree.Build(sample, params)
+	mini := rtree.Build(sample, rtree.ParamsForGeometry(g).Scaled(zeta, topo.Height))
 	sp.End()
 
 	p := Prediction{
@@ -60,7 +55,7 @@ func PredictBasic(data [][]float64, zeta float64, compensate bool, g rtree.Geome
 		p.LeafRects = growAll(p.LeafRects, safeCompensation(capacity, zeta))
 	}
 	sp = tr.Span(PhaseIntersect)
-	countIntersections(&p, spheres, pool)
+	countIntersections(&p, spheres)
 	sp.End()
 	p.Phases = tr.Phases()
 	return p, nil
@@ -68,12 +63,7 @@ func PredictBasic(data [][]float64, zeta float64, compensate bool, g rtree.Geome
 
 // MeasureInMemory builds the full index in memory and measures the
 // per-query leaf accesses — the zero-error (and zero-I/O-realism)
-// reference for PredictBasic experiments. The count runs over the
-// tree's flat leaf-MBR set directly rather than a node walk. The build
-// and the measurement fan out on pool.
-func MeasureInMemory(data [][]float64, g rtree.Geometry, spheres []query.Sphere, pool par.Pool) []float64 {
-	params := rtree.ParamsForGeometry(g)
-	params.Workers = pool.Workers()
-	tree := rtree.Build(data, params)
-	return query.MeasureLeafAccessesSetPool(tree.LeafRectSet(), spheres, pool)
+// reference for PredictBasic experiments.
+func MeasureInMemory(data [][]float64, g rtree.Geometry, spheres []query.Sphere) []float64 {
+	return query.MeasureLeafAccesses(rtree.Build(data, rtree.ParamsForGeometry(g)), spheres)
 }

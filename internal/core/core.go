@@ -31,7 +31,6 @@ import (
 	"hdidx/internal/disk"
 	"hdidx/internal/mbr"
 	"hdidx/internal/obs"
-	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 )
@@ -95,13 +94,6 @@ type Config struct {
 	HUpper int
 	// Rng drives the sampling.
 	Rng *rand.Rand
-
-	// Workers caps this prediction's fork-join fan-out (scan kernels,
-	// classification, intersection counting, sample-tree builds). 0
-	// follows the process-wide default. The width is scoped to the
-	// call: concurrent predictions with different Workers do not
-	// interfere.
-	Workers int
 
 	// FixedRadius switches the workload from k-NN to range queries:
 	// when positive, every query sphere uses this radius around the
@@ -187,18 +179,10 @@ func summarize(p *Prediction) {
 	}
 }
 
-// pool resolves the prediction-scoped worker pool from Config.Workers.
-func (c Config) pool() par.Pool { return par.PoolOf(c.Workers) }
-
-// countIntersections fills PerQuery from the predicted leaf layout.
-// The layout is flattened once into an mbr.RectSet and the queries run
-// the early-exit intersection kernel in parallel on pool.
-func countIntersections(p *Prediction, spheres []query.Sphere, pool par.Pool) {
-	set := mbr.NewRectSet(p.LeafRects)
-	p.PerQuery = make([]float64, len(spheres))
-	pool.For(len(spheres), func(i int) {
-		p.PerQuery[i] = float64(set.CountSphereIntersections(spheres[i].Center, spheres[i].Radius))
-	})
+// countIntersections fills PerQuery from the predicted leaf layout,
+// counted the way the measurement counts a built tree's leaves.
+func countIntersections(p *Prediction, spheres []query.Sphere) {
+	p.PerQuery = query.MeasureLeafAccessesSet(mbr.NewRectSet(p.LeafRects), spheres)
 	summarize(p)
 }
 

@@ -8,7 +8,6 @@ import (
 	"hdidx/internal/dataset"
 	"hdidx/internal/disk"
 	"hdidx/internal/mbr"
-	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 )
@@ -81,7 +80,7 @@ func TestPredictBasicUniformAccurate(t *testing.T) {
 	spec := dataset.Spec{Name: "unif", N: 20000, Dim: 8}
 	env := newEnv(t, spec, 60, 21, 1)
 	rng := rand.New(rand.NewSource(2))
-	p, err := PredictBasic(env.data, 0.2, true, env.g, env.spheres, rng, par.Pool{}, nil)
+	p, err := PredictBasic(env.data, 0.2, true, env.g, env.spheres, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +98,11 @@ func TestPredictBasicCompensationHelps(t *testing.T) {
 	env := newEnv(t, spec, 60, 21, 3)
 	meas := meanOf(env.measured)
 	zeta := 0.1
-	raw, err := PredictBasic(env.data, zeta, false, env.g, env.spheres, rand.New(rand.NewSource(4)), par.Pool{}, nil)
+	raw, err := PredictBasic(env.data, zeta, false, env.g, env.spheres, rand.New(rand.NewSource(4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := PredictBasic(env.data, zeta, true, env.g, env.spheres, rand.New(rand.NewSource(4)), par.Pool{}, nil)
+	comp, err := PredictBasic(env.data, zeta, true, env.g, env.spheres, rand.New(rand.NewSource(4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestPredictBasicFullSampleIsExact(t *testing.T) {
 	// measurement query by query.
 	spec := dataset.Spec{Name: "unif", N: 5000, Dim: 8}
 	env := newEnv(t, spec, 30, 5, 5)
-	p, err := PredictBasic(env.data, 1.0, true, env.g, env.spheres, rand.New(rand.NewSource(6)), par.Pool{}, nil)
+	p, err := PredictBasic(env.data, 1.0, true, env.g, env.spheres, rand.New(rand.NewSource(6)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +138,11 @@ func TestPredictBasicErrorShrinksWithSampleSize(t *testing.T) {
 	errSmall, errLarge := 0.0, 0.0
 	// Average over a few seeds to dampen sampling noise.
 	for seed := int64(0); seed < 3; seed++ {
-		small, err := PredictBasic(env.data, 0.05, true, env.g, env.spheres, rand.New(rand.NewSource(10+seed)), par.Pool{}, nil)
+		small, err := PredictBasic(env.data, 0.05, true, env.g, env.spheres, rand.New(rand.NewSource(10+seed)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		large, err := PredictBasic(env.data, 0.5, true, env.g, env.spheres, rand.New(rand.NewSource(10+seed)), par.Pool{}, nil)
+		large, err := PredictBasic(env.data, 0.5, true, env.g, env.spheres, rand.New(rand.NewSource(10+seed)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +157,7 @@ func TestPredictBasicErrorShrinksWithSampleSize(t *testing.T) {
 func TestPredictBasicRejectsBadFraction(t *testing.T) {
 	env := newEnv(t, dataset.Spec{Name: "u", N: 1000, Dim: 8}, 5, 3, 8)
 	for _, zeta := range []float64{0, -0.5, 1.5, 0.001} {
-		if _, err := PredictBasic(env.data, zeta, true, env.g, env.spheres, rand.New(rand.NewSource(1)), par.Pool{}, nil); err == nil {
+		if _, err := PredictBasic(env.data, zeta, true, env.g, env.spheres, rand.New(rand.NewSource(1)), nil); err == nil {
 			t.Errorf("zeta=%v: expected error", zeta)
 		}
 	}
@@ -398,14 +397,14 @@ func TestClassifyPoints(t *testing.T) {
 		{4.4, 4.4}, // outside: closer to box 1
 	}
 	out := make([]int, len(pts))
-	classifyPoints(pts, mbr.NewRectSet(boxes), out, false, par.Pool{})
+	classifyPoints(pts, mbr.NewRectSet(boxes), out, false)
 	want := []int{0, 1, 0, 1}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Errorf("point %d assigned to %d, want %d", i, out[i], want[i])
 		}
 	}
-	classifyPoints(pts, mbr.NewRectSet(boxes), out, true, par.Pool{})
+	classifyPoints(pts, mbr.NewRectSet(boxes), out, true)
 	wantDiscard := []int{0, 1, -1, -1}
 	for i := range wantDiscard {
 		if out[i] != wantDiscard[i] {

@@ -40,7 +40,7 @@ func PredictCutoff(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	}
 	p.IOSeconds = p.IO.CostSeconds(d.Params())
 	sp = cfg.Trace.Span(PhaseIntersect)
-	countIntersections(&p, up.spheres, cfg.pool())
+	countIntersections(&p, up.spheres)
 	sp.End()
 	p.Phases = cfg.Trace.Phases()
 	return p, nil

@@ -76,7 +76,7 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 		// Classify in parallel against the static grown pages, then
 		// apply the bookkeeping box growth sequentially.
 		assign = assign[:len(kept)]
-		classifyPoints(kept, grownSet, assign, cfg.DiscardOutside, cfg.pool())
+		classifyPoints(kept, grownSet, assign, cfg.DiscardOutside)
 		for i, p := range kept {
 			b := assign[i]
 			if b < 0 {
@@ -130,7 +130,6 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 			LeafCap: ceff * zeta,
 			DirCap:  dirCap,
 			Height:  up.leafLevel,
-			Workers: cfg.Workers,
 		})
 		compensate := safeCompensation(ceff, zeta)
 		for _, r := range lower.LeafRects() {
@@ -150,7 +149,7 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	}
 	p.IOSeconds = p.IO.CostSeconds(d.Params())
 	sp = cfg.Trace.Span(PhaseIntersect)
-	countIntersections(&p, up.spheres, cfg.pool())
+	countIntersections(&p, up.spheres)
 	sp.End()
 	p.Phases = cfg.Trace.Phases()
 	return p, nil
@@ -160,9 +159,9 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 // it, or the closest box by MinDist when none contains it. With
 // discardOutside, points contained in no box get -1 instead. The
 // assignment runs the flat early-exit classifier in parallel over
-// points on pool.
-func classifyPoints(pts [][]float64, boxes *mbr.RectSet, out []int, discardOutside bool, pool par.Pool) {
-	pool.For(len(pts), func(i int) {
+// points.
+func classifyPoints(pts [][]float64, boxes *mbr.RectSet, out []int, discardOutside bool) {
+	par.For(len(pts), func(i int) {
 		best, contained := boxes.Classify(pts[i])
 		if discardOutside && !contained {
 			best = -1

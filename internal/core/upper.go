@@ -65,7 +65,7 @@ func buildUpper(pf *disk.PointFile, cfg Config, needLower bool) (*upperResult, e
 	sp = cfg.Trace.Span(PhaseSampleScan)
 	var scanner *query.SphereScanner
 	if cfg.FixedRadius == 0 {
-		scanner = query.NewSphereScanner(queryPoints, cfg.K, cfg.pool())
+		scanner = query.NewSphereScanner(queryPoints, cfg.K)
 	}
 	reservoir := dataset.NewReservoir(cfg.M, cfg.Rng)
 	chunk := scanChunk(cfg.M)
@@ -102,7 +102,6 @@ func buildUpper(pf *disk.PointFile, cfg Config, needLower bool) (*upperResult, e
 		LeafCap: topo.SubtreeCapacity(leafLevel) * sigmaUpper,
 		DirCap:  float64(topo.EffDirCapacity()),
 		Height:  hUpper,
-		Workers: cfg.Workers,
 	}
 	upper := rtree.Build(reservoir.Sample(), params)
 	sp.End()

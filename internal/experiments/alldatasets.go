@@ -7,7 +7,6 @@ import (
 
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
-	"hdidx/internal/par"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
 )
@@ -76,7 +75,7 @@ func AllDatasets(opt Options) (AllDatasetsResult, error) {
 		} else {
 			zeta := basicZeta(o.M, len(env.data), env.g)
 			p, err := core.PredictBasic(env.data, zeta, true, env.g, env.spheres,
-				rand.New(rand.NewSource(o.Seed+501)), par.Pool{}, nil)
+				rand.New(rand.NewSource(o.Seed+501)), nil)
 			if err != nil {
 				return fmt.Errorf("alldatasets %s basic: %w", spec.Name, err)
 			}

@@ -8,7 +8,6 @@ import (
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
 	"hdidx/internal/disk"
-	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
@@ -103,7 +102,7 @@ func Fig13(opt Options, pageKBs []int) (Fig13Result, error) {
 		} else {
 			zeta := basicZeta(opt.M, len(data), g)
 			p, err := core.PredictBasic(data, zeta, true, g, spheres,
-				rand.New(rand.NewSource(opt.Seed+int64(kb))), par.Pool{}, nil)
+				rand.New(rand.NewSource(opt.Seed+int64(kb))), nil)
 			if err != nil {
 				return fmt.Errorf("fig13 page=%dKB basic: %w", kb, err)
 			}

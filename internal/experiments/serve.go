@@ -98,8 +98,6 @@ func Serve(opt Options) (ServeResult, error) {
 	srv, err := serve.New(data, serve.Config{
 		Shards:       opt.Shards,
 		FlattenEvery: flattenEvery,
-		QueueDepth:   256,
-		BatchSize:    16,
 		SnapshotPath: filepath.Join(dir, "serve.hdsn"),
 	})
 	if err != nil {

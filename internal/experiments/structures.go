@@ -9,7 +9,6 @@ import (
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
 	"hdidx/internal/gridfile"
-	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/stats"
 )
@@ -59,7 +58,7 @@ func OtherStructures(opt Options) (StructuresResult, error) {
 	// R*-tree (measured ground truth already in env).
 	rtMeasured := stats.Mean(env.measured)
 	rt, err := core.PredictBasic(env.data, zeta, true, env.g, env.spheres,
-		rand.New(rand.NewSource(opt.Seed+300)), par.Pool{}, nil)
+		rand.New(rand.NewSource(opt.Seed+300)), nil)
 	if err != nil {
 		return StructuresResult{}, fmt.Errorf("structures r*-tree: %w", err)
 	}

@@ -2,15 +2,14 @@
 // repository: chunked parallel loops for CPU-bound index-range work
 // (moved here from internal/query), a fork-join group for recursive
 // divide-and-conquer fan-outs (the VAMSplit bulk loader), and a
-// heterogeneous task runner (the experiment sweep scheduler).
+// first-error runner (the experiment sweep scheduler).
 //
 // Every fan-out is bounded by Workers(): GOMAXPROCS by default, or the
 // process-wide override installed by SetWorkers (the CLIs' -workers
-// flag). Call chains that need their own width without touching the
-// process-wide setting — hdidx.EstimateOptions.Workers, the serving
-// layer — carry a Pool value instead. Panics on worker goroutines
-// are never swallowed or allowed to kill the process with a bare
-// goroutine stack: each worker recovers, captures the panicking
+// flag). That is the only width; no call carries its own, because a
+// width never changes a result, only wall-clock time. Panics on worker
+// goroutines are never swallowed or allowed to kill the process with a
+// bare goroutine stack: each worker recovers, captures the panicking
 // goroutine's stack, and the panic is re-raised on the caller
 // goroutine as a *WorkerPanic carrying the original value and stack.
 //
@@ -49,125 +48,12 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Pool is a worker-count scope: every fan-out method bounds itself by
-// the pool's width instead of the process-wide Workers(). The zero
-// Pool follows the process default, so existing call sites keep their
-// behavior; PoolOf(n) pins the width for one call chain. Pool is a
-// value — copy it freely, pass it down call stacks — and carries no
-// goroutines or locks: concurrent fan-outs on distinct pools (or the
-// same pool) never interact, which is what makes per-call worker
-// counts race-free where the old save-and-restore of the global
-// override was not.
-type Pool struct {
-	n int
-}
-
-// PoolOf returns a pool of the given width; n <= 0 returns the zero
-// Pool, which follows the process-wide default (SetWorkers /
-// GOMAXPROCS) at each use.
-func PoolOf(n int) Pool {
-	if n < 0 {
-		n = 0
-	}
-	return Pool{n: n}
-}
-
-// Workers returns the pool's effective fan-out width.
-func (p Pool) Workers() int {
-	if p.n > 0 {
-		return p.n
-	}
-	return Workers()
-}
-
-// For is For bounded by the pool's width.
-func (p Pool) For(n int, f func(int)) {
-	p.Chunks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
-	})
-}
-
-// Do is Do bounded by the pool's width.
-func (p Pool) Do(tasks ...func()) {
-	p.For(len(tasks), func(i int) { tasks[i]() })
-}
-
-// FirstError is FirstError bounded by the pool's width.
-func (p Pool) FirstError(n int, f func(int) error) error {
-	errs := make([]error, n)
-	p.For(n, func(i int) { errs[i] = f(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Group returns a fork-join group with the pool's width (nil — the
-// inline sequential group — when the width is 1).
-func (p Pool) Group() *Group {
-	w := p.Workers()
-	if w <= 1 {
-		return nil
-	}
-	return &Group{sem: make(chan struct{}, w-1)}
-}
-
-// Chunks is Chunks bounded by the pool's width.
-func (p Pool) Chunks(n int, f func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers := p.Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		f(0, n)
-		return
-	}
-	chunk := (n + workers*chunksPerWorker - 1) / (workers * chunksPerWorker)
-	var cursor atomic.Int64
-	var firstPanic atomic.Pointer[WorkerPanic]
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			wp := capture(func() {
-				for {
-					hi := int(cursor.Add(int64(chunk)))
-					lo := hi - chunk
-					if lo >= n {
-						return
-					}
-					if hi > n {
-						hi = n
-					}
-					f(lo, hi)
-				}
-			})
-			if wp != nil {
-				firstPanic.CompareAndSwap(nil, wp)
-			}
-		}()
-	}
-	wg.Wait()
-	if wp := firstPanic.Load(); wp != nil {
-		panic(wp)
-	}
-}
-
 // SetWorkers installs a process-wide worker-count override and returns
 // the previous override (0 when none was set). n <= 0 removes the
 // override, restoring the GOMAXPROCS default. The setting is global
-// and meant for process startup (the CLIs' -workers flags); callers
-// that need a scoped width use PoolOf instead of saving and restoring
-// the global — concurrent save/restore pairs interleave and leave the
-// wrong override installed.
+// and meant for process startup (the CLIs' -workers flags) and for
+// tests and benchmarks that compare widths; a fan-out reads it when it
+// starts.
 func SetWorkers(n int) int {
 	if n < 0 {
 		n = 0
@@ -212,7 +98,13 @@ func capture(f func()) (wp *WorkerPanic) {
 // waits for completion. Every index is visited exactly once, in no
 // particular order. A panic in f is re-raised on the caller as a
 // *WorkerPanic.
-func For(n int, f func(int)) { Pool{}.For(n, f) }
+func For(n int, f func(int)) {
+	Chunks(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f(i)
+		}
+	})
+}
 
 // Chunks covers [0, n) with disjoint half-open ranges and runs f on
 // them from up to Workers() goroutines, waiting for completion.
@@ -222,19 +114,63 @@ func For(n int, f func(int)) { Pool{}.For(n, f) }
 // directly: allocate the scratch once per f invocation and reuse it
 // across the range. A panic in f is re-raised on the caller as a
 // *WorkerPanic with the worker's stack.
-func Chunks(n int, f func(lo, hi int)) { Pool{}.Chunks(n, f) }
+func Chunks(n int, f func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	workers := Workers()
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		f(0, n)
+		return
+	}
+	chunk := (n + workers*chunksPerWorker - 1) / (workers * chunksPerWorker)
+	var cursor atomic.Int64
+	var firstPanic atomic.Pointer[WorkerPanic]
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			wp := capture(func() {
+				for {
+					hi := int(cursor.Add(int64(chunk)))
+					lo := hi - chunk
+					if lo >= n {
+						return
+					}
+					if hi > n {
+						hi = n
+					}
+					f(lo, hi)
+				}
+			})
+			if wp != nil {
+				firstPanic.CompareAndSwap(nil, wp)
+			}
+		}()
+	}
+	wg.Wait()
+	if wp := firstPanic.Load(); wp != nil {
+		panic(wp)
+	}
+}
 
-// Do runs every task on up to Workers() goroutines and waits for all
-// of them — the heterogeneous counterpart of For, used by the
-// experiment sweep scheduler. Tasks must be independent; the first
-// panicking task is re-raised on the caller as a *WorkerPanic after
-// the remaining tasks finish.
-func Do(tasks ...func()) { Pool{}.Do(tasks...) }
-
-// FirstError runs f(i) for i in [0, n) on the pool and returns the
-// lowest-index non-nil error (deterministic regardless of scheduling
-// order), or nil.
-func FirstError(n int, f func(int) error) error { return Pool{}.FirstError(n, f) }
+// FirstError runs f(i) for i in [0, n) on up to Workers() goroutines
+// and returns the lowest-index non-nil error (deterministic regardless
+// of scheduling order), or nil.
+func FirstError(n int, f func(int) error) error {
+	errs := make([]error, n)
+	For(n, func(i int) { errs[i] = f(i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Group bounds a recursive fork-join fan-out (the VAMSplit bulk
 // loader): Fork hands a subtask to a spare pool slot when one is free
@@ -248,7 +184,13 @@ type Group struct {
 // NewGroup returns a fork-join group with Workers()-1 spare slots
 // (the caller goroutine is the first worker), or nil when Workers()
 // is 1 — callers use the nil group as their sequential mode.
-func NewGroup() *Group { return Pool{}.Group() }
+func NewGroup() *Group {
+	w := Workers()
+	if w <= 1 {
+		return nil
+	}
+	return &Group{sem: make(chan struct{}, w-1)}
+}
 
 // Fork runs f, concurrently when a spare slot is free and inline
 // otherwise, and returns a join function that waits for f and

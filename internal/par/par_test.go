@@ -147,20 +147,6 @@ func TestNestedPanicKeepsInnermostStack(t *testing.T) {
 	}
 }
 
-func TestDoRunsEveryTask(t *testing.T) {
-	forceWorkers(t, 3)
-	var a, b, c atomic.Int32
-	Do(
-		func() { a.Add(1) },
-		func() { b.Add(1) },
-		func() { c.Add(1) },
-	)
-	if a.Load() != 1 || b.Load() != 1 || c.Load() != 1 {
-		t.Fatalf("Do ran tasks %d/%d/%d times", a.Load(), b.Load(), c.Load())
-	}
-	Do() // zero tasks is a no-op
-}
-
 func TestFirstErrorIsLowestIndex(t *testing.T) {
 	forceWorkers(t, 4)
 	errLow := &WorkerPanic{Value: "low"}

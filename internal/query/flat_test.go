@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"hdidx/internal/par"
 	"hdidx/internal/rtree"
 )
 
@@ -108,7 +107,7 @@ func TestMeasureLeafAccessesFlatMatchesTree(t *testing.T) {
 	queries := uniformPoints(25, 5, 34)
 	spheres := ComputeSpheres(data, queries, 11)
 	want := MeasureLeafAccesses(tr, spheres)
-	got := MeasureLeafAccessesSetPool(ft.LeafRectSet(), spheres, par.Pool{})
+	got := MeasureLeafAccessesSet(ft.LeafRectSet(), spheres)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flat leaf accesses %v != tree %v", got, want)
 	}

@@ -143,8 +143,8 @@ var packedPool = sync.Pool{New: func() interface{} { return &packedMatrix{} }}
 
 // packMatrix packs the full groups of pts, whose rows must all have
 // dimension dim, into a pooled packedMatrix, fanning the groups out on
-// pool.
-func packMatrix(pts [][]float64, dim, lanes int, pool par.Pool) *packedMatrix {
+// the worker pool.
+func packMatrix(pts [][]float64, dim, lanes int) *packedMatrix {
 	dimPad := (dim + dimChunk - 1) / dimChunk * dimChunk
 	groups := len(pts) / lanes
 	pm := packedPool.Get().(*packedMatrix)
@@ -156,7 +156,7 @@ func packMatrix(pts [][]float64, dim, lanes int, pool par.Pool) *packedMatrix {
 		pm.buf = make([]float64, need)
 	}
 	pm.buf = pm.buf[:need]
-	pool.Chunks(groups, func(lo, hi int) {
+	par.Chunks(groups, func(lo, hi int) {
 		for g := lo; g < hi; g++ {
 			dst := pm.buf[g*lanes*dimPad : (g+1)*lanes*dimPad]
 			for l, row := range pts[g*lanes : (g+1)*lanes] {

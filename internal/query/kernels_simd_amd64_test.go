@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"hdidx/internal/par"
 )
 
 // forEachLaneWidth runs f with simdLanes forced to every width this
@@ -61,7 +59,7 @@ func TestSphereScannerAllLaneWidths(t *testing.T) {
 				want := refComputeSpheres(data, queries, k)
 				// Chunk size 0 draws a random size per chunk.
 				for _, c := range []int{1, l - 1, l, l + 1, scanBatch - 1, scanBatch + 1, len(data), 0} {
-					s := NewSphereScanner(queries, k, par.Pool{})
+					s := NewSphereScanner(queries, k)
 					for off := 0; off < len(data); {
 						n := c
 						if n == 0 {
@@ -100,7 +98,7 @@ func TestRaggedRowPanics(t *testing.T) {
 				want := fmt.Sprintf("row %d has dimension %d, want %d", pos, width, dim)
 				wantPanic(t, want, func() { ComputeSpheres(data, queries, 3) })
 				wantPanic(t, want, func() {
-					s := NewSphereScanner(queries, 3, par.Pool{})
+					s := NewSphereScanner(queries, 3)
 					for off := 0; off < n; off += chunk {
 						s.Process(data[off:min(off+chunk, n)])
 					}
@@ -173,7 +171,7 @@ func TestGroupKernelsAgree(t *testing.T) {
 // runGroupKernel packs data (whose length is a multiple of lanes) and
 // returns kernel's part array for the zero-padded query q.
 func runGroupKernel(kernel groupKernel, data [][]float64, q []float64, lanes int, bound float64) []float64 {
-	pm := packMatrix(data, len(q), lanes, par.Pool{})
+	pm := packMatrix(data, len(q), lanes)
 	defer packedPool.Put(pm)
 	qpad := make([]float64, pm.dimPad)
 	copy(qpad, q)

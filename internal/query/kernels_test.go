@@ -238,7 +238,7 @@ func BenchmarkKernelSphereScanner60(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewSphereScanner(queries, 21, par.Pool{})
+		s := NewSphereScanner(queries, 21)
 		for off := 0; off < len(data); off += 1000 {
 			s.Process(data[off:min(off+1000, len(data))])
 		}

@@ -53,17 +53,10 @@ func KNNBruteRadius(pts [][]float64, q []float64, k int) float64 {
 // dataset as one chunk, its queries processed in parallel chunks. It
 // panics if k is not in [1, len(data)].
 func ComputeSpheres(data [][]float64, queryPoints [][]float64, k int) []Sphere {
-	return ComputeSpheresPool(data, queryPoints, k, par.Pool{})
-}
-
-// ComputeSpheresPool is ComputeSpheres with the fan-out over queries
-// bounded by pool instead of the process-wide worker pool — the entry
-// point for callers carrying a per-call worker count.
-func ComputeSpheresPool(data [][]float64, queryPoints [][]float64, k int, pool par.Pool) []Sphere {
 	if k <= 0 || k > len(data) {
 		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, len(data)))
 	}
-	s := NewSphereScanner(queryPoints, k, pool)
+	s := NewSphereScanner(queryPoints, k)
 	s.Process(data)
 	return s.Spheres()
 }
@@ -72,18 +65,17 @@ func ComputeSpheresPool(data [][]float64, queryPoints [][]float64, k int, pool p
 // the tree intersecting it, using the tree's flat leaf-MBR set.
 // Queries run in parallel.
 func MeasureLeafAccesses(t *rtree.Tree, spheres []Sphere) []float64 {
-	return MeasureLeafAccessesSetPool(t.LeafRectSet(), spheres, par.Pool{})
+	return MeasureLeafAccessesSet(t.LeafRectSet(), spheres)
 }
 
-// MeasureLeafAccessesSetPool counts, for each query sphere, the
-// rectangles of the flat SoA set intersecting it — the shared kernel
-// behind leaf-access measurement over pointer trees
-// (Tree.LeafRectSet), flat trees (FlatTree.LeafRectSet), and the
-// predictors' mini-index leaf layouts. The fan-out over queries is
-// bounded by pool (the zero pool follows the process default).
-func MeasureLeafAccessesSetPool(set *mbr.RectSet, spheres []Sphere, pool par.Pool) []float64 {
+// MeasureLeafAccessesSet counts, for each query sphere, the rectangles
+// of the flat SoA set intersecting it — the shared kernel behind
+// leaf-access measurement over pointer trees (Tree.LeafRectSet), flat
+// trees (FlatTree.LeafRectSet), and the predictors' leaf layouts.
+// Queries run in parallel.
+func MeasureLeafAccessesSet(set *mbr.RectSet, spheres []Sphere) []float64 {
 	out := make([]float64, len(spheres))
-	pool.Chunks(len(spheres), func(lo, hi int) {
+	par.Chunks(len(spheres), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = float64(set.CountSphereIntersections(spheres[i].Center, spheres[i].Radius))
 		}

@@ -17,14 +17,12 @@ type SphereScanner struct {
 	k           int
 	heaps       []*boundedMaxHeap
 	seen        int
-	dim         int      // fixed by the first row seen
-	pool        par.Pool // fan-out bound; zero = process default
+	dim         int // fixed by the first row seen
 }
 
 // NewSphereScanner prepares a scanner for the given query points and
-// k whose per-chunk fan-out over queries is bounded by pool (the zero
-// pool follows the process default).
-func NewSphereScanner(queryPoints [][]float64, k int, pool par.Pool) *SphereScanner {
+// k.
+func NewSphereScanner(queryPoints [][]float64, k int) *SphereScanner {
 	if k <= 0 {
 		panic("query: k must be positive")
 	}
@@ -32,13 +30,13 @@ func NewSphereScanner(queryPoints [][]float64, k int, pool par.Pool) *SphereScan
 	for i := range heaps {
 		heaps[i] = newBoundedMaxHeap(k)
 	}
-	return &SphereScanner{queryPoints: queryPoints, k: k, heaps: heaps, pool: pool}
+	return &SphereScanner{queryPoints: queryPoints, k: k, heaps: heaps}
 }
 
 // Process feeds one chunk of the dataset to the scanner. The first
 // row the scanner sees fixes the dimension; a row or query of another
 // width panics. The chunk's full lane groups are packed once, then
-// the queries fan out on the scanner's pool: batch by batch, every
+// the queries fan out on the worker pool: batch by batch, every
 // query of a worker's share runs the group kernel against its heap
 // (the k-th-best bound carries over from earlier chunks and batches),
 // and the leftover rows run the single-row kernel.
@@ -63,12 +61,12 @@ func (s *SphereScanner) Process(chunk [][]float64) {
 	s.seen += len(chunk)
 
 	lanes, kernel := scanKernel()
-	pm := packMatrix(chunk, dim, lanes, s.pool)
+	pm := packMatrix(chunk, dim, lanes)
 	tail := chunk[pm.groups*lanes:]
 	dimPad, groupBytes := pm.dimPad, pm.groupBytes()
 	nchunks := dimPad / dimChunk
 	batchGroups := scanBatch / lanes
-	s.pool.Chunks(len(s.queryPoints), func(lo, hi int) {
+	par.Chunks(len(s.queryPoints), func(lo, hi int) {
 		sc := scratchPool.Get().(*scanScratch)
 		if cap(sc.qpad) < dimPad {
 			sc.qpad = make([]float64, dimPad)

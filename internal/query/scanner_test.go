@@ -8,13 +8,12 @@ import (
 	"testing/quick"
 
 	"hdidx/internal/dataset"
-	"hdidx/internal/par"
 )
 
 func TestSphereScannerMatchesBatch(t *testing.T) {
 	data := uniformPoints(2000, 6, 31)
 	queries := uniformPoints(20, 6, 32)
-	s := NewSphereScanner(queries, 7, par.Pool{})
+	s := NewSphereScanner(queries, 7)
 	// Feed in uneven chunks.
 	for off := 0; off < len(data); {
 		c := 1 + (off*7)%123
@@ -34,7 +33,7 @@ func TestSphereScannerMatchesBatch(t *testing.T) {
 }
 
 func TestSphereScannerPanicsUnderfed(t *testing.T) {
-	s := NewSphereScanner(uniformPoints(3, 2, 33), 5, par.Pool{})
+	s := NewSphereScanner(uniformPoints(3, 2, 33), 5)
 	s.Process(uniformPoints(3, 2, 34))
 	defer func() {
 		if recover() == nil {
@@ -50,13 +49,13 @@ func TestSphereScannerBadKPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSphereScanner(nil, 0, par.Pool{})
+	NewSphereScanner(nil, 0)
 }
 
 // A query whose width differs from the dataset's panics in Process,
 // naming the query.
 func TestSphereScannerQueryDimensionPanics(t *testing.T) {
-	s := NewSphereScanner([][]float64{{1, 2}, {1, 2, 3}}, 1, par.Pool{})
+	s := NewSphereScanner([][]float64{{1, 2}, {1, 2, 3}}, 1)
 	wantPanic(t, "query 1 has dimension 3, want 2", func() {
 		s.Process([][]float64{{1, 2}, {3, 4}})
 	})
@@ -85,10 +84,10 @@ func TestSphereScannerChunkingInvariantProperty(t *testing.T) {
 		data := dataset.GenerateUniform("u", n, dim, r).Points
 		queries := dataset.GenerateUniform("q", 5, dim, r).Points
 
-		one := NewSphereScanner(queries, k, par.Pool{})
+		one := NewSphereScanner(queries, k)
 		one.Process(data)
 
-		many := NewSphereScanner(queries, k, par.Pool{})
+		many := NewSphereScanner(queries, k)
 		for off := 0; off < n; {
 			c := 1 + r.Intn(n-off)
 			many.Process(data[off : off+c])

@@ -27,12 +27,6 @@ type BuildParams struct {
 	// The default (SplitMaxVariance) is the VAMSplit strategy the
 	// paper uses; SplitLongestSide is provided for ablations.
 	Split SplitStrategy
-	// Workers caps the fork-join fan-out of this build. 0 follows the
-	// process-wide default (par.Workers()); a positive value scopes the
-	// width to this build so concurrent builds with different widths
-	// never race on shared state. Width never changes the tree, only
-	// wall-clock time.
-	Workers int
 }
 
 // SplitStrategy selects how the bulk loader picks the split dimension.
@@ -106,7 +100,7 @@ var forkMinPoints = 4096
 // sequentially, and child order is preserved across forks — scheduling
 // affects only timing, never values.
 func Build(pts [][]float64, params BuildParams) *Tree {
-	return buildWith(pts, params, par.PoolOf(params.Workers).Group())
+	return buildWith(pts, params, par.NewGroup())
 }
 
 func buildWith(pts [][]float64, params BuildParams, g *par.Group) *Tree {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -214,6 +215,56 @@ func TestRecoveryChecksManifestDim(t *testing.T) {
 			defer s.Close()
 			if s.Dim() != 4 {
 				t.Fatalf("restart with no geometry indexes dimension %d, manifest records 4", s.Dim())
+			}
+		})
+	}
+}
+
+// TestDurableCloseReleasesMappings checks that Close releases each
+// shard's final snapshot file, so a closed durable server leaves no
+// mapping of its directory behind, and that Stats, Len and Generation
+// still read the final counts afterwards without a retirement counted.
+func TestDurableCloseReleasesMappings(t *testing.T) {
+	if !pager.MmapSupported() {
+		t.Skip("snapshots are not mapped on this platform")
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(uniform(200, 3, 7), Config{Shards: shards, SnapshotPath: filepath.Join(dir, "s.hdsn"), FlattenEvery: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range uniform(64, 3, 8) {
+				if err := s.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			switch m := fileMappings(dir); {
+			case m == nil:
+				t.Skip("/proc/self/maps is not readable")
+			case len(m) == 0:
+				t.Fatal("no served file is mapped before Close")
+			}
+			before := s.Stats()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if m := fileMappings(dir); len(m) != 0 {
+				var left []string
+				for f, n := range m {
+					left = append(left, fmt.Sprintf("%s:%d", filepath.Base(f), n))
+				}
+				sort.Strings(left)
+				t.Fatalf("mappings left after Close: %s", strings.Join(left, " "))
+			}
+			after := s.Stats()
+			if after.Points != before.Points || after.Generation != before.Generation || after.RetiredSnapshots != before.RetiredSnapshots {
+				t.Fatalf("Stats after Close = %d points, generation %d, %d retired; before %d, %d, %d",
+					after.Points, after.Generation, after.RetiredSnapshots, before.Points, before.Generation, before.RetiredSnapshots)
+			}
+			if s.Len() != before.Points || s.Generation() != before.Generation {
+				t.Fatalf("Len %d, Generation %d after Close; want %d, %d", s.Len(), s.Generation(), before.Points, before.Generation)
 			}
 		})
 	}

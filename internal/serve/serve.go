@@ -54,18 +54,17 @@
 //
 // # Admission
 //
-// k-NN and range queries are admitted through one bounded queue and
-// served in batches: a single batcher goroutine drains up to
-// Config.BatchSize waiting calls, pins one snapshot per shard, and
-// answers every call of the batch, in queue order, against that pinned
-// set. Each k-NN call runs its own best-first search over all the
-// pinned shards, so its reported page accesses are exactly the
-// single-query optimum the paper's predictor estimates, whatever else
-// shares the batch; range calls run a depth-first range search on each
-// shard. A full queue rejects immediately with ErrOverloaded —
-// backpressure surfaces to the caller instead of growing an unbounded
-// backlog — and calls that wait past Config.QueueTimeout are shed with
-// ErrDeadline.
+// k-NN and range queries are admitted through one bounded queue of
+// 256 calls and served in batches: a single batcher goroutine drains
+// up to 16 waiting calls, pins one snapshot per shard, and answers
+// every call of the batch, in queue order, against that pinned set.
+// Each k-NN call runs its own best-first search over all the pinned
+// shards, so its reported page accesses are exactly the single-query
+// optimum the paper's predictor estimates, whatever else shares the
+// batch; range calls run a depth-first range search on each shard. A
+// full queue rejects immediately with ErrOverloaded — backpressure
+// surfaces to the caller instead of growing an unbounded backlog — and
+// calls that wait past Config.QueueTimeout are shed with ErrDeadline.
 //
 // Per-query latencies (queue wait plus search) are recorded in
 // obs.LatencySketch reservoirs; Stats reports p50/p95/p99.
@@ -107,6 +106,15 @@ var ErrDeadline = errors.New("serve: queued past deadline")
 // MaxShards bounds Config.Shards.
 const MaxShards = 64
 
+// queueDepth bounds the admission queue; a full queue rejects with
+// ErrOverloaded. batchSize is the most queued calls one batch answers
+// against its pinned snapshot set; each call is still searched on its
+// own, so the batch size changes no answer and no page count.
+const (
+	queueDepth = 256
+	batchSize  = 16
+)
+
 // Config parameterizes a Server. The zero value of every field selects
 // a sensible default.
 type Config struct {
@@ -126,13 +134,6 @@ type Config struct {
 	// invisible to queries until the next publication (call Flush to
 	// force one).
 	FlattenEvery int
-	// QueueDepth bounds the admission queue (default 256). A full
-	// queue rejects with ErrOverloaded.
-	QueueDepth int
-	// BatchSize is the maximum number of queued calls answered by one
-	// batch (default 16, capped at 64). A batch shares one pinned
-	// snapshot per shard; each call is still searched on its own.
-	BatchSize int
 	// QueueTimeout bounds how long a call may wait on the admission
 	// queue. A call the batcher reaches after its deadline fails with
 	// ErrDeadline instead of occupying a batch slot, so a stalled or
@@ -165,15 +166,6 @@ func (c Config) withDefaults() Config {
 	if c.FlattenEvery <= 0 {
 		c.FlattenEvery = 1024
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
-	}
-	if c.BatchSize > 64 {
-		c.BatchSize = 64
-	}
 	return c
 }
 
@@ -184,9 +176,8 @@ func (c Config) withDefaults() Config {
 // read-only file mapping where pg is mapped. Retirement closes pg
 // (unmapping exactly once, after the last pin drained — a pinned
 // reader can therefore never touch unmapped memory). A shard's final
-// generation is never superseded, so its mapping intentionally lives
-// until process exit: Stats, Len, and Generation stay readable after
-// Close.
+// generation is never superseded; Server.Close closes its pg once
+// nothing can search it, without retiring it.
 type snapshot struct {
 	ft  *rtree.FlatTree
 	gen int64
@@ -407,7 +398,7 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 		cfg:           cfg,
 		dim:           g.Dim,
 		shards:        make([]*shard, cfg.Shards),
-		queue:         make(chan *call, cfg.QueueDepth),
+		queue:         make(chan *call, queueDepth),
 		done:          make(chan struct{}),
 		snapPageBytes: pb,
 		knnLat:        obs.NewLatencySketch(0),
@@ -798,11 +789,11 @@ func (s *Server) RangeCount(center []float64, radius float64) (n int, generation
 }
 
 // batchLoop is the single batcher goroutine: it blocks for one call,
-// then opportunistically drains up to BatchSize-1 more and answers
+// then opportunistically drains up to batchSize-1 more and answers
 // them all against one pinned snapshot set.
 func (s *Server) batchLoop() {
 	defer s.wg.Done()
-	calls := make([]*call, 0, s.cfg.BatchSize)
+	calls := make([]*call, 0, batchSize)
 	for {
 		select {
 		case <-s.done:
@@ -810,7 +801,7 @@ func (s *Server) batchLoop() {
 		case c := <-s.queue:
 			calls = append(calls[:0], c)
 		drain:
-			for len(calls) < s.cfg.BatchSize {
+			for len(calls) < batchSize {
 				select {
 				case c2 := <-s.queue:
 					calls = append(calls, c2)
@@ -928,7 +919,8 @@ type Stats struct {
 	// zero-copy from a read-only file mapping: the case for a durable
 	// server where the platform supports mmap, unless a shard's current
 	// file failed its check or could not be mapped (see the package
-	// doc, Durable snapshots).
+	// doc, Durable snapshots). After Close it tells how the final
+	// snapshots were served; their files are released.
 	Mapped bool
 	// Shards holds the per-shard breakdown, in shard order.
 	Shards []ShardStats
@@ -986,8 +978,11 @@ func (s *Server) Len() int {
 // Dim returns the dimensionality the server indexes.
 func (s *Server) Dim() int { return s.dim }
 
-// Close stops the batcher and fails queued and future calls with
-// ErrClosed. Closing an already-closed server returns ErrClosed.
+// Close stops the batcher, fails queued and future calls with
+// ErrClosed, and releases each shard's final snapshot file (its
+// mapping, where mapped). Stats, Len and Generation stay callable:
+// they read only counts. Closing an already-closed server returns
+// ErrClosed.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return ErrClosed
@@ -1005,6 +1000,15 @@ func (s *Server) Close() error {
 	// this Close); any later one sees closed under s.mu and refuses.
 	s.mu.Lock()
 	s.mu.Unlock() //nolint:staticcheck
+	// Nothing searches a snapshot any more: the batcher has exited and
+	// no publication follows the fence. The final snapshots are not
+	// retired — acquire spins on a retired current snapshot, and Stats
+	// and Len still pin them for their counts.
+	for _, sh := range s.shards {
+		if pg := sh.cur.Load().pg; pg != nil {
+			pg.Close()
+		}
+	}
 	// Fail whatever is left in the queue.
 	for {
 		select {

@@ -223,7 +223,7 @@ func TestServeBackpressure(t *testing.T) {
 	// A hand-built server with no batcher running: the queue fills and
 	// the admission path must reject instead of blocking.
 	s := &Server{
-		cfg:      Config{QueueDepth: 2, BatchSize: 4, FlattenEvery: 1024}.withDefaults(),
+		cfg:      Config{FlattenEvery: 1024}.withDefaults(),
 		dim:      2,
 		shards:   []*shard{{dyn: rtree.NewDynamic(rtree.NewGeometry(2))}},
 		queue:    make(chan *call, 2),
@@ -252,7 +252,7 @@ func TestServeQueueTimeout(t *testing.T) {
 	// batcher gets to them, the stale ones must fail with ErrDeadline
 	// without occupying batch slots while fresh ones are still served.
 	s := &Server{
-		cfg:      Config{QueueDepth: 8, BatchSize: 8, FlattenEvery: 1024, QueueTimeout: 10 * time.Millisecond}.withDefaults(),
+		cfg:      Config{FlattenEvery: 1024, QueueTimeout: 10 * time.Millisecond}.withDefaults(),
 		dim:      2,
 		shards:   []*shard{{dyn: rtree.NewDynamic(rtree.NewGeometry(2))}},
 		queue:    make(chan *call, 8),
@@ -295,7 +295,7 @@ func TestServeQueueTimeoutDisabled(t *testing.T) {
 	// With QueueTimeout zero (the default) even ancient queue entries
 	// are served normally.
 	s := &Server{
-		cfg:      Config{QueueDepth: 4, BatchSize: 4, FlattenEvery: 1024}.withDefaults(),
+		cfg:      Config{FlattenEvery: 1024}.withDefaults(),
 		dim:      2,
 		shards:   []*shard{{dyn: rtree.NewDynamic(rtree.NewGeometry(2))}},
 		queue:    make(chan *call, 4),
@@ -380,7 +380,7 @@ func TestServeSoak(t *testing.T) {
 		readers      = 4
 	)
 	data := uniform(initial, dim, 9)
-	s, err := New(data, Config{FlattenEvery: flattenEvery, QueueDepth: 64, BatchSize: 8})
+	s, err := New(data, Config{FlattenEvery: flattenEvery})
 	if err != nil {
 		t.Fatal(err)
 	}

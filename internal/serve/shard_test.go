@@ -101,7 +101,7 @@ func TestServeShardedBatchIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer oracle.Close()
-	s, err := New(data, Config{Shards: 4, BatchSize: 16})
+	s, err := New(data, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestServeBatchAccessesAreOptimal(t *testing.T) {
 		queries[i] = q
 	}
 	for _, shards := range []int{1, 4, 8} {
-		s, err := New(data, Config{Shards: shards, BatchSize: 16})
+		s, err := New(data, Config{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func TestServeDirtyShardOnlyPublication(t *testing.T) {
 // fresh one in the same batch is answered.
 func TestServeRangeQueueSemantics(t *testing.T) {
 	s := &Server{
-		cfg:      Config{QueueDepth: 2, BatchSize: 8, FlattenEvery: 1024, QueueTimeout: 10 * time.Millisecond}.withDefaults(),
+		cfg:      Config{FlattenEvery: 1024, QueueTimeout: 10 * time.Millisecond}.withDefaults(),
 		dim:      2,
 		shards:   []*shard{{dyn: rtree.NewDynamic(rtree.NewGeometry(2))}},
 		queue:    make(chan *call, 2),
@@ -433,7 +433,9 @@ func testRecoveryRoundTrip(t *testing.T, shards int) {
 		t.Fatal(err)
 	}
 
-	before := fileMappings(dir)
+	if m := fileMappings(dir); len(m) != 0 {
+		t.Fatalf("the closed server left the mappings %v", m)
+	}
 	s2, err := New(nil, cfg)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
@@ -443,8 +445,7 @@ func testRecoveryRoundTrip(t *testing.T, shards int) {
 		t.Fatalf("recovered %d points, want 400", s2.Len())
 	}
 	// Recovery releases the files it opened before New returns: the
-	// only mappings New adds are of its boot publication's files. (The
-	// first server's final generation stays mapped until process exit.)
+	// only mappings left are of its boot publication's files.
 	if after := fileMappings(dir); after != nil {
 		m, err := pager.ReadManifest(path)
 		if err != nil {
@@ -459,8 +460,8 @@ func testRecoveryRoundTrip(t *testing.T, shards int) {
 			}
 		}
 		for f, n := range after {
-			if !boot[f] && n != before[f] {
-				t.Fatalf("%s is mapped by %d lines after New, %d before: recovery kept its mapping", f, n, before[f])
+			if !boot[f] {
+				t.Fatalf("%s is mapped by %d lines after New: recovery kept its mapping", f, n)
 			}
 		}
 	}
@@ -608,8 +609,6 @@ func TestServeShardedSoak(t *testing.T) {
 	cfg := Config{
 		Shards:       shards,
 		FlattenEvery: flattenEvery,
-		QueueDepth:   64,
-		BatchSize:    8,
 		SnapshotPath: path,
 	}
 

@@ -49,14 +49,6 @@ type ServeConfig struct {
 	// become visible to queries at the next publication; Flush forces
 	// one for every shard with pending points.
 	FlattenEvery int
-	// QueueDepth bounds the k-NN admission queue (default 256); a full
-	// queue rejects with ErrOverloaded.
-	QueueDepth int
-	// BatchSize is the maximum number of queued queries answered
-	// against one pinned snapshot set (default 16, capped at 64).
-	// Each query is still searched on its own, so its page-access
-	// statistics do not depend on what else shares the batch.
-	BatchSize int
 	// QueueTimeout bounds how long a k-NN query may wait on the
 	// admission queue before the batcher reaches it; stale queries
 	// fail with ErrDeadline instead of occupying batch slots. 0 (the
@@ -113,8 +105,6 @@ func NewServer(points [][]float64, scfg ServeConfig, opts ...Option) (*Server, e
 		Geometry:     c.geometry(dim),
 		Shards:       scfg.Shards,
 		FlattenEvery: scfg.FlattenEvery,
-		QueueDepth:   scfg.QueueDepth,
-		BatchSize:    scfg.BatchSize,
 		QueueTimeout: scfg.QueueTimeout,
 		SnapshotPath: scfg.SnapshotPath,
 	})
@@ -165,7 +155,8 @@ func (s *Server) Len() int { return s.srv.Len() }
 func (s *Server) Dim() int { return s.srv.Dim() }
 
 // Close stops the server; queued and future calls fail with
-// ErrServerClosed.
+// ErrServerClosed. It releases the server's snapshot files (their
+// mappings); Len and Stats stay callable.
 func (s *Server) Close() error { return s.srv.Close() }
 
 // LatencyStats summarizes observed per-query latencies (queue wait
@@ -225,7 +216,8 @@ type ServerStats struct {
 	// server where the platform supports mmap, unless a shard's
 	// current file failed the check after its write or the mmap call
 	// itself failed. Every file the manifest names was verified after
-	// its write, mapped or not.
+	// its write, mapped or not. After Close it tells how the final
+	// snapshots were served; their files are released.
 	Mapped bool
 	// Shards holds the per-shard breakdown, in shard order.
 	Shards []ShardServeStats
