@@ -1,8 +1,10 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hdidx/internal/mbr"
@@ -53,8 +55,7 @@ type DynamicTree struct {
 	// that level during the current Insert (levels from 64 up, which no
 	// real tree reaches, share the top bit).
 	reinserted uint64
-	enlarged   mbr.Rect  // ChooseSubtree's candidate child rectangle
-	overlaps   []float64 // ChooseSubtree's overlap margin of each child pair
+	cs         chooser
 	sp         splitter
 }
 
@@ -82,11 +83,10 @@ func NewDynamicCustom(dim, maxLeaf, maxDir int) *DynamicTree {
 	}
 	maxDir = maxInt(maxDir, minDirCap)
 	t := &DynamicTree{
-		maxLeaf:  maxLeaf,
-		maxDir:   maxDir,
-		minLeaf:  maxInt(1, int(float64(maxLeaf)*minFillFraction)),
-		minDir:   maxInt(minDirFill, int(float64(maxDir)*minFillFraction)),
-		enlarged: mbr.Rect{Lo: make([]float64, dim), Hi: make([]float64, dim)},
+		maxLeaf: maxLeaf,
+		maxDir:  maxDir,
+		minLeaf: maxInt(1, int(float64(maxLeaf)*minFillFraction)),
+		minDir:  maxInt(minDirFill, int(float64(maxDir)*minFillFraction)),
 	}
 	t.Dim = dim
 	t.Params = BuildParams{LeafCap: float64(maxLeaf), DirCap: float64(maxDir)}
@@ -251,51 +251,154 @@ func recomputeRect(n *Node) {
 
 // chooseSubtree implements the R*-tree descent heuristic: the child
 // with the least overlap enlargement, ties going to the least
-// enlargement and then to the smallest child. Overlap counts only at
-// the parent of the leaves, when a point descends. Margins stand in
-// for volumes, which underflow in high dimensions.
+// enlargement, then to the smallest child, then to the first. Overlap
+// counts only at the parent of the leaves, when a point descends.
+// Margins stand in for volumes, which underflow in high dimensions.
+//
+// It chooses what the exhaustive loop (every sum finished, children in
+// child order) chooses, for coordinates that are not NaN, with less
+// work. A child's overlap enlargement sums, in child order, one term
+// per sibling o: overlapMargin(enlarged, o) − overlapMargin(child, o).
+// While margins are finite each term is >= +0 in floating point: the
+// enlarged box contains the child in every dimension, and each
+// intersection width, their ordered sum and the subtraction are
+// monotone. So the running sum never falls, and once it reaches the
+// best total so far the child cannot win: a tie in overlap goes to the
+// least (enlargement, margin, index), and the children are visited in
+// that order, so the child chosen first holds the tie. Only the sums
+// that can still win are finished, and each pair's overlap before
+// enlargement is computed at most once. A margin that overflows (a
+// side longer than math.MaxFloat64) or is infinite can make
+// enlargements NaN, which compare false both ways, so the choice then
+// depends on child order: the children are visited in child order and
+// every sum is finished.
 func (t *DynamicTree) chooseSubtree(n *Node, p []float64, subtree *Node) *Node {
 	k := len(n.Children)
-	atLeafParent := n.Level == 2 && subtree == nil
-	if atLeafParent {
-		// overlapMargin is symmetric bit for bit, so each pair's
-		// overlap before enlargement is computed once.
-		if cap(t.overlaps) < k*k {
-			t.overlaps = make([]float64, k*k)
-		}
-		for i, c := range n.Children {
-			for j := i + 1; j < k; j++ {
-				ov := overlapMargin(c.Rect, n.Children[j].Rect)
-				t.overlaps[i*k+j], t.overlaps[j*k+i] = ov, ov
-			}
-		}
+	cs := &t.cs
+	cs.grow(k, t.Dim)
+	cands := cs.cands[:k]
+	lo, hi := p, p
+	if subtree != nil {
+		lo, hi = subtree.Rect.Lo, subtree.Rect.Hi
 	}
-	enlarged := t.enlarged
-	best := -1
-	bestOverlap, bestEnlarge, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
+	finite := true
 	for i, c := range n.Children {
-		setBox(enlarged, c.Rect)
-		if subtree == nil {
-			enlarged.Extend(p)
-		} else {
-			enlarged.ExtendRect(subtree.Rect)
-		}
-		area := c.Rect.Margin()
-		enlarge := enlarged.Margin() - area
+		cands[i] = cs.enlarge(i, c.Rect, lo, hi)
+		// An enlargement is finite exactly when both margins are.
+		finite = finite && cands[i].enlarge <= math.MaxFloat64
+	}
+	atLeafParent := n.Level == 2 && subtree == nil
+	prune := atLeafParent && finite
+	if atLeafParent {
+		cs.forgetOverlaps(k)
+	}
+	if prune {
+		slices.SortFunc(cands, compareCandidates)
+	}
+	best := -1
+	var bestOverlap, bestEnlarge, bestArea float64
+	for _, c := range cands {
 		overlap := 0.0
 		if atLeafParent {
+			e := cs.enlarged[c.index]
 			for j, o := range n.Children {
-				if j == i {
-					continue
+				if prune && best >= 0 && overlap >= bestOverlap {
+					break
 				}
-				overlap += overlapMargin(enlarged, o.Rect) - t.overlaps[i*k+j]
+				if j != c.index {
+					overlap += overlapMargin(e, o.Rect) - cs.pairOverlap(n.Children, c.index, j)
+				}
 			}
 		}
-		if best < 0 || less3(overlap, enlarge, area, bestOverlap, bestEnlarge, bestArea) {
-			best, bestOverlap, bestEnlarge, bestArea = i, overlap, enlarge, area
+		if best < 0 || less3(overlap, c.enlarge, c.area, bestOverlap, bestEnlarge, bestArea) {
+			best, bestOverlap, bestEnlarge, bestArea = c.index, overlap, c.enlarge, c.area
 		}
 	}
 	return n.Children[best]
+}
+
+// chooser is the working memory of ChooseSubtree.
+type chooser struct {
+	enlarged []mbr.Rect // each child's rectangle grown by the new entry
+	cands    []candidate
+	// overlaps[i*k+j] is the overlap margin of children i and j before
+	// enlargement, NaN until computed (overlapMargin is never NaN).
+	overlaps []float64
+}
+
+// candidate holds a child's keys in ChooseSubtree after its overlap
+// enlargement.
+type candidate struct {
+	enlarge, area float64
+	index         int
+}
+
+// compareCandidates orders candidates by (enlargement, margin, index).
+// Their keys are never NaN when it is used, so it agrees with less3.
+func compareCandidates(a, b candidate) int {
+	if c := cmp.Compare(a.enlarge, b.enlarge); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.area, b.area); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.index, b.index)
+}
+
+// grow sizes the scratch for k children of dimension dim.
+func (cs *chooser) grow(k, dim int) {
+	if len(cs.enlarged) < k {
+		corners := make([]float64, 2*k*dim)
+		cs.enlarged = make([]mbr.Rect, k)
+		for i := range cs.enlarged {
+			cs.enlarged[i] = mbr.Rect{Lo: corners[2*i*dim : (2*i+1)*dim], Hi: corners[(2*i+1)*dim : (2*i+2)*dim]}
+		}
+		cs.cands = make([]candidate, k)
+	}
+}
+
+// enlarge sets cs.enlarged[i] to the bound of c and the box (lo, hi)
+// and returns child i's candidate key. Both margins add their widths
+// in ascending dimension order, as Rect.Margin does. For coordinates
+// that are not NaN, min and max take the corners Rect.Extend and
+// Rect.ExtendRect would, up to the sign of a zero, which neither a
+// margin nor an overlap observes.
+func (cs *chooser) enlarge(i int, c mbr.Rect, lo, hi []float64) candidate {
+	e := cs.enlarged[i]
+	var area, grown float64
+	for d := range e.Lo {
+		l, h := min(c.Lo[d], lo[d]), max(c.Hi[d], hi[d])
+		e.Lo[d], e.Hi[d] = l, h
+		area += c.Hi[d] - c.Lo[d]
+		grown += h - l
+	}
+	return candidate{enlarge: grown - area, area: area, index: i}
+}
+
+// forgetOverlaps marks every pair's overlap of k children unknown.
+func (cs *chooser) forgetOverlaps(k int) {
+	if cap(cs.overlaps) < k*k {
+		cs.overlaps = make([]float64, k*k)
+	}
+	nan := math.NaN()
+	ov := cs.overlaps[:k*k]
+	for i := range ov {
+		ov[i] = nan
+	}
+}
+
+// pairOverlap returns overlapMargin(children[i].Rect,
+// children[j].Rect), computing it on first use. overlapMargin is
+// symmetric bit for bit, so one computation serves both orders of the
+// pair.
+func (cs *chooser) pairOverlap(children []*Node, i, j int) float64 {
+	k := len(children)
+	if ov := cs.overlaps[i*k+j]; ov == ov {
+		return ov
+	}
+	ov := overlapMargin(children[i].Rect, children[j].Rect)
+	cs.overlaps[i*k+j], cs.overlaps[j*k+i] = ov, ov
+	return ov
 }
 
 // less3 compares (overlap, enlargement, area) lexicographically.
@@ -366,9 +469,15 @@ func partition[E any](entries []E, order []int, cut int) (left, right []E) {
 
 // splitter is the working memory of the R* split.
 type splitter struct {
-	boxes       []mbr.Rect // the entries' boxes; a point is a degenerate box
-	order, best []int      // entries sorted along the current and the best axis
-	// pre[k] bounds order[:k+1] and suf[k] bounds order[k:], so cut c
+	boxes []mbr.Rect // the entries' boxes; a point is a degenerate box
+	// lo and hi hold the entries' corners dimension-major: entry e's
+	// corner in dimension d is lo[d*count+e].
+	lo, hi      []float64
+	order, best []int // entries sorted along the current and the best axis
+	// preMargin[k] is the margin of the box bounding order[:k+1], and
+	// sufMargin[k] that of the box bounding order[k:].
+	preMargin, sufMargin []float64
+	// pre[k] and suf[k] are those boxes along the best axis, so cut c
 	// splits into pre[c-1] and suf[c]. Both are views into one array.
 	pre, suf []mbr.Rect
 }
@@ -384,18 +493,24 @@ type splitter struct {
 func (s *splitter) splitEntries(minFill, dim int) (order []int, cut int) {
 	count := len(s.boxes)
 	s.grow(count, dim)
+	for e, b := range s.boxes {
+		for d := range b.Lo {
+			s.lo[d*count+e], s.hi[d*count+e] = b.Lo[d], b.Hi[d]
+		}
+	}
 	var bestAxisMargin float64
 	for d := 0; d < dim; d++ {
 		for i := range s.order {
 			s.order[i] = i
 		}
+		lo := s.lo[d*count : (d+1)*count]
 		sort.Slice(s.order, func(a, b int) bool {
-			return s.boxes[s.order[a]].Lo[d] < s.boxes[s.order[b]].Lo[d]
+			return lo[s.order[a]] < lo[s.order[b]]
 		})
-		s.sweep(s.order, minFill)
+		s.margins(minFill, dim)
 		var marginSum float64
 		for cut := minFill; cut <= count-minFill; cut++ {
-			marginSum += s.pre[cut-1].Margin() + s.suf[cut].Margin()
+			marginSum += s.preMargin[cut-1] + s.sufMargin[cut]
 		}
 		if d == 0 || marginSum < bestAxisMargin {
 			bestAxisMargin = marginSum
@@ -419,6 +534,8 @@ func (s *splitter) splitEntries(minFill, dim int) (order []int, cut int) {
 func (s *splitter) grow(count, dim int) {
 	if cap(s.order) < count {
 		s.order, s.best = make([]int, count), make([]int, count)
+		s.lo, s.hi = make([]float64, count*dim), make([]float64, count*dim)
+		s.preMargin, s.sufMargin = make([]float64, count), make([]float64, count)
 		corners := make([]float64, 4*count*dim)
 		box := func(k int) mbr.Rect {
 			return mbr.Rect{Lo: corners[2*k*dim : (2*k+1)*dim], Hi: corners[(2*k+1)*dim : (2*k+2)*dim]}
@@ -429,6 +546,40 @@ func (s *splitter) grow(count, dim int) {
 		}
 	}
 	s.order, s.best = s.order[:count], s.best[:count]
+	s.lo, s.hi = s.lo[:count*dim], s.hi[:count*dim]
+}
+
+// margins sets the margins of both groups of every cut of s.order
+// without building their boxes. Dimension by dimension, one prefix
+// pass and one suffix pass over the dimension-major corners track the
+// group's extent and add its width to the cut's accumulator, so each
+// margin adds its widths in ascending dimension order, as Rect.Margin
+// does. For coordinates that are not NaN, min and max take the extent
+// sweep's boxes have, up to the sign of a zero, which no width's
+// contribution to a margin observes, so every margin has the bits
+// sweep's boxes would give.
+func (s *splitter) margins(minFill, dim int) {
+	n, o := len(s.order), s.order
+	pre, suf := s.preMargin[minFill-1:n-minFill], s.sufMargin[minFill:n-minFill+1]
+	clear(pre)
+	clear(suf)
+	for d := 0; d < dim; d++ {
+		lo, hi := s.lo[d*n:(d+1)*n], s.hi[d*n:(d+1)*n]
+		l, h := lo[o[0]], hi[o[0]]
+		for k := 0; k < n-minFill; k++ {
+			l, h = min(l, lo[o[k]]), max(h, hi[o[k]])
+			if k >= minFill-1 {
+				s.preMargin[k] += h - l
+			}
+		}
+		l, h = lo[o[n-1]], hi[o[n-1]]
+		for k := n - 1; k >= minFill; k-- {
+			l, h = min(l, lo[o[k]]), max(h, hi[o[k]])
+			if k <= n-minFill {
+				s.sufMargin[k] += h - l
+			}
+		}
+	}
 }
 
 // sweep bounds the groups of every cut of order, in one prefix pass

@@ -9,6 +9,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -268,6 +270,19 @@ func deepPoints() [][]float64 {
 	return spec.Generate(rand.New(rand.NewSource(2))).Points
 }
 
+// hugePoints returns n uniform points whose coordinates span
+// ±1.7e308, so a box's side can exceed math.MaxFloat64: widths and
+// margins overflow to +Inf and ChooseSubtree's enlargements turn NaN.
+func hugePoints(n, dim int, seed int64) [][]float64 {
+	pts := uniformPoints(n, dim, seed)
+	for _, p := range pts {
+		for i := range p {
+			p[i] = (2*p[i] - 1) * 1.7e308
+		}
+	}
+	return pts
+}
+
 // digestFlat feeds a flattened tree's shape and contents into h: the
 // height, the leaf count, the four index arrays, and the bits of every
 // rectangle corner and point coordinate, in order.
@@ -295,10 +310,16 @@ func digestFlat(h hash.Hash, ft *FlatTree) {
 // TestDynamicInsertGolden pins the exact shape of R*-grown trees: any
 // change to ChooseSubtree, the split, or forced reinsertion that moves
 // a single point or rectangle bit changes the digest. The shards are
-// dealt round-robin, as the server deals its initial points.
+// dealt round-robin, as the server deals its initial points. The
+// texture60 × 0.02 cases are the trees the serving benchmark's knn-read
+// (S = 1) and knn-sharded (S = 8) workloads grow; clustered4/8KB puts
+// 52 leaves under one parent, past the 32 children R* prices overlap
+// for.
 func TestDynamicInsertGolden(t *testing.T) {
 	texture := texture60Points(0.005)
+	served := texture60Points(0.02)
 	deep := deepPoints()
+	huge := hugePoints(3000, 8, 46)
 	cases := []struct {
 		name   string
 		pts    [][]float64
@@ -310,6 +331,11 @@ func TestDynamicInsertGolden(t *testing.T) {
 		{"texture60/s1", texture, NewGeometry(60), 1, 3, "beaa67e1f992422571d327e11e945849fc8084e6fa7ae2f6338865bc5d6ca418"},
 		{"texture60/s4", texture, NewGeometry(60), 4, 2, "559afe62b6778a1bd5271e570b7c4e8d6b2d77a5bea6a8a6e29fdaab50035f8f"},
 		{"clustered4/s1", deep, deepGeometry, 1, 6, "bbcf1514d690ca2d464e702725b34c32ca13a36599a1131732f7f66c32604fab"},
+		{"texture60x0.02/s1", served, NewGeometry(60), 1, 4, "1b6e637408cd4e77ad2181e5330dc351874b8e4bfddc91b5632dbc57737876f7"},
+		{"texture60x0.02/s8", served, NewGeometry(60), 8, 3, "4cc422c63a682a76a255056e8105b13683d6c5ac98d514308cb5b8d826f1dca2"},
+		{"clustered4/8KB", deep, NewGeometry(4), 1, 2, "bed95b85f04df5786b97d6a80f80fbc40b78b14beeabc73819b4af10f51bc3f2"},
+		{"huge8/8KB", huge, NewGeometry(8), 1, 2, "84b94f205e35473101f9478f6a71fedb54e8f1be1d67961d99442c58ec79ebe1"},
+		{"huge8/512B", huge, Geometry{Dim: 8, PageBytes: 512, Utilization: 1}, 1, 5, "6dfa4cb1c023b3cd249d639e612e2f7115bfd021aefb7ecb2e0431f61250144b"},
 	}
 	for _, c := range cases {
 		trees := make([]*DynamicTree, c.shards)
@@ -331,6 +357,289 @@ func TestDynamicInsertGolden(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
 			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// refChooseSubtree is the exhaustive R* ChooseSubtree that
+// chooseSubtree must agree with: every child's overlap enlargement is
+// summed in full, in child order, and the first child of least
+// (overlap, enlargement, margin) in child order wins.
+func refChooseSubtree(n *Node, p []float64, subtree *Node) *Node {
+	k := len(n.Children)
+	atLeafParent := n.Level == 2 && subtree == nil
+	overlaps := make([]float64, k*k)
+	if atLeafParent {
+		for i, c := range n.Children {
+			for j := i + 1; j < k; j++ {
+				ov := overlapMargin(c.Rect, n.Children[j].Rect)
+				overlaps[i*k+j], overlaps[j*k+i] = ov, ov
+			}
+		}
+	}
+	best := -1
+	bestOverlap, bestEnlarge, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
+	for i, c := range n.Children {
+		enlarged := c.Rect.Clone()
+		if subtree == nil {
+			enlarged.Extend(p)
+		} else {
+			enlarged.ExtendRect(subtree.Rect)
+		}
+		area := c.Rect.Margin()
+		enlarge := enlarged.Margin() - area
+		overlap := 0.0
+		if atLeafParent {
+			for j, o := range n.Children {
+				if j == i {
+					continue
+				}
+				overlap += overlapMargin(enlarged, o.Rect) - overlaps[i*k+j]
+			}
+		}
+		if best < 0 || less3(overlap, enlarge, area, bestOverlap, bestEnlarge, bestArea) {
+			best, bestOverlap, bestEnlarge, bestArea = i, overlap, enlarge, area
+		}
+	}
+	return n.Children[best]
+}
+
+// refSplitEntries is the box-sweep R* split that splitEntries must
+// agree with: along every axis it bounds both groups of every cut with
+// boxes swept over the sorted entries and sums the boxes' margins.
+func refSplitEntries(boxes []mbr.Rect, minFill, dim int) (order []int, cut int) {
+	count := len(boxes)
+	pre, suf := make([]mbr.Rect, count), make([]mbr.Rect, count)
+	sweep := func(order []int) {
+		pre[0] = boxes[order[0]].Clone()
+		for k := 1; k < count-minFill; k++ {
+			pre[k] = mbr.Union(pre[k-1], boxes[order[k]])
+		}
+		suf[count-1] = boxes[order[count-1]].Clone()
+		for k := count - 2; k >= minFill; k-- {
+			suf[k] = mbr.Union(suf[k+1], boxes[order[k]])
+		}
+	}
+	order, best := make([]int, count), make([]int, count)
+	var bestAxisMargin float64
+	for d := 0; d < dim; d++ {
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool {
+			return boxes[order[a]].Lo[d] < boxes[order[b]].Lo[d]
+		})
+		sweep(order)
+		var marginSum float64
+		for cut := minFill; cut <= count-minFill; cut++ {
+			marginSum += pre[cut-1].Margin() + suf[cut].Margin()
+		}
+		if d == 0 || marginSum < bestAxisMargin {
+			bestAxisMargin = marginSum
+			copy(best, order)
+		}
+	}
+	sweep(best)
+	bestCut, bestOverlap, bestMargin := -1, 0.0, 0.0
+	for cut := minFill; cut <= count-minFill; cut++ {
+		l, r := pre[cut-1], suf[cut]
+		ov := overlapMargin(l, r)
+		mg := l.Margin() + r.Margin()
+		if bestCut < 0 || ov < bestOverlap || (ov == bestOverlap && mg < bestMargin) {
+			bestCut, bestOverlap, bestMargin = cut, ov, mg
+		}
+	}
+	return best, bestCut
+}
+
+// oracleCoords are the coordinate distributions of the oracle tests:
+//   - uniform in [0, 1);
+//   - a grid of five values with ±0: coincident corners, zero widths,
+//     and tied enlargements, margins and overlaps;
+//   - magnitudes from 1 to 2^62, so a margin's bits depend on the order
+//     its widths are added in;
+//   - values near ±math.MaxFloat64, where widths overflow to +Inf and
+//     enlargements turn NaN;
+//   - a grid with ±Inf corners.
+var oracleCoords = []func(r *rand.Rand) float64{
+	func(r *rand.Rand) float64 { return r.Float64() },
+	func(r *rand.Rand) float64 { return []float64{math.Copysign(0, -1), 0, 0.5, 1, 1.5}[r.Intn(5)] },
+	func(r *rand.Rand) float64 { return float64(r.Intn(4)) * math.Ldexp(1, r.Intn(61)) },
+	func(r *rand.Rand) float64 {
+		if r.Intn(2) == 0 {
+			return (2*r.Float64() - 1) * 1.7e308
+		}
+		return []float64{-math.MaxFloat64, -1.7e308, -1e308, math.Copysign(0, -1), 0, 1e308, 1.7e308, math.MaxFloat64}[r.Intn(8)]
+	},
+	func(r *rand.Rand) float64 {
+		return []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 1, math.Inf(1)}[r.Intn(6)]
+	},
+}
+
+// oracleBox returns a box of coordinates drawn by coord. Each side is
+// zero-width with probability 1/4, and every side when point is set.
+func oracleBox(r *rand.Rand, dim int, coord func(*rand.Rand) float64, point bool) mbr.Rect {
+	lo, hi := make([]float64, dim), make([]float64, dim)
+	for d := range lo {
+		lo[d] = coord(r)
+		hi[d] = lo[d]
+		if !point && r.Intn(4) != 0 {
+			hi[d] = coord(r)
+		}
+		if hi[d] < lo[d] {
+			lo[d], hi[d] = hi[d], lo[d]
+		}
+	}
+	return mbr.Rect{Lo: lo, Hi: hi}
+}
+
+// oracleBoxes returns count boxes; a quarter of them repeat an earlier
+// box's coordinates.
+func oracleBoxes(r *rand.Rand, count, dim int, coord func(*rand.Rand) float64, points bool) []mbr.Rect {
+	boxes := make([]mbr.Rect, count)
+	for i := range boxes {
+		if i > 0 && r.Intn(4) == 0 {
+			boxes[i] = boxes[r.Intn(i)].Clone()
+		} else {
+			boxes[i] = oracleBox(r, dim, coord, points)
+		}
+	}
+	return boxes
+}
+
+// oracleFanout draws a node's entry count: mostly up to 80, one draw
+// in 32 at the full maxCount.
+func oracleFanout(r *rand.Rand, maxCount int) int {
+	if r.Intn(32) == 0 {
+		return maxCount
+	}
+	return 2 + r.Intn(min(maxCount, 80)-1)
+}
+
+// oracleDim draws a width from 1 to 64, half the time from 1 to 4,
+// where grid coordinates tie most often.
+func oracleDim(r *rand.Rand) int {
+	if r.Intn(2) == 0 {
+		return 1 + r.Intn(4)
+	}
+	return 1 + r.Intn(64)
+}
+
+// TestChooseSubtreeMatchesExhaustive checks that chooseSubtree picks
+// the child the exhaustive loop picks, on random nodes: d from 1 to
+// 64; fanouts up to a 64 KB directory page's (capped at 1,024 children
+// for d < 4, which bounds the pairwise scratch at 8 MB); points
+// descending to the leaves' parent, points passing a higher level, and
+// subtrees being reinserted. In a quarter of the nodes one child spans
+// ±math.MaxFloat64 in one dimension, so its margin overflows and the
+// other children, of any coordinates, are chosen among in child order.
+// One tree per d chooses for every node, so its scratch is reused
+// across nodes of different fanouts.
+func TestChooseSubtreeMatchesExhaustive(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	trees := make(map[int]*DynamicTree)
+	for it := 0; it < 1500; it++ {
+		dim := oracleDim(r)
+		tr := trees[dim]
+		if tr == nil {
+			tr = NewDynamicCustom(dim, 2, 4)
+			trees[dim] = tr
+		}
+		kind := r.Intn(len(oracleCoords))
+		coord := oracleCoords[kind]
+		maxFanout := min(Geometry{Dim: dim, PageBytes: 64 << 10}.MaxDirCapacity(), 1024)
+		boxes := oracleBoxes(r, oracleFanout(r, maxFanout), dim, coord, false)
+		if r.Intn(4) == 0 {
+			wide := boxes[r.Intn(len(boxes))]
+			d := r.Intn(dim)
+			wide.Lo[d], wide.Hi[d] = -math.MaxFloat64, math.MaxFloat64
+		}
+		n := &Node{Level: 2}
+		for _, b := range boxes {
+			n.Children = append(n.Children, &Node{Level: 1, Rect: b})
+		}
+		p := oracleBox(r, dim, coord, true).Lo
+		if r.Intn(4) == 0 {
+			p = append([]float64(nil), boxes[r.Intn(len(boxes))].Hi...)
+		}
+		var subtree *Node
+		switch r.Intn(6) {
+		case 0:
+			n.Level = 3
+		case 1:
+			n.Level = 3
+			subtree = &Node{Level: 1, Rect: oracleBox(r, dim, coord, false)}
+		}
+		got, want := tr.chooseSubtree(n, p, subtree), refChooseSubtree(n, p, subtree)
+		if got != want {
+			t.Fatalf("case %d (d=%d, %d children, level %d, subtree %t, coordinates %d): chose child %d, exhaustive loop chose %d",
+				it, dim, len(n.Children), n.Level, subtree != nil, kind, indexOf(n.Children, got), indexOf(n.Children, want))
+		}
+	}
+}
+
+func indexOf(nodes []*Node, n *Node) int {
+	for i, c := range nodes {
+		if c == n {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestSplitEntriesMatchesBoxSweep checks that splitEntries returns the
+// order and cut of the box-sweep split on random overflowing pages: d
+// from 1 to 64, entry counts up to a 64 KB page's plus one, points and
+// rectangles, and minimum fills of 1 (the three-point mini-leaves a
+// sampled dynamic index grows), 2 and R*'s 40%. It also checks, along
+// a random order, that every group margin the split compares has the
+// bits of the swept box's Rect.Margin (or is NaN where that is). One
+// splitter per d, as in a tree, splits every page of that width, so
+// its scratch is reused across entry counts.
+func TestSplitEntriesMatchesBoxSweep(t *testing.T) {
+	r := rand.New(rand.NewSource(48))
+	splitters := make(map[int]*splitter)
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
+	for it := 0; it < 1500; it++ {
+		dim := oracleDim(r)
+		s := splitters[dim]
+		if s == nil {
+			s = new(splitter)
+			splitters[dim] = s
+		}
+		kind := r.Intn(len(oracleCoords))
+		points := r.Intn(2) == 0
+		g := Geometry{Dim: dim, PageBytes: 64 << 10}
+		maxCap := g.MaxDirCapacity()
+		if points {
+			maxCap = g.MaxDataCapacity()
+		}
+		count := oracleFanout(r, maxCap) + 1
+		if r.Intn(8) == 0 {
+			count = 3
+		}
+		minFill := []int{1, 2, int(minFillFraction * float64(count-1))}[r.Intn(3)]
+		minFill = max(1, min(minFill, count/2))
+		boxes := oracleBoxes(r, count, dim, oracleCoords[kind], points)
+		s.boxes = boxes
+		order, cut := s.splitEntries(minFill, dim)
+		order = append([]int(nil), order...)
+		wantOrder, wantCut := refSplitEntries(boxes, minFill, dim)
+		if cut != wantCut || !slices.Equal(order, wantOrder) {
+			t.Fatalf("case %d (d=%d, %d entries, points %t, minFill %d, coordinates %d): order %v cut %d, box sweep: order %v cut %d",
+				it, dim, count, points, minFill, kind, order, cut, wantOrder, wantCut)
+		}
+
+		copy(s.order, r.Perm(count))
+		s.margins(minFill, dim)
+		s.sweep(s.order, minFill)
+		for c := minFill; c <= count-minFill; c++ {
+			if pre, want := s.preMargin[c-1], s.pre[c-1].Margin(); !sameBits(pre, want) {
+				t.Fatalf("case %d (d=%d, %d entries, coordinates %d): margin of the first %d entries %v, box %v", it, dim, count, kind, c, pre, want)
+			}
+			if suf, want := s.sufMargin[c], s.suf[c].Margin(); !sameBits(suf, want) {
+				t.Fatalf("case %d (d=%d, %d entries, coordinates %d): margin of the entries from %d %v, box %v", it, dim, count, kind, c, suf, want)
+			}
 		}
 	}
 }
@@ -365,9 +674,15 @@ func TestDynamicInsertAllocs(t *testing.T) {
 
 // BenchmarkDynamicInsert grows R*-trees by insertion: d60 is the
 // TEXTURE60 × 0.02 tree the serving benchmark's knn-read workload sets
-// up, d4 the golden test's height-6 tree. One op grows the whole tree;
-// ns/insert and allocs/insert divide by the points inserted.
-// scripts/bench.sh records the best of each in BENCH_build.json.
+// up, d4 the golden test's height-6 tree, d4-8KB the same points at
+// 8 KB pages (52 leaves under one parent, where ChooseSubtree's
+// pairwise overlaps dominate), and d617 uniform points of ISOLET617's
+// width at 8 KB pages (two points per leaf and four entries per
+// directory page, so nearly every insert splits and the split's
+// per-axis margin pass dominates; sized so a race-detector smoke run
+// stays short). One op grows the whole tree; ns/insert and
+// allocs/insert divide by the points inserted. scripts/bench.sh
+// records the best of each in BENCH_build.json.
 func BenchmarkDynamicInsert(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -376,6 +691,8 @@ func BenchmarkDynamicInsert(b *testing.B) {
 	}{
 		{"d60", texture60Points(0.02), NewGeometry(60)},
 		{"d4", deepPoints(), deepGeometry},
+		{"d4-8KB", deepPoints(), NewGeometry(4)},
+		{"d617", uniformPoints(50, 617, 617), NewGeometry(617)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var before, after runtime.MemStats
