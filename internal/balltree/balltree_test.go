@@ -10,9 +10,9 @@ import (
 	"hdidx/internal/vec"
 )
 
-// Each structure's own tests (builds, k-NN against brute force,
-// prediction accuracy) are in internal/sstree, internal/srtree and
-// internal/mtree; this file tests what the three share.
+// The per-kind tables of builds, k-NN against brute force and
+// prediction accuracy, and each structure's own tests, are in
+// kinds_test.go; this file tests the shared helpers.
 var kinds = []struct {
 	name string
 	kind Kind

@@ -474,6 +474,7 @@ type splitter struct {
 	// corner in dimension d is lo[d*count+e].
 	lo, hi      []float64
 	order, best []int // entries sorted along the current and the best axis
+	axis        axisOrder
 	// preMargin[k] is the margin of the box bounding order[:k+1], and
 	// sufMargin[k] that of the box bounding order[k:].
 	preMargin, sufMargin []float64
@@ -503,10 +504,8 @@ func (s *splitter) splitEntries(minFill, dim int) (order []int, cut int) {
 		for i := range s.order {
 			s.order[i] = i
 		}
-		lo := s.lo[d*count : (d+1)*count]
-		sort.Slice(s.order, func(a, b int) bool {
-			return lo[s.order[a]] < lo[s.order[b]]
-		})
+		s.axis = axisOrder{order: s.order, lo: s.lo[d*count : (d+1)*count]}
+		sort.Sort(&s.axis)
 		s.margins(minFill, dim)
 		var marginSum float64
 		for cut := minFill; cut <= count-minFill; cut++ {
@@ -529,6 +528,19 @@ func (s *splitter) splitEntries(minFill, dim int) (order []int, cut int) {
 	}
 	return s.best, bestCut
 }
+
+// axisOrder sorts order by the entries' lower corners lo along one
+// axis. sort.Sort runs the same pdqsort as sort.Slice, so it gives the
+// same permutation, without sort.Slice's reflect swapper and escaping
+// comparator: the splitter owns it, and sorting allocates nothing.
+type axisOrder struct {
+	order []int
+	lo    []float64
+}
+
+func (a *axisOrder) Len() int           { return len(a.order) }
+func (a *axisOrder) Less(i, j int) bool { return a.lo[a.order[i]] < a.lo[a.order[j]] }
+func (a *axisOrder) Swap(i, j int)      { a.order[i], a.order[j] = a.order[j], a.order[i] }
 
 // grow sizes the scratch for count entries.
 func (s *splitter) grow(count, dim int) {

@@ -103,7 +103,7 @@ func TestMmapServeHammer(t *testing.T) {
 							}
 						}
 					}
-					if _, _, err := srv.RangeCount(q, 0.2); err != nil {
+					if _, err := srv.RangeCount(q, 0.2); err != nil {
 						fail <- "range: " + err.Error()
 						return
 					}

@@ -62,9 +62,8 @@
 // shards, so its reported page accesses are exactly the single-query
 // optimum the paper's predictor estimates, whatever else shares the
 // batch; range calls run a depth-first range search on each shard. A
-// full queue rejects immediately with ErrOverloaded — backpressure
-// surfaces to the caller instead of growing an unbounded backlog — and
-// calls that wait past Config.QueueTimeout are shed with ErrDeadline.
+// full queue rejects immediately with ErrOverloaded: backpressure
+// surfaces to the caller instead of growing an unbounded backlog.
 //
 // Per-query latencies (queue wait plus search) are recorded in
 // obs.LatencySketch reservoirs; Stats reports p50/p95/p99.
@@ -97,12 +96,6 @@ var ErrClosed = errors.New("serve: server closed")
 // coordinate.
 var errNonFinite = errors.New("serve: non-finite coordinate")
 
-// ErrDeadline reports that a queued query waited past
-// Config.QueueTimeout before the batcher reached it. The query was
-// never searched; the caller should treat it like backpressure and
-// back off.
-var ErrDeadline = errors.New("serve: queued past deadline")
-
 // MaxShards bounds Config.Shards.
 const MaxShards = 64
 
@@ -134,12 +127,6 @@ type Config struct {
 	// invisible to queries until the next publication (call Flush to
 	// force one).
 	FlattenEvery int
-	// QueueTimeout bounds how long a call may wait on the admission
-	// queue. A call the batcher reaches after its deadline fails with
-	// ErrDeadline instead of occupying a batch slot, so a stalled or
-	// saturated batcher sheds stale work rather than serving answers
-	// nobody is waiting for. 0 (the default) disables the deadline.
-	QueueTimeout time.Duration
 	// SnapshotPath, when non-empty, makes publication durable, with one
 	// layout at every shard count. The path names a checksummed
 	// manifest; each dirty shard's snapshot is written to an immutable
@@ -282,7 +269,6 @@ type Server struct {
 	pubs      atomic.Int64 // snapshots published across shards
 	retires   atomic.Int64
 	overloads atomic.Int64
-	deadlines atomic.Int64
 	flatNS    atomic.Int64 // cumulative flatten time, ns
 	bytesW    atomic.Int64 // cumulative durable bytes (snapshots + manifests)
 
@@ -307,8 +293,7 @@ type call struct {
 
 type reply struct {
 	res Result
-	n   int   // range count
-	gen int64 // generation that served a range call
+	n   int // range count
 	err error
 }
 
@@ -324,9 +309,6 @@ type Result struct {
 	DirAccesses  int
 	// Radius is the distance to the k-th neighbor.
 	Radius float64
-	// Generation identifies the publication generation that served the
-	// query (the maximum across the pinned shard snapshots).
-	Generation int64
 }
 
 // New starts a server over the initial points (which may be empty when
@@ -386,9 +368,6 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 			derived.Utilization = g.Utilization
 		}
 		g = derived
-	}
-	if cfg.QueueTimeout < 0 {
-		return nil, fmt.Errorf("serve: negative queue timeout %v", cfg.QueueTimeout)
 	}
 	pb := g.PageBytes
 	if pb < pager.MinPageBytes {
@@ -764,28 +743,27 @@ func (s *Server) KNN(q []float64, k int) (Result, error) {
 }
 
 // RangeCount returns the number of indexed points within radius of
-// center, with the generation that served it. Like KNN it goes through
-// the admission queue — full-queue and deadline shedding apply — and
-// is answered by the batcher against the same pinned snapshots as the
-// rest of its batch; the count is bit-identical to a direct
-// query.RangeSearchFlat over the served points. A non-finite center
-// or a NaN radius is an error.
-func (s *Server) RangeCount(center []float64, radius float64) (n int, generation int64, err error) {
+// center. Like KNN it goes through the admission queue (a full queue
+// rejects with ErrOverloaded) and is answered by the batcher against
+// the same pinned snapshots as the rest of its batch; the count is
+// bit-identical to a direct query.RangeSearchFlat over the served
+// points. A non-finite center or a NaN radius is an error.
+func (s *Server) RangeCount(center []float64, radius float64) (int, error) {
 	if s.closed.Load() {
-		return 0, 0, ErrClosed
+		return 0, ErrClosed
 	}
 	if len(center) != s.dim {
-		return 0, 0, fmt.Errorf("serve: query dimension %d, index dimension %d", len(center), s.dim)
+		return 0, fmt.Errorf("serve: query dimension %d, index dimension %d", len(center), s.dim)
 	}
 	if !vec.Finite(center) {
-		return 0, 0, errNonFinite
+		return 0, errNonFinite
 	}
 	if radius < 0 || math.IsNaN(radius) {
-		return 0, 0, fmt.Errorf("serve: radius %v is negative or NaN", radius)
+		return 0, fmt.Errorf("serve: radius %v is negative or NaN", radius)
 	}
 	c := &call{kind: callRange, q: center, radius: radius, start: time.Now(), reply: make(chan reply, 1)}
 	r, err := s.enqueue(c)
-	return r.n, r.gen, err
+	return r.n, err
 }
 
 // batchLoop is the single batcher goroutine: it blocks for one call,
@@ -822,23 +800,11 @@ func (s *Server) serveBatch(calls []*call) {
 	sns := s.acquireAll()
 	trees := make([]*rtree.FlatTree, len(sns))
 	total := 0
-	var maxGen int64
 	for i, sn := range sns {
 		trees[i] = sn.ft
 		total += sn.ft.NumPoints
-		if sn.gen > maxGen {
-			maxGen = sn.gen
-		}
 	}
 	for _, c := range calls {
-		if s.cfg.QueueTimeout > 0 && time.Since(c.start) > s.cfg.QueueTimeout {
-			// The call aged out on the queue; fail it without letting
-			// it occupy a batch slot so fresh work isn't displaced by
-			// answers nobody is waiting for anymore.
-			s.deadlines.Add(1)
-			c.reply <- reply{err: ErrDeadline}
-			continue
-		}
 		if c.kind == callRange {
 			n := 0
 			for _, ft := range trees {
@@ -846,7 +812,7 @@ func (s *Server) serveBatch(calls []*call) {
 				n += pts
 			}
 			s.rangeLat.Observe(time.Since(c.start))
-			c.reply <- reply{n: n, gen: maxGen}
+			c.reply <- reply{n: n}
 			continue
 		}
 		// Validate against the snapshot set actually being searched —
@@ -855,7 +821,7 @@ func (s *Server) serveBatch(calls []*call) {
 			c.reply <- reply{err: fmt.Errorf("serve: k=%d outside [1, %d]", c.k, total)}
 			continue
 		}
-		s.answerKNN(c, query.KNNSearchForest(trees, c.q, c.k), maxGen)
+		s.answerKNN(c, query.KNNSearchForest(trees, c.q, c.k))
 	}
 	releaseAll(sns)
 }
@@ -863,26 +829,26 @@ func (s *Server) serveBatch(calls []*call) {
 // answerKNN materializes one k-NN answer and completes the call. The
 // neighbor rows alias the snapshots' packed point matrices (the
 // KNNSearchFlat aliasing contract), so the answer carries copies.
-func (s *Server) answerKNN(c *call, r query.Result, gen int64) {
+func (s *Server) answerKNN(c *call, r query.Result) {
 	res := Result{
 		Neighbors:    vec.ClonePoints(r.Neighbors),
 		LeafAccesses: r.LeafAccesses,
 		DirAccesses:  r.DirAccesses,
 		Radius:       r.Radius,
-		Generation:   gen,
 	}
 	s.knnLat.Observe(time.Since(c.start))
 	c.reply <- reply{res: res}
 }
 
-// ShardStats is the per-shard slice of Stats.
+// ShardStats is the per-shard breakdown within Stats (the facade's
+// ShardServeStats).
 type ShardStats struct {
 	// Points is the number of points in the shard's current snapshot.
 	Points int
 	// Generation is the publication event that produced the shard's
 	// current snapshot.
 	Generation int64
-	// Publications counts the snapshots this shard published.
+	// Publications counts the snapshots this shard has published.
 	Publications int64
 	// BytesWritten is the shard's cumulative durable snapshot bytes.
 	BytesWritten int64
@@ -891,23 +857,25 @@ type ShardStats struct {
 	Mapped bool
 }
 
-// Stats is a point-in-time digest of the server.
+// Stats is a point-in-time digest of the server (the facade's
+// ServerStats).
 type Stats struct {
 	// Points is the number of points across the current snapshots
 	// (ingested but unpublished points are excluded).
 	Points int
-	// Generation is the number of publication events so far. Each
+	// Generation is the number of publication events since start. Each
 	// event republishes only its dirty shards.
 	Generation int64
 	// Publications counts snapshots published across all shards; with
 	// one shard it equals Generation.
 	Publications int64
-	// RetiredSnapshots counts superseded snapshots whose pins drained.
+	// RetiredSnapshots counts superseded snapshots whose readers have
+	// all drained.
 	RetiredSnapshots int64
-	// Overloads counts ErrOverloaded rejections.
+	// Overloads counts calls rejected with ErrOverloaded.
 	Overloads int64
-	// Deadlines counts calls that aged past Config.QueueTimeout on
-	// the admission queue and failed with ErrDeadline.
+	// Deadlines is always 0: no call has a queue deadline. The field
+	// stays only because the benchmark module (bench/) reads it.
 	Deadlines int64
 	// FlattenTime is the cumulative time spent re-flattening shards at
 	// publication, and BytesWritten the cumulative durable bytes
@@ -919,12 +887,14 @@ type Stats struct {
 	// zero-copy from a read-only file mapping: the case for a durable
 	// server where the platform supports mmap, unless a shard's current
 	// file failed its check or could not be mapped (see the package
-	// doc, Durable snapshots). After Close it tells how the final
-	// snapshots were served; their files are released.
+	// doc, Durable snapshots). Every file the manifest names was
+	// verified after its write, mapped or not. After Close it tells how
+	// the final snapshots were served; their files are released.
 	Mapped bool
 	// Shards holds the per-shard breakdown, in shard order.
 	Shards []ShardStats
-	// KNN and Range are the latency digests (queue wait plus search).
+	// KNN and Range are the per-query latency digests (queue wait plus
+	// search).
 	KNN, Range obs.LatencySummary
 }
 
@@ -936,7 +906,6 @@ func (s *Server) Stats() Stats {
 		Publications:     s.pubs.Load(),
 		RetiredSnapshots: s.retires.Load(),
 		Overloads:        s.overloads.Load(),
-		Deadlines:        s.deadlines.Load(),
 		FlattenTime:      time.Duration(s.flatNS.Load()),
 		BytesWritten:     s.bytesW.Load(),
 		Mapped:           true,

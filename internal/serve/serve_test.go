@@ -39,10 +39,10 @@ func dist(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// checkResult asserts the internal consistency of one k-NN answer:
-// exactly k neighbors, nondecreasing distance order, and the reported
-// radius equal to the k-th distance.
-func checkResult(t testing.TB, q []float64, k int, res Result) {
+// checkResult asserts the internal consistency of one k-NN answer from
+// s: exactly k neighbors, nondecreasing distance order, the reported
+// radius equal to the k-th distance, and a published generation.
+func checkResult(t testing.TB, s *Server, q []float64, k int, res Result) {
 	t.Helper()
 	if len(res.Neighbors) != k {
 		t.Fatalf("%d neighbors, want %d", len(res.Neighbors), k)
@@ -58,8 +58,8 @@ func checkResult(t testing.TB, q []float64, k int, res Result) {
 	if kth := dist(q, res.Neighbors[k-1]); math.Abs(kth-res.Radius) > 1e-12 {
 		t.Fatalf("radius %v != k-th neighbor distance %v", res.Radius, kth)
 	}
-	if res.Generation < 1 {
-		t.Fatalf("generation %d < 1", res.Generation)
+	if g := s.Stats().Generation; g < 1 {
+		t.Fatalf("generation %d < 1", g)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestServeKNNMatchesDirectSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkResult(t, q, k, res)
+		checkResult(t, s, q, k, res)
 		want := query.KNNSearchFlat(sn.ft, q, k)
 		if res.Radius != want.Radius {
 			t.Fatalf("radius %v != direct search %v", res.Radius, want.Radius)
@@ -158,7 +158,7 @@ func TestServeNeighborsAreCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkResult(t, q, 3, res2)
+	checkResult(t, s, q, 3, res2)
 	if res2.Radius != res1.Radius {
 		t.Fatalf("mutating returned neighbors changed the index: radius %v -> %v", res1.Radius, res2.Radius)
 	}
@@ -189,9 +189,9 @@ func TestServeSnapshotLocalValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkResult(t, data[0], 11, res)
-	if res.Generation != 2 {
-		t.Fatalf("generation %d after one flush, want 2", res.Generation)
+	checkResult(t, s, data[0], 11, res)
+	if g := s.Stats().Shards[0].Generation; g != 2 {
+		t.Fatalf("generation %d after one flush, want 2", g)
 	}
 }
 
@@ -205,7 +205,7 @@ func TestServeRangeCount(t *testing.T) {
 	sn := s.shards[0].acquire()
 	defer sn.release()
 	for _, q := range uniform(10, 5, 7) {
-		n, gen, err := s.RangeCount(q, 0.4)
+		n, err := s.RangeCount(q, 0.4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestServeRangeCount(t *testing.T) {
 		if n != want {
 			t.Fatalf("range count %d != direct %d", n, want)
 		}
-		if gen != sn.gen {
+		if gen := s.Stats().Shards[0].Generation; gen != sn.gen {
 			t.Fatalf("generation %d != %d", gen, sn.gen)
 		}
 	}
@@ -243,84 +243,6 @@ func TestServeBackpressure(t *testing.T) {
 	}
 	if n := s.overloads.Load(); n != 1 {
 		t.Fatalf("overload counter %d, want 1", n)
-	}
-}
-
-func TestServeQueueTimeout(t *testing.T) {
-	// A hand-built server whose batcher is not running, standing in for
-	// a stalled or saturated one: queries age on the queue, and once the
-	// batcher gets to them, the stale ones must fail with ErrDeadline
-	// without occupying batch slots while fresh ones are still served.
-	s := &Server{
-		cfg:      Config{FlattenEvery: 1024, QueueTimeout: 10 * time.Millisecond}.withDefaults(),
-		dim:      2,
-		shards:   []*shard{{dyn: rtree.NewDynamic(rtree.NewGeometry(2))}},
-		queue:    make(chan *call, 8),
-		done:     make(chan struct{}),
-		knnLat:   obs.NewLatencySketch(16),
-		rangeLat: obs.NewLatencySketch(16),
-	}
-	s.shards[0].dyn.Insert([]float64{0, 0})
-	s.shards[0].dyn.Insert([]float64{1, 1})
-	s.mu.Lock()
-	s.publishLocked(s.shards)
-	s.mu.Unlock()
-
-	q := []float64{0.1, 0.1}
-	stale1 := &call{q: q, k: 1, start: time.Now().Add(-time.Second), reply: make(chan reply, 1)}
-	stale2 := &call{q: q, k: 1, start: time.Now().Add(-50 * time.Millisecond), reply: make(chan reply, 1)}
-	fresh := &call{q: q, k: 1, start: time.Now(), reply: make(chan reply, 1)}
-	s.serveBatch([]*call{stale1, stale2, fresh})
-
-	for i, c := range []*call{stale1, stale2} {
-		r := <-c.reply
-		if !errors.Is(r.err, ErrDeadline) {
-			t.Fatalf("stale call %d: err = %v, want ErrDeadline", i, r.err)
-		}
-	}
-	r := <-fresh.reply
-	if r.err != nil {
-		t.Fatalf("fresh call failed: %v", r.err)
-	}
-	checkResult(t, q, 1, r.res)
-	if n := s.deadlines.Load(); n != 2 {
-		t.Fatalf("deadline counter %d, want 2", n)
-	}
-	if st := s.Stats(); st.Deadlines != 2 {
-		t.Fatalf("Stats().Deadlines = %d, want 2", st.Deadlines)
-	}
-}
-
-func TestServeQueueTimeoutDisabled(t *testing.T) {
-	// With QueueTimeout zero (the default) even ancient queue entries
-	// are served normally.
-	s := &Server{
-		cfg:      Config{FlattenEvery: 1024}.withDefaults(),
-		dim:      2,
-		shards:   []*shard{{dyn: rtree.NewDynamic(rtree.NewGeometry(2))}},
-		queue:    make(chan *call, 4),
-		done:     make(chan struct{}),
-		knnLat:   obs.NewLatencySketch(16),
-		rangeLat: obs.NewLatencySketch(16),
-	}
-	s.shards[0].dyn.Insert([]float64{0, 0})
-	s.mu.Lock()
-	s.publishLocked(s.shards)
-	s.mu.Unlock()
-	c := &call{q: []float64{0.2, 0.2}, k: 1, start: time.Now().Add(-time.Hour), reply: make(chan reply, 1)}
-	s.serveBatch([]*call{c})
-	if r := <-c.reply; r.err != nil {
-		t.Fatalf("aged call with no deadline configured failed: %v", r.err)
-	}
-	if n := s.deadlines.Load(); n != 0 {
-		t.Fatalf("deadline counter %d, want 0", n)
-	}
-}
-
-func TestServeConfigValidation(t *testing.T) {
-	data := uniform(20, 3, 9)
-	if _, err := New(data, Config{QueueTimeout: -time.Second}); err == nil {
-		t.Fatal("negative QueueTimeout accepted, want error")
 	}
 }
 
@@ -427,7 +349,7 @@ func TestServeSoak(t *testing.T) {
 					return
 				}
 				if rng.Intn(4) == 0 {
-					if _, _, err := s.RangeCount(q, 0.3); err != nil {
+					if _, err := s.RangeCount(q, 0.3); err != nil {
 						errs <- err
 						return
 					}
@@ -538,14 +460,14 @@ func TestServeRejectsNonFinite(t *testing.T) {
 			if _, err := s.KNN(p, 5); err == nil {
 				t.Errorf("S=%d point %d: KNN accepted a non-finite query", shards, i)
 			}
-			if _, _, err := s.RangeCount(p, 0.1); err == nil {
+			if _, err := s.RangeCount(p, 0.1); err == nil {
 				t.Errorf("S=%d point %d: RangeCount accepted a non-finite center", shards, i)
 			}
 			if err := s.Insert(p); err == nil {
 				t.Errorf("S=%d point %d: Insert accepted a non-finite point", shards, i)
 			}
 		}
-		if _, _, err := s.RangeCount(data[0], math.NaN()); err == nil {
+		if _, err := s.RangeCount(data[0], math.NaN()); err == nil {
 			t.Errorf("S=%d: RangeCount accepted a NaN radius", shards)
 		}
 		if err := s.Flush(); err != nil {

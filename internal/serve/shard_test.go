@@ -72,11 +72,11 @@ func TestServeShardedMatchesSingle(t *testing.T) {
 						t.Fatalf("dim=%d shards=%d k=%d: neighbors diverge", dim, shards, k)
 					}
 				}
-				wantN, _, err := oracle.RangeCount(q, 0.5)
+				wantN, err := oracle.RangeCount(q, 0.5)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotN, _, err := s.RangeCount(q, 0.5)
+				gotN, err := s.RangeCount(q, 0.5)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -329,12 +329,11 @@ func TestServeDirtyShardOnlyPublication(t *testing.T) {
 }
 
 // TestServeRangeQueueSemantics drives RangeCount through the admission
-// protocol: a full queue rejects with ErrOverloaded, and a stale
-// queued range call is shed with ErrDeadline by the batcher while a
-// fresh one in the same batch is answered.
+// protocol: a full queue rejects with ErrOverloaded, and a queued range
+// call is answered by the batcher and recorded in the range sketch.
 func TestServeRangeQueueSemantics(t *testing.T) {
 	s := &Server{
-		cfg:      Config{FlattenEvery: 1024, QueueTimeout: 10 * time.Millisecond}.withDefaults(),
+		cfg:      Config{FlattenEvery: 1024}.withDefaults(),
 		dim:      2,
 		shards:   []*shard{{dyn: rtree.NewDynamic(rtree.NewGeometry(2))}},
 		queue:    make(chan *call, 2),
@@ -353,28 +352,21 @@ func TestServeRangeQueueSemantics(t *testing.T) {
 	q := []float64{0.1, 0.1}
 	s.queue <- &call{kind: callRange, q: q, radius: 1}
 	s.queue <- &call{kind: callRange, q: q, radius: 1}
-	if _, _, err := s.RangeCount(q, 1); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.RangeCount(q, 1); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
 	if n := s.overloads.Load(); n != 1 {
 		t.Fatalf("overload counter %d, want 1", n)
 	}
 
-	stale := &call{kind: callRange, q: q, radius: 1, start: time.Now().Add(-time.Second), reply: make(chan reply, 1)}
-	fresh := &call{kind: callRange, q: q, radius: 5, start: time.Now(), reply: make(chan reply, 1)}
-	s.serveBatch([]*call{stale, fresh})
-	if r := <-stale.reply; !errors.Is(r.err, ErrDeadline) {
-		t.Fatalf("stale range call: err = %v, want ErrDeadline", r.err)
-	}
-	r := <-fresh.reply
+	c := &call{kind: callRange, q: q, radius: 5, start: time.Now(), reply: make(chan reply, 1)}
+	s.serveBatch([]*call{c})
+	r := <-c.reply
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
 	if r.n != 2 {
 		t.Fatalf("range count %d, want 2", r.n)
-	}
-	if n := s.deadlines.Load(); n != 1 {
-		t.Fatalf("deadline counter %d, want 1", n)
 	}
 	if s.rangeLat.Summary().Count != 1 {
 		t.Fatal("served range call not recorded in the range latency sketch")
@@ -419,7 +411,7 @@ func testRecoveryRoundTrip(t *testing.T, shards int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, _, err := s.RangeCount(q, 0.4)
+		n, err := s.RangeCount(q, 0.4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,7 +470,7 @@ func testRecoveryRoundTrip(t *testing.T, shards int) {
 		if res.Radius != want[i].res.Radius || !reflect.DeepEqual(res.Neighbors, want[i].res.Neighbors) {
 			t.Fatalf("query %d diverges after restart", i)
 		}
-		n, _, err := s2.RangeCount(q, 0.4)
+		n, err := s2.RangeCount(q, 0.4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -663,7 +655,7 @@ func TestServeShardedSoak(t *testing.T) {
 							}
 						}
 					}
-					if _, _, err := srv.RangeCount(q, 0.2); err != nil && !errors.Is(err, ErrOverloaded) {
+					if _, err := srv.RangeCount(q, 0.2); err != nil && !errors.Is(err, ErrOverloaded) {
 						fail <- "range: " + err.Error()
 						return
 					}

@@ -1,4 +1,4 @@
-package quant
+package vafile
 
 import (
 	"math"
@@ -13,7 +13,7 @@ func buildMarks(coords []float64, bits int) []float64 {
 	sorted := append([]float64(nil), coords...)
 	sort.Float64s(sorted)
 	m := make([]float64, (1<<bits)+1)
-	Marks(m, sorted)
+	fillMarks(m, sorted)
 	return m
 }
 
@@ -51,7 +51,7 @@ func TestMarksInvariants(t *testing.T) {
 		// Every coordinate lands strictly inside its own cell's
 		// half-open interval [m[c], m[c+1]).
 		for _, x := range coords {
-			c := Cell(m, x)
+			c := cellOf(m, x)
 			if int(c) >= len(m)-1 {
 				t.Fatalf("trial %d: cell %d out of range (%d cells)", trial, c, len(m)-1)
 			}
@@ -68,7 +68,7 @@ func TestMarksInvariants(t *testing.T) {
 // on cell boundaries — the summed squared bounds must bracket the
 // exact squared distance computed in the same ascending-dimension
 // order, with no epsilon: the per-term dominance argument in the
-// package comment is exact, not approximate.
+// package doc (Exact filtering) is exact, not approximate.
 func TestBoundsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -101,7 +101,7 @@ func TestBoundsSound(t *testing.T) {
 			}
 			sort.Float64s(coords)
 			m := make([]float64, cells+1)
-			Marks(m, coords)
+			fillMarks(m, coords)
 			marks[d] = m
 		}
 		// Nudge some points onto exact cell boundaries: a mark is a
@@ -124,10 +124,10 @@ func TestBoundsSound(t *testing.T) {
 			for _, p := range pts {
 				var exact, lo2, hi2 float64
 				for d := 0; d < dim; d++ {
-					codes[d] = Cell(marks[d], p[d])
+					codes[d] = cellOf(marks[d], p[d])
 					diff := p[d] - query[d]
 					exact += diff * diff
-					lo, hi := CellBounds(marks[d], codes[d], query[d])
+					lo, hi := cellBounds(marks[d], codes[d], query[d])
 					lo2 += lo * lo
 					hi2 += hi * hi
 				}
@@ -150,8 +150,8 @@ func TestCellBoundsContainment(t *testing.T) {
 		m := buildMarks(coords, 1+rng.Intn(8))
 		x := rng.NormFloat64() * 3
 		for _, p := range coords {
-			c := Cell(m, p)
-			lo, hi := CellBounds(m, c, x)
+			c := cellOf(m, p)
+			lo, hi := cellBounds(m, c, x)
 			ad := math.Abs(p - x)
 			if !(lo <= ad && ad <= hi) {
 				t.Fatalf("per-dim bounds [%v, %v] miss |%v - %v| = %v (cell %d: [%v, %v])",

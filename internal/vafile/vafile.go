@@ -17,14 +17,35 @@
 // independent of the data distribution — nothing to sample, nothing to
 // predict — which is exactly why the paper's prediction problem does
 // not arise for it.
+//
+// # Exact filtering
+//
+// The quantizer (fillMarks, cellOf, cellBounds: equi-populated
+// per-dimension boundaries, cell assignment, per-cell distance bounds)
+// keeps the invariants the filter's exactness rests on:
+//
+//   - Marks are non-decreasing, the first mark is the minimum
+//     coordinate, and the last mark is Nextafter(max, +Inf) — so every
+//     data coordinate x satisfies m[c] <= x < m[c+1] for its own cell
+//     c = cellOf(m, x), strictly below the upper boundary.
+//   - cellBounds(m, c, x) returns the minimum and maximum absolute
+//     distance from a query coordinate x to the closed interval
+//     [m[c], m[c+1]]. Because the cell interval contains every point
+//     assigned to the cell, lo <= |p-x| <= hi holds per dimension, and
+//     this survives floating point: each bound is computed with a
+//     single subtraction (one correctly-rounded operation, monotone in
+//     its arguments), so the rounded bound stays on the correct side
+//     of the rounded |p-x|. Summing squared per-dimension terms in the
+//     same ascending-dimension order as the exact distance then keeps
+//     the summed bounds on the correct side too (non-negative terms,
+//     identical operation count and order, round-to-nearest is
+//     monotone term by term).
 package vafile
 
 import (
 	"fmt"
 	"math"
 	"sort"
-
-	"hdidx/internal/quant"
 )
 
 // VAFile is a vector approximation file over a fixed dataset.
@@ -65,8 +86,7 @@ func Build(pts [][]float64, bits, pageBytes int) (*VAFile, error) {
 		approx:    make([][]uint32, len(pts)),
 	}
 	slices := 1 << bits
-	// Equi-populated marks per dimension from the sorted coordinates
-	// (the quantizer math in internal/quant).
+	// Equi-populated marks per dimension from the sorted coordinates.
 	coord := make([]float64, len(pts))
 	for d := 0; d < dim; d++ {
 		for i, p := range pts {
@@ -74,7 +94,7 @@ func Build(pts [][]float64, bits, pageBytes int) (*VAFile, error) {
 		}
 		sort.Float64s(coord)
 		m := make([]float64, slices+1)
-		quant.Marks(m, coord)
+		fillMarks(m, coord)
 		v.marks[d] = m
 	}
 	for i, p := range pts {
@@ -89,7 +109,7 @@ func Build(pts [][]float64, bits, pageBytes int) (*VAFile, error) {
 
 // cell returns the slice index of coordinate x in dimension d.
 func (v *VAFile) cell(d int, x float64) uint32 {
-	return quant.Cell(v.marks[d], x)
+	return cellOf(v.marks[d], x)
 }
 
 // N returns the number of stored vectors.
@@ -111,11 +131,64 @@ func (v *VAFile) ApproximationPages() int {
 // between q and the point with approximation a.
 func (v *VAFile) bounds(q []float64, a []uint32) (lo2, hi2 float64) {
 	for d := 0; d < v.dim; d++ {
-		lo, hi := quant.CellBounds(v.marks[d], a[d], q[d])
+		lo, hi := cellBounds(v.marks[d], a[d], q[d])
 		lo2 += lo * lo
 		hi2 += hi * hi
 	}
 	return lo2, hi2
+}
+
+// fillMarks fills m with the len(m)-1 equi-populated slice boundaries
+// of one dimension, computed from the sorted coordinate values (as
+// Weber et al. recommend for non-uniform data). m[0] is the minimum,
+// the last mark is just above the maximum, and duplicates collapse
+// slices into empty cells (marks stay non-decreasing).
+func fillMarks(m []float64, sorted []float64) {
+	slices := len(m) - 1
+	m[0] = sorted[0]
+	m[slices] = math.Nextafter(sorted[len(sorted)-1], math.Inf(1))
+	for s := 1; s < slices; s++ {
+		m[s] = sorted[(len(sorted)*s)/slices]
+	}
+	// Guarantee non-decreasing marks (duplicates collapse slices).
+	for s := 1; s <= slices; s++ {
+		if m[s] < m[s-1] {
+			m[s] = m[s-1]
+		}
+	}
+}
+
+// cellOf returns the slice index of coordinate x against marks m: the
+// largest s with m[s] <= x, clamped to [0, len(m)-2].
+func cellOf(m []float64, x float64) uint32 {
+	lo, hi := 0, len(m)-1 // find s with m[s] <= x < m[s+1]
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		if m[mid] <= x {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return uint32(lo)
+}
+
+// cellBounds returns the minimum and maximum absolute distance from
+// query coordinate x to the cell interval [m[c], m[c+1]].
+func cellBounds(m []float64, c uint32, x float64) (lo, hi float64) {
+	l, h := m[c], m[c+1]
+	switch {
+	case x < l:
+		return l - x, h - x
+	case x > h:
+		return x - h, x - l
+	}
+	lo = 0
+	hi = x - l
+	if d := h - x; d > hi {
+		hi = d
+	}
+	return lo, hi
 }
 
 // Result reports one VA-file k-NN search.

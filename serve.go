@@ -1,15 +1,11 @@
 package hdidx
 
 import (
-	"time"
+	"errors"
 
 	"hdidx/internal/obs"
 	"hdidx/internal/serve"
 )
-
-// serveLatency is the internal latency digest the facade converts to
-// the exported LatencyStats.
-type serveLatency = obs.LatencySummary
 
 // This file surfaces the concurrent query-serving core
 // (internal/serve) through the facade: a Server holds an index that
@@ -25,10 +21,9 @@ var ErrOverloaded = serve.ErrOverloaded
 // errors.Is.
 var ErrServerClosed = serve.ErrClosed
 
-// ErrDeadline reports that a k-NN query waited on the admission queue
-// past ServeConfig.QueueTimeout and was never searched; back off and
-// retry. Test with errors.Is.
-var ErrDeadline = serve.ErrDeadline
+// ErrDeadline is never returned: no call has a queue deadline. It
+// stays only because the benchmark module (bench/) names it.
+var ErrDeadline = errors.New("hdidx: queued past deadline")
 
 // ServeConfig parameterizes NewServer. The zero value of every field
 // selects a sensible default.
@@ -49,11 +44,6 @@ type ServeConfig struct {
 	// become visible to queries at the next publication; Flush forces
 	// one for every shard with pending points.
 	FlattenEvery int
-	// QueueTimeout bounds how long a k-NN query may wait on the
-	// admission queue before the batcher reaches it; stale queries
-	// fail with ErrDeadline instead of occupying batch slots. 0 (the
-	// default) disables the deadline.
-	QueueTimeout time.Duration
 	// SnapshotPath, when non-empty, makes every snapshot publication
 	// durable, at every shard count. The path names a checksummed
 	// manifest: each publication writes its shards' trees to new
@@ -105,7 +95,6 @@ func NewServer(points [][]float64, scfg ServeConfig, opts ...Option) (*Server, e
 		Geometry:     c.geometry(dim),
 		Shards:       scfg.Shards,
 		FlattenEvery: scfg.FlattenEvery,
-		QueueTimeout: scfg.QueueTimeout,
 		SnapshotPath: scfg.SnapshotPath,
 	})
 	if err != nil {
@@ -134,8 +123,7 @@ func (s *Server) KNN(q []float64, k int) ([][]float64, QueryStats, error) {
 // the current snapshot. A non-finite center or a NaN radius is an
 // error.
 func (s *Server) RangeCount(center []float64, radius float64) (int, error) {
-	n, _, err := s.srv.RangeCount(center, radius)
-	return n, err
+	return s.srv.RangeCount(center, radius)
 }
 
 // Insert ingests one point (copied). It becomes visible to queries at
@@ -161,98 +149,14 @@ func (s *Server) Close() error { return s.srv.Close() }
 
 // LatencyStats summarizes observed per-query latencies (queue wait
 // plus search time).
-type LatencyStats struct {
-	// Count is the number of queries observed.
-	Count int64
-	// Mean is the exact mean latency; P50/P95/P99 are reservoir
-	// quantile estimates; Max is the exact maximum.
-	Mean, P50, P95, P99, Max time.Duration
-}
+type LatencyStats = obs.LatencySummary
 
 // ShardServeStats is the per-shard breakdown within ServerStats.
-type ShardServeStats struct {
-	// Points is the number of points in the shard's current snapshot.
-	Points int
-	// Generation is the publication event that produced the shard's
-	// current snapshot.
-	Generation int64
-	// Publications counts the snapshots this shard has published.
-	Publications int64
-	// BytesWritten is the shard's cumulative durable snapshot bytes.
-	BytesWritten int64
-	// Mapped reports whether the shard's current snapshot is served
-	// zero-copy from a read-only file mapping.
-	Mapped bool
-}
+type ShardServeStats = serve.ShardStats
 
-// ServerStats is a point-in-time digest of a Server.
-type ServerStats struct {
-	// Points is the size of the current snapshots (ingested but
-	// unpublished points excluded).
-	Points int
-	// Generation counts publication events since start; each event
-	// republishes only its dirty shards.
-	Generation int64
-	// Publications counts snapshots published across all shards; with
-	// one shard it equals Generation.
-	Publications int64
-	// RetiredSnapshots counts superseded snapshots whose readers have
-	// all drained.
-	RetiredSnapshots int64
-	// Overloads counts queries rejected with ErrOverloaded.
-	Overloads int64
-	// Deadlines counts queries that aged past ServeConfig.QueueTimeout
-	// on the admission queue and failed with ErrDeadline.
-	Deadlines int64
-	// FlattenTime is the cumulative time spent re-flattening shards at
-	// publication, and BytesWritten the cumulative durable bytes
-	// (snapshot files plus manifests); their per-generation rates are
-	// the publication cost ServeConfig.Shards divides.
-	FlattenTime time.Duration
-	// BytesWritten is the cumulative durable bytes written.
-	BytesWritten int64
-	// Mapped reports whether every current snapshot is served
-	// zero-copy from a read-only file mapping: the case for a durable
-	// server where the platform supports mmap, unless a shard's
-	// current file failed the check after its write or the mmap call
-	// itself failed. Every file the manifest names was verified after
-	// its write, mapped or not. After Close it tells how the final
-	// snapshots were served; their files are released.
-	Mapped bool
-	// Shards holds the per-shard breakdown, in shard order.
-	Shards []ShardServeStats
-	// KNN and Range are the per-query latency digests.
-	KNN, Range LatencyStats
-}
+// ServerStats is a point-in-time digest of a Server. Its Deadlines
+// field is always 0.
+type ServerStats = serve.Stats
 
 // Stats digests the server's counters and latency sketches.
-func (s *Server) Stats() ServerStats {
-	st := s.srv.Stats()
-	conv := func(l serveLatency) LatencyStats {
-		return LatencyStats{Count: l.Count, Mean: l.Mean, P50: l.P50, P95: l.P95, P99: l.P99, Max: l.Max}
-	}
-	shards := make([]ShardServeStats, len(st.Shards))
-	for i, sh := range st.Shards {
-		shards[i] = ShardServeStats{
-			Points:       sh.Points,
-			Generation:   sh.Generation,
-			Publications: sh.Publications,
-			BytesWritten: sh.BytesWritten,
-			Mapped:       sh.Mapped,
-		}
-	}
-	return ServerStats{
-		Points:           st.Points,
-		Generation:       st.Generation,
-		Publications:     st.Publications,
-		RetiredSnapshots: st.RetiredSnapshots,
-		Overloads:        st.Overloads,
-		Deadlines:        st.Deadlines,
-		FlattenTime:      st.FlattenTime,
-		BytesWritten:     st.BytesWritten,
-		Mapped:           st.Mapped,
-		Shards:           shards,
-		KNN:              conv(st.KNN),
-		Range:            conv(st.Range),
-	}
-}
+func (s *Server) Stats() ServerStats { return s.srv.Stats() }
