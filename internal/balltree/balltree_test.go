@@ -87,7 +87,7 @@ func TestSphereShrinkageMonteCarlo(t *testing.T) {
 			for j := range g {
 				g[j] = rng.NormFloat64()
 			}
-			norm := vec.Norm(g)
+			norm := vec.Dist(g, make([]float64, d))
 			r := math.Pow(rng.Float64(), 1.0/d)
 			dist := 0.0
 			for j := range g {

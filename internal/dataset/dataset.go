@@ -1,13 +1,14 @@
 // Package dataset provides the data substrate for the reproduction:
 // synthetic generators standing in for the paper's five real datasets,
-// a Karhunen-Loève transform (KLT/PCA) and a discrete Fourier transform
-// used to post-process generated data the way the paper's datasets were
-// post-processed, and the sampling primitives the predictors build on.
+// a discrete Fourier transform for the time-series stand-in, and the
+// sampling primitives the predictors build on.
 //
 // The paper's datasets (Table 1) are not redistributable, so each has a
 // synthetic stand-in with the same cardinality and dimensionality and
 // the property the paper's argument rests on: strong cluster structure
-// with rapidly decaying per-dimension variance, as produced by a KLT.
+// with rapidly decaying per-dimension variance, as a KLT produces. The
+// clustered generators draw that decay directly, so no KLT runs: their
+// output already looks KLT-transformed.
 package dataset
 
 import (

@@ -166,134 +166,6 @@ func TestDFTRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestFitKLTRecoversAxes(t *testing.T) {
-	// Data spread along a known rotated axis in 2-d: KLT's first basis
-	// vector must align with it.
-	rng := rand.New(rand.NewSource(6))
-	dir := []float64{3.0 / 5.0, 4.0 / 5.0}
-	pts := make([][]float64, 2000)
-	for i := range pts {
-		a := rng.NormFloat64() * 10
-		b := rng.NormFloat64() * 0.1
-		pts[i] = []float64{a*dir[0] - b*dir[1] + 7, a*dir[1] + b*dir[0] - 3}
-	}
-	k, err := FitKLT(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(k.Mean[0]-7) > 0.5 || math.Abs(k.Mean[1]+3) > 0.5 {
-		t.Errorf("mean = %v", k.Mean)
-	}
-	if k.Eigenvalues[0] < k.Eigenvalues[1] {
-		t.Error("eigenvalues not sorted descending")
-	}
-	align := math.Abs(k.Basis[0][0]*dir[0] + k.Basis[0][1]*dir[1])
-	if align < 0.999 {
-		t.Errorf("first axis alignment = %v, want ~1", align)
-	}
-}
-
-func TestKLTDecorrelates(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pts := make([][]float64, 1000)
-	for i := range pts {
-		a := rng.NormFloat64()
-		pts[i] = []float64{a + 0.1*rng.NormFloat64(), a + 0.1*rng.NormFloat64(), rng.NormFloat64()}
-	}
-	k, err := FitKLT(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := k.ApplyAll(pts)
-	// Transformed coordinates must be (near) uncorrelated.
-	d := 3
-	mean := make([]float64, d)
-	vec.Mean(tr, mean)
-	for i := 0; i < d; i++ {
-		for j := i + 1; j < d; j++ {
-			var cov float64
-			for _, p := range tr {
-				cov += (p[i] - mean[i]) * (p[j] - mean[j])
-			}
-			cov /= float64(len(tr))
-			if math.Abs(cov) > 0.01 {
-				t.Errorf("cov[%d][%d] = %v, want ~0", i, j, cov)
-			}
-		}
-	}
-}
-
-func TestKLTBasisOrthonormalProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := 2 + r.Intn(6)
-		n := 20 + r.Intn(100)
-		pts := make([][]float64, n)
-		for i := range pts {
-			pts[i] = make([]float64, d)
-			for j := range pts[i] {
-				pts[i][j] = r.NormFloat64()
-			}
-		}
-		k, err := FitKLT(pts)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < d; i++ {
-			for j := i; j < d; j++ {
-				dot := vec.Dot(k.Basis[i], k.Basis[j])
-				want := 0.0
-				if i == j {
-					want = 1.0
-				}
-				if math.Abs(dot-want) > 1e-6 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFitKLTTooFewPoints(t *testing.T) {
-	if _, err := FitKLT([][]float64{{1, 2}}); err == nil {
-		t.Error("expected error for single point")
-	}
-}
-
-func TestBernoulliSampleRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	pts := make([][]float64, 100000)
-	for i := range pts {
-		pts[i] = []float64{float64(i)}
-	}
-	s := BernoulliSample(pts, 0.1, rng)
-	got := float64(len(s)) / float64(len(pts))
-	if math.Abs(got-0.1) > 0.01 {
-		t.Errorf("sample rate = %v, want ~0.1", got)
-	}
-	full := BernoulliSample(pts, 1, rng)
-	if len(full) != len(pts) {
-		t.Errorf("rate 1 kept %d of %d", len(full), len(pts))
-	}
-	empty := BernoulliSample(pts, 0, rng)
-	if len(empty) != 0 {
-		t.Errorf("rate 0 kept %d", len(empty))
-	}
-}
-
-func TestBernoulliSampleBadRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BernoulliSample(nil, 1.5, rand.New(rand.NewSource(1)))
-}
-
 func TestSampleExactSizeAndDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := make([][]float64, 1000)
@@ -345,8 +217,8 @@ func TestReservoirExactWhenSmallStream(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Offer([]float64{float64(i)})
 	}
-	if len(r.Sample()) != 5 || r.Seen() != 5 {
-		t.Errorf("reservoir holds %d of %d", len(r.Sample()), r.Seen())
+	if len(r.Sample()) != 5 {
+		t.Errorf("reservoir holds %d of 5", len(r.Sample()))
 	}
 }
 
@@ -388,20 +260,28 @@ func BenchmarkGenerateTexture60Small(b *testing.B) {
 	}
 }
 
-func BenchmarkFitKLT16(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := make([][]float64, 1000)
-	for i := range pts {
-		pts[i] = make([]float64, 16)
-		for j := range pts[i] {
-			pts[i][j] = rng.NormFloat64()
-		}
+// InverseDFTReal inverts DFTReal: the oracle of the round-trip tests.
+func InverseDFTReal(coef []float64) []float64 {
+	n := len(coef)
+	x := make([]float64, n)
+	if n == 0 {
+		return x
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FitKLT(pts); err != nil {
-			b.Fatal(err)
+	half := (n - 1) / 2
+	for t := 0; t < n; t++ {
+		v := coef[0]
+		for k := 1; k <= half; k++ {
+			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			v += coef[2*k-1]*math.Cos(angle) + coef[2*k]*math.Sin(angle)
 		}
+		if n%2 == 0 {
+			if t%2 == 0 {
+				v += coef[n-1]
+			} else {
+				v -= coef[n-1]
+			}
+		}
+		x[t] = v
 	}
+	return x
 }

@@ -1,35 +1,11 @@
 package dataset
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
-// Sampling primitives. The predictors need two kinds of samples:
-// a Bernoulli sample at a target rate (every point kept independently
-// with probability rate, used when scanning the dataset once), and an
+// Sampling primitives. The predictors need two kinds of samples: an
 // exact-size uniform sample (used to fill memory with exactly M
-// points).
-
-// BernoulliSample keeps each point of pts independently with the given
-// probability. The returned slice shares the point storage with pts.
-func BernoulliSample(pts [][]float64, rate float64, rng *rand.Rand) [][]float64 {
-	if rate < 0 || rate > 1 {
-		panic(fmt.Sprintf("dataset: sampling rate %g outside [0,1]", rate))
-	}
-	if rate == 1 {
-		out := make([][]float64, len(pts))
-		copy(out, pts)
-		return out
-	}
-	out := make([][]float64, 0, int(float64(len(pts))*rate)+16)
-	for _, p := range pts {
-		if rng.Float64() < rate {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// points), and a reservoir over a stream (used to draw the upper-tree
+// sample during the single dataset scan).
 
 // SampleExact returns exactly m points drawn uniformly without
 // replacement from pts (all of them if m >= len(pts)). The returned
@@ -87,9 +63,6 @@ func (r *Reservoir) Offer(p []float64) {
 		r.pts[j] = p
 	}
 }
-
-// Seen returns the number of points offered so far.
-func (r *Reservoir) Seen() int { return r.seen }
 
 // Sample returns the current sample. The slice is owned by the
 // reservoir; callers must not retain it across further Offers.

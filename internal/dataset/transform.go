@@ -1,180 +1,12 @@
 package dataset
 
-import (
-	"fmt"
-	"math"
-)
-
-// This file implements the two transforms the paper's datasets were
-// preprocessed with: the Karhunen-Loève transform (KLT, i.e. PCA via a
-// Jacobi eigensolver on the covariance matrix) and the discrete
-// Fourier transform.
-
-// KLT holds a fitted Karhunen-Loève transform: the data mean and the
-// eigenvectors of the covariance matrix ordered by decreasing
-// eigenvalue.
-type KLT struct {
-	Mean        []float64
-	Eigenvalues []float64
-	// Basis[k] is the k-th principal axis (unit length).
-	Basis [][]float64
-}
-
-// FitKLT estimates the KLT of pts. The cost is O(N*d^2 + d^3); callers
-// with very high dimensionality should fit on a sample.
-func FitKLT(pts [][]float64) (*KLT, error) {
-	if len(pts) < 2 {
-		return nil, fmt.Errorf("dataset: KLT needs at least 2 points, got %d", len(pts))
-	}
-	d := len(pts[0])
-	mean := make([]float64, d)
-	for _, p := range pts {
-		for j, v := range p {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(len(pts))
-	}
-	// Covariance matrix (symmetric, row-major).
-	cov := make([][]float64, d)
-	for i := range cov {
-		cov[i] = make([]float64, d)
-	}
-	for _, p := range pts {
-		for i := 0; i < d; i++ {
-			di := p[i] - mean[i]
-			row := cov[i]
-			for j := i; j < d; j++ {
-				row[j] += di * (p[j] - mean[j])
-			}
-		}
-	}
-	n := float64(len(pts) - 1)
-	for i := 0; i < d; i++ {
-		for j := i; j < d; j++ {
-			cov[i][j] /= n
-			cov[j][i] = cov[i][j]
-		}
-	}
-	vals, vecs := jacobiEigen(cov)
-	// Sort by decreasing eigenvalue (selection sort; d is small).
-	for i := 0; i < d; i++ {
-		best := i
-		for j := i + 1; j < d; j++ {
-			if vals[j] > vals[best] {
-				best = j
-			}
-		}
-		vals[i], vals[best] = vals[best], vals[i]
-		vecs[i], vecs[best] = vecs[best], vecs[i]
-	}
-	return &KLT{Mean: mean, Eigenvalues: vals, Basis: vecs}, nil
-}
-
-// Apply projects p onto the KLT basis, returning the transformed point.
-func (k *KLT) Apply(p []float64) []float64 {
-	out := make([]float64, len(k.Basis))
-	for i, axis := range k.Basis {
-		var s float64
-		for j, v := range axis {
-			s += v * (p[j] - k.Mean[j])
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// ApplyAll transforms every point of pts.
-func (k *KLT) ApplyAll(pts [][]float64) [][]float64 {
-	out := make([][]float64, len(pts))
-	for i, p := range pts {
-		out[i] = k.Apply(p)
-	}
-	return out
-}
-
-// jacobiEigen computes all eigenvalues and eigenvectors of the
-// symmetric matrix a (destroyed in place) with the cyclic Jacobi
-// method. vecs[k] is the eigenvector for vals[k].
-func jacobiEigen(a [][]float64) (vals []float64, vecs [][]float64) {
-	d := len(a)
-	v := make([][]float64, d)
-	for i := range v {
-		v[i] = make([]float64, d)
-		v[i][i] = 1
-	}
-	const maxSweeps = 64
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
-		for i := 0; i < d; i++ {
-			for j := i + 1; j < d; j++ {
-				off += a[i][j] * a[i][j]
-			}
-		}
-		if off < 1e-22*float64(d*d) {
-			break
-		}
-		for p := 0; p < d; p++ {
-			for q := p + 1; q < d; q++ {
-				if a[p][q] == 0 {
-					continue
-				}
-				theta := (a[q][q] - a[p][p]) / (2 * a[p][q])
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				if theta < 0 {
-					t = -t
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				rotate(a, p, q, c, s)
-				rotateCols(v, p, q, c, s)
-			}
-		}
-	}
-	vals = make([]float64, d)
-	vecs = make([][]float64, d)
-	for k := 0; k < d; k++ {
-		vals[k] = a[k][k]
-		vecs[k] = make([]float64, d)
-		for i := 0; i < d; i++ {
-			vecs[k][i] = v[i][k]
-		}
-	}
-	return vals, vecs
-}
-
-// rotate applies the Jacobi rotation J(p,q,c,s) as a^T J a on the
-// symmetric matrix a.
-func rotate(a [][]float64, p, q int, c, s float64) {
-	d := len(a)
-	for i := 0; i < d; i++ {
-		aip, aiq := a[i][p], a[i][q]
-		a[i][p] = c*aip - s*aiq
-		a[i][q] = s*aip + c*aiq
-	}
-	for i := 0; i < d; i++ {
-		api, aqi := a[p][i], a[q][i]
-		a[p][i] = c*api - s*aqi
-		a[q][i] = s*api + c*aqi
-	}
-}
-
-// rotateCols multiplies v by the rotation on the right (accumulating
-// eigenvectors in columns).
-func rotateCols(v [][]float64, p, q int, c, s float64) {
-	for i := range v {
-		vip, viq := v[i][p], v[i][q]
-		v[i][p] = c*vip - s*viq
-		v[i][q] = s*vip + c*viq
-	}
-}
+import "math"
 
 // DFTReal computes the real discrete Fourier transform of x and
 // returns a vector of the same length: out[0] is the DC coefficient,
 // followed by interleaved (real, imaginary) parts of the positive
 // frequencies. For even lengths the final slot holds the Nyquist
-// coefficient. The mapping is invertible (see InverseDFTReal) and
+// coefficient. The mapping is invertible (the tests invert it) and
 // energy-preserving up to the usual 1/n convention, making it a
 // faithful stand-in for the paper's "transformed using DFT".
 func DFTReal(x []float64) []float64 {
@@ -212,30 +44,4 @@ func DFTReal(x []float64) []float64 {
 		out[n-1] = ny / float64(n)
 	}
 	return out
-}
-
-// InverseDFTReal inverts DFTReal.
-func InverseDFTReal(coef []float64) []float64 {
-	n := len(coef)
-	x := make([]float64, n)
-	if n == 0 {
-		return x
-	}
-	half := (n - 1) / 2
-	for t := 0; t < n; t++ {
-		v := coef[0]
-		for k := 1; k <= half; k++ {
-			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			v += coef[2*k-1]*math.Cos(angle) + coef[2*k]*math.Sin(angle)
-		}
-		if n%2 == 0 {
-			if t%2 == 0 {
-				v += coef[n-1]
-			} else {
-				v -= coef[n-1]
-			}
-		}
-		x[t] = v
-	}
-	return x
 }

@@ -11,18 +11,22 @@ func TestAccessorsAndString(t *testing.T) {
 	if d.Params().PageBytes != 8192 {
 		t.Errorf("Params = %+v", d.Params())
 	}
-	f := d.Alloc(8192 * 3)
-	if f.Size() != 8192*3 || f.Pages() != 3 {
-		t.Errorf("file size/pages = %d/%d", f.Size(), f.Pages())
+	// Alloc rounds up to whole pages, and an empty file still gets one.
+	f := d.Alloc(8192*2 + 1)
+	if f.size != 8192*2+1 || f.numPages != 3 {
+		t.Errorf("file size/pages = %d/%d", f.size, f.numPages)
+	}
+	if empty := d.Alloc(0); empty.numPages != 1 || empty.startPage != 3 {
+		t.Errorf("empty file pages/start = %d/%d, want 1/3", empty.numPages, empty.startPage)
 	}
 	if f.Disk() != d {
 		t.Error("Disk() identity")
 	}
-	if d.AllocatedPages() != 3 {
-		t.Errorf("AllocatedPages = %d", d.AllocatedPages())
+	if d.pages != 4 {
+		t.Errorf("allocated pages = %d, want 4", d.pages)
 	}
 	f.TouchPages(0, 2)
-	if got := d.CostSeconds(); math.Abs(got-(0.010+2*0.0004)) > 1e-12 {
+	if got := d.Counters().CostSeconds(d.Params()); math.Abs(got-(0.010+2*0.0004)) > 1e-12 {
 		t.Errorf("CostSeconds = %v", got)
 	}
 	s := d.Counters().String()
@@ -57,15 +61,11 @@ func TestPointFileAccessors(t *testing.T) {
 	if pf.File() == nil {
 		t.Error("File() nil")
 	}
-	if pf.PointsPerPage() != PointsPerPage(DefaultParams(), 4) {
-		t.Error("PointsPerPage mismatch")
-	}
 	pf.AppendAll([][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}})
-	if got := pf.PagesFor(0, 2); got != 1 {
-		t.Errorf("PagesFor = %d, want 1 (both points in page 0)", got)
-	}
-	if got := pf.PagesFor(0, 0); got != 0 {
-		t.Errorf("PagesFor(0,0) = %d", got)
+	d.ResetCounters()
+	pf.ReadRange(0, 2)
+	if c := d.Counters(); c.Seeks != 1 || c.Transfers != 1 {
+		t.Errorf("reading both points = %+v, want 1 seek / 1 transfer (both in page 0)", c)
 	}
 }
 
@@ -95,16 +95,14 @@ func TestPointFileOversizedPoints(t *testing.T) {
 	d := New(DefaultParams())
 	const dim = 4096
 	pf := NewPointFile(d, dim, 3)
-	if pf.PointsPerPage() != 1 {
-		t.Fatalf("PointsPerPage = %d", pf.PointsPerPage())
+	if pf.ppp != 1 {
+		t.Fatalf("points per page = %d", pf.ppp)
 	}
 	p := make([]float64, dim)
 	for i := range p {
 		p[i] = float64(i % 7)
 	}
-	pf.Append(p)
-	pf.Append(p)
-	pf.Append(p)
+	pf.AppendAll([][]float64{p, p, p})
 	d.ResetCounters()
 	got := pf.ReadAll()
 	for i := range got {
@@ -117,9 +115,6 @@ func TestPointFileOversizedPoints(t *testing.T) {
 	// Each point spans 2 physical pages: 3 points = 6 transfers.
 	if c := d.Counters(); c.Transfers != 6 {
 		t.Errorf("transfers = %d, want 6", c.Transfers)
-	}
-	if got := pf.PagesFor(0, 3); got != 6 {
-		t.Errorf("PagesFor = %d, want 6", got)
 	}
 }
 
@@ -143,7 +138,7 @@ func TestPointFileConstructionPanics(t *testing.T) {
 func TestPointFileReadOutsidePrefix(t *testing.T) {
 	d := New(DefaultParams())
 	pf := NewPointFile(d, 2, 10)
-	pf.Append([]float64{1, 2})
+	pf.AppendAll([][]float64{{1, 2}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -8,9 +8,12 @@
 // The disk stores real bytes, so code built on top of it (the on-disk
 // bulk loader, the resampling predictor's k consecutive areas) actually
 // round-trips its data rather than merely pricing hypothetical I/O.
-// Counters can be snapshotted and diffed to attribute cost to phases.
-// There is no cache: every page touch, read or write, is physical I/O,
-// as the paper prices it.
+// I/O is charged two ways only: PointFile sweeps over stored points,
+// and File.TouchPages for pages whose contents need not exist (the
+// on-disk build's directory pages). Counters read before and after a
+// phase and subtracted (Counters.Sub) attribute its cost. There is no
+// cache: every page touch, read or write, is physical I/O, as the
+// paper prices it.
 package disk
 
 import (
@@ -82,9 +85,9 @@ func (c Counters) String() string {
 // with New.
 //
 // All bookkeeping state (counters, head position, allocation metadata)
-// is guarded by a mutex so that observability code may snapshot and
-// diff counters, and allocate new extents, concurrently with accesses
-// on other goroutines (e.g. while parallelFor workers run). Page bytes
+// is guarded by a mutex so that observability code may read counters,
+// and allocate new extents, concurrently with accesses on other
+// goroutines (e.g. while parallelFor workers run). Page bytes
 // live in each File and are not guarded: the simulation models a
 // single logical I/O stream, and all data accesses to a file must stay
 // on one goroutine at a time.
@@ -128,17 +131,6 @@ func (d *Disk) Counters() Counters {
 	return d.counters
 }
 
-// Snapshot is Counters under a name that reads as a phase boundary:
-// take one before a phase, another after, and Sub them to attribute
-// the phase's I/O. Safe for concurrent use with accesses.
-func (d *Disk) Snapshot() Counters { return d.Counters() }
-
-// DiffSince returns the activity since a snapshot taken earlier with
-// Snapshot or Counters.
-func (d *Disk) DiffSince(before Counters) Counters {
-	return d.Counters().Sub(before)
-}
-
 // ResetCounters zeroes the accumulated activity and forgets the head
 // position (the next access will seek).
 func (d *Disk) ResetCounters() {
@@ -151,22 +143,11 @@ func (d *Disk) ResetCounters() {
 // noPage marks an unknown head position: the next access always seeks.
 const noPage = -1 << 62
 
-// CostSeconds prices the accumulated activity under the disk's params.
-func (d *Disk) CostSeconds() float64 { return d.Counters().CostSeconds(d.params) }
-
-// AllocatedPages returns the total number of pages allocated so far.
-// Safe for concurrent use with Alloc and accesses.
-func (d *Disk) AllocatedPages() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.pages
-}
-
 // Alloc reserves a contiguous extent large enough for size bytes and
 // returns a File over it. The file owns the bytes of its extent, so
 // allocation costs the new extent only, never a copy of earlier ones.
 // Allocation itself performs no I/O. Safe for concurrent use with
-// counter snapshots and AllocatedPages.
+// Counters and with other Allocs.
 func (d *Disk) Alloc(size int64) *File {
 	if size < 0 {
 		panic("disk: negative allocation")
@@ -205,8 +186,9 @@ func (d *Disk) access(first, last int64) {
 	d.lastPage = last
 }
 
-// File is a contiguous extent of a Disk. Reads and writes are
-// byte-addressed within the file and are charged page-granular I/O.
+// File is a contiguous extent of a Disk. Its bytes are moved by the
+// PointFile over it, which charges page-granular I/O per sweep;
+// TouchPages charges pages without moving bytes.
 type File struct {
 	disk      *Disk
 	startPage int64
@@ -215,17 +197,8 @@ type File struct {
 	data      []byte // the extent's bytes, numPages pages long
 }
 
-// Size returns the logical size of the file in bytes.
-func (f *File) Size() int64 { return f.size }
-
 // Disk returns the disk this file lives on.
 func (f *File) Disk() *Disk { return f.disk }
-
-// Pages returns the number of pages in the file's extent.
-func (f *File) Pages() int64 { return f.numPages }
-
-// StartPage returns the absolute page number of the file's first page.
-func (f *File) StartPage() int64 { return f.startPage }
 
 // boundsCheck panics unless [off, off+n) lies within the file's
 // logical size. Checking against the logical size rather than the
@@ -237,46 +210,8 @@ func (f *File) boundsCheck(off int64, n int) {
 	}
 }
 
-// pageRange resolves the absolute pages spanned by the non-empty byte
-// range [off, off+n).
-func (f *File) pageRange(off int64, n int) (first, last int64) {
-	f.boundsCheck(off, n)
-	pageBytes := int64(f.disk.params.PageBytes)
-	first = f.startPage + off/pageBytes
-	last = f.startPage + (off+int64(n)-1)/pageBytes
-	return first, last
-}
-
-// ReadAt reads len(b) bytes starting at byte offset off, charging the
-// page accesses to the disk. Zero-length reads are true no-ops: they
-// are bounds-checked but resolve no page, charge no I/O and do not
-// move the head.
-func (f *File) ReadAt(b []byte, off int64) {
-	if len(b) == 0 {
-		f.boundsCheck(off, 0)
-		return
-	}
-	first, last := f.pageRange(off, len(b))
-	f.disk.access(first, last)
-	copy(b, f.data[off:])
-}
-
-// WriteAt writes b starting at byte offset off, charging the page
-// accesses to the disk. Zero-length writes are true no-ops, like
-// zero-length reads.
-func (f *File) WriteAt(b []byte, off int64) {
-	if len(b) == 0 {
-		f.boundsCheck(off, 0)
-		return
-	}
-	first, last := f.pageRange(off, len(b))
-	f.disk.access(first, last)
-	copy(f.data[off:], b)
-}
-
-// readRaw and writeRaw move bytes without charging I/O. They exist for
-// higher-level abstractions in this package (PointFile) that perform
-// their own page-granular accounting via TouchPages.
+// readRaw and writeRaw move bytes without charging I/O. PointFile
+// moves its points with them and charges each sweep via TouchPages.
 func (f *File) readRaw(b []byte, off int64) {
 	f.boundsCheck(off, len(b))
 	copy(b, f.data[off:])

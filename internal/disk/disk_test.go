@@ -52,13 +52,12 @@ func TestCountersCost(t *testing.T) {
 func TestSequentialScanCostsOneSeek(t *testing.T) {
 	d := New(DefaultParams())
 	f := d.Alloc(8192 * 10)
-	buf := make([]byte, 8192)
 	for i := int64(0); i < 10; i++ {
-		f.WriteAt(buf, i*8192)
+		f.TouchPages(i, 1)
 	}
 	c := d.Counters()
 	if c.Seeks != 1 {
-		t.Errorf("sequential write seeks = %d, want 1", c.Seeks)
+		t.Errorf("sequential touch seeks = %d, want 1", c.Seeks)
 	}
 	if c.Transfers != 10 {
 		t.Errorf("transfers = %d, want 10", c.Transfers)
@@ -68,10 +67,9 @@ func TestSequentialScanCostsOneSeek(t *testing.T) {
 func TestRandomAccessesSeekEachTime(t *testing.T) {
 	d := New(DefaultParams())
 	f := d.Alloc(8192 * 10)
-	buf := make([]byte, 1)
 	pagesHit := []int64{0, 5, 2, 9}
 	for _, p := range pagesHit {
-		f.ReadAt(buf, p*8192)
+		f.TouchPages(p, 1)
 	}
 	if got := d.Counters().Seeks; got != int64(len(pagesHit)) {
 		t.Errorf("seeks = %d, want %d", got, len(pagesHit))
@@ -81,22 +79,35 @@ func TestRandomAccessesSeekEachTime(t *testing.T) {
 func TestAdjacentPageNoSeek(t *testing.T) {
 	d := New(DefaultParams())
 	f := d.Alloc(8192 * 3)
-	buf := make([]byte, 1)
-	f.ReadAt(buf, 0)      // page 0: seek
-	f.ReadAt(buf, 8192)   // page 1: adjacent, no seek
-	f.ReadAt(buf, 8192*2) // page 2: adjacent, no seek
-	f.ReadAt(buf, 8192)   // page 1 again: backwards, seek
+	f.TouchPages(0, 1) // page 0: seek
+	f.TouchPages(1, 1) // page 1: adjacent, no seek
+	f.TouchPages(2, 1) // page 2: adjacent, no seek
+	f.TouchPages(1, 1) // page 1 again: backwards, seek
 	c := d.Counters()
 	if c.Seeks != 2 || c.Transfers != 4 {
 		t.Errorf("counters = %+v, want 2 seeks 4 transfers", c)
 	}
 }
 
+// newFullPointFile returns a point file of n zero points of dimension
+// dim, with the disk's counters reset after the write.
+func newFullPointFile(d *Disk, dim, n int) *PointFile {
+	pf := NewPointFile(d, dim, n)
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = make([]float64, dim)
+	}
+	pf.AppendAll(pts)
+	d.ResetCounters()
+	return pf
+}
+
 func TestMultiPageAccessCountsAllTransfers(t *testing.T) {
+	// 34 60-d points per 8 KB page: points [17, 119) start midway into
+	// page 0 and end inside page 3, so the sweep moves pages 0..3.
 	d := New(DefaultParams())
-	f := d.Alloc(8192 * 4)
-	buf := make([]byte, 8192*3)
-	f.ReadAt(buf, 4096) // spans pages 0..3 partially: pages 0,1,2,3? bytes [4096, 28672) -> pages 0..3
+	pf := newFullPointFile(d, 60, 4*34)
+	pf.ReadRange(17, 3*34)
 	c := d.Counters()
 	if c.Seeks != 1 || c.Transfers != 4 {
 		t.Errorf("counters = %+v, want 1 seek 4 transfers", c)
@@ -107,9 +118,9 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	d := New(DefaultParams())
 	f := d.Alloc(100)
 	in := []byte("hello, paged world")
-	f.WriteAt(in, 10)
+	f.writeRaw(in, 10)
 	out := make([]byte, len(in))
-	f.ReadAt(out, 10)
+	f.readRaw(out, 10)
 	if string(out) != string(in) {
 		t.Errorf("round trip = %q, want %q", out, in)
 	}
@@ -123,16 +134,15 @@ func TestOutOfBoundsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	f.ReadAt(make([]byte, 8193), 0)
+	f.TouchPages(0, 2)
 }
 
 func TestResetCountersForgetsPosition(t *testing.T) {
 	d := New(DefaultParams())
 	f := d.Alloc(8192 * 2)
-	buf := make([]byte, 1)
-	f.ReadAt(buf, 0)
+	f.TouchPages(0, 1)
 	d.ResetCounters()
-	f.ReadAt(buf, 8192) // would be adjacent, but position was forgotten
+	f.TouchPages(1, 1) // would be adjacent, but position was forgotten
 	if got := d.Counters().Seeks; got != 1 {
 		t.Errorf("seeks after reset = %d, want 1", got)
 	}
@@ -140,16 +150,14 @@ func TestResetCountersForgetsPosition(t *testing.T) {
 
 func TestTwoFilesAreDisjoint(t *testing.T) {
 	d := New(DefaultParams())
-	a := d.Alloc(8192)
-	b := d.Alloc(8192)
-	a.WriteAt([]byte{1, 2, 3}, 0)
-	b.WriteAt([]byte{9, 9, 9}, 0)
-	out := make([]byte, 3)
-	a.ReadAt(out, 0)
-	if out[0] != 1 || out[2] != 3 {
+	a := NewPointFile(d, 3, 1)
+	b := NewPointFile(d, 3, 1)
+	a.AppendAll([][]float64{{1, 2, 3}})
+	b.AppendAll([][]float64{{9, 9, 9}})
+	if out := a.ReadPoint(0); out[0] != 1 || out[2] != 3 {
 		t.Errorf("file a clobbered: %v", out)
 	}
-	if a.StartPage() == b.StartPage() {
+	if a.file.startPage == b.file.startPage {
 		t.Error("files share a start page")
 	}
 }
@@ -207,8 +215,8 @@ func TestPointFileRoundTrip(t *testing.T) {
 func TestPointFileAppendSingle(t *testing.T) {
 	d := New(DefaultParams())
 	pf := NewPointFile(d, 2, 2)
-	pf.Append([]float64{1, 2})
-	pf.Append([]float64{3, 4})
+	pf.AppendAll([][]float64{{1, 2}})
+	pf.AppendAll([][]float64{{3, 4}})
 	if got := pf.ReadPoint(1); got[0] != 3 || got[1] != 4 {
 		t.Errorf("ReadPoint(1) = %v", got)
 	}
@@ -217,7 +225,7 @@ func TestPointFileAppendSingle(t *testing.T) {
 			t.Fatal("expected panic when full")
 		}
 	}()
-	pf.Append([]float64{5, 6})
+	pf.AppendAll([][]float64{{5, 6}})
 }
 
 func TestPointFileDimensionMismatchPanics(t *testing.T) {
@@ -228,7 +236,7 @@ func TestPointFileDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	pf.Append([]float64{1})
+	pf.AppendAll([][]float64{{1}})
 }
 
 func TestPointFileScanCostMatchesFormula(t *testing.T) {
@@ -237,13 +245,7 @@ func TestPointFileScanCostMatchesFormula(t *testing.T) {
 	params := DefaultParams()
 	d := New(params)
 	n, dim := 10000, 60
-	pf := NewPointFile(d, dim, n)
-	pts := make([][]float64, n)
-	for i := range pts {
-		pts[i] = make([]float64, dim)
-	}
-	pf.AppendAll(pts)
-	d.ResetCounters()
+	pf := newFullPointFile(d, dim, n)
 	pf.ReadAll()
 	b := PointsPerPage(params, dim)
 	wantTransfers := int64((n + b - 1) / b)
@@ -257,8 +259,8 @@ func TestPointFileScanCostMatchesFormula(t *testing.T) {
 }
 
 // Property: arbitrary interleavings of in-bounds reads and writes
-// never corrupt data (what you wrote last at an index is what you read)
-// and transfers grow by at least one per access.
+// never corrupt data (what you wrote last at an index is what you
+// read).
 func TestPointFileConsistencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -272,9 +274,9 @@ func TestPointFileConsistencyProperty(t *testing.T) {
 			for j := range p {
 				p[j] = float64(r.Intn(1000)) / 4 // exactly representable in float32
 			}
-			pf.Append(p)
 			shadow = append(shadow, p)
 		}
+		pf.AppendAll(shadow)
 		for k := 0; k < 20; k++ {
 			i := r.Intn(n)
 			if r.Intn(2) == 0 {
@@ -282,7 +284,7 @@ func TestPointFileConsistencyProperty(t *testing.T) {
 				for j := range p {
 					p[j] = float64(r.Intn(1000)) / 4
 				}
-				pf.WriteAt(i, p)
+				pf.WriteRange(i, [][]float64{p})
 				shadow[i] = p
 			} else {
 				got := pf.ReadPoint(i)
@@ -302,13 +304,7 @@ func TestPointFileConsistencyProperty(t *testing.T) {
 
 func BenchmarkPointFileScan(b *testing.B) {
 	d := New(DefaultParams())
-	n, dim := 10000, 60
-	pf := NewPointFile(d, dim, n)
-	pts := make([][]float64, n)
-	for i := range pts {
-		pts[i] = make([]float64, dim)
-	}
-	pf.AppendAll(pts)
+	pf := newFullPointFile(d, 60, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -318,17 +314,18 @@ func BenchmarkPointFileScan(b *testing.B) {
 
 func TestZeroLengthAccessIsNoOp(t *testing.T) {
 	d := New(DefaultParams())
-	f := d.Alloc(8192 * 3)
-	buf := make([]byte, 1)
-	f.ReadAt(buf, 0) // head on page 0
+	pf := newFullPointFile(d, 60, 3*34)
+	pf.ReadRange(0, 1) // head on page 0
 	before := d.Counters()
-	f.ReadAt(nil, 8192*2)          // far page, but zero bytes
-	f.WriteAt([]byte{}, 8192*2+17) // likewise
+	pf.ReadRange(2*34, 0)       // far page, but zero points
+	pf.WriteRange(2*34+17, nil) // likewise
+	pf.AppendAll(nil)           // likewise
+	pf.File().TouchPages(2, 0)  // zero pages
 	if got := d.Counters(); got != before {
 		t.Errorf("zero-length access changed counters: %+v -> %+v", before, got)
 	}
 	// The head did not move either: page 1 is still adjacent.
-	f.ReadAt(buf, 8192)
+	pf.ReadRange(34, 1)
 	if got := d.Counters().Seeks - before.Seeks; got != 0 {
 		t.Errorf("zero-length access moved the head (%d extra seeks)", got)
 	}
@@ -336,26 +333,27 @@ func TestZeroLengthAccessIsNoOp(t *testing.T) {
 
 func TestZeroLengthAccessStillBoundsChecked(t *testing.T) {
 	d := New(DefaultParams())
-	f := d.Alloc(100)
+	pf := newFullPointFile(d, 2, 3)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for zero-length read past EOF")
+			t.Fatal("expected panic for zero-length read past the stored points")
 		}
 	}()
-	f.ReadAt(nil, 101)
+	pf.ReadRange(4, 0)
 }
 
 func TestReadPastLogicalSizePanics(t *testing.T) {
-	// The extent rounds 100 bytes up to a full page; reads must still be
-	// rejected beyond the logical size, not the page capacity.
+	// The extent rounds 10 points up to a full page; reads must still be
+	// rejected beyond the stored points, not the page capacity.
 	d := New(DefaultParams())
-	f := d.Alloc(100)
+	pf := NewPointFile(d, 2, 10)
+	pf.AppendAll([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic reading slack bytes past EOF")
+			t.Fatal("expected panic reading slack past the stored points")
 		}
 	}()
-	f.ReadAt(make([]byte, 50), 60)
+	pf.ReadRange(2, 2)
 }
 
 // Property: splitting one sequential sweep into arbitrary contiguous
@@ -366,15 +364,17 @@ func TestChunkedSequentialScanOneSeek(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		d := New(DefaultParams())
-		size := int64(8192*6 + r.Intn(8192*4))
-		fl := d.Alloc(size)
-		for off := int64(0); off < size; {
-			n := int64(1 + r.Intn(3*8192))
-			if off+n > size {
-				n = size - off
+		dim := 1 + r.Intn(80)
+		ppp := PointsPerPage(d.Params(), dim)
+		n := 6*ppp + r.Intn(4*ppp)
+		pf := newFullPointFile(d, dim, n)
+		for start := 0; start < n; {
+			c := 1 + r.Intn(3*ppp)
+			if start+c > n {
+				c = n - start
 			}
-			fl.ReadAt(make([]byte, n), off)
-			off += n
+			pf.ReadRange(start, c)
+			start += c
 		}
 		return d.Counters().Seeks == 1
 	}
@@ -393,8 +393,8 @@ func TestChunkedSequentialScanOneSeek(t *testing.T) {
 }
 
 // Regression for a data race: Alloc mutates the allocation metadata
-// while observability code snapshots counters from other goroutines.
-// Run under -race.
+// while observability code reads counters from other goroutines. Run
+// under -race.
 func TestAllocConcurrentWithSnapshotsNoRace(t *testing.T) {
 	d := New(DefaultParams())
 	var wg sync.WaitGroup
@@ -412,18 +412,15 @@ func TestAllocConcurrentWithSnapshotsNoRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var before Counters
 			for i := 0; i < 300; i++ {
-				_ = d.AllocatedPages()
-				before = d.Snapshot()
-				_ = d.DiffSince(before)
-				_ = d.CostSeconds()
+				before := d.Counters()
+				_ = d.Counters().Sub(before).CostSeconds(d.Params())
 			}
 		}()
 	}
 	wg.Wait()
-	if d.AllocatedPages() != 4*100*2 {
-		t.Errorf("allocated %d pages, want %d", d.AllocatedPages(), 4*100*2)
+	if d.pages != 4*100*2 {
+		t.Errorf("allocated %d pages, want %d", d.pages, 4*100*2)
 	}
 }
 
@@ -442,9 +439,9 @@ func TestNewBufferedValidation(t *testing.T) {
 	plain, shim := New(DefaultParams()), NewBuffered(DefaultParams(), BufferConfig{})
 	for _, d := range []*Disk{plain, shim} {
 		f := d.Alloc(8192 * 4)
-		f.WriteAt(make([]byte, 8192*2), 0)
+		f.TouchPages(0, 2)
 		f.TouchPages(3, 1)
-		f.ReadAt(make([]byte, 10), 8192)
+		f.TouchPages(1, 1)
 	}
 	if plain.Counters() != shim.Counters() {
 		t.Errorf("NewBuffered charged %+v, New %+v", shim.Counters(), plain.Counters())
@@ -457,7 +454,7 @@ func TestNewBufferedValidation(t *testing.T) {
 func TestDropBuffersColdStart(t *testing.T) {
 	d := New(DefaultParams())
 	f := d.Alloc(8192 * 2)
-	f.WriteAt(make([]byte, 8192), 0)
+	f.TouchPages(0, 1)
 	before := d.Counters()
 	d.DropBuffers()
 	if got := d.Counters(); got != before {

@@ -12,8 +12,8 @@ import (
 // geometry where an 8 KB page holds floor(8192 / (4*d)) points of
 // dimensionality d and a scan of N points costs ceil(N/B) transfers.
 //
-// All reads and writes go through the owning Disk and are charged
-// page-granular I/O.
+// Every read and write is one sequential sweep over a point range,
+// charged page-granular I/O on the owning Disk.
 type PointFile struct {
 	file *File
 	dim  int
@@ -81,18 +81,6 @@ func (pf *PointFile) Cap() int { return pf.cap }
 // File returns the underlying extent, for page-level accounting.
 func (pf *PointFile) File() *File { return pf.file }
 
-// PointsPerPage returns the number of points stored per page.
-func (pf *PointFile) PointsPerPage() int { return pf.ppp }
-
-// PagesFor returns the number of pages occupied by count points laid
-// out from index start, i.e. the pages touched by a sequential sweep.
-func (pf *PointFile) PagesFor(start, count int) int64 {
-	if count <= 0 {
-		return 0
-	}
-	return pf.lastPageOf(start+count-1) - pf.pageOf(start) + 1
-}
-
 // pageOf returns the file-relative physical page index of point i's
 // first byte.
 func (pf *PointFile) pageOf(i int) int64 {
@@ -140,15 +128,6 @@ func (pf *PointFile) lastPageOf(i int) int64 {
 	return int64(i) / int64(pf.ppp)
 }
 
-// Append writes p at the end of the file.
-func (pf *PointFile) Append(p []float64) {
-	if pf.n >= pf.cap {
-		panic("disk: PointFile full")
-	}
-	pf.WriteAt(pf.n, p)
-	pf.n++
-}
-
 // AppendAll writes all points in pts at the end of the file in one
 // sequential sweep.
 func (pf *PointFile) AppendAll(pts [][]float64) {
@@ -164,17 +143,6 @@ func (pf *PointFile) AppendAll(pts [][]float64) {
 		pf.n++
 	}
 	pf.chargeRange(start, len(pts))
-}
-
-// WriteAt overwrites the point at index i (a single-page access). The
-// dense prefix invariant is the caller's responsibility when writing
-// past Len.
-func (pf *PointFile) WriteAt(i int, p []float64) {
-	if i < 0 || i >= pf.cap {
-		panic(fmt.Sprintf("disk: point index %d outside capacity %d", i, pf.cap))
-	}
-	pf.writeRawPoint(i, p)
-	pf.chargeRange(i, 1)
 }
 
 func (pf *PointFile) writeRawPoint(i int, p []float64) {

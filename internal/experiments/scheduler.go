@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
 	"sync"
 
 	"hdidx/internal/dataset"
@@ -21,11 +20,11 @@ import (
 //     ground truth, the full in-memory index — is shared read-only;
 //     the stateful disk (head position, I/O counters, buffer pool) is
 //     never shared, so per-prediction counter deltas stay exact.
-//   - Each task derives any rand.Rand it needs from (root seed, task
-//     index) — rand.Rand is not goroutine-safe and must never be
-//     reachable from two tasks. Existing drivers keep their historical
-//     per-row seed offsets (environment.config's seedOffset); new call
-//     sites use taskSeed.
+//   - Each task seeds a private rand.Rand from the root seed plus the
+//     row's fixed offset (environment.config's seedOffset, or the
+//     driver's own, such as fig13's page size), never from another
+//     task's: rand.Rand is not goroutine-safe and must never be
+//     reachable from two tasks.
 //   - Errors are collected per task and the lowest-index one is
 //     returned, matching what the sequential loop would have reported
 //     first.
@@ -35,22 +34,6 @@ import (
 // on the caller as a *par.WorkerPanic.
 func runTasks(n int, f func(i int) error) error {
 	return par.FirstError(n, f)
-}
-
-// taskSeed mixes a root seed with a task index into an independent
-// stream seed (splitmix64 finalizer), so per-task RNGs are decorrelated
-// even for adjacent indices and reproducible regardless of which worker
-// runs the task.
-func taskSeed(root int64, task int64) int64 {
-	z := uint64(root) + (uint64(task)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
-// taskRng returns a private rand.Rand for one sweep task.
-func taskRng(root int64, task int64) *rand.Rand {
-	return rand.New(rand.NewSource(taskSeed(root, task)))
 }
 
 // envCache shares fully-constructed environments between drivers of

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -14,37 +15,17 @@ func forceSweepWorkers(t *testing.T, n int) {
 	t.Cleanup(func() { par.SetWorkers(prev) })
 }
 
-func TestTaskSeedDistinctAndStable(t *testing.T) {
-	seen := map[int64]int64{}
-	for task := int64(0); task < 1000; task++ {
-		s := taskSeed(1, task)
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("taskSeed(1, %d) == taskSeed(1, %d)", task, prev)
-		}
-		seen[s] = task
-		if s != taskSeed(1, task) {
-			t.Fatalf("taskSeed(1, %d) not stable", task)
-		}
-	}
-	if taskSeed(1, 0) == taskSeed(2, 0) {
-		t.Fatal("different roots map to the same task seed")
-	}
-	if taskRng(1, 3).Int63() != taskRng(1, 3).Int63() {
-		t.Fatal("taskRng not reproducible")
-	}
-}
-
 func TestRunTasksFillsRowsByIndex(t *testing.T) {
 	forceSweepWorkers(t, 4)
 	rows := make([]int64, 200)
 	if err := runTasks(len(rows), func(i int) error {
-		rows[i] = taskRng(9, int64(i)).Int63()
+		rows[i] = rand.New(rand.NewSource(9 + int64(i))).Int63()
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range rows {
-		if rows[i] != taskRng(9, int64(i)).Int63() {
+		if rows[i] != rand.New(rand.NewSource(9+int64(i))).Int63() {
 			t.Fatalf("row %d not deterministic", i)
 		}
 	}

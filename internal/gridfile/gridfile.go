@@ -49,7 +49,9 @@ type Bucket struct {
 // Build bulk-loads a grid file: starting from a single cell covering
 // the data's bounding box, the fullest bucket is repeatedly split by a
 // global scale entry on its maximum-variance dimension (at the median
-// of its points) until every bucket fits the capacity.
+// of its points) until every bucket fits the capacity. It fails when
+// neither the median nor the midpoint of an over-full bucket's spread
+// is a new scale, since no later pass would split that bucket either.
 func Build(pts [][]float64, capacity int) (*GridFile, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("gridfile: no points")
@@ -97,12 +99,17 @@ func Build(pts [][]float64, capacity int) (*GridFile, error) {
 			continue
 		}
 		// Median coincided with an existing scale or the bounds: split
-		// at the midpoint of the bucket's spread instead, which is
-		// strictly inside the bucket's region and therefore cannot be
-		// an existing scale.
+		// at the midpoint of the bucket's spread instead, which lies
+		// strictly inside the bucket's region unless no float64 lies
+		// between the spread's ends or their sum overflows. Then no
+		// split makes progress, and rebucketing 2n more times would not
+		// either.
 		d = g.fallbackDim(victim.Points)
 		lo, hi := vec.MinMax(victim.Points)
-		g.addScale(d, (lo[d]+hi[d])/2)
+		if mid := (lo[d] + hi[d]) / 2; !g.addScale(d, mid) {
+			return nil, fmt.Errorf("gridfile: cannot split a bucket of %d points: the midpoint %v of dimension %d's spread [%v, %v] is no new scale",
+				len(victim.Points), mid, d, lo[d], hi[d])
+		}
 	}
 	return g, nil
 }
@@ -193,19 +200,6 @@ func (g *GridFile) cellRegion(p []float64) mbr.Rect {
 		}
 	}
 	return mbr.FromCorners(lo, hi)
-}
-
-// NumBuckets returns the number of occupied buckets (data pages).
-func (g *GridFile) NumBuckets() int { return len(g.buckets) }
-
-// NumPoints returns the number of stored points.
-func (g *GridFile) NumPoints() int { return g.numPoints }
-
-// Buckets calls visit for every occupied bucket.
-func (g *GridFile) Buckets(visit func(*Bucket)) {
-	for _, b := range g.buckets {
-		visit(b)
-	}
 }
 
 // Regions returns the regions of all occupied buckets.

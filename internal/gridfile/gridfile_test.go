@@ -3,6 +3,7 @@ package gridfile
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -31,12 +32,12 @@ func TestBuildValidates(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumPoints() != 5000 {
-		t.Errorf("NumPoints = %d", g.NumPoints())
+	if g.numPoints != 5000 {
+		t.Errorf("numPoints = %d", g.numPoints)
 	}
 	// ~N/C occupied buckets, more because splits are global.
-	if g.NumBuckets() < 5000/64 {
-		t.Errorf("buckets = %d, want >= %d", g.NumBuckets(), 5000/64)
+	if len(g.buckets) < 5000/64 {
+		t.Errorf("buckets = %d, want >= %d", len(g.buckets), 5000/64)
 	}
 }
 
@@ -62,8 +63,57 @@ func TestBuildAllIdenticalPoints(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumBuckets() != 1 {
-		t.Errorf("buckets = %d, want 1", g.NumBuckets())
+	if len(g.buckets) != 1 {
+		t.Errorf("buckets = %d, want 1", len(g.buckets))
+	}
+}
+
+// TestBuildFallbackSplit drives the midpoint split: on x, where the
+// variance is, 90% of the points sit at 0, so the median lands on the
+// lower bound and cannot be a scale.
+func TestBuildFallbackSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([][]float64, 200)
+	for i := range pts {
+		x := 0.0
+		if i%10 == 0 {
+			x = 1
+		}
+		pts[i] = []float64{x, rng.Float64() / 2}
+	}
+	g, err := Build(pts, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.buckets) != 47 {
+		t.Errorf("buckets = %d, want 47", len(g.buckets))
+	}
+	for i, q := range pts[:20] {
+		for _, k := range []int{1, 8, 21} {
+			if got, want := g.KNNSearch(q, k).Radius, query.KNNBruteRadius(pts, q, k); got != want {
+				t.Fatalf("query %d, k=%d: radius %v, want %v", i, k, got, want)
+			}
+		}
+	}
+}
+
+// TestBuildUnsplittableBucket pins the failure of the midpoint split:
+// no float64 lies strictly between 0 and the smallest denormal, so the
+// midpoint rounds onto a bound and no split can separate the points.
+func TestBuildUnsplittableBucket(t *testing.T) {
+	pts := make([][]float64, 40)
+	for i := range pts {
+		pts[i] = []float64{float64(i%2) * math.SmallestNonzeroFloat64, 0}
+	}
+	g, err := Build(pts, 8)
+	if err == nil {
+		t.Fatalf("Build returned a grid file with %d buckets, want an error", len(g.buckets))
+	}
+	if !strings.Contains(err.Error(), "cannot split a bucket of 40 points") {
+		t.Errorf("error = %v", err)
 	}
 }
 

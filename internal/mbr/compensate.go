@@ -24,6 +24,15 @@ package mbr
 // page capacity C (points per page) and zeta in (0, 1] is the sampling
 // fraction.
 //
+// Theorem 1's volume factor is this side factor to the d-th power,
+//
+//	delta(C, zeta) = CompensationSideFactor(C, zeta)^d,
+//
+// the factor by which a sampled page's volume must be multiplied to
+// recover the expected original page volume in d dimensions. The
+// predictors grow rectangles side by side (Rect.GrowCentered), so only
+// the side factor is computed.
+//
 // The factor is >= 1 and approaches 1 as zeta -> 1. Inputs where the
 // sampled page would hold at most one point (capacity*zeta <= 1) have
 // no defined bounding box extent; the function panics there, mirroring
@@ -42,23 +51,4 @@ func CompensationSideFactor(capacity float64, zeta float64) float64 {
 	}
 	// Reciprocal of the shrink factor.
 	return ((cz + 1) * (capacity - 1)) / ((cz - 1) * (capacity + 1))
-}
-
-// CompensationVolumeFactor returns delta(C, zeta): the factor by which
-// the volume of a sampled page must be multiplied to recover the
-// expected original page volume in d dimensions.
-func CompensationVolumeFactor(capacity float64, zeta float64, d int) float64 {
-	side := CompensationSideFactor(capacity, zeta)
-	v := 1.0
-	for i := 0; i < d; i++ {
-		v *= side
-	}
-	return v
-}
-
-// Compensate grows the rectangle r (the bounding box of a sampled
-// page) about its center by the compensation side factor for the given
-// original capacity and sampling fraction.
-func Compensate(r Rect, capacity, zeta float64) Rect {
-	return r.GrowCentered(CompensationSideFactor(capacity, zeta))
 }

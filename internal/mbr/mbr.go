@@ -117,16 +117,6 @@ func (r Rect) ContainsRect(o Rect) bool {
 	return true
 }
 
-// Overlaps reports whether r and o share any point.
-func (r Rect) Overlaps(o Rect) bool {
-	for i := range r.Lo {
-		if r.Hi[i] < o.Lo[i] || o.Hi[i] < r.Lo[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Center returns the center point of r.
 func (r Rect) Center() []float64 {
 	c := make([]float64, len(r.Lo))

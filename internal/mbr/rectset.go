@@ -98,15 +98,6 @@ func (s *RectSet) At(i int) Rect {
 	return FromCorners(s.lo[i*s.dim:(i+1)*s.dim], s.hi[i*s.dim:(i+1)*s.dim])
 }
 
-// Rects expands the set back into a []Rect, copying.
-func (s *RectSet) Rects() []Rect {
-	out := make([]Rect, s.n)
-	for i := range out {
-		out[i] = s.At(i)
-	}
-	return out
-}
-
 // MinSqDist returns the squared Euclidean distance from p to the
 // nearest point of rectangle i, exactly as Rect.MinSqDist does.
 func (s *RectSet) MinSqDist(i int, p []float64) float64 {

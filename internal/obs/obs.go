@@ -1,23 +1,23 @@
 // Package obs is a lightweight tracing and metrics layer for the
 // prediction pipeline: named phase spans carrying wall-clock duration
-// plus a disk.Counters delta, a thread-safe in-process registry, and
-// text/JSON reporters.
+// plus a disk.Counters delta, a thread-safe in-process registry, and a
+// text reporter.
 //
 // The paper's core claim is a cost trade-off — the predictors are only
 // worth using because they incur one to two orders of magnitude less
 // I/O than building the index (Lang & Singh Section 4.6) — so every
 // stage of the pipeline attributes its simulated-disk activity and
 // wall time to a named phase. The per-phase I/O costs of one trace sum
-// to the end-to-end cost as long as the spans do not nest or overlap,
-// which is how the predictors use them.
+// to the end-to-end cost as long as the spans do not overlap, which is
+// how the predictors use them: spans are flat, never nested.
 //
 // The layer is allocation-frugal by design: a nil *Trace disables all
 // recording, Span is a value type (no per-span allocation), and a
 // phase is allocated once per distinct name per trace. Starting and
 // ending a span costs two clock reads and two counter snapshots.
 //
-// All Trace methods are safe for concurrent use; counter snapshots are
-// race-free because disk.Disk guards its counters (see disk.Snapshot).
+// All Trace methods are safe for concurrent use; counter reads are
+// race-free because disk.Disk guards its counters (see Disk.Counters).
 // Concurrent spans over one shared disk attribute correctly only if
 // the goroutines touch disjoint phases of a single logical I/O stream;
 // the predictors keep all disk access on the orchestrating goroutine,
@@ -25,7 +25,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"time"
 
@@ -34,22 +33,18 @@ import (
 
 // Phase aggregates every span recorded under one name in a trace.
 type Phase struct {
-	// Name is the span name; "/"-separated segments express nesting.
-	Name string `json:"name"`
-	// Depth is the nesting depth (the number of "/" in Name).
-	Depth int `json:"depth,omitempty"`
+	// Name is the span name.
+	Name string
 	// Count is the number of spans accumulated into this phase.
-	Count int `json:"count"`
+	Count int
 	// Wall is the total wall-clock time spent in the phase.
-	Wall time.Duration `json:"wall_ns"`
-	// IO is the disk activity attributed to the phase. For a nested
-	// phase the parent's IO includes the children's (inclusive
-	// semantics); top-level phases that do not overlap partition the
-	// trace's total I/O.
-	IO disk.Counters `json:"io"`
+	Wall time.Duration
+	// IO is the disk activity attributed to the phase. Phases that do
+	// not overlap partition the trace's total I/O.
+	IO disk.Counters
 	// IOSeconds prices IO under the parameters of the trace's disk
 	// (zero when the trace has no disk).
-	IOSeconds float64 `json:"io_seconds"`
+	IOSeconds float64
 }
 
 // Trace collects the phases of one operation (one prediction, one
@@ -71,14 +66,6 @@ func New(name string, d *disk.Disk) *Trace {
 	return &Trace{name: name, d: d, phases: make(map[string]*Phase)}
 }
 
-// Name returns the trace name. Safe on nil (returns "").
-func (t *Trace) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
-
 func (t *Trace) counters() disk.Counters {
 	if t == nil || t.d == nil {
 		return disk.Counters{}
@@ -87,8 +74,8 @@ func (t *Trace) counters() disk.Counters {
 }
 
 // Span is one timed region. It is a value type: obtain one from
-// Trace.Span or Span.Child, do the work, and call End. The zero Span
-// (from a nil trace) is valid and End is a no-op.
+// Trace.Span, do the work, and call End. The zero Span (from a nil
+// trace) is valid and End is a no-op.
 type Span struct {
 	t       *Trace
 	name    string
@@ -103,16 +90,6 @@ func (t *Trace) Span(name string) Span {
 		return Span{}
 	}
 	return Span{t: t, name: name, start: time.Now(), startIO: t.counters()}
-}
-
-// Child starts a nested span named parent/name. The parent span keeps
-// running; its phase will include the child's time and I/O (inclusive
-// semantics).
-func (s Span) Child(name string) Span {
-	if s.t == nil {
-		return Span{}
-	}
-	return s.t.Span(s.name + "/" + name)
 }
 
 // End stops the span and accumulates its wall time and counter delta
@@ -130,7 +107,7 @@ func (t *Trace) record(name string, wall time.Duration, io disk.Counters) {
 	defer t.mu.Unlock()
 	ph := t.phases[name]
 	if ph == nil {
-		ph = &Phase{Name: name, Depth: strings.Count(name, "/")}
+		ph = &Phase{Name: name}
 		t.phases[name] = ph
 		t.order = append(t.order, name)
 	}
@@ -157,14 +134,12 @@ func (t *Trace) Phases() []Phase {
 	return out
 }
 
-// TotalIOSeconds sums the priced I/O of the top-level (depth-zero)
-// phases — the end-to-end cost when those phases partition the I/O.
+// TotalIOSeconds sums the priced I/O of every phase — the end-to-end
+// cost when the phases partition the I/O.
 func (t *Trace) TotalIOSeconds() float64 {
 	var sum float64
 	for _, ph := range t.Phases() {
-		if ph.Depth == 0 {
-			sum += ph.IOSeconds
-		}
+		sum += ph.IOSeconds
 	}
 	return sum
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"sync"
 
@@ -69,20 +68,6 @@ func (r *Registry) WriteText(w io.Writer) {
 	for _, t := range r.Traces() {
 		t.WriteText(w)
 	}
-}
-
-// JSON renders the registered traces as a JSON array.
-func (r *Registry) JSON() ([]byte, error) {
-	traces := r.Traces()
-	raw := make([]json.RawMessage, len(traces))
-	for i, t := range traces {
-		b, err := t.JSON()
-		if err != nil {
-			return nil, err
-		}
-		raw[i] = b
-	}
-	return json.Marshal(raw)
 }
 
 // TraceIfEnabled returns a new trace registered in the default

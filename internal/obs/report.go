@@ -1,17 +1,15 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"text/tabwriter"
 	"time"
 )
 
 // WriteText renders the trace as an aligned table: one row per phase
 // with call count, wall time, seeks, transfers, priced I/O seconds,
-// and the share of the top-level I/O. Safe on nil (writes nothing).
+// and the share of the total I/O. Safe on nil (writes nothing).
 func (t *Trace) WriteText(w io.Writer) {
 	if t == nil {
 		return
@@ -23,11 +21,10 @@ func (t *Trace) WriteText(w io.Writer) {
 	fmt.Fprintln(tw, "  phase\tcalls\twall\tseeks\ttransfers\tio(s)\tio%")
 	for _, ph := range phases {
 		share := "-"
-		if total > 0 && ph.Depth == 0 {
+		if total > 0 {
 			share = fmt.Sprintf("%.1f%%", 100*ph.IOSeconds/total)
 		}
-		fmt.Fprintf(tw, "  %s%s\t%d\t%s\t%d\t%d\t%.3f\t%s\n",
-			strings.Repeat("  ", ph.Depth), ph.Name, ph.Count,
+		fmt.Fprintf(tw, "  %s\t%d\t%s\t%d\t%d\t%.3f\t%s\n", ph.Name, ph.Count,
 			roundWall(ph.Wall), ph.IO.Seeks, ph.IO.Transfers, ph.IOSeconds, share)
 	}
 	fmt.Fprintf(tw, "  total\t\t\t\t\t%.3f\t\n", total)
@@ -44,16 +41,4 @@ func roundWall(d time.Duration) time.Duration {
 	default:
 		return d
 	}
-}
-
-// JSON renders the trace as a single JSON object with its name and
-// phase list. Safe on nil (returns "null").
-func (t *Trace) JSON() ([]byte, error) {
-	if t == nil {
-		return []byte("null"), nil
-	}
-	return json.Marshal(struct {
-		Name   string  `json:"name"`
-		Phases []Phase `json:"phases"`
-	}{Name: t.name, Phases: t.Phases()})
 }

@@ -29,7 +29,6 @@ import (
 // so the page I/O a workload costs is arithmetic on the file layout.
 // A Snapshot is immutable and safe for concurrent use.
 type Snapshot struct {
-	path    string
 	h       *header
 	tree    *rtree.FlatTree
 	backend Backend
@@ -72,7 +71,7 @@ func OpenWith(path string, opts Options) (*Snapshot, error) {
 	// file was read into memory or mapped, and a mapping outlives its
 	// descriptor, so a long-lived snapshot costs at most one mapping and
 	// no fd.
-	s, err := open(f, path, opts)
+	s, err := open(f, opts)
 	f.Close()
 	if err != nil {
 		return nil, fmt.Errorf("pager: open %s: %w", path, err)
@@ -80,7 +79,7 @@ func OpenWith(path string, opts Options) (*Snapshot, error) {
 	return s, nil
 }
 
-func open(f *os.File, path string, opts Options) (*Snapshot, error) {
+func open(f *os.File, opts Options) (*Snapshot, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -195,7 +194,7 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 		}
 		return nil, err
 	}
-	s.path, s.backend = path, backend
+	s.backend = backend
 	if backend == BackendMmap {
 		s.mapped = data
 		adviseMapping(data, h.pageBytes, s.pointsOff, s.pointsLen)
@@ -271,9 +270,6 @@ func (s *Snapshot) Tree() *rtree.FlatTree { return s.tree }
 // Backend returns the read path this snapshot was opened with (never
 // BackendAuto — Open resolves the choice).
 func (s *Snapshot) Backend() Backend { return s.backend }
-
-// Path returns the file path the snapshot was opened from.
-func (s *Snapshot) Path() string { return s.path }
 
 // PageBytes returns the page size the file was written with.
 func (s *Snapshot) PageBytes() int { return s.h.pageBytes }

@@ -75,8 +75,6 @@ func (p *WorkerPanic) Error() string {
 	return fmt.Sprintf("par: worker panic: %v\n\nworker stack:\n%s", p.Value, p.Stack)
 }
 
-func (p *WorkerPanic) String() string { return p.Error() }
-
 // capture runs f and converts a panic into a *WorkerPanic (nil when f
 // returns normally). A panic that is already a *WorkerPanic — from a
 // nested fan-out — is passed through so the innermost stack survives.

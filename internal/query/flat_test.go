@@ -107,7 +107,7 @@ func TestMeasureLeafAccessesFlatMatchesTree(t *testing.T) {
 	queries := uniformPoints(25, 5, 34)
 	spheres := ComputeSpheres(data, queries, 11)
 	want := MeasureLeafAccesses(tr, spheres)
-	got := MeasureLeafAccessesSet(ft.LeafRectSet(), spheres)
+	got := MeasureLeafAccessesSet(ft.Rects.Slice(ft.NumNodes()-ft.NumLeaves, ft.NumLeaves), spheres)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flat leaf accesses %v != tree %v", got, want)
 	}

@@ -70,8 +70,8 @@ func MeasureLeafAccesses(t *rtree.Tree, spheres []Sphere) []float64 {
 
 // MeasureLeafAccessesSet counts, for each query sphere, the rectangles
 // of the flat SoA set intersecting it — the shared kernel behind
-// leaf-access measurement over pointer trees (Tree.LeafRectSet), flat
-// trees (FlatTree.LeafRectSet), and the predictors' leaf layouts.
+// leaf-access measurement over pointer trees (Tree.LeafRectSet) and
+// the predictors' leaf layouts.
 // Queries run in parallel.
 func MeasureLeafAccessesSet(set *mbr.RectSet, spheres []Sphere) []float64 {
 	out := make([]float64, len(spheres))

@@ -75,11 +75,16 @@ func TestBuildFanoutBounds(t *testing.T) {
 	pts := uniformPoints(5000, 4, 5)
 	params := BuildParams{LeafCap: 20, DirCap: 10}
 	tr := Build(pts, params)
-	tr.Walk(func(n *Node) {
-		if !n.IsLeaf() && len(n.Children) > int(math.Ceil(params.DirCap)) {
+	var check func(n *Node)
+	check = func(n *Node) {
+		if len(n.Children) > int(math.Ceil(params.DirCap)) {
 			t.Errorf("fanout %d exceeds dir cap %v", len(n.Children), params.DirCap)
 		}
-	})
+		for _, c := range n.Children {
+			check(c)
+		}
+	}
+	check(tr.Root)
 }
 
 func TestBuildForcedHeight(t *testing.T) {

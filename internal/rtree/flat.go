@@ -50,8 +50,6 @@ type FlatTree struct {
 	Rects *mbr.RectSet
 	// Points holds all leaf points packed in leaf order.
 	Points vec.Matrix
-
-	leafRects *mbr.RectSet // view of the leaf tail of Rects
 }
 
 // Flatten linearizes the tree into a FlatTree. The snapshot copies the
@@ -101,7 +99,6 @@ func (t *Tree) Flatten() *FlatTree {
 			next, ptOff, n, t.NumPoints))
 	}
 	f.Rects = mbr.NewRectSet(rects)
-	f.leafRects = f.Rects.Slice(n-f.NumLeaves, f.NumLeaves)
 	return f
 }
 
@@ -216,7 +213,7 @@ func AssembleFlat(dim, height, numPoints, numLeaves int,
 	if err := checkContainment(dim, childStart, childCount, ptStart, ptCount, rects, points); err != nil {
 		return nil, err
 	}
-	f := &FlatTree{
+	return &FlatTree{
 		Dim:        dim,
 		Height:     height,
 		NumPoints:  numPoints,
@@ -227,9 +224,7 @@ func AssembleFlat(dim, height, numPoints, numLeaves int,
 		PtCount:    ptCount,
 		Rects:      rects,
 		Points:     points,
-	}
-	f.leafRects = f.Rects.Slice(n-numLeaves, numLeaves)
-	return f, nil
+	}, nil
 }
 
 // checkContainment verifies, over node arrays whose shape AssembleFlat
@@ -282,20 +277,3 @@ func checkContainment(dim int, childStart, childCount, ptStart, ptCount []int32,
 
 // NumNodes returns the total number of nodes (directory plus leaf).
 func (f *FlatTree) NumNodes() int { return len(f.ChildStart) }
-
-// IsLeaf reports whether node i is a data page.
-func (f *FlatTree) IsLeaf(i int32) bool { return f.ChildCount[i] == 0 }
-
-// LeafRectSet returns the leaf MBRs — the tail of the BFS order — as a
-// RectSet view in the same leaf order as Tree.LeafRectSet.
-func (f *FlatTree) LeafRectSet() *mbr.RectSet {
-	if f.leafRects == nil {
-		return &mbr.RectSet{}
-	}
-	return f.leafRects
-}
-
-// LeafRow returns row r of the packed point matrix as a slice view.
-func (f *FlatTree) LeafRow(r int32) []float64 {
-	return f.Points.Row(int(r))
-}

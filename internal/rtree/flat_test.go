@@ -50,14 +50,14 @@ func checkFlatten(t *testing.T, tr *Tree) {
 			t.Fatalf("node %d: rect %v, want %v", i, r, n.Rect)
 		}
 		if n.IsLeaf() {
-			if f.ChildCount[i] != 0 || !f.IsLeaf(i) {
+			if f.ChildCount[i] != 0 {
 				t.Fatalf("leaf %d has child count %d", i, f.ChildCount[i])
 			}
 			if int(f.PtCount[i]) != len(n.Points) {
 				t.Fatalf("leaf %d: %d points, want %d", i, f.PtCount[i], len(n.Points))
 			}
 			for j, p := range n.Points {
-				row := f.LeafRow(f.PtStart[i] + int32(j))
+				row := f.Points.Row(int(f.PtStart[i]) + j)
 				for d := range p {
 					if row[d] != p[d] {
 						t.Fatalf("leaf %d point %d: %v, want %v", i, j, row, p)
@@ -82,11 +82,11 @@ func checkFlatten(t *testing.T, tr *Tree) {
 	// matches the tree's leaf set in build order.
 	tail := f.NumNodes() - f.NumLeaves
 	for i := 0; i < f.NumNodes(); i++ {
-		if leaf := f.IsLeaf(int32(i)); leaf != (i >= tail) {
+		if leaf := f.ChildCount[i] == 0; leaf != (i >= tail) {
 			t.Fatalf("node %d: leaf=%v, tail starts at %d", i, leaf, tail)
 		}
 	}
-	ls := f.LeafRectSet()
+	ls := f.Rects.Slice(tail, f.NumLeaves)
 	want := tr.LeafRectSet()
 	if ls.Len() != want.Len() {
 		t.Fatalf("leaf set: %d rects, want %d", ls.Len(), want.Len())
@@ -141,8 +141,8 @@ func TestFlattenEmptyTree(t *testing.T) {
 	if f.NumNodes() != 0 || f.NumPoints != 0 || f.NumLeaves != 0 || f.Height != 0 {
 		t.Fatalf("empty tree flattened to %+v", f)
 	}
-	if f.LeafRectSet().Len() != 0 {
-		t.Fatalf("empty tree has leaf rects")
+	if f.Rects != nil {
+		t.Fatalf("empty tree has rects")
 	}
 }
 

@@ -15,8 +15,6 @@ package rtree
 import (
 	"fmt"
 	"math"
-
-	"hdidx/internal/disk"
 )
 
 // Geometry describes the page layout of the on-disk index. Data
@@ -89,12 +87,6 @@ func (g Geometry) EffDirCapacity() int {
 		c = 2
 	}
 	return c
-}
-
-// PointsPerDataPage returns B, the number of data points per raw disk
-// page, used in the scan cost formulas.
-func (g Geometry) PointsPerDataPage(params disk.Params) int {
-	return disk.PointsPerPage(params, g.Dim)
 }
 
 // Topology captures the derived structure of a bulk-loaded index on N

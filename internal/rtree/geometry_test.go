@@ -3,8 +3,6 @@ package rtree
 import (
 	"math"
 	"testing"
-
-	"hdidx/internal/disk"
 )
 
 func TestGeometryCapacitiesTexture60(t *testing.T) {
@@ -149,13 +147,6 @@ func TestUpperLeafLevel(t *testing.T) {
 	}
 	if got := topo.UpperLeafLevel(topo.Height); got != 1 {
 		t.Errorf("UpperLeafLevel(height) = %d, want 1", got)
-	}
-}
-
-func TestPointsPerDataPage(t *testing.T) {
-	g := NewGeometry(60)
-	if got := g.PointsPerDataPage(disk.DefaultParams()); got != 34 {
-		t.Errorf("PointsPerDataPage = %d, want 34", got)
 	}
 }
 

@@ -96,20 +96,6 @@ func (t *Tree) LeafRectSet() *mbr.RectSet {
 	return t.leafSet
 }
 
-// Walk visits every node in depth-first pre-order.
-func (t *Tree) Walk(visit func(*Node)) {
-	var rec func(*Node)
-	rec = func(n *Node) {
-		visit(n)
-		for _, c := range n.Children {
-			rec(c)
-		}
-	}
-	if t.Root != nil {
-		rec(t.Root)
-	}
-}
-
 // occupancy bounds the entries of a page: a leaf holds [minLeaf,
 // maxLeaf] points and a directory node [minDir, maxDir] children. The
 // root is exempt from the minimums; a zero maximum is unbounded.

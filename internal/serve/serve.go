@@ -369,9 +369,11 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 		}
 		g = derived
 	}
+	// Shard files are written at Index.Save's page size for the same
+	// geometry: the configured one, floored at the format's minimum.
 	pb := g.PageBytes
 	if pb < pager.MinPageBytes {
-		pb = rtree.NewGeometry(1).PageBytes
+		pb = pager.MinPageBytes
 	}
 	s := &Server{
 		cfg:           cfg,

@@ -1,7 +1,6 @@
 // Package stats provides the small statistical helpers the experiment
-// harness reports with: means, relative errors, Pearson correlation
-// (for the paper's correlation diagrams, Figures 11 and 12), and
-// five-number summaries.
+// harness reports with: means, relative errors, and Pearson correlation
+// (for the paper's correlation diagrams, Figures 11 and 12).
 package stats
 
 import (
@@ -19,20 +18,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // RelativeError returns (predicted - measured) / measured, the signed
@@ -67,36 +52,4 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Summary is a five-number description of a series.
-type Summary struct {
-	N    int
-	Min  float64
-	Max  float64
-	Mean float64
-	Std  float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs), Mean: Mean(xs), Std: Std(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	return s
-}
-
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.3g max=%.3g mean=%.3g std=%.3g", s.N, s.Min, s.Max, s.Mean, s.Std)
 }

@@ -16,16 +16,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStd(t *testing.T) {
-	if got := Std([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("Std of constant = %v", got)
-	}
-	// Population std of {1,3} is 1.
-	if got := Std([]float64{1, 3}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Std = %v, want 1", got)
-	}
-}
-
 func TestRelativeError(t *testing.T) {
 	if got := RelativeError(110, 100); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("RelativeError = %v, want 0.1", got)
@@ -93,22 +83,5 @@ func TestPearsonProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{3, 1, 4, 1, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if math.Abs(s.Mean-2.8) > 1e-12 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Min != 0 {
-		t.Errorf("empty summary = %+v", empty)
 	}
 }

@@ -112,12 +112,6 @@ func (v *VAFile) cell(d int, x float64) uint32 {
 	return cellOf(v.marks[d], x)
 }
 
-// N returns the number of stored vectors.
-func (v *VAFile) N() int { return len(v.points) }
-
-// Dim returns the dimensionality.
-func (v *VAFile) Dim() int { return v.dim }
-
 // ApproximationPages returns the number of pages one sequential scan
 // of the approximation file reads: ceil(N * bits * dim / 8 /
 // pageBytes). It is a constant of the structure — the reason no

@@ -34,23 +34,6 @@ func Dist(a, b []float64) float64 {
 	return math.Sqrt(SqDist(a, b))
 }
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: dimension mismatch %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i, av := range a {
-		s += av * b[i]
-	}
-	return s
-}
-
-// Norm returns the Euclidean norm of a.
-func Norm(a []float64) float64 {
-	return math.Sqrt(Dot(a, a))
-}
-
 // Finite reports whether every coordinate of a is a finite number —
 // neither NaN nor ±Inf. The API boundaries reject points and queries
 // that are not: a NaN distance compares false against every bound, so

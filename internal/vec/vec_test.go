@@ -45,15 +45,6 @@ func TestSqDistDimensionMismatchPanics(t *testing.T) {
 	SqDist([]float64{1}, []float64{1, 2})
 }
 
-func TestDotAndNorm(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-	if got := Norm([]float64{3, 4}); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("Norm = %v, want 5", got)
-	}
-}
-
 func TestMeanVariance(t *testing.T) {
 	pts := [][]float64{{1, 10}, {3, 10}, {5, 10}}
 	mean := make([]float64, 2)

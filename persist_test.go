@@ -1,6 +1,7 @@
 package hdidx
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -72,5 +73,55 @@ func TestSaveOpenBackends(t *testing.T) {
 	}
 	if err := ix.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
+	}
+}
+
+// TestSnapshotPageBytesAgree pins one file page size per geometry: a
+// durable server writes its shard files at the page size Index.Save
+// writes for the same options, the format's 512-byte floor included.
+func TestSnapshotPageBytesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := make([][]float64, 300)
+	for i := range pts {
+		pts[i] = []float64{rng.Float64(), rng.Float64()}
+	}
+	pageBytes := func(path string) int {
+		t.Helper()
+		s, err := pager.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		return s.PageBytes()
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct{ configured, want int }{{256, pager.MinPageBytes}, {4096, 4096}} {
+		opt := WithPageBytes(tc.configured)
+		ix, err := Build(pts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := filepath.Join(dir, fmt.Sprintf("index%d.hdsn", tc.configured))
+		if err := ix.Save(saved); err != nil {
+			t.Fatal(err)
+		}
+		manifest := filepath.Join(dir, fmt.Sprintf("serve%d.hdsn", tc.configured))
+		s, err := NewServer(pts, ServeConfig{SnapshotPath: manifest}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		shardFiles, err := filepath.Glob(manifest + ".s*.g*.hdsn")
+		if err != nil || len(shardFiles) != 1 {
+			t.Fatalf("shard files %v (%v), want one", shardFiles, err)
+		}
+		if got := pageBytes(saved); got != tc.want {
+			t.Errorf("WithPageBytes(%d): Save wrote %d-byte pages, want %d", tc.configured, got, tc.want)
+		}
+		if got := pageBytes(shardFiles[0]); got != tc.want {
+			t.Errorf("WithPageBytes(%d): the server wrote %d-byte pages, want %d", tc.configured, got, tc.want)
+		}
 	}
 }
