@@ -16,37 +16,30 @@ func main() {
 	rng := rand.New(rand.NewSource(11))
 	points := dataset.Texture60.Scaled(0.05).Generate(rng).Points
 	fmt.Printf("dataset: %d points, %d dims\n", len(points), len(points[0]))
-	fmt.Printf("%8s %16s %16s %14s\n", "page KB", "pred. accesses", "meas. accesses", "pred. s/query")
 
-	const seekSeconds, bandwidth = 0.010, 20e6 // the paper's disk
-	bestKB, bestCost := 0, 0.0
-	for _, kb := range []int{8, 16, 32, 64, 128} {
-		opt := hdidx.WithPageBytes(kb * 1024)
-		p, err := hdidx.NewPredictor(points, opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts := hdidx.EstimateOptions{K: 21, Queries: 100, Memory: 1500, Seed: 3}
-		est, err := p.EstimateKNN(hdidx.MethodResampled, opts)
-		if err != nil {
-			// Large pages can flatten the tree below the point where
-			// the restricted-memory split exists; the basic model
-			// covers those.
-			est, err = p.EstimateKNN(hdidx.MethodBasic, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		measured, err := p.MeasureKNNAccesses(opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		perAccess := seekSeconds + float64(kb*1024)/bandwidth
-		cost := est.MeanAccesses * perAccess
-		fmt.Printf("%8d %16.1f %16.1f %14.4f\n", kb, est.MeanAccesses, measured, cost)
-		if bestKB == 0 || cost < bestCost {
-			bestKB, bestCost = kb, cost
-		}
+	p, err := hdidx.NewPredictor(points)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("\npredicted optimal page size: %d KB (%.4f s/query)\n", bestKB, bestCost)
+	opts := hdidx.EstimateOptions{K: 21, Queries: 100, Memory: 1500, Seed: 3}
+	best, all, err := p.TunePageSize([]int{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// The measured column builds each candidate's index: the ground
+	// truth the prediction saves building.
+	fmt.Printf("%8s %16s %16s %14s\n", "page KB", "pred. accesses", "meas. accesses", "pred. s/query")
+	for _, c := range all {
+		cand, err := hdidx.NewPredictor(points, hdidx.WithPageBytes(c.PageBytes))
+		if err != nil {
+			log.Fatal(err)
+		}
+		measured, err := cand.MeasureKNNAccesses(opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%8d %16.1f %16.1f %14.4f\n", c.PageBytes/1024, c.MeanAccesses, measured, c.SecondsPerQuery)
+	}
+	fmt.Printf("\npredicted optimal page size: %d KB (%.4f s/query)\n", best.PageBytes/1024, best.SecondsPerQuery)
 }

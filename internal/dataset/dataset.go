@@ -129,13 +129,19 @@ func GenerateUniform(name string, n, dim int, rng *rand.Rand) *Dataset {
 // regions are much denser than others (the non-uniformity the paper's
 // density-biased queries exploit).
 func generateClustered(s Spec, rng *rand.Rand) *Dataset {
+	// decay[j] is VarianceDecay^j, multiplied out left to right as a
+	// per-point product would, so every coordinate keeps its bits.
+	decay := make([]float64, s.Dim)
+	for j, v := 0, 1.0; j < s.Dim; j++ {
+		decay[j] = v
+		v *= s.VarianceDecay
+	}
 	centers := make([][]float64, s.Clusters)
 	for c := range centers {
 		centers[c] = make([]float64, s.Dim)
 		for j := 0; j < s.Dim; j++ {
 			// Centers also concentrate in leading dimensions.
-			spread := pow(s.VarianceDecay, j)
-			centers[c][j] = rng.Float64() * spread
+			centers[c][j] = rng.Float64() * decay[j]
 		}
 	}
 	// Zipf-like weights: weight of cluster c is 1/(c+1).
@@ -155,7 +161,7 @@ func generateClustered(s Spec, rng *rand.Rand) *Dataset {
 		}
 		p := flat[i*s.Dim : (i+1)*s.Dim]
 		for j := 0; j < s.Dim; j++ {
-			std := s.ClusterStd * pow(s.VarianceDecay, j)
+			std := s.ClusterStd * decay[j]
 			p[j] = centers[c][j] + rng.NormFloat64()*std
 		}
 		pts[i] = p
@@ -172,21 +178,14 @@ func generateClustered(s Spec, rng *rand.Rand) *Dataset {
 func generateTimeSeries(s Spec, rng *rand.Rand) *Dataset {
 	pts := make([][]float64, s.N)
 	series := make([]float64, s.Dim)
+	dft := newDFT(s.Dim)
 	for i := 0; i < s.N; i++ {
 		price := 1.0 + rng.Float64()
 		for t := 0; t < s.Dim; t++ {
 			price += rng.NormFloat64() * s.ClusterStd
 			series[t] = price
 		}
-		pts[i] = DFTReal(series)
+		pts[i] = dft.real(series)
 	}
 	return &Dataset{Name: s.Name, Points: pts}
-}
-
-func pow(base float64, exp int) float64 {
-	v := 1.0
-	for i := 0; i < exp; i++ {
-		v *= base
-	}
-	return v
 }

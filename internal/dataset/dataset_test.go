@@ -260,6 +260,64 @@ func BenchmarkGenerateTexture60Small(b *testing.B) {
 	}
 }
 
+// TestDFTRealMatchesPerTermFormula pins the precomputed cosine and
+// sine tables to the per-term formula they replace: every coefficient
+// equals refDFTReal's bit for bit, so the generated STOCK360 stand-in
+// and every output built on it stay as they were.
+func TestDFTRealMatchesPerTermFormula(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 360} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 1 + rng.NormFloat64()
+		}
+		got, want := DFTReal(x), refDFTReal(x)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: coefficient %d is %v, the per-term formula gives %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// refDFTReal is DFTReal with every cosine and sine computed in place,
+// term by term: the oracle of TestDFTRealMatchesPerTermFormula.
+func refDFTReal(x []float64) []float64 {
+	n := len(x)
+	out := make([]float64, n)
+	if n == 0 {
+		return out
+	}
+	var dc float64
+	for _, v := range x {
+		dc += v
+	}
+	out[0] = dc / float64(n)
+	half := (n - 1) / 2
+	for k := 1; k <= half; k++ {
+		var re, im float64
+		for t, v := range x {
+			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			re += v * math.Cos(angle)
+			im += v * math.Sin(angle)
+		}
+		out[2*k-1] = re * 2 / float64(n)
+		out[2*k] = im * 2 / float64(n)
+	}
+	if n%2 == 0 {
+		var ny float64
+		for t, v := range x {
+			if t%2 == 0 {
+				ny += v
+			} else {
+				ny -= v
+			}
+		}
+		out[n-1] = ny / float64(n)
+	}
+	return out
+}
+
 // InverseDFTReal inverts DFTReal: the oracle of the round-trip tests.
 func InverseDFTReal(coef []float64) []float64 {
 	n := len(coef)

@@ -41,7 +41,7 @@ type ServeResult struct {
 	// from its durably published file's read-only mapping.
 	Mapped bool
 	// Served is the number of k-NN queries answered; Overloads counts
-	// admission-queue rejections (retried by the readers).
+	// admission rejections (retried by the readers).
 	Served    int64
 	Overloads int64
 	// Inserted points were ingested during the run, causing Generations
@@ -60,7 +60,7 @@ type ServeResult struct {
 	Elapsed       time.Duration
 	// Throughput is served queries per second of wall clock.
 	Throughput float64
-	// KNN is the per-query latency digest (queue wait + search).
+	// KNN is the per-query latency digest (gate wait + search).
 	KNN obs.LatencySummary
 }
 

@@ -101,12 +101,16 @@ func Build(pts [][]float64, capacity int) (*GridFile, error) {
 		// Median coincided with an existing scale or the bounds: split
 		// at the midpoint of the bucket's spread instead, which lies
 		// strictly inside the bucket's region unless no float64 lies
-		// between the spread's ends or their sum overflows. Then no
-		// split makes progress, and rebucketing 2n more times would not
-		// either.
+		// between the spread's ends. Then no split makes progress, and
+		// rebucketing 2n more times would not either. Ends whose sum
+		// overflows are halved before they are added.
 		d = g.fallbackDim(victim.Points)
 		lo, hi := vec.MinMax(victim.Points)
-		if mid := (lo[d] + hi[d]) / 2; !g.addScale(d, mid) {
+		mid := (lo[d] + hi[d]) / 2
+		if math.IsInf(mid, 0) {
+			mid = lo[d]/2 + hi[d]/2
+		}
+		if !g.addScale(d, mid) {
 			return nil, fmt.Errorf("gridfile: cannot split a bucket of %d points: the midpoint %v of dimension %d's spread [%v, %v] is no new scale",
 				len(victim.Points), mid, d, lo[d], hi[d])
 		}

@@ -117,6 +117,29 @@ func TestBuildUnsplittableBucket(t *testing.T) {
 	}
 }
 
+// TestBuildHugeSpreadMidpoint splits a bucket whose spread's ends sum
+// past the largest float64: the midpoint of [1e308, 1.5e308] is
+// 1.25e308, not the +Inf their sum halves to.
+func TestBuildHugeSpreadMidpoint(t *testing.T) {
+	pts := make([][]float64, 40)
+	for i := range pts {
+		pts[i] = []float64{1e308, 0}
+		if i%2 == 1 {
+			pts[i][0] = 1.5e308
+		}
+	}
+	g, err := Build(pts, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.buckets) != 2 || len(g.Scales[0]) != 1 || g.Scales[0][0] != 1.25e308 {
+		t.Fatalf("%d buckets under the scales %v, want 2 under one scale 1.25e308 in dimension 0", len(g.buckets), g.Scales)
+	}
+}
+
 func TestRegionsDisjointAndCoverPoints(t *testing.T) {
 	pts := uniformPoints(2000, 3, 3)
 	g, err := Build(pts, 32)

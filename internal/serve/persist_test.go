@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -49,10 +50,9 @@ func TestFlushClosedServer(t *testing.T) {
 }
 
 // TestKNNCloseRace hammers concurrent KNN against Close: every call
-// must complete (answer or error) — the old drain could orphan a call
-// that enqueued after the drain emptied the queue, which deadlocks the
-// caller's reply wait if it misses the done channel, and at minimum
-// strands the call. Run under -race in CI.
+// must complete (answer or error). A call waiting for the search gate
+// when Close runs takes it after Close's fence, sees closed and returns
+// ErrClosed; none may wait forever. Run under -race in CI.
 func TestKNNCloseRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		s, err := New(uniform(200, 3, int64(round)), Config{})
@@ -90,14 +90,7 @@ func TestKNNCloseRace(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(30 * time.Second):
-			t.Fatal("KNN/Close race: a call never completed (orphaned in the queue)")
-		}
-		// The drain must have been exhaustive: nothing may remain queued.
-		select {
-		case c := <-s.queue:
-			_ = c
-			t.Fatal("a call was left in the queue after Close returned")
-		default:
+			t.Fatal("KNN/Close race: a call never completed")
 		}
 	}
 }
@@ -267,6 +260,70 @@ func TestDurableCloseReleasesMappings(t *testing.T) {
 				t.Fatalf("Len %d, Generation %d after Close; want %d, %d", s.Len(), s.Generation(), before.Points, before.Generation)
 			}
 		})
+	}
+}
+
+// TestCloseWaitsForSearch holds the search gate, as a search in flight
+// holds it, while Close runs, with one more caller waiting for the gate.
+// Every shard's final file must stay mapped until the gate opens, none
+// once Close returns; the waiting caller and every later call get
+// ErrClosed.
+func TestCloseWaitsForSearch(t *testing.T) {
+	if !pager.MmapSupported() {
+		t.Skip("snapshots are not mapped on this platform")
+	}
+	const shards = 4
+	dir := t.TempDir()
+	s, err := New(uniform(200, 3, 9), Config{Shards: shards, SnapshotPath: filepath.Join(dir, "s.hdsn")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fileMappings(dir)
+	switch {
+	case before == nil:
+		s.Close()
+		t.Skip("/proc/self/maps is not readable")
+	case len(before) != shards:
+		s.Close()
+		t.Fatalf("%d files mapped before Close, want %d: %v", len(before), shards, before)
+	}
+	q := []float64{0.5, 0.5, 0.5}
+	open := holdGate(t, s, 1, func() error {
+		_, err := s.KNN(q, 3)
+		return err
+	})
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	for !s.closed.Load() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	// Errorf, not Fatalf, until the gate opens: Close and the waiting
+	// caller need it.
+	for i := 0; i < 50 && !t.Failed(); i++ {
+		if m := fileMappings(dir); !reflect.DeepEqual(m, before) {
+			t.Errorf("with the gate held, Close left the mappings %v, want %v", m, before)
+		}
+		select {
+		case err := <-closed:
+			t.Errorf("Close returned %v while the gate was held", err)
+			closed <- err
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+	if err := open()[0]; !errors.Is(err, ErrClosed) {
+		t.Errorf("the call waiting for the gate during Close: %v, want ErrClosed", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if m := fileMappings(dir); len(m) != 0 {
+		t.Fatalf("mappings left after Close: %v", m)
+	}
+	if _, err := s.KNN(q, 3); !errors.Is(err, ErrClosed) {
+		t.Fatalf("KNN after Close: %v, want ErrClosed", err)
+	}
+	if _, err := s.RangeCount(q, 0.5); !errors.Is(err, ErrClosed) {
+		t.Fatalf("RangeCount after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package serve is the concurrent query-serving core: an epoch-based
 // reader/writer split over the index structures of this repository.
 //
-// Readers never block and never take a lock on the data they search.
-// Every query runs against immutable rtree.FlatTree snapshots
-// published through atomic pointers; a reader pins a snapshot for the
-// duration of one search with an acquire/validate protocol (load,
-// increment the pin count, re-check the pointer and the retired flag,
-// retry on failure), so a snapshot can never be observed after it was
-// retired. The single logical writer ingests points into
+// Readers never wait for the writer and never take a lock on the data
+// they search. Every query runs against immutable rtree.FlatTree
+// snapshots published through atomic pointers; a reader pins a
+// snapshot for the duration of one search with an acquire/validate
+// protocol (load, increment the pin count, re-check the pointer and the
+// retired flag, retry on failure), so a snapshot can never be observed
+// after it was retired. The single logical writer ingests points into
 // write-optimized rtree.DynamicTree shards (R*-tree insertion) under a
 // mutex and periodically re-flattens a dirty shard into a fresh
 // snapshot that is swapped in atomically — an LSM-flavored split
@@ -54,18 +54,17 @@
 //
 // # Admission
 //
-// k-NN and range queries are admitted through one bounded queue of
-// 256 calls and served in batches: a single batcher goroutine drains
-// up to 16 waiting calls, pins one snapshot per shard, and answers
-// every call of the batch, in queue order, against that pinned set.
-// Each k-NN call runs its own best-first search over all the pinned
-// shards, so its reported page accesses are exactly the single-query
-// optimum the paper's predictor estimates, whatever else shares the
-// batch; range calls run a depth-first range search on each shard. A
-// full queue rejects immediately with ErrOverloaded: backpressure
-// surfaces to the caller instead of growing an unbounded backlog.
+// k-NN and range queries search on the caller's goroutine, one at a
+// time, behind one search gate (a mutex): a call takes the gate, pins
+// one snapshot per shard, searches, and releases the pins and the gate.
+// A k-NN call runs one best-first search over all the pinned shards, so
+// its reported page accesses are exactly the single-query optimum the
+// paper's predictor estimates; a range call runs a depth-first range
+// search on each shard. At most 256 callers wait for the gate; the next
+// one is rejected at once with ErrOverloaded: backpressure surfaces to
+// the caller instead of growing an unbounded backlog.
 //
-// Per-query latencies (queue wait plus search) are recorded in
+// Per-query latencies (gate wait plus search) are recorded in
 // obs.LatencySketch reservoirs; Stats reports p50/p95/p99.
 package serve
 
@@ -85,8 +84,8 @@ import (
 	"hdidx/internal/vec"
 )
 
-// ErrOverloaded reports that the admission queue was full; the caller
-// should back off and retry.
+// ErrOverloaded reports that queueDepth callers were already waiting
+// for the search gate; the caller should back off and retry.
 var ErrOverloaded = errors.New("serve: admission queue full")
 
 // ErrClosed reports an operation on a closed server.
@@ -99,14 +98,9 @@ var errNonFinite = errors.New("serve: non-finite coordinate")
 // MaxShards bounds Config.Shards.
 const MaxShards = 64
 
-// queueDepth bounds the admission queue; a full queue rejects with
-// ErrOverloaded. batchSize is the most queued calls one batch answers
-// against its pinned snapshot set; each call is still searched on its
-// own, so the batch size changes no answer and no page count.
-const (
-	queueDepth = 256
-	batchSize  = 16
-)
+// queueDepth bounds the callers waiting for the search gate; the next
+// one is rejected with ErrOverloaded.
+const queueDepth = 256
 
 // Config parameterizes a Server. The zero value of every field selects
 // a sensible default.
@@ -245,16 +239,11 @@ type Server struct {
 	mu sync.Mutex // guards every shard's dyn/pending/file*, rr, and publication order
 	rr int        // round-robin ingest cursor
 
-	queue chan *call
-	done  chan struct{}
-	wg    sync.WaitGroup
-
-	// sendMu fences a sender's check-closed-then-enqueue against
-	// Close's final queue drain: senders hold it shared around the
-	// re-check and the send, Close takes it exclusively after stopping
-	// the batcher, so once Close's barrier passes no call can slip into
-	// the queue behind the drain.
-	sendMu sync.RWMutex
+	// gate serializes KNN and RangeCount: each search runs on its
+	// caller's goroutine while holding it. waiting counts the callers
+	// blocked on it; queueDepth bounds it.
+	gate    sync.Mutex
+	waiting atomic.Int64
 
 	closed atomic.Bool
 
@@ -274,27 +263,6 @@ type Server struct {
 
 	knnLat   *obs.LatencySketch
 	rangeLat *obs.LatencySketch
-}
-
-// call kinds on the unified admission queue.
-const (
-	callKNN = iota
-	callRange
-)
-
-type call struct {
-	kind   int
-	q      []float64 // query point (k-NN) or sphere center (range)
-	k      int
-	radius float64
-	start  time.Time
-	reply  chan reply
-}
-
-type reply struct {
-	res Result
-	n   int // range count
-	err error
 }
 
 // Result is the outcome of one k-NN query.
@@ -379,8 +347,6 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 		cfg:           cfg,
 		dim:           g.Dim,
 		shards:        make([]*shard, cfg.Shards),
-		queue:         make(chan *call, queueDepth),
-		done:          make(chan struct{}),
 		snapPageBytes: pb,
 		knnLat:        obs.NewLatencySketch(0),
 		rangeLat:      obs.NewLatencySketch(0),
@@ -418,8 +384,6 @@ func New(initial [][]float64, cfg Config) (*Server, error) {
 		}
 		return nil, err
 	}
-	s.wg.Add(1)
-	go s.batchLoop()
 	return s, nil
 }
 
@@ -478,7 +442,7 @@ func releaseAll(sns []*snapshot) {
 
 // publishHook, when non-nil, observes every shard publication just
 // before the swap, with the resident flattened tree and the snapshot
-// about to go live. Tests use it to poison the resident arrays of an
+// about to be served. Tests use it to poison the resident arrays of an
 // mmap-backed generation, proving served rows come from the mapping.
 var publishHook func(resident *rtree.FlatTree, sn *snapshot)
 
@@ -666,8 +630,8 @@ func (s *Server) Insert(p []float64) error {
 // and touches no file. On a closed server it returns ErrClosed without
 // publishing — Close is final; no generation may appear after it (the
 // closed flag is re-checked under s.mu, which Close fences after
-// stopping the batcher, so a Flush that loses the race with Close
-// cannot publish on the dead server). Stats and Generation remain
+// setting it, so a Flush that loses the race with Close cannot publish
+// on the dead server). Stats and Generation remain
 // readable after Close: they only observe the last snapshots, they
 // cannot create one.
 func (s *Server) Flush() error {
@@ -688,47 +652,38 @@ func (s *Server) Flush() error {
 	return s.publishLocked(dirty)
 }
 
-// enqueue admits c with the closed/overload protocol and waits for the
-// batcher's reply.
-func (s *Server) enqueue(c *call) (reply, error) {
-	// Enqueue under the shared send lock with a re-check of closed:
-	// a call that slips past the caller's closed check while Close runs
-	// must either observe closed here, or complete its send before
-	// Close's exclusive barrier — in which case the final drain finds
-	// it. Without this fence a send could land after the drain emptied
-	// the queue, orphaning the call.
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		return reply{}, ErrClosed
-	}
-	select {
-	case s.queue <- c:
-		s.sendMu.RUnlock()
-	default:
-		s.sendMu.RUnlock()
+// search runs fn on the caller's goroutine behind the search gate,
+// over one pinned snapshot per shard (their trees, and the points they
+// hold in total). A caller that finds queueDepth others waiting for the
+// gate is rejected with ErrOverloaded; one that takes the gate after
+// Close set closed gets ErrClosed.
+func (s *Server) search(fn func(trees []*rtree.FlatTree, total int) error) error {
+	if s.waiting.Add(1) > queueDepth {
+		s.waiting.Add(-1)
 		s.overloads.Add(1)
-		return reply{}, ErrOverloaded
+		return ErrOverloaded
 	}
-	select {
-	case r := <-c.reply:
-		return r, r.err
-	case <-s.done:
-		// The server is closing; the batcher may still have answered
-		// this call before exiting.
-		select {
-		case r := <-c.reply:
-			return r, r.err
-		default:
-			return reply{}, ErrClosed
-		}
+	s.gate.Lock()
+	defer s.gate.Unlock()
+	s.waiting.Add(-1)
+	if s.closed.Load() {
+		return ErrClosed
 	}
+	sns := s.acquireAll()
+	defer releaseAll(sns)
+	trees := make([]*rtree.FlatTree, len(sns))
+	total := 0
+	for i, sn := range sns {
+		trees[i] = sn.ft
+		total += sn.ft.NumPoints
+	}
+	return fn(trees, total)
 }
 
-// KNN answers one k-NN query. The call enqueues on the admission queue
-// (rejecting with ErrOverloaded when full) and is answered by the
-// batcher with the optimal best-first search over the batch's pinned
-// snapshots. A query with a non-finite coordinate is an error.
+// KNN answers one k-NN query with the optimal best-first search over
+// the roots of every pinned shard (query.KNNSearchForest), run on the
+// caller's goroutine behind the search gate (see the package doc,
+// Admission). A query with a non-finite coordinate is an error.
 func (s *Server) KNN(q []float64, k int) (Result, error) {
 	if s.closed.Load() {
 		return Result{}, ErrClosed
@@ -739,17 +694,35 @@ func (s *Server) KNN(q []float64, k int) (Result, error) {
 	if !vec.Finite(q) {
 		return Result{}, errNonFinite
 	}
-	c := &call{kind: callKNN, q: q, k: k, start: time.Now(), reply: make(chan reply, 1)}
-	r, err := s.enqueue(c)
-	return r.res, err
+	start := time.Now()
+	var res Result
+	err := s.search(func(trees []*rtree.FlatTree, total int) error {
+		// Validate against the snapshot set actually being searched —
+		// the pinned set is the authority on what it can serve.
+		if k < 1 || k > total {
+			return fmt.Errorf("serve: k=%d outside [1, %d]", k, total)
+		}
+		r := query.KNNSearchForest(trees, q, k)
+		// The neighbor rows alias the snapshots' packed point matrices
+		// (the KNNSearchFlat aliasing contract), so the answer carries
+		// copies.
+		res = Result{
+			Neighbors:    vec.ClonePoints(r.Neighbors),
+			LeafAccesses: r.LeafAccesses,
+			DirAccesses:  r.DirAccesses,
+			Radius:       r.Radius,
+		}
+		s.knnLat.Observe(time.Since(start))
+		return nil
+	})
+	return res, err
 }
 
 // RangeCount returns the number of indexed points within radius of
-// center. Like KNN it goes through the admission queue (a full queue
-// rejects with ErrOverloaded) and is answered by the batcher against
-// the same pinned snapshots as the rest of its batch; the count is
-// bit-identical to a direct query.RangeSearchFlat over the served
-// points. A non-finite center or a NaN radius is an error.
+// center, summed over the shards' range counts behind the search gate
+// like KNN; the count is bit-identical to a direct
+// query.RangeSearchFlat over the served points. A non-finite center or
+// a NaN radius is an error.
 func (s *Server) RangeCount(center []float64, radius float64) (int, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
@@ -763,83 +736,17 @@ func (s *Server) RangeCount(center []float64, radius float64) (int, error) {
 	if radius < 0 || math.IsNaN(radius) {
 		return 0, fmt.Errorf("serve: radius %v is negative or NaN", radius)
 	}
-	c := &call{kind: callRange, q: center, radius: radius, start: time.Now(), reply: make(chan reply, 1)}
-	r, err := s.enqueue(c)
-	return r.n, err
-}
-
-// batchLoop is the single batcher goroutine: it blocks for one call,
-// then opportunistically drains up to batchSize-1 more and answers
-// them all against one pinned snapshot set.
-func (s *Server) batchLoop() {
-	defer s.wg.Done()
-	calls := make([]*call, 0, batchSize)
-	for {
-		select {
-		case <-s.done:
-			return
-		case c := <-s.queue:
-			calls = append(calls[:0], c)
-		drain:
-			for len(calls) < batchSize {
-				select {
-				case c2 := <-s.queue:
-					calls = append(calls, c2)
-				default:
-					break drain
-				}
-			}
-			s.serveBatch(calls)
+	start := time.Now()
+	n := 0
+	err := s.search(func(trees []*rtree.FlatTree, _ int) error {
+		for _, ft := range trees {
+			pts, _ := query.RangeSearchFlat(ft, query.Sphere{Center: center, Radius: radius})
+			n += pts
 		}
-	}
-}
-
-// serveBatch answers the calls against one pinned snapshot per shard,
-// in queue order. A k-NN call runs one best-first search over the
-// roots of every pinned shard (query.KNNSearchForest); a range call
-// sums the shards' range counts.
-func (s *Server) serveBatch(calls []*call) {
-	sns := s.acquireAll()
-	trees := make([]*rtree.FlatTree, len(sns))
-	total := 0
-	for i, sn := range sns {
-		trees[i] = sn.ft
-		total += sn.ft.NumPoints
-	}
-	for _, c := range calls {
-		if c.kind == callRange {
-			n := 0
-			for _, ft := range trees {
-				pts, _ := query.RangeSearchFlat(ft, query.Sphere{Center: c.q, Radius: c.radius})
-				n += pts
-			}
-			s.rangeLat.Observe(time.Since(c.start))
-			c.reply <- reply{n: n}
-			continue
-		}
-		// Validate against the snapshot set actually being searched —
-		// the pinned set is the authority on what it can serve.
-		if c.k < 1 || c.k > total {
-			c.reply <- reply{err: fmt.Errorf("serve: k=%d outside [1, %d]", c.k, total)}
-			continue
-		}
-		s.answerKNN(c, query.KNNSearchForest(trees, c.q, c.k))
-	}
-	releaseAll(sns)
-}
-
-// answerKNN materializes one k-NN answer and completes the call. The
-// neighbor rows alias the snapshots' packed point matrices (the
-// KNNSearchFlat aliasing contract), so the answer carries copies.
-func (s *Server) answerKNN(c *call, r query.Result) {
-	res := Result{
-		Neighbors:    vec.ClonePoints(r.Neighbors),
-		LeafAccesses: r.LeafAccesses,
-		DirAccesses:  r.DirAccesses,
-		Radius:       r.Radius,
-	}
-	s.knnLat.Observe(time.Since(c.start))
-	c.reply <- reply{res: res}
+		s.rangeLat.Observe(time.Since(start))
+		return nil
+	})
+	return n, err
 }
 
 // ShardStats is the per-shard breakdown within Stats (the facade's
@@ -876,7 +783,7 @@ type Stats struct {
 	RetiredSnapshots int64
 	// Overloads counts calls rejected with ErrOverloaded.
 	Overloads int64
-	// Deadlines is always 0: no call has a queue deadline. The field
+	// Deadlines is always 0: no call has a deadline. The field
 	// stays only because the benchmark module (bench/) reads it.
 	Deadlines int64
 	// FlattenTime is the cumulative time spent re-flattening shards at
@@ -895,7 +802,7 @@ type Stats struct {
 	Mapped bool
 	// Shards holds the per-shard breakdown, in shard order.
 	Shards []ShardStats
-	// KNN and Range are the per-query latency digests (queue wait plus
+	// KNN and Range are the per-query latency digests (gate wait plus
 	// search).
 	KNN, Range obs.LatencySummary
 }
@@ -949,44 +856,32 @@ func (s *Server) Len() int {
 // Dim returns the dimensionality the server indexes.
 func (s *Server) Dim() int { return s.dim }
 
-// Close stops the batcher, fails queued and future calls with
-// ErrClosed, and releases each shard's final snapshot file (its
-// mapping, where mapped). Stats, Len and Generation stay callable:
-// they read only counts. Closing an already-closed server returns
-// ErrClosed.
+// Close fails later calls with ErrClosed and, once the search in
+// flight (if any) has finished, releases each shard's final snapshot
+// file (its mapping, where mapped). Stats, Len and Generation stay
+// callable: they read only counts. Closing an already-closed server
+// returns ErrClosed.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return ErrClosed
 	}
-	close(s.done)
-	s.wg.Wait()
-	// Sender barrier: every call that passed its closed re-check under
-	// the shared lock has finished its send once this exclusive
-	// acquisition succeeds; later senders observe closed. The drain
-	// below is therefore exhaustive.
-	s.sendMu.Lock()
-	s.sendMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
+	// Search fence: the search holding the gate finishes; every later
+	// holder sees closed under the gate and searches nothing.
+	s.gate.Lock()
+	s.gate.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	// Publication fence: a Flush or Insert that entered s.mu before the
 	// closed flag was set finishes (and may publish, linearized before
 	// this Close); any later one sees closed under s.mu and refuses.
 	s.mu.Lock()
 	s.mu.Unlock() //nolint:staticcheck
-	// Nothing searches a snapshot any more: the batcher has exited and
-	// no publication follows the fence. The final snapshots are not
-	// retired — acquire spins on a retired current snapshot, and Stats
-	// and Len still pin them for their counts.
+	// Nothing searches a snapshot any more: no search follows the gate
+	// fence and no publication follows the publication fence. The final
+	// snapshots are not retired — acquire spins on a retired current
+	// snapshot, and Stats and Len still pin them for their counts.
 	for _, sh := range s.shards {
 		if pg := sh.cur.Load().pg; pg != nil {
 			pg.Close()
 		}
 	}
-	// Fail whatever is left in the queue.
-	for {
-		select {
-		case c := <-s.queue:
-			c.reply <- reply{err: ErrClosed}
-		default:
-			return nil
-		}
-	}
+	return nil
 }

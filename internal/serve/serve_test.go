@@ -12,9 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"hdidx/internal/obs"
 	"hdidx/internal/query"
-	"hdidx/internal/rtree"
 )
 
 func uniform(n, dim int, seed int64) [][]float64 {
@@ -219,30 +217,67 @@ func TestServeRangeCount(t *testing.T) {
 	}
 }
 
+// holdGate takes s's search gate, as a search in flight holds it, and
+// starts n callers of call; it returns once all n wait for the gate.
+// open releases the gate and returns the callers' errors.
+func holdGate(t *testing.T, s *Server, n int, call func() error) (open func() []error) {
+	t.Helper()
+	s.gate.Lock()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { errs <- call() }()
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.waiting.Load() < int64(n) {
+		if time.Now().After(deadline) {
+			s.gate.Unlock()
+			t.Fatalf("%d of %d callers wait for the search gate", s.waiting.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() []error {
+		s.gate.Unlock()
+		out := make([]error, n)
+		for i := range out {
+			out[i] = <-errs
+		}
+		return out
+	}
+}
+
+// TestServeBackpressure fills the admission bound: with the search gate
+// held and queueDepth callers waiting for it, the next KNN and
+// RangeCount are rejected at once with ErrOverloaded and counted, and
+// every waiter is answered once the gate opens.
 func TestServeBackpressure(t *testing.T) {
-	// A hand-built server with no batcher running: the queue fills and
-	// the admission path must reject instead of blocking.
-	s := &Server{
-		cfg:      Config{FlattenEvery: 1024}.withDefaults(),
-		dim:      2,
-		shards:   []*shard{{dyn: rtree.NewDynamic(rtree.NewGeometry(2))}},
-		queue:    make(chan *call, 2),
-		done:     make(chan struct{}),
-		knnLat:   obs.NewLatencySketch(16),
-		rangeLat: obs.NewLatencySketch(16),
+	s, err := New([][]float64{{0, 0}}, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.shards[0].dyn.Insert([]float64{0, 0})
-	s.mu.Lock()
-	s.publishLocked(s.shards)
-	s.mu.Unlock()
+	defer s.Close()
 	q := []float64{0.5, 0.5}
-	s.queue <- &call{q: q, k: 1}
-	s.queue <- &call{q: q, k: 1}
+	open := holdGate(t, s, queueDepth, func() error {
+		_, err := s.KNN(q, 1)
+		return err
+	})
+	// Errorf, not Fatalf, until the gate opens: the waiters and the
+	// deferred Close need it.
 	if _, err := s.KNN(q, 1); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
+		t.Errorf("KNN: err = %v, want ErrOverloaded", err)
 	}
-	if n := s.overloads.Load(); n != 1 {
-		t.Fatalf("overload counter %d, want 1", n)
+	if _, err := s.RangeCount(q, 1); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("RangeCount: err = %v, want ErrOverloaded", err)
+	}
+	if n := s.Stats().Overloads; n != 2 {
+		t.Errorf("Overloads = %d, want 2", n)
+	}
+	for i, err := range open() {
+		if err != nil {
+			t.Fatalf("waiter %d: %v", i, err)
+		}
+	}
+	if n := s.Stats().KNN.Count; n != queueDepth {
+		t.Fatalf("%d k-NN answers recorded, want %d", n, queueDepth)
 	}
 }
 

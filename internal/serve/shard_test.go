@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"hdidx/internal/obs"
 	"hdidx/internal/pager"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
@@ -91,52 +90,15 @@ func TestServeShardedMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestServeShardedBatchIdentity drives a full admission batch through
-// a sharded server (serveBatch called directly, so the batch is full)
-// and checks every reply against the single-shard oracle.
-func TestServeShardedBatchIdentity(t *testing.T) {
-	data := uniform(600, 8, 33)
-	oracle, err := New(data, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oracle.Close()
-	s, err := New(data, Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	queries := uniform(16, 8, 34)
-	calls := make([]*call, len(queries))
-	for i, q := range queries {
-		calls[i] = &call{kind: callKNN, q: q, k: 1 + i, start: time.Now(), reply: make(chan reply, 1)}
-	}
-	s.serveBatch(calls)
-	for i, c := range calls {
-		r := <-c.reply
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		want, err := oracle.KNN(queries[i], 1+i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.res.Radius != want.Radius || !reflect.DeepEqual(r.res.Neighbors, want.Neighbors) {
-			t.Fatalf("batched query %d diverges from single-shard oracle", i)
-		}
-	}
-}
-
-// TestServeBatchAccessesAreOptimal pins the cost a batch reports: each
-// k-NN reply's page accesses must be exactly those of one best-first
+// TestServeBatchAccessesAreOptimal pins the cost a served k-NN call
+// reports: its page accesses must be exactly those of one best-first
 // search over the roots of every pinned shard (query.KNNSearchForest)
 // — the nodes, in every shard, that meet the global k-NN sphere, the
 // count the paper's predictor estimates. A shared-frontier batch
 // traversal used to charge clustered queries for pages only their
 // batch-mates needed (over 4x the optimum); queries near data points
 // expose it, uniform random ones in 16 dimensions do not. At S > 1 the
-// reply must also charge fewer leaf pages than searching each shard to
+// call must also charge fewer leaf pages than searching each shard to
 // its own k-th radius on at least one query: each shard's own radius
 // is wider than the global one.
 func TestServeBatchAccessesAreOptimal(t *testing.T) {
@@ -156,36 +118,31 @@ func TestServeBatchAccessesAreOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		calls := make([]*call, len(queries))
-		for i, q := range queries {
-			calls[i] = &call{kind: callKNN, q: q, k: k, start: time.Now(), reply: make(chan reply, 1)}
-		}
-		s.serveBatch(calls)
 		sns := s.acquireAll()
 		trees := make([]*rtree.FlatTree, len(sns))
 		for i, sn := range sns {
 			trees[i] = sn.ft
 		}
 		fewer := 0
-		for i, c := range calls {
-			r := <-c.reply
-			if r.err != nil {
-				t.Fatal(r.err)
+		for i, q := range queries {
+			res, err := s.KNN(q, k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := query.KNNSearchForest(trees, queries[i], k)
-			if r.res.LeafAccesses != want.LeafAccesses || r.res.DirAccesses != want.DirAccesses {
-				t.Errorf("S=%d query %d: batch charged %d leaf / %d dir pages, optimal search reads %d / %d",
-					shards, i, r.res.LeafAccesses, r.res.DirAccesses, want.LeafAccesses, want.DirAccesses)
+			want := query.KNNSearchForest(trees, q, k)
+			if res.LeafAccesses != want.LeafAccesses || res.DirAccesses != want.DirAccesses {
+				t.Errorf("S=%d query %d: the call charged %d leaf / %d dir pages, optimal search reads %d / %d",
+					shards, i, res.LeafAccesses, res.DirAccesses, want.LeafAccesses, want.DirAccesses)
 			}
 			scatter := 0
 			for _, ft := range trees {
-				scatter += query.KNNSearchFlat(ft, queries[i], min(k, ft.NumPoints)).LeafAccesses
+				scatter += query.KNNSearchFlat(ft, q, min(k, ft.NumPoints)).LeafAccesses
 			}
-			if r.res.LeafAccesses > scatter || (shards == 1 && r.res.LeafAccesses != scatter) {
-				t.Errorf("S=%d query %d: batch charged %d leaf pages, a search per shard %d",
-					shards, i, r.res.LeafAccesses, scatter)
+			if res.LeafAccesses > scatter || (shards == 1 && res.LeafAccesses != scatter) {
+				t.Errorf("S=%d query %d: the call charged %d leaf pages, a search per shard %d",
+					shards, i, res.LeafAccesses, scatter)
 			}
-			if r.res.LeafAccesses < scatter {
+			if res.LeafAccesses < scatter {
 				fewer++
 			}
 		}
@@ -329,47 +286,44 @@ func TestServeDirtyShardOnlyPublication(t *testing.T) {
 }
 
 // TestServeRangeQueueSemantics drives RangeCount through the admission
-// protocol: a full queue rejects with ErrOverloaded, and a queued range
-// call is answered by the batcher and recorded in the range sketch.
+// protocol: with the search gate held and queueDepth range calls
+// waiting for it, the next RangeCount is rejected with ErrOverloaded
+// and counted, and once the gate opens every waiting call is answered
+// and recorded in the range sketch.
 func TestServeRangeQueueSemantics(t *testing.T) {
-	s := &Server{
-		cfg:      Config{FlattenEvery: 1024}.withDefaults(),
-		dim:      2,
-		shards:   []*shard{{dyn: rtree.NewDynamic(rtree.NewGeometry(2))}},
-		queue:    make(chan *call, 2),
-		done:     make(chan struct{}),
-		knnLat:   obs.NewLatencySketch(16),
-		rangeLat: obs.NewLatencySketch(16),
+	s, err := New([][]float64{{0, 0}, {1, 1}}, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.shards[0].dyn.Insert([]float64{0, 0})
-	s.shards[0].dyn.Insert([]float64{1, 1})
-	s.mu.Lock()
-	s.publishLocked(s.shards)
-	s.mu.Unlock()
-
-	// No batcher running: two queued calls fill the queue, the third
-	// RangeCount must reject instead of blocking.
+	defer s.Close()
 	q := []float64{0.1, 0.1}
-	s.queue <- &call{kind: callRange, q: q, radius: 1}
-	s.queue <- &call{kind: callRange, q: q, radius: 1}
+	counts := make(chan int, queueDepth)
+	open := holdGate(t, s, queueDepth, func() error {
+		n, err := s.RangeCount(q, 5)
+		counts <- n
+		return err
+	})
+	// Errorf, not Fatalf, until the gate opens: the waiters and the
+	// deferred Close need it.
 	if _, err := s.RangeCount(q, 1); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
+		t.Errorf("err = %v, want ErrOverloaded", err)
 	}
 	if n := s.overloads.Load(); n != 1 {
-		t.Fatalf("overload counter %d, want 1", n)
+		t.Errorf("overload counter %d, want 1", n)
 	}
-
-	c := &call{kind: callRange, q: q, radius: 5, start: time.Now(), reply: make(chan reply, 1)}
-	s.serveBatch([]*call{c})
-	r := <-c.reply
-	if r.err != nil {
-		t.Fatal(r.err)
+	for i, err := range open() {
+		if err != nil {
+			t.Fatalf("waiting call %d: %v", i, err)
+		}
 	}
-	if r.n != 2 {
-		t.Fatalf("range count %d, want 2", r.n)
+	close(counts)
+	for n := range counts {
+		if n != 2 {
+			t.Fatalf("range count %d, want 2", n)
+		}
 	}
-	if s.rangeLat.Summary().Count != 1 {
-		t.Fatal("served range call not recorded in the range latency sketch")
+	if n := s.rangeLat.Summary().Count; n != queueDepth {
+		t.Fatalf("%d range calls recorded in the range latency sketch, want %d", n, queueDepth)
 	}
 }
 

@@ -9,12 +9,13 @@ import (
 
 // This file surfaces the concurrent query-serving core
 // (internal/serve) through the facade: a Server holds an index that
-// answers k-NN and range queries from many goroutines, lock-free on
-// the read path, while ingesting new points concurrently. See
-// DESIGN.md §10 for the epoch/snapshot-swap architecture.
+// answers k-NN and range queries from many goroutines, one search at a
+// time and never waiting for the writer, while ingesting new points
+// concurrently. See DESIGN.md §10 for the epoch/snapshot-swap
+// architecture and the search gate.
 
-// ErrOverloaded reports that the server's admission queue was full;
-// back off and retry. Test with errors.Is.
+// ErrOverloaded reports that 256 calls were already waiting for their
+// turn to search; back off and retry. Test with errors.Is.
 var ErrOverloaded = serve.ErrOverloaded
 
 // ErrServerClosed reports an operation on a closed Server. Test with
@@ -73,8 +74,8 @@ type Server struct {
 
 // NewServer starts a server over points. The index page geometry is
 // configured with the same options as Build (WithPageBytes,
-// WithUtilization). Close the server when done to stop its batcher
-// goroutine.
+// WithUtilization). The server starts no goroutine; Close it when done
+// to release its snapshot files (their mappings).
 //
 // points may be empty when ServeConfig.SnapshotPath names an existing
 // manifest — the restarted server recovers its points (and its
@@ -105,8 +106,10 @@ func NewServer(points [][]float64, scfg ServeConfig, opts ...Option) (*Server, e
 
 // KNN returns the k nearest neighbors of q on the current snapshot,
 // closest first, with the search's page-access statistics. The
-// neighbors are private copies. A full admission queue returns
-// ErrOverloaded; a query with a non-finite coordinate is an error.
+// neighbors are private copies. KNN and RangeCount search on the
+// caller's goroutine, one call at a time; a call that finds 256 others
+// waiting for their turn returns ErrOverloaded. A query with a
+// non-finite coordinate is an error.
 func (s *Server) KNN(q []float64, k int) ([][]float64, QueryStats, error) {
 	res, err := s.srv.KNN(q, k)
 	if err != nil {
@@ -142,13 +145,14 @@ func (s *Server) Len() int { return s.srv.Len() }
 // Dim returns the dimensionality of the indexed points.
 func (s *Server) Dim() int { return s.srv.Dim() }
 
-// Close stops the server; queued and future calls fail with
-// ErrServerClosed. It releases the server's snapshot files (their
-// mappings); Len and Stats stay callable.
+// Close stops the server: the search in flight finishes, and calls
+// waiting for their turn and later calls fail with ErrServerClosed.
+// It then releases the server's snapshot files (their mappings); Len
+// and Stats stay callable.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// LatencyStats summarizes observed per-query latencies (queue wait
-// plus search time).
+// LatencyStats summarizes observed per-query latencies (the wait for
+// the call's turn plus search time).
 type LatencyStats = obs.LatencySummary
 
 // ShardServeStats is the per-shard breakdown within ServerStats.
