@@ -265,22 +265,12 @@ func newAblationEnv(b *testing.B, seed int64) *ablationEnv {
 	rng := rand.New(rand.NewSource(seed))
 	data := dataset.Texture60.Scaled(0.1).Generate(rng).Points
 	g := rtree.NewGeometry(len(data[0]))
-	d := disk.New(disk.DefaultParams())
-	pf := disk.NewPointFile(d, len(data[0]), len(data))
-	pf.AppendAll(data)
-	d.ResetCounters()
 	const q, k = 100, 21
-	indices := make([]int, q)
-	queryPoints := make([][]float64, q)
-	for i := range indices {
-		indices[i] = rng.Intn(len(data))
-		queryPoints[i] = data[indices[i]]
-	}
+	indices, queryPoints := query.DensityBiased(data, q, rng)
 	spheres := query.ComputeSpheres(data, queryPoints, k)
-	cp := make([][]float64, len(data))
-	copy(cp, data)
-	tree := rtree.Build(cp, rtree.ParamsForGeometry(g))
+	tree := rtree.Build(data, rtree.ParamsForGeometry(g))
 	measured := stats.Mean(query.MeasureLeafAccesses(tree, spheres))
+	pf := disk.Stage(data, g.PageBytes)
 	return &ablationEnv{data: data, g: g, pf: pf, indices: indices, spheres: spheres, measured: measured, k: k}
 }
 
@@ -321,14 +311,9 @@ func BenchmarkAblationSplitStrategy(b *testing.B) {
 	env := newAblationEnv(b, 33)
 	for i := 0; i < b.N; i++ {
 		params := rtree.ParamsForGeometry(env.g)
-		cp1 := make([][]float64, len(env.data))
-		copy(cp1, env.data)
-		maxVar := rtree.Build(cp1, params)
-
+		maxVar := rtree.Build(env.data, params)
 		params.Split = rtree.SplitLongestSide
-		cp2 := make([][]float64, len(env.data))
-		copy(cp2, env.data)
-		longest := rtree.Build(cp2, params)
+		longest := rtree.Build(env.data, params)
 
 		if i == 0 {
 			mv := stats.Mean(query.MeasureLeafAccesses(maxVar, env.spheres))

@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	experiments -run table3 -scale 0.1
 //	experiments -run all -scale 0.05 -queries 100
 //
-// Scale 1.0 regenerates the paper-size experiments (minutes of CPU);
-// smaller scales keep the shapes at a fraction of the cost. The
-// analytic sweeps (fig9, fig10, sweepn) always run at paper size.
+// -run takes a comma-separated list of the ids in the table below, or
+// all. Scale 1.0 regenerates the paper-size experiments (minutes of
+// CPU); smaller scales keep the shapes at a fraction of the cost. The
+// analytic sweeps always run at paper size.
 package main
 
 import (
@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		run        = flag.String("run", "all", "experiment: fig2, table3, fig11, fig12, unif8, table4, fig9, fig10, sweepn, fig13, fig14, range, structures, dynamic, datasets, serve, pager, or all")
+		run        = flag.String("run", "all", "comma-separated experiments: "+strings.Join(ids(), ", ")+", or all")
 		scale      = flag.Float64("scale", 0.1, "dataset scale factor")
 		queries    = flag.Int("queries", 0, "sample queries (default 500)")
 		k          = flag.Int("k", 0, "k of k-NN (default 21)")
@@ -54,11 +54,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	ids := strings.Split(*run, ",")
+	selected := strings.Split(*run, ",")
 	if *run == "all" {
-		ids = []string{"fig2", "table3", "fig11", "fig12", "unif8", "table4", "fig9", "fig10", "sweepn", "fig13", "fig14", "range", "structures", "dynamic", "datasets", "serve", "pager"}
+		selected = ids()
 	}
-	for _, id := range ids {
+	for _, id := range selected {
 		if err := runOne(strings.TrimSpace(id), opt); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
 			stopProf()
@@ -73,122 +73,58 @@ func main() {
 	stopProf()
 }
 
-func runOne(id string, opt experiments.Options) error {
-	switch id {
-	case "fig2":
-		r, err := experiments.Fig2(opt)
-		if err != nil {
-			return err
+// table lists every experiment in the order -run all prints them. The
+// analytic sweeps ignore the options.
+var table = []struct {
+	id  string
+	run func(experiments.Options) (fmt.Stringer, error)
+}{
+	{"fig2", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Fig2(o) }},
+	{"table3", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Table3(o) }},
+	{"fig11", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Correlation(o, 0) }},
+	{"fig12", func(o experiments.Options) (fmt.Stringer, error) {
+		if o.M == 0 {
+			o.M = max(int(1000*o.Scale+0.5), 200)
 		}
-		fmt.Print(r)
-	case "table3":
-		r, err := experiments.Table3(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "fig11":
-		r, err := experiments.Correlation(opt, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "fig12":
-		small := opt
-		if small.M == 0 {
-			small.M = int(1000*opt.Scale + 0.5)
-			if small.M < 200 {
-				small.M = 200
-			}
-		}
-		r, err := experiments.Correlation(small, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "unif8":
-		full := opt
-		full.Scale = 1 // the uniform check is cheap at paper scale
-		full.M = 10000
-		r, err := experiments.Uniform8D(full)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "table4":
-		r, err := experiments.Table4(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "fig9":
-		r, err := experiments.Fig9()
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "fig10":
-		r, err := experiments.Fig10()
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "sweepn":
-		r, err := experiments.SweepDatasetSize()
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "fig13":
-		r, err := experiments.Fig13(opt, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "fig14":
-		r, err := experiments.Fig14(opt, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "range":
-		r, err := experiments.RangeQueries(opt, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "structures":
-		r, err := experiments.OtherStructures(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "dynamic":
-		r, err := experiments.DynamicIndex(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "datasets":
-		r, err := experiments.AllDatasets(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "serve":
-		r, err := experiments.Serve(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	case "pager":
-		r, err := experiments.Pager(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
+		return experiments.Correlation(o, 0)
+	}},
+	{"unif8", func(o experiments.Options) (fmt.Stringer, error) {
+		o.Scale, o.M = 1, 10000 // the uniform check is cheap at paper scale
+		return experiments.Uniform8D(o)
+	}},
+	{"table4", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Table4(o) }},
+	{"fig9", func(experiments.Options) (fmt.Stringer, error) { return experiments.Fig9() }},
+	{"fig10", func(experiments.Options) (fmt.Stringer, error) { return experiments.Fig10() }},
+	{"sweepn", func(experiments.Options) (fmt.Stringer, error) { return experiments.SweepDatasetSize() }},
+	{"fig13", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Fig13(o, nil) }},
+	{"fig14", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Fig14(o, nil) }},
+	{"range", func(o experiments.Options) (fmt.Stringer, error) { return experiments.RangeQueries(o, nil) }},
+	{"structures", func(o experiments.Options) (fmt.Stringer, error) { return experiments.OtherStructures(o) }},
+	{"dynamic", func(o experiments.Options) (fmt.Stringer, error) { return experiments.DynamicIndex(o) }},
+	{"datasets", func(o experiments.Options) (fmt.Stringer, error) { return experiments.AllDatasets(o) }},
+	{"serve", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Serve(o) }},
+	{"pager", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Pager(o) }},
+}
+
+// ids returns the experiment ids in table order.
+func ids() []string {
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.id
 	}
-	return nil
+	return out
+}
+
+func runOne(id string, opt experiments.Options) error {
+	for _, e := range table {
+		if e.id == id {
+			r, err := e.run(opt)
+			if err != nil {
+				return err
+			}
+			fmt.Print(r)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown experiment %q", id)
 }

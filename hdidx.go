@@ -140,10 +140,8 @@ func Build(points [][]float64, opts ...Option) (*Index, error) {
 		return nil, err
 	}
 	g := c.geometry(dim)
-	cp := make([][]float64, len(points))
-	copy(cp, points)
 	sp := obs.TraceIfEnabled("hdidx.build", nil).Span("rtree.build")
-	tree := rtree.Build(cp, rtree.ParamsForGeometry(g))
+	tree := rtree.Build(points, rtree.ParamsForGeometry(g))
 	sp.End()
 	return &Index{flat: tree.Flatten(), g: g}, nil
 }
@@ -266,18 +264,19 @@ type EstimateOptions struct {
 	// (default 500).
 	Queries int
 	// Memory is the number of points that fit in memory for the
-	// restricted-memory methods (default 10,000).
+	// restricted-memory methods (default 10,000). MethodBasic samples
+	// the memory's fraction of the dataset, floored at the 1/C limit
+	// of Theorem 1 and capped at the whole dataset.
 	Memory int
-	// SampleFraction is the sample size for MethodBasic (default the
-	// memory fraction, floored at the 1/C limit).
-	SampleFraction float64
 	// Seed drives sampling and query selection. Every seed >= 0 is
 	// used verbatim — the zero value runs with seed 0 — and negative
 	// values select DefaultSeed.
 	Seed int64
 }
 
-func (o EstimateOptions) withDefaults() (EstimateOptions, error) {
+// withDefaults checks o, fills its defaults and clamps K to the n
+// points of the dataset.
+func (o EstimateOptions) withDefaults(n int) (EstimateOptions, error) {
 	if o.K < 0 {
 		return o, fmt.Errorf("hdidx: negative k %d", o.K)
 	}
@@ -287,12 +286,10 @@ func (o EstimateOptions) withDefaults() (EstimateOptions, error) {
 	if o.Memory < 0 {
 		return o, fmt.Errorf("hdidx: negative memory size %d", o.Memory)
 	}
-	if o.SampleFraction < 0 || o.SampleFraction > 1 {
-		return o, fmt.Errorf("hdidx: sample fraction %g outside [0, 1]", o.SampleFraction)
-	}
 	if o.K == 0 {
 		o.K = 21
 	}
+	o.K = min(o.K, n)
 	if o.Queries == 0 {
 		o.Queries = 500
 	}
@@ -381,42 +378,24 @@ func (p *Predictor) estimate(method Method, radius float64, opts EstimateOptions
 	default:
 		return Estimate{}, fmt.Errorf("hdidx: unknown method %q", method)
 	}
-	o, err := opts.withDefaults()
+	o, err := opts.withDefaults(len(p.points))
 	if err != nil {
 		return Estimate{}, err
 	}
 	rng := rand.New(rand.NewSource(o.Seed))
-	k := o.K
-	if k > len(p.points) {
-		k = len(p.points)
-	}
+	indices, centers := query.DensityBiased(p.points, o.Queries, rng)
 
 	if method == MethodBasic {
-		zeta := o.SampleFraction
-		if zeta == 0 {
-			zeta = float64(o.Memory) / float64(len(p.points))
-			if min := 1.0 / float64(p.g.EffDataCapacity()); zeta < min {
-				zeta = min
-			}
-			if zeta > 1 {
-				zeta = 1
-			}
-		}
+		minZeta := 1 / float64(p.g.EffDataCapacity()) // Theorem 1's 1/C limit
+		zeta := min(max(float64(o.Memory)/float64(len(p.points)), minZeta), 1)
 		tr := newEstimateTrace(MethodBasic, nil)
-		centers := make([][]float64, o.Queries)
-		for i := range centers {
-			centers[i] = p.points[rng.Intn(len(p.points))]
-		}
 		var spheres []query.Sphere
 		if radius == 0 {
 			sp := tr.Span("workload.spheres")
-			spheres = query.ComputeSpheres(p.points, centers, k)
+			spheres = query.ComputeSpheres(p.points, centers, o.K)
 			sp.End()
 		} else {
-			spheres = make([]query.Sphere, len(centers))
-			for i, c := range centers {
-				spheres[i] = query.Sphere{Center: c, Radius: radius}
-			}
+			spheres = query.Balls(centers, radius)
 		}
 		pr, err := core.PredictBasic(p.points, zeta, true, p.g, spheres, rng, tr)
 		if err != nil {
@@ -427,19 +406,15 @@ func (p *Predictor) estimate(method Method, radius float64, opts EstimateOptions
 
 	// Restricted-memory methods run against the dataset staged on a
 	// fresh simulated disk, so the reported I/O cost is measured.
-	d, pf := stageDataset(p.points, p.g)
-	indices := make([]int, o.Queries)
-	for i := range indices {
-		indices[i] = rng.Intn(len(p.points))
-	}
+	pf := disk.Stage(p.points, p.g.PageBytes)
 	cfg := core.Config{
 		Geometry:     p.g,
 		M:            o.Memory,
-		K:            k,
+		K:            o.K,
 		FixedRadius:  radius,
 		QueryIndices: indices,
 		Rng:          rng,
-		Trace:        newEstimateTrace(method, d),
+		Trace:        newEstimateTrace(method, pf.File().Disk()),
 	}
 	var pr core.Prediction
 	if method == MethodResampled {
@@ -451,17 +426,6 @@ func (p *Predictor) estimate(method Method, radius float64, opts EstimateOptions
 		return Estimate{}, err
 	}
 	return estimateOf(method, pr), nil
-}
-
-// stageDataset stores the dataset on a fresh simulated disk for the
-// restricted-memory methods. The counters are reset after staging, so
-// the prediction's reported I/O is measured from zero.
-func stageDataset(points [][]float64, g rtree.Geometry) (*disk.Disk, *disk.PointFile) {
-	d := disk.New(disk.DefaultParams().WithPageBytes(g.PageBytes))
-	pf := disk.NewPointFile(d, len(points[0]), len(points))
-	pf.AppendAll(points)
-	d.ResetCounters()
-	return d, pf
 }
 
 // newEstimateTrace builds the always-on trace behind Estimate.Phases
@@ -517,20 +481,15 @@ func (p *Predictor) MeasureRangeAccesses(radius float64, opts EstimateOptions) (
 	if radius <= 0 {
 		return 0, fmt.Errorf("hdidx: range radius must be positive")
 	}
-	o, err := opts.withDefaults()
+	o, err := opts.withDefaults(len(p.points))
 	if err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewSource(o.Seed))
-	spheres := make([]query.Sphere, o.Queries)
-	for i := range spheres {
-		spheres[i] = query.Sphere{Center: p.points[rng.Intn(len(p.points))], Radius: radius}
-	}
+	_, centers := query.DensityBiased(p.points, o.Queries, rand.New(rand.NewSource(o.Seed)))
+	spheres := query.Balls(centers, radius)
 	tr := obs.TraceIfEnabled("hdidx.measure.range", nil)
-	cp := make([][]float64, len(p.points))
-	copy(cp, p.points)
 	sp := tr.Span("rtree.build")
-	tree := rtree.Build(cp, rtree.ParamsForGeometry(p.g))
+	tree := rtree.Build(p.points, rtree.ParamsForGeometry(p.g))
 	sp.End()
 	sp = tr.Span("measure.leaves")
 	defer sp.End()
@@ -544,25 +503,26 @@ type PageSizeChoice struct {
 	// MeanAccesses is the predicted leaf accesses per query at this
 	// page size.
 	MeanAccesses float64
-	// SecondsPerQuery prices the accesses as random reads on the
-	// paper's disk (10 ms seek, 20 MB/s bandwidth).
+	// SecondsPerQuery prices each access as one random page read on
+	// the paper's disk (Section 4.6): a 10 ms seek plus the page's
+	// transfer at 0.4 ms per 8 KB, the price of the simulated disk
+	// behind every Estimate's PredictionIOSeconds.
 	SecondsPerQuery float64
 }
 
 // TunePageSize runs the paper's Section 6.1 application as one call:
 // predict the per-query I/O cost of the workload for every candidate
-// page size and report the cheapest, without building a single index
-// on disk. Candidates are in bytes; nil sweeps 8 KB to 256 KB in
-// doublings. The restricted-memory resampled predictor is used where
-// the tree is tall enough and the basic model otherwise (very large
-// pages flatten the tree below the upper/lower split, which the
-// resampled predictor reports as ErrFlatTree). Any other estimation
-// error aborts the sweep.
+// page size (PageSizeChoice.SecondsPerQuery) and report the cheapest,
+// without building a single index on disk. Candidates are in bytes;
+// nil sweeps 8 KB to 256 KB in doublings. The restricted-memory
+// resampled predictor is used where the tree is tall enough and the
+// basic model otherwise (very large pages flatten the tree below the
+// upper/lower split, which the resampled predictor reports as
+// ErrFlatTree). Any other estimation error aborts the sweep.
 func (p *Predictor) TunePageSize(candidates []int, opts EstimateOptions) (best PageSizeChoice, all []PageSizeChoice, err error) {
 	if len(candidates) == 0 {
 		candidates = []int{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
 	}
-	const seekSeconds, bandwidth = 0.010, 20e6
 	for _, pb := range candidates {
 		if pb < 1024 {
 			return PageSizeChoice{}, nil, fmt.Errorf("hdidx: page size %d below 1 KB", pb)
@@ -580,10 +540,11 @@ func (p *Predictor) TunePageSize(candidates []int, opts EstimateOptions) (best P
 		if err != nil {
 			return PageSizeChoice{}, nil, fmt.Errorf("hdidx: page %d: %w", pb, err)
 		}
+		price := disk.DefaultParams().WithPageBytes(pb)
 		choice := PageSizeChoice{
 			PageBytes:       pb,
 			MeanAccesses:    est.MeanAccesses,
-			SecondsPerQuery: est.MeanAccesses * (seekSeconds + float64(pb)/bandwidth),
+			SecondsPerQuery: est.MeanAccesses * (price.SeekSeconds + price.XferSeconds),
 		}
 		all = append(all, choice)
 		if best.PageBytes == 0 || choice.SecondsPerQuery < best.SecondsPerQuery {
@@ -597,29 +558,17 @@ func (p *Predictor) TunePageSize(candidates []int, opts EstimateOptions) (best P
 // average leaf accesses of the same workload an Estimate predicts —
 // the ground truth for evaluating predictions.
 func (p *Predictor) MeasureKNNAccesses(opts EstimateOptions) (float64, error) {
-	o, err := opts.withDefaults()
+	o, err := opts.withDefaults(len(p.points))
 	if err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewSource(o.Seed))
-	k := o.K
-	if k > len(p.points) {
-		k = len(p.points)
-	}
-	queryPoints := make([][]float64, o.Queries)
-	for i := range queryPoints {
-		queryPoints[i] = p.points[rng.Intn(len(p.points))]
-	}
+	_, centers := query.DensityBiased(p.points, o.Queries, rand.New(rand.NewSource(o.Seed)))
 	tr := obs.TraceIfEnabled("hdidx.measure.knn", nil)
 	sp := tr.Span("workload.spheres")
-	spheres := query.ComputeSpheres(p.points, queryPoints, k)
+	spheres := query.ComputeSpheres(p.points, centers, o.K)
 	sp.End()
 	sp = tr.Span("measure.inmemory")
-	// The bulk load reorders its input: give it a copy, so the caller's
-	// slice and the next call's query draws stay as they were.
-	cp := make([][]float64, len(p.points))
-	copy(cp, p.points)
-	out := stats.Mean(core.MeasureInMemory(cp, p.g, spheres))
+	out := stats.Mean(core.MeasureInMemory(p.points, p.g, spheres))
 	sp.End()
 	return out, nil
 }

@@ -344,8 +344,6 @@ func TestEstimateOptionsValidation(t *testing.T) {
 		{K: -1},
 		{Queries: -5},
 		{Memory: -100},
-		{SampleFraction: 1.5},
-		{SampleFraction: -0.1},
 	}
 	for _, opts := range bad {
 		if _, err := p.EstimateKNN(MethodResampled, opts); err == nil {

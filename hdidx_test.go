@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hdidx/internal/dataset"
+	"hdidx/internal/disk"
 )
 
 func clusteredPoints(tb testing.TB, scale float64, seed int64) [][]float64 {
@@ -269,6 +270,26 @@ func TestTunePageSize(t *testing.T) {
 	}
 	if _, _, err := p.TunePageSize([]int{100}, opts); err == nil {
 		t.Error("expected error for sub-1KB page")
+	}
+}
+
+// TestTunePageSizePricesLikeTheDisk checks that the page-size sweep
+// prices an access the way the simulated disk and every prediction's
+// I/O cost do: one seek plus the transfer of one page at that size.
+func TestTunePageSizePricesLikeTheDisk(t *testing.T) {
+	p, err := NewPredictor(clusteredPoints(t, 0.02, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, all, err := p.TunePageSize([]int{8 << 10, 32 << 10, 128 << 10}, EstimateOptions{Queries: 20, Memory: 1000, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range all {
+		price := disk.DefaultParams().WithPageBytes(c.PageBytes)
+		if want := c.MeanAccesses * (price.SeekSeconds + price.XferSeconds); c.SecondsPerQuery != want {
+			t.Errorf("%d bytes: %v s/query, want %v", c.PageBytes, c.SecondsPerQuery, want)
+		}
 	}
 }
 

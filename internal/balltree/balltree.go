@@ -127,9 +127,9 @@ func checkBuild(pts [][]float64, p BuildParams) {
 // Build bulk-loads a Euclidean tree of kind k over pts. The SS- and
 // SR-tree bound the pages of rtree.Build's VAMSplit partition: an
 // SS-tree page by a ball around its centroid, an SR-tree page by that
-// ball and its rectangle; they retain and reorder pts. The M-tree is
-// BuildM's with pivots drawn from seed, which the other two ignore. No
-// point is modified.
+// ball and its rectangle. The M-tree is BuildM's with pivots drawn from
+// seed, which the other two ignore. Every kind retains the point
+// slices but leaves pts in its order, and no point is modified.
 func Build(k Kind, pts [][]float64, p BuildParams, seed int64) *Tree {
 	if k == M {
 		return BuildM(pts, p, vec.Dist, seed)

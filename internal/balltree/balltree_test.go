@@ -34,22 +34,6 @@ func clusteredPoints(n, dim int, seed int64) [][]float64 {
 	return spec.Generate(rng).Points
 }
 
-func TestInsertBounded(t *testing.T) {
-	var best []float64
-	for _, d := range []float64{5, 1, 3, 2, 4} {
-		best = insertBounded(best, d, 3)
-	}
-	want := []float64{1, 2, 3}
-	if len(best) != 3 {
-		t.Fatalf("len = %d", len(best))
-	}
-	for i := range want {
-		if best[i] != want[i] {
-			t.Errorf("best[%d] = %v, want %v", i, best[i], want[i])
-		}
-	}
-}
-
 func TestSphereCompensationFactorLimits(t *testing.T) {
 	if got := SphereCompensationFactor(32, 1, 8); math.Abs(got-1) > 1e-12 {
 		t.Errorf("factor at zeta=1 = %v, want 1", got)
@@ -122,7 +106,7 @@ func TestPredictFullSampleExact(t *testing.T) {
 	spheres := query.ComputeSpheres(data, centers, 5)
 	for _, tc := range kinds {
 		seed := rand.New(rand.NewSource(12)).Int63()
-		measured := MeasureLeafAccesses(Build(tc.kind, clonePoints(data), g.Params(tc.kind), seed), spheres)
+		measured := MeasureLeafAccesses(Build(tc.kind, data, g.Params(tc.kind), seed), spheres)
 		p, err := Predict(tc.kind, data, 1, true, g, spheres, rand.New(rand.NewSource(12)))
 		if err != nil {
 			t.Fatal(err)
@@ -139,7 +123,7 @@ func BenchmarkKNNSearch(b *testing.B) {
 	data := clusteredPoints(20000, 16, 13)
 	for _, tc := range kinds {
 		b.Run(tc.name, func(b *testing.B) {
-			tr := Build(tc.kind, clonePoints(data), NewGeometry(16).Params(tc.kind), 1)
+			tr := Build(tc.kind, data, NewGeometry(16).Params(tc.kind), 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

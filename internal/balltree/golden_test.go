@@ -51,8 +51,6 @@ func digestTree(h hash.Hash, t *Tree) {
 	walk(t.Root)
 }
 
-func clonePoints(data [][]float64) [][]float64 { return append([][]float64(nil), data...) }
-
 // TestGolden pins the three structures bit for bit: the trees built
 // from a fixed dataset (a full build and a forced-height mini build of
 // each, and an M-tree under L1), the predictions of each at a scaled
@@ -68,19 +66,19 @@ func TestGolden(t *testing.T) {
 	sum := func(h hash.Hash) string { return fmt.Sprintf("%x", h.Sum(nil)) }
 
 	h := sha256.New()
-	digestTree(h, Build(SS, clonePoints(data), full, 0))
-	digestTree(h, Build(SS, clonePoints(data[:1000]), forced, 0))
+	digestTree(h, Build(SS, data, full, 0))
+	digestTree(h, Build(SS, data[:1000], forced, 0))
 	got["SS"] = sum(h)
 
 	h = sha256.New()
-	digestTree(h, Build(SR, clonePoints(data), full, 0))
-	digestTree(h, Build(SR, clonePoints(data[:1000]), forced, 0))
+	digestTree(h, Build(SR, data, full, 0))
+	digestTree(h, Build(SR, data[:1000], forced, 0))
 	got["SR"] = sum(h)
 
 	h = sha256.New()
-	digestTree(h, Build(M, clonePoints(data), full, 7))
-	digestTree(h, Build(M, clonePoints(data[:1000]), forced, 8))
-	digestTree(h, BuildM(clonePoints(data), full, l1, 7))
+	digestTree(h, Build(M, data, full, 7))
+	digestTree(h, Build(M, data[:1000], forced, 8))
+	digestTree(h, BuildM(data, full, l1, 7))
 	got["M"] = sum(h)
 
 	rng := rand.New(rand.NewSource(21))
@@ -107,9 +105,9 @@ func TestGolden(t *testing.T) {
 	}
 
 	h = sha256.New()
-	putFloats(h, MeasureLeafAccesses(Build(SS, clonePoints(data), g.Params(SS), 0), spheres)...)
-	putFloats(h, MeasureLeafAccesses(Build(SR, clonePoints(data), g.Params(SR), 0), spheres)...)
-	putFloats(h, MeasureLeafAccesses(Build(M, clonePoints(data), g.Params(M), 9), spheres)...)
+	putFloats(h, MeasureLeafAccesses(Build(SS, data, g.Params(SS), 0), spheres)...)
+	putFloats(h, MeasureLeafAccesses(Build(SR, data, g.Params(SR), 0), spheres)...)
+	putFloats(h, MeasureLeafAccesses(Build(M, data, g.Params(M), 9), spheres)...)
 	got["measure"] = sum(h)
 
 	for name, want := range map[string]string{

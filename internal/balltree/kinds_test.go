@@ -9,6 +9,7 @@ import (
 	"hdidx/internal/dataset"
 	"hdidx/internal/mbr"
 	"hdidx/internal/query"
+	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
 )
 
@@ -47,6 +48,32 @@ func TestBuildValidates(t *testing.T) {
 			}
 			if tr.Root.Level != 3 {
 				t.Errorf("height %d, want 3", tr.Root.Level)
+			}
+		})
+	}
+}
+
+// TestBuildKeepsCallerOrder checks that no bulk load reorders its
+// caller's slice: rtree.Build, which the SS- and SR-tree bound, and
+// the M-tree's pivot loader each partition their own copy.
+func TestBuildKeepsCallerOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(pts [][]float64)
+	}{
+		{"rtree", func(pts [][]float64) { rtree.Build(pts, rtree.BuildParams{LeafCap: 32, DirCap: 15}) }},
+		{"SS", func(pts [][]float64) { Build(SS, pts, BuildParams{LeafCap: 32, DirCap: 15}, 1) }},
+		{"SR", func(pts [][]float64) { Build(SR, pts, BuildParams{LeafCap: 32, DirCap: 15}, 1) }},
+		{"M", func(pts [][]float64) { Build(M, pts, BuildParams{LeafCap: 32, DirCap: 15}, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pts := clusteredPoints(2000, 8, 3)
+			before := append([][]float64(nil), pts...)
+			tc.build(pts)
+			for i := range pts {
+				if &pts[i][0] != &before[i][0] {
+					t.Fatalf("the build moved the caller's point %d", i)
+				}
 			}
 		})
 	}
@@ -214,7 +241,7 @@ func TestPredictAccuracy(t *testing.T) {
 			}
 			spheres := query.ComputeSpheres(data, queryPoints, 21)
 
-			tree := Build(tc.kind, clonePoints(data), g.Params(tc.kind), 11)
+			tree := Build(tc.kind, data, g.Params(tc.kind), 11)
 			measured := stats.Mean(MeasureLeafAccesses(tree, spheres))
 
 			p, err := Predict(tc.kind, data, 0.2, true, g, spheres, rand.New(rand.NewSource(tc.predSeed)))
@@ -325,8 +352,8 @@ func TestSRTreePrunesAtLeastAsWellAsSSTree(t *testing.T) {
 	// with the same page partitioning it must access no more leaves.
 	data := clusteredPoints(10000, 16, 4)
 	params := BuildParams{LeafCap: 32, DirCap: 10}
-	sr := Build(SR, clonePoints(data), params, 0)
-	ss := Build(SS, clonePoints(data), params, 0)
+	sr := Build(SR, data, params, 0)
+	ss := Build(SS, data, params, 0)
 
 	rng := rand.New(rand.NewSource(5))
 	var srAcc, ssAcc int

@@ -72,51 +72,29 @@ func KNNSearch(t *Tree, q []float64, k int) Result {
 		panic(fmt.Sprintf("balltree: k = %d outside [1, %d]", k, t.NumPoints))
 	}
 	pq := &nodeHeap{{node: t.Root, dist: t.MinDist(t.Root, q)}}
-	kth := math.Inf(1)
-	var best []float64
+	best := query.NewBoundedMaxHeap(k)
 	var res Result
 	for pq.Len() > 0 {
 		e := heap.Pop(pq).(nodeEntry)
-		if e.dist > kth {
+		if e.dist > best.Max() {
 			break
 		}
 		if e.node.IsLeaf() {
 			res.LeafAccesses++
 			for _, p := range e.node.Points {
-				best = insertBounded(best, t.dist(p, q), k)
-				if len(best) == k {
-					kth = best[k-1]
-				}
+				best.Offer(t.dist(p, q))
 			}
 			continue
 		}
 		res.DirAccesses++
 		for _, c := range e.node.Children {
-			if d := t.MinDist(c, q); d <= kth {
+			if d := t.MinDist(c, q); d <= best.Max() {
 				heap.Push(pq, nodeEntry{node: c, dist: d})
 			}
 		}
 	}
-	res.Radius = kth
+	res.Radius = best.Max()
 	return res
-}
-
-// insertBounded inserts d into the ascending slice best, keeping at
-// most k elements.
-func insertBounded(best []float64, d float64, k int) []float64 {
-	i := len(best)
-	for i > 0 && best[i-1] > d {
-		i--
-	}
-	if i >= k {
-		return best
-	}
-	if len(best) < k {
-		best = append(best, 0)
-	}
-	copy(best[i+1:], best[i:])
-	best[i] = d
-	return best
 }
 
 type nodeEntry struct {

@@ -119,9 +119,7 @@ func TestHistogramModelReasonableInLowDim(t *testing.T) {
 		queryPoints[i] = pts[rng.Intn(len(pts))]
 	}
 	spheres := query.ComputeSpheres(pts, queryPoints, 21)
-	cp := make([][]float64, len(pts))
-	copy(cp, pts)
-	tree := rtree.Build(cp, rtree.ParamsForGeometry(g))
+	tree := rtree.Build(pts, rtree.ParamsForGeometry(g))
 	var measured float64
 	for _, a := range query.MeasureLeafAccesses(tree, spheres) {
 		measured += a

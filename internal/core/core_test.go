@@ -42,7 +42,7 @@ func newEnv(t testing.TB, spec dataset.Spec, q, k int, seed int64) *testEnv {
 		queryPoints[i] = data[indices[i]]
 	}
 	spheres := query.ComputeSpheres(data, queryPoints, k)
-	tree := rtree.Build(append([][]float64(nil), data...), rtree.ParamsForGeometry(g))
+	tree := rtree.Build(data, rtree.ParamsForGeometry(g))
 	measured := query.MeasureLeafAccesses(tree, spheres)
 	return &testEnv{
 		data: data, d: d, pf: pf, g: g,
@@ -303,9 +303,7 @@ func TestPredictResampledAcrossK(t *testing.T) {
 		indices[i] = rng.Intn(len(data))
 		queryPoints[i] = data[indices[i]]
 	}
-	cp := make([][]float64, len(data))
-	copy(cp, data)
-	tree := rtree.Build(cp, rtree.ParamsForGeometry(g))
+	tree := rtree.Build(data, rtree.ParamsForGeometry(g))
 	for _, k := range []int{2, 5, 21, 50} {
 		spheres := query.ComputeSpheres(data, queryPoints, k)
 		measured := meanOf(query.MeasureLeafAccesses(tree, spheres))

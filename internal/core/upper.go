@@ -87,10 +87,7 @@ func buildUpper(pf *disk.PointFile, cfg Config, needLower bool) (*upperResult, e
 	if scanner != nil {
 		spheres = scanner.Spheres()
 	} else {
-		spheres = make([]query.Sphere, len(queryPoints))
-		for i, qp := range queryPoints {
-			spheres[i] = query.Sphere{Center: qp, Radius: cfg.FixedRadius}
-		}
+		spheres = query.Balls(queryPoints, cfg.FixedRadius)
 	}
 	sp.End()
 

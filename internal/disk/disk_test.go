@@ -3,6 +3,7 @@ package disk
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -100,6 +101,21 @@ func newFullPointFile(d *Disk, dim, n int) *PointFile {
 	pf.AppendAll(pts)
 	d.ResetCounters()
 	return pf
+}
+
+func TestStage(t *testing.T) {
+	pts := [][]float64{{1, 2}, {3, 4}, {5, 6}}
+	pf := Stage(pts, 16384)
+	d := pf.File().Disk()
+	if got := d.Params(); got != DefaultParams().WithPageBytes(16384) {
+		t.Errorf("params %+v", got)
+	}
+	if c := d.Counters(); c != (Counters{}) {
+		t.Errorf("counters %+v after staging, want zero", c)
+	}
+	if got := pf.ReadRange(0, 3); !reflect.DeepEqual(got, pts) {
+		t.Errorf("read back %v, want %v", got, pts)
+	}
 }
 
 func TestMultiPageAccessCountsAllTransfers(t *testing.T) {

@@ -69,6 +69,19 @@ func NewPointFile(d *Disk, dim, capacity int) *PointFile {
 	return &PointFile{file: f, dim: dim, ppp: ppp, cap: capacity}
 }
 
+// Stage stores points on a fresh disk with the paper's parameters at
+// the given page size (DefaultParams().WithPageBytes) and zeroes its
+// counters, so every access counted afterwards is the reader's. Disks
+// keep counters and a head position, so each prediction stages its
+// own.
+func Stage(points [][]float64, pageBytes int) *PointFile {
+	d := New(DefaultParams().WithPageBytes(pageBytes))
+	pf := NewPointFile(d, len(points[0]), len(points))
+	pf.AppendAll(points)
+	d.ResetCounters()
+	return pf
+}
+
 // Dim returns the dimensionality of stored points.
 func (pf *PointFile) Dim() int { return pf.dim }
 

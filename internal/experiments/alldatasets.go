@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
-	"hdidx/internal/core"
 	"hdidx/internal/dataset"
-	"hdidx/internal/rtree"
+	"hdidx/internal/par"
 	"hdidx/internal/stats"
 )
 
@@ -17,9 +15,9 @@ import (
 // +0.7%". This driver sweeps every stand-in. The very high-dimensional
 // sets have pathological page geometry (2-4 points per 8 KB page and
 // directory fanout 2), where the restricted-memory split may not
-// exist; the driver then falls back to the basic model, as the paper's
-// Section 3 machinery suffices once the sample fits in memory (their
-// N of 6,500-7,800 points is far below M anyway).
+// exist; the driver then falls back to the basic model (predictMean),
+// as the paper's Section 3 machinery suffices once the sample fits in
+// memory (their N of 6,500-7,800 points is far below M anyway).
 
 // DatasetRow is one dataset's outcome.
 type DatasetRow struct {
@@ -46,7 +44,7 @@ func AllDatasets(opt Options) (AllDatasetsResult, error) {
 	// Each dataset is a fully independent environment + prediction;
 	// fan the five out across the pool.
 	res := AllDatasetsResult{Rows: make([]DatasetRow, len(specs))}
-	err := runTasks(len(specs), func(i int) error {
+	err := par.FirstError(len(specs), func(i int) error {
 		spec := specs[i]
 		o := opt
 		if spec.N < 20000 {
@@ -61,25 +59,9 @@ func AllDatasets(opt Options) (AllDatasetsResult, error) {
 		}
 		env := sharedEnvironment(spec, o)
 		measured := stats.Mean(env.measured)
-		topo := rtree.NewTopology(len(env.data), env.g)
-
-		var predicted float64
-		var method string
-		if topo.Height >= 3 && o.M < len(env.data) {
-			d, pf := env.taskFile()
-			p, err := core.PredictResampled(pf, env.config(0, 500, d))
-			if err != nil {
-				return fmt.Errorf("alldatasets %s: %w", spec.Name, err)
-			}
-			predicted, method = p.Mean, "resampled"
-		} else {
-			zeta := basicZeta(o.M, len(env.data), env.g)
-			p, err := core.PredictBasic(env.data, zeta, true, env.g, env.spheres,
-				rand.New(rand.NewSource(o.Seed+501)), nil)
-			if err != nil {
-				return fmt.Errorf("alldatasets %s basic: %w", spec.Name, err)
-			}
-			predicted, method = p.Mean, "basic"
+		predicted, method, err := env.predictMean(env.g, o.M, o.Seed+1000+500, o.Seed+501)
+		if err != nil {
+			return fmt.Errorf("alldatasets %s: %w", spec.Name, err)
 		}
 		res.Rows[i] = DatasetRow{
 			Name:     env.spec.Name,

@@ -52,21 +52,8 @@ func DynamicIndex(opt Options) (DynamicResult, error) {
 		Name: "CLUSTERED12", N: 120000, Dim: 12,
 		Clusters: 20, VarianceDecay: 0.9, ClusterStd: 0.1,
 	}
-	scaled := spec
-	if opt.Scale != 1 {
-		scaled = spec.Scaled(opt.Scale)
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	data := scaled.Generate(rng).Points
-	k := opt.K
-	if k > len(data) {
-		k = len(data)
-	}
-	queryPoints := make([][]float64, opt.Queries)
-	for i := range queryPoints {
-		queryPoints[i] = data[rng.Intn(len(data))]
-	}
-	spheres := query.ComputeSpheres(data, queryPoints, k)
+	w := newWorkload(spec, opt)
+	scaled, data, spheres := w.spec, w.data, w.spheres
 
 	// Grow the index dynamically and measure.
 	g := rtree.Geometry{Dim: scaled.Dim, PageBytes: 8192, Utilization: 1}

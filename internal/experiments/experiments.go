@@ -13,6 +13,7 @@
 package experiments
 
 import (
+	"errors"
 	"math/rand"
 
 	"hdidx/internal/core"
@@ -70,130 +71,136 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// environment bundles a generated dataset with a density-biased query
-// workload and the measured ground-truth index. It is immutable after
-// construction — concurrent sweep tasks share it read-only and stage
-// their own simulated disks with taskFile — which is also what lets
-// sharedEnvironment cache environments across drivers.
-type environment struct {
-	opt         Options
-	spec        dataset.Spec
+// workload is a generated dataset with its density-biased k-NN query
+// workload (Section 4.2): the query positions and points drawn from
+// the data, their k-NN spheres, and k clamped to the cardinality.
+// Every driver that draws queries draws them here. A workload is
+// immutable once built, so concurrent sweep tasks share it read-only.
+type workload struct {
+	spec        dataset.Spec // scaled by Options.Scale
 	data        [][]float64
-	g           rtree.Geometry
+	k           int
 	indices     []int
 	queryPoints [][]float64
 	spheres     []query.Sphere
-	measured    []float64 // per-query leaf accesses of the full index
-	tree        *rtree.Tree
 }
 
-// newEnvironment generates the dataset, draws the density-biased query
-// workload, and measures the ground-truth per-query leaf accesses on
-// an in-memory build of the full index.
-func newEnvironment(spec dataset.Spec, opt Options) *environment {
-	opt = opt.withDefaults()
-	scaled := spec
+// newWorkload generates spec at opt's scale and draws opt.Queries
+// queries from it, both from one generator seeded with opt.Seed. The
+// caller fills opt's defaults.
+func newWorkload(spec dataset.Spec, opt Options) workload {
 	if opt.Scale != 1 {
-		scaled = spec.Scaled(opt.Scale)
+		spec = spec.Scaled(opt.Scale)
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	data := scaled.Generate(rng).Points
-	g := rtree.NewGeometry(len(data[0]))
-
-	k := opt.K
-	if k > len(data) {
-		k = len(data)
-	}
-	indices := make([]int, opt.Queries)
-	queryPoints := make([][]float64, opt.Queries)
-	for i := range indices {
-		indices[i] = rng.Intn(len(data))
-		queryPoints[i] = data[indices[i]]
-	}
-	spheres := query.ComputeSpheres(data, queryPoints, k)
-
-	// Ground truth: the full index. Build on a copy so the point
-	// reordering of the bulk loader does not disturb index-based
-	// lookups into data.
-	cp := make([][]float64, len(data))
-	copy(cp, data)
-	tree := rtree.Build(cp, rtree.ParamsForGeometry(g))
-	measured := query.MeasureLeafAccesses(tree, spheres)
-
-	return &environment{
-		opt:         opt,
-		spec:        scaled,
+	data := spec.Generate(rng).Points
+	k := min(opt.K, len(data))
+	indices, queryPoints := query.DensityBiased(data, opt.Queries, rng)
+	return workload{
+		spec:        spec,
 		data:        data,
-		g:           g,
+		k:           k,
 		indices:     indices,
 		queryPoints: queryPoints,
-		spheres:     spheres,
-		measured:    measured,
-		tree:        tree,
+		spheres:     query.ComputeSpheres(data, queryPoints, k),
 	}
 }
 
-// taskFile stages the environment's dataset on a fresh simulated disk
-// for one prediction task, with counters at zero. Disks are stateful
-// (head position, counters), so concurrent tasks each stage their own
-// from the shared in-memory dataset instead of sharing one disk or
-// re-generating the points.
-func (e *environment) taskFile() (*disk.Disk, *disk.PointFile) {
-	d := disk.New(diskParams())
-	pf := disk.NewPointFile(d, len(e.data[0]), len(e.data))
-	pf.AppendAll(e.data)
-	d.ResetCounters()
-	return d, pf
-}
-
-// config builds a predictor Config over this environment, reading from
-// the disk d the caller staged (taskFile). When the obs default
-// registry is enabled (cmd/experiments -trace), each config carries a
-// fresh trace named after the dataset so the per-phase breakdown of
-// every predictor run lands in the registry. The predictor's RNG is
-// private to the config, derived from (seed, seedOffset) — callers
-// give every concurrent task a distinct offset.
-func (e *environment) config(hUpper int, seedOffset int64, d *disk.Disk) core.Config {
-	k := e.opt.K
-	if k > len(e.data) {
-		k = len(e.data)
-	}
-	return core.Config{
-		Geometry:     e.g,
-		M:            e.opt.M,
-		K:            k,
-		QueryIndices: e.indices,
+// stage stores the dataset on a fresh simulated disk of g's page size
+// for one restricted-memory prediction and returns it with the
+// predictor's Config: memory m, the upper tree height hUpper (0
+// chooses it) and a generator seeded with seed. Disks and rand.Rand
+// are stateful, so concurrent tasks each stage their own and take a
+// distinct seed. When the obs default registry is enabled
+// (cmd/experiments -trace), the config carries a fresh trace named
+// after the dataset, so every prediction's phases land in the
+// registry.
+func (w *workload) stage(g rtree.Geometry, m, hUpper int, seed int64) (*disk.PointFile, core.Config) {
+	pf := disk.Stage(w.data, g.PageBytes)
+	return pf, core.Config{
+		Geometry:     g,
+		M:            m,
+		K:            w.k,
+		QueryIndices: w.indices,
 		HUpper:       hUpper,
-		Rng:          rand.New(rand.NewSource(e.opt.Seed + 1000 + seedOffset)),
-		Trace:        obs.TraceIfEnabled("predict."+e.spec.Name, d),
+		Rng:          rand.New(rand.NewSource(seed)),
+		Trace:        obs.TraceIfEnabled("predict."+w.spec.Name, pf.File().Disk()),
 	}
+}
+
+// predictMean predicts the mean leaf accesses per query of the index
+// over the workload's dataset under geometry g with memory m, and
+// names the model that did: the basic model of Section 3, sampling
+// with basicSeed, where the memory holds the whole dataset or
+// core.ErrFlatTree reports no upper/lower split; the resampled model
+// of Section 4.4, sampling with seed, otherwise.
+func (w *workload) predictMean(g rtree.Geometry, m int, seed, basicSeed int64) (float64, string, error) {
+	pf, cfg := w.stage(g, m, 0, seed)
+	if m < len(w.data) {
+		p, err := core.PredictResampled(pf, cfg)
+		if !errors.Is(err, core.ErrFlatTree) {
+			return p.Mean, "resampled", err
+		}
+	}
+	p, err := core.PredictBasic(w.data, basicZeta(m, len(w.data), g), true, g, w.spheres,
+		rand.New(rand.NewSource(basicSeed)), cfg.Trace)
+	return p.Mean, "basic", err
+}
+
+// environment is a workload with the page geometry of the paper's
+// index and its measured ground truth: the full index bulk-loaded in
+// memory and each query's leaf accesses on it. It is immutable after
+// construction, which is what lets sharedEnvironment cache
+// environments across drivers.
+type environment struct {
+	workload
+	opt      Options
+	g        rtree.Geometry
+	measured []float64 // per-query leaf accesses of the full index
+	tree     *rtree.Tree
+}
+
+// newEnvironment generates the workload and measures the ground-truth
+// per-query leaf accesses on an in-memory build of the full index.
+func newEnvironment(spec dataset.Spec, opt Options) *environment {
+	opt = opt.withDefaults()
+	w := newWorkload(spec, opt)
+	g := rtree.NewGeometry(len(w.data[0]))
+	tree := rtree.Build(w.data, rtree.ParamsForGeometry(g))
+	return &environment{
+		workload: w,
+		opt:      opt,
+		g:        g,
+		measured: query.MeasureLeafAccesses(tree, w.spheres),
+		tree:     tree,
+	}
+}
+
+// task stages one prediction task of a sweep on the environment's
+// geometry and memory. Its generator is seeded from the root seed plus
+// the task's fixed offset, distinct for every concurrent task.
+func (e *environment) task(hUpper int, seedOffset int64) (*disk.PointFile, core.Config) {
+	return e.stage(e.g, e.opt.M, hUpper, e.opt.Seed+1000+seedOffset)
 }
 
 // measureOnDiskIO builds the on-disk index on a fresh disk and charges
-// the 500 sample queries as random page accesses (one seek and one
+// the sample queries as random page accesses (one seek and one
 // transfer per leaf or directory page read), returning the build and
 // query counters separately — the "building cost + query cost" split
 // of Table 3.
 func (e *environment) measureOnDiskIO() (build, queries disk.Counters) {
-	d2, pf2 := e.taskFile()
-	tree := rtree.BuildOnDisk(pf2, rtree.ParamsForGeometry(e.g), e.opt.M,
-		obs.TraceIfEnabled("ondisk."+e.spec.Name, d2))
-	build = d2.Counters()
-
-	k := e.opt.K
-	if k > len(e.data) {
-		k = len(e.data)
-	}
-	for _, r := range query.MeasureKNNFlat(tree.Flatten(), e.queryPoints, k) {
+	pf := disk.Stage(e.data, e.g.PageBytes)
+	d := pf.File().Disk()
+	tree := rtree.BuildOnDisk(pf, rtree.ParamsForGeometry(e.g), e.opt.M,
+		obs.TraceIfEnabled("ondisk."+e.spec.Name, d))
+	build = d.Counters()
+	for _, r := range query.MeasureKNNFlat(tree.Flatten(), e.queryPoints, e.k) {
 		pages := int64(r.LeafAccesses + r.DirAccesses)
 		queries.Seeks += pages
 		queries.Transfers += pages
 	}
 	return build, queries
 }
-
-// diskParams returns the disk parameters experiments price with.
-func diskParams() disk.Params { return disk.DefaultParams() }
 
 // basicZeta picks the sample fraction for PredictBasic fallbacks: the
 // memory fraction, floored at 15% (below which Figure 2 shows the

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"hdidx/internal/disk"
 )
 
 // Small, fast options for unit tests. Benchmarks at the repository
@@ -69,7 +71,7 @@ func TestTable3Shape(t *testing.T) {
 	if len(res.Rows) == 0 {
 		t.Fatal("no prediction rows")
 	}
-	onDiskCost := res.OnDiskBuild.Add(res.OnDiskQueries).CostSeconds(diskParams())
+	onDiskCost := res.OnDiskBuild.Add(res.OnDiskQueries).CostSeconds(disk.DefaultParams())
 	var bestResampled Table3Row
 	for _, row := range res.Rows {
 		if row.IOSeconds <= 0 {

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
-	"hdidx/internal/core"
 	"hdidx/internal/dataset"
 	"hdidx/internal/disk"
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
@@ -41,74 +40,29 @@ func Fig13(opt Options, pageKBs []int) (Fig13Result, error) {
 	if len(pageKBs) == 0 {
 		pageKBs = []int{8, 16, 32, 64, 128, 256}
 	}
-	// One dataset and one workload shared across page sizes.
-	spec := dataset.Texture60
-	scaled := spec
-	if opt.Scale != 1 {
-		scaled = spec.Scaled(opt.Scale)
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	data := scaled.Generate(rng).Points
-	k := opt.K
-	if k > len(data) {
-		k = len(data)
-	}
-	indices := make([]int, opt.Queries)
-	queryPoints := make([][]float64, opt.Queries)
-	for i := range indices {
-		indices[i] = rng.Intn(len(data))
-		queryPoints[i] = data[indices[i]]
-	}
-	spheres := query.ComputeSpheres(data, queryPoints, k)
-
-	// One dataset and one workload, shared read-only; each page size
-	// is an independent build+measure+predict task on the pool. Only
-	// the row computations fan out — the best-of scan below stays on
-	// the caller so its ties resolve in row order, as sequentially.
-	res := Fig13Result{Dataset: scaled.Name, Rows: make([]Fig13Row, len(pageKBs))}
-	err := runTasks(len(pageKBs), func(i int) error {
+	// TEXTURE60's dataset and workload, shared read-only; each page
+	// size is an independent build+measure+predict task on the pool.
+	// Only the row computations fan out — the best-of scan below stays
+	// on the caller so its ties resolve in row order, as sequentially.
+	env := sharedEnvironment(dataset.Texture60, opt)
+	res := Fig13Result{Dataset: env.spec.Name, Rows: make([]Fig13Row, len(pageKBs))}
+	err := par.FirstError(len(pageKBs), func(i int) error {
 		kb := pageKBs[i]
-		params := disk.DefaultParams().WithPageBytes(kb * 1024)
-		g := rtree.Geometry{Dim: len(data[0]), PageBytes: kb * 1024, Utilization: rtree.DefaultUtilization}
+		g := rtree.Geometry{Dim: env.g.Dim, PageBytes: kb * 1024, Utilization: rtree.DefaultUtilization}
 
 		// Measured: full in-memory index, leaf accesses per query.
-		cp := make([][]float64, len(data))
-		copy(cp, data)
-		tree := rtree.Build(cp, rtree.ParamsForGeometry(g))
-		measured := stats.Mean(query.MeasureLeafAccesses(tree, spheres))
+		tree := rtree.Build(env.data, rtree.ParamsForGeometry(g))
+		measured := stats.Mean(query.MeasureLeafAccesses(tree, env.spheres))
 
-		// Predicted: the resampled model over the dataset stored with
-		// this page size. Large pages flatten the tree below height 3,
-		// where no upper/lower split exists — there the basic sampling
-		// model (Section 3) applies directly.
-		var predicted float64
-		if rtree.NewTopology(len(data), g).Height >= 3 {
-			d := disk.New(params)
-			pf := disk.NewPointFile(d, len(data[0]), len(data))
-			pf.AppendAll(data)
-			d.ResetCounters()
-			cfg := core.Config{
-				Geometry:     g,
-				M:            opt.M,
-				K:            k,
-				QueryIndices: indices,
-				Rng:          rand.New(rand.NewSource(opt.Seed + int64(kb))),
-			}
-			p, err := core.PredictResampled(pf, cfg)
-			if err != nil {
-				return fmt.Errorf("fig13 page=%dKB: %w", kb, err)
-			}
-			predicted = p.Mean
-		} else {
-			zeta := basicZeta(opt.M, len(data), g)
-			p, err := core.PredictBasic(data, zeta, true, g, spheres,
-				rand.New(rand.NewSource(opt.Seed+int64(kb))), nil)
-			if err != nil {
-				return fmt.Errorf("fig13 page=%dKB basic: %w", kb, err)
-			}
-			predicted = p.Mean
+		// Predicted over the dataset stored with this page size. Large
+		// pages flatten the tree below the upper/lower split, where the
+		// basic model stands in for the resampled one.
+		predicted, _, err := env.predictMean(g, opt.M, opt.Seed+int64(kb), opt.Seed+int64(kb))
+		if err != nil {
+			return fmt.Errorf("fig13 page=%dKB: %w", kb, err)
 		}
 
+		params := disk.DefaultParams().WithPageBytes(kb * 1024)
 		perAccess := params.SeekSeconds + params.XferSeconds
 		res.Rows[i] = Fig13Row{
 			PageKB:            kb,

@@ -12,6 +12,7 @@ import (
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
+	"hdidx/internal/vec"
 )
 
 // Fig14Row is one indexed dimensionality of the experiment of Section
@@ -45,27 +46,11 @@ type Fig14Result struct {
 // the sample's within-radius candidate counts.
 func Fig14(opt Options, dims []int) (Fig14Result, error) {
 	opt = opt.withDefaults()
-	spec := dataset.Texture60
-	scaled := spec
-	if opt.Scale != 1 {
-		scaled = spec.Scaled(opt.Scale)
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	data := scaled.Generate(rng).Points
-	fullDim := len(data[0])
+	env := sharedEnvironment(dataset.Texture60, opt)
+	fullDim := env.g.Dim
 	if len(dims) == 0 {
 		dims = []int{10, 20, 30, 40, 50, fullDim}
 	}
-	k := opt.K
-	if k > len(data) {
-		k = len(data)
-	}
-	queryPoints := make([][]float64, opt.Queries)
-	for i := range queryPoints {
-		queryPoints[i] = data[rng.Intn(len(data))]
-	}
-	fullSpheres := query.ComputeSpheres(data, queryPoints, k)
-
 	for _, d := range dims {
 		if d < 1 || d > fullDim {
 			return Fig14Result{}, fmt.Errorf("fig14: dimensionality %d outside [1, %d]", d, fullDim)
@@ -74,25 +59,23 @@ func Fig14(opt Options, dims []int) (Fig14Result, error) {
 	// Each indexed dimensionality is an independent projection, build,
 	// and prediction; the rows run as pool tasks over the shared data
 	// and full-space spheres.
-	res := Fig14Result{Dataset: scaled.Name, Rows: make([]Fig14Row, len(dims))}
-	err := runTasks(len(dims), func(i int) error {
+	res := Fig14Result{Dataset: env.spec.Name, Rows: make([]Fig14Row, len(dims))}
+	err := par.FirstError(len(dims), func(i int) error {
 		d := dims[i]
-		proj, project, lookup := query.PrefixProjector(data, d)
-		spheres := make([]query.Sphere, len(fullSpheres))
-		for i, s := range fullSpheres {
+		proj, project, lookup := query.PrefixProjector(env.data, d)
+		spheres := make([]query.Sphere, len(env.spheres))
+		for i, s := range env.spheres {
 			spheres[i] = query.Sphere{Center: project(s.Center), Radius: s.Radius}
 		}
 		g := rtree.NewGeometry(d)
 
 		// Measured: the optimal multi-step search on a full index over
 		// the projection.
-		cp := make([][]float64, len(proj))
-		copy(cp, proj)
-		tree := rtree.Build(cp, rtree.ParamsForGeometry(g))
-		leafAcc := make([]float64, len(queryPoints))
-		objAcc := make([]float64, len(queryPoints))
-		par.For(len(queryPoints), func(i int) {
-			r := query.MultiStepKNN(tree, queryPoints[i], k, project, lookup)
+		tree := rtree.Build(proj, rtree.ParamsForGeometry(g))
+		leafAcc := make([]float64, len(env.queryPoints))
+		objAcc := make([]float64, len(env.queryPoints))
+		par.For(len(env.queryPoints), func(i int) {
+			r := query.MultiStepKNN(tree, env.queryPoints[i], env.k, project, lookup)
 			leafAcc[i] = float64(r.IndexLeafAccesses)
 			objAcc[i] = float64(r.ObjectAccesses)
 		})
@@ -138,12 +121,7 @@ func predictObjectAccesses(sample [][]float64, spheres []query.Sphere, zeta floa
 		r2 := s.Radius * s.Radius
 		n := 0
 		for _, p := range sample {
-			var d float64
-			for j, v := range p {
-				diff := v - s.Center[j]
-				d += diff * diff
-			}
-			if d <= r2 {
+			if vec.SqDist(p, s.Center) <= r2 {
 				n++
 			}
 		}

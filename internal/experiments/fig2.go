@@ -7,6 +7,7 @@ import (
 
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
+	"hdidx/internal/par"
 	"hdidx/internal/stats"
 )
 
@@ -45,7 +46,7 @@ func Fig2(opt Options) (Fig2Result, error) {
 	// the shared in-memory environment; each task recreates the same
 	// private RNGs the sequential loop used per row.
 	res := Fig2Result{Dataset: env.spec.Name, MeasuredMean: measured, Rows: make([]Fig2Row, len(fractions))}
-	err := runTasks(len(fractions), func(i int) error {
+	err := par.FirstError(len(fractions), func(i int) error {
 		zeta := fractions[i]
 		rng := rand.New(rand.NewSource(opt.Seed + 7))
 		comp, err := core.PredictBasic(env.data, zeta, true, env.g, env.spheres, rng, nil)

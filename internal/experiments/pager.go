@@ -2,15 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"hdidx/internal/core"
 	"hdidx/internal/dataset"
 	"hdidx/internal/disk"
 	"hdidx/internal/pager"
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
@@ -107,77 +106,30 @@ func Pager(opt Options) (PagerResult, error) {
 	}
 
 	// Datasets and workloads are generated once per spec and shared
-	// read-only across the page sizes (the fig13 idiom).
-	type workload struct {
-		data        [][]float64
-		indices     []int
-		queryPoints [][]float64
-		k           int
-	}
+	// read-only across the page sizes.
 	loads := make([]workload, len(specs))
 	for si, spec := range specs {
-		scaled := spec
-		if opt.Scale != 1 {
-			scaled = spec.Scaled(opt.Scale)
-		}
-		rng := rand.New(rand.NewSource(opt.Seed + int64(si)))
-		data := scaled.Generate(rng).Points
-		k := opt.K
-		if k > len(data) {
-			k = len(data)
-		}
-		indices := make([]int, opt.Queries)
-		queryPoints := make([][]float64, opt.Queries)
-		for i := range indices {
-			indices[i] = rng.Intn(len(data))
-			queryPoints[i] = data[indices[i]]
-		}
-		loads[si] = workload{data: data, indices: indices, queryPoints: queryPoints, k: k}
-		specs[si] = scaled
+		o := opt
+		o.Seed += int64(si)
+		loads[si] = newWorkload(spec, o)
 	}
 
 	res := PagerResult{K: opt.K, Rows: make([]PagerRow, len(cells))}
-	err = runTasks(len(cells), func(ci int) error {
+	err = par.FirstError(len(cells), func(ci int) error {
 		c := cells[ci]
-		spec, wl, pb := specs[c.spec], loads[c.spec], pageSizes[c.page]
+		wl, pb := loads[c.spec], pageSizes[c.page]
+		spec := wl.spec
 		g := rtree.Geometry{Dim: spec.Dim, PageBytes: pb, Utilization: rtree.DefaultUtilization}
 
 		// In-memory ground truth.
-		cp := make([][]float64, len(wl.data))
-		copy(cp, wl.data)
-		tree := rtree.Build(cp, rtree.ParamsForGeometry(g))
-		ft := tree.Flatten()
+		ft := rtree.Build(wl.data, rtree.ParamsForGeometry(g)).Flatten()
 		flat := query.MeasureKNNFlat(ft, wl.queryPoints, wl.k)
 
-		// Prediction, by the fig13 rule: the resampled model when the
-		// tree is tall enough to split, the basic model otherwise.
-		var predicted float64
-		if rtree.NewTopology(len(wl.data), g).Height >= 3 {
-			d := disk.New(disk.DefaultParams().WithPageBytes(pb))
-			pf := disk.NewPointFile(d, spec.Dim, len(wl.data))
-			pf.AppendAll(wl.data)
-			d.ResetCounters()
-			cfg := core.Config{
-				Geometry:     g,
-				M:            opt.M,
-				K:            wl.k,
-				QueryIndices: wl.indices,
-				Rng:          rand.New(rand.NewSource(opt.Seed + int64(1000*ci))),
-			}
-			p, err := core.PredictResampled(pf, cfg)
-			if err != nil {
-				return fmt.Errorf("pager %s page=%d: %w", spec.Name, pb, err)
-			}
-			predicted = p.Mean
-		} else {
-			spheres := query.ComputeSpheres(wl.data, wl.queryPoints, wl.k)
-			zeta := basicZeta(opt.M, len(wl.data), g)
-			p, err := core.PredictBasic(wl.data, zeta, true, g, spheres,
-				rand.New(rand.NewSource(opt.Seed+int64(1000*ci))), nil)
-			if err != nil {
-				return fmt.Errorf("pager %s page=%d basic: %w", spec.Name, pb, err)
-			}
-			predicted = p.Mean
+		// Prediction, by fig13's and alldatasets' rule (predictMean).
+		seed := opt.Seed + int64(1000*ci)
+		predicted, _, err := wl.predictMean(g, opt.M, seed, seed)
+		if err != nil {
+			return fmt.Errorf("pager %s page=%d: %w", spec.Name, pb, err)
 		}
 
 		// Save to a real file, reopen it read and mapped, and search

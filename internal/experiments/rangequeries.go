@@ -6,6 +6,7 @@ import (
 
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
+	"hdidx/internal/par"
 	"hdidx/internal/query"
 	"hdidx/internal/stats"
 )
@@ -53,16 +54,11 @@ func RangeQueries(opt Options, radii []float64) (RangeResult, error) {
 	// as pool tasks sharing the environment's dataset and ground-truth
 	// tree read-only, each predicting against its own staged disk.
 	res := RangeResult{Dataset: env.spec.Name, Rows: make([]RangeRow, len(radii))}
-	err := runTasks(len(radii), func(i int) error {
+	err := par.FirstError(len(radii), func(i int) error {
 		r := radii[i]
-		spheres := make([]query.Sphere, len(env.queryPoints))
-		for j, qp := range env.queryPoints {
-			spheres[j] = query.Sphere{Center: qp, Radius: r}
-		}
-		measured := stats.Mean(query.MeasureLeafAccesses(env.tree, spheres))
+		measured := stats.Mean(query.MeasureLeafAccesses(env.tree, query.Balls(env.queryPoints, r)))
 
-		d, pf := env.taskFile()
-		cfg := env.config(0, 200+int64(i), d)
+		pf, cfg := env.task(0, 200+int64(i))
 		cfg.FixedRadius = r
 		p, err := core.PredictResampled(pf, cfg)
 		if err != nil {

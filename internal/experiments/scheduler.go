@@ -4,46 +4,37 @@ import (
 	"sync"
 
 	"hdidx/internal/dataset"
-	"hdidx/internal/par"
 )
 
 // The sweep drivers run their independent rows as tasks on the shared
-// worker pool (internal/par). The scheduling contract that keeps every
-// result identical regardless of execution order:
+// worker pool (par.FirstError, which returns the lowest-index error, as
+// the sequential loop would have reported first, and re-raises a
+// task's panic on the caller). The scheduling contract that keeps
+// every result identical regardless of execution order:
 //
 //   - Each task owns its row: it writes result slot i and nothing
 //     else, so no synchronization of results is needed beyond the
 //     pool's completion barrier.
 //   - Each task that predicts stages its own simulated disk from the
-//     environment's shared dataset (environment.taskFile). The
-//     expensive state — generated points, query spheres, measured
-//     ground truth, the full in-memory index — is shared read-only;
-//     the stateful disk (head position, I/O counters, buffer pool) is
-//     never shared, so per-prediction counter deltas stay exact.
+//     shared dataset (workload.stage). The expensive state — generated
+//     points, query spheres, measured ground truth, the full in-memory
+//     index — is shared read-only; the stateful disk (head position,
+//     I/O counters) is never shared, so per-prediction counter deltas
+//     stay exact.
 //   - Each task seeds a private rand.Rand from the root seed plus the
-//     row's fixed offset (environment.config's seedOffset, or the
+//     row's fixed offset (environment.task's seedOffset, or the
 //     driver's own, such as fig13's page size), never from another
 //     task's: rand.Rand is not goroutine-safe and must never be
 //     reachable from two tasks.
-//   - Errors are collected per task and the lowest-index one is
-//     returned, matching what the sequential loop would have reported
-//     first.
-
-// runTasks runs n independent sweep tasks on the shared worker pool
-// and returns the lowest-index error. A panic in a task is re-raised
-// on the caller as a *par.WorkerPanic.
-func runTasks(n int, f func(i int) error) error {
-	return par.FirstError(n, f)
-}
 
 // envCache shares fully-constructed environments between drivers of
 // one process. Within `-run all`, table3, the correlation diagrams,
-// the range-query sweep, the buffer sweep, and table4 all stand up the
+// table4, fig13, fig14 and the range-query sweep all stand up the
 // TEXTURE60 environment with the same options; generating the dataset,
 // the workload, and the measured ground-truth index once covers all of
 // them. Safe because environments are immutable after construction:
-// predictions stage their own disks (taskFile) and never write through
-// the cached state. Keyed by (spec name, options) — both comparable —
+// predictions stage their own disks and never write through the
+// cached state. Keyed by (spec name, options) — both comparable —
 // and deterministic: a cache hit returns exactly the environment a
 // fresh construction would.
 var envCache struct {

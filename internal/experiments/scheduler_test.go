@@ -18,7 +18,7 @@ func forceSweepWorkers(t *testing.T, n int) {
 func TestRunTasksFillsRowsByIndex(t *testing.T) {
 	forceSweepWorkers(t, 4)
 	rows := make([]int64, 200)
-	if err := runTasks(len(rows), func(i int) error {
+	if err := par.FirstError(len(rows), func(i int) error {
 		rows[i] = rand.New(rand.NewSource(9 + int64(i))).Int63()
 		return nil
 	}); err != nil {

@@ -78,10 +78,7 @@ func Serve(opt Options) (ServeResult, error) {
 	rng := rand.New(rand.NewSource(opt.Seed))
 	data := scaled.Generate(rng).Points
 	dim := len(data[0])
-	k := opt.K
-	if k > len(data) {
-		k = len(data)
-	}
+	k := min(opt.K, len(data))
 
 	// Publications are durable into a temp directory so the experiment
 	// exercises the full publication path — write, verifying reopen

@@ -79,10 +79,8 @@ func OtherStructures(opt Options) (StructuresResult, error) {
 		kind balltree.Kind
 		seed int64 // of the prediction's generator
 	}{{"SS-tree", balltree.SS, 301}, {"SR-tree", balltree.SR, 305}, {"M-tree", balltree.M, 304}} {
-		cp := make([][]float64, len(env.data))
-		copy(cp, env.data)
 		// The M-tree draws its pivots from the seed; the others ignore it.
-		tree := balltree.Build(bt.kind, cp, bg.Params(bt.kind), opt.Seed+303)
+		tree := balltree.Build(bt.kind, env.data, bg.Params(bt.kind), opt.Seed+303)
 		measured := stats.Mean(balltree.MeasureLeafAccesses(tree, env.spheres))
 		pred, err := balltree.Predict(bt.kind, env.data, zeta, true, bg, env.spheres,
 			rand.New(rand.NewSource(opt.Seed+bt.seed)))

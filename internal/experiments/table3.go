@@ -7,6 +7,7 @@ import (
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
 	"hdidx/internal/disk"
+	"hdidx/internal/par"
 	"hdidx/internal/rtree"
 	"hdidx/internal/stats"
 )
@@ -81,22 +82,21 @@ func table3On(env *environment) (Table3Result, error) {
 	// rows, last task the on-disk build+query measurement.
 	span := max - min + 1
 	res.Rows = make([]Table3Row, 2*span)
-	err = runTasks(2*span+1, func(i int) error {
+	err = par.FirstError(2*span+1, func(i int) error {
 		if i == 2*span {
 			res.OnDiskBuild, res.OnDiskQueries = env.measureOnDiskIO()
 			return nil
 		}
 		h := min + i%span
-		d, pf := env.taskFile()
 		if i < span {
-			p, err := core.PredictResampled(pf, env.config(h, int64(h), d))
+			p, err := core.PredictResampled(env.task(h, int64(h)))
 			if err != nil {
 				return fmt.Errorf("table3 resampled h=%d: %w", h, err)
 			}
 			res.Rows[i] = predictionRow(p, env.measured, measured)
 			return nil
 		}
-		p, err := core.PredictCutoff(pf, env.config(h, 100+int64(h), d))
+		p, err := core.PredictCutoff(env.task(h, 100+int64(h)))
 		if err != nil {
 			return fmt.Errorf("table3 cutoff h=%d: %w", h, err)
 		}
@@ -185,8 +185,7 @@ func Correlation(opt Options, hUpper int) (CorrelationResult, error) {
 		opt.M = opt.M * 3 / 2
 	}
 	env := sharedEnvironment(dataset.Texture60, opt)
-	d, pf := env.taskFile()
-	p, err := core.PredictResampled(pf, env.config(hUpper, 42, d))
+	p, err := core.PredictResampled(env.task(hUpper, 42))
 	if err != nil {
 		return CorrelationResult{}, fmt.Errorf("correlation: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"hdidx/internal/baseline"
 	"hdidx/internal/core"
 	"hdidx/internal/dataset"
+	"hdidx/internal/par"
 	"hdidx/internal/stats"
 )
 
@@ -34,11 +35,7 @@ func Table4(opt Options) (Table4Result, error) {
 	env := sharedEnvironment(dataset.Texture60, opt)
 	measured := stats.Mean(env.measured)
 
-	k := opt.K
-	if k > len(env.data) {
-		k = len(env.data)
-	}
-	uni, err := baseline.UniformModel(len(env.data), env.g.Dim, k, env.g)
+	uni, err := baseline.UniformModel(len(env.data), env.g.Dim, env.k, env.g)
 	if err != nil {
 		return Table4Result{}, fmt.Errorf("table4 uniform: %w", err)
 	}
@@ -46,7 +43,7 @@ func Table4(opt Options) (Table4Result, error) {
 	if err != nil {
 		return Table4Result{}, fmt.Errorf("table4 fractal dims: %w", err)
 	}
-	fr, err := baseline.FractalModel(len(env.data), k, env.g, dims)
+	fr, err := baseline.FractalModel(len(env.data), env.k, env.g, dims)
 	if err != nil {
 		return Table4Result{}, fmt.Errorf("table4 fractal: %w", err)
 	}
@@ -66,8 +63,7 @@ func Table4(opt Options) (Table4Result, error) {
 	if err != nil {
 		return Table4Result{}, fmt.Errorf("table4 histogram model: %w", err)
 	}
-	d, pf := env.taskFile()
-	rs, err := core.PredictResampled(pf, env.config(0, 4, d))
+	rs, err := core.PredictResampled(env.task(0, 4))
 	if err != nil {
 		return Table4Result{}, fmt.Errorf("table4 resampled: %w", err)
 	}
@@ -122,17 +118,16 @@ func Uniform8D(opt Options) (Uniform8DResult, error) {
 	// The two predictions are independent; run them as pool tasks, each
 	// on its own staged disk.
 	var rs, cu core.Prediction
-	err := runTasks(2, func(i int) error {
-		d, pf := env.taskFile()
+	err := par.FirstError(2, func(i int) error {
 		if i == 0 {
-			p, err := core.PredictResampled(pf, env.config(0, 5, d))
+			p, err := core.PredictResampled(env.task(0, 5))
 			if err != nil {
 				return fmt.Errorf("uniform8d resampled: %w", err)
 			}
 			rs = p
 			return nil
 		}
-		p, err := core.PredictCutoff(pf, env.config(0, 6, d))
+		p, err := core.PredictCutoff(env.task(0, 6))
 		if err != nil {
 			return fmt.Errorf("uniform8d cutoff: %w", err)
 		}

@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"hdidx/internal/mbr"
+	"hdidx/internal/query"
 	"hdidx/internal/vec"
 )
 
@@ -268,38 +269,17 @@ func (g *GridFile) KNNSearch(q []float64, k int) KNNResult {
 		entries = append(entries, entry{b: b, dist: b.Region.MinSqDist(q)})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].dist < entries[j].dist })
-	kth := math.Inf(1)
-	var best []float64
+	best := query.NewBoundedMaxHeap(k)
 	res := KNNResult{}
 	for _, e := range entries {
-		if e.dist > kth {
+		if e.dist > best.Max() {
 			break
 		}
 		res.BucketAccesses++
 		for _, p := range e.b.Points {
-			d := vec.SqDist(p, q)
-			best = insertBounded(best, d, k)
-			if len(best) == k {
-				kth = best[k-1]
-			}
+			best.Offer(vec.SqDist(p, q))
 		}
 	}
-	res.Radius = math.Sqrt(kth)
+	res.Radius = math.Sqrt(best.Max())
 	return res
-}
-
-func insertBounded(best []float64, d float64, k int) []float64 {
-	i := len(best)
-	for i > 0 && best[i-1] > d {
-		i--
-	}
-	if i >= k {
-		return best
-	}
-	if len(best) < k {
-		best = append(best, 0)
-	}
-	copy(best[i+1:], best[i:])
-	best[i] = d
-	return best
 }

@@ -464,8 +464,7 @@ func TestWriteDeterministic(t *testing.T) {
 	} {
 		data := uniform(c.n, c.dim, rand.New(rand.NewSource(int64(c.n))))
 		write := func() []byte {
-			cp := append([][]float64(nil), data...) // Build reorders its input
-			ft := rtree.Build(cp, rtree.BuildParams{LeafCap: 16, DirCap: 8}).Flatten()
+			ft := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8}).Flatten()
 			var buf bytes.Buffer
 			if _, err := Write(&buf, ft, c.page); err != nil {
 				t.Fatalf("write: %v", err)

@@ -131,7 +131,7 @@ func (h *nodeMinHeap) pop() flatHeapEntry {
 // flatScratch is the pooled per-query state of the flat searches.
 type flatScratch struct {
 	pq    nodeMinHeap
-	best  boundedMaxHeap
+	best  BoundedMaxHeap
 	nbrs  neighborHeap
 	dists []float64
 	stack []int32
@@ -212,7 +212,7 @@ func knnFlat(trees []*rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc
 		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, total))
 	}
 	sc.pq.reset()
-	sc.best.reset(k)
+	sc.best.Reset(k)
 	if wantNeighbors {
 		sc.nbrs.reset(k)
 	}
@@ -229,7 +229,7 @@ func knnFlat(trees []*rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc
 	res := Result{}
 	for sc.pq.len() > 0 {
 		e := sc.pq.pop()
-		if sc.best.full() && e.dist > sc.best.max() {
+		if sc.best.Full() && e.dist > sc.best.Max() {
 			break
 		}
 		ft, node := trees[e.tree], e.node
@@ -240,11 +240,11 @@ func knnFlat(trees []*rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc
 			rows := ft.Points.Data
 			for r := start; r < end; r++ {
 				row := rows[r*dim : r*dim+dim]
-				d, ok := sqDistBounded(row, q, sc.best.max())
+				d, ok := sqDistBounded(row, q, sc.best.Max())
 				if !ok {
 					continue
 				}
-				sc.best.offer(d)
+				sc.best.Offer(d)
 				if wantNeighbors {
 					sc.nbrs.offer(d, row)
 				}
@@ -253,7 +253,7 @@ func knnFlat(trees []*rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc
 		}
 		res.DirAccesses++
 		cs := int(ft.ChildStart[node])
-		bound := sc.best.max()
+		bound := sc.best.Max()
 		dists := sc.childDists(cc)
 		ft.Rects.MinSqDists(q, cs, cc, bound, dists)
 		for j := 0; j < cc; j++ {
@@ -262,7 +262,7 @@ func knnFlat(trees []*rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc
 			}
 		}
 	}
-	res.Radius = math.Sqrt(sc.best.max())
+	res.Radius = math.Sqrt(sc.best.Max())
 	if wantNeighbors {
 		res.Neighbors = sc.nbrs.extract()
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hdidx/internal/rtree"
+	"hdidx/internal/vec"
 )
 
 // buildRandomTree makes a random-geometry tree for the property suite:
@@ -25,9 +26,7 @@ func buildRandomTree(rng *rand.Rand) ([][]float64, *rtree.Tree) {
 			data = append(data, dup)
 		}
 	}
-	cp := make([][]float64, len(data))
-	copy(cp, data)
-	tr := rtree.Build(cp, rtree.BuildParams{
+	tr := rtree.Build(data, rtree.BuildParams{
 		LeafCap: float64(2 + rng.Intn(31)),
 		DirCap:  float64(2 + rng.Intn(15)),
 	})
@@ -118,7 +117,7 @@ func bruteRangeCount(data [][]float64, s Sphere) int {
 	n := 0
 	r2 := s.Radius * s.Radius
 	for _, p := range data {
-		if sqDist(p, s.Center) <= r2 {
+		if vec.SqDist(p, s.Center) <= r2 {
 			n++
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"hdidx/internal/dataset"
 	"hdidx/internal/rtree"
+	"hdidx/internal/vec"
 )
 
 // The sharded-identity property: one best-first search over S shard
@@ -42,26 +43,21 @@ func shardTrees(shards [][][]float64) []*rtree.FlatTree {
 			out[i] = &rtree.FlatTree{}
 			continue
 		}
-		cp := make([][]float64, len(pts))
-		copy(cp, pts)
-		tr := rtree.Build(cp, rtree.BuildParams{LeafCap: 8, DirCap: 4})
-		out[i] = tr.Flatten()
+		out[i] = rtree.Build(pts, rtree.BuildParams{LeafCap: 8, DirCap: 4}).Flatten()
 	}
 	return out
 }
 
 // singleTree is the single-tree oracle over all of data.
 func singleTree(data [][]float64) *rtree.FlatTree {
-	cp := make([][]float64, len(data))
-	copy(cp, data)
-	return rtree.Build(cp, rtree.BuildParams{LeafCap: 8, DirCap: 4}).Flatten()
+	return rtree.Build(data, rtree.BuildParams{LeafCap: 8, DirCap: 4}).Flatten()
 }
 
 // kthSqDist is the k-th smallest squared distance from q over data.
 func kthSqDist(data [][]float64, q []float64, k int) float64 {
 	d := make([]float64, len(data))
 	for i, p := range data {
-		d[i] = sqDist(p, q)
+		d[i] = vec.SqDist(p, q)
 	}
 	sort.Float64s(d)
 	return d[k-1]

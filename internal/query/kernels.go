@@ -23,7 +23,7 @@ import (
 // possible:
 //
 //   - Every kernel accumulates each row's squared-distance terms in
-//     ascending dimension order with sqDist's per-term sequence
+//     ascending dimension order with vec.SqDist's per-term sequence
 //     (d := row[j] - q[j]; s += d*d), never reassociating them, so
 //     every distance value is unchanged.
 //   - The k-NN radius is an order statistic of the per-row distance
@@ -57,7 +57,7 @@ const goLanes = 8
 // exceeds bound. ok reports whether the full distance was computed
 // and is at most bound (bound is +Inf while the caller's heap is not
 // yet full, so every distance completes). The per-term accumulation
-// order matches sqDist exactly, keeping results bit-identical.
+// order matches vec.SqDist exactly, keeping results bit-identical.
 func sqDistBounded(row, q []float64, bound float64) (dist float64, ok bool) {
 	var s float64
 	j := 0

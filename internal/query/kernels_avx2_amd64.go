@@ -5,7 +5,7 @@ package query
 // same dimension of L rows (L = 4 with AVX2, 8 with AVX-512), and the
 // assembly kernels (kernels_avx2_amd64.s) subtract the broadcast query
 // coordinate, square, and accumulate — per lane the exact
-// SUBSD/MULSD/ADDSD sequence of sqDist in ascending dimension order,
+// SUBSD/MULSD/ADDSD sequence of vec.SqDist in ascending dimension order,
 // so every squared distance is bit-identical to it.
 
 // simdLanes is the vector width in float64 rows: 8 with AVX-512, 4

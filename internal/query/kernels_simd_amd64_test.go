@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"hdidx/internal/vec"
 )
 
 // forEachLaneWidth runs f with simdLanes forced to every width this
@@ -112,7 +114,7 @@ func TestRaggedRowPanics(t *testing.T) {
 // portable kernel's part array bit for bit, at a finite bound (groups
 // abandoned mid-row) and at +Inf (every distance completed). Four-lane
 // groups abandon differently, so scanGroups4 must agree only on the
-// rows whose value is within the bound — and those values are sqDist's.
+// rows whose value is within the bound — and those values are vec.SqDist's.
 func TestGroupKernelsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const rows = 8 * 40
@@ -127,7 +129,7 @@ func TestGroupKernelsAgree(t *testing.T) {
 		q := data[rng.Intn(rows)]
 		full := make([]float64, rows)
 		for i, row := range data {
-			full[i] = sqDist(row, q)
+			full[i] = vec.SqDist(row, q)
 		}
 		sorted := append([]float64(nil), full...)
 		sort.Float64s(sorted)
@@ -136,10 +138,10 @@ func TestGroupKernelsAgree(t *testing.T) {
 			abandoned := 0
 			for i, v := range part8 {
 				if v <= bound && v != full[i] {
-					t.Fatalf("dim=%d bound=%v row %d: portable kernel %v != sqDist %v", dim, bound, i, v, full[i])
+					t.Fatalf("dim=%d bound=%v row %d: portable kernel %v != vec.SqDist %v", dim, bound, i, v, full[i])
 				}
 				if (v <= bound) != (full[i] <= bound) {
-					t.Fatalf("dim=%d bound=%v row %d: portable kernel %v, sqDist %v", dim, bound, i, v, full[i])
+					t.Fatalf("dim=%d bound=%v row %d: portable kernel %v, vec.SqDist %v", dim, bound, i, v, full[i])
 				}
 				if v < full[i] {
 					abandoned++

@@ -7,6 +7,7 @@ import (
 
 	"hdidx/internal/dataset"
 	"hdidx/internal/par"
+	"hdidx/internal/vec"
 )
 
 // refComputeSpheres is the slice-based oracle: one full-distance
@@ -137,7 +138,7 @@ func TestSqDistBoundedMatchesSqDist(t *testing.T) {
 				a[j] = rng.Float64() * 10
 				b[j] = rng.Float64() * 10
 			}
-			want := sqDist(a, b)
+			want := vec.SqDist(a, b)
 			got, ok := sqDistBounded(a, b, want)
 			if !ok || got != want {
 				t.Fatalf("dim=%d: bounded (%v,%v) vs full %v", dim, got, ok, want)

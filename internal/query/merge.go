@@ -37,7 +37,7 @@ func KNNMerge(q []float64, k int, parts []Result) Result {
 	}
 	sc := flatPool.Get().(*flatScratch)
 	defer flatPool.Put(sc)
-	sc.best.reset(k)
+	sc.best.Reset(k)
 	sc.nbrs.reset(k)
 	res := Result{}
 	offered := 0
@@ -46,11 +46,11 @@ func KNNMerge(q []float64, k int, parts []Result) Result {
 		res.LeafAccesses += p.LeafAccesses
 		res.DirAccesses += p.DirAccesses
 		for _, row := range p.Neighbors {
-			d, ok := sqDistBounded(row, q, sc.best.max())
+			d, ok := sqDistBounded(row, q, sc.best.Max())
 			if !ok {
 				continue
 			}
-			sc.best.offer(d)
+			sc.best.Offer(d)
 			sc.nbrs.offer(d, row)
 			offered++
 			if d > farthest {
@@ -61,7 +61,7 @@ func KNNMerge(q []float64, k int, parts []Result) Result {
 	if offered < k {
 		res.Radius = math.Sqrt(farthest)
 	} else {
-		res.Radius = math.Sqrt(sc.best.max())
+		res.Radius = math.Sqrt(sc.best.Max())
 	}
 	res.Neighbors = sc.nbrs.extract()
 	return res

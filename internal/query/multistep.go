@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"hdidx/internal/rtree"
+	"hdidx/internal/vec"
 )
 
 // Optimal multi-step k-NN search (Seidl & Kriegel, SIGMOD 1998), the
@@ -48,7 +49,7 @@ func (r *Ranking) Next() ([]float64, float64) {
 		if e.node.IsLeaf() {
 			r.LeafAccesses++
 			for _, p := range e.node.Points {
-				heap.Push(&r.pq, rankEntry{point: p, dist: sqDist(p, r.q)})
+				heap.Push(&r.pq, rankEntry{point: p, dist: vec.SqDist(p, r.q)})
 			}
 			continue
 		}
@@ -106,7 +107,7 @@ func MultiStepKNN(t *rtree.Tree, q []float64, k int, project func([]float64) []f
 	}
 	qProj := project(q)
 	rank := NewRanking(t, qProj)
-	best := newBoundedMaxHeap(k)
+	best := NewBoundedMaxHeap(k)
 	nbrs := neighborHeap{k: k}
 	res := MultiStepResult{}
 	for {
@@ -117,18 +118,18 @@ func MultiStepKNN(t *rtree.Tree, q []float64, k int, project func([]float64) []f
 		// Optimal stop: the projection is contractive, so no unseen
 		// object can beat the current k-th distance once the projected
 		// distance exceeds it.
-		if best.full() && projDist > best.max() {
+		if best.Full() && projDist > best.Max() {
 			break
 		}
 		full := lookup(p)
 		res.ObjectAccesses++
-		d := sqDist(full, q)
-		best.offer(d)
+		d := vec.SqDist(full, q)
+		best.Offer(d)
 		nbrs.offer(d, full)
 	}
 	res.IndexLeafAccesses = rank.LeafAccesses
 	res.IndexDirAccesses = rank.DirAccesses
-	res.Radius = math.Sqrt(best.max())
+	res.Radius = math.Sqrt(best.Max())
 	res.Neighbors = nbrs.extract()
 	return res
 }

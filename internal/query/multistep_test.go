@@ -9,6 +9,7 @@ import (
 
 	"hdidx/internal/dataset"
 	"hdidx/internal/rtree"
+	"hdidx/internal/vec"
 )
 
 func klLikePoints(n, dim int, seed int64) [][]float64 {
@@ -110,7 +111,7 @@ func TestMultiStepObjectAccessesBounded(t *testing.T) {
 	within := 0
 	qp := project(q)
 	for _, p := range proj {
-		if math.Sqrt(sqDist(p, qp)) <= res.Radius+1e-12 {
+		if math.Sqrt(vec.SqDist(p, qp)) <= res.Radius+1e-12 {
 			within++
 		}
 	}

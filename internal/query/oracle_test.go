@@ -25,19 +25,19 @@ func KNNSearch(t *rtree.Tree, q []float64, k int) Result {
 	}
 	var pq nodeHeap
 	pq.push(nodeEntry{node: t.Root, dist: t.Root.Rect.MinSqDist(q)})
-	best := newBoundedMaxHeap(k)
+	best := NewBoundedMaxHeap(k)
 	nbrs := neighborHeap{k: k}
 	res := Result{}
 	for pq.len() > 0 {
 		e := pq.pop()
-		if best.full() && e.dist > best.max() {
+		if best.Full() && e.dist > best.Max() {
 			break
 		}
 		if e.node.IsLeaf() {
 			res.LeafAccesses++
 			for _, p := range e.node.Points {
-				d := sqDist(p, q)
-				best.offer(d)
+				d := vec.SqDist(p, q)
+				best.Offer(d)
 				nbrs.offer(d, p)
 			}
 			continue
@@ -45,12 +45,12 @@ func KNNSearch(t *rtree.Tree, q []float64, k int) Result {
 		res.DirAccesses++
 		for _, c := range e.node.Children {
 			d := c.Rect.MinSqDist(q)
-			if !best.full() || d <= best.max() {
+			if !best.Full() || d <= best.Max() {
 				pq.push(nodeEntry{node: c, dist: d})
 			}
 		}
 	}
-	res.Radius = math.Sqrt(best.max())
+	res.Radius = math.Sqrt(best.Max())
 	res.Neighbors = nbrs.extract()
 	return res
 }
@@ -67,7 +67,7 @@ func RangeSearch(t *rtree.Tree, s Sphere) (points int, res Result) {
 		if n.IsLeaf() {
 			res.LeafAccesses++
 			for _, p := range n.Points {
-				if sqDist(p, s.Center) <= r2 {
+				if vec.SqDist(p, s.Center) <= r2 {
 					points++
 				}
 			}
@@ -136,19 +136,12 @@ func (h *nodeHeap) pop() nodeEntry {
 	return top
 }
 
-// DensityBiasedWorkload draws q query points uniformly from the
-// dataset (so denser regions receive proportionally more queries) and
-// computes their k-NN spheres against the full dataset. The query
+// DensityBiasedWorkload draws a DensityBiased workload of q queries
+// and computes their k-NN spheres against the full dataset. The query
 // points are copies of the drawn dataset rows, so a workload stays
 // valid even if the dataset is later transformed in place (KLT/DFT
 // dimensionality reduction).
 func DensityBiasedWorkload(data [][]float64, q, k int, rng *rand.Rand) []Sphere {
-	if q <= 0 {
-		panic("query: workload needs at least one query")
-	}
-	queryPoints := make([][]float64, q)
-	for i := range queryPoints {
-		queryPoints[i] = vec.Clone(data[rng.Intn(len(data))])
-	}
-	return ComputeSpheres(data, queryPoints, k)
+	_, points := DensityBiased(data, q, rng)
+	return ComputeSpheres(data, vec.ClonePoints(points), k)
 }

@@ -15,10 +15,12 @@ package query
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"hdidx/internal/mbr"
 	"hdidx/internal/par"
 	"hdidx/internal/rtree"
+	"hdidx/internal/vec"
 )
 
 // Sphere is a query region: the k-NN ball of a query point.
@@ -40,11 +42,37 @@ func KNNBruteRadius(pts [][]float64, q []float64, k int) float64 {
 	if k <= 0 || k > len(pts) {
 		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, len(pts)))
 	}
-	h := newBoundedMaxHeap(k)
+	h := NewBoundedMaxHeap(k)
 	for _, p := range pts {
-		h.offer(sqDist(p, q))
+		h.Offer(vec.SqDist(p, q))
 	}
-	return math.Sqrt(h.max())
+	return math.Sqrt(h.Max())
+}
+
+// DensityBiased draws the density-biased query workload of Section
+// 4.2: q query points drawn uniformly from data, so denser regions
+// receive proportionally more queries. It returns the drawn positions
+// and the rows at them (data's own rows, not copies). It takes exactly
+// q values of rng.Intn(len(data)), so a caller that goes on sampling
+// with rng sees the same stream wherever the workload is drawn.
+func DensityBiased(data [][]float64, q int, rng *rand.Rand) (indices []int, points [][]float64) {
+	indices = make([]int, q)
+	points = make([][]float64, q)
+	for i := range indices {
+		indices[i] = rng.Intn(len(data))
+		points[i] = data[indices[i]]
+	}
+	return indices, points
+}
+
+// Balls returns the query regions of a range workload: one sphere of
+// the given radius around each center.
+func Balls(centers [][]float64, radius float64) []Sphere {
+	out := make([]Sphere, len(centers))
+	for i, c := range centers {
+		out[i] = Sphere{Center: c, Radius: radius}
+	}
+	return out
 }
 
 // ComputeSpheres computes the k-NN sphere of every query point against
@@ -96,17 +124,8 @@ type Result struct {
 	Neighbors [][]float64
 }
 
-func sqDist(a, b []float64) float64 {
-	var s float64
-	for i, av := range a {
-		d := av - b[i]
-		s += d * d
-	}
-	return s
-}
-
 // neighborHeap selects the k nearest candidate points as a bounded
-// max-heap (the boundedMaxHeap machinery, carrying the points): offers
+// max-heap (the BoundedMaxHeap machinery, carrying the points): offers
 // beyond capacity replace the root when strictly closer, so selection
 // is O(log k) per candidate instead of the removed selectNearest's
 // O(n·k) selection sort over every visited leaf point. Distance ties
@@ -199,20 +218,23 @@ func (h *neighborHeap) extract() [][]float64 {
 	return out
 }
 
-// boundedMaxHeap keeps the k smallest values offered; max() is the
-// current k-th smallest (or +Inf until full).
-type boundedMaxHeap struct {
+// BoundedMaxHeap keeps the k smallest values offered; Max is the
+// current k-th smallest (or +Inf until full). It is the k-smallest
+// collector of every search here and of the balltree, gridfile and
+// vafile substrates; Reset lets a pooled scratch reuse its array.
+type BoundedMaxHeap struct {
 	k    int
 	vals []float64
 }
 
-func newBoundedMaxHeap(k int) *boundedMaxHeap {
-	return &boundedMaxHeap{k: k, vals: make([]float64, 0, k)}
+// NewBoundedMaxHeap returns an empty heap for the k smallest values.
+func NewBoundedMaxHeap(k int) *BoundedMaxHeap {
+	return &BoundedMaxHeap{k: k, vals: make([]float64, 0, k)}
 }
 
-// reset empties the heap and re-arms it for k values, keeping the
-// backing array when it is large enough (pooled scratch reuse).
-func (h *boundedMaxHeap) reset(k int) {
+// Reset empties the heap and re-arms it for k values, keeping the
+// backing array when it is large enough.
+func (h *BoundedMaxHeap) Reset(k int) {
 	h.k = k
 	if cap(h.vals) < k {
 		h.vals = make([]float64, 0, k)
@@ -221,16 +243,20 @@ func (h *boundedMaxHeap) reset(k int) {
 	}
 }
 
-func (h *boundedMaxHeap) full() bool { return len(h.vals) == h.k }
+// Full reports whether the heap holds k values.
+func (h *BoundedMaxHeap) Full() bool { return len(h.vals) == h.k }
 
-func (h *boundedMaxHeap) max() float64 {
-	if !h.full() {
+// Max returns the k-th smallest value offered, or +Inf until k values
+// have been.
+func (h *BoundedMaxHeap) Max() float64 {
+	if !h.Full() {
 		return math.Inf(1)
 	}
 	return h.vals[0]
 }
 
-func (h *boundedMaxHeap) offer(v float64) {
+// Offer adds v, dropping the largest value once the heap is full.
+func (h *BoundedMaxHeap) Offer(v float64) {
 	if len(h.vals) < h.k {
 		h.vals = append(h.vals, v)
 		h.up(len(h.vals) - 1)
@@ -243,7 +269,7 @@ func (h *boundedMaxHeap) offer(v float64) {
 	h.down(0)
 }
 
-func (h *boundedMaxHeap) up(i int) {
+func (h *BoundedMaxHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if h.vals[parent] >= h.vals[i] {
@@ -254,7 +280,7 @@ func (h *boundedMaxHeap) up(i int) {
 	}
 }
 
-func (h *boundedMaxHeap) down(i int) {
+func (h *BoundedMaxHeap) down(i int) {
 	n := len(h.vals)
 	for {
 		l, r := 2*i+1, 2*i+2

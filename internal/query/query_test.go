@@ -10,6 +10,7 @@ import (
 	"hdidx/internal/dataset"
 	"hdidx/internal/mbr"
 	"hdidx/internal/rtree"
+	"hdidx/internal/vec"
 )
 
 func uniformPoints(n, dim int, seed int64) [][]float64 {
@@ -118,7 +119,7 @@ func TestKNNSearchNeighborsSorted(t *testing.T) {
 	res := KNNSearch(tr, q, 10)
 	prev := -1.0
 	for _, nb := range res.Neighbors {
-		d := math.Sqrt(sqDist(nb, q))
+		d := math.Sqrt(vec.SqDist(nb, q))
 		if d < prev {
 			t.Fatal("neighbors not sorted by distance")
 		}
@@ -194,7 +195,7 @@ func TestRangeSearch(t *testing.T) {
 	got, res := RangeSearch(tr, s)
 	want := 0
 	for _, p := range data {
-		if sqDist(p, s.Center) <= s.Radius*s.Radius {
+		if vec.SqDist(p, s.Center) <= s.Radius*s.Radius {
 			want++
 		}
 	}
@@ -244,13 +245,13 @@ func TestBoundedMaxHeapProperty(t *testing.T) {
 		k := 1 + r.Intn(20)
 		n := k + r.Intn(100)
 		vals := make([]float64, n)
-		h := newBoundedMaxHeap(k)
+		h := NewBoundedMaxHeap(k)
 		for i := range vals {
 			vals[i] = r.Float64()
-			h.offer(vals[i])
+			h.Offer(vals[i])
 		}
 		sort.Float64s(vals)
-		return math.Abs(h.max()-vals[k-1]) < 1e-15
+		return math.Abs(h.Max()-vals[k-1]) < 1e-15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -258,9 +259,9 @@ func TestBoundedMaxHeapProperty(t *testing.T) {
 }
 
 func TestBoundedMaxHeapNotFull(t *testing.T) {
-	h := newBoundedMaxHeap(3)
-	h.offer(1)
-	if !math.IsInf(h.max(), 1) {
+	h := NewBoundedMaxHeap(3)
+	h.Offer(1)
+	if !math.IsInf(h.Max(), 1) {
 		t.Error("max of non-full heap must be +Inf")
 	}
 }

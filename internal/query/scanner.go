@@ -15,7 +15,7 @@ import (
 type SphereScanner struct {
 	queryPoints [][]float64
 	k           int
-	heaps       []*boundedMaxHeap
+	heaps       []*BoundedMaxHeap
 	seen        int
 	dim         int // fixed by the first row seen
 }
@@ -26,9 +26,9 @@ func NewSphereScanner(queryPoints [][]float64, k int) *SphereScanner {
 	if k <= 0 {
 		panic("query: k must be positive")
 	}
-	heaps := make([]*boundedMaxHeap, len(queryPoints))
+	heaps := make([]*BoundedMaxHeap, len(queryPoints))
 	for i := range heaps {
-		heaps[i] = newBoundedMaxHeap(k)
+		heaps[i] = NewBoundedMaxHeap(k)
 	}
 	return &SphereScanner{queryPoints: queryPoints, k: k, heaps: heaps}
 }
@@ -78,7 +78,7 @@ func (s *SphereScanner) Process(chunk [][]float64) {
 			for qi := lo; qi < hi; qi++ {
 				copy(qpad, s.queryPoints[qi])
 				h := s.heaps[qi]
-				bound := h.max()
+				bound := h.Max()
 				kernel(&pm.buf[0], groupBytes, b0, bn, &qpad[0], nchunks, bound, &part[0])
 				// Distances above the bound — abandoned groups and
 				// completed rows alike — are exactly the values the
@@ -86,19 +86,19 @@ func (s *SphereScanner) Process(chunk [][]float64) {
 				// without the call. Inserts tighten the filter.
 				for _, v := range part[:bn*lanes] {
 					if v <= bound {
-						h.offer(v)
-						bound = h.max()
+						h.Offer(v)
+						bound = h.Max()
 					}
 				}
 			}
 		}
 		for qi := lo; qi < hi; qi++ {
 			h, q := s.heaps[qi], s.queryPoints[qi]
-			bound := h.max()
+			bound := h.Max()
 			for _, row := range tail {
 				if d, ok := sqDistBounded(row, q, bound); ok {
-					h.offer(d)
-					bound = h.max()
+					h.Offer(d)
+					bound = h.Max()
 				}
 			}
 		}
@@ -115,7 +115,7 @@ func (s *SphereScanner) Spheres() []Sphere {
 	}
 	out := make([]Sphere, len(s.queryPoints))
 	for i, h := range s.heaps {
-		out[i] = Sphere{Center: s.queryPoints[i], Radius: math.Sqrt(h.max())}
+		out[i] = Sphere{Center: s.queryPoints[i], Radius: math.Sqrt(h.Max())}
 	}
 	return out
 }

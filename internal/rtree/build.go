@@ -88,9 +88,10 @@ func (p BuildParams) subtreeCap(level int) float64 {
 // small inputs.
 var forkMinPoints = 4096
 
-// Build bulk-loads a tree over pts. The point slices are retained (and
-// reordered) but their contents are never modified. It panics on an
-// empty input or non-positive capacities.
+// Build bulk-loads a tree over pts. It partitions its own copy of the
+// slice header, so the caller's slice keeps its order; the point
+// slices themselves are retained, never copied or modified. It panics
+// on an empty input or non-positive capacities.
 //
 // When the shared worker pool (internal/par) has more than one worker,
 // sibling subtrees build concurrently. The result is bit-identical to
@@ -115,6 +116,7 @@ func buildWith(pts [][]float64, params BuildParams, g *par.Group) *Tree {
 		height = params.DeriveHeight(len(pts))
 	}
 	b := &builder{params: params, g: g}
+	pts = append([][]float64(nil), pts...)
 	root := b.buildLevel(pts, height)
 	t := &Tree{
 		Root:      root,

@@ -186,9 +186,7 @@ func TestDynamicVsBulkUtilization(t *testing.T) {
 	pts := uniformPoints(8000, 8, 44)
 	dynamic := dynamicWith(pts, g)
 
-	cp := make([][]float64, len(pts))
-	copy(cp, pts)
-	bulk := Build(cp, ParamsForGeometry(Geometry{Dim: 8, PageBytes: 2048, Utilization: 0.95}))
+	bulk := Build(pts, ParamsForGeometry(Geometry{Dim: 8, PageBytes: 2048, Utilization: 0.95}))
 
 	if dynamic.NumLeaves() <= bulk.NumLeaves() {
 		t.Errorf("dynamic leaves %d should exceed bulk leaves %d (lower utilization)",

@@ -46,6 +46,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"hdidx/internal/query"
+	"hdidx/internal/vec"
 )
 
 // VAFile is a vector approximation file over a fixed dataset.
@@ -210,16 +213,16 @@ func (v *VAFile) KNNSearch(q []float64, k int) Result {
 	}
 	// Phase 1: scan approximations, keep the k smallest upper bounds
 	// as the pruning threshold, collect candidates by lower bound.
-	kthUpper := newKSmallest(k)
+	kthUpper := query.NewBoundedMaxHeap(k)
 	lo2s := make([]float64, len(v.points))
 	for i, a := range v.approx {
 		lo2, hi2 := v.bounds(q, a)
 		lo2s[i] = lo2
-		kthUpper.offer(hi2)
+		kthUpper.Offer(hi2)
 	}
-	threshold := kthUpper.max()
+	threshold := kthUpper.Max()
 	// Count survivors first so the candidate heap is sized exactly:
-	// together with the preallocated kSmallest heaps this keeps the
+	// together with the preallocated k-smallest heaps this keeps the
 	// whole search at a small constant number of allocations (the
 	// allocs guard test pins it).
 	nc := 0
@@ -239,82 +242,17 @@ func (v *VAFile) KNNSearch(q []float64, k int) Result {
 		Candidates:         len(cands),
 	}
 	// Phase 2: refine in lower-bound order.
-	exact := newKSmallest(k)
+	exact := query.NewBoundedMaxHeap(k)
 	for len(cands) > 0 {
 		e := cands.pop()
-		if exact.full() && e.lo2 > exact.max() {
+		if exact.Full() && e.lo2 > exact.Max() {
 			break
 		}
 		res.VectorAccesses++
-		d2 := sqDist(v.points[e.idx], q)
-		exact.offer(d2)
+		exact.Offer(vec.SqDist(v.points[e.idx], q))
 	}
-	res.Radius = math.Sqrt(exact.max())
+	res.Radius = math.Sqrt(exact.Max())
 	return res
-}
-
-func sqDist(a, b []float64) float64 {
-	var s float64
-	for i, av := range a {
-		d := av - b[i]
-		s += d * d
-	}
-	return s
-}
-
-// kSmallest tracks the k smallest values offered (max-heap).
-type kSmallest struct {
-	k    int
-	vals []float64
-}
-
-func newKSmallest(k int) *kSmallest {
-	return &kSmallest{k: k, vals: make([]float64, 0, k)}
-}
-
-func (h *kSmallest) full() bool { return len(h.vals) == h.k }
-
-func (h *kSmallest) max() float64 {
-	if !h.full() {
-		return math.Inf(1)
-	}
-	return h.vals[0]
-}
-
-func (h *kSmallest) offer(v float64) {
-	if len(h.vals) < h.k {
-		h.vals = append(h.vals, v)
-		i := len(h.vals) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if h.vals[p] >= h.vals[i] {
-				break
-			}
-			h.vals[p], h.vals[i] = h.vals[i], h.vals[p]
-			i = p
-		}
-		return
-	}
-	if v >= h.vals[0] {
-		return
-	}
-	h.vals[0] = v
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < len(h.vals) && h.vals[l] > h.vals[largest] {
-			largest = l
-		}
-		if r < len(h.vals) && h.vals[r] > h.vals[largest] {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		h.vals[i], h.vals[largest] = h.vals[largest], h.vals[i]
-		i = largest
-	}
 }
 
 type candEntry struct {

@@ -8,6 +8,7 @@ import (
 
 	"hdidx/internal/dataset"
 	"hdidx/internal/query"
+	"hdidx/internal/vec"
 )
 
 func uniformPoints(n, dim int, seed int64) [][]float64 {
@@ -80,7 +81,7 @@ func TestBoundsBracketTrueDistance(t *testing.T) {
 		i := rng.Intn(len(pts))
 		q := pts[rng.Intn(len(pts))]
 		lo2, hi2 := v.bounds(q, v.approx[i])
-		d2 := sqDist(pts[i], q)
+		d2 := vec.SqDist(pts[i], q)
 		if d2 < lo2-1e-9 || d2 > hi2+1e-9 {
 			t.Fatalf("bounds [%v, %v] miss true %v", lo2, hi2, d2)
 		}
@@ -248,7 +249,7 @@ func TestKNNSearchAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		v.KNNSearch(q, 10)
 	})
-	// lo2s + two kSmallest (struct + backing array each) + the
+	// lo2s + two k-smallest heaps (struct + backing array each) + the
 	// candidate heap = 6; allow a little headroom.
 	if allocs > 8 {
 		t.Errorf("KNNSearch allocated %.1f times per run, want <= 8", allocs)

@@ -2,13 +2,15 @@
 # Checks that every experiment command pinned in
 # cmd/experiments/testdata/outputs.sha256 prints the bytes whose sha256
 # is recorded there, once at -workers 1 and once at the default width
-# (GOMAXPROCS):
+# (GOMAXPROCS), and that every example pinned in examples/outputs.sha256
+# does, once at GOMAXPROCS=1 and once at the default:
 #
 #   scripts/check_outputs.sh
 #
-# It builds cmd/experiments once, prints one line per command and
-# width, and exits non-zero if any digest differs. The five commands
-# take about 50 s over both widths on a 2-vCPU VM.
+# It builds cmd/experiments and each example once, prints one line per
+# command and width, and exits non-zero if any digest differs. The five
+# commands take about 50 s over both widths on a 2-vCPU VM, the four
+# examples a few seconds.
 set -euo pipefail
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
@@ -17,18 +19,33 @@ trap 'rm -rf "$tmp"' EXIT
 (cd "$root" && go build -o "$tmp/experiments" ./cmd/experiments)
 
 status=0
+# check <want> <label> <command...> runs the command and compares the
+# sha256 of what it prints with want.
+check() {
+	local want=$1 label=$2 got
+	shift 2
+	got=$("$@" | sha256sum | cut -d' ' -f1)
+	if [[ $got == "$want" ]]; then
+		echo "ok   $label"
+	else
+		echo "FAIL $label: sha256 $got, want $want" >&2
+		status=1
+	fi
+}
+
 while read -r want args; do
 	[[ -z $want || $want == "#"* ]] && continue
 	for width in "-workers 1" ""; do
 		# Word splitting of $args and $width is intended: they are flags.
 		# shellcheck disable=SC2086
-		got=$("$tmp/experiments" $args $width | sha256sum | cut -d' ' -f1)
-		if [[ $got == "$want" ]]; then
-			echo "ok   $args ${width:-(default width)}"
-		else
-			echo "FAIL $args ${width:-(default width)}: sha256 $got, want $want" >&2
-			status=1
-		fi
+		check "$want" "$args ${width:-(default width)}" "$tmp/experiments" $args $width
 	done
 done <"$root/cmd/experiments/testdata/outputs.sha256"
+
+while read -r want example; do
+	[[ -z $want || $want == "#"* ]] && continue
+	(cd "$root" && go build -o "$tmp/$example" "./examples/$example")
+	check "$want" "examples/$example GOMAXPROCS=1" env GOMAXPROCS=1 "$tmp/$example"
+	check "$want" "examples/$example (default GOMAXPROCS)" "$tmp/$example"
+done <"$root/examples/outputs.sha256"
 exit $status
