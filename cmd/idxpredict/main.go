@@ -19,6 +19,7 @@ import (
 	"hdidx"
 	"hdidx/internal/dataset"
 	"hdidx/internal/prof"
+	"hdidx/internal/query"
 )
 
 func main() {
@@ -140,10 +141,9 @@ func measureLoaded(path string, points [][]float64, radius float64, k, q int, se
 	if k > ix.Len() {
 		k = ix.Len()
 	}
-	rng := rand.New(rand.NewSource(seed))
+	_, centers := query.DensityBiased(points, q, rand.New(rand.NewSource(seed)))
 	total := 0
-	for i := 0; i < q; i++ {
-		center := points[rng.Intn(len(points))]
+	for _, center := range centers {
 		var st hdidx.QueryStats
 		if radius > 0 {
 			_, st, err = ix.RangeCount(center, radius)

@@ -481,13 +481,30 @@ func (p *Predictor) MeasureRangeAccesses(radius float64, opts EstimateOptions) (
 	if radius <= 0 {
 		return 0, fmt.Errorf("hdidx: range radius must be positive")
 	}
+	return p.measure(radius, opts)
+}
+
+// measure builds the full index in memory and measures the mean leaf
+// accesses of the workload estimate predicts for the same radius and
+// options: k-NN balls when radius is 0, balls of the given radius
+// otherwise. Its trace is hdidx.measure.knn or hdidx.measure.range.
+func (p *Predictor) measure(radius float64, opts EstimateOptions) (float64, error) {
 	o, err := opts.withDefaults(len(p.points))
 	if err != nil {
 		return 0, err
 	}
 	_, centers := query.DensityBiased(p.points, o.Queries, rand.New(rand.NewSource(o.Seed)))
-	spheres := query.Balls(centers, radius)
-	tr := obs.TraceIfEnabled("hdidx.measure.range", nil)
+	var tr *obs.Trace
+	var spheres []query.Sphere
+	if radius == 0 {
+		tr = obs.TraceIfEnabled("hdidx.measure.knn", nil)
+		sp := tr.Span("workload.spheres")
+		spheres = query.ComputeSpheres(p.points, centers, o.K)
+		sp.End()
+	} else {
+		tr = obs.TraceIfEnabled("hdidx.measure.range", nil)
+		spheres = query.Balls(centers, radius)
+	}
 	sp := tr.Span("rtree.build")
 	tree := rtree.Build(p.points, rtree.ParamsForGeometry(p.g))
 	sp.End()
@@ -558,17 +575,5 @@ func (p *Predictor) TunePageSize(candidates []int, opts EstimateOptions) (best P
 // average leaf accesses of the same workload an Estimate predicts —
 // the ground truth for evaluating predictions.
 func (p *Predictor) MeasureKNNAccesses(opts EstimateOptions) (float64, error) {
-	o, err := opts.withDefaults(len(p.points))
-	if err != nil {
-		return 0, err
-	}
-	_, centers := query.DensityBiased(p.points, o.Queries, rand.New(rand.NewSource(o.Seed)))
-	tr := obs.TraceIfEnabled("hdidx.measure.knn", nil)
-	sp := tr.Span("workload.spheres")
-	spheres := query.ComputeSpheres(p.points, centers, o.K)
-	sp.End()
-	sp = tr.Span("measure.inmemory")
-	out := stats.Mean(core.MeasureInMemory(p.points, p.g, spheres))
-	sp.End()
-	return out, nil
+	return p.measure(0, opts)
 }

@@ -184,6 +184,51 @@ func TestEstimateUnknownMethodLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// TestMeasureTraces checks that the two measurements, which share one
+// body, each register their own trace with collection on: the k-NN one
+// times the spheres, and both time the bulk load and the leaf count.
+func TestMeasureTraces(t *testing.T) {
+	p, err := NewPredictor(clusteredPoints(t, 0.02, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Default.SetEnabled(true)
+	defer func() {
+		obs.Default.SetEnabled(false)
+		obs.Default.Reset()
+	}()
+	before := len(obs.Default.Traces())
+	opts := EstimateOptions{Queries: 10, Seed: 1}
+	if _, err := p.MeasureKNNAccesses(opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.MeasureRangeAccesses(0.3, opts); err != nil {
+		t.Fatal(err)
+	}
+	traces := obs.Default.Traces()[before:]
+	want := []struct{ name, phases string }{
+		{"hdidx.measure.knn", "workload.spheres rtree.build measure.leaves"},
+		{"hdidx.measure.range", "rtree.build measure.leaves"},
+	}
+	if len(traces) != len(want) {
+		t.Fatalf("the measurements registered %d traces, want %d", len(traces), len(want))
+	}
+	for i, w := range want {
+		var report strings.Builder
+		traces[i].WriteText(&report)
+		if first, _, _ := strings.Cut(report.String(), "\n"); first != "trace "+w.name {
+			t.Errorf("trace %d is %q, want %q", i, first, "trace "+w.name)
+		}
+		var phases []string
+		for _, ph := range traces[i].Phases() {
+			phases = append(phases, ph.Name)
+		}
+		if got := strings.Join(phases, " "); got != w.phases {
+			t.Errorf("%s phases %q, want %q", w.name, got, w.phases)
+		}
+	}
+}
+
 func TestEstimatePhasesOtherMethods(t *testing.T) {
 	pts := clusteredPoints(t, 0.04, 22)
 	p, err := NewPredictor(pts)

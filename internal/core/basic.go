@@ -60,10 +60,3 @@ func PredictBasic(data [][]float64, zeta float64, compensate bool, g rtree.Geome
 	p.Phases = tr.Phases()
 	return p, nil
 }
-
-// MeasureInMemory builds the full index in memory and measures the
-// per-query leaf accesses — the zero-error (and zero-I/O-realism)
-// reference for PredictBasic experiments.
-func MeasureInMemory(data [][]float64, g rtree.Geometry, spheres []query.Sphere) []float64 {
-	return query.MeasureLeafAccesses(rtree.Build(data, rtree.ParamsForGeometry(g)), spheres)
-}

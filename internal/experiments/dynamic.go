@@ -85,16 +85,11 @@ func DynamicIndex(opt Options) (DynamicResult, error) {
 	}
 	effCap := util * float64(g.MaxDataCapacity())
 	grow := mbr.CompensationSideFactor(effCap, zeta)
-	var sum float64
 	rects := mini.LeafRects()
 	for i := range rects {
 		rects[i] = rects[i].GrowCentered(grow)
 	}
-	set := mbr.NewRectSet(rects)
-	for _, s := range spheres {
-		sum += float64(set.CountSphereIntersections(s.Center, s.Radius))
-	}
-	predicted := sum / float64(len(spheres))
+	predicted := stats.Mean(query.MeasureLeafAccessesSet(mbr.NewRectSet(rects), spheres))
 
 	// Ablation: a bulk-loaded mini-index at the measured utilization.
 	pb, err := core.PredictBasic(data, zeta, true, pg, spheres,

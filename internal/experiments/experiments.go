@@ -36,7 +36,8 @@ type Options struct {
 	// zero it defaults to 10,000 scaled by Scale (at least 200), so
 	// that scaled-down runs keep the paper's memory-to-data ratio.
 	M int
-	// Seed drives all randomness.
+	// Seed drives all randomness. Every value, 0 included, is used as
+	// given.
 	Seed int64
 	// Shards is the serving experiment's shard count (default 1): the
 	// server republishes only the dirty shard when it fills, and a
@@ -64,9 +65,6 @@ func (o Options) withDefaults() Options {
 		if o.M < 200 {
 			o.M = 200
 		}
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }

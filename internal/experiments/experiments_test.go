@@ -18,7 +18,7 @@ func tinyOpt() Options {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Scale != 1 || o.Queries != 500 || o.K != 21 || o.Seed != 1 {
+	if o.Scale != 1 || o.Queries != 500 || o.K != 21 || o.Seed != 0 {
 		t.Errorf("defaults = %+v", o)
 	}
 	if o.M != 10000 {
@@ -27,6 +27,21 @@ func TestOptionsDefaults(t *testing.T) {
 	small := Options{Scale: 0.001}.withDefaults()
 	if small.M != 200 {
 		t.Errorf("M floor = %d, want 200", small.M)
+	}
+}
+
+// Seed 0 is a seed like any other: it must not run seed 1's workload.
+func TestSeedZeroIsItsOwnSeed(t *testing.T) {
+	tables := make([]string, 2)
+	for seed := range tables {
+		res, err := Fig2(Options{Scale: 0.02, Queries: 30, K: 21, Seed: int64(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[seed] = res.String()
+	}
+	if tables[0] == tables[1] {
+		t.Errorf("seeds 0 and 1 print the same table:\n%s", tables[0])
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 
 	"hdidx/internal/dataset"
 	"hdidx/internal/mbr"
-	"hdidx/internal/par"
 	"hdidx/internal/query"
+	"hdidx/internal/stats"
 )
 
 // Sampling-based prediction for the grid file (Section 4.7). Grid file
@@ -68,27 +68,12 @@ func Predict(data [][]float64, zeta float64, capacity int, spheres []query.Spher
 	for _, r := range occupied {
 		regions = append(regions, r)
 	}
-	p := Prediction{PerQuery: make([]float64, len(spheres)), Buckets: len(regions)}
-	set := mbr.NewRectSet(regions)
-	var sum float64
-	for i, s := range spheres {
-		n := set.CountSphereIntersections(s.Center, s.Radius)
-		p.PerQuery[i] = float64(n)
-		sum += float64(n)
-	}
-	if len(spheres) > 0 {
-		p.Mean = sum / float64(len(spheres))
-	}
-	return p, nil
+	perQuery := query.MeasureLeafAccessesSet(mbr.NewRectSet(regions), spheres)
+	return Prediction{PerQuery: perQuery, Mean: stats.Mean(perQuery), Buckets: len(regions)}, nil
 }
 
 // MeasureLeafAccesses counts, per query sphere, the occupied buckets
 // whose region intersects it.
 func MeasureLeafAccesses(g *GridFile, spheres []query.Sphere) []float64 {
-	set := mbr.NewRectSet(g.Regions())
-	out := make([]float64, len(spheres))
-	par.For(len(spheres), func(i int) {
-		out[i] = float64(set.CountSphereIntersections(spheres[i].Center, spheres[i].Radius))
-	})
-	return out
+	return query.MeasureLeafAccessesSet(mbr.NewRectSet(g.Regions()), spheres)
 }

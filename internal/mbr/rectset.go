@@ -8,16 +8,18 @@ import (
 // RectSet is a flat, structure-of-arrays rectangle collection: the Lo
 // and Hi corners of all rectangles live in two contiguous []float64
 // arrays (rectangle i occupies entries [i*dim, (i+1)*dim)), instead of
-// one two-slice Rect header per rectangle. The hot predicates — sphere
-// intersection counting and nearest-box classification — walk these
-// arrays sequentially with a per-dimension early exit, which is what
-// makes the leaf-access measurement and the predictors' intersection
-// phase cache-friendly at high dimensionality.
+// one two-slice Rect header per rectangle. The hot predicates — child
+// pruning, sphere intersection counting and nearest-box classification
+// — walk these arrays sequentially, pricing every rectangle with one
+// MINDIST kernel (minSqDist) that exits early per dimension, which is
+// what makes the served search, the leaf-access measurement and the
+// predictors' intersection phase cache-friendly at high
+// dimensionality.
 //
 // A RectSet is immutable after construction and safe for concurrent
 // readers. The slice-based Rect predicates remain the reference
-// implementations; the kernels here are bit-identical to them (they
-// accumulate per-dimension terms in the same order and only skip work
+// implementations; the kernel is bit-identical to Rect.MinSqDist (it
+// accumulates the same terms in the same order and only skips work
 // whose outcome is already decided), which the rectset tests assert.
 type RectSet struct {
 	lo, hi []float64
@@ -101,20 +103,8 @@ func (s *RectSet) At(i int) Rect {
 // MinSqDist returns the squared Euclidean distance from p to the
 // nearest point of rectangle i, exactly as Rect.MinSqDist does.
 func (s *RectSet) MinSqDist(i int, p []float64) float64 {
-	lo := s.lo[i*s.dim : (i+1)*s.dim]
-	hi := s.hi[i*s.dim : (i+1)*s.dim]
-	var acc float64
-	for j, v := range p {
-		switch {
-		case v < lo[j]:
-			d := lo[j] - v
-			acc += d * d
-		case v > hi[j]:
-			d := v - hi[j]
-			acc += d * d
-		}
-	}
-	return acc
+	s.checkPoint(p)
+	return minSqDist(s.lo, s.hi, i*s.dim, p, math.Inf(1))
 }
 
 // MinSqDists computes the squared MINDIST from p to each rectangle of
@@ -124,79 +114,43 @@ func (s *RectSet) MinSqDist(i int, p []float64) float64 {
 // contiguous corner memory instead of one pointer-chased MinSqDist per
 // child.
 //
-// Per rectangle the terms accumulate in ascending dimension order,
-// exactly like Rect.MinSqDist, so every completed distance is
-// bit-identical to the scalar reference. A rectangle whose partial sum
-// exceeds bound is abandoned early — the remaining terms are
-// non-negative, so its full distance is also above bound — and its out
-// entry holds that partial sum (some value > bound). Callers that only
-// keep entries <= bound therefore make identical decisions with or
-// without the early exit; pass bound = +Inf for exact distances
-// everywhere.
+// Each entry is minSqDist bounded by bound: a completed distance is
+// bit-identical to Rect.MinSqDist, and an abandoned one holds a partial
+// sum above bound. Callers that only keep entries <= bound therefore
+// make identical decisions with or without the early exit; pass
+// bound = +Inf for exact distances everywhere.
 func (s *RectSet) MinSqDists(p []float64, start, count int, bound float64, out []float64) {
 	if count == 0 {
 		return
 	}
-	if len(p) != s.dim {
-		panic(fmt.Sprintf("mbr: point dimension %d != rect dimension %d", len(p), s.dim))
-	}
+	s.checkPoint(p)
 	if start < 0 || start+count > s.n {
 		panic(fmt.Sprintf("mbr: range [%d, %d) of a %d-rectangle set", start, start+count, s.n))
 	}
 	dim := s.dim
 	lo, hi := s.lo, s.hi
 	for i, base := 0, start*dim; i < count; i, base = i+1, base+dim {
-		var acc float64
-		for j, v := range p {
-			if l := lo[base+j]; v < l {
-				d := l - v
-				acc += d * d
-			} else if h := hi[base+j]; v > h {
-				d := v - h
-				acc += d * d
-			}
-			if acc > bound {
-				break
-			}
-		}
-		out[i] = acc
+		out[i] = minSqDist(lo, hi, base, p, bound)
 	}
 }
 
 // CountSphereIntersections returns how many rectangles the closed ball
-// around center touches — the flat kernel behind leaf-access
-// measurement and the predictors' intersection counting. Per rectangle
-// it accumulates the MINDIST terms dimension by dimension and bails
-// out as soon as the partial sum exceeds radius²: the remaining terms
-// are non-negative, so the rectangle is already known not to
-// intersect. The count is bit-identical to looping
-// Rect.IntersectsSphere over the same rectangles.
+// around center touches: those whose minSqDist, bounded by radius²,
+// is at most radius². The count is bit-identical to looping
+// Rect.IntersectsSphere over the same rectangles. Every leaf-access
+// measurement and every R-tree and grid-file prediction reach it
+// through query.MeasureLeafAccessesSet.
 func (s *RectSet) CountSphereIntersections(center []float64, radius float64) int {
 	if s.n == 0 {
 		return 0
 	}
-	if len(center) != s.dim {
-		panic(fmt.Sprintf("mbr: center dimension %d != rect dimension %d", len(center), s.dim))
-	}
+	s.checkPoint(center)
 	r2 := radius * radius
 	count := 0
 	dim := s.dim
 	lo, hi := s.lo, s.hi
 	for base := 0; base < len(lo); base += dim {
-		var acc float64
-		for j, v := range center {
-			if l := lo[base+j]; v < l {
-				d := l - v
-				acc += d * d
-			} else if h := hi[base+j]; v > h {
-				d := v - h
-				acc += d * d
-			}
-			if acc > r2 {
-				break
-			}
-		}
-		if acc <= r2 {
+		if minSqDist(lo, hi, base, center, r2) <= r2 {
 			count++
 		}
 	}
@@ -213,34 +167,14 @@ func (s *RectSet) Classify(p []float64) (best int, contained bool) {
 	if s.n == 0 {
 		panic("mbr: Classify against an empty RectSet")
 	}
-	if len(p) != s.dim {
-		panic(fmt.Sprintf("mbr: point dimension %d != rect dimension %d", len(p), s.dim))
-	}
+	s.checkPoint(p)
 	dim := s.dim
 	lo, hi := s.lo, s.hi
 	bestDist := math.Inf(1)
 	for i, base := 0, 0; base < len(lo); i, base = i+1, base+dim {
-		var acc float64
-		pruned := false
-		for j, v := range p {
-			if l := lo[base+j]; v < l {
-				d := l - v
-				acc += d * d
-			} else if h := hi[base+j]; v > h {
-				d := v - h
-				acc += d * d
-			}
-			if acc > bestDist {
-				// Already farther than the best box; the remaining
-				// dimensions only add distance, and acc > 0 means the
-				// box cannot contain p either.
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
+		// A box abandoned above bestDist is farther than the best one,
+		// and its positive distance means it cannot contain p either.
+		acc := minSqDist(lo, hi, base, p, bestDist)
 		if acc == 0 {
 			return i, true
 		}
@@ -249,4 +183,37 @@ func (s *RectSet) Classify(p []float64) (best int, contained bool) {
 		}
 	}
 	return best, false
+}
+
+// checkPoint panics unless p has the set's dimensionality.
+func (s *RectSet) checkPoint(p []float64) {
+	if len(p) != s.dim {
+		panic(fmt.Sprintf("mbr: point dimension %d != rect dimension %d", len(p), s.dim))
+	}
+}
+
+// minSqDist is every RectSet method's MINDIST: the squared distance
+// from p to the rectangle whose corners are lo[base:base+len(p)] and
+// hi[base:base+len(p)], accumulated in ascending dimension order with
+// Rect.MinSqDist's terms (l − v below the rectangle, v − h above it,
+// squared), so a completed sum is bit-identical to it. The sum is
+// tested against bound after every term; once it exceeds bound the
+// remaining terms, all non-negative, cannot bring it back, so the
+// partial sum (some value > bound) is returned. Callers check that p
+// has the set's dimension, so it reads no other rectangle's corners.
+func minSqDist(lo, hi []float64, base int, p []float64, bound float64) float64 {
+	var acc float64
+	for j, v := range p {
+		if l := lo[base+j]; v < l {
+			d := l - v
+			acc += d * d
+		} else if h := hi[base+j]; v > h {
+			d := v - h
+			acc += d * d
+		}
+		if acc > bound {
+			break
+		}
+	}
+	return acc
 }

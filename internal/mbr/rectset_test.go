@@ -55,6 +55,58 @@ func randRects(rng *rand.Rand, n, dim int, degenerate bool) []Rect {
 	return rects
 }
 
+// unbound opens about a quarter of the sides of rects to infinity, the
+// way the grid file's boundary cells extend (gridfile.cellRegion), and
+// returns rects.
+func unbound(rng *rand.Rand, rects []Rect) []Rect {
+	for _, r := range rects {
+		for j := range r.Lo {
+			switch rng.Intn(8) {
+			case 0:
+				r.Lo[j] = math.Inf(-1)
+			case 1:
+				r.Hi[j] = math.Inf(1)
+			}
+		}
+	}
+	return rects
+}
+
+// checkAgainstRect compares all four RectSet methods at p with the Rect
+// references over the same rectangles: MinSqDist and unbounded
+// MinSqDists bit for bit with Rect.MinSqDist, MinSqDists bounded by r²
+// exact at or below it and above it otherwise,
+// CountSphereIntersections with Rect.IntersectsSphere, and Classify
+// with refClassify.
+func checkAgainstRect(t *testing.T, rects []Rect, p []float64, radius float64) {
+	t.Helper()
+	s := NewRectSet(rects)
+	out := make([]float64, len(rects))
+	s.MinSqDists(p, 0, len(rects), math.Inf(1), out)
+	r2 := radius * radius
+	bounded := make([]float64, len(rects))
+	s.MinSqDists(p, 0, len(rects), r2, bounded)
+	for i, r := range rects {
+		want := r.MinSqDist(p)
+		if got := s.MinSqDist(i, p); got != want {
+			t.Fatalf("rect %v, p %v: MinSqDist %v, want %v", r, p, got, want)
+		}
+		if out[i] != want {
+			t.Fatalf("rect %v, p %v: MinSqDists %v, want %v", r, p, out[i], want)
+		}
+		if (want <= r2 && bounded[i] != want) || (want > r2 && bounded[i] <= r2) {
+			t.Fatalf("rect %v, p %v: MinSqDists bounded by %v gave %v, exact %v", r, p, r2, bounded[i], want)
+		}
+	}
+	if got, want := s.CountSphereIntersections(p, radius), refCountIntersections(rects, p, radius); got != want {
+		t.Fatalf("p %v, radius %v: counted %d intersections, oracle %d", p, radius, got, want)
+	}
+	gotB, gotC := s.Classify(p)
+	if wantB, wantC := refClassify(rects, p); gotB != wantB || gotC != wantC {
+		t.Fatalf("p %v: Classify = (%d, %v), oracle (%d, %v)", p, gotB, gotC, wantB, wantC)
+	}
+}
+
 func TestRectSetRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rects := randRects(rng, 17, 6, true)
@@ -91,9 +143,35 @@ func TestRectSetMismatchedDimsPanics(t *testing.T) {
 	NewRectSet([]Rect{New([]float64{1}), New([]float64{1, 2})})
 }
 
+// Every method refuses a point of another dimensionality, shorter or
+// longer, rather than pricing a prefix of the rectangle or reading the
+// next one's corners.
+func TestRectSetWrongDimensionPanics(t *testing.T) {
+	s := NewRectSet(randRects(rand.New(rand.NewSource(3)), 4, 3, false))
+	out := make([]float64, 4)
+	methods := map[string]func(p []float64){
+		"MinSqDist":                func(p []float64) { s.MinSqDist(1, p) },
+		"MinSqDists":               func(p []float64) { s.MinSqDists(p, 0, 4, math.Inf(1), out) },
+		"CountSphereIntersections": func(p []float64) { s.CountSphereIntersections(p, 1) },
+		"Classify":                 func(p []float64) { s.Classify(p) },
+	}
+	for name, call := range methods {
+		for _, dim := range []int{2, 4} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted a %d-d point in a 3-d set", name, dim)
+					}
+				}()
+				call(make([]float64, dim))
+			}()
+		}
+	}
+}
+
 func TestRectSetMinSqDistMatchesRect(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	rects := randRects(rng, 50, 8, true)
+	rects := unbound(rng, randRects(rng, 50, 8, true))
 	s := NewRectSet(rects)
 	p := make([]float64, 8)
 	for trial := 0; trial < 200; trial++ {
@@ -108,16 +186,25 @@ func TestRectSetMinSqDistMatchesRect(t *testing.T) {
 	}
 }
 
-// The edge cases the intersection predicate must get exactly right:
+// The edge cases the MINDIST kernel must get exactly right:
 // zero-radius spheres, spheres exactly tangent to a face or corner,
-// and degenerate (zero-extent) rectangles. The flat kernel must agree
-// with Rect.IntersectsSphere bit for bit.
+// degenerate (zero-extent) rectangles, and grid-file boundary cells
+// whose sides extend to infinity. Every RectSet method must agree with
+// the Rect references bit for bit, in three orders of the rectangles
+// (Classify's answer depends on the order).
 func TestRectSetSphereEdgeCases(t *testing.T) {
+	inf := math.Inf(1)
 	unit := FromCorners([]float64{0, 0}, []float64{1, 1})
-	point := New([]float64{2, 2})                            // fully degenerate
-	segment := FromCorners([]float64{4, 0}, []float64{4, 1}) // degenerate in x
-	rects := []Rect{unit, point, segment}
-	s := NewRectSet(rects)
+	point := New([]float64{2, 2})                             // fully degenerate
+	segment := FromCorners([]float64{4, 0}, []float64{4, 1})  // degenerate in x
+	west := FromCorners([]float64{-inf, 0}, []float64{-1, 1}) // boundary cell, open to -x
+	northeast := FromCorners([]float64{5, 3}, []float64{inf, inf})
+	space := FromCorners([]float64{-inf, -inf}, []float64{inf, inf}) // a one-cell grid
+	orders := [][]Rect{
+		{unit, point, segment, west, northeast},
+		{northeast, west, segment, point, unit},
+		{west, space, unit},
+	}
 
 	cases := []struct {
 		name   string
@@ -135,25 +222,34 @@ func TestRectSetSphereEdgeCases(t *testing.T) {
 		{"tangent to segment end", []float64{4, 4}, 3},
 		{"tangent to segment side", []float64{6, 0.5}, 2},
 		{"huge radius", []float64{-10, -10}, 100},
+		{"inside an open cell", []float64{-1e300, 0.5}, 0},
+		{"tangent to an open cell's face", []float64{0, 0.5}, 1},
+		{"just outside an open cell's face", []float64{0, 0.5}, 1 - 1e-12},
+		{"tangent to an open cell's corner", []float64{2, -1}, 5}, // 3-4-5 to (5, 3)
+		{"beyond an open cell's finite side", []float64{-3, 1e300}, 1},
 	}
-	for _, tc := range cases {
-		want := refCountIntersections(rects, tc.center, tc.radius)
-		got := s.CountSphereIntersections(tc.center, tc.radius)
-		if got != want {
-			t.Errorf("%s: flat kernel counted %d, oracle %d", tc.name, got, want)
+	for _, rects := range orders {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				checkAgainstRect(t, rects, tc.center, tc.radius)
+			})
 		}
 	}
 }
 
-// Property: on random rectangles (including degenerate ones) and
-// random spheres — some with radii manufactured to be exactly tangent
-// to a rectangle — the flat kernel equals the slice-based oracle.
+// Property: on random rectangles (including degenerate ones, and on
+// even seeds unbounded ones) and random spheres — some with radii
+// manufactured to be exactly tangent to a rectangle — the flat kernel
+// equals the slice-based oracle.
 func TestRectSetSphereIntersectionsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dim := 1 + rng.Intn(20)
 		n := rng.Intn(60)
 		rects := randRects(rng, n, dim, true)
+		if seed%2 == 0 {
+			unbound(rng, rects)
+		}
 		s := NewRectSet(rects)
 		center := make([]float64, dim)
 		for trial := 0; trial < 20; trial++ {
@@ -184,25 +280,33 @@ func TestRectSetSphereIntersectionsProperty(t *testing.T) {
 
 // Property: Classify picks exactly the box the sequential reference
 // picks — same index, same containment flag — on random point sets,
-// including points lying exactly on box boundaries.
+// including points lying exactly on box boundaries, and on even seeds
+// among boxes with unbounded sides.
 func TestRectSetClassifyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dim := 1 + rng.Intn(12)
 		n := 1 + rng.Intn(40)
 		rects := randRects(rng, n, dim, true)
+		if seed%2 == 0 {
+			unbound(rng, rects)
+		}
 		s := NewRectSet(rects)
 		p := make([]float64, dim)
 		for trial := 0; trial < 30; trial++ {
 			switch {
 			case trial%4 == 0:
-				// A corner of a random box: exact containment boundary.
+				// A corner of a random box: exact containment boundary
+				// (a random coordinate where that side is unbounded).
 				r := rects[rng.Intn(n)]
 				for j := range p {
 					if rng.Intn(2) == 0 {
 						p[j] = r.Lo[j]
 					} else {
 						p[j] = r.Hi[j]
+					}
+					if math.IsInf(p[j], 0) {
+						p[j] = rng.Float64()*4 - 2
 					}
 				}
 			default:
@@ -329,15 +433,20 @@ func TestRectSetSliceViews(t *testing.T) {
 	}
 }
 
-// Property: every completed MinSqDists entry is bit-identical to the
-// scalar MinSqDist, and the early exit only drops entries that are
-// already above the bound.
+// Property: every completed MinSqDists entry is bit-identical to
+// Rect.MinSqDist, and the early exit only drops entries that are
+// already above the bound, on bounded rectangles and, on even seeds,
+// rectangles with unbounded sides.
 func TestRectSetMinSqDistsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(40)
 		dim := 1 + rng.Intn(8)
-		s := NewRectSet(randRects(rng, n, dim, true))
+		rects := randRects(rng, n, dim, true)
+		if seed%2 == 0 {
+			unbound(rng, rects)
+		}
+		s := NewRectSet(rects)
 		p := make([]float64, dim)
 		for j := range p {
 			p[j] = rng.Float64()*2 - 0.5
@@ -349,7 +458,7 @@ func TestRectSetMinSqDistsProperty(t *testing.T) {
 		// Unbounded: exact equality with the scalar kernel everywhere.
 		s.MinSqDists(p, start, count, math.Inf(1), out)
 		for i := 0; i < count; i++ {
-			if out[i] != s.MinSqDist(start+i, p) {
+			if out[i] != rects[start+i].MinSqDist(p) {
 				return false
 			}
 		}
@@ -358,7 +467,7 @@ func TestRectSetMinSqDistsProperty(t *testing.T) {
 		bound := rng.Float64() * float64(dim) * 0.25
 		s.MinSqDists(p, start, count, bound, out)
 		for i := 0; i < count; i++ {
-			exact := s.MinSqDist(start+i, p)
+			exact := rects[start+i].MinSqDist(p)
 			if exact <= bound {
 				if out[i] != exact {
 					return false

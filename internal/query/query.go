@@ -90,17 +90,18 @@ func ComputeSpheres(data [][]float64, queryPoints [][]float64, k int) []Sphere {
 }
 
 // MeasureLeafAccesses counts, for each query sphere, the leaf pages of
-// the tree intersecting it, using the tree's flat leaf-MBR set.
-// Queries run in parallel.
+// the tree intersecting it: MeasureLeafAccessesSet over the tree's leaf
+// MBRs in build order.
 func MeasureLeafAccesses(t *rtree.Tree, spheres []Sphere) []float64 {
-	return MeasureLeafAccessesSet(t.LeafRectSet(), spheres)
+	return MeasureLeafAccessesSet(mbr.NewRectSet(t.LeafRects()), spheres)
 }
 
 // MeasureLeafAccessesSet counts, for each query sphere, the rectangles
-// of the flat SoA set intersecting it — the shared kernel behind
-// leaf-access measurement over pointer trees (Tree.LeafRectSet) and
-// the predictors' leaf layouts.
-// Queries run in parallel.
+// of the flat SoA set intersecting it (RectSet.CountSphereIntersections).
+// It is the one per-query sphere–page count: the R-tree, grid-file and
+// dynamic-index measurements run it over built leaves or occupied
+// cells, and the R-tree and grid-file predictors over predicted leaf
+// layouts. Queries run in parallel.
 func MeasureLeafAccessesSet(set *mbr.RectSet, spheres []Sphere) []float64 {
 	out := make([]float64, len(spheres))
 	par.Chunks(len(spheres), func(lo, hi int) {

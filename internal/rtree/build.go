@@ -128,8 +128,8 @@ func buildWith(pts [][]float64, params BuildParams, g *par.Group) *Tree {
 	return t
 }
 
-// finish populates the tree's cached leaf list, flat leaf-MBR set,
-// node count, and breadth-first page IDs.
+// finish populates the tree's cached leaf list, node count, and
+// breadth-first page IDs.
 func finish(t *Tree) {
 	t.leaves = t.leaves[:0]
 	t.nodes = 0
@@ -147,11 +147,6 @@ func finish(t *Tree) {
 			queue = append(queue, n.Children...)
 		}
 	}
-	rects := make([]mbr.Rect, len(t.leaves))
-	for i, l := range t.leaves {
-		rects[i] = l.Rect
-	}
-	t.leafSet = mbr.NewRectSet(rects)
 }
 
 type builder struct {

@@ -79,7 +79,7 @@ func checkFlatten(t *testing.T, tr *Tree) {
 	walk(tr.Root)
 
 	// All leaves occupy the contiguous BFS tail, and the leaf-tail view
-	// matches the tree's leaf set in build order.
+	// matches the tree's leaf rectangles in build order.
 	tail := f.NumNodes() - f.NumLeaves
 	for i := 0; i < f.NumNodes(); i++ {
 		if leaf := f.ChildCount[i] == 0; leaf != (i >= tail) {
@@ -87,13 +87,13 @@ func checkFlatten(t *testing.T, tr *Tree) {
 		}
 	}
 	ls := f.Rects.Slice(tail, f.NumLeaves)
-	want := tr.LeafRectSet()
-	if ls.Len() != want.Len() {
-		t.Fatalf("leaf set: %d rects, want %d", ls.Len(), want.Len())
+	want := tr.LeafRects()
+	if ls.Len() != len(want) {
+		t.Fatalf("leaf set: %d rects, want %d", ls.Len(), len(want))
 	}
 	for i := 0; i < ls.Len(); i++ {
-		if !rectsEqual(ls.At(i), want.At(i)) {
-			t.Fatalf("leaf rect %d: %v, want %v", i, ls.At(i), want.At(i))
+		if !rectsEqual(ls.At(i), want[i]) {
+			t.Fatalf("leaf rect %d: %v, want %v", i, ls.At(i), want[i])
 		}
 	}
 

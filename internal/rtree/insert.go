@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"hdidx/internal/mbr"
+	"hdidx/internal/vec"
 )
 
 // Dynamic R*-tree insertion (Beckmann, Kriegel, Schneider & Seeger,
@@ -192,7 +193,7 @@ func (t *DynamicTree) reinsert(n *Node) {
 		count = 1
 	}
 	if n.IsLeaf() {
-		byDistance(n.Points, func(p []float64) float64 { return sqDistTo(p, c) })
+		byDistance(n.Points, func(p []float64) float64 { return vec.SqDist(p, c) })
 		removed := append([][]float64(nil), n.Points[len(n.Points)-count:]...)
 		n.Points = n.Points[:len(n.Points)-count]
 		recomputeRect(n)
@@ -201,7 +202,7 @@ func (t *DynamicTree) reinsert(n *Node) {
 		}
 		return
 	}
-	byDistance(n.Children, func(ch *Node) float64 { return sqDistTo(ch.Rect.Center(), c) })
+	byDistance(n.Children, func(ch *Node) float64 { return vec.SqDist(ch.Rect.Center(), c) })
 	removed := append([]*Node(nil), n.Children[len(n.Children)-count:]...)
 	n.Children = n.Children[:len(n.Children)-count]
 	recomputeRect(n)
@@ -227,15 +228,6 @@ func byDistance[E any](entries []E, dist func(E) float64) {
 	for i, k := range ks {
 		entries[i] = k.e
 	}
-}
-
-func sqDistTo(p, c []float64) float64 {
-	var s float64
-	for i := range p {
-		d := p[i] - c[i]
-		s += d * d
-	}
-	return s
 }
 
 func recomputeRect(n *Node) {

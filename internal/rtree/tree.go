@@ -32,10 +32,9 @@ type Tree struct {
 	// NumPoints is the number of data points stored.
 	NumPoints int
 
-	leaves  []*Node // cached leaf list in build order
-	leafSet *mbr.RectSet
-	nodes   int
-	dirty   bool // caches stale after dynamic inserts
+	leaves []*Node // cached leaf list in build order
+	nodes  int
+	dirty  bool // caches stale after dynamic inserts
 }
 
 // Height returns the height of the tree (1 for a single leaf).
@@ -70,7 +69,7 @@ func (t *Tree) refresh() {
 		if t.Root != nil {
 			finish(t)
 		} else {
-			t.leaves, t.leafSet, t.nodes = nil, nil, 0
+			t.leaves, t.nodes = nil, 0
 		}
 		t.dirty = false
 	}
@@ -84,16 +83,6 @@ func (t *Tree) LeafRects() []mbr.Rect {
 		rects[i] = l.Rect.Clone()
 	}
 	return rects
-}
-
-// LeafRectSet returns the leaf MBRs in build order as a flat
-// structure-of-arrays set — the layout the sphere-intersection kernel
-// scans. The set is built eagerly after every bulk load or cache
-// refresh and shared between callers; like the tree itself it must not
-// be read concurrently with dynamic inserts.
-func (t *Tree) LeafRectSet() *mbr.RectSet {
-	t.refresh()
-	return t.leafSet
 }
 
 // occupancy bounds the entries of a page: a leaf holds [minLeaf,
